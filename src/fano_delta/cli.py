@@ -19,9 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import flagdelta, toric3
-from .exactmath import parse_poly, q
-from .scenarios import builders, load_fan, load_scenario_data
+from .scenarios import builders, c_domain
 
 FAMILIES = ("218", "34-surfaces", "34-d4", "34-a3")
 
@@ -102,119 +100,57 @@ class UsageError(Exception):
     pass
 
 
-def _compute(scenario: str, op: str, target: str, c_arg: str | None) -> Fraction:
-    if scenario in ("34-d4", "34-a3"):
-        return _compute_toric(scenario, op, target)
-    if scenario == "34-surfaces":
-        return _compute_surfaces(op, target)
-    if scenario.startswith("218"):
-        return _compute_218(op, target, c_arg)
-    raise UsageError(f"unknown scenario {scenario!r}")
+def _split(target: str) -> tuple[str, str]:
+    name, sep, point = target.partition(":")
+    if not sep:
+        raise UsageError("s-point target must look like name:point")
+    return name, point
 
 
-def _compute_toric(scenario: str, op: str, target: str) -> Fraction:
-    data = load_scenario_data(scenario)
-    family = builders.ToricFamily(scenario)
-    if op == "toric-s":
-        vectors = {
-            "G": tuple(data["weight_vector"]),
-            "E": (0, 0, 1),
-            "F": (1, 0, 0),
-            "S": (0, 1, 0),
-        }
-        if target not in vectors:
-            raise UsageError(f"unknown toric-s target {target!r}")
-        fan = load_fan(data["ambient_fan"])
-        l_div = toric3.ToricDivisor(fan, [parse_poly(s) for s in data["l_on_y"]])
-        return toric3.s_invariant_toric(l_div, vectors[target])
-    if op == "s-curve":
-        if target not in data["curve_cases"]:
-            raise UsageError(f"unknown curve {target!r}")
-        return flagdelta.s_curve_flag(family.flag_scenario(target)).value
-    if op == "s-point":
-        if ":" not in target:
-            raise UsageError("s-point target must look like curve:point")
-        curve, point = target.split(":", 1)
-        if curve not in data["curve_cases"]:
-            raise UsageError(f"unknown curve {curve!r}")
-        return flagdelta.s_point_flag(family.flag_scenario(curve), point).value
-    raise UsageError(f"op {op!r} not available for scenario {scenario!r}")
+# (scenario, op) -> the builders quantity `compute` prints, given the scenario,
+# the --target text and the parsed --c.  The verify run reads the same
+# quantities; builders is looked up on each call.
+_QUANTITIES = {
+    ("34-surfaces", "s-divisor"): lambda sid, t, c: builders.surface_s(t),
+    ("34-surfaces", "beta"): lambda sid, t, c: builders.surface_beta(t),
+    ("34-surfaces", "s-curve"): lambda sid, t, c: builders.surface_s_curve(t).value,
+    ("34-surfaces", "s-point"): lambda sid, t, c: builders.surface_s_point(*_split(t)).value,
+    ("34-surfaces", "delta"): lambda sid, t, c: builders.surface_delta(t),
+    ("218", "s-divisor"): lambda sid, t, c: builders.Case218(t, c).s_ambient,
+    ("218", "s-curve"): lambda sid, t, c: builders.Case218(t, c).s_curve.value,
+    ("218", "s-point"): lambda sid, t, c: _case_218_point(t, c),
+    ("218", "delta"): lambda sid, t, c: builders.Case218(t, c).delta,
+}
+for _sid in ("34-d4", "34-a3"):
+    _QUANTITIES[_sid, "toric-s"] = lambda sid, t, c: builders.ToricFamily(sid).toric_s(t)
+    _QUANTITIES[_sid, "s-curve"] = lambda sid, t, c: builders.ToricFamily(sid).s_curve(t).value
+    _QUANTITIES[_sid, "s-point"] = (
+        lambda sid, t, c: builders.ToricFamily(sid).s_point(*_split(t)).value)
 
 
-def _compute_surfaces(op: str, target: str) -> Fraction:
-    data = load_scenario_data("34-surfaces")
-    if op in ("s-divisor", "beta"):
-        if target not in data["volumes"]:
-            raise UsageError(f"unknown divisor {target!r}")
-        vol = data["volumes"][target]
-        pieces = [(q(p["lo"]), q(p["hi"]), parse_poly(p["poly"])) for p in vol["pieces"]]
-        s_val = flagdelta.s_from_volume(q(data["l_cubed"]), pieces)
-        return s_val if op == "s-divisor" else flagdelta.beta(1, s_val)
-    if op == "s-curve":
-        if target not in data["flags"]:
-            raise UsageError(f"unknown flag {target!r}")
-        scenario = builders._surface_flag_scenario(
-            "34-surfaces", target, data["flags"][target], q(data["l_cubed"])
-        )
-        return flagdelta.s_curve_flag(scenario).value
-    if op == "s-point":
-        if ":" not in target:
-            raise UsageError("s-point target must look like flag:point")
-        name, point = target.split(":", 1)
-        if name not in data["flags"]:
-            raise UsageError(f"unknown flag {name!r}")
-        scenario = builders._surface_flag_scenario(
-            "34-surfaces", name, data["flags"][name], q(data["l_cubed"])
-        )
-        return flagdelta.s_point_flag(scenario, point).value
-    if op == "delta":
-        for spec in data["deltas"]:
-            if spec["name"] == target:
-                return flagdelta.delta_lower_bound(
-                    [(q(a), q(s)) for a, s in spec["levels"]]
-                )
-        raise UsageError(f"unknown delta assembly {target!r}")
-    raise UsageError(f"op {op!r} not available for 34-surfaces")
+def _case_218_point(target: str, c: Fraction) -> Fraction:
+    case, point = _split(target)
+    return builders.Case218(case, c).s_point(point).value
 
 
-def _compute_218(op: str, target: str, c_arg: str | None) -> Fraction:
-    from .scenarios import build_218, rf_eval
-
-    if c_arg is None:
+def _compute(scenario: str, op: str, target: str, c: Fraction | None) -> Fraction:
+    if (scenario, op) not in _QUANTITIES:
+        raise UsageError(f"op {op!r} not available for scenario {scenario!r}")
+    if scenario == "218" and c is None:
         raise UsageError("--c is required for scenario 218")
-    c = q(c_arg)
-    data = load_scenario_data("218")
-    case_name, _, point = target.partition(":")
-    if case_name not in data["cases"]:
-        raise UsageError(f"unknown 2.18 case {case_name!r}")
-    spec = data["cases"][case_name]
-    if op == "s-divisor":
-        pieces = [
-            (parse_poly(p["lo"])(c=c), parse_poly(p["hi"])(c=c), parse_poly(p["poly"]).subs(c=c))
-            for p in spec["ambient"]["volume"]
-        ]
-        return flagdelta.s_from_volume(rf_eval(data["l_cubed"], c), pieces)
-    scenario = build_218(case_name, c)
-    if op == "s-curve":
-        return flagdelta.s_curve_flag(scenario).value
-    if op == "s-point":
-        if not point:
-            raise UsageError("s-point target must look like case:point")
-        return flagdelta.s_point_flag(scenario, point).value
-    if op == "delta":
-        pieces = [
-            (parse_poly(p["lo"])(c=c), parse_poly(p["hi"])(c=c), parse_poly(p["poly"]).subs(c=c))
-            for p in spec["ambient"]["volume"]
-        ]
-        s_ambient = flagdelta.s_from_volume(rf_eval(data["l_cubed"], c), pieces)
-        levels = [(rf_eval(spec["ambient"]["a"], c), s_ambient),
-                  (scenario.curve_a, flagdelta.s_curve_flag(scenario).value)]
-        for pt in spec["points"]:
-            levels.append(
-                (rf_eval(pt["a"], c), flagdelta.s_point_flag(scenario, pt["name"]).value)
-            )
-        return flagdelta.delta_lower_bound(levels)
-    raise UsageError(f"op {op!r} not available for scenario 218")
+    return _QUANTITIES[scenario, op](scenario, target, c)
+
+
+def _parse_c(text: str) -> Fraction:
+    """A boundary weight p/q inside the open c_domain of family 2.18."""
+    try:
+        c = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"--c {text!r} is not a rational number p/q") from None
+    lo, hi = c_domain()
+    if not lo < c < hi:
+        raise UsageError(f"--c {text} lies outside the open interval ({lo}, {hi})")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +173,7 @@ def main(argv=None) -> int:
                           help="append approximate decimals to printed values")
 
     p_compute = sub.add_parser("compute", help="print one exact invariant")
-    p_compute.add_argument("--scenario", required=True)
+    p_compute.add_argument("--scenario", required=True, choices=FAMILIES)
     p_compute.add_argument("--op", required=True,
                            choices=["s-divisor", "s-curve", "s-point", "delta", "beta", "toric-s"])
     p_compute.add_argument("--target", required=True)
@@ -252,16 +188,19 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
+    try:
+        if args.command == "compute":
+            c = None if args.c is None else _parse_c(args.c)
+            value = _compute(args.scenario, args.op, args.target, c)
+        else:
+            c_values = [_parse_c(s) for s in args.c] if args.c else None
+    except (UsageError, KeyError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
     if args.command == "compute":
-        try:
-            value = _compute(args.scenario, args.op, args.target, args.c)
-        except (UsageError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         print(_fmt_value(str(value), args.decimal))
         return 0
 
-    c_values = [q(s) for s in args.c] if args.c else None
     try:
         report = build_report(args.family, c_values)
     except FileNotFoundError as exc:

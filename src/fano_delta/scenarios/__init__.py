@@ -6,7 +6,7 @@ FANO_DELTA_FIXTURES environment variable):
     fixtures/fans/*.json         fan schema {"rays": [[i,j,k],...], "cones": [[a,b,c],...]}
     fixtures/models/*.json       {"curves": [...], "gram": [["p/q",...],...], "generates_pseff": true}
     fixtures/tables/table-NN.json  appendix tables as verbatim row data
-    fixtures/scenarios/*.json    per-family scenario bundles
+    fixtures/scenarios/*.json    per-family scenario data
     fixtures/known_discrepancies.json
 
 Tables are stored as data, never as code, so the verification harness and
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -112,99 +111,21 @@ def rf_eval(spec, c: Fraction) -> Fraction:
     return num / den
 
 
-# ---------------------------------------------------------------------------
-# Scenario bundles
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ScenarioBundle:
-    id: str
-    kind: str
-    inputs: dict
-    expected: tuple[tuple[str, object], ...]
-
-
-_SCENARIO_IDS = ("218", "34-surfaces", "34-d4", "34-a3")
-_SCENARIO_ALIASES = {"218-easy": "218", "218-blowup": "218"}
-
-
-def load_scenario(scenario_id: str) -> ScenarioBundle:
-    scenario_id = _SCENARIO_ALIASES.get(scenario_id, scenario_id)
-    if scenario_id not in _SCENARIO_IDS:
-        raise KeyError(f"unknown scenario id {scenario_id!r}")
-    data = load_scenario_data(scenario_id)
-    _validate_bundle(scenario_id, data)
-    expected: list[tuple[str, object]] = []
-    if scenario_id in ("34-d4", "34-a3"):
-        for label, value in data["expected"].items():
-            expected.append((label, value))
-        for curve, case in data["curve_cases"].items():
-            expected.append((f"S_L(W^G;{curve})", case["expected_s_curve"]))
-            for point in case["points"]:
-                if point["expected_s"] is not None:
-                    expected.append((f"S(W^G,{curve};{point['name']})", point["expected_s"]))
-    elif scenario_id == "34-surfaces":
-        for name, vol in data["volumes"].items():
-            expected.append((f"S_L({name})", vol["expected_s"]))
-            expected.append((f"beta({name})", vol["expected_beta"]))
-        for name, flag in data["flags"].items():
-            expected.append((f"S_L(W;{name})", flag["expected_s_curve"]))
-            for point in flag["points"]:
-                expected.append((f"S(W;{name};{point['name']})", point["expected_s"]))
-        for delta in data["deltas"]:
-            expected.append((f"delta[{delta['name']}]", delta["expected"]))
-    else:
-        for case, spec in data["cases"].items():
-            expected.append((f"{case}:{spec['ambient']['label']}", spec["ambient"]["expected"]))
-            expected.append((f"{case}:S_curve", spec["expected_s_curve"]))
-            for point in spec["points"]:
-                expected.append((f"{case}:S({point['name']})", point["expected_s"]))
-    return ScenarioBundle(
-        id=scenario_id, kind=data["kind"], inputs=data, expected=tuple(expected)
-    )
-
-
-def _validate_bundle(scenario_id: str, data: dict) -> None:
-    if scenario_id in ("34-d4", "34-a3"):
-        for name in (data["ambient_fan"], data["resolution_fan"]):
-            load_fan(name)
-        for interval in data["certificate"]:
-            load_fan(interval["model"])
-        load_model(data["star"]["surface_model"])
-        for key in ("table_zd3", "table_restriction", "table_threshold"):
-            load_table(data["star"][key])
-        for case in data["curve_cases"].values():
-            load_table(case["table"])
-    elif scenario_id == "218":
-        for case in data["cases"].values():
-            load_model(case["model"])
-    elif scenario_id == "34-surfaces":
-        for flag in data["flags"].values():
-            load_model(flag["model"])
-
-
-def expected_registry() -> list[tuple[str, str, object]]:
-    """Every (scenario, label, expected value) under test."""
-    out = []
-    for scenario_id in _SCENARIO_IDS:
-        bundle = load_scenario(scenario_id)
-        for label, value in bundle.expected:
-            out.append((scenario_id, label, value))
-    return out
-
-
 def build_218(case: str, c: Fraction):
     """Flag scenario for one section-2 configuration at exact parameter c."""
     from . import builders
 
     c = q(c)
-    if not 0 < c < 1:
-        raise ValueError("c must lie strictly between 0 and 1")
-    data = load_scenario_data("218")
-    if case not in data["cases"]:
-        raise KeyError(f"unknown 2.18 case {case!r}")
-    return builders.build_218_case(data["cases"][case], case, c)
+    lo, hi = c_domain()
+    if not lo < c < hi:
+        raise ValueError(f"c must lie strictly between {lo} and {hi}")
+    return builders.Case218(case, c).scenario
+
+
+def c_domain() -> tuple[Fraction, Fraction]:
+    """The open interval of boundary weights c on which family 2.18 is stated."""
+    lo, hi = load_scenario_data("218")["c_domain"]
+    return q(lo), q(hi)
 
 
 def default_c_samples() -> list[Fraction]:

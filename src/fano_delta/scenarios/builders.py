@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .. import flagdelta, surfzar, toric3
 from ..exactmath import Poly, integrate_univariate, parse_poly, q
-from ..flagdelta import BasePiece, FlagScenario, MarkedPoint
+from ..flagdelta import BasePiece, FlagScenario, MarkedPoint, SInvariantResult
 from ..toric3 import CurveClass, Fan3, ToricDivisor
 from . import (
     known_discrepancies,
@@ -42,22 +43,31 @@ class CheckResult:
     identity: tuple | None = None
 
 
-def _check(scenario, label, computed, expected) -> CheckResult:
-    ok = computed == expected
-    return CheckResult(
-        scenario, label, _fmt(computed), _fmt(expected), PASS if ok else FAIL
-    )
+def _compare(scenario, label, got, want, identity=None, shown=None,
+             flag_label=None, flag_shown=None) -> CheckResult:
+    """Compare a recomputed value with the value it must equal.
 
-
-def _fmt(x) -> str:
-    return str(x)
+    Equal values PASS.  A mismatch is FLAGGED when `identity` is a registered
+    known discrepancy and FAILs otherwise.  The check records `shown`, the
+    (computed, expected) strings, by default str(got) and str(want); a
+    mismatch records `flag_label` and `flag_shown` instead where given.
+    """
+    computed, expected = shown or (str(got), str(want))
+    if got == want:
+        return CheckResult(scenario, label, computed, expected, PASS)
+    if flag_shown:
+        computed, expected = flag_shown
+    status = FLAGGED if identity in _known_identities() else FAIL
+    return CheckResult(scenario, flag_label or label, computed, expected, status,
+                       identity=identity)
 
 
 def _canon(expr: str) -> str:
     return str(parse_poly(expr))
 
 
-def _known_identities() -> set[tuple]:
+@lru_cache(maxsize=1)
+def _known_identities() -> frozenset[tuple]:
     out = set()
     for entry in known_discrepancies():
         if entry["kind"] == "table-cell":
@@ -81,12 +91,7 @@ def _known_identities() -> set[tuple]:
             out.add(("fan-cones", entry["fan"]))
         elif entry["kind"] == "point-value":
             out.add(("point-value", entry["scenario"], entry["curve"], entry["point"]))
-    return out
-
-
-def _classify_flag(identity: tuple, scenario, label, computed, expected) -> CheckResult:
-    status = FLAGGED if identity in _known_identities() else FAIL
-    return CheckResult(scenario, label, computed, expected, status, identity=identity)
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +118,7 @@ class ToricFamily:
             iv["model"]: load_fan(iv["model"]) for iv in self.data["certificate"]
         }
         self.l_u = tuple(parse_poly(s) for s in self.data["l_u"])
+        self.l_div = ToricDivisor(self.ambient, [parse_poly(s) for s in self.data["l_on_y"]])
         self.surface = load_model(self.data["star"]["surface_model"])
         self._star = None
         self._intervals = None
@@ -202,7 +208,7 @@ class ToricFamily:
     def flag_scenario(self, curve: str) -> FlagScenario:
         if curve in self._scenarios:
             return self._scenarios[curve]
-        case = self.data["curve_cases"][curve]
+        case = _named(self.data["curve_cases"], curve, "curve")
         cvec = tuple(q(x) for x in case["class"])
         is_basis = sum(1 for x in cvec if x != 0) == 1
         curve_index = next(i for i, x in enumerate(cvec) if x != 0) if is_basis else None
@@ -217,14 +223,6 @@ class ToricFamily:
             else:
                 d, nprime = Poly(), ntilde
             pieces.append(BasePiece(lo, hi, ptilde, d, nprime))
-        points = tuple(
-            MarkedPoint(
-                p["name"],
-                q(p["a"]),
-                tuple((int(k), q(v)) for k, v in sorted(p["mults"].items())),
-            )
-            for p in case["points"]
-        )
         scenario = FlagScenario(
             name=f"{self.scenario_id}:{curve}",
             l_cubed=q(self.data["expected"]["L^3"]),
@@ -232,11 +230,29 @@ class ToricFamily:
             curve_class=cvec,
             pieces=tuple(pieces),
             sigma=tuple(q(x) for x in case["sigma"]),
-            points=points,
+            points=_marked_points(case["points"], q),
             curve_a=q(case["curve_a"]),
         )
         self._scenarios[curve] = scenario
         return scenario
+
+    # -- quantities -------------------------------------------------------
+
+    def toric_s(self, target: str) -> Fraction:
+        """S_L of the toric valuation G (the weight vector), E, F or S."""
+        vectors = {
+            "G": tuple(self.data["weight_vector"]),
+            "E": (0, 0, 1),
+            "F": (1, 0, 0),
+            "S": (0, 1, 0),
+        }
+        return toric3.s_invariant_toric(self.l_div, _named(vectors, target, "toric-s target"))
+
+    def s_curve(self, curve: str) -> SInvariantResult:
+        return flagdelta.s_curve_flag(self.flag_scenario(curve))
+
+    def s_point(self, curve: str, point: str) -> SInvariantResult:
+        return flagdelta.s_point_flag(self.flag_scenario(curve), point)
 
     # -- checks -----------------------------------------------------------
 
@@ -257,8 +273,8 @@ class ToricFamily:
         self._check_flag_values()
         return self.checks
 
-    def _emit(self, label, computed, expected):
-        self.checks.append(_check(self.scenario_id, label, computed, expected))
+    def _emit(self, label, got, want, **how):
+        self.checks.append(_compare(self.scenario_id, label, got, want, **how))
 
     def _check_fans(self):
         from . import _load_json
@@ -272,20 +288,19 @@ class ToricFamily:
             if "printed_cones" in raw and raw["printed_cones"] != raw["cones"]:
                 printed = Fan3(raw["rays"], raw["printed_cones"])
                 issues = toric3.validate_fan(printed).issues
-                self.checks.append(_classify_flag(
-                    ("fan-cones", name), self.scenario_id,
-                    f"fan {name} cone list as printed",
-                    f"invalid as printed: {issues[0] if issues else 'differs'}",
-                    "corrected cone list used"))
+                self._emit(
+                    f"fan {name} cone list as printed", raw["printed_cones"], raw["cones"],
+                    identity=("fan-cones", name),
+                    shown=(f"invalid as printed: {issues[0] if issues else 'differs'}",
+                           "corrected cone list used"))
 
     def _check_polytope(self):
-        sid = self.scenario_id
         weights = self.data["blowup_weights"]
         a_val = flagdelta.log_discrepancy_weighted(
             weights, [(q(self.data["branch_coeff"]), q(self.data["branch_ord"]))]
         )
         self._emit("A(G)", a_val, q(self.data["expected"]["A(G)"]))
-        l_div = ToricDivisor(self.ambient, [parse_poly(s) for s in self.data["l_on_y"]])
+        l_div = self.l_div
         p = toric3.divisor_polytope(l_div)
         l_cubed = 6 * toric3.polytope_volume(p)
         self._emit("3!*vol(P_L)", l_cubed, q(self.data["expected"]["L^3"]))
@@ -295,7 +310,7 @@ class ToricFamily:
             q(self.data["expected"]["L^3"]),
         )
         w = tuple(self.data["weight_vector"])
-        s_val = toric3.s_invariant_toric(l_div, w)
+        s_val = self.toric_s("G")
         self._emit("S_L(G) [polytope]", s_val, q(self.data["expected"]["S_L(G)"]))
         self._emit(
             "lattice minimum equals vertex minimum",
@@ -305,16 +320,8 @@ class ToricFamily:
         ratio = a_val / s_val
         printed = self.data["expected"].get("printed_ratio")
         if printed is not None:
-            identity = ("ratio", sid)
-            if ratio == q(printed):
-                self.checks.append(
-                    CheckResult(sid, "A(G)/S_L(G)", str(ratio), printed, PASS)
-                )
-            else:
-                self.checks.append(
-                    _classify_flag(identity, sid, "A(G)/S_L(G) vs printed",
-                                   str(ratio), printed)
-                )
+            self._emit("A(G)/S_L(G)", ratio, q(printed), identity=("ratio", self.scenario_id),
+                       shown=(str(ratio), printed), flag_label="A(G)/S_L(G) vs printed")
 
     def _check_certificate(self):
         report = toric3.verify_zariski3(self.certificate())
@@ -392,19 +399,11 @@ class ToricFamily:
             for which, computed in (("P", p_res), ("N", n_res)):
                 for col, expr in zip(columns, row[which]):
                     ray = _RAY_COLUMNS[col]
-                    got, want = computed.coeffs[ray], parse_poly(expr)
-                    if got == want:
-                        self.checks.append(CheckResult(
-                            self.scenario_id,
-                            f"{table['id']} [{row['u'][0]},{row['u'][1]}] {which}({col})",
-                            str(got), str(want), PASS))
-                    else:
-                        identity = ("table-cell", table["id"], _canon(row["u"][0]),
-                                    _canon(row["u"][1]), "0", "0", which, col)
-                        self.checks.append(_classify_flag(
-                            identity, self.scenario_id,
-                            f"{table['id']} [{row['u'][0]},{row['u'][1]}] {which}({col})",
-                            str(got), str(want)))
+                    self._emit(
+                        f"{table['id']} [{row['u'][0]},{row['u'][1]}] {which}({col})",
+                        computed.coeffs[ray], parse_poly(expr),
+                        identity=("table-cell", table["id"], _canon(row["u"][0]),
+                                  _canon(row["u"][1]), "0", "0", which, col))
             # Off-table rays must vanish.
             for ray in (4, 5, 6):
                 if not (p_res.coeffs[ray] == self.l_u[ray] and n_res.coeffs[ray].is_zero()):
@@ -444,16 +443,11 @@ class ToricFamily:
         for row, (lo, hi, ptilde, ntilde) in zip(rows, pieces):
             for which, computed in (("P", ptilde), ("N", ntilde)):
                 for idx, (col, expr) in enumerate(zip(columns, row[which])):
-                    got, want = computed[idx], parse_poly(expr)
-                    label = f"{table['id']} [{row['u'][0]},{row['u'][1]}] {which}({col})"
-                    if got == want:
-                        self.checks.append(CheckResult(
-                            self.scenario_id, label, str(got), str(want), PASS))
-                    else:
-                        identity = ("table-cell", table["id"], _canon(row["u"][0]),
-                                    _canon(row["u"][1]), "0", "0", which, col)
-                        self.checks.append(_classify_flag(
-                            identity, self.scenario_id, label, str(got), str(want)))
+                    self._emit(
+                        f"{table['id']} [{row['u'][0]},{row['u'][1]}] {which}({col})",
+                        computed[idx], parse_poly(expr),
+                        identity=("table-cell", table["id"], _canon(row["u"][0]),
+                                  _canon(row["u"][1]), "0", "0", which, col))
 
     def _check_sigmas(self):
         contracted = self.data["star"]["contracted"]
@@ -521,33 +515,28 @@ class ToricFamily:
                     self.checks.append(CheckResult(
                         self.scenario_id, label, "recomputation matches", "match", PASS))
                 for mm in report.mismatches:
-                    identity = ("table-cell", table_id,
-                                _canon(str(row.u_lo)), _canon(str(row.u_hi)),
-                                _canon(str(row.v_lo)), _canon(str(row.v_hi)),
-                                mm.field, mm.curve)
-                    self.checks.append(_classify_flag(
-                        identity, self.scenario_id,
-                        f"{label} {mm.field}({mm.curve})",
-                        f"recomputed {mm.recomputed}", f"printed {mm.printed}"))
+                    self._emit(
+                        f"{label} {mm.field}({mm.curve})", mm.recomputed, mm.printed,
+                        identity=("table-cell", table_id,
+                                  _canon(str(row.u_lo)), _canon(str(row.u_hi)),
+                                  _canon(str(row.v_lo)), _canon(str(row.v_hi)),
+                                  mm.field, mm.curve),
+                        shown=(f"recomputed {mm.recomputed}", f"printed {mm.printed}"))
 
     def _check_flag_values(self):
         for curve, case in self.data["curve_cases"].items():
-            scenario = self.flag_scenario(curve)
-            s_curve = flagdelta.s_curve_flag(scenario)
+            s_curve = self.s_curve(curve)
             self._emit(f"S_L(W^G;{curve})", s_curve.value, q(case["expected_s_curve"]))
             self._emit(f"S_L(W^G;{curve}) breakdown sums", s_curve.check(), True)
             a_map = flagdelta.a_point_on_curve(list(case["different"].items()))
             for point in case["points"]:
-                s_pt = flagdelta.s_point_flag(scenario, point["name"])
+                s_pt = self.s_point(curve, point["name"])
                 if point["expected_s"] is not None:
                     label = f"S(W^G,{curve};{point['name']})"
-                    if s_pt.value == q(point["expected_s"]):
-                        self._emit(label, s_pt.value, q(point["expected_s"]))
-                    else:
-                        identity = ("point-value", self.scenario_id, curve, point["name"])
-                        self.checks.append(_classify_flag(
-                            identity, self.scenario_id, f"{label} vs printed",
-                            str(s_pt.value), point["expected_s"]))
+                    self._emit(label, s_pt.value, q(point["expected_s"]),
+                               identity=("point-value", self.scenario_id, curve, point["name"]),
+                               flag_label=f"{label} vs printed",
+                               flag_shown=(str(s_pt.value), point["expected_s"]))
                 if point["name"] in a_map:
                     self._emit(f"A({curve}:{point['name']}) from different",
                                a_map[point["name"]], q(point["a"]))
@@ -568,50 +557,93 @@ def run_toric_family(scenario_id: str) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def run_34_surfaces() -> list[CheckResult]:
-    data = load_scenario_data("34-surfaces")
-    sid = "34-surfaces"
-    checks: list[CheckResult] = []
-    l_cubed = q(data["l_cubed"])
-    for name, vol in data["volumes"].items():
-        pieces = [(q(p["lo"]), q(p["hi"]), parse_poly(p["poly"])) for p in vol["pieces"]]
-        s_val = flagdelta.s_from_volume(l_cubed, pieces)
-        checks.append(_check(sid, f"S_L({name})", s_val, q(vol["expected_s"])))
-        checks.append(_check(sid, f"beta({name})", flagdelta.beta(1, s_val),
-                             q(vol["expected_beta"])))
-    for name, spec in data["flags"].items():
-        scenario = _surface_flag_scenario(sid, name, spec, l_cubed)
-        s_curve = flagdelta.s_curve_flag(scenario)
-        checks.append(_check(sid, f"S_L(W;{name})", s_curve.value, q(spec["expected_s_curve"])))
-        for point in spec["points"]:
-            s_pt = flagdelta.s_point_flag(scenario, point["name"])
-            checks.append(_check(sid, f"S(W;{name};{point['name']})",
-                                 s_pt.value, q(point["expected_s"])))
-    for delta in data["deltas"]:
-        levels = [(q(a), q(s)) for a, s in delta["levels"]]
-        bound = flagdelta.delta_lower_bound(levels)
-        checks.append(_check(sid, f"delta[{delta['name']}]", bound, q(delta["expected"])))
-        checks.append(_check(sid, f"delta[{delta['name']}] >= 1", bound >= 1, True))
-    return checks
+SURFACES = "34-surfaces"
 
 
-def _surface_flag_scenario(sid, name, spec, l_cubed) -> FlagScenario:
-    model = load_model(spec["model"])
-    curve = int(spec["curve"])
-    cvec = tuple(Fraction(1) if i == curve else Fraction(0) for i in range(model.n))
+def surface_s(name: str) -> Fraction:
+    """S_L(name) from the stored volume pieces of the divisor."""
+    data = load_scenario_data(SURFACES)
+    vol = _named(data["volumes"], name, "divisor")
+    pieces = [(q(p["lo"]), q(p["hi"]), parse_poly(p["poly"])) for p in vol["pieces"]]
+    return flagdelta.s_from_volume(q(data["l_cubed"]), pieces)
+
+
+def surface_beta(name: str) -> Fraction:
+    return flagdelta.beta(1, surface_s(name))
+
+
+def surface_flag(name: str) -> FlagScenario:
+    data = load_scenario_data(SURFACES)
+    spec = _named(data["flags"], name, "flag")
     pieces = tuple(
         BasePiece(q(p["u"][0]), q(p["u"][1]), tuple(parse_poly(s) for s in p["base"]))
         for p in spec["pieces"]
     )
-    points = tuple(
-        MarkedPoint(p["name"], q(p["a"]),
-                    tuple((int(k), q(v)) for k, v in sorted(p["mults"].items())))
-        for p in spec["points"]
-    )
+    return _basis_curve_flag(f"{SURFACES}:{name}", spec, q(data["l_cubed"]), pieces,
+                             _marked_points(spec["points"], q))
+
+
+def surface_s_curve(name: str) -> SInvariantResult:
+    return flagdelta.s_curve_flag(surface_flag(name))
+
+
+def surface_s_point(name: str, point: str) -> SInvariantResult:
+    return flagdelta.s_point_flag(surface_flag(name), point)
+
+
+def surface_delta(name: str) -> Fraction:
+    """The delta bound assembled from the stored (A, S) levels."""
+    specs = {spec["name"]: spec for spec in load_scenario_data(SURFACES)["deltas"]}
+    spec = _named(specs, name, "delta assembly")
+    return flagdelta.delta_lower_bound([(q(a), q(s)) for a, s in spec["levels"]])
+
+
+def run_34_surfaces() -> list[CheckResult]:
+    data = load_scenario_data(SURFACES)
+    sid = SURFACES
+    checks: list[CheckResult] = []
+    for name, vol in data["volumes"].items():
+        checks.append(_compare(sid, f"S_L({name})", surface_s(name), q(vol["expected_s"])))
+        checks.append(_compare(sid, f"beta({name})", surface_beta(name),
+                               q(vol["expected_beta"])))
+    for name, spec in data["flags"].items():
+        checks.append(_compare(sid, f"S_L(W;{name})", surface_s_curve(name).value,
+                               q(spec["expected_s_curve"])))
+        for point in spec["points"]:
+            checks.append(_compare(sid, f"S(W;{name};{point['name']})",
+                                   surface_s_point(name, point["name"]).value,
+                                   q(point["expected_s"])))
+    for delta in data["deltas"]:
+        bound = surface_delta(delta["name"])
+        checks.append(_compare(sid, f"delta[{delta['name']}]", bound, q(delta["expected"])))
+        checks.append(_compare(sid, f"delta[{delta['name']}] >= 1", bound >= 1, True))
+    return checks
+
+
+def _basis_curve_flag(name, spec, l_cubed, pieces, points, **extra) -> FlagScenario:
+    """Flag scenario whose curve is the basis curve spec["curve"] of spec["model"]."""
+    model = load_model(spec["model"])
+    curve = int(spec["curve"])
     return FlagScenario(
-        name=f"{sid}:{name}", l_cubed=l_cubed, model=model, curve_class=cvec,
-        pieces=pieces, points=points,
+        name=name, l_cubed=l_cubed, model=model,
+        curve_class=tuple(Fraction(int(i == curve)) for i in range(model.n)),
+        pieces=pieces, points=points, **extra,
     )
+
+
+def _marked_points(specs, value) -> tuple[MarkedPoint, ...]:
+    """Marked points of a fixture, each log discrepancy read by `value`."""
+    return tuple(
+        MarkedPoint(p["name"], value(p["a"]),
+                    tuple((int(k), q(v)) for k, v in sorted(p["mults"].items())))
+        for p in specs
+    )
+
+
+def _named(table, name: str, kind: str):
+    if name not in table:
+        raise KeyError(f"unknown {kind} {name!r}")
+    return table[name]
 
 
 # ---------------------------------------------------------------------------
@@ -619,24 +651,51 @@ def _surface_flag_scenario(sid, name, spec, l_cubed) -> FlagScenario:
 # ---------------------------------------------------------------------------
 
 
-def build_218_case(spec: dict, case: str, c: Fraction) -> FlagScenario:
-    model = load_model(spec["model"])
-    curve = int(spec["curve"])
-    cvec = tuple(Fraction(1) if i == curve else Fraction(0) for i in range(model.n))
-    base = tuple(parse_poly(s).subs(c=c) for s in spec["base"])
-    u_hi = parse_poly(spec["u_hi"])(c=c)
-    data = load_scenario_data("218")
-    l_cubed = rf_eval(data["l_cubed"], c)
-    points = tuple(
-        MarkedPoint(p["name"], rf_eval(p["a"], c),
-                    tuple((int(k), q(v)) for k, v in sorted(p["mults"].items())))
-        for p in spec["points"]
-    )
-    return FlagScenario(
-        name=f"218-{case}@c={c}", l_cubed=l_cubed, model=model, curve_class=cvec,
-        pieces=(BasePiece(Fraction(0), u_hi, base),), points=points,
-        curve_a=parse_poly(spec["curve_a"])(c=c),
-    )
+class Case218:
+    """One 2.18 configuration at an exact boundary weight c.
+
+    Each value is derived on first use and kept, so the verify run and
+    `compute` read one derivation.
+    """
+
+    def __init__(self, name: str, c: Fraction):
+        data = load_scenario_data("218")
+        spec = _named(data["cases"], name, "2.18 case")
+        self.name, self.c, self.spec = name, c, spec
+        base = BasePiece(Fraction(0), parse_poly(spec["u_hi"])(c=c),
+                         tuple(parse_poly(s).subs(c=c) for s in spec["base"]))
+        self.scenario = _basis_curve_flag(
+            f"218-{name}@c={c}", spec, rf_eval(data["l_cubed"], c), (base,),
+            _marked_points(spec["points"], lambda a: rf_eval(a, c)),
+            curve_a=parse_poly(spec["curve_a"])(c=c))
+        self._s_points: dict[str, SInvariantResult] = {}
+
+    @cached_property
+    def s_ambient(self) -> Fraction:
+        """S of the ambient divisor from its stored volume pieces."""
+        c = self.c
+        pieces = [
+            (parse_poly(p["lo"])(c=c), parse_poly(p["hi"])(c=c), parse_poly(p["poly"]).subs(c=c))
+            for p in self.spec["ambient"]["volume"]
+        ]
+        return flagdelta.s_from_volume(self.scenario.l_cubed, pieces)
+
+    @cached_property
+    def s_curve(self) -> SInvariantResult:
+        return flagdelta.s_curve_flag(self.scenario)
+
+    def s_point(self, point: str) -> SInvariantResult:
+        if point not in self._s_points:
+            self._s_points[point] = flagdelta.s_point_flag(self.scenario, point)
+        return self._s_points[point]
+
+    @cached_property
+    def delta(self) -> Fraction:
+        """min A/S over the ambient divisor, the curve and each marked point."""
+        levels = [(rf_eval(self.spec["ambient"]["a"], self.c), self.s_ambient),
+                  (self.scenario.curve_a, self.s_curve.value)]
+        levels += [(pt.a_value, self.s_point(pt.name).value) for pt in self.scenario.points]
+        return flagdelta.delta_lower_bound(levels)
 
 
 def run_218(c_values: Sequence[Fraction] | None = None) -> list[CheckResult]:
@@ -649,54 +708,41 @@ def run_218(c_values: Sequence[Fraction] | None = None) -> list[CheckResult]:
         c_values = default_c_samples()
     for case, spec in data["cases"].items():
         for entry in spec.get("printed_ranges", ()):
-            identity = ("printed-range", sid, case, entry["where"])
-            printed, derived = parse_poly(entry["printed"]), parse_poly(entry["derived"])
-            if printed == derived:
-                checks.append(CheckResult(sid, f"{case} range: {entry['where']}",
-                                          entry["printed"], entry["derived"], PASS))
-            else:
-                checks.append(_classify_flag(
-                    identity, sid, f"{case} printed range: {entry['where']}",
-                    f"derived {entry['derived']}", f"printed {entry['printed']}"))
+            printed, derived = entry["printed"], entry["derived"]
+            checks.append(_compare(
+                sid, f"{case} range: {entry['where']}", parse_poly(printed), parse_poly(derived),
+                identity=("printed-range", sid, case, entry["where"]), shown=(printed, derived),
+                flag_label=f"{case} printed range: {entry['where']}",
+                flag_shown=(f"derived {derived}", f"printed {printed}")))
         for c in c_values:
-            checks.extend(_run_218_case(sid, data, case, spec, q(c)))
+            checks.extend(_run_218_case(sid, Case218(case, q(c))))
     return checks
 
 
-def _run_218_case(sid, data, case, spec, c) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    tag = f"{case}@c={c}"
-    l_cubed = rf_eval(data["l_cubed"], c)
+def _run_218_case(sid, case: Case218) -> list[CheckResult]:
+    spec, c = case.spec, case.c
+    tag = f"{case.name}@c={c}"
     amb = spec["ambient"]
-    vol_pieces = [
-        (parse_poly(p["lo"])(c=c), parse_poly(p["hi"])(c=c), parse_poly(p["poly"]).subs(c=c))
-        for p in amb["volume"]
+    checks = [
+        _compare(sid, f"{tag}: {amb['label']}", case.s_ambient, rf_eval(amb["expected"], c)),
+        _compare(sid, f"{tag}: S_curve", case.s_curve.value,
+                 rf_eval(spec["expected_s_curve"], c)),
     ]
-    s_ambient = flagdelta.s_from_volume(l_cubed, vol_pieces)
-    checks.append(_check(sid, f"{tag}: {amb['label']}", s_ambient, rf_eval(amb["expected"], c)))
-
-    scenario = build_218_case(spec, case, c)
-    s_curve = flagdelta.s_curve_flag(scenario)
-    checks.append(_check(sid, f"{tag}: S_curve", s_curve.value,
-                         rf_eval(spec["expected_s_curve"], c)))
-
-    levels = [(rf_eval(amb["a"], c), s_ambient), (scenario.curve_a, s_curve.value)]
     for point in spec["points"]:
-        s_pt = flagdelta.s_point_flag(scenario, point["name"])
-        checks.append(_check(sid, f"{tag}: S({point['name']})", s_pt.value,
-                             rf_eval(point["expected_s"], c)))
-        levels.append((rf_eval(point["a"], c), s_pt.value))
-    bound = flagdelta.delta_lower_bound(levels)
+        checks.append(_compare(sid, f"{tag}: S({point['name']})",
+                               case.s_point(point["name"]).value,
+                               rf_eval(point["expected_s"], c)))
+    bound = case.delta
     conclusion = bound > 1 if spec["conclusion"] == ">1" else bound >= 1
-    checks.append(_check(sid, f"{tag}: delta bound {spec['conclusion']} (= {bound})",
-                         conclusion, True))
+    checks.append(_compare(sid, f"{tag}: delta bound {spec['conclusion']} (= {bound})",
+                           conclusion, True))
     # The derived pseudoeffective range of the scan must match the last
     # threshold formula; printed_as annotations were compared above.
     for entry in spec.get("printed_ranges", ()):
         derived = parse_poly(entry["derived"]).subs(c=c)
-        pieces = flagdelta.scenario_scans(scenario)[0].threshold
+        pieces = flagdelta.scenario_scans(case.scenario)[0].threshold
         ok = all(piece.t == derived for piece in pieces)
-        checks.append(_check(sid, f"{tag}: derived range is the threshold", ok, True))
+        checks.append(_compare(sid, f"{tag}: derived range is the threshold", ok, True))
         break
     return checks
 

@@ -839,56 +839,9 @@ def _check_interval(cert: ZariskiCertificate3, iv: Zariski3Interval) -> str | No
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization per the external file schemas
+# JSON deserialization per the external fan schema
 # ---------------------------------------------------------------------------
-
-
-def poly_from_obj(obj) -> Poly:
-    """Polynomial from either a "p/q" string or the structured object form
-    {"vars": ["u"], "terms": [{"exp": [1], "coef": "-1/3"}, ...]}."""
-    if isinstance(obj, str):
-        return Poly.const(Fraction(obj))
-    if isinstance(obj, (int,)):
-        return Poly.const(obj)
-    variables = obj["vars"]
-    total = Poly()
-    for term in obj["terms"]:
-        mono = Poly.const(Fraction(str(term["coef"])))
-        for var, e in zip(variables, term["exp"]):
-            mono = mono * Poly.var(var) ** int(e)
-        total = total + mono
-    return total
-
-
-def poly_to_obj(p: Poly):
-    if p.is_constant():
-        return str(p.as_fraction())
-    variables = list(p.variables())
-    from .exactmath import _VAR_INDEX  # stable variable order
-
-    terms = []
-    for exp in sorted(p.terms):
-        terms.append(
-            {
-                "exp": [exp[_VAR_INDEX[v]] for v in variables],
-                "coef": str(p.terms[exp]),
-            }
-        )
-    return {"vars": variables, "terms": terms}
 
 
 def fan_from_dict(data) -> Fan3:
     return Fan3(data["rays"], data["cones"])
-
-
-def fan_to_dict(fan: Fan3):
-    return {"rays": [list(r) for r in fan.rays], "cones": [list(c) for c in fan.cones]}
-
-
-def divisor_from_dict(data, fans: Mapping[str, Fan3]) -> ToricDivisor:
-    fan = fans[data["fan"]]
-    return ToricDivisor(fan, [poly_from_obj(x) for x in data["coeffs"]])
-
-
-def divisor_to_dict(d: ToricDivisor, fan_name: str):
-    return {"fan": fan_name, "coeffs": [poly_to_obj(x) for x in d.coeffs]}

@@ -1,9 +1,13 @@
 """Command-line interface: compute, verify, report, exit codes."""
 
 import json
+import re
 import shutil
 
+import pytest
+
 from fano_delta import cli
+from fano_delta.scenarios import load_scenario_data
 
 
 def run_cli(capsys, *argv):
@@ -83,8 +87,10 @@ def test_tampered_fixture_fails(tmp_path, capsys, monkeypatch):
     data["rows"][0]["P"][3] = "5"  # tamper one restriction coefficient
     path.write_text(json.dumps(data))
     monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
-    for cache in (scenarios.load_fan, scenarios.load_model, scenarios.load_table,
-                  scenarios.load_scenario_data, scenarios.known_discrepancies):
+    caches = (scenarios.load_fan, scenarios.load_model, scenarios.load_table,
+              scenarios.load_scenario_data, scenarios.known_discrepancies,
+              scenarios.builders._known_identities)
+    for cache in caches:
         cache.cache_clear()
     try:
         code, out, _ = run_cli(capsys, "verify", "--family", "34-d4")
@@ -92,8 +98,7 @@ def test_tampered_fixture_fails(tmp_path, capsys, monkeypatch):
         assert "table-02" in out and "5" in out
     finally:
         monkeypatch.delenv("FANO_DELTA_FIXTURES")
-        for cache in (scenarios.load_fan, scenarios.load_model, scenarios.load_table,
-                      scenarios.load_scenario_data, scenarios.known_discrepancies):
+        for cache in caches:
             cache.cache_clear()
 
 
@@ -107,3 +112,69 @@ def test_report_text_shows_ratio_flag(capsys):
     code, out, _ = run_cli(capsys, "report", "--family", "34-d4", "--format", "text")
     assert code == 0
     assert "63/59" in out and "63/58" in out
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--family", "218"),
+    ("report", "--family", "218", "--format", "json"),
+    ("compute", "--scenario", "218", "--op", "s-curve", "--target", "heart"),
+])
+@pytest.mark.parametrize("c", ["abc", "1/0", "0", "3/2", "2"])
+def test_bad_c_is_a_usage_error(capsys, command, c):
+    code, out, err = run_cli(capsys, *command, "--c", c)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and c in err
+
+
+@pytest.mark.parametrize("scenario", ["218xyz", "218-blowup"])
+def test_compute_unknown_scenario_is_a_usage_error(capsys, scenario):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "--scenario", scenario, "--op", "s-curve",
+                  "--target", "heart", "--c", "1/2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def _verified(capsys, family, *c):
+    """Label -> computed string of every check of one report run."""
+    code, out, _ = run_cli(capsys, "report", "--family", family, "--format", "json", *c)
+    assert code == 0
+    return {e["label"]: e["computed"] for e in json.loads(out)["entries"]}
+
+
+def test_compute_prints_what_verify_computes(capsys):
+    # Differential test: every value `compute` prints must be the computed
+    # string of the matching check of a verify run.
+    pairs = []  # ((scenario, op, target), verify label)
+    data = load_scenario_data("34-surfaces")
+    for name in data["volumes"]:
+        pairs.append((("34-surfaces", "s-divisor", name), f"S_L({name})"))
+        pairs.append((("34-surfaces", "beta", name), f"beta({name})"))
+    for name, flag in data["flags"].items():
+        pairs.append((("34-surfaces", "s-curve", name), f"S_L(W;{name})"))
+        for point in flag["points"]:
+            pairs.append((("34-surfaces", "s-point", f"{name}:{point['name']}"),
+                          f"S(W;{name};{point['name']})"))
+    for spec in data["deltas"]:
+        pairs.append((("34-surfaces", "delta", spec["name"]), f"delta[{spec['name']}]"))
+    pairs.append((("34-d4", "toric-s", "G"), "S_L(G) [polytope]"))
+    pairs.append((("34-d4", "s-curve", "alpha1"), "S_L(W^G;alpha1)"))
+    verified = {fam: _verified(capsys, fam) for fam in ("34-surfaces", "34-d4")}
+    verified["218"] = checks_218 = _verified(capsys, "218", "--c", "1/2")
+    for case, spec in load_scenario_data("218")["cases"].items():
+        tag = f"{case}@c=1/2"
+        pairs.append((("218", "s-divisor", case), f"{tag}: {spec['ambient']['label']}"))
+        pairs.append((("218", "s-curve", case), f"{tag}: S_curve"))
+        for point in spec["points"]:
+            pairs.append((("218", "s-point", f"{case}:{point['name']}"),
+                          f"{tag}: S({point['name']})"))
+        # The delta check records the bound in its label: "... (= 6/5)".
+        label = next(k for k in checks_218 if k.startswith(f"{tag}: delta bound"))
+        checks_218[f"{tag}: delta"] = re.search(r"\(= (.+)\)$", label).group(1)
+        pairs.append((("218", "delta", case), f"{tag}: delta"))
+    assert len(pairs) > 60
+    for (scenario, op, target), label in pairs:
+        argv = ["compute", "--scenario", scenario, "--op", op, "--target", target]
+        code, out, err = run_cli(capsys, *argv, *(["--c", "1/2"] if scenario == "218" else []))
+        assert code == 0, err
+        assert out.strip() == verified[scenario][label], (argv, label)

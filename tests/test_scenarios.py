@@ -1,4 +1,4 @@
-"""Fixture integrity, bundle loading and the family re-derivation runs."""
+"""Fixture integrity and the family re-derivation runs."""
 
 import json
 from fractions import Fraction as F
@@ -9,10 +9,8 @@ from fano_delta.scenarios import (
     build_218,
     builders,
     default_c_samples,
-    expected_registry,
     fixtures_dir,
     known_discrepancies,
-    load_scenario,
     load_table,
     table_rows,
 )
@@ -48,24 +46,6 @@ def test_table_poly_cells_parse_and_reprint():
         for text in cells:
             p = parse_poly(text)
             assert parse_poly(str(p)) == p
-
-
-def test_load_scenario_bundles():
-    for scenario_id in ("218", "34-surfaces", "34-d4", "34-a3"):
-        bundle = load_scenario(scenario_id)
-        assert bundle.expected
-    with pytest.raises(KeyError):
-        load_scenario("nope")
-
-
-def test_expected_registry_entries():
-    registry = expected_registry()
-    labels = {(scenario, label) for scenario, label, _ in registry}
-    assert ("34-d4", "S_L(G)") in labels
-    assert ("34-surfaces", "S_L(F)") in labels
-    values = {(s, l): v for s, l, v in registry}
-    assert q(values[("34-d4", "S_L(G)")]) == F(59, 18)
-    assert q(values[("34-a3", "S_L(G)")]) == F(41, 9)
 
 
 def test_build_218_validates_c():
@@ -139,11 +119,6 @@ def test_zd3_tables_match_certificate_intervals(family_runs):
 def test_218_printed_range_annotations_flagged(family_runs):
     flagged = builders.flagged_identities(family_runs["218"])
     assert len([i for i in flagged if i[0] == "printed-range"]) == 3
-
-
-def test_scenario_aliases():
-    assert load_scenario("218-easy").id == "218"
-    assert load_scenario("218-blowup").id == "218"
 
 
 def test_point_value_recomputable_from_clean_tables(family_runs):

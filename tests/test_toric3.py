@@ -13,16 +13,10 @@ from fano_delta.toric3 import (
     ToricDivisor,
     curve_intersection,
     divisor_polytope,
-    divisor_from_dict,
-    divisor_to_dict,
-    fan_from_dict,
-    fan_to_dict,
     intersection_number,
     is_nef,
     lattice_min,
     nef_on_interval,
-    poly_from_obj,
-    poly_to_obj,
     polytope_min,
     polytope_moment,
     polytope_vertices,
@@ -359,26 +353,6 @@ def test_zariski3_forcing_check():
     missing = dataclasses.replace(iv, forcing=())
     report = verify_zariski3(dataclasses.replace(cert, intervals=(missing,)))
     assert not report.accepted and "no forcing curve" in report.lines[0]
-
-
-# ---------------------------------------------------------------------------
-# JSON schemas
-# ---------------------------------------------------------------------------
-
-
-def test_fan_and_divisor_round_trip(y):
-    assert fan_from_dict(fan_to_dict(y)) == y
-    d = ToricDivisor(y, [parse_poly("-u/3"), 1, 2, 0, 0, 0])
-    data = divisor_to_dict(d, "y")
-    assert data["coeffs"][0] == {"vars": ["u"], "terms": [{"exp": [1], "coef": "-1/3"}]}
-    assert divisor_from_dict(data, {"y": y}).coeffs == d.coeffs
-
-
-def test_poly_object_schema():
-    obj = {"vars": ["u"], "terms": [{"exp": [1], "coef": "-1/3"}, {"exp": [0], "coef": "2"}]}
-    assert poly_from_obj(obj) == parse_poly("2-u/3")
-    assert poly_from_obj("7/2") == Poly.const(F(7, 2))
-    assert poly_from_obj(poly_to_obj(parse_poly("u^2-v"))) == parse_poly("u^2-v")
 
 
 def test_polytope_volume_equals_positive_part_cube():
