@@ -193,7 +193,8 @@ def main(argv=None) -> int:
             c = None if args.c is None else _parse_c(args.c)
             value = _compute(args.scenario, args.op, args.target, c)
         else:
-            c_values = [_parse_c(s) for s in args.c] if args.c else None
+            # Equal values (1/2, 2/4) name one c: run it once, first-seen order.
+            c_values = list(dict.fromkeys(map(_parse_c, args.c))) if args.c else None
     except (UsageError, KeyError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2

@@ -31,8 +31,16 @@ Exponent = tuple[int, int, int]
 Scalar = Union[int, str, Fraction]
 
 
+def _index(name: str) -> int:
+    if name not in _VAR_INDEX:
+        raise ValueError(f"unknown variable {name!r}")
+    return _VAR_INDEX[name]
+
+
 def q(x: Scalar | "Poly") -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact Fraction."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, Poly):
         return x.as_fraction()
     if isinstance(x, str):
@@ -59,6 +67,13 @@ class Poly:
                     clean[(int(exp[0]), int(exp[1]), int(exp[2]))] = coef
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _make(cls, terms: dict[Exponent, Fraction]) -> "Poly":
+        # Trusted input from arithmetic (Fraction coefficients, int exponents): drop zeros only.
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        return p
+
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("Poly is immutable")
 
@@ -66,7 +81,7 @@ class Poly:
 
     @staticmethod
     def const(x: Scalar) -> "Poly":
-        return Poly({(0, 0, 0): q(x)})
+        return Poly._make({(0, 0, 0): q(x)})
 
     @staticmethod
     def var(name: str) -> "Poly":
@@ -109,9 +124,6 @@ class Poly:
         i = _VAR_INDEX[name]
         return max((e[i] for e in self.terms), default=0)
 
-    def is_affine(self) -> bool:
-        return self.total_degree() <= 1
-
     def coefficient(self, exp: Exponent) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
@@ -121,13 +133,13 @@ class Poly:
         other = Poly.coerce(other)
         out = dict(self.terms)
         for exp, coef in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coef
-        return Poly(out)
+            out[exp] = out[exp] + coef if exp in out else coef
+        return Poly._make(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()})
+        return Poly._make({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self + (-Poly.coerce(other))
@@ -141,8 +153,8 @@ class Poly:
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exp = (ea[0] + eb[0], ea[1] + eb[1], ea[2] + eb[2])
-                out[exp] = out.get(exp, Fraction(0)) + ca * cb
-        return Poly(out)
+                out[exp] = out[exp] + ca * cb if exp in out else ca * cb
+        return Poly._make(out)
 
     __rmul__ = __mul__
 
@@ -150,7 +162,7 @@ class Poly:
         d = q(other) if not isinstance(other, Poly) else other.as_fraction()
         if d == 0:
             raise ZeroDivisionError("division of polynomial by zero")
-        return Poly({e: c / d for e, c in self.terms.items()})
+        return Poly._make({e: c / d for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -175,32 +187,51 @@ class Poly:
     # -- substitution ------------------------------------------------------
 
     def subs(self, **values: "Poly | Scalar") -> "Poly":
-        """Substitute polynomials or rationals for variables (partial ok)."""
-        repl: dict[int, Poly] = {}
-        for name, val in values.items():
-            if name not in _VAR_INDEX:
-                raise ValueError(f"unknown variable {name!r}")
-            repl[_VAR_INDEX[name]] = Poly.coerce(val)
-        out = Poly()
+        """Substitute polynomials or rationals for variables (partial ok).
+
+        Equals expanding every term with ring operations, built in one pass:
+        rational values fold into the coefficients, each power of a Poly
+        value is computed once per call.
+        """
+        point = {_index(name): val for name, val in values.items()}
+        moved = {i: x for i, x in point.items() if isinstance(x, Poly) and not x.is_constant()}
+        fixed = {i: q(x) for i, x in point.items() if i not in moved}
+        groups: dict[tuple[int, ...], dict[Exponent, Fraction]] = {}
         for exp, coef in self.terms.items():
-            term = Poly.const(coef)
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                base = repl.get(i)
-                if base is None:
-                    mono = [0, 0, 0]
-                    mono[i] = e
-                    base_pow = Poly({tuple(mono): Fraction(1)})
-                else:
-                    base_pow = base**e
-                term = term * base_pow
-            out = out + term
-        return out
+            for i, x in fixed.items():
+                if exp[i]:
+                    coef *= x ** exp[i]
+            kept = tuple(0 if i in fixed or i in moved else e for i, e in enumerate(exp))
+            group = groups.setdefault(tuple(exp[i] for i in moved), {})
+            group[kept] = group[kept] + coef if kept in group else coef
+        powers: dict[tuple[int, int], Poly] = {}
+        out: dict[Exponent, Fraction] = {}
+        for key, group in groups.items():
+            part = Poly._make(group)
+            for i, e in zip(moved, key):
+                if (i, e) not in powers:
+                    powers[i, e] = moved[i] ** e
+                part = part * powers[i, e]
+            for exp, coef in part.terms.items():
+                out[exp] = out[exp] + coef if exp in out else coef
+        return Poly._make(out)
 
     def __call__(self, **values: "Poly | Scalar") -> Fraction:
-        """Full evaluation; raises if any occurring variable is left free."""
-        return self.subs(**values).as_fraction()
+        """Full evaluation; raises if any occurring variable is left free.
+
+        Equals ``self.subs(**values).as_fraction()``, summed term by term
+        from rational powers of the values with no intermediate Poly.
+        """
+        point = {_index(name): q(val) for name, val in values.items()}
+        total = Fraction(0)
+        for exp, coef in self.terms.items():
+            for i, e in enumerate(exp):
+                if e:
+                    if i not in point:
+                        raise ValueError(f"not a constant polynomial: {self.subs(**values)}")
+                    coef *= point[i] ** e
+            total += coef
+        return total
 
     # -- calculus ----------------------------------------------------------
 
@@ -211,7 +242,7 @@ class Poly:
             new = list(exp)
             new[i] += 1
             out[tuple(new)] = coef / new[i]
-        return Poly(out)
+        return Poly._make(out)
 
     # -- formatting --------------------------------------------------------
 
@@ -241,13 +272,6 @@ class Poly:
         return text
 
     __repr__ = __str__
-
-
-ZERO = Poly()
-ONE = Poly.const(1)
-U = Poly.var("u")
-V = Poly.var("v")
-C = Poly.var("c")
 
 
 # ---------------------------------------------------------------------------

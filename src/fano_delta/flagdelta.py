@@ -106,7 +106,9 @@ class SInvariantResult:
         return self.value == sum((x for _, x in self.breakdown), Fraction(0))
 
 
-@lru_cache(maxsize=None)
+# Bounded, as run_218 builds six new scenarios per c; the lookups of one
+# scenario come close together, so eight entries lose no hit.
+@lru_cache(maxsize=8)
 def scenario_scans(scenario: FlagScenario) -> tuple[ChamberedDecomposition, ...]:
     """Chamber scans of every base piece (cached per scenario)."""
     return tuple(

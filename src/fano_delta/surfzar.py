@@ -826,9 +826,6 @@ class RowMismatch:
     printed: str
     recomputed: str
 
-    def identity(self) -> tuple:
-        return (*self.row_key, self.field, self.curve)
-
 
 @dataclass
 class TableReport:

@@ -136,10 +136,6 @@ class ToricDivisor:
         self._same_fan(other)
         return ToricDivisor(self.fan, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def scale(self, factor: Poly | Scalar) -> "ToricDivisor":
-        factor = Poly.coerce(factor)
-        return ToricDivisor(self.fan, [factor * a for a in self.coeffs])
-
     def at_u(self, u0: Scalar) -> "ToricDivisor":
         return ToricDivisor(self.fan, [co.subs(u=q(u0)) for co in self.coeffs])
 

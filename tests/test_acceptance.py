@@ -10,20 +10,11 @@ must reproduce exactly (no more, no less).
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from fano_delta import toric3
 from fano_delta.exactmath import Poly, interpolate, integrate_chamber, Chamber, q
 from fano_delta.scenarios import builders, load_fan, load_model
 from fano_delta.surfzar import random_pseudoeffective, zariski_decompose
 from fano_delta.toric3 import ToricDivisor, intersection_number
-
-FAMILIES = ("218", "34-surfaces", "34-d4", "34-a3")
-
-
-@pytest.fixture(scope="module")
-def runs():
-    return {fam: builders.run_family(fam) for fam in FAMILIES}
 
 
 def by_label(checks, label):
@@ -41,8 +32,8 @@ def report(line):
     print(f"\n{line}")
 
 
-def test_criterion_1_toric_constants(runs):
-    d4, a3 = runs["34-d4"], runs["34-a3"]
+def test_criterion_1_toric_constants(family_runs):
+    d4, a3 = family_runs["34-d4"], family_runs["34-a3"]
     assert by_label(d4, "S_L(G) [polytope]").computed == "59/18"
     assert by_label(a3, "S_L(G) [polytope]").computed == "41/9"
     assert by_label(d4, "S_L(G) [volume of positive parts]").status == builders.PASS
@@ -59,8 +50,8 @@ def test_criterion_1_toric_constants(runs):
            "ratio recomputed 63/59 with exactly one flag against printed 63/58")
 
 
-def test_criterion_2_intersection_engine(runs):
-    d4, a3 = runs["34-d4"], runs["34-a3"]
+def test_criterion_2_intersection_engine(family_runs):
+    d4, a3 = family_runs["34-d4"], family_runs["34-a3"]
     triples = [c for c in d4 + a3 if ": T" in c.label and "." in c.label]
     printed_triples = [c for c in triples if c.label.count(".") == 2]
     assert len(printed_triples) >= 50
@@ -77,10 +68,10 @@ def test_criterion_2_intersection_engine(runs):
            f"{len(pullbacks)} pullback lists, {len(curve_values)} printed curve values match exactly")
 
 
-def test_criterion_3_zariski_certificates(runs):
+def test_criterion_3_zariski_certificates(family_runs):
     for fam in ("34-d4", "34-a3"):
-        assert by_label(runs[fam], "zariski3 certificate").status == builders.PASS
-        all_green(runs[fam], lambda c: c.label.startswith("L_u nef on"))
+        assert by_label(family_runs[fam], "zariski3 certificate").status == builders.PASS
+        all_green(family_runs[fam], lambda c: c.label.startswith("L_u nef on"))
     # Certificate intervals cover [0,7] and [0,10].
     for fam, hi in (("34-d4", 7), ("34-a3", 10)):
         data = builders.load_scenario_data(fam)
@@ -91,8 +82,8 @@ def test_criterion_3_zariski_certificates(runs):
            "(sum, effectivity, nef parts on their models, forcing curves)")
 
 
-def test_criterion_4_surface_tables(runs):
-    d4, a3 = runs["34-d4"], runs["34-a3"]
+def test_criterion_4_surface_tables(family_runs):
+    d4, a3 = family_runs["34-d4"], family_runs["34-a3"]
     table_checks = [c for c in d4 + a3 if c.label.startswith("table-")]
     assert all(c.status != builders.FAIL for c in table_checks)
     flagged_cells = {c.identity for c in d4 + a3
@@ -113,8 +104,8 @@ def test_criterion_4_surface_tables(runs):
            f"{len(t_cells)} cells")
 
 
-def test_criterion_5_surface_level_constants(runs):
-    checks = runs["34-surfaces"]
+def test_criterion_5_surface_level_constants(family_runs):
+    checks = family_runs["34-surfaces"]
     expect = {
         "S_L(F)": "1/2", "S_L(E)": "5/9", "S_L(S)": "7/9",
         "beta(F)": "1/2", "beta(E)": "4/9", "beta(S)": "2/9",
@@ -138,8 +129,8 @@ def test_criterion_5_surface_level_constants(runs):
            "the equality cases")
 
 
-def test_criterion_6_flag_constants(runs):
-    d4, a3 = runs["34-d4"], runs["34-a3"]
+def test_criterion_6_flag_constants(family_runs):
+    d4, a3 = family_runs["34-d4"], family_runs["34-a3"]
     for fam, curves in ((d4, {"alpha1": "1/2", "alpha4": "7/9", "alpha6": "4/9",
                               "alpha0": "11/36"}),
                         (a3, {"alpha1": "1/2", "alpha4": "7/9", "alpha6": "2/9",
@@ -184,8 +175,8 @@ def test_criterion_6_flag_constants(runs):
            f"{len(inequalities)} S<=A inequalities hold")
 
 
-def test_criterion_7_parameterized_identities(runs):
-    checks = runs["218"]
+def test_criterion_7_parameterized_identities(family_runs):
+    checks = family_runs["218"]
     all_green(checks)
     from fano_delta.scenarios import default_c_samples
 

@@ -108,6 +108,14 @@ def test_verify_218_two_c_values(capsys):
     assert code == 0 and "0 failed" in out
 
 
+def test_verify_218_equal_c_values_run_once(capsys):
+    once = run_cli(capsys, "verify", "--family", "218", "--c", "1/2")
+    repeated = run_cli(capsys, "verify", "--family", "218",
+                       "--c", "1/2", "--c", "2/4", "--c", "1/2")
+    assert repeated == once
+    assert "40 passed, 3 flagged" in once[1]
+
+
 def test_report_text_shows_ratio_flag(capsys):
     code, out, _ = run_cli(capsys, "report", "--family", "34-d4", "--format", "text")
     assert code == 0

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fano_delta.exactmath import (
     Chamber,
@@ -70,6 +71,71 @@ def test_substitution_partial_and_full():
     at_c = p.subs(c=F(1, 2))
     assert at_c == parse_poly("2+2*u-v^2-10-4*u+12")
     assert p(c=F(1, 2), u=1, v=0) == 2
+
+
+def reference_subs(p, **values):
+    """Reference for the kernel's differential tests: every term expanded
+    with the Poly ring operations."""
+    out = Poly()
+    for exp, coef in p.terms.items():
+        term = Poly.const(coef)
+        for name, e in zip(("u", "v", "c"), exp):
+            if e:
+                term = term * Poly.coerce(values.get(name, Poly.var(name))) ** e
+        out = out + term
+    return out
+
+
+rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 5))
+sparse_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2)),
+    st.builds(F, st.integers(-30, 30), st.integers(1, 6)),
+    max_size=6,
+).map(Poly)
+affine_polys = st.builds(lambda a, b, k: a * U + b * C + k, rationals, rationals, rationals)
+kernel_settings = settings(max_examples=150, deadline=None)
+
+
+def assert_canonical(p):
+    assert all(type(c) is F and c != 0 for c in p.terms.values())
+    assert all(type(e) is tuple and all(type(x) is int for x in e) for e in p.terms)
+
+
+@kernel_settings
+@given(sparse_polys, rationals, rationals, rationals)
+def test_full_evaluation_matches_reference(p, u0, v0, c0):
+    value = p(u=u0, v=v0, c=c0)
+    assert type(value) is F
+    assert value == reference_subs(p, u=u0, v=v0, c=c0).as_fraction()
+
+
+@kernel_settings
+@given(sparse_polys, st.dictionaries(st.sampled_from("uvc"), rationals))
+def test_partial_rational_subs_matches_reference(p, values):
+    result = p.subs(**values)
+    assert result == reference_subs(p, **values)
+    assert_canonical(result)
+
+
+@kernel_settings
+@given(sparse_polys, affine_polys, affine_polys, st.one_of(st.none(), rationals))
+def test_affine_subs_matches_reference(p, lo, hi, c0):
+    for values in ({"v": hi}, {"v": lo, "u": hi}, {"v": hi, "c": c0}):
+        values = {k: x for k, x in values.items() if x is not None}
+        result = p.subs(**values)
+        assert result == reference_subs(p, **values)
+        assert_canonical(result)
+
+
+def test_evaluation_errors():
+    p = parse_poly("u*v + c")
+    with pytest.raises(ValueError, match="not a constant polynomial: "):
+        p(u=1, c=2)
+    with pytest.raises(ValueError, match="unknown variable 'w'"):
+        p(u=1, v=2, c=3, w=4)
+    with pytest.raises(ValueError, match="unknown variable 'w'"):
+        p.subs(w=4)
+    assert parse_poly("3*u")(u=F(1, 3), v=7) == 1  # values for absent variables are fine
 
 
 # ---------------------------------------------------------------------------

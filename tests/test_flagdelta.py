@@ -19,7 +19,7 @@ from fano_delta.flagdelta import (
     s_point_flag,
     scenario_scans,
 )
-from fano_delta.scenarios import load_model
+from fano_delta.scenarios import builders, load_model
 
 
 def weighted_scenario():
@@ -145,3 +145,10 @@ def test_invalid_correction_data_detected():
     )
     with pytest.raises(ValueError, match="invalid correction data"):
         f_correction(sc, "z")
+
+
+def test_scan_cache_stays_bounded_over_many_c():
+    for batch in (range(1, 11), range(11, 21)):
+        checks = builders.run_218([F(k, 23) for k in batch])
+        assert not [c.label for c in checks if c.status == builders.FAIL]
+        assert scenario_scans.cache_info().currsize <= 8

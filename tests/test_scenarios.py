@@ -16,14 +16,6 @@ from fano_delta.scenarios import (
 )
 
 
-@pytest.fixture(scope="session")
-def family_runs():
-    return {
-        fam: builders.run_family(fam)
-        for fam in ("218", "34-surfaces", "34-d4", "34-a3")
-    }
-
-
 def test_fixture_files_round_trip():
     for path in sorted((fixtures_dir()).rglob("*.json")):
         data = json.loads(path.read_text())
