@@ -148,7 +148,9 @@ class Poly:
         return Poly.coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
-        other = Poly.coerce(other)
+        if not isinstance(other, Poly):
+            k = q(other)
+            return Poly._make({e: c * k for e, c in self.terms.items()})
         out: dict[Exponent, Fraction] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -400,11 +402,27 @@ def interpolate(
     underdetermined, and ValueError("not polynomial of stated degree") if an
     extra sample disagrees with the unique interpolant.
     """
+    points = [point for point, _ in samples]
+    return interpolate_many(points, [[value] for _, value in samples], degree_bound, variables)[0]
+
+
+def interpolate_many(
+    points: Sequence[Sequence[Scalar]],
+    values: Sequence[Sequence[Scalar]],
+    degree_bound: int,
+    variables: Sequence[str] | None = None,
+) -> list[Poly]:
+    """`interpolate` for several functions sampled at the same points.
+
+    ``values[p][k]`` is function k at ``points[p]``.  The sample matrix is
+    eliminated once with one right-hand-side column per function; every
+    function's extra samples are validated, with the errors of `interpolate`.
+    """
     from . import linalg
 
-    if not samples:
+    if not points:
         raise ValueError("insufficient samples")
-    arity = len(samples[0][0])
+    arity = len(points[0])
     if variables is None:
         if arity not in _DEFAULT_VARS:
             raise ValueError(f"cannot infer variables for arity {arity}")
@@ -414,30 +432,34 @@ def interpolate(
 
     monomials = _monomials(len(variables), degree_bound)
     rows = []
-    rhs = []
-    for point, value in samples:
+    for point in points:
         if len(point) != arity:
             raise ValueError("arity mismatch")
         coords = [q(x) for x in point]
         rows.append([_eval_monomial(m, coords) for m in monomials])
-        rhs.append(q(value))
 
-    if len(samples) <= len(monomials):
+    if len(points) <= len(monomials):
         raise ValueError("insufficient samples")
 
-    solution = linalg.solve_overdetermined(rows, rhs)
+    solution = linalg.solve_overdetermined(rows, [[q(x) for x in row] for row in values])
     if solution is None:
         raise ValueError("not polynomial of stated degree")
     if any(s is None for s in solution):
         raise ValueError("insufficient samples")
 
-    terms: dict[Exponent, Fraction] = {}
-    for mono, coef in zip(monomials, solution):
+    exps = []
+    for mono in monomials:
         exp = [0, 0, 0]
         for var, e in zip(variables, mono):
             exp[_VAR_INDEX[var]] = e
-        terms[tuple(exp)] = terms.get(tuple(exp), Fraction(0)) + coef
-    return Poly(terms)
+        exps.append(tuple(exp))
+    out = []
+    for k in range(len(values[0])):
+        terms: dict[Exponent, Fraction] = {}
+        for exp, row in zip(exps, solution):
+            terms[exp] = terms.get(exp, Fraction(0)) + row[k]
+        out.append(Poly(terms))
+    return out
 
 
 def _monomials(nvars: int, bound: int) -> list[tuple[int, ...]]:

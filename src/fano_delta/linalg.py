@@ -1,9 +1,10 @@
 """Exact dense linear algebra over Q (and over Q-linear rhs entries).
 
 Gaussian elimination with Fraction pivots.  The systems in this package are
-tiny (at most ~12 x 12), so clarity wins over asymptotics.  Right-hand sides
-may contain Poly entries: only addition and scaling by Fractions is ever
-applied to them.
+tiny (at most ~12 x 12), so clarity wins over asymptotics.  One elimination
+kernel, `rref`, serves every solver here; right-hand-side columns ride along
+in the same rows.  Right-hand sides may contain Poly entries: only addition
+and scaling by Fractions is ever applied to them.
 """
 
 from __future__ import annotations
@@ -14,8 +15,29 @@ from typing import Sequence
 Matrix = list[list[Fraction]]
 
 
-def _copy(rows: Sequence[Sequence]) -> list[list]:
-    return [list(r) for r in rows]
+def rref(rows: Sequence[Sequence], n_cols: int) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form, pivoting only in the first n_cols columns.
+
+    Columns from n_cols on are right-hand sides: every row operation applies
+    to them, but they are never pivoted on.  Returns the reduced rows and the
+    pivot columns; row r < len(pivots) has its leading 1 in pivots[r].
+    """
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(n_cols):
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = Fraction(1) / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        pivots.append(col)
+    return m, pivots
 
 
 def solve(a: Sequence[Sequence[Fraction]], b: Sequence) -> list:
@@ -25,60 +47,30 @@ def solve(a: Sequence[Sequence[Fraction]], b: Sequence) -> list:
     matrix.
     """
     n = len(a)
-    m = _copy(a)
-    rhs = list(b)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        m[col], m[pivot] = m[pivot], m[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = Fraction(1) / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        rhs[col] = rhs[col] * inv
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                rhs[r] = rhs[r] - f * rhs[col]
-    return rhs
+    m, pivots = rref([list(row) + [rhs] for row, rhs in zip(a, b)], n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return [row[n] for row in m]
 
 
 def solve_overdetermined(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Solve a (possibly) overdetermined consistent system exactly.
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]]
+) -> list[list[Fraction]] | list[None] | None:
+    """Solve a (possibly) overdetermined system for several right-hand sides.
 
-    Returns the unique solution if the system is consistent with full column
-    rank; returns None if inconsistent; returns a list containing None if the
-    solution is not unique (rank-deficient).
+    ``rhs[r]`` lists row r's value in each right-hand-side column.  Returns
+    the unique solution, one row of column values per unknown, if every
+    column is consistent and the matrix has full column rank; returns None
+    if some column is inconsistent; returns a list of None if the solution
+    is not unique (rank-deficient).
     """
     n_cols = len(rows[0]) if rows else 0
-    m = [_copy(rows)[i] + [rhs[i]] for i in range(len(rows))]
-    rank = 0
-    pivots: list[int] = []
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, len(m)):
-        if m[r][n_cols] != 0:
-            return None  # inconsistent
-    if rank < n_cols:
+    m, pivots = rref([list(r) + list(b) for r, b in zip(rows, rhs)], n_cols)
+    if any(x != 0 for row in m[len(pivots):] for x in row[n_cols:]):
+        return None  # inconsistent
+    if len(pivots) < n_cols:
         return [None] * n_cols  # underdetermined
-    out = [Fraction(0)] * n_cols
-    for r, col in enumerate(pivots):
-        out[col] = m[r][n_cols]
-    return out
+    return [row[n_cols:] for row in m[:n_cols]]
 
 
 def nullspace(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -86,25 +78,9 @@ def nullspace(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     if not a:
         return []
     n_cols = len(a[0])
-    m = _copy(a)
-    rank = 0
-    pivots: list[int] = []
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(n_cols) if c not in pivots]
+    m, pivots = rref(a, n_cols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n_cols) if c not in pivots):
         vec = [Fraction(0)] * n_cols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -115,31 +91,12 @@ def nullspace(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
 def column_space_basis(a: Sequence[Sequence[Fraction]]) -> list[int]:
     """Indices of a maximal set of linearly independent columns of a."""
-    if not a:
-        return []
-    n_cols = len(a[0])
-    m = _copy(a)
-    rank = 0
-    pivots: list[int] = []
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    return pivots
+    return rref(a, len(a[0]))[1] if a else []
 
 
 def determinant(a: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(a)
-    m = _copy(a)
+    m = [list(r) for r in a]
     det = Fraction(1)
     for col in range(n):
         pivot = next((r for r in range(col, n) if m[r][col] != 0), None)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from ..exactmath import parse_poly, q
+from ..exactmath import Poly, parse_poly, q
 from ..surfzar import SurfaceModel, TableRow
 from ..toric3 import Fan3, fan_from_dict
 
@@ -66,6 +66,16 @@ def known_discrepancies() -> list[dict]:
     return _load_json("known_discrepancies.json")
 
 
+@lru_cache(maxsize=1024)
+def fixture_poly(text: str) -> Poly:
+    """`parse_poly` of a fixture expression, parsed once per process.
+
+    The same closed forms are read for every c sample and every table check;
+    Poly is immutable, so all readers share one parsed result.
+    """
+    return parse_poly(text)
+
+
 def table_rows(table_id: str) -> list[TableRow]:
     data = load_table(table_id)
     rows = []
@@ -74,10 +84,10 @@ def table_rows(table_id: str) -> list[TableRow]:
             TableRow(
                 u_lo=q(row["u"][0]),
                 u_hi=q(row["u"][1]),
-                v_lo=parse_poly(row["v"][0]),
-                v_hi=parse_poly(row["v"][1]),
-                p=tuple(parse_poly(s) for s in row["P"]),
-                n=tuple(parse_poly(s) for s in row["N"]),
+                v_lo=fixture_poly(row["v"][0]),
+                v_hi=fixture_poly(row["v"][1]),
+                p=tuple(fixture_poly(s) for s in row["P"]),
+                n=tuple(fixture_poly(s) for s in row["N"]),
             )
         )
     return rows
@@ -105,9 +115,9 @@ def rf_eval(spec, c: Fraction) -> Fraction:
             return rf_eval({k: v for k, v in branch.items() if k in ("num", "den")}, c)
         raise ValueError(f"no branch covers c={c}")
     if isinstance(spec, str):
-        return parse_poly(spec)(c=c)
-    num = parse_poly(spec["num"])(c=c)
-    den = parse_poly(spec.get("den", "1"))(c=c)
+        return fixture_poly(spec)(c=c)
+    num = fixture_poly(spec["num"])(c=c)
+    den = fixture_poly(spec.get("den", "1"))(c=c)
     return num / den
 
 

@@ -17,10 +17,11 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .. import flagdelta, surfzar, toric3
-from ..exactmath import Poly, integrate_univariate, parse_poly, q
+from ..exactmath import Poly, integrate_univariate, q
 from ..flagdelta import BasePiece, FlagScenario, MarkedPoint, SInvariantResult
 from ..toric3 import CurveClass, Fan3, ToricDivisor
 from . import (
+    fixture_poly,
     known_discrepancies,
     load_fan,
     load_model,
@@ -63,7 +64,7 @@ def _compare(scenario, label, got, want, identity=None, shown=None,
 
 
 def _canon(expr: str) -> str:
-    return str(parse_poly(expr))
+    return str(fixture_poly(expr))
 
 
 @lru_cache(maxsize=1)
@@ -117,8 +118,8 @@ class ToricFamily:
         self.models = {
             iv["model"]: load_fan(iv["model"]) for iv in self.data["certificate"]
         }
-        self.l_u = tuple(parse_poly(s) for s in self.data["l_u"])
-        self.l_div = ToricDivisor(self.ambient, [parse_poly(s) for s in self.data["l_on_y"]])
+        self.l_u = tuple(fixture_poly(s) for s in self.data["l_u"])
+        self.l_div = ToricDivisor(self.ambient, [fixture_poly(s) for s in self.data["l_on_y"]])
         self.surface = load_model(self.data["star"]["surface_model"])
         self._star = None
         self._intervals = None
@@ -135,7 +136,7 @@ class ToricFamily:
             fan = self.models[iv["model"]]
             n_coeffs = [Poly() for _ in range(n)]
             for ray, expr in iv["N"].items():
-                n_coeffs[int(ray)] = parse_poly(expr)
+                n_coeffs[int(ray)] = fixture_poly(expr)
             positive = ToricDivisor(fan, [self.l_u[k] - n_coeffs[k] for k in range(n)])
             negative = ToricDivisor(fan, n_coeffs)
             forcing = tuple((int(r), tuple(pair)) for r, pair in iv["forcing"].items())
@@ -343,7 +344,7 @@ class ToricFamily:
                 computed = toric3.pullback(self.resolution, coarse, unit)
                 expected = [Poly() for _ in range(n)]
                 for ray, val in spec[t_label].items():
-                    expected[int(ray)] = parse_poly(val)
+                    expected[int(ray)] = fixture_poly(val)
                 self._emit(
                     f"{zeta}*({t_label})",
                     [str(x) for x in computed.coeffs],
@@ -367,12 +368,12 @@ class ToricFamily:
                 for i in (1, 2)
             ]
             for idx, rel in enumerate(relations):
-                div_chi = ToricDivisor(fan, [parse_poly(s) for s in rel])
+                div_chi = ToricDivisor(fan, [fixture_poly(s) for s in rel])
                 val = toric3.intersection_number(div_chi, probes[0], probes[1])
                 self._emit(f"{model_name}: div(chi_{idx+1}) annihilates", val, Poly())
         divisors = {"L": self.l_u}
         for name, coeffs in self.data["auxiliary_divisors"].items():
-            divisors[name] = tuple(parse_poly(s) for s in coeffs)
+            divisors[name] = tuple(fixture_poly(s) for s in coeffs)
         for block in self.data["printed_curve_values"]:
             fan = self.models[block["model"]]
             d = ToricDivisor(fan, divisors[block["divisor"]])
@@ -381,7 +382,7 @@ class ToricFamily:
                 self._emit(
                     f"{block['model']}: {block['divisor']}.T{i}T{j}",
                     str(toric3.curve_intersection(d, CurveClass(fan, (i, j)))),
-                    str(parse_poly(val)),
+                    str(fixture_poly(val)),
                 )
 
     def _check_resolution_table(self):
@@ -401,7 +402,7 @@ class ToricFamily:
                     ray = _RAY_COLUMNS[col]
                     self._emit(
                         f"{table['id']} [{row['u'][0]},{row['u'][1]}] {which}({col})",
-                        computed.coeffs[ray], parse_poly(expr),
+                        computed.coeffs[ray], fixture_poly(expr),
                         identity=("table-cell", table["id"], _canon(row["u"][0]),
                                   _canon(row["u"][1]), "0", "0", which, col))
             # Off-table rays must vanish.
@@ -445,7 +446,7 @@ class ToricFamily:
                 for idx, (col, expr) in enumerate(zip(columns, row[which])):
                     self._emit(
                         f"{table['id']} [{row['u'][0]},{row['u'][1]}] {which}({col})",
-                        computed[idx], parse_poly(expr),
+                        computed[idx], fixture_poly(expr),
                         identity=("table-cell", table["id"], _canon(row["u"][0]),
                                   _canon(row["u"][1]), "0", "0", which, col))
 
@@ -477,7 +478,7 @@ class ToricFamily:
             cvec = [q(x) for x in case["class"]]
             for cell in cells:
                 lo, hi = q(cell["u"][0]), q(cell["u"][1])
-                want = parse_poly(cell["t"])
+                want = fixture_poly(cell["t"])
                 got: list[str] = []
                 ok = True
                 for plo, phi, ptilde, _ in pieces:
@@ -564,7 +565,7 @@ def surface_s(name: str) -> Fraction:
     """S_L(name) from the stored volume pieces of the divisor."""
     data = load_scenario_data(SURFACES)
     vol = _named(data["volumes"], name, "divisor")
-    pieces = [(q(p["lo"]), q(p["hi"]), parse_poly(p["poly"])) for p in vol["pieces"]]
+    pieces = [(q(p["lo"]), q(p["hi"]), fixture_poly(p["poly"])) for p in vol["pieces"]]
     return flagdelta.s_from_volume(q(data["l_cubed"]), pieces)
 
 
@@ -576,7 +577,7 @@ def surface_flag(name: str) -> FlagScenario:
     data = load_scenario_data(SURFACES)
     spec = _named(data["flags"], name, "flag")
     pieces = tuple(
-        BasePiece(q(p["u"][0]), q(p["u"][1]), tuple(parse_poly(s) for s in p["base"]))
+        BasePiece(q(p["u"][0]), q(p["u"][1]), tuple(fixture_poly(s) for s in p["base"]))
         for p in spec["pieces"]
     )
     return _basis_curve_flag(f"{SURFACES}:{name}", spec, q(data["l_cubed"]), pieces,
@@ -662,12 +663,12 @@ class Case218:
         data = load_scenario_data("218")
         spec = _named(data["cases"], name, "2.18 case")
         self.name, self.c, self.spec = name, c, spec
-        base = BasePiece(Fraction(0), parse_poly(spec["u_hi"])(c=c),
-                         tuple(parse_poly(s).subs(c=c) for s in spec["base"]))
+        base = BasePiece(Fraction(0), fixture_poly(spec["u_hi"])(c=c),
+                         tuple(fixture_poly(s).subs(c=c) for s in spec["base"]))
         self.scenario = _basis_curve_flag(
             f"218-{name}@c={c}", spec, rf_eval(data["l_cubed"], c), (base,),
             _marked_points(spec["points"], lambda a: rf_eval(a, c)),
-            curve_a=parse_poly(spec["curve_a"])(c=c))
+            curve_a=fixture_poly(spec["curve_a"])(c=c))
         self._s_points: dict[str, SInvariantResult] = {}
 
     @cached_property
@@ -675,7 +676,7 @@ class Case218:
         """S of the ambient divisor from its stored volume pieces."""
         c = self.c
         pieces = [
-            (parse_poly(p["lo"])(c=c), parse_poly(p["hi"])(c=c), parse_poly(p["poly"]).subs(c=c))
+            (fixture_poly(p["lo"])(c=c), fixture_poly(p["hi"])(c=c), fixture_poly(p["poly"]).subs(c=c))
             for p in self.spec["ambient"]["volume"]
         ]
         return flagdelta.s_from_volume(self.scenario.l_cubed, pieces)
@@ -710,7 +711,7 @@ def run_218(c_values: Sequence[Fraction] | None = None) -> list[CheckResult]:
         for entry in spec.get("printed_ranges", ()):
             printed, derived = entry["printed"], entry["derived"]
             checks.append(_compare(
-                sid, f"{case} range: {entry['where']}", parse_poly(printed), parse_poly(derived),
+                sid, f"{case} range: {entry['where']}", fixture_poly(printed), fixture_poly(derived),
                 identity=("printed-range", sid, case, entry["where"]), shown=(printed, derived),
                 flag_label=f"{case} printed range: {entry['where']}",
                 flag_shown=(f"derived {derived}", f"printed {printed}")))
@@ -739,7 +740,7 @@ def _run_218_case(sid, case: Case218) -> list[CheckResult]:
     # The derived pseudoeffective range of the scan must match the last
     # threshold formula; printed_as annotations were compared above.
     for entry in spec.get("printed_ranges", ()):
-        derived = parse_poly(entry["derived"]).subs(c=c)
+        derived = fixture_poly(entry["derived"]).subs(c=c)
         pieces = flagdelta.scenario_scans(case.scenario)[0].threshold
         ok = all(piece.t == derived for piece in pieces)
         checks.append(_compare(sid, f"{tag}: derived range is the threshold", ok, True))

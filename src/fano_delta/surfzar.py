@@ -20,6 +20,10 @@ point decompositions (three determining samples plus one validation sample)
 and then certifies the result symbolically: the Zariski conditions are
 affine, so corner checks plus support-orthogonality identities prove the
 chamber exactly; any failure exhibits an exact crossing point to split at.
+The point decompositions run on plain rationals, and the coefficients of all
+curves are interpolated together: one elimination of the 4 x 3 sample matrix
+with one right-hand-side column per curve, which still checks every curve's
+validation sample before the result is compared with the symbolic solve.
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg, lp
-from .exactmath import Chamber, ChamberFunction, Poly, Scalar, interpolate, q
+from .exactmath import Chamber, ChamberFunction, Poly, Scalar, interpolate_many, q
 
 Vec = tuple[Fraction, ...]
 
@@ -73,6 +78,10 @@ class SurfaceModel:
         object.__setattr__(self, "curve_names", names)
         object.__setattr__(self, "gram", rows)
         object.__setattr__(self, "generates_pseff", bool(generates_pseff))
+        # Nonzero (i, gram[i][j]) entries of each column j.
+        object.__setattr__(self, "_columns", tuple(
+            tuple((i, row[j]) for i, row in enumerate(rows) if row[j]) for j in range(len(rows))
+        ))
 
     @property
     def n(self) -> int:
@@ -83,7 +92,7 @@ class SurfaceModel:
 
     def relations(self) -> list[Vec]:
         """Numerical relations among the basis curves (Gram kernel)."""
-        return _model_cache(self)["relations"]
+        return self._cone[0]
 
     def facets(self) -> list[Vec]:
         """Linear functionals cutting out the effective cone.
@@ -91,45 +100,33 @@ class SurfaceModel:
         Each facet h acts on a coefficient vector x as sum_i h_i x_i; the
         class of x is pseudoeffective iff every facet value is >= 0.
         """
-        return _model_cache(self)["facets"]
+        return self._cone[1]
 
-    def pair(self, x: Sequence[Poly | Scalar], y: Sequence[Poly | Scalar]):
+    @cached_property
+    def _cone(self) -> tuple[list[Vec], list[Vec]]:
+        relations = [tuple(v) for v in linalg.nullspace([list(r) for r in self.gram])]
+        return relations, _effective_cone_facets(self, relations)
+
+    def pair(self, x: Sequence[Poly | Scalar], y: Sequence[Poly | Scalar]) -> Poly:
         """Intersection number of two classes given by coefficient vectors."""
-        x = [Poly.coerce(a) for a in x]
-        y = [Poly.coerce(a) for a in y]
-        total = Poly()
-        for i in range(self.n):
-            if x[i].is_zero():
-                continue
-            row = Poly()
-            for j in range(self.n):
-                if self.gram[i][j] != 0 and not y[j].is_zero():
-                    row = row + y[j] * self.gram[i][j]
-            total = total + x[i] * row
-        return total
+        out: dict = {}
+        for j in range(self.n):
+            for e, c in (self.dot_curve(x, j) * y[j]).terms.items():
+                out[e] = out[e] + c if e in out else c
+        return Poly._make(out)
 
-    def dot_curve(self, x: Sequence[Poly | Scalar], j: int):
+    def dot_curve(self, x: Sequence[Poly | Scalar], j: int) -> Poly:
         """Intersection of a class with basis curve j."""
-        total = Poly()
-        for i in range(self.n):
-            if self.gram[i][j] != 0:
-                total = total + Poly.coerce(x[i]) * self.gram[i][j]
-        return total
+        out: dict = {}
+        for i, g in self._columns[j]:
+            xi = x[i]
+            for e, c in xi.terms.items() if isinstance(xi, Poly) else (((0, 0, 0), q(xi)),):
+                out[e] = out[e] + c * g if e in out else c * g
+        return Poly._make(out)
 
-
-_MODEL_CACHE: dict[SurfaceModel, dict] = {}
-
-
-def _model_cache(model: SurfaceModel) -> dict:
-    cached = _MODEL_CACHE.get(model)
-    if cached is None:
-        relations = [tuple(v) for v in linalg.nullspace([list(r) for r in model.gram])]
-        cached = {
-            "relations": relations,
-            "facets": _effective_cone_facets(model, relations),
-        }
-        _MODEL_CACHE[model] = cached
-    return cached
+    def _dot(self, x: Sequence[Fraction], j: int) -> Fraction:
+        """`dot_curve` for a rational coefficient vector."""
+        return sum((x[i] * g for i, g in self._columns[j]), Fraction(0))
 
 
 def _effective_cone_facets(model: SurfaceModel, relations: list[Vec]) -> list[Vec]:
@@ -287,11 +284,11 @@ def zariski_decompose(model: SurfaceModel, d: SurfDivisor) -> ZariskiDecompositi
     coeffs = [x.as_fraction() for x in d.coeffs]
     if not is_pseudoeffective(model, coeffs):
         raise NotPseudoeffectiveError("divisor not pseudoeffective in model")
-    support, n_vals = _expand_support(model, [Poly.const(x) for x in coeffs], _SIGN_CONST)
-    n_vec = [Poly.const(0)] * model.n
+    support, n_vals = _expand_support(model, coeffs, _sign, model._dot)
+    n_vec = [Fraction(0)] * model.n
     for j, val in zip(support, n_vals):
         n_vec[j] = val
-    p_vec = [Poly.const(coeffs[i]) - n_vec[i] for i in range(model.n)]
+    p_vec = [coeffs[i] - n_vec[i] for i in range(model.n)]
     dec = ZariskiDecomposition(
         positive=SurfDivisor(model, p_vec),
         negative=SurfDivisor(model, n_vec),
@@ -305,17 +302,17 @@ def zariski_decompose(model: SurfaceModel, d: SurfDivisor) -> ZariskiDecompositi
     return dec
 
 
-def _SIGN_CONST(value: Poly) -> int:
-    x = value.as_fraction()
+def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _expand_support(model: SurfaceModel, coeffs: Sequence[Poly], sign) -> tuple[list[int], list[Poly]]:
-    """Support-growing decomposition loop with symbolic coefficients.
+def _expand_support(model: SurfaceModel, coeffs: Sequence, sign, dot) -> tuple[list[int], list]:
+    """Support-growing decomposition loop.
 
-    ``sign`` maps an intersection value (a Poly in the scan parameters) to
-    its sign at the evaluation point; using one-sided signs lets the same
-    loop compute the support valid just beyond a chamber boundary.
+    Runs on rational coefficients with ``dot = model._dot`` and on symbolic
+    ones with ``dot = model.dot_curve``.  ``sign`` maps an intersection
+    value to its sign at the evaluation point; using one-sided signs lets
+    the same loop compute the support valid just beyond a chamber boundary.
     Returns (support, negative coefficients on the support).
     """
     support: list[int] = []
@@ -328,13 +325,13 @@ def _expand_support(model: SurfaceModel, coeffs: Sequence[Poly], sign) -> tuple[
         for k in range(model.n):
             if k in support:
                 continue
-            if sign(model.dot_curve(p_vec, k)) < 0:
+            if sign(dot(p_vec, k)) < 0:
                 entering.append(k)
         if not entering:
             return support, n_vals
         support = sorted(support + entering)
         sub = [[model.gram[i][j] for j in support] for i in support]
-        rhs = [model.dot_curve(coeffs, i) for i in support]
+        rhs = [dot(coeffs, i) for i in support]
         try:
             n_vals = linalg.solve(sub, rhs)
         except ValueError as exc:
@@ -589,7 +586,7 @@ def _column_structure(
         guard += 1
         if guard > 60:
             raise RuntimeError("v-scan failed to terminate")
-        support, _ = _expand_support(model, fam_u0, _sign_at_plus(v_cur))
+        support, _ = _expand_support(model, fam_u0, _sign_at_plus(v_cur), model.dot_curve)
         support = tuple(sorted(support))
         n_sym, p_sym = _symbolic_decomposition(model, family, support)
         # Next event: a support coefficient vanishing or an excluded-curve
@@ -633,14 +630,10 @@ def _collect_event(
 
 def _sign_at_plus(v0: Fraction):
     def sign(value: Poly) -> int:
-        a = value.coefficient((0, 0, 0)) + value.coefficient((0, 1, 0)) * v0
-        rest = value - Poly.const(value.coefficient((0, 0, 0))) - Poly.var("v") * value.coefficient((0, 1, 0))
-        if not rest.is_zero():
+        if any(e != (0, 0, 0) and e != (0, 1, 0) for e in value.terms):
             raise ValueError(f"not affine in v: {value}")
-        if a != 0:
-            return 1 if a > 0 else -1
         b = value.coefficient((0, 1, 0))
-        return (b > 0) - (b < 0)
+        return _sign(value.coefficient((0, 0, 0)) + b * v0) or _sign(b)
 
     return sign
 
@@ -774,27 +767,20 @@ def _interpolated_reconstruction(
     model: SurfaceModel, family: Sequence[Poly], chamber: Chamber, col: _Column
 ) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
     points = _chamber_sample_points(chamber)
-    per_curve_samples: list[list[tuple[tuple[Fraction, Fraction], Fraction]]] = [
-        [] for _ in range(model.n)
-    ]
+    n_samples: list[list[Fraction]] = []
     for u0, v0 in points:
         coeffs = [f(u=u0, v=v0) for f in family]
-        support, n_vals = _expand_support(
-            model, [Poly.const(x) for x in coeffs], _SIGN_CONST
-        )
+        support, n_vals = _expand_support(model, coeffs, _sign, model._dot)
         if tuple(sorted(support)) != col.support:
             raise ValueError("non-affine region detected")
         n_here = [Fraction(0)] * model.n
         for j, val in zip(support, n_vals):
-            n_here[j] = val.as_fraction()
-        for i in range(model.n):
-            per_curve_samples[i].append(((u0, v0), n_here[i]))
-    n_rec = []
-    for i in range(model.n):
-        try:
-            n_rec.append(interpolate(per_curve_samples[i], 1, ("u", "v")))
-        except ValueError as exc:
-            raise ValueError("non-affine region detected") from exc
+            n_here[j] = val
+        n_samples.append(n_here)
+    try:
+        n_rec = interpolate_many(points, n_samples, 1, ("u", "v"))
+    except ValueError as exc:
+        raise ValueError("non-affine region detected") from exc
     p_rec = tuple(family[i] - n_rec[i] for i in range(model.n))
     return tuple(n_rec), p_rec
 

@@ -296,15 +296,17 @@ def nef_on_interval(d: ToricDivisor, u_lo: Scalar, u_hi: Scalar) -> NefReport:
 # ---------------------------------------------------------------------------
 
 
-def _in_cone(vec: Sequence[Fraction | int], rays: Sequence[Ray]) -> bool:
-    try:
-        coords = linalg.solve(
-            [[Fraction(rays[j][t]) for j in range(3)] for t in range(3)],
-            [q(x) for x in vec],
-        )
-    except ValueError:
-        return False
-    return all(x >= 0 for x in coords)
+def _in_cone(vec: Sequence[int], rays: Sequence[Ray]) -> bool:
+    """Whether vec lies in the simplicial cone spanned by three rays.
+
+    Cramer's rule in integers: the coordinates of vec in the ray basis are
+    det_k / det, with det_k the determinant after replacing ray k by vec.
+    """
+    det = linalg.det3(*rays)
+    return det != 0 and all(
+        linalg.det3(*(vec if t == k else ray for t, ray in enumerate(rays))) * det >= 0
+        for k in range(3)
+    )
 
 
 def pullback(fine: Fan3, coarse: Fan3, d: ToricDivisor) -> ToricDivisor:
@@ -317,28 +319,25 @@ def pullback(fine: Fan3, coarse: Fan3, d: ToricDivisor) -> ToricDivisor:
     if d.fan != coarse:
         raise ValueError("divisor does not live on the coarse fan")
     coarse_index: dict[Ray, int] = {ray: i for i, ray in enumerate(coarse.rays)}
-    for ray in coarse.rays:
-        if ray not in set(fine.rays):
-            raise ValueError("not a refinement")
+    if not set(coarse.rays) <= set(fine.rays):
+        raise ValueError("not a refinement")
+    # The coarse cones containing each fine ray, in the coarse fan's order.
+    homes = [
+        [s for s in coarse.cones if _in_cone(w, [coarse.rays[j] for j in s])]
+        for w in fine.rays
+    ]
     for cone in fine.cones:
-        vecs = [fine.rays[i] for i in cone]
-        if not any(
-            all(_in_cone(v, [coarse.rays[j] for j in sigma]) for v in vecs)
-            for sigma in coarse.cones
-        ):
+        if not set.intersection(*(set(homes[i]) for i in cone)):
             raise ValueError("not a refinement")
 
     coeffs: list[Poly] = []
-    for w in fine.rays:
+    for k, w in enumerate(fine.rays):
         if w in coarse_index:
             coeffs.append(d.coeffs[coarse_index[w]])
             continue
-        sigma = next(
-            (s for s in coarse.cones if _in_cone(w, [coarse.rays[j] for j in s])),
-            None,
-        )
-        if sigma is None:
+        if not homes[k]:
             raise ValueError("not a refinement")
+        sigma = homes[k][0]
         rays = [coarse.rays[j] for j in sigma]
         m = linalg.solve(
             [list(r) for r in rays],

@@ -13,6 +13,7 @@ from fano_delta.exactmath import (
     integrate_chamber,
     integrate_univariate,
     interpolate,
+    interpolate_many,
     parse_poly,
 )
 
@@ -180,6 +181,47 @@ def test_interpolate_round_trip_property():
             pts.add((F(rng.randrange(-4, 5)), F(rng.randrange(-4, 5), 2)))
         samples = [((x, y), p(u=x, v=y)) for x, y in pts]
         assert interpolate(samples, 2, ("u", "v")) == p
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+# Affine in (u, v), plus a u*v term when the flag is set.
+maybe_affine = st.builds(lambda a, b, k, bent: a * U + b * V + k + (U * V if bent else 0),
+                         rationals, rationals, rationals, st.booleans())
+plane_points = st.lists(st.tuples(rationals, rationals), min_size=4, max_size=6, unique=True)
+
+
+@kernel_settings
+@given(st.lists(maybe_affine, min_size=1, max_size=6), plane_points)
+def test_shared_elimination_matches_per_column_interpolate(fns, points):
+    values = [[f(u=u0, v=v0) for f in fns] for u0, v0 in points]
+    per_column = [outcome(lambda col=col: interpolate(list(zip(points, col)), 1, ("u", "v")))
+                  for col in zip(*values)]
+    errors = {r for r in per_column if isinstance(r, str)}
+    if not errors:
+        expected = per_column
+    elif "not polynomial of stated degree" in errors:
+        expected = "not polynomial of stated degree"  # any non-affine column rejects all
+    else:
+        (expected,) = errors
+    assert outcome(lambda: interpolate_many(points, values, 1, ("u", "v"))) == expected
+    if not errors:  # the interpolant is exact on the affine columns
+        assert all(got == f for got, f in zip(per_column, fns) if f.total_degree() <= 1)
+
+
+def test_shared_elimination_rejects_one_bent_column():
+    points = [(F(1, 3), F(1, 3)), (F(1, 3), F(2, 3)), (F(2, 3), F(2, 5)), (F(2, 3), F(3, 5))]
+    fns = [U - 2 * V, 3 + V, U * V + U, F(1, 2) * U]
+    values = [[f(u=u0, v=v0) for f in fns] for u0, v0 in points]
+    straight = [[row[0], row[1], row[3]] for row in values]
+    assert interpolate_many(points, straight, 1, ("u", "v")) == [fns[0], fns[1], fns[3]]
+    with pytest.raises(ValueError, match="not polynomial of stated degree"):
+        interpolate_many(points, values, 1, ("u", "v"))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fano_delta import surfzar
 from fano_delta.exactmath import Poly, parse_poly
 from fano_delta.scenarios import load_model, table_rows
 from fano_delta.surfzar import (
@@ -65,6 +67,54 @@ def test_relations_annihilate_numerically(d4):
         for j in range(d4.n):
             assert d4.dot_curve(rel, j).is_zero()
     assert len(d4.relations()) == 2
+
+
+def reference_dot_curve(model, x, j):
+    """The term-by-term expansion: one Poly product per Gram entry."""
+    total = Poly()
+    for i in range(model.n):
+        total = total + Poly.coerce(x[i]) * Poly.const(model.gram[i][j])
+    return total
+
+
+def reference_pair(model, x, y):
+    total = Poly()
+    for i in range(model.n):
+        for j in range(model.n):
+            total = total + Poly.coerce(x[i]) * Poly.const(model.gram[i][j]) * Poly.coerce(y[j])
+    return total
+
+
+small_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+coefficients = st.one_of(
+    small_rationals,
+    st.integers(-3, 3),
+    st.builds(lambda a, b, k: a * U + b * V + k, small_rationals, small_rationals, small_rationals),
+)
+
+
+@st.composite
+def models_and_classes(draw):
+    n = draw(st.integers(1, 5))
+    gram = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.one_of(st.just(F(0)), small_rationals))
+    model = SurfaceModel([f"C{i}" for i in range(n)], gram)
+    vec = st.lists(coefficients, min_size=n, max_size=n)
+    return model, draw(vec), draw(vec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(models_and_classes())
+def test_sparse_gram_kernel_matches_reference(case):
+    model, x, y = case
+    for j in range(model.n):
+        got = model.dot_curve(x, j)
+        assert isinstance(got, Poly) and got == reference_dot_curve(model, x, j)
+    got = model.pair(x, y)
+    assert isinstance(got, Poly) and got == reference_pair(model, x, y)
+    assert all(c != 0 for c in got.terms.values())
 
 
 def test_facets_agree_with_lp_feasibility(d4):
@@ -195,6 +245,40 @@ def test_scan_nef_family_single_chamber(d4):
     )
     assert len(scan.chambers) == 1
     assert scan.chambers[0].support == ()
+
+
+def tamper_point_decompositions(monkeypatch, which):
+    """Shift the first negative coefficient of the rational point
+    decompositions whose call index (counted from 0) satisfies ``which``."""
+    original = surfzar._expand_support
+    calls = []
+
+    def tampered(model, coeffs, sign, dot):
+        support, n_vals = original(model, coeffs, sign, dot)
+        if dot == model._dot:
+            calls.append(None)
+            if n_vals and which(len(calls) - 1):
+                n_vals = [n_vals[0] + F(1, 1000), *n_vals[1:]]
+        return support, n_vals
+
+    monkeypatch.setattr(surfzar, "_expand_support", tampered)
+
+
+def test_scan_rejects_tampered_validation_sample(d4, monkeypatch):
+    # The fourth sample of every chamber is off the affine interpolant.
+    tamper_point_decompositions(monkeypatch, lambda k: k % 4 == 3)
+    with pytest.raises(ValueError, match="non-affine region detected") as info:
+        chamber_scan(d4, ptilde_d4("45"), 0, 4, 5)
+    assert str(info.value.__cause__) == "not polynomial of stated degree"
+
+
+def test_scan_rejects_reconstruction_off_the_symbolic_solve(d4, monkeypatch):
+    # Every sample is shifted alike: the interpolation succeeds, and only
+    # the comparison with the symbolic decomposition can catch it.
+    tamper_point_decompositions(monkeypatch, lambda k: True)
+    with pytest.raises(ValueError, match="non-affine region detected") as info:
+        chamber_scan(d4, ptilde_d4("45"), 0, 4, 5)
+    assert info.value.__cause__ is None
 
 
 def test_scan_a3_alpha1_splits(a3):

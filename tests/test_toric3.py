@@ -4,10 +4,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fano_delta import linalg
 from fano_delta.exactmath import Poly, parse_poly
 from fano_delta.scenarios import load_fan
 from fano_delta.toric3 import (
+    _in_cone,
     CurveClass,
     Fan3,
     ToricDivisor,
@@ -162,6 +165,56 @@ def test_pullback_rejects_non_refinement(w0):
     d = ToricDivisor(w1, [1, 0, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError, match="not a refinement"):
         pullback(w0, w1, d)  # W0 does not refine W1
+
+
+E1, E2, E3, E0 = (1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)
+P3 = Fan3([E1, E2, E3, E0], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def test_pullback_rejects_missing_coarse_ray():
+    d = ToricDivisor(P3, [1, 0, 0, 0])
+    # Every fine cone lies in a coarse cone, but E3 is not a fine ray.
+    fine = Fan3([E1, E2, (1, 1, 1), E0], [(0, 1, 2)])
+    with pytest.raises(ValueError, match="not a refinement"):
+        pullback(fine, P3, d)
+
+
+def test_pullback_rejects_straddling_cone():
+    d = ToricDivisor(P3, [1, 0, 0, 0])
+    # Each fine ray lies in a coarse cone, but the cone (E1, E2, w) does not:
+    # w = 2*E3 + E0 is outside both coarse cones containing E1 and E2.
+    fine = Fan3([E1, E2, E3, E0, (-1, -1, 1)], [(0, 1, 4), (0, 2, 3)])
+    with pytest.raises(ValueError, match="not a refinement"):
+        pullback(fine, P3, d)
+    # The same rays with cones inside coarse cones pull back.
+    ok = Fan3([E1, E2, E3, E0, (-1, -1, 1)], [(0, 1, 2), (2, 3, 4), (0, 3, 4)])
+    assert pullback(ok, P3, d).coeffs[4] == 0
+
+
+def reference_in_cone(vec, rays):
+    """The Fraction-solve version of the refinement test."""
+    try:
+        coords = linalg.solve([[F(rays[j][t]) for j in range(3)] for t in range(3)],
+                              [F(x) for x in vec])
+    except ValueError:
+        return False
+    return all(x >= 0 for x in coords)
+
+
+small_vectors = st.tuples(*[st.integers(-3, 3)] * 3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_vectors, st.tuples(small_vectors, small_vectors, small_vectors))
+def test_integer_in_cone_matches_fraction_solve(vec, rays):
+    assert _in_cone(vec, rays) == reference_in_cone(vec, rays)
+
+
+def test_in_cone_faces_and_degenerate_cones():
+    rays = [E1, E2, E3]
+    assert _in_cone((1, 1, 0), rays) and _in_cone((0, 0, 0), rays) and _in_cone(E3, rays)
+    assert not _in_cone((1, -1, 0), rays)
+    assert not _in_cone(E1, [E1, E2, (1, 1, 0)])  # det 0: no cone
 
 
 def test_projection_formula_sample(w0):
