@@ -1,10 +1,11 @@
 """Exact dense linear algebra over Q (and over Q-linear rhs entries).
 
 Gaussian elimination with Fraction pivots.  The systems in this package are
-tiny (at most ~12 x 12), so clarity wins over asymptotics.  One elimination
-kernel, `rref`, serves every solver here; right-hand-side columns ride along
-in the same rows.  Right-hand sides may contain Poly entries: only addition
-and scaling by Fractions is ever applied to them.
+tiny (at most ~12 x 12), so clarity wins over asymptotics.  One Gauss-Jordan
+step, `pivot`, serves `rref`, the definiteness test and the simplex tableau
+in `lp`; `rref` serves every solver here, and right-hand-side columns ride
+along in the same rows.  Right-hand sides may contain Poly entries: only
+addition and scaling by Fractions is ever applied to them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,20 @@ from fractions import Fraction
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
+
+
+def pivot(m: list[list], row: int, col: int) -> None:
+    """One Gauss-Jordan step in place on the nonzero entry m[row][col].
+
+    Scales `row` to a leading 1 in `col` and subtracts multiples of it to
+    clear `col` from every other row.
+    """
+    inv = Fraction(1) / m[row][col]
+    m[row] = lead = [x * inv for x in m[row]]
+    for r in range(len(m)):
+        if r != row and m[r][col] != 0:
+            f = m[r][col]
+            m[r] = [x - f * y for x, y in zip(m[r], lead)]
 
 
 def rref(rows: Sequence[Sequence], n_cols: int) -> tuple[list[list], list[int]]:
@@ -26,16 +41,11 @@ def rref(rows: Sequence[Sequence], n_cols: int) -> tuple[list[list], list[int]]:
     pivots: list[int] = []
     for col in range(n_cols):
         rank = len(pivots)
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
+        pivot_row = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot_row is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = Fraction(1) / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        pivot(m, rank, col)
         pivots.append(col)
     return m, pivots
 
@@ -94,28 +104,11 @@ def column_space_basis(a: Sequence[Sequence[Fraction]]) -> list[int]:
     return rref(a, len(a[0]))[1] if a else []
 
 
-def determinant(a: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(a)
-    m = [list(r) for r in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
-
-
 def det3(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> int:
-    """Integer determinant of the 3x3 matrix with rows u, v, w."""
+    """Determinant of the 3x3 matrix with rows u, v, w.
+
+    Only ring operations are used, so it is exact on ints and Fractions.
+    """
     return (
         u[0] * (v[1] * w[2] - v[2] * w[1])
         - u[1] * (v[0] * w[2] - v[2] * w[0])
@@ -124,10 +117,15 @@ def det3(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> int:
 
 
 def is_negative_definite(a: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact test via leading principal minors: (-1)^k det_k > 0."""
-    n = len(a)
-    for k in range(1, n + 1):
-        minor = determinant([row[:k] for row in a[:k]])
-        if (minor if k % 2 == 0 else -minor) <= 0:
+    """Exact test by elimination along the diagonal, without row swaps.
+
+    Pivot k is det_k / det_(k-1), the ratio of consecutive leading principal
+    minors, so by Sylvester's criterion the matrix is negative definite iff
+    every pivot is < 0; a zero pivot means it is not definite.
+    """
+    m = [list(r) for r in a]
+    for k in range(len(m)):
+        if m[k][k] >= 0:
             return False
+        pivot(m, k, k)
     return True

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import linalg
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -51,7 +53,8 @@ def solve_max(
         if basis[i] >= n:
             pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
             if pivot_col is not None:
-                _pivot(tableau, basis, i, pivot_col)
+                linalg.pivot(tableau, i, pivot_col)
+                basis[i] = pivot_col
 
     # Phase 2 on the original columns only.
     keep = [r for r in range(m) if basis[r] < n or any(tableau[r][j] != 0 for j in range(n))]
@@ -72,16 +75,6 @@ def _unit(m: int, i: int) -> list[Fraction]:
     col = [Fraction(0)] * m
     col[i] = Fraction(1)
     return col
-
-
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    inv = Fraction(1) / tableau[row][col]
-    tableau[row] = [x * inv for x in tableau[row]]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col] != 0:
-            f = tableau[r][col]
-            tableau[r] = [x - f * y for x, y in zip(tableau[r], tableau[row])]
-    basis[row] = col
 
 
 def _run_simplex(
@@ -122,7 +115,8 @@ def _run_simplex(
                     leaving = r
         if leaving is None:
             return None  # unbounded
-        _pivot(tableau, basis, leaving, entering)
+        linalg.pivot(tableau, leaving, entering)
+        basis[leaving] = entering
 
 
 def _dual_from_basis(

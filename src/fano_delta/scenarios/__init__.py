@@ -9,6 +9,9 @@ FANO_DELTA_FIXTURES environment variable):
     fixtures/scenarios/*.json    per-family scenario data
     fixtures/known_discrepancies.json
 
+Fixture data is cached per directory: a process reads each file once for
+each fixture directory it uses, so a changed directory is read afresh.
+
 Tables are stored as data, never as code, so the verification harness and
 the source tables stay diffable.  All rationals are "p/q" strings; small
 polynomials are compact expressions like "(8-u-3*v)/3".
@@ -21,6 +24,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 from ..exactmath import Poly, parse_poly, q
 from ..surfzar import SurfaceModel, TableRow
@@ -30,40 +34,46 @@ from ..toric3 import Fan3, fan_from_dict
 def fixtures_dir() -> Path:
     override = os.environ.get("FANO_DELTA_FIXTURES")
     if override:
-        return Path(override)
+        # Absolute, so that a relative setting names one cache entry per
+        # directory even when the working directory changes.
+        return Path(override).resolve()
     return Path(__file__).resolve().parent / "fixtures"
 
 
-def _load_json(relative: str):
-    path = fixtures_dir() / relative
-    with open(path) as fh:
-        return json.load(fh)
-
-
 @lru_cache(maxsize=None)
-def load_fan(name: str) -> Fan3:
-    return fan_from_dict(_load_json(f"fans/{name}.json"))
+def fixture(root: Path, relative: str, build: Callable | None = None):
+    """The parsed JSON file `relative` under `root`, or `build` of it.
+
+    The one store of fixture data: each (root, file, build) is read and
+    built once per process, and a different root is read afresh.
+    """
+    with open(root / relative) as fh:
+        data = json.load(fh)
+    return data if build is None else build(data)
 
 
-@lru_cache(maxsize=None)
-def load_model(name: str) -> SurfaceModel:
-    data = _load_json(f"models/{name}.json")
+def _model_from_dict(data) -> SurfaceModel:
     return SurfaceModel(data["curves"], data["gram"], data.get("generates_pseff", True))
 
 
-@lru_cache(maxsize=None)
+def load_fan(name: str) -> Fan3:
+    return fixture(fixtures_dir(), f"fans/{name}.json", fan_from_dict)
+
+
+def load_model(name: str) -> SurfaceModel:
+    return fixture(fixtures_dir(), f"models/{name}.json", _model_from_dict)
+
+
 def load_table(table_id: str) -> dict:
-    return _load_json(f"tables/{table_id}.json")
+    return fixture(fixtures_dir(), f"tables/{table_id}.json")
 
 
-@lru_cache(maxsize=None)
 def load_scenario_data(scenario_id: str) -> dict:
-    return _load_json(f"scenarios/family-{scenario_id}.json")
+    return fixture(fixtures_dir(), f"scenarios/family-{scenario_id}.json")
 
 
-@lru_cache(maxsize=None)
 def known_discrepancies() -> list[dict]:
-    return _load_json("known_discrepancies.json")
+    return fixture(fixtures_dir(), "known_discrepancies.json")
 
 
 @lru_cache(maxsize=1024)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .. import flagdelta, surfzar, toric3
@@ -21,8 +21,9 @@ from ..exactmath import Poly, integrate_univariate, q
 from ..flagdelta import BasePiece, FlagScenario, MarkedPoint, SInvariantResult
 from ..toric3 import CurveClass, Fan3, ToricDivisor
 from . import (
+    fixture,
     fixture_poly,
-    known_discrepancies,
+    fixtures_dir,
     load_fan,
     load_model,
     load_scenario_data,
@@ -67,10 +68,13 @@ def _canon(expr: str) -> str:
     return str(fixture_poly(expr))
 
 
-@lru_cache(maxsize=1)
 def _known_identities() -> frozenset[tuple]:
+    return fixture(fixtures_dir(), "known_discrepancies.json", _registry_identities)
+
+
+def _registry_identities(entries: list[dict]) -> frozenset[tuple]:
     out = set()
-    for entry in known_discrepancies():
+    for entry in entries:
         if entry["kind"] == "table-cell":
             out.add(
                 (
@@ -121,10 +125,6 @@ class ToricFamily:
         self.l_u = tuple(fixture_poly(s) for s in self.data["l_u"])
         self.l_div = ToricDivisor(self.ambient, [fixture_poly(s) for s in self.data["l_on_y"]])
         self.surface = load_model(self.data["star"]["surface_model"])
-        self._star = None
-        self._intervals = None
-        self._resolved = None
-        self._alpha_perm = None
         self._scenarios: dict[str, FlagScenario] = {}
 
     # -- building blocks --------------------------------------------------
@@ -152,10 +152,9 @@ class ToricFamily:
             )
         return toric3.ZariskiCertificate3(l_u=self.l_u, intervals=tuple(intervals))
 
+    @cached_property
     def resolved_decomposition(self):
         """Per interval: (u_lo, u_hi, P and N pulled back to the resolution)."""
-        if self._resolved is not None:
-            return self._resolved
         zeta0_coarse = self.data["pullbacks"]["zeta0"]["coarse"]
         l_ambient = toric3.pullback(
             self.resolution,
@@ -163,27 +162,28 @@ class ToricFamily:
             ToricDivisor(self.models[zeta0_coarse], self.l_u),
         )
         out = []
-        for iv, raw in zip(self.certificate().intervals, self.data["certificate"]):
+        for iv in self.certificate().intervals:
             p_res = toric3.pullback(self.resolution, iv.model, iv.positive)
             n_res = l_ambient - p_res
             out.append((iv.u_lo, iv.u_hi, p_res, n_res))
-        self._resolved = out
         return out
 
+    @cached_property
     def star(self) -> toric3.StarSurface:
-        if self._star is None:
-            spec = self.data["star"]
-            self._star = toric3.star_surface(
-                self.resolution,
-                spec["ray"],
-                {int(k): tuple(vv) for k, vv in spec["pinned"].items()},
-            )
-            adjacent = {r: k for k, r in enumerate(self._star.adjacent)}
-            self._alpha_perm = [adjacent[r] for r in spec["alpha_order"]]
-        return self._star
+        spec = self.data["star"]
+        return toric3.star_surface(
+            self.resolution,
+            spec["ray"],
+            {int(k): tuple(vv) for k, vv in spec["pinned"].items()},
+        )
+
+    @cached_property
+    def _alpha_perm(self) -> list[int]:
+        adjacent = {r: k for k, r in enumerate(self.star.adjacent)}
+        return [adjacent[r] for r in self.data["star"]["alpha_order"]]
 
     def alpha_fan2(self) -> toric3.Fan2:
-        star = self.star()
+        star = self.star
         perm = self._alpha_perm
         inverse = {p: k for k, p in enumerate(perm)}
         rays = [star.fan2.rays[p] for p in perm]
@@ -191,20 +191,18 @@ class ToricFamily:
         return toric3.Fan2(rays, cones)
 
     def restrict_alpha(self, d: ToricDivisor) -> tuple[Poly, ...]:
-        star = self.star()
         raw = toric3.restrict_to_star(
-            star, d, self.data["star"]["self_character"]
+            self.star, d, self.data["star"]["self_character"]
         )
         return tuple(raw[p] for p in self._alpha_perm)
 
+    @cached_property
     def surface_pieces(self):
         """(u_lo, u_hi, P~ in the alpha basis, N~ in the alpha basis)."""
-        if self._intervals is None:
-            self._intervals = [
-                (lo, hi, self.restrict_alpha(p), self.restrict_alpha(n))
-                for lo, hi, p, n in self.resolved_decomposition()
-            ]
-        return self._intervals
+        return [
+            (lo, hi, self.restrict_alpha(p), self.restrict_alpha(n))
+            for lo, hi, p, n in self.resolved_decomposition
+        ]
 
     def flag_scenario(self, curve: str) -> FlagScenario:
         if curve in self._scenarios:
@@ -214,7 +212,7 @@ class ToricFamily:
         is_basis = sum(1 for x in cvec if x != 0) == 1
         curve_index = next(i for i, x in enumerate(cvec) if x != 0) if is_basis else None
         pieces = []
-        for lo, hi, ptilde, ntilde in self.surface_pieces():
+        for lo, hi, ptilde, ntilde in self.surface_pieces:
             if is_basis:
                 d = ntilde[curve_index]
                 nprime = tuple(
@@ -278,14 +276,12 @@ class ToricFamily:
         self.checks.append(_compare(self.scenario_id, label, got, want, **how))
 
     def _check_fans(self):
-        from . import _load_json
-
         fans = {self.data["ambient_fan"]: self.ambient, **self.models,
                 self.data["resolution_fan"]: self.resolution}
         for name, fan in fans.items():
             report = toric3.validate_fan(fan)
             self._emit(f"fan {name} valid", report.valid or report.issues, True)
-            raw = _load_json(f"fans/{name}.json")
+            raw = fixture(fixtures_dir(), f"fans/{name}.json")
             if "printed_cones" in raw and raw["printed_cones"] != raw["cones"]:
                 printed = Fan3(raw["rays"], raw["printed_cones"])
                 issues = toric3.validate_fan(printed).issues
@@ -389,7 +385,7 @@ class ToricFamily:
         table = load_table(self.data["star"]["table_zd3"])
         columns = table["columns"]
         rows = table["rows"]
-        resolved = self.resolved_decomposition()
+        resolved = self.resolved_decomposition
         self._emit(f"{table['id']} row count", len(rows), len(resolved))
         for row, (lo, hi, p_res, n_res) in zip(rows, resolved):
             self._emit(
@@ -414,7 +410,7 @@ class ToricFamily:
 
     def _check_volume_route(self):
         total = Fraction(0)
-        for lo, hi, p_res, _ in self.resolved_decomposition():
+        for lo, hi, p_res, _ in self.resolved_decomposition:
             cube = toric3.intersection_number(p_res, p_res, p_res)
             total += integrate_univariate(cube, lo, hi, "u")
         s_val = total / q(self.data["expected"]["L^3"])
@@ -426,8 +422,7 @@ class ToricFamily:
         fan2 = self.alpha_fan2()
         self._emit("star quotient rays",
                    [list(r) for r in fan2.rays], spec["expected_rays"])
-        star = self.star()
-        mults = [star.mults[p] for p in self._alpha_perm]
+        mults = [self.star.mults[p] for p in self._alpha_perm]
         self._emit("star restriction multipliers",
                    [str(m) for m in mults], [str(q(s)) for s in spec["expected_mults"]])
         gram = toric3.surface_gram(fan2)
@@ -439,7 +434,7 @@ class ToricFamily:
         table = load_table(self.data["star"]["table_restriction"])
         columns = table["columns"]
         rows = table["rows"]
-        pieces = self.surface_pieces()
+        pieces = self.surface_pieces
         self._emit(f"{table['id']} row count", len(rows), len(pieces))
         for row, (lo, hi, ptilde, ntilde) in zip(rows, pieces):
             for which, computed in (("P", ptilde), ("N", ntilde)):
@@ -472,7 +467,7 @@ class ToricFamily:
 
     def _check_thresholds(self):
         table = load_table(self.data["star"]["table_threshold"])
-        pieces = self.surface_pieces()
+        pieces = self.surface_pieces
         for curve, cells in table["cells"].items():
             case = self.data["curve_cases"][curve]
             cvec = [q(x) for x in case["class"]]

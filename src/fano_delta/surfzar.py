@@ -467,12 +467,6 @@ class ChamberedDecomposition:
             for ch in self.chambers
         )
 
-    def p_dot(self, cls: Sequence[Scalar] | None = None) -> ChamberFunction:
-        vec = self.curve if cls is None else tuple(q(x) for x in cls)
-        return ChamberFunction(
-            (ch.chamber, self.model.pair(ch.p_coeffs, vec)) for ch in self.chambers
-        )
-
     def threshold_at(self, u0: Scalar) -> Fraction:
         u0 = q(u0)
         for piece in self.threshold:

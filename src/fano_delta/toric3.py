@@ -259,15 +259,6 @@ class NefReport:
     note: str = ""
 
 
-def is_nef(d: ToricDivisor) -> NefReport:
-    """Nefness of a constant-coefficient divisor on a complete fan."""
-    for pair in d.fan.two_cones():
-        val = curve_intersection(d, CurveClass(d.fan, pair)).as_fraction()
-        if val < 0:
-            return NefReport(False, pair, f"curve {pair} meets the divisor in {val}")
-    return NefReport(True)
-
-
 def nef_on_interval(d: ToricDivisor, u_lo: Scalar, u_hi: Scalar) -> NefReport:
     """Nefness of a Poly-in-u divisor over [u_lo, u_hi].
 
@@ -669,7 +660,7 @@ def polytope_volume(p: HPolytope) -> Fraction:
             [b[t] - apex[t] for t in range(3)],
             [c[t] - apex[t] for t in range(3)],
         ]
-        total += abs(linalg.determinant(rows)) / 6
+        total += abs(linalg.det3(*rows)) / 6
     return total
 
 
@@ -692,7 +683,7 @@ def polytope_moment(p: HPolytope, w: Sequence[int]) -> Fraction:
             [b[t] - apex[t] for t in range(3)],
             [c[t] - apex[t] for t in range(3)],
         ]
-        vol = abs(linalg.determinant(rows)) / 6
+        vol = abs(linalg.det3(*rows)) / 6
         avg = sum(sum(v[t] * w[t] for t in range(3)) for v in tet) / 4
         total += vol * avg
     return total

@@ -76,30 +76,64 @@ def test_report_json_deterministic(capsys):
     assert labels == sorted(labels)
 
 
-def test_tampered_fixture_fails(tmp_path, capsys, monkeypatch):
+def _fixture_copy(dst, relative, edit):
+    """A copy of the fixture directory at dst with `edit` applied to the
+    parsed JSON of one file."""
     from fano_delta import scenarios
 
-    src = scenarios.fixtures_dir()
-    dst = tmp_path / "fixtures"
-    shutil.copytree(src, dst)
-    path = dst / "tables" / "table-02.json"
+    shutil.copytree(scenarios.fixtures_dir(), dst)
+    path = dst / relative
     data = json.loads(path.read_text())
-    data["rows"][0]["P"][3] = "5"  # tamper one restriction coefficient
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(edit(data)))
+    return dst
+
+
+def _tamper_table_02(data):
+    data["rows"][0]["P"][3] = "5"  # one restriction coefficient
+    return data
+
+
+def _unregister_table_02(entries):
+    return [e for e in entries if e.get("table") != "table-02"]
+
+
+def test_tampered_fixture_fails(tmp_path, capsys, monkeypatch):
+    dst = _fixture_copy(tmp_path / "fixtures", "tables/table-02.json", _tamper_table_02)
     monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
-    caches = (scenarios.load_fan, scenarios.load_model, scenarios.load_table,
-              scenarios.load_scenario_data, scenarios.known_discrepancies,
-              scenarios.builders._known_identities)
-    for cache in caches:
-        cache.cache_clear()
-    try:
-        code, out, _ = run_cli(capsys, "verify", "--family", "34-d4")
-        assert code == 1
-        assert "table-02" in out and "5" in out
-    finally:
-        monkeypatch.delenv("FANO_DELTA_FIXTURES")
-        for cache in caches:
-            cache.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "--family", "34-d4")
+    assert code == 1
+    assert "table-02" in out and "5" in out
+
+
+def test_verdict_follows_the_fixture_directory(tmp_path, capsys, monkeypatch):
+    # One process, four fixture directories in turn: each verdict must come
+    # from the files of the directory the run reads, not from data kept
+    # from an earlier directory.
+    tampered = _fixture_copy(tmp_path / "cell", "tables/table-02.json", _tamper_table_02)
+    unregistered = _fixture_copy(tmp_path / "registry", "known_discrepancies.json",
+                                 _unregister_table_02)
+    codes = []
+    for root in (None, tampered, unregistered, None):
+        if root is None:
+            monkeypatch.delenv("FANO_DELTA_FIXTURES", raising=False)
+        else:
+            monkeypatch.setenv("FANO_DELTA_FIXTURES", str(root))
+        codes.append(run_cli(capsys, "verify", "--family", "34-d4")[0])
+    assert codes == [0, 1, 1, 0]
+
+
+def test_relative_fixture_directory_follows_the_working_directory(tmp_path, capsys,
+                                                                  monkeypatch):
+    from fano_delta import scenarios
+
+    shutil.copytree(scenarios.fixtures_dir(), tmp_path / "good" / "fixtures")
+    _fixture_copy(tmp_path / "bad" / "fixtures", "tables/table-02.json", _tamper_table_02)
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", "fixtures")
+    codes = []
+    for cwd in ("good", "bad"):
+        monkeypatch.chdir(tmp_path / cwd)
+        codes.append(run_cli(capsys, "verify", "--family", "34-d4")[0])
+    assert codes == [0, 1]
 
 
 def test_verify_218_two_c_values(capsys):

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fano_delta import linalg, lp
 
@@ -23,10 +24,47 @@ def test_nullspace_of_gram_kernel():
 
 
 def test_determinant_and_negative_definite():
-    assert linalg.determinant([[F(1), F(2)], [F(3), F(4)]]) == -2
+    rows = [[F(1, 2), F(2), F(0)], [F(3), F(4), F(0)], [F(0), F(0), F(1, 3)]]
+    assert linalg.det3(*rows) == F(-4, 3)
     assert linalg.is_negative_definite([[F(-2), F(1)], [F(1), F(-1)]])
     assert not linalg.is_negative_definite([[F(-2), F(2)], [F(2), F(-1)]])
     assert not linalg.is_negative_definite([[F(0)]])
+
+
+def _det_by_expansion(a):
+    """Laplace expansion along the first row: the reference determinant."""
+    if not a:
+        return F(1)
+    return sum((-1) ** j * a[0][j] * _det_by_expansion([row[:j] + row[j + 1:] for row in a[1:]])
+               for j in range(len(a)) if a[0][j])
+
+
+def _negative_definite_by_minors(a):
+    """Sylvester's criterion as stated: (-1)^k det_k > 0 for every k."""
+    return all((-1) ** k * _det_by_expansion([row[:k] for row in a[:k]]) > 0
+               for k in range(1, len(a) + 1))
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Symmetric rational matrices up to 5x5.  Half are -M.M^T with M of n
+    or n-1 columns, so negative definite and singular ones are common."""
+    n = draw(st.integers(1, 5))
+    gram = draw(st.booleans())
+    k = n - draw(st.integers(0, 1)) if gram else n
+    den = draw(st.integers(1, 6))
+    cells = iter(draw(st.lists(st.integers(-12, 12), min_size=n * k, max_size=n * k)))
+    m = [[F(next(cells), den) for _ in range(k)] for _ in range(n)]
+    if gram:
+        return [[-sum((x * y for x, y in zip(m[i], m[j])), F(0)) for j in range(n)]
+                for i in range(n)]
+    return [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_symmetric_matrices())
+def test_negative_definite_matches_leading_minors(a):
+    assert linalg.is_negative_definite(a) == _negative_definite_by_minors(a)
 
 
 def test_det3_integer():

@@ -17,7 +17,6 @@ from fano_delta.toric3 import (
     curve_intersection,
     divisor_polytope,
     intersection_number,
-    is_nef,
     lattice_min,
     nef_on_interval,
     polytope_min,
@@ -129,10 +128,11 @@ def test_curve_intersections(w0, l_on_w0):
 
 
 def test_nefness(w0, l_on_w0):
-    assert is_nef(l_on_w0.at_u(F(1, 2))).nef
-    bad = is_nef(l_on_w0.at_u(F(3, 2)))
+    half, three_halves = F(1, 2), F(3, 2)
+    assert nef_on_interval(l_on_w0, half, half).nef
+    bad = nef_on_interval(l_on_w0, three_halves, three_halves)
     assert not bad.nef and bad.witness == (1, 3)
-    assert is_nef(ToricDivisor(w0, [0] * 7)).nef
+    assert nef_on_interval(ToricDivisor(w0, [0] * 7), 0, 0).nef
     assert nef_on_interval(l_on_w0, 0, 1).nef
 
 
@@ -434,6 +434,6 @@ def test_nef_divisor_volume_on_blowup_fans():
 
     for u0 in (F(0), F(1, 2), F(1)):
         l_at = ToricDivisor(w0, [7 - u0, 1, 1, 2, 0, 0, 0])
-        assert is_nef(l_at).nef
+        assert nef_on_interval(l_at, u0, u0).nef
         assert 6 * polytope_volume(divisor_polytope(l_at)) == \
             intersection_number(l_at, l_at, l_at).as_fraction()
