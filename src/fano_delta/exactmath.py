@@ -385,38 +385,24 @@ def _tokenize(text: str) -> list[str]:
 _DEFAULT_VARS = {1: ("v",), 2: ("u", "v"), 3: ("u", "v", "c")}
 
 
-def interpolate(
-    samples: Sequence[tuple[Sequence[Scalar], Scalar]],
-    degree_bound: int,
-    variables: Sequence[str] | None = None,
-) -> Poly:
-    """Exact polynomial interpolation with cross-validation.
-
-    ``samples`` is a list of (point, value) pairs; the interpolant is the
-    unique polynomial of total degree <= ``degree_bound`` in ``variables``
-    through them.  At least one sample beyond the determining count must be
-    supplied; every sample is checked against the solved interpolant, so a
-    wrong degree bound cannot slip through silently.
-
-    Raises ValueError("insufficient samples") if the system is
-    underdetermined, and ValueError("not polynomial of stated degree") if an
-    extra sample disagrees with the unique interpolant.
-    """
-    points = [point for point, _ in samples]
-    return interpolate_many(points, [[value] for _, value in samples], degree_bound, variables)[0]
-
-
 def interpolate_many(
     points: Sequence[Sequence[Scalar]],
     values: Sequence[Sequence[Scalar]],
     degree_bound: int,
     variables: Sequence[str] | None = None,
 ) -> list[Poly]:
-    """`interpolate` for several functions sampled at the same points.
+    """Exact polynomial interpolation of several functions, cross-validated.
 
-    ``values[p][k]`` is function k at ``points[p]``.  The sample matrix is
-    eliminated once with one right-hand-side column per function; every
-    function's extra samples are validated, with the errors of `interpolate`.
+    ``values[p][k]`` is function k at ``points[p]``; the interpolant of each
+    is the unique polynomial of total degree <= ``degree_bound`` in
+    ``variables`` through its samples.  The sample matrix is eliminated once
+    with one right-hand-side column per function.  At least one sample beyond
+    the determining count must be supplied; every sample is checked against
+    the solved interpolant, so a wrong degree bound cannot slip through.
+
+    Raises ValueError("insufficient samples") if the system is
+    underdetermined, and ValueError("not polynomial of stated degree") if an
+    extra sample of some function disagrees with its unique interpolant.
     """
     from . import linalg
 

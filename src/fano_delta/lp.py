@@ -3,7 +3,8 @@
 Solves  max c.x  subject to  A x = b, x >= 0  entirely over Fractions.
 Bland's rule guarantees termination; there is no numerical tolerance
 anywhere.  Problems in this package have at most ~15 variables and ~8
-constraints, so the dense tableau is fine.
+constraints, so the dense tableau is fine.  An optimal result carries its
+final basis, so a caller whose b moves can re-prove optimality from it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ class LPResult:
     status: str
     x: list[Fraction] | None = None
     value: Fraction | None = None
+    # Basic column of each row phase 2 kept: a basis of A when A has full
+    # row rank.
+    basis: list[int] | None = None
 
 
 def solve_max(
@@ -41,14 +45,14 @@ def solve_max(
             rhs[i] = -rhs[i]
 
     # Phase 1: artificial variables, minimize their sum.
-    tableau = [rows[i] + _unit(m, i) + [rhs[i]] for i in range(m)]
+    tableau = [rows[i] + [Fraction(i == r) for r in range(m)] + [rhs[i]] for i in range(m)]
     basis = [n + i for i in range(m)]
-    cost1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    value = _run_simplex(tableau, basis, cost1, n + m)
+    value = _run_simplex(tableau, basis, [Fraction(0)] * n + [Fraction(-1)] * m)
     if value is None or value < 0:
         return LPResult(INFEASIBLE)
 
-    # Drive leftover artificial variables out of the basis where possible.
+    # Drive leftover artificial variables out of the basis where possible;
+    # a row where that fails is zero on the original columns (redundant).
     for i in range(m):
         if basis[i] >= n:
             pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
@@ -57,39 +61,26 @@ def solve_max(
                 basis[i] = pivot_col
 
     # Phase 2 on the original columns only.
-    keep = [r for r in range(m) if basis[r] < n or any(tableau[r][j] != 0 for j in range(n))]
-    tableau = [[tableau[r][j] for j in range(n)] + [tableau[r][-1]] for r in keep]
+    keep = [r for r in range(m) if basis[r] < n]
+    tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
     basis = [basis[r] for r in keep]
-    cost2 = list(c)
-    value = _run_simplex(tableau, basis, cost2, n)
-    if value is None:
+    if _run_simplex(tableau, basis, list(c)) is None:
         return LPResult(UNBOUNDED)
     x = [Fraction(0)] * n
     for r, var in enumerate(basis):
-        if var < n:
-            x[var] = tableau[r][-1]
-    return LPResult(OPTIMAL, x, sum(ci * xi for ci, xi in zip(c, x)))
+        x[var] = tableau[r][-1]
+    return LPResult(OPTIMAL, x, sum(ci * xi for ci, xi in zip(c, x)), basis)
 
 
-def _unit(m: int, i: int) -> list[Fraction]:
-    col = [Fraction(0)] * m
-    col[i] = Fraction(1)
-    return col
-
-
-def _run_simplex(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-    n_cols: int,
-) -> Fraction | None:
+def _run_simplex(tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> Fraction | None:
     """Run primal simplex to optimality; returns the objective or None if
-    unbounded.  Entering/leaving choices use Bland's rule."""
+    unbounded.  Entering/leaving choices use Bland's rule.  The tableau is
+    kept in reduced form (basic columns are unit columns), so the simplex
+    multipliers are just the basic costs."""
     while True:
-        # Reduced costs z_j - c_j from the current basis.
-        y = _dual_from_basis(tableau, basis, cost)
+        y = [cost[var] for var in basis]
         entering = None
-        for j in range(n_cols):
+        for j in range(len(cost)):
             if j in basis:
                 continue
             reduced = cost[j] - sum(y[r] * tableau[r][j] for r in range(len(tableau)))
@@ -97,12 +88,7 @@ def _run_simplex(
                 entering = j
                 break  # Bland: smallest improving index
         if entering is None:
-            obj = sum(
-                cost[basis[r]] * tableau[r][-1]
-                for r in range(len(tableau))
-                if basis[r] < len(cost)
-            )
-            return obj
+            return sum(y[r] * tableau[r][-1] for r in range(len(tableau)))
         leaving = None
         best = None
         for r in range(len(tableau)):
@@ -117,14 +103,3 @@ def _run_simplex(
             return None  # unbounded
         linalg.pivot(tableau, leaving, entering)
         basis[leaving] = entering
-
-
-def _dual_from_basis(
-    tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]
-) -> list[Fraction]:
-    # The tableau is kept in reduced form (basic columns are unit columns),
-    # so the simplex multipliers are just the basic costs.
-    return [
-        cost[basis[r]] if basis[r] < len(cost) else Fraction(0)
-        for r in range(len(tableau))
-    ]

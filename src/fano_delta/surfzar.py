@@ -13,8 +13,8 @@ the Gram subsystem so the positive part becomes orthogonal to the support.
 The result is order-independent; adding curves en bloc avoids order
 questions.
 
-Pseudoeffectivity and thresholds run through exact rational linear
-programming (simplex with Bland's rule).  The two-parameter chamber scan
+Thresholds are an exact facet envelope, each piece proved on its whole
+u-interval by an optimal basis of the exact threshold LP.  The chamber scan
 reconstructs each chamber's decomposition as affine polynomials from exact
 point decompositions (three determining samples plus one validation sample)
 and then certifies the result symbolically: the Zariski conditions are
@@ -101,6 +101,11 @@ class SurfaceModel:
         class of x is pseudoeffective iff every facet value is >= 0.
         """
         return self._cone[1]
+
+    @cached_property
+    def _threshold_lps(self) -> dict[Vec, "_ThresholdLP"]:
+        """Threshold LP per curve vector (see `_threshold_lp`)."""
+        return {}
 
     @cached_property
     def _cone(self) -> tuple[list[Vec], list[Vec]]:
@@ -242,31 +247,57 @@ def pseff_threshold(
     Exact rational LP: maximize v subject to
         D - v*C + (relation combination) = e,  e >= 0.
     """
+    threshold_lp = _threshold_lp(model, _curve_vector(model, curve))
+    return threshold_lp.solve([x.as_fraction() for x in d.coeffs]).value
+
+
+@dataclass
+class _ThresholdLP:
+    """max v over v, lam+ (k), lam- (k), e (n) >= 0, one row per curve j:
+    v*C_j - R_j.lam+ + R_j.lam- + e_j = D_j, with R the k relations.  Only D
+    depends on the divisor.  ``bases`` holds (B^-1, c_B.B^-1) for each basis
+    B proved dual feasible, hence optimal for every D with B^-1.D >= 0."""
+
+    rows: list[list[Fraction]]
+    bases: list[tuple[list[list[Fraction]], list[Fraction]]] = field(default_factory=list)
+
+    def solve(self, dvec: Sequence[Fraction]) -> lp.LPResult:
+        objective = [Fraction(1)] + [Fraction(0)] * (len(self.rows[0]) - 1)
+        result = lp.solve_max(objective, self.rows, dvec)
+        if result.status == lp.INFEASIBLE:
+            raise NotPseudoeffectiveError("not pseudoeffective")
+        if result.status == lp.UNBOUNDED:
+            raise ValueError("threshold unbounded")
+        return result
+
+    def prove(self, basis: list[int]) -> tuple[list[list[Fraction]], list[Fraction]]:
+        """Store the basis B once every reduced cost c_j - c_B.B^-1.A_j <= 0."""
+        m = len(self.rows)
+        reduced, pivots = linalg.rref([[row[j] for j in basis] + [Fraction(i == r) for i in range(m)]
+                                       for r, row in enumerate(self.rows)], len(basis))
+        if len(basis) != m or len(pivots) < m:
+            raise AssertionError(f"LP basis {basis} is not a basis")
+        inverse = [row[m:] for row in reduced]
+        dual = inverse[basis.index(0)] if 0 in basis else [Fraction(0)] * m
+        for j in range(len(self.rows[0])):
+            reduced_cost = (j == 0) - _dot(dual, [row[j] for row in self.rows])
+            if reduced_cost > 0:
+                raise AssertionError(f"LP basis {basis} is not optimal at column {j}")
+        self.bases.append((inverse, dual))
+        return inverse, dual
+
+
+def _threshold_lp(model: SurfaceModel, cvec: Vec) -> _ThresholdLP:
+    """The threshold LP of (model, cvec), built once and kept on the model."""
     if not model.generates_pseff:
         raise ConeAssumptionError("cone assumption violated")
-    dvec = [x.as_fraction() for x in d.coeffs]
-    cvec = _curve_vector(model, curve)
-    relations = model.relations()
-    n, k = model.n, len(relations)
-    # Variables: v, lam+ (k), lam- (k), e (n).
-    ncols = 1 + 2 * k + n
-    rows = []
-    for j in range(n):
-        row = [Fraction(0)] * ncols
-        row[0] = cvec[j]
-        for r in range(k):
-            row[1 + r] = -relations[r][j]
-            row[1 + k + r] = relations[r][j]
-        row[1 + 2 * k + j] = Fraction(1)
-        rows.append(row)
-    objective = [Fraction(0)] * ncols
-    objective[0] = Fraction(1)
-    result = lp.solve_max(objective, rows, dvec)
-    if result.status == lp.INFEASIBLE:
-        raise NotPseudoeffectiveError("not pseudoeffective")
-    if result.status == lp.UNBOUNDED:
-        raise ValueError("threshold unbounded")
-    return result.value
+    if cvec not in model._threshold_lps:
+        relations = model.relations()
+        n = model.n
+        rows = [[cvec[j]] + [-rel[j] for rel in relations] + [rel[j] for rel in relations]
+                + [Fraction(i == j) for i in range(n)] for j in range(n)]
+        model._threshold_lps[cvec] = _ThresholdLP(rows)
+    return model._threshold_lps[cvec]
 
 
 def _curve_vector(model: SurfaceModel, curve: int | Sequence[Scalar]) -> Vec:
@@ -363,20 +394,26 @@ def threshold_pieces(
     Every effective-cone facet h with h(C) > 0 bounds v by the affine
     function h(base(u)) / h(C); t is their lower envelope, computed exactly.
     Facets with h(C) <= 0 never bound v from above; h(C) = 0 facets must stay
-    nonnegative on the base family or the family leaves the cone.
+    nonnegative on the base family (affine: both ends suffice) or the
+    family leaves the cone.  Each piece is proved to be the LP threshold on
+    its whole interval by basis stability (parametric LP): the right-hand side
+    base(u) is affine, so an optimal basis B kept on the model stays optimal
+    where B^-1.base(u) >= 0 at both ends, and there c_B.B^-1.base(u) must be t.
+    Else one cold solve at the midpoint gives B, split where it turns infeasible.
     """
     u_lo, u_hi = q(u_lo), q(u_hi)
+    base = [Poly.coerce(b) for b in base]
     cvec = _curve_vector(model, curve)
     lines: list[Poly] = []
     for h in model.facets():
         hc = sum(h[i] * cvec[i] for i in range(model.n))
-        hb = sum((Poly.coerce(base[i]) * h[i] for i in range(model.n)), Poly())
+        hb = sum((base[i] * h[i] for i in range(model.n)), Poly())
         if hb.total_degree() > 1 or hb.degree_in("v") or hb.degree_in("c"):
             raise ValueError("base family must be affine in u")
         if hc > 0:
             lines.append(hb / hc)
         elif hc == 0:
-            for u0 in (u_lo, (u_lo + u_hi) / 2, u_hi):
+            for u0 in (u_lo, u_hi):
                 if hb(u=u0) < 0:
                     raise NotPseudoeffectiveError(
                         f"base family leaves the effective cone at u={u0}"
@@ -384,25 +421,42 @@ def threshold_pieces(
     if not lines:
         raise ValueError("threshold unbounded")
     pieces = _lower_envelope(lines, u_lo, u_hi)
-    # Dual-route sanity: the LP threshold must agree at each piece midpoint.
+    threshold_lp = _threshold_lp(model, cvec)
     for piece in pieces:
-        mid = (piece.u_lo + piece.u_hi) / 2
-        lp_val = pseff_threshold(
-            model,
-            SurfDivisor(model, [Poly.coerce(b).subs(u=mid) for b in base]),
-            curve,
-        )
-        if lp_val != piece.t(u=mid):
-            raise AssertionError(
-                f"threshold mismatch at u={mid}: envelope {piece.t(u=mid)}, LP {lp_val}"
-            )
+        _certify_piece(threshold_lp, base, piece.t, piece.u_lo, piece.u_hi)
     return pieces
 
 
-def _lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fraction) -> list[ThresholdPiece]:
-    def value(line: Poly, u0: Fraction) -> Fraction:
-        return line(u=u0)
+def _certify_piece(threshold_lp: _ThresholdLP, base: Sequence[Poly], t: Poly,
+                   lo: Fraction, hi: Fraction, depth: int = 0) -> None:
+    """Prove that t is the LP threshold of base(u) on all of [lo, hi]."""
+    if depth > 24:
+        raise RuntimeError("threshold certificate failed to stabilize")
+    ends = [[b(u=u0) for b in base] for u0 in (lo, hi)]
+    for inverse, dual in threshold_lp.bases:
+        if all(_dot(row, end) >= 0 for end in ends for row in inverse):
+            break
+    else:
+        mid = (lo + hi) / 2
+        inverse, dual = threshold_lp.prove(threshold_lp.solve([b(u=mid) for b in base]).basis)
+        for row in inverse:
+            x_lo, x_hi = _dot(row, ends[0]), _dot(row, ends[1])
+            if x_lo < 0 or x_hi < 0:
+                # This basic variable is >= 0 at mid and reaches 0 at `at`.
+                at = lo + (hi - lo) * x_lo / (x_lo - x_hi)
+                _certify_piece(threshold_lp, base, t, lo, at, depth + 1)
+                _certify_piece(threshold_lp, base, t, at, hi, depth + 1)
+                return
+    value = sum((b * y for b, y in zip(base, dual) if y), Poly())
+    if value != t:
+        raise AssertionError(f"threshold mismatch on [{lo}, {hi}]: envelope {t}, LP {value}")
 
+
+def _dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+    return sum((a * b for a, b in zip(x, y) if a), Fraction(0))
+
+
+def _lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fraction) -> list[ThresholdPiece]:
     def slope(line: Poly) -> Fraction:
         return line.coefficient((1, 0, 0))
 
@@ -413,9 +467,9 @@ def _lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fraction) -> li
         guard += 1
         if guard > 100:
             raise RuntimeError("lower envelope failed to terminate")
-        vmin = min(value(l, cur) for l in lines)
+        vmin = min(l(u=cur) for l in lines)
         active = min(
-            (l for l in lines if value(l, cur) == vmin), key=slope
+            (l for l in lines if l(u=cur) == vmin), key=slope
         )
         if cur >= u_hi:
             if not pieces:
@@ -429,7 +483,7 @@ def _lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fraction) -> li
             if ds >= 0:
                 continue
             # line falls below active at the crossing.
-            cross = (value(active, Fraction(0)) - value(line, Fraction(0))) / ds
+            cross = (active(u=0) - line(u=0)) / ds
             if cur < cross < nxt:
                 nxt = cross
         pieces.append(ThresholdPiece(cur, nxt, active))
@@ -902,18 +956,3 @@ def _check_row(scan: ChamberedDecomposition, row: TableRow) -> list[RowMismatch]
             )
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# Random pseudoeffective divisors (property-suite helper)
-# ---------------------------------------------------------------------------
-
-
-def random_pseudoeffective(model: SurfaceModel, rng) -> SurfDivisor:
-    """A random divisor in the cone spanned by the basis curves."""
-    coeffs = [
-        Fraction(rng.randrange(0, 40), rng.randrange(1, 8)) for _ in range(model.n)
-    ]
-    if all(x == 0 for x in coeffs):
-        coeffs[rng.randrange(model.n)] = Fraction(1)
-    return SurfDivisor(model, coeffs)

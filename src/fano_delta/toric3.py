@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
@@ -65,6 +66,11 @@ class Fan3:
 
     def cones_containing(self, ray_index: int) -> list[Cone]:
         return [c for c in self.cones if ray_index in c]
+
+    @cached_property
+    def _triples(self) -> dict[Cone, Fraction]:
+        """Triple products computed so far, keyed by sorted ray indices."""
+        return {}
 
 
 @dataclass
@@ -136,9 +142,6 @@ class ToricDivisor:
         self._same_fan(other)
         return ToricDivisor(self.fan, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def at_u(self, u0: Scalar) -> "ToricDivisor":
-        return ToricDivisor(self.fan, [co.subs(u=q(u0)) for co in self.coeffs])
-
     def _same_fan(self, other: "ToricDivisor"):
         if self.fan != other.fan:
             raise ValueError("different fans")
@@ -159,17 +162,17 @@ class CurveClass:
         object.__setattr__(self, "pair", pair)
 
 
-_TRIPLE_CACHE: dict[tuple[Fan3, tuple[int, int, int]], Fraction] = {}
-
-
 def triple_product(fan: Fan3, i: int, j: int, k: int) -> Fraction:
     """Intersection number T_i.T_j.T_k of invariant divisors (exact)."""
-    key = (fan, tuple(sorted((i, j, k))))
-    cached = _TRIPLE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    value = _triple_uncached(fan, *key[1])
-    _TRIPLE_CACHE[key] = value
+    return _triple(fan, i, j, k)
+
+
+def _triple(fan: Fan3, i: int, j: int, k: int) -> Fraction:
+    """`triple_product` through the fan's table of the triples computed so far."""
+    key = (i, j, k) if i <= j <= k else tuple(sorted((i, j, k)))
+    value = fan._triples.get(key)
+    if value is None:
+        value = fan._triples[key] = _triple_uncached(fan, *key)
     return value
 
 
@@ -206,7 +209,7 @@ def _triple_uncached(fan: Fan3, i: int, j: int, k: int) -> Fraction:
             continue
         coef = -sum(Fraction(m[t]) * fan.rays[r][t] for t in range(3))
         if coef != 0:
-            total += coef * triple_product(fan, r, others[0], others[1])
+            total += coef * _triple(fan, r, others[0], others[1])
     return total
 
 
@@ -217,25 +220,21 @@ def intersection_number(
     d1._same_fan(d2)
     d1._same_fan(d3)
     fan = d1.fan
-    n = len(fan.rays)
-    total = Poly()
-    for i in range(n):
-        ci = d1.coeffs[i]
-        if ci.is_zero():
-            continue
-        for j in range(n):
-            cj = d2.coeffs[j]
-            if cj.is_zero():
-                continue
-            partial = ci * cj
-            for k in range(n):
-                ck = d3.coeffs[k]
-                if ck.is_zero():
-                    continue
-                t = triple_product(fan, i, j, k)
-                if t != 0:
-                    total = total + partial * ck * t
-    return total
+    s1, s2, s3 = ([(i, c) for i, c in enumerate(d.coeffs) if c.terms] for d in (d1, d2, d3))
+    out: dict = {}
+    for i, ci in s1:
+        for j, cj in s2:
+            # sum_k T_ijk * d3_k, then one product with d1_i * d2_j.
+            inner: dict = {}
+            for k, ck in s3:
+                t = _triple(fan, i, j, k)
+                if t:
+                    for e, c in ck.terms.items():
+                        inner[e] = inner[e] + c * t if e in inner else c * t
+            if inner:
+                for e, c in (ci * cj * Poly._make(inner)).terms.items():
+                    out[e] = out[e] + c if e in out else c
+    return Poly._make(out)
 
 
 def curve_intersection(d: ToricDivisor, curve: CurveClass) -> Poly:

@@ -12,10 +12,11 @@ from fano_delta.exactmath import (
     Poly,
     integrate_chamber,
     integrate_univariate,
-    interpolate,
     interpolate_many,
     parse_poly,
 )
+
+from helpers import interpolate
 
 U, V, C = Poly.var("u"), Poly.var("v"), Poly.var("c")
 

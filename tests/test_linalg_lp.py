@@ -118,3 +118,33 @@ def test_simplex_redundant_equality_row():
         [F(4), F(4), F(3)],
     )
     assert res.status == lp.OPTIMAL and res.value == 4
+
+
+OPTIMAL_LPS = [
+    # (c, a, b, optimum): the optimal examples above.
+    ([F(3), F(2)], [[F(1), F(1)]], [F(4)], 12),
+    ([F(1), F(0), F(0)], [[F(1), F(1), F(0)], [F(-1), F(0), F(1)]], [F(2), F(1)], 2),
+    ([F(3, 4), F(-20), F(1, 2), F(-6), F(0), F(0), F(0)],
+     [[F(1, 4), F(-8), F(-1), F(9), F(1), F(0), F(0)],
+      [F(1, 2), F(-12), F(-1, 2), F(3), F(0), F(1), F(0)],
+      [F(0), F(0), F(1), F(0), F(0), F(0), F(1)]],
+     [F(0), F(0), F(1)], F(5, 4)),
+    ([F(1), F(1)], [[F(1), F(1)], [F(1), F(1)], [F(1), F(0)]], [F(4), F(4), F(3)], 4),
+]
+
+
+@pytest.mark.parametrize("c, a, b, optimum", OPTIMAL_LPS)
+def test_returned_basis_certifies_the_optimum(c, a, b, optimum):
+    res = lp.solve_max(c, a, b)
+    assert res.status == lp.OPTIMAL and res.value == optimum
+    # Redundant rows follow from the others; B is square on independent rows.
+    rows = linalg.column_space_basis([list(col) for col in zip(*a)])
+    assert len(res.basis) == len(rows) == len(set(res.basis))
+    basis_cols = [[a[r][j] for j in res.basis] for r in rows]
+    x_b = linalg.solve(basis_cols, [b[r] for r in rows])
+    assert all(x >= 0 for x in x_b)
+    assert res.x == [x_b[res.basis.index(j)] if j in res.basis else 0 for j in range(len(c))]
+    # Dual y with y.B = c_B: no column may have a positive reduced cost.
+    y = linalg.solve([list(col) for col in zip(*basis_cols)], [c[j] for j in res.basis])
+    for j in range(len(c)):
+        assert c[j] - sum(yi * a[r][j] for yi, r in zip(y, rows)) <= 0

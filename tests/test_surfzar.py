@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fano_delta import surfzar
 from fano_delta.exactmath import Poly, parse_poly
-from fano_delta.scenarios import load_model, table_rows
+from fano_delta.scenarios import builders, load_model, load_scenario_data, table_rows
 from fano_delta.surfzar import (
     NotPseudoeffectiveError,
     SurfaceModel,
@@ -17,11 +17,12 @@ from fano_delta.surfzar import (
     chamber_scan,
     is_pseudoeffective,
     pseff_threshold,
-    random_pseudoeffective,
     threshold_pieces,
     verify_surface_table,
     zariski_decompose,
 )
+
+from helpers import interpolate, random_pseudoeffective
 
 U, V = Poly.var("u"), Poly.var("v")
 
@@ -220,6 +221,141 @@ def test_threshold_not_pseudoeffective(d4):
 
 
 # ---------------------------------------------------------------------------
+# Threshold certificates (an optimal LP basis per piece)
+# ---------------------------------------------------------------------------
+
+
+def fresh(model):
+    """An equal model with an empty basis store."""
+    return SurfaceModel(model.curve_names, model.gram, model.generates_pseff)
+
+
+def test_certificate_catches_piece_rotated_about_its_midpoint(d4, monkeypatch):
+    # The rotated piece agrees with the true threshold at its midpoint only,
+    # so a comparison at the midpoint cannot see it.
+    envelope = surfzar._lower_envelope
+
+    def rotated(lines, lo, hi):
+        first, *rest = envelope(lines, lo, hi)
+        mid = (first.u_lo + first.u_hi) / 2
+        tilted = first.t + (U - mid) * F(1, 7)
+        assert tilted(u=mid) == first.t(u=mid)
+        return [surfzar.ThresholdPiece(first.u_lo, first.u_hi, tilted)] + rest
+
+    monkeypatch.setattr(surfzar, "_lower_envelope", rotated)
+    for model in (d4, fresh(d4)):
+        with pytest.raises(AssertionError, match="threshold mismatch"):
+            threshold_pieces(model, ptilde_d4("56"), [1, 1, 1, 0, 0, 0], 5, 6)
+
+
+def test_certificate_refuses_a_feasible_basis_that_is_not_optimal(d4, monkeypatch):
+    # The basis of the slack columns e is feasible for a nonnegative divisor
+    # and has LP value 0; an envelope of 0 would match it, so only the
+    # reduced costs show that v can still grow.
+    model = fresh(d4)
+    k, n = len(model.relations()), model.n
+    slack = list(range(1 + 2 * k, 1 + 2 * k + n))
+    monkeypatch.setattr(surfzar.lp, "solve_max", lambda c, a, b: surfzar.lp.LPResult(
+        surfzar.lp.OPTIMAL, [F(0)] * (1 + 2 * k) + list(b), F(0), slack))
+    monkeypatch.setattr(surfzar, "_lower_envelope",
+                        lambda lines, lo, hi: [surfzar.ThresholdPiece(lo, hi, Poly())])
+    with pytest.raises(AssertionError, match="not optimal"):
+        threshold_pieces(model, [1] * n, 0, 0, 1)
+
+
+def affine_families(model_names):
+    @st.composite
+    def draw(draw):
+        model = load_model(draw(st.sampled_from(model_names)))
+        coefficient = st.fractions(min_value=0, max_value=6, max_denominator=4)
+        ends = [draw(st.lists(coefficient, min_size=model.n, max_size=model.n))
+                for _ in range(2)]
+        lo = draw(st.fractions(min_value=-3, max_value=3, max_denominator=5))
+        hi = lo + draw(st.fractions(min_value=F(1, 5), max_value=4, max_denominator=5))
+        # base(u) runs from the first end at lo to the second at hi: a
+        # convex combination of two effective classes, so pseudoeffective.
+        base = [a + (b - a) * (U - lo) / (hi - lo) for a, b in zip(*ends)]
+        curve = draw(st.one_of(
+            st.integers(0, model.n - 1),
+            st.lists(st.integers(0, 2), min_size=model.n, max_size=model.n).filter(any)))
+        return model, base, curve, lo, hi
+    return draw()
+
+
+CERTIFIED_MODELS = ("d4-g", "a3-g", "m218-p2", "m218-ok", "m218-heart", "m218-diamond",
+                    "m218-blowup", "m218-blowup-tangent")
+
+
+@settings(max_examples=120, deadline=None)
+@given(affine_families(CERTIFIED_MODELS), st.data())
+def test_certified_pieces_equal_a_cold_lp_inside(case, data):
+    model, base, curve, lo, hi = case
+    pieces = threshold_pieces(model, base, curve, lo, hi)
+    assert pieces[0].u_lo == lo and pieces[-1].u_hi == hi
+    assert all(a.u_hi == b.u_lo for a, b in zip(pieces, pieces[1:]))
+    for piece in pieces:
+        at = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+        u0 = piece.u_lo + (piece.u_hi - piece.u_lo) * at
+        cold = pseff_threshold(model, SurfDivisor(model, [b(u=u0) for b in base]), curve)
+        assert cold == piece.t(u=u0)
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = surfzar.lp.solve_max
+    monkeypatch.setattr(surfzar.lp, "solve_max", lambda *a: calls.append(a) or solve(*a))
+    return calls
+
+
+def test_kept_basis_serves_another_u_range_without_a_solve(d4, monkeypatch):
+    model = fresh(d4)
+    calls = count_solves(monkeypatch)
+    first = threshold_pieces(model, ptilde_d4("24"), 0, 2, 4)
+    assert calls and len(model._threshold_lps) == 1
+    del calls[:]
+    again = threshold_pieces(model, ptilde_d4("24"), 0, F(5, 2), F(7, 2))
+    assert calls == []
+    assert [p.t for p in again] == [p.t for p in first if p.u_lo < F(7, 2) and p.u_hi > F(5, 2)]
+
+
+def test_basis_store_stays_bounded_over_many_c(monkeypatch):
+    names = sorted({spec["model"] for spec in load_scenario_data("218")["cases"].values()})
+
+    def stored():
+        return sum(len(t.bases) for name in names for t in load_model(name)._threshold_lps.values())
+
+    before = stored()
+    calls = count_solves(monkeypatch)
+    builders.run_218([F(k, 31) for k in range(1, 31, 3)])
+    size = stored()
+    assert size - before == len(calls) <= len(names)
+    del calls[:]
+    checks = builders.run_218([F(k, 31) for k in range(2, 31, 3)])
+    assert not [c.label for c in checks if c.status == builders.FAIL]
+    assert calls == [] and stored() == size
+
+
+def test_family_leaving_the_cone_inside_a_piece_raises():
+    # t(u) = 1 - u is one envelope piece on [0, 3/2] and is negative past 1;
+    # the LP at the midpoint 3/4 is feasible, so only a certificate of the
+    # whole piece finds the infeasible part.
+    model = SurfaceModel(["c"], [["-1"]])
+    with pytest.raises(NotPseudoeffectiveError):
+        threshold_pieces(model, [1 - U], 0, 0, F(3, 2))
+    (piece,) = threshold_pieces(model, [1 - U], 0, 0, 1)
+    assert piece.t == 1 - U
+
+
+@pytest.mark.parametrize("second, end", [(1 - U, 2), (1 + U, -2)])
+def test_zero_facet_is_checked_at_both_ends(second, end):
+    # Two disjoint (-1)-curves: the facet x_2 >= 0 does not bound v for
+    # C = curve 0, so it is checked on the base family alone.
+    model = SurfaceModel(["a", "b"], [["-1", "0"], ["0", "-1"]])
+    with pytest.raises(NotPseudoeffectiveError, match=f"at u={end}$"):
+        threshold_pieces(model, [1, second], 0, min(0, end), max(0, end))
+
+
+# ---------------------------------------------------------------------------
 # Chamber scans (spec examples first)
 # ---------------------------------------------------------------------------
 
@@ -367,8 +503,6 @@ def test_p_squared_reconstruction_by_interpolation(d4):
     # Oracle-first: exact decompositions at four rational v values determine
     # P^2 as a quadratic in v; the interpolant must agree with the symbolic
     # chamber polynomial.
-    from fano_delta.exactmath import interpolate
-
     u0 = F(1, 2)
     base = [parse_poly(s).subs(u=u0) for s in
             ["u-6", "u-2", "u", "2", "6", "0"]]

@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fano_delta import linalg
 from fano_delta.exactmath import Poly, parse_poly
 from fano_delta.scenarios import load_fan
-from fano_delta.toric3 import (
-    _in_cone,
+from fano_delta.toric3 import (    _in_cone,
     CurveClass,
     Fan3,
     ToricDivisor,
@@ -32,6 +31,8 @@ from fano_delta.toric3 import (
     validate_fan,
     verify_zariski3,
 )
+
+from helpers import at_u
 
 U = Poly.var("u")
 
@@ -102,6 +103,48 @@ def test_symmetry_and_multilinearity(w0):
     )
 
 
+def reference_intersection_number(d1, d2, d3):
+    """The n^3 loop that `intersection_number` replaced: one product per
+    triple of rays, added into a new Poly each time."""
+    fan = d1.fan
+    n = len(fan.rays)
+    total = Poly()
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                t = triple_product(fan, i, j, k)
+                if t != 0:
+                    total = total + d1.coeffs[i] * d2.coeffs[j] * d3.coeffs[k] * t
+    return total
+
+
+FAN_NAMES = ("d4-w0", "d4-wt", "a3-w0", "a3-wt", "y")
+
+coefficient = st.one_of(
+    st.just(Poly()),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3).map(Poly.const),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda ab: ab[0] + ab[1] * U),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FAN_NAMES), st.data())
+def test_intersection_number_matches_triple_loop(name, data):
+    fan = load_fan(name)
+    divisors = [ToricDivisor(fan, data.draw(st.lists(coefficient, min_size=len(fan.rays),
+                                                     max_size=len(fan.rays))))
+                for _ in range(3)]
+    assert intersection_number(*divisors) == reference_intersection_number(*divisors)
+
+
+def test_triple_table_belongs_to_the_fan(w0):
+    # An equal fan built afresh gets its own table and the same values.
+    copy = Fan3(w0.rays, w0.cones)
+    assert copy == w0 and copy._triples is not w0._triples
+    assert triple_product(copy, 2, 2, 6) == triple_product(w0, 6, 2, 2) == -1
+    assert copy._triples[(2, 2, 6)] == -1
+
+
 def test_principal_divisors_annihilate(w0):
     rng = random.Random(4)
     relations = [
@@ -119,9 +162,9 @@ def test_principal_divisors_annihilate(w0):
 
 def test_curve_intersections(w0, l_on_w0):
     assert curve_intersection(l_on_w0, CurveClass(w0, (0, 1))) == parse_poly("u/3")
-    at_one = curve_intersection(l_on_w0.at_u(1), CurveClass(w0, (0, 1)))
+    at_one = curve_intersection(at_u(l_on_w0, 1), CurveClass(w0, (0, 1)))
     assert at_one.as_fraction() == F(1, 3)
-    at_two = curve_intersection(l_on_w0.at_u(2), CurveClass(w0, (1, 3)))
+    at_two = curve_intersection(at_u(l_on_w0, 2), CurveClass(w0, (1, 3)))
     assert at_two.as_fraction() == -1
     zero = ToricDivisor(w0, [0] * 7)
     assert curve_intersection(zero, CurveClass(w0, (0, 1))).is_zero()
@@ -422,7 +465,7 @@ def test_polytope_volume_equals_positive_part_cube():
         for u0 in samples:
             iv = next(i for i in cert.intervals if i.u_lo <= u0 <= i.u_hi)
             l_at = ToricDivisor(iv.model, [c.subs(u=u0) for c in cert.l_u])
-            p_at = iv.positive.at_u(u0)
+            p_at = at_u(iv.positive, u0)
             cube = intersection_number(p_at, p_at, p_at).as_fraction()
             vol = 6 * polytope_volume(divisor_polytope(l_at))
             assert vol == cube
