@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import comb
 from typing import Iterable, Mapping, Sequence, Union
 
 VARS = ("u", "v", "c")
@@ -539,18 +541,35 @@ class Chamber:
             for bound in (self.v_lo, self.v_hi)
         ]
 
+    @cached_property
+    def _moments(self) -> dict[tuple[int, int], Fraction]:
+        return {}
+
+    def moment(self, a: int, b: int) -> Fraction:
+        """iint u^a v^b over the 2-dimensional chamber, computed once: with
+        v_lo = l0 + l1*u and v_hi = h0 + h1*u, the u-integral of u^a times
+        (v_hi^(b+1) - v_lo^(b+1)) / (b+1), expanded binomially."""
+        if (a, b) not in self._moments:
+            (l0, l1), (h0, h1) = ((x.coefficient((0, 0, 0)), x.coefficient((1, 0, 0)))
+                                  for x in (self.v_lo, self.v_hi))
+            self._moments[a, b] = sum((
+                comb(b + 1, k) * (h0 ** (b + 1 - k) * h1**k - l0 ** (b + 1 - k) * l1**k)
+                * (self.u_hi ** (a + k + 1) - self.u_lo ** (a + k + 1)) / (a + k + 1)
+                for k in range(b + 2)), Fraction(0)) / (b + 1)
+        return self._moments[a, b]
+
 
 def integrate_chamber(p: Poly, ch: Chamber) -> Fraction:
-    """Exact iterated integral of p over a chamber (dv then du)."""
+    """Exact iterated integral of p over a chamber (dv then du): on a 2-dimensional
+    chamber, the sum of coef * moment(a, b) over the terms coef * u^a * v^b of p,
+    with the moments shared by every integrand of the chamber."""
     if p.degree_in("c"):
         raise ValueError("arity mismatch")
     if not ch.is_two_dimensional():
         if p.degree_in("v"):
             raise ValueError("arity mismatch")
         return integrate_univariate(p, ch.u_lo, ch.u_hi, "u")
-    anti = p.antiderivative("v")
-    inner = anti.subs(v=ch.v_hi) - anti.subs(v=ch.v_lo)
-    return integrate_univariate(inner, ch.u_lo, ch.u_hi, "u")
+    return sum((coef * ch.moment(e[0], e[1]) for e, coef in p.terms.items()), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -567,18 +586,6 @@ class ChamberFunction:
 
     def __init__(self, pieces: Iterable[tuple[Chamber, Poly]]):
         object.__setattr__(self, "pieces", tuple((ch, Poly.coerce(p)) for ch, p in pieces))
-
-    def evaluate(self, u0: Scalar, v0: Scalar | None = None) -> Fraction:
-        for ch, p in self.pieces:
-            if ch.contains(u0, v0):
-                args = {"u": q(u0)}
-                if v0 is not None:
-                    args["v"] = q(v0)
-                return p(**args)
-        raise ValueError(f"point ({u0}, {v0}) outside every chamber")
-
-    def integrate(self) -> Fraction:
-        return sum((integrate_chamber(p, ch) for ch, p in self.pieces), Fraction(0))
 
     def check_continuity(self) -> list[str]:
         """Return human-readable violations of boundary continuity."""

@@ -26,8 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from . import surfzar
-from .exactmath import Poly, Scalar, integrate_chamber, integrate_univariate, q
+from .exactmath import Chamber, Poly, Scalar, integrate_chamber, integrate_univariate, q
 from .surfzar import ChamberedDecomposition, SurfaceModel, chamber_scan
 
 Vec = tuple[Fraction, ...]
@@ -159,10 +158,8 @@ def s_curve_flag(scenario: FlagScenario) -> SInvariantResult:
         val = factor * integrate_univariate(p_sq * piece.d, piece.u_lo, piece.u_hi, "u")
         breakdown.append((f"ord-term u[{piece.u_lo},{piece.u_hi}]", val))
     for scan in scenario_scans(scenario):
-        for ch in scan.chambers:
-            p_sq = model.pair(ch.p_coeffs, ch.p_coeffs)
-            val = factor * integrate_chamber(p_sq, ch.chamber)
-            breakdown.append((_chamber_label(ch), val))
+        for chamber, p_sq in scan.p_squared().pieces:
+            breakdown.append((_chamber_label(chamber), factor * integrate_chamber(p_sq, chamber)))
     value = sum((x for _, x in breakdown), Fraction(0))
     return SInvariantResult(value=value, breakdown=tuple(breakdown))
 
@@ -182,35 +179,32 @@ def f_correction(scenario: FlagScenario, point: MarkedPoint | str) -> Fraction:
     total = Fraction(0)
     for piece, scan in zip(scenario.pieces, scenario_scans(scenario)):
         nprime = piece.nprime if piece.nprime else tuple([Poly()] * model.n)
-        for ch in scan.chambers:
-            ord_poly = Poly()
-            for j in range(model.n):
-                if mults[j] == 0:
-                    continue
-                contrib = nprime[j] + ch.n_coeffs[j] - (Poly.var("v") + piece.d) * sigma[j]
-                ord_poly = ord_poly + contrib * mults[j]
+        v_d = Poly.var("v") + piece.d
+        for ch, (p_dot, _) in zip(scan.chambers, scan.curve_terms):
+            ord_poly = sum(((nprime[j] + ch.n_coeffs[j] - v_d * sigma[j]) * mults[j]
+                            for j in range(model.n) if mults[j]), Poly())
             if ord_poly.is_zero():
                 continue
             for u0, v0 in ch.chamber.corners():
                 if ord_poly(u=u0, v=v0) < 0:
                     raise ValueError("invalid correction data")
-            p_dot = model.pair(ch.p_coeffs, scenario.curve_class)
             total += factor * integrate_chamber(p_dot * ord_poly, ch.chamber)
     return total
 
 
 def s_point_flag(scenario: FlagScenario, point: MarkedPoint | str) -> SInvariantResult:
-    """S of a point of the flag curve: (3/L^3) iint (P.C)^2 + F_Q."""
+    """S of a point of the flag curve: (3/L^3) iint (P.C)^2 + F_Q.
+
+    The per-chamber integrals of (P.C)^2 do not depend on the point: they are
+    the scans' `curve_terms`, computed once for all points of the scenario.
+    """
     if isinstance(point, str):
         point = scenario.point(point)
-    model = scenario.model
     factor = Fraction(3) / scenario.l_cubed
     breakdown: list[tuple[str, Fraction]] = []
     for scan in scenario_scans(scenario):
-        for ch in scan.chambers:
-            p_dot = model.pair(ch.p_coeffs, scenario.curve_class)
-            val = factor * integrate_chamber(p_dot * p_dot, ch.chamber)
-            breakdown.append((_chamber_label(ch), val))
+        for ch, (_, p_dot_sq) in zip(scan.chambers, scan.curve_terms):
+            breakdown.append((_chamber_label(ch.chamber), factor * p_dot_sq))
     correction = f_correction(scenario, point)
     if correction != 0:
         breakdown.append((f"F({point.name})", correction))
@@ -218,8 +212,7 @@ def s_point_flag(scenario: FlagScenario, point: MarkedPoint | str) -> SInvariant
     return SInvariantResult(value=value, breakdown=tuple(breakdown))
 
 
-def _chamber_label(ch: surfzar.ScanChamber) -> str:
-    c = ch.chamber
+def _chamber_label(c: Chamber) -> str:
     return f"u[{c.u_lo},{c.u_hi}] v[{c.v_lo},{c.v_hi}]"
 
 

@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg, lp
-from .exactmath import Chamber, ChamberFunction, Poly, Scalar, interpolate_many, q
+from .exactmath import Chamber, ChamberFunction, Poly, Scalar, integrate_chamber, interpolate_many, q
 
 Vec = tuple[Fraction, ...]
 
@@ -407,7 +407,12 @@ def threshold_pieces(
     lines: list[Poly] = []
     for h in model.facets():
         hc = sum(h[i] * cvec[i] for i in range(model.n))
-        hb = sum((base[i] * h[i] for i in range(model.n)), Poly())
+        terms: dict = {}
+        for hi, b in zip(h, base):
+            if hi:
+                for e, c in b.terms.items():
+                    terms[e] = terms[e] + c * hi if e in terms else c * hi
+        hb = Poly._make(terms)
         if hb.total_degree() > 1 or hb.degree_in("v") or hb.degree_in("c"):
             raise ValueError("base family must be affine in u")
         if hc > 0:
@@ -514,6 +519,13 @@ class ChamberedDecomposition:
     u_hi: Fraction
     threshold: tuple[ThresholdPiece, ...]
     chambers: tuple[ScanChamber, ...]
+
+    @cached_property
+    def curve_terms(self) -> tuple[tuple[Poly, Fraction], ...]:
+        """(P.C, iint (P.C)^2) per chamber, C = ``curve``: the part of a flag's
+        point S-invariants that is the same for every point, computed once."""
+        p_dots = [self.model.pair(ch.p_coeffs, self.curve) for ch in self.chambers]
+        return tuple((p, integrate_chamber(p * p, ch.chamber)) for p, ch in zip(p_dots, self.chambers))
 
     def p_squared(self) -> ChamberFunction:
         return ChamberFunction(
@@ -925,26 +937,11 @@ def _check_row(scan: ChamberedDecomposition, row: TableRow) -> list[RowMismatch]
             continue
         overlaps_found = True
         for i in range(model.n):
-            if row.n[i] != ch.n_coeffs[i]:
-                out.append(
-                    RowMismatch(
-                        row_key=row.key(),
-                        field="N",
-                        curve=model.curve_names[i],
-                        printed=str(row.n[i]),
-                        recomputed=str(ch.n_coeffs[i]),
-                    )
-                )
-            if row.p[i] != ch.p_coeffs[i]:
-                out.append(
-                    RowMismatch(
-                        row_key=row.key(),
-                        field="P",
-                        curve=model.curve_names[i],
-                        printed=str(row.p[i]),
-                        recomputed=str(ch.p_coeffs[i]),
-                    )
-                )
+            for name, printed, recomputed in (("N", row.n[i], ch.n_coeffs[i]),
+                                              ("P", row.p[i], ch.p_coeffs[i])):
+                if printed != recomputed:
+                    out.append(RowMismatch(row_key=row.key(), field=name, curve=model.curve_names[i],
+                                           printed=str(printed), recomputed=str(recomputed)))
     if not overlaps_found:
         out.append(
             RowMismatch(

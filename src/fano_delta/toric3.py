@@ -198,18 +198,18 @@ def _triple_uncached(fan: Fan3, i: int, j: int, k: int) -> Fraction:
             # The rays span no common cone: the divisors are disjoint.
             return Fraction(0)
         raise ValueError(f"ray {rep} lies in no maximal cone")
-    other_rays = [r for r in cone if r != rep]
-    m = linalg.solve(
-        [list(fan.rays[rep]), list(fan.rays[other_rays[0]]), list(fan.rays[other_rays[1]])],
-        [Fraction(1), Fraction(0), Fraction(0)],
-    )
+    # <m, x> = det3(x, o1, o2) / det3(v_rep, o1, o2): 1 on v_rep, 0 on o1 and o2.
+    o1, o2 = (fan.rays[r] for r in cone if r != rep)
+    det = linalg.det3(fan.rays[rep], o1, o2)
+    if det == 0:
+        raise ValueError("singular matrix")
     total = Fraction(0)
     for r in range(len(fan.rays)):
         if r == rep:
             continue
-        coef = -sum(Fraction(m[t]) * fan.rays[r][t] for t in range(3))
-        if coef != 0:
-            total += coef * _triple(fan, r, others[0], others[1])
+        num = linalg.det3(fan.rays[r], o1, o2)
+        if num:
+            total -= Fraction(num, det) * _triple(fan, r, others[0], others[1])
     return total
 
 

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from fano_delta.exactmath import interpolate_many, q
+from fano_delta.exactmath import ChamberFunction, Poly, integrate_chamber, integrate_univariate, interpolate_many, q
 from fano_delta.surfzar import SurfaceModel, SurfDivisor
 from fano_delta.toric3 import ToricDivisor
 
@@ -26,3 +26,30 @@ def interpolate(samples, degree_bound, variables=None):
     """One-function `interpolate_many` on (point, value) pairs."""
     points = [point for point, _ in samples]
     return interpolate_many(points, [[value] for _, value in samples], degree_bound, variables)[0]
+
+
+def evaluate(fn: ChamberFunction, u0, v0=None) -> Fraction:
+    """The value of a chamber function at (u0, v0), from the first chamber
+    that contains the point."""
+    for ch, p in fn.pieces:
+        if ch.contains(u0, v0):
+            args = {"u": q(u0)}
+            if v0 is not None:
+                args["v"] = q(v0)
+            return p(**args)
+    raise ValueError(f"point ({u0}, {v0}) outside every chamber")
+
+
+def integrate(fn: ChamberFunction) -> Fraction:
+    """The integral of a chamber function: the sum over its pieces."""
+    return sum((integrate_chamber(p, ch) for ch, p in fn.pieces), Fraction(0))
+
+
+def reference_integrate_chamber(p: Poly, ch) -> Fraction:
+    """Reference for the chamber-moment integration: the v-antiderivative of
+    p between the affine bounds, then the u-integral."""
+    if not ch.is_two_dimensional():
+        return integrate_univariate(p, ch.u_lo, ch.u_hi, "u")
+    anti = p.antiderivative("v")
+    inner = anti.subs(v=ch.v_hi) - anti.subs(v=ch.v_lo)
+    return integrate_univariate(inner, ch.u_lo, ch.u_hi, "u")

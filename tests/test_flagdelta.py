@@ -1,10 +1,12 @@
 """Flag S-invariants, corrections, discrepancies and delta bounds."""
 
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from fano_delta.exactmath import integrate_chamber, parse_poly
+from fano_delta import flagdelta, surfzar
+from fano_delta.exactmath import Poly, integrate_chamber, parse_poly
 from fano_delta.flagdelta import (
     BasePiece,
     FlagScenario,
@@ -20,6 +22,8 @@ from fano_delta.flagdelta import (
     scenario_scans,
 )
 from fano_delta.scenarios import builders, load_model
+
+from helpers import reference_integrate_chamber
 
 
 def weighted_scenario():
@@ -88,6 +92,56 @@ def test_f_correction_is_point_total_minus_base():
         assert s_point_flag(sc, name).value == base + f_correction(sc, name)
 
 
+def count_point_free_integrals(monkeypatch, sc):
+    """Patch the integration that flagdelta and surfzar use to count, per
+    chamber, the integrals of (P.C)^2."""
+    squares = {}
+    for scan in scenario_scans(sc):
+        for ch in scan.chambers:
+            p_dot = sc.model.pair(ch.p_coeffs, sc.curve_class)
+            squares[ch.chamber] = p_dot * p_dot
+    counts = dict.fromkeys(squares, 0)
+
+    def counting(p, chamber):
+        if squares.get(chamber) == p:
+            counts[chamber] += 1
+        return integrate_chamber(p, chamber)
+
+    for module in (flagdelta, surfzar):
+        monkeypatch.setattr(module, "integrate_chamber", counting, raising=False)
+    return counts
+
+
+def test_points_of_a_scenario_share_the_point_free_integrals(monkeypatch):
+    scenario_scans.cache_clear()  # an equal scenario may hold finished scans
+    sc = weighted_scenario()
+    counts = count_point_free_integrals(monkeypatch, sc)
+    for pt in sc.points:
+        s_point_flag(sc, pt)
+    assert counts and set(counts.values()) == {1}
+
+
+def test_point_breakdown_matches_per_point_formula():
+    sc = weighted_scenario()
+    model, factor = sc.model, F(3) / sc.l_cubed
+    for pt in sc.points:
+        want, correction = [], F(0)
+        mults = pt.ord_coefficients(model.n)
+        for scan in scenario_scans(sc):
+            for ch in scan.chambers:
+                c = ch.chamber
+                p_dot = model.pair(ch.p_coeffs, sc.curve_class)
+                want.append((f"u[{c.u_lo},{c.u_hi}] v[{c.v_lo},{c.v_hi}]",
+                             factor * reference_integrate_chamber(p_dot * p_dot, c)))
+                ord_poly = sum((ch.n_coeffs[j] * mults[j] for j in range(model.n)), Poly())
+                correction += 2 * factor * reference_integrate_chamber(p_dot * ord_poly, c)
+        if correction:
+            want.append((f"F({pt.name})", correction))
+        result = s_point_flag(sc, pt)
+        assert result.breakdown == tuple(want)
+        assert result.value == sum((x for _, x in want), F(0))
+
+
 def test_log_discrepancy_examples():
     assert log_discrepancy_weighted((1, 3, 1), [(F(1, 2), 3)]) == F(7, 2)
     assert log_discrepancy_weighted((2, 4, 1), [(F(1, 2), 4)]) == 5
@@ -147,8 +201,32 @@ def test_invalid_correction_data_detected():
         f_correction(sc, "z")
 
 
+def module_cache_sizes():
+    """Size of every module-level cache and container of the package."""
+    sizes = {}
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "fano_delta":
+            continue
+        for attr, value in vars(module).items():
+            if attr.startswith("__"):
+                continue
+            if hasattr(value, "cache_info"):
+                sizes[name, attr] = value.cache_info().currsize
+            elif isinstance(value, (dict, list, set)):
+                sizes[name, attr] = len(value)
+    return sizes
+
+
 def test_scan_cache_stays_bounded_over_many_c():
+    sizes = []
     for batch in (range(1, 11), range(11, 21)):
         checks = builders.run_218([F(k, 23) for k in batch])
         assert not [c.label for c in checks if c.status == builders.FAIL]
         assert scenario_scans.cache_info().currsize <= 8
+        sizes.append(module_cache_sizes())
+    assert sizes[0][flagdelta.__name__, "scenario_scans"] == 8
+    # Only the parse cache of fixture expressions may grow: the second batch,
+    # all above c = 1/2, reads a branch of a closed form for the first time.
+    assert sizes[1].keys() == sizes[0].keys()
+    grown = {key for key in sizes[0] if sizes[1][key] != sizes[0][key]}
+    assert {attr for _, attr in grown} <= {"fixture_poly"}

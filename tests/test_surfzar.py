@@ -22,7 +22,7 @@ from fano_delta.surfzar import (
     zariski_decompose,
 )
 
-from helpers import interpolate, random_pseudoeffective
+from helpers import evaluate, interpolate, random_pseudoeffective
 
 U, V = Poly.var("u"), Poly.var("v")
 
@@ -439,7 +439,7 @@ def test_scan_p_squared_continuity_and_monotonicity(d4):
     assert p_sq.check_continuity() == []
     for u0 in (F(5, 2), F(3), F(7, 2)):
         t = scan.threshold_at(u0)
-        values = [p_sq.evaluate(u0, t * F(k, 8)) for k in range(9)]
+        values = [evaluate(p_sq, u0, t * F(k, 8)) for k in range(9)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] >= 0
 

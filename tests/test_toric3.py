@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fano_delta import linalg
 from fano_delta.exactmath import Poly, parse_poly
-from fano_delta.scenarios import load_fan
+from fano_delta.scenarios import fixtures_dir, load_fan
 from fano_delta.toric3 import (    _in_cone,
     CurveClass,
     Fan3,
@@ -143,6 +143,50 @@ def test_triple_table_belongs_to_the_fan(w0):
     assert copy == w0 and copy._triples is not w0._triples
     assert triple_product(copy, 2, 2, 6) == triple_product(w0, 6, 2, 2) == -1
     assert copy._triples[(2, 2, 6)] == -1
+
+
+def reference_triple(fan, i, j, k):
+    """The solve-based triple product that `triple_product` replaced: a
+    repeated ray is moved off by the m with <m, v_rep> = 1 and <m, .> = 0 on
+    the other two rays of the lowest-index cone holding all three, found by
+    a 3x3 Fraction solve."""
+    i, j, k = sorted((i, j, k))
+    if i != j and j != k:
+        if (i, j, k) in fan.cone_set():
+            return F(1, abs(linalg.det3(fan.rays[i], fan.rays[j], fan.rays[k])))
+        return F(0)
+    rep = i if i == j else k
+    others = [i, j, k]
+    others.remove(rep)
+    required = {rep} | set(others)
+    cone = next((c for c in sorted(fan.cones) if required <= set(c)), None)
+    if cone is None:
+        if len(required) > 1:
+            return F(0)
+        raise ValueError(f"ray {rep} lies in no maximal cone")
+    other_rays = [r for r in cone if r != rep]
+    m = linalg.solve([list(fan.rays[r]) for r in [rep] + other_rays], [F(1), F(0), F(0)])
+    total = F(0)
+    for r in range(len(fan.rays)):
+        if r != rep:
+            coef = -sum(m[t] * fan.rays[r][t] for t in range(3))
+            if coef:
+                total += coef * reference_triple(fan, r, others[0], others[1])
+    return total
+
+
+FIXTURE_FANS = sorted(path.stem for path in (fixtures_dir() / "fans").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", FIXTURE_FANS)
+def test_repeated_ray_triples_match_solve_reference(name):
+    fan = load_fan(name)
+    n = len(fan.rays)
+    repeated = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
+                if i == j or j == k]
+    assert repeated
+    for i, j, k in repeated:
+        assert triple_product(fan, i, j, k) == reference_triple(fan, i, j, k), (i, j, k)
 
 
 def test_principal_divisors_annihilate(w0):
