@@ -3,7 +3,7 @@
 Subpackages and modules:
 
   exactmath   rationals, sparse polynomials in (u, v, c), chambers, exact
-              interpolation and iterated integration
+              iterated integration
   linalg      dense exact linear algebra over Q
   lp          exact rational simplex (Bland's rule)
   toric3      simplicial complete fans in rank 3: intersection numbers,

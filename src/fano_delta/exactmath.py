@@ -11,7 +11,6 @@ is mathematical equality.  The module also provides
 
   * parse_poly / str round-trips for a compact human-auditable text form
     ("(8-u-3*v)/3"), used by the JSON fixtures,
-  * exact interpolation with a mandatory cross-validation sample,
   * exact definite integration over intervals and over chambers
     (u-intervals with affine-in-u bounds for v).
 
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 VARS = ("u", "v", "c")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
@@ -381,97 +380,6 @@ def _tokenize(text: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Interpolation
-# ---------------------------------------------------------------------------
-
-_DEFAULT_VARS = {1: ("v",), 2: ("u", "v"), 3: ("u", "v", "c")}
-
-
-def interpolate_many(
-    points: Sequence[Sequence[Scalar]],
-    values: Sequence[Sequence[Scalar]],
-    degree_bound: int,
-    variables: Sequence[str] | None = None,
-) -> list[Poly]:
-    """Exact polynomial interpolation of several functions, cross-validated.
-
-    ``values[p][k]`` is function k at ``points[p]``; the interpolant of each
-    is the unique polynomial of total degree <= ``degree_bound`` in
-    ``variables`` through its samples.  The sample matrix is eliminated once
-    with one right-hand-side column per function.  At least one sample beyond
-    the determining count must be supplied; every sample is checked against
-    the solved interpolant, so a wrong degree bound cannot slip through.
-
-    Raises ValueError("insufficient samples") if the system is
-    underdetermined, and ValueError("not polynomial of stated degree") if an
-    extra sample of some function disagrees with its unique interpolant.
-    """
-    from . import linalg
-
-    if not points:
-        raise ValueError("insufficient samples")
-    arity = len(points[0])
-    if variables is None:
-        if arity not in _DEFAULT_VARS:
-            raise ValueError(f"cannot infer variables for arity {arity}")
-        variables = _DEFAULT_VARS[arity]
-    if len(variables) != arity:
-        raise ValueError("arity mismatch")
-
-    monomials = _monomials(len(variables), degree_bound)
-    rows = []
-    for point in points:
-        if len(point) != arity:
-            raise ValueError("arity mismatch")
-        coords = [q(x) for x in point]
-        rows.append([_eval_monomial(m, coords) for m in monomials])
-
-    if len(points) <= len(monomials):
-        raise ValueError("insufficient samples")
-
-    solution = linalg.solve_overdetermined(rows, [[q(x) for x in row] for row in values])
-    if solution is None:
-        raise ValueError("not polynomial of stated degree")
-    if any(s is None for s in solution):
-        raise ValueError("insufficient samples")
-
-    exps = []
-    for mono in monomials:
-        exp = [0, 0, 0]
-        for var, e in zip(variables, mono):
-            exp[_VAR_INDEX[var]] = e
-        exps.append(tuple(exp))
-    out = []
-    for k in range(len(values[0])):
-        terms: dict[Exponent, Fraction] = {}
-        for exp, row in zip(exps, solution):
-            terms[exp] = terms.get(exp, Fraction(0)) + row[k]
-        out.append(Poly(terms))
-    return out
-
-
-def _monomials(nvars: int, bound: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, budget: int):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for e in range(budget + 1):
-            rec(prefix + [e], remaining - 1, budget - e)
-
-    rec([], nvars, bound)
-    return out
-
-
-def _eval_monomial(mono: tuple[int, ...], coords: list[Fraction]) -> Fraction:
-    val = Fraction(1)
-    for e, x in zip(mono, coords):
-        val *= x**e
-    return val
-
-
-# ---------------------------------------------------------------------------
 # Integration
 # ---------------------------------------------------------------------------
 
@@ -577,64 +485,10 @@ class ChamberFunction:
     """A function given by one polynomial per chamber.
 
     The chambers are expected to have pairwise disjoint interiors; adjacent
-    pieces of volume-type functions agree on shared boundaries, which
-    ``check_continuity`` verifies by exact evaluation at two rational points
-    of every shared boundary segment.
+    pieces of volume-type functions agree on shared boundaries.
     """
 
     pieces: tuple[tuple[Chamber, Poly], ...]
 
     def __init__(self, pieces: Iterable[tuple[Chamber, Poly]]):
         object.__setattr__(self, "pieces", tuple((ch, Poly.coerce(p)) for ch, p in pieces))
-
-    def check_continuity(self) -> list[str]:
-        """Return human-readable violations of boundary continuity."""
-        problems: list[str] = []
-        pieces = self.pieces
-        for a in range(len(pieces)):
-            for b in range(a + 1, len(pieces)):
-                ch_a, p_a = pieces[a]
-                ch_b, p_b = pieces[b]
-                for u0, v0 in _shared_boundary_samples(ch_a, ch_b):
-                    if v0 is None:
-                        va, vb = p_a(u=u0), p_b(u=u0)
-                    else:
-                        va, vb = p_a(u=u0, v=v0), p_b(u=u0, v=v0)
-                    if va != vb:
-                        problems.append(
-                            f"discontinuity at (u,v)=({u0},{v0}): {va} != {vb}"
-                        )
-        return problems
-
-
-def _shared_boundary_samples(
-    a: Chamber, b: Chamber
-) -> list[tuple[Fraction, Fraction | None]]:
-    """Two exact sample points on each shared boundary segment of a and b."""
-    if a.is_two_dimensional() != b.is_two_dimensional():
-        return []
-    if not a.is_two_dimensional():
-        if a.u_hi == b.u_lo:
-            return [(a.u_hi, None)]
-        if b.u_hi == a.u_lo:
-            return [(b.u_hi, None)]
-        return []
-    samples: list[tuple[Fraction, Fraction | None]] = []
-    # Vertical boundary: same u-line, overlapping v-ranges.
-    for u0 in {a.u_hi} & {b.u_lo} | {a.u_lo} & {b.u_hi}:
-        lo = max(a.v_lo(u=u0), b.v_lo(u=u0))
-        hi = min(a.v_hi(u=u0), b.v_hi(u=u0))
-        if lo < hi:
-            samples += [(u0, lo * Fraction(2, 3) + hi * Fraction(1, 3)),
-                        (u0, lo * Fraction(1, 3) + hi * Fraction(2, 3))]
-        elif lo == hi:
-            samples.append((u0, lo))
-    # Horizontal boundary: overlapping u-interval, touching v-bounds.
-    u_lo, u_hi = max(a.u_lo, b.u_lo), min(a.u_hi, b.u_hi)
-    if u_lo < u_hi:
-        for upper, lower in ((a.v_hi, b.v_lo), (b.v_hi, a.v_lo)):
-            if upper == lower:
-                for t in (Fraction(1, 3), Fraction(2, 3)):
-                    u0 = u_lo + (u_hi - u_lo) * t
-                    samples.append((u0, upper(u=u0)))
-    return samples

@@ -63,26 +63,6 @@ def solve(a: Sequence[Sequence[Fraction]], b: Sequence) -> list:
     return [row[n] for row in m]
 
 
-def solve_overdetermined(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Sequence[Fraction]]
-) -> list[list[Fraction]] | list[None] | None:
-    """Solve a (possibly) overdetermined system for several right-hand sides.
-
-    ``rhs[r]`` lists row r's value in each right-hand-side column.  Returns
-    the unique solution, one row of column values per unknown, if every
-    column is consistent and the matrix has full column rank; returns None
-    if some column is inconsistent; returns a list of None if the solution
-    is not unique (rank-deficient).
-    """
-    n_cols = len(rows[0]) if rows else 0
-    m, pivots = rref([list(r) + list(b) for r, b in zip(rows, rhs)], n_cols)
-    if any(x != 0 for row in m[len(pivots):] for x in row[n_cols:]):
-        return None  # inconsistent
-    if len(pivots) < n_cols:
-        return [None] * n_cols  # underdetermined
-    return [row[n_cols:] for row in m[:n_cols]]
-
-
 def nullspace(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     """Exact basis of the right nullspace of a (rows) as a list of vectors."""
     if not a:

@@ -131,17 +131,6 @@ def rf_eval(spec, c: Fraction) -> Fraction:
     return num / den
 
 
-def build_218(case: str, c: Fraction):
-    """Flag scenario for one section-2 configuration at exact parameter c."""
-    from . import builders
-
-    c = q(c)
-    lo, hi = c_domain()
-    if not lo < c < hi:
-        raise ValueError(f"c must lie strictly between {lo} and {hi}")
-    return builders.Case218(case, c).scenario
-
-
 def c_domain() -> tuple[Fraction, Fraction]:
     """The open interval of boundary weights c on which family 2.18 is stated."""
     lo, hi = load_scenario_data("218")["c_domain"]

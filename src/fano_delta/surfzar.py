@@ -15,15 +15,12 @@ questions.
 
 Thresholds are an exact facet envelope, each piece proved on its whole
 u-interval by an optimal basis of the exact threshold LP.  The chamber scan
-reconstructs each chamber's decomposition as affine polynomials from exact
-point decompositions (three determining samples plus one validation sample)
-and then certifies the result symbolically: the Zariski conditions are
-affine, so corner checks plus support-orthogonality identities prove the
-chamber exactly; any failure exhibits an exact crossing point to split at.
-The point decompositions run on plain rationals, and the coefficients of all
-curves are interpolated together: one elimination of the 4 x 3 sample matrix
-with one right-hand-side column per curve, which still checks every curve's
-validation sample before the result is compared with the symbolic solve.
+finds the supports above one sample u, solves each support symbolically for
+N and P as affine polynomials in (u, v), and proves the result on the whole
+chamber: the Zariski conditions are affine, so corner checks, support-
+orthogonality identities and a negative definite support block are a
+complete certificate, and any failure exhibits an exact crossing point to
+split at.  `zariski_decompose` is the pointwise reference.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg, lp
-from .exactmath import Chamber, ChamberFunction, Poly, Scalar, integrate_chamber, interpolate_many, q
+from .exactmath import Chamber, ChamberFunction, Poly, Scalar, integrate_chamber, q
 
 Vec = tuple[Fraction, ...]
 
@@ -533,13 +530,6 @@ class ChamberedDecomposition:
             for ch in self.chambers
         )
 
-    def threshold_at(self, u0: Scalar) -> Fraction:
-        u0 = q(u0)
-        for piece in self.threshold:
-            if piece.u_lo <= u0 <= piece.u_hi:
-                return piece.t(u=u0)
-        raise ValueError(f"u={u0} outside the scanned range")
-
 
 def chamber_scan(
     model: SurfaceModel,
@@ -566,7 +556,7 @@ def chamber_scan(
     chambers: list[ScanChamber] = []
     tpieces = threshold_pieces(model, base, curve, u_lo, u_hi)
     for piece in tpieces:
-        chambers.extend(_scan_threshold_piece(model, family, cvec, piece))
+        chambers.extend(_scan_threshold_piece(model, family, piece))
     return ChamberedDecomposition(
         model=model,
         curve=cvec,
@@ -580,7 +570,6 @@ def chamber_scan(
 def _scan_threshold_piece(
     model: SurfaceModel,
     family: Sequence[Poly],
-    cvec: Vec,
     piece: ThresholdPiece,
     depth: int = 0,
 ) -> list[ScanChamber]:
@@ -597,15 +586,15 @@ def _scan_threshold_piece(
         raise RuntimeError("could not find a generic u sample for the scan")
 
     try:
-        return _certify_columns(model, family, cvec, piece, stack, depth)
+        return _certify_columns(model, piece, stack)
     except _SplitNeeded as split:
         at = split.at
         if not (piece.u_lo < at < piece.u_hi):
             raise RuntimeError(f"invalid split point u={at}") from None
         left = ThresholdPiece(piece.u_lo, at, piece.t)
         right = ThresholdPiece(at, piece.u_hi, piece.t)
-        return _scan_threshold_piece(model, family, cvec, left, depth + 1) + (
-            _scan_threshold_piece(model, family, cvec, right, depth + 1)
+        return _scan_threshold_piece(model, family, left, depth + 1) + (
+            _scan_threshold_piece(model, family, right, depth + 1)
         )
 
 
@@ -728,19 +717,19 @@ def _solve_boundary_for_v(fn: Poly, u0: Fraction) -> Poly:
 
 
 def _certify_columns(
-    model: SurfaceModel,
-    family: Sequence[Poly],
-    cvec: Vec,
-    piece: ThresholdPiece,
-    columns: list[_Column],
-    depth: int,
+    model: SurfaceModel, piece: ThresholdPiece, columns: list[_Column]
 ) -> list[ScanChamber]:
-    """Certify the sampled column structure over the whole u-interval.
+    """Prove the sampled column structure over the whole u-interval.
 
-    All decomposition data is affine, so the Zariski conditions reduce to
-    ordering of the boundary lines, corner nonnegativity, identities on the
-    support, and negative definiteness.  Any violated affine condition has an
-    exact root in u, which is raised as a split point.
+    This symbolic certificate is the proof of every chamber.  All
+    decomposition data is affine and each chamber is convex with affine
+    walls, so the Zariski conditions reduce to the ordering of the boundary
+    lines, N_j >= 0 and P.C_k >= 0 (k off the support) at the corners,
+    P.C_j = 0 on the support as a polynomial identity, and a negative
+    definite support Gram block.  Since the curves generate the
+    pseudoeffective cone, P is then nef and (P, N) is the unique Zariski
+    decomposition at every point of the chamber.  Any violated affine
+    condition has an exact root in u, which is raised as a split point.
     """
     bounds: list[Poly] = [col.lower for col in columns] + [piece.t]
     # Boundary ordering across the interval (affine: endpoints suffice).
@@ -753,8 +742,6 @@ def _certify_columns(
             if cross is not None:
                 raise _SplitNeeded(cross)
             raise RuntimeError("inconsistent chamber boundaries")
-        if g_lo == 0 and g_hi == 0:
-            continue  # zero-width column over the whole interval: dropped later
 
     out: list[ScanChamber] = []
     for idx, col in enumerate(columns):
@@ -786,12 +773,6 @@ def _certify_columns(
         sub = [[model.gram[i][j] for j in col.support] for i in col.support]
         if col.support and not linalg.is_negative_definite(sub):
             raise ConeAssumptionError("cone assumption violated")
-        # Reconstruction from exact point decompositions: three determining
-        # samples plus one validation sample, interpolated exactly and
-        # compared with the symbolic solve.
-        n_rec, p_rec = _interpolated_reconstruction(model, family, chamber, col)
-        if n_rec != tuple(col.n_sym) or p_rec != tuple(col.p_sym):
-            raise ValueError("non-affine region detected")
         out.append(
             ScanChamber(
                 chamber=chamber,
@@ -821,42 +802,6 @@ def _corner_failure_split(
         if root is not None:
             return root
     return None
-
-
-def _interpolated_reconstruction(
-    model: SurfaceModel, family: Sequence[Poly], chamber: Chamber, col: _Column
-) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
-    points = _chamber_sample_points(chamber)
-    n_samples: list[list[Fraction]] = []
-    for u0, v0 in points:
-        coeffs = [f(u=u0, v=v0) for f in family]
-        support, n_vals = _expand_support(model, coeffs, _sign, model._dot)
-        if tuple(sorted(support)) != col.support:
-            raise ValueError("non-affine region detected")
-        n_here = [Fraction(0)] * model.n
-        for j, val in zip(support, n_vals):
-            n_here[j] = val
-        n_samples.append(n_here)
-    try:
-        n_rec = interpolate_many(points, n_samples, 1, ("u", "v"))
-    except ValueError as exc:
-        raise ValueError("non-affine region detected") from exc
-    p_rec = tuple(family[i] - n_rec[i] for i in range(model.n))
-    return tuple(n_rec), p_rec
-
-
-def _chamber_sample_points(chamber: Chamber) -> list[tuple[Fraction, Fraction]]:
-    du = chamber.u_hi - chamber.u_lo
-    ua = chamber.u_lo + du * Fraction(1, 3)
-    ub = chamber.u_lo + du * Fraction(2, 3)
-    points = []
-    for u0, fracs in ((ua, (Fraction(1, 3), Fraction(2, 3))), (ub, (Fraction(2, 5), Fraction(3, 5)))):
-        vlo, vhi = chamber.v_lo(u=u0), chamber.v_hi(u=u0)
-        for t in fracs:
-            points.append((u0, vlo + (vhi - vlo) * t))
-    if len({p for p in points}) < 4:
-        raise ValueError("chamber too thin to sample")
-    return points
 
 
 # ---------------------------------------------------------------------------
@@ -923,16 +868,15 @@ def _check_row(scan: ChamberedDecomposition, row: TableRow) -> list[RowMismatch]
         u_hi = min(row.u_hi, ch.chamber.u_hi)
         if u_lo >= u_hi:
             continue
-        # Affine boundaries may cross inside the common interval, so probe
-        # the v-overlap at three u samples rather than one.
+        # The v-overlap min(v_hi) - max(v_lo) is concave and piecewise affine
+        # in u, so it is positive somewhere on the common interval iff it is
+        # positive at an end or where the two lower or two upper bounds cross.
+        crossings = (_affine_root(row.v_lo - ch.chamber.v_lo, u_lo, u_hi),
+                     _affine_root(row.v_hi - ch.chamber.v_hi, u_lo, u_hi))
         if not any(
             min(row.v_hi(u=u0), ch.chamber.v_hi(u=u0))
             > max(row.v_lo(u=u0), ch.chamber.v_lo(u=u0))
-            for u0 in (
-                u_lo + (u_hi - u_lo) * Fraction(1, 4),
-                u_lo + (u_hi - u_lo) * Fraction(1, 2),
-                u_lo + (u_hi - u_lo) * Fraction(3, 4),
-            )
+            for u0 in (u_lo, u_hi, *(x for x in crossings if x is not None))
         ):
             continue
         overlaps_found = True

@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,14 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_full_report_equals_the_reference(family_runs):
+    # `report --family all --format json` must not change unless the
+    # verdicts do; the benchmark checks its outputs against this file.
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "full-report.json"
+    report = cli.Report(cli.FAMILIES, [e for fam in cli.FAMILIES for e in family_runs[fam]])
+    assert report.to_json() == json.loads(reference.read_text())
 
 
 def test_compute_toric_s(capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from fano_delta.exactmath import integrate_chamber, integrate_univariate, parse_poly, q, Chamber
 from fano_delta.scenarios import (
-    build_218,
     builders,
     default_c_samples,
     fixtures_dir,
@@ -14,6 +13,8 @@ from fano_delta.scenarios import (
     load_table,
     table_rows,
 )
+
+from helpers import build_218
 
 
 def test_fixture_files_round_trip():

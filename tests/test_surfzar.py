@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fano_delta import surfzar
+from fano_delta import flagdelta, surfzar
 from fano_delta.exactmath import Poly, parse_poly
 from fano_delta.scenarios import builders, load_model, load_scenario_data, table_rows
 from fano_delta.surfzar import (
@@ -22,7 +22,7 @@ from fano_delta.surfzar import (
     zariski_decompose,
 )
 
-from helpers import evaluate, interpolate, random_pseudoeffective
+from helpers import check_continuity, evaluate, interpolate, random_pseudoeffective, threshold_at
 
 U, V = Poly.var("u"), Poly.var("v")
 
@@ -383,40 +383,6 @@ def test_scan_nef_family_single_chamber(d4):
     assert scan.chambers[0].support == ()
 
 
-def tamper_point_decompositions(monkeypatch, which):
-    """Shift the first negative coefficient of the rational point
-    decompositions whose call index (counted from 0) satisfies ``which``."""
-    original = surfzar._expand_support
-    calls = []
-
-    def tampered(model, coeffs, sign, dot):
-        support, n_vals = original(model, coeffs, sign, dot)
-        if dot == model._dot:
-            calls.append(None)
-            if n_vals and which(len(calls) - 1):
-                n_vals = [n_vals[0] + F(1, 1000), *n_vals[1:]]
-        return support, n_vals
-
-    monkeypatch.setattr(surfzar, "_expand_support", tampered)
-
-
-def test_scan_rejects_tampered_validation_sample(d4, monkeypatch):
-    # The fourth sample of every chamber is off the affine interpolant.
-    tamper_point_decompositions(monkeypatch, lambda k: k % 4 == 3)
-    with pytest.raises(ValueError, match="non-affine region detected") as info:
-        chamber_scan(d4, ptilde_d4("45"), 0, 4, 5)
-    assert str(info.value.__cause__) == "not polynomial of stated degree"
-
-
-def test_scan_rejects_reconstruction_off_the_symbolic_solve(d4, monkeypatch):
-    # Every sample is shifted alike: the interpolation succeeds, and only
-    # the comparison with the symbolic decomposition can catch it.
-    tamper_point_decompositions(monkeypatch, lambda k: True)
-    with pytest.raises(ValueError, match="non-affine region detected") as info:
-        chamber_scan(d4, ptilde_d4("45"), 0, 4, 5)
-    assert info.value.__cause__ is None
-
-
 def test_scan_a3_alpha1_splits(a3):
     base = [parse_poly(s) for s in ["(u-8)/2", "0", "1/2", "(11-u)/4", "(10-u)/2", "0"]]
     scan = chamber_scan(a3, base, 0, 5, 7)
@@ -436,9 +402,9 @@ def test_scan_detects_crossing_split(a3):
 def test_scan_p_squared_continuity_and_monotonicity(d4):
     scan = chamber_scan(d4, ptilde_d4("24"), 0, 2, 4)
     p_sq = scan.p_squared()
-    assert p_sq.check_continuity() == []
+    assert check_continuity(p_sq) == []
     for u0 in (F(5, 2), F(3), F(7, 2)):
-        t = scan.threshold_at(u0)
+        t = threshold_at(scan, u0)
         values = [evaluate(p_sq, u0, t * F(k, 8)) for k in range(9)]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[-1] >= 0
@@ -459,6 +425,48 @@ def test_scan_boundary_well_posedness(d4):
 def test_scan_rejects_non_affine_family(d4):
     with pytest.raises(ValueError, match="affine"):
         chamber_scan(d4, [U * U, 1, 1, 2, 6, 0], 0, 0, 1)
+
+
+# The symbolic certificate is the only proof of a chamber: each wrong input
+# it is handed must be rejected by the check that covers it.
+
+
+def test_scan_rejects_shifted_support_coefficient(d4, monkeypatch):
+    # N_j + 1/1000 with P = D - N: P.C_j is no longer 0 on the support.
+    original = surfzar._symbolic_decomposition
+
+    def shifted(model, family, support):
+        n_sym, p_sym = original(model, family, support)
+        if not support:
+            return n_sym, p_sym
+        j = support[0]
+        n_sym = n_sym[:j] + (n_sym[j] + F(1, 1000),) + n_sym[j + 1:]
+        p_sym = p_sym[:j] + (p_sym[j] - F(1, 1000),) + p_sym[j + 1:]
+        return n_sym, p_sym
+
+    monkeypatch.setattr(surfzar, "_symbolic_decomposition", shifted)
+    with pytest.raises(RuntimeError, match="support orthogonality failed symbolically"):
+        chamber_scan(d4, ptilde_d4("56"), 5, 5, 6)
+
+
+@pytest.mark.parametrize("shift, failure", [
+    # The empty-support chamber below reaches past its wall, where P is not nef.
+    (F(1, 100), "nef condition failed inside chamber"),
+    # The chamber above reaches below its wall, where N_j < 0.
+    (F(-1, 100), "negative support coefficient in chamber"),
+])
+def test_scan_rejects_shifted_wall(d4, monkeypatch, shift, failure):
+    original = surfzar._column_structure
+
+    def shifted(*args):
+        columns = original(*args)
+        columns[1].lower = columns[1].lower + shift
+        return columns
+
+    monkeypatch.setattr(surfzar, "_column_structure", shifted)
+    # Unpatched: v = 3 - u/2 is the one wall, between supports () and (alpha0,).
+    with pytest.raises(RuntimeError, match=failure):
+        chamber_scan(d4, ptilde_d4("56"), 5, 5, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +505,26 @@ def test_verify_flags_region_outside_threshold(d4):
     report = verify_surface_table(scan, [row], "table-04")
     assert not report.accepted
     assert report.mismatches[0].field == "region"
+
+
+@pytest.mark.parametrize("v_lo, v_hi, printed", [
+    ("0", "1/10", 0),  # meets the second chamber only for u < 41/10
+    ("9/10", "1", 1),  # meets the first chamber only for u > 49/10
+    # A steep band that crosses both chambers between u = 9/2 and 19/4,
+    # where no bound of the row is an end of the u-interval.
+    ("929/20-10*u", "931/20-10*u", 0),
+])
+def test_verify_flags_row_overlapping_a_chamber_off_the_probes(d4, v_lo, v_hi, printed):
+    # Over [4, 5] the chambers are v in [0, u-4] with empty support and
+    # v in [u-4, 1] with support alpha2.  Each row prints the data of one
+    # chamber and overlaps the other only away from u = 17/4, 9/2 and 19/4.
+    scan = chamber_scan(d4, ptilde_d4("45"), 0, 4, 5)
+    shown = scan.chambers[printed]
+    row = TableRow(u_lo=F(4), u_hi=F(5), v_lo=parse_poly(v_lo), v_hi=parse_poly(v_hi),
+                   p=shown.p_coeffs, n=shown.n_coeffs)
+    report = verify_surface_table(scan, [row], "table-04")
+    assert not report.accepted
+    assert {(mm.field, mm.curve) for mm in report.mismatches} == {("N", "alpha2"), ("P", "alpha2")}
 
 
 def test_p_squared_reconstruction_by_interpolation(d4):
@@ -546,3 +574,38 @@ def test_scan_chambers_match_pointwise_decompositions(d4, a3):
                 got = [x.as_fraction() for x in dec.negative.coeffs]
                 want = [n(u=u0, v=v0) for n in ch.n_coeffs]
                 assert got == want
+
+
+def test_family_scans_match_pointwise_decompositions(monkeypatch):
+    # Differential check of the symbolic certificate on every scan that the
+    # toric and 2.18 runs make: at two interior rational points of each
+    # chamber, N and P must equal a direct decomposition.
+    scans = []
+
+    def recording(model, base, curve, u_lo, u_hi):
+        scan = chamber_scan(model, base, curve, u_lo, u_hi)
+        scans.append((base, scan))
+        return scan
+
+    monkeypatch.setattr(surfzar, "chamber_scan", recording)
+    monkeypatch.setattr(flagdelta, "chamber_scan", recording)
+    flagdelta.scenario_scans.cache_clear()  # cached scans would not be recorded
+    for family in ("34-d4", "34-a3", "218"):
+        builders.run_family(family)
+    flagdelta.scenario_scans.cache_clear()
+    assert len(scans) > 50
+    for base, scan in scans:
+        model = scan.model
+        for ch in scan.chambers:
+            c = ch.chamber
+            assert c.is_two_dimensional()
+            for s, t in ((F(1, 3), F(1, 3)), (F(2, 3), F(3, 5))):
+                u0 = c.u_lo + (c.u_hi - c.u_lo) * s
+                v0 = c.v_lo(u=u0) + (c.v_hi(u=u0) - c.v_lo(u=u0)) * t
+                coeffs = [Poly.coerce(b)(u=u0) - v0 * x for b, x in zip(base, scan.curve)]
+                dec = zariski_decompose(model, SurfDivisor(model, coeffs))
+                assert dec.support == ch.support
+                assert [x.as_fraction() for x in dec.negative.coeffs] == [
+                    n(u=u0, v=v0) for n in ch.n_coeffs]
+                assert [x.as_fraction() for x in dec.positive.coeffs] == [
+                    p(u=u0, v=v0) for p in ch.p_coeffs]
