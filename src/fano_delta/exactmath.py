@@ -440,14 +440,23 @@ class Chamber:
         v0 = q(v0)
         return self.v_lo(u=u0) <= v0 <= self.v_hi(u=u0)
 
-    def corners(self) -> list[tuple[Fraction, Fraction]]:
+    def corners(self) -> tuple[tuple[Fraction, Fraction], ...]:
         if self.v_lo is None:
             raise ValueError("corners of a 1-dimensional chamber")
-        return [
+        return self._corners
+
+    @cached_property
+    def _corners(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        return tuple(
             (u0, bound(u=u0))
             for u0 in (self.u_lo, self.u_hi)
             for bound in (self.v_lo, self.v_hi)
-        ]
+        )
+
+    @cached_property
+    def label(self) -> str:
+        """The chamber as S-value breakdowns print it."""
+        return f"u[{self.u_lo},{self.u_hi}] v[{self.v_lo},{self.v_hi}]"
 
     @cached_property
     def _moments(self) -> dict[tuple[int, int], Fraction]:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactmath import Chamber, Poly, Scalar, integrate_chamber, integrate_univariate, q
+from .exactmath import Poly, Scalar, integrate_chamber, integrate_univariate, q
 from .surfzar import ChamberedDecomposition, SurfaceModel, chamber_scan
 
 Vec = tuple[Fraction, ...]
@@ -159,7 +159,7 @@ def s_curve_flag(scenario: FlagScenario) -> SInvariantResult:
         breakdown.append((f"ord-term u[{piece.u_lo},{piece.u_hi}]", val))
     for scan in scenario_scans(scenario):
         for chamber, p_sq in scan.p_squared().pieces:
-            breakdown.append((_chamber_label(chamber), factor * integrate_chamber(p_sq, chamber)))
+            breakdown.append((chamber.label, factor * integrate_chamber(p_sq, chamber)))
     value = sum((x for _, x in breakdown), Fraction(0))
     return SInvariantResult(value=value, breakdown=tuple(breakdown))
 
@@ -204,16 +204,12 @@ def s_point_flag(scenario: FlagScenario, point: MarkedPoint | str) -> SInvariant
     breakdown: list[tuple[str, Fraction]] = []
     for scan in scenario_scans(scenario):
         for ch, (_, p_dot_sq) in zip(scan.chambers, scan.curve_terms):
-            breakdown.append((_chamber_label(ch.chamber), factor * p_dot_sq))
+            breakdown.append((ch.chamber.label, factor * p_dot_sq))
     correction = f_correction(scenario, point)
     if correction != 0:
         breakdown.append((f"F({point.name})", correction))
     value = sum((x for _, x in breakdown), Fraction(0))
     return SInvariantResult(value=value, breakdown=tuple(breakdown))
-
-
-def _chamber_label(c: Chamber) -> str:
-    return f"u[{c.u_lo},{c.u_hi}] v[{c.v_lo},{c.v_hi}]"
 
 
 # ---------------------------------------------------------------------------

@@ -7,25 +7,25 @@ lattice, so numerical relations among them are exactly the kernel of the
 Gram matrix).  Fractional self-intersections are first-class: the models
 here include singular del Pezzo surfaces and quotient toric surfaces.
 
-Decomposition runs the classical iterative scheme: repeatedly add every
-curve that meets the current candidate positive part negatively and solve
-the Gram subsystem so the positive part becomes orthogonal to the support.
-The result is order-independent; adding curves en bloc avoids order
-questions.
-
 Thresholds are an exact facet envelope, each piece proved on its whole
 u-interval by an optimal basis of the exact threshold LP.  The chamber scan
-finds the supports above one sample u, solves each support symbolically for
-N and P as affine polynomials in (u, v), and proves the result on the whole
-chamber: the Zariski conditions are affine, so corner checks, support-
-orthogonality identities and a negative definite support block are a
-complete certificate, and any failure exhibits an exact crossing point to
-split at.  `zariski_decompose` is the pointwise reference.
+finds the supports above one sample u by the classical iterative scheme
+(add every curve that meets the candidate positive part negatively, en
+bloc, and make the positive part orthogonal to the support), solves each
+support for N and P as affine functions of (u, v), and proves the result on
+the whole chamber: the Zariski conditions are affine, so corner checks,
+support-orthogonality identities and a negative definite support block are
+a complete certificate, and any failure exhibits an exact crossing point to
+split at.  The scan runs on integer numerators over one denominator per
+support, with each support's Gram block inverted once per model; Polys are
+built only for the chambers it keeps.  The pointwise reference
+decomposition is test code.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -43,6 +43,16 @@ class NotPseudoeffectiveError(ValueError):
 
 class ConeAssumptionError(ValueError):
     pass
+
+
+class ScanError(RuntimeError):
+    """A chamber scan or threshold certificate that cannot be completed:
+    ``reason``, the u-interval it was working on and its split depth."""
+
+    def __init__(self, reason: str, u_lo: Fraction, u_hi: Fraction, depth: int | None = None):
+        where = f"u in [{u_lo}, {u_hi}]" + ("" if depth is None else f", depth {depth}")
+        super().__init__(f"{reason} ({where})")
+        self.reason, self.u_lo, self.u_hi, self.depth = reason, u_lo, u_hi, depth
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +89,12 @@ class SurfaceModel:
         object.__setattr__(self, "_columns", tuple(
             tuple((i, row[j]) for i, row in enumerate(rows) if row[j]) for j in range(len(rows))
         ))
+        # The same columns scaled by the Gram denominator to integers.
+        scale = math.lcm(*(x.denominator for row in rows for x in row))
+        object.__setattr__(self, "_gram_scale", scale)
+        object.__setattr__(self, "_int_columns", tuple(
+            tuple((i, g.numerator * (scale // g.denominator)) for i, g in col) for col in self._columns
+        ))
 
     @property
     def n(self) -> int:
@@ -105,6 +121,11 @@ class SurfaceModel:
         return {}
 
     @cached_property
+    def _support_blocks(self) -> dict[tuple[int, ...], "_SupportBlock"]:
+        """Inverted Gram block per support (see `_support_block`)."""
+        return {}
+
+    @cached_property
     def _cone(self) -> tuple[list[Vec], list[Vec]]:
         relations = [tuple(v) for v in linalg.nullspace([list(r) for r in self.gram])]
         return relations, _effective_cone_facets(self, relations)
@@ -125,10 +146,6 @@ class SurfaceModel:
             for e, c in xi.terms.items() if isinstance(xi, Poly) else (((0, 0, 0), q(xi)),):
                 out[e] = out[e] + c * g if e in out else c * g
         return Poly._make(out)
-
-    def _dot(self, x: Sequence[Fraction], j: int) -> Fraction:
-        """`dot_curve` for a rational coefficient vector."""
-        return sum((x[i] * g for i, g in self._columns[j]), Fraction(0))
 
 
 def _effective_cone_facets(model: SurfaceModel, relations: list[Vec]) -> list[Vec]:
@@ -199,41 +216,9 @@ class SurfDivisor:
             raise ValueError("coefficient list length must match curve count")
 
 
-@dataclass(frozen=True)
-class ZariskiDecomposition:
-    positive: SurfDivisor
-    negative: SurfDivisor
-    support: tuple[int, ...]
-
-    def validate(self) -> list[str]:
-        problems = []
-        model = self.positive.model
-        d = [p + n for p, n in zip(self.positive.coeffs, self.negative.coeffs)]
-        for j in self.support:
-            if self.negative.coeffs[j].as_fraction() < 0:
-                problems.append(f"negative coefficient at {model.curve_names[j]}")
-        for j in range(model.n):
-            val = model.dot_curve(self.positive.coeffs, j).as_fraction()
-            if j in self.support and val != 0:
-                problems.append(f"P.{model.curve_names[j]} = {val} != 0 on support")
-            if val < 0:
-                problems.append(f"P.{model.curve_names[j]} = {val} < 0")
-        sub = [[model.gram[i][j] for j in self.support] for i in self.support]
-        if self.support and not linalg.is_negative_definite(sub):
-            problems.append("support Gram block not negative definite")
-        return problems
-
-
 # ---------------------------------------------------------------------------
-# Pseudoeffectivity (exact LP) and decomposition
+# Pseudoeffective threshold (exact LP)
 # ---------------------------------------------------------------------------
-
-
-def is_pseudoeffective(model: SurfaceModel, coeffs: Sequence[Poly | Scalar]) -> bool:
-    vec = [Poly.coerce(x).as_fraction() for x in coeffs]
-    return all(
-        sum(h[i] * vec[i] for i in range(model.n)) >= 0 for h in model.facets()
-    )
 
 
 def pseff_threshold(
@@ -305,68 +290,6 @@ def _curve_vector(model: SurfaceModel, curve: int | Sequence[Scalar]) -> Vec:
     return tuple(q(x) for x in curve)
 
 
-def zariski_decompose(model: SurfaceModel, d: SurfDivisor) -> ZariskiDecomposition:
-    """Zariski decomposition of a rational-coefficient divisor class."""
-    if not model.generates_pseff:
-        raise ConeAssumptionError("cone assumption violated")
-    coeffs = [x.as_fraction() for x in d.coeffs]
-    if not is_pseudoeffective(model, coeffs):
-        raise NotPseudoeffectiveError("divisor not pseudoeffective in model")
-    support, n_vals = _expand_support(model, coeffs, _sign, model._dot)
-    n_vec = [Fraction(0)] * model.n
-    for j, val in zip(support, n_vals):
-        n_vec[j] = val
-    p_vec = [coeffs[i] - n_vec[i] for i in range(model.n)]
-    dec = ZariskiDecomposition(
-        positive=SurfDivisor(model, p_vec),
-        negative=SurfDivisor(model, n_vec),
-        support=tuple(support),
-    )
-    problems = dec.validate()
-    if any("negative coefficient" in p for p in problems):
-        raise NotPseudoeffectiveError("divisor not pseudoeffective in model")
-    if problems:
-        raise ConeAssumptionError("; ".join(problems))
-    return dec
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _expand_support(model: SurfaceModel, coeffs: Sequence, sign, dot) -> tuple[list[int], list]:
-    """Support-growing decomposition loop.
-
-    Runs on rational coefficients with ``dot = model._dot`` and on symbolic
-    ones with ``dot = model.dot_curve``.  ``sign`` maps an intersection
-    value to its sign at the evaluation point; using one-sided signs lets
-    the same loop compute the support valid just beyond a chamber boundary.
-    Returns (support, negative coefficients on the support).
-    """
-    support: list[int] = []
-    n_vals: list[Poly] = []
-    for _ in range(model.n + 1):
-        p_vec = list(coeffs)
-        for j, val in zip(support, n_vals):
-            p_vec[j] = p_vec[j] - val
-        entering = []
-        for k in range(model.n):
-            if k in support:
-                continue
-            if sign(dot(p_vec, k)) < 0:
-                entering.append(k)
-        if not entering:
-            return support, n_vals
-        support = sorted(support + entering)
-        sub = [[model.gram[i][j] for j in support] for i in support]
-        rhs = [dot(coeffs, i) for i in support]
-        try:
-            n_vals = linalg.solve(sub, rhs)
-        except ValueError as exc:
-            raise ConeAssumptionError("cone assumption violated") from exc
-    raise ConeAssumptionError("decomposition failed to stabilize")
-
-
 # ---------------------------------------------------------------------------
 # Pseudoeffective threshold as a function of u (exact lower envelope)
 # ---------------------------------------------------------------------------
@@ -433,7 +356,7 @@ def _certify_piece(threshold_lp: _ThresholdLP, base: Sequence[Poly], t: Poly,
                    lo: Fraction, hi: Fraction, depth: int = 0) -> None:
     """Prove that t is the LP threshold of base(u) on all of [lo, hi]."""
     if depth > 24:
-        raise RuntimeError("threshold certificate failed to stabilize")
+        raise ScanError("threshold certificate failed to stabilize", lo, hi, depth)
     ends = [[b(u=u0) for b in base] for u0 in (lo, hi)]
     for inverse, dual in threshold_lp.bases:
         if all(_dot(row, end) >= 0 for end in ends for row in inverse):
@@ -468,7 +391,7 @@ def _lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fraction) -> li
     while True:
         guard += 1
         if guard > 100:
-            raise RuntimeError("lower envelope failed to terminate")
+            raise ScanError("lower envelope failed to terminate", u_lo, u_hi)
         vmin = min(l(u=cur) for l in lines)
         active = min(
             (l for l in lines if l(u=cur) == vmin), key=slope
@@ -551,55 +474,162 @@ def chamber_scan(
         if b.total_degree() > 1 or b.degree_in("v") or b.degree_in("c"):
             raise ValueError("family coefficients must be affine in u")
     cvec = _curve_vector(model, curve)
-    family = [base[i] - Poly.var("v") * cvec[i] for i in range(model.n)]
-
-    chambers: list[ScanChamber] = []
+    family = _Family(model, base, cvec)
     tpieces = threshold_pieces(model, base, curve, u_lo, u_hi)
-    for piece in tpieces:
-        chambers.extend(_scan_threshold_piece(model, family, piece))
-    return ChamberedDecomposition(
-        model=model,
-        curve=cvec,
-        u_lo=u_lo,
-        u_hi=u_hi,
-        threshold=tuple(tpieces),
-        chambers=tuple(chambers),
-    )
+    chambers = tuple(ch for piece in tpieces for ch in _scan_threshold_piece(family, piece))
+    return ChamberedDecomposition(model=model, curve=cvec, u_lo=u_lo, u_hi=u_hi,
+                                  threshold=tuple(tpieces), chambers=chambers)
 
 
-def _scan_threshold_piece(
-    model: SurfaceModel,
-    family: Sequence[Poly],
-    piece: ThresholdPiece,
-    depth: int = 0,
-) -> list[ScanChamber]:
+# The scan computes in integers.  An affine form a + b*u + c*v is the triple
+# (a, b, c) of integer numerators over a positive denominator; a wall
+# v = (a + b*u)/d is the triple (a, b, d) with d > 0; a point (u, v) is the
+# homogeneous triple (U, V, W) = (u*W, v*W, W) with W > 0, where a form has
+# the sign of a*W + b*U + c*V.
+Form = tuple[int, int, int]
+ZERO: Form = (0, 0, 0)
+
+
+def _combine(terms, forms: Sequence[Form]) -> Form:
+    """sum of k * forms[i] over the (i, k) of ``terms``."""
+    a = b = c = 0
+    for i, k in terms:
+        f = forms[i]
+        a += k * f[0]
+        b += k * f[1]
+        c += k * f[2]
+    return a, b, c
+
+
+@dataclass(frozen=True)
+class _SupportBlock:
+    """The Gram block of one support: ``inverse``/``den`` is the inverse of
+    the integer-scaled block, None when the block is singular."""
+
+    inverse: tuple[tuple[int, ...], ...] | None
+    den: int
+    negative_definite: bool
+
+
+def _support_block(model: SurfaceModel, support: tuple[int, ...]) -> _SupportBlock:
+    """The block of ``support``, eliminated once per model."""
+    block = model._support_blocks.get(support)
+    if block is None:
+        m = len(support)
+        scale = model._gram_scale
+        sub = [[model.gram[i][j] * scale for j in support] for i in support]
+        reduced, pivots = linalg.rref(
+            [row + [Fraction(i == r) for i in range(m)] for r, row in enumerate(sub)], m)
+        if len(pivots) < m:
+            block = _SupportBlock(None, 1, False)
+        else:
+            inverse = [row[m:] for row in reduced]
+            den = math.lcm(*(x.denominator for row in inverse for x in row))
+            block = _SupportBlock(
+                tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in inverse),
+                den, linalg.is_negative_definite(sub))
+        model._support_blocks[support] = block
+    return block
+
+
+@dataclass(frozen=True)
+class _Forms:
+    """N, P and P.C_k of one support as forms over one denominator."""
+
+    support: tuple[int, ...]
+    den: int
+    n: tuple[Form, ...]
+    p: tuple[Form, ...]
+    pc: tuple[Form, ...]
+
+    @cached_property
+    def polys(self) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
+        """(N, P) as Polys, built for the chambers that are kept."""
+        return tuple(tuple(_poly(f, self.den) for f in forms) for forms in (self.n, self.p))
+
+
+class _Family:
+    """D - v*C as forms over one denominator ``den``, with the column forms
+    of every support the scan has met, computed once each."""
+
+    def __init__(self, model: SurfaceModel, base: Sequence[Poly], cvec: Vec):
+        rows = [(b.coefficient((0, 0, 0)), b.coefficient((1, 0, 0)), -x) for b, x in zip(base, cvec)]
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        self.model, self.den = model, den
+        self.forms = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+        # D.C_k times g * den, g the Gram denominator.
+        self.gram_dots = tuple(_combine(col, self.forms) for col in model._int_columns)
+        self._columns: dict[tuple[int, ...], _Forms] = {}
+
+    def column(self, support: tuple[int, ...]) -> _Forms:
+        if support not in self._columns:
+            self._columns[support] = _column_forms(self, support)
+        return self._columns[support]
+
+
+def _negative_part(family: _Family, support: tuple[int, ...]) -> tuple[int, list[Form]]:
+    """(den, N): N_j = sum over the support of (G_SS^-1)_jk D.C_k, as forms
+    over den, zero off the support."""
+    n: list[Form] = [ZERO] * family.model.n
+    if not support:
+        return family.den, n
+    block = _support_block(family.model, support)
+    if block.inverse is None:
+        raise ConeAssumptionError("cone assumption violated")
+    dots = [family.gram_dots[k] for k in support]
+    for j, row in zip(support, block.inverse):
+        n[j] = _combine(zip(range(len(support)), row), dots)
+    return block.den * family.den, n
+
+
+def _column_forms(family: _Family, support: tuple[int, ...]) -> _Forms:
+    """N, P = D - N and P.C_k for one support."""
+    den, n = _negative_part(family, support)
+    scale = den // family.den
+    p = [(scale * f[0] - x[0], scale * f[1] - x[1], scale * f[2] - x[2])
+         for f, x in zip(family.forms, n)]
+    # P.C_k = sum_i G_ik P_i: integer Gram columns put it over (Gram scale) * den.
+    pc = tuple(_combine(col, p) for col in family.model._int_columns)
+    g = family.model._gram_scale
+    if g != 1:
+        n = [(g * a, g * b, g * c) for a, b, c in n]
+        p = [(g * a, g * b, g * c) for a, b, c in p]
+    return _Forms(support, g * den, tuple(n), tuple(p), pc)
+
+
+def _poly(form: Form, den: int) -> Poly:
+    a, b, c = form
+    return Poly._make({(0, 0, 0): Fraction(a, den), (1, 0, 0): Fraction(b, den),
+                       (0, 1, 0): Fraction(c, den)})
+
+
+def _wall(t: Poly) -> Form:
+    """The wall v = t(u) of an affine Poly t."""
+    a, b = t.coefficient((0, 0, 0)), t.coefficient((1, 0, 0))
+    d = math.lcm(a.denominator, b.denominator)
+    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
+
+
+def _wall_poly(wall: Form) -> Poly:
+    a, b, d = wall
+    return _poly((a, b, 0), d)
+
+
+def _scan_threshold_piece(family: _Family, piece: ThresholdPiece, depth: int = 0) -> list[ScanChamber]:
     if depth > 24:
-        raise RuntimeError("chamber scan failed to stabilize")
-    for sample_frac in (Fraction(1, 2), Fraction(2, 5), Fraction(3, 5), Fraction(3, 7)):
-        u0 = piece.u_lo + (piece.u_hi - piece.u_lo) * sample_frac
-        try:
-            stack = _column_structure(model, family, piece, u0)
-            break
-        except _ResampleNeeded:
-            continue
-    else:
-        raise RuntimeError("could not find a generic u sample for the scan")
-
+        raise ScanError("chamber scan failed to stabilize", piece.u_lo, piece.u_hi, depth)
+    stack = _column_structure(family, piece, (piece.u_lo + piece.u_hi) / 2, depth)
     try:
-        return _certify_columns(model, piece, stack)
+        return _certify_columns(family, piece, stack, depth)
     except _SplitNeeded as split:
         at = split.at
         if not (piece.u_lo < at < piece.u_hi):
-            raise RuntimeError(f"invalid split point u={at}") from None
+            raise ScanError(f"invalid split point u={at}", piece.u_lo, piece.u_hi, depth) from None
         left = ThresholdPiece(piece.u_lo, at, piece.t)
         right = ThresholdPiece(at, piece.u_hi, piece.t)
-        return _scan_threshold_piece(model, family, left, depth + 1) + (
-            _scan_threshold_piece(model, family, right, depth + 1)
+        return _scan_threshold_piece(family, left, depth + 1) + (
+            _scan_threshold_piece(family, right, depth + 1)
         )
-
-
-class _ResampleNeeded(Exception):
-    pass
 
 
 class _SplitNeeded(Exception):
@@ -610,114 +640,71 @@ class _SplitNeeded(Exception):
 @dataclass
 class _Column:
     support: tuple[int, ...]
-    lower: Poly  # affine in u
-    n_sym: tuple[Poly, ...]
-    p_sym: tuple[Poly, ...]
+    lower: Form  # wall
+    forms: _Forms
 
 
-def _column_structure(
-    model: SurfaceModel, family: Sequence[Poly], piece: ThresholdPiece, u0: Fraction
-) -> list[_Column]:
+def _column_structure(family: _Family, piece: ThresholdPiece, u0: Fraction, depth: int) -> list[_Column]:
     """The stack of constant-support chambers above one generic u sample.
 
     Walks v upward from 0; at each boundary the support just beyond is
-    computed with one-sided signs, the symbolic decomposition for that
-    support determines the next boundary exactly, and the boundary's defining
-    affine function is solved for v as an affine function of u.
+    computed with one-sided signs, the decomposition for that support
+    determines the next boundary exactly, and the boundary's defining form
+    is solved for v as an affine function of u.
     """
     t_at = piece.t(u=u0)
-    fam_u0 = [f.subs(u=u0) for f in family]  # affine in v
+    p, q = u0.numerator, u0.denominator
+    n = family.model.n
     columns: list[_Column] = []
     v_cur = Fraction(0)
-    lower_poly = Poly.const(0)
+    lower: Form = (0, 0, 1)
     guard = 0
     while True:
         guard += 1
         if guard > 60:
-            raise RuntimeError("v-scan failed to terminate")
-        support, _ = _expand_support(model, fam_u0, _sign_at_plus(v_cur), model.dot_curve)
-        support = tuple(sorted(support))
-        n_sym, p_sym = _symbolic_decomposition(model, family, support)
+            raise ScanError("v-scan failed to terminate", piece.u_lo, piece.u_hi, depth)
+        r, s = v_cur.numerator, v_cur.denominator
+        forms = _expand_support(family, (p * s, r * q, q * s))
+        support = forms.support
         # Next event: a support coefficient vanishing or an excluded-curve
         # intersection vanishing, whichever comes first along v at u0.
-        events: list[tuple[Fraction, Poly]] = []
-        for j, nj in zip(support, n_sym):
-            _collect_event(nj, u0, v_cur, events)
-        for k in range(model.n):
-            if k not in support:
-                _collect_event(model.dot_curve(p_sym, k), u0, v_cur, events)
-        v_next = t_at
-        boundary_fn: Poly | None = None
-        for root, fn in events:
-            if root < v_next:
-                v_next, boundary_fn = root, fn
-        columns.append(
-            _Column(support=support, lower=lower_poly, n_sym=n_sym, p_sym=p_sym)
-        )
-        if boundary_fn is None:
+        v_next, boundary = t_at, None
+        for a, b, c in [forms.n[j] for j in support] + [forms.pc[k] for k in range(n) if k not in support]:
+            if c < 0:
+                root = Fraction(-(a * q + b * p), c * q)
+                if v_cur < root < v_next:
+                    v_next, boundary = root, (a, b, c)
+        columns.append(_Column(support=support, lower=lower, forms=forms))
+        if boundary is None:
             return columns
-        lower_poly = _solve_boundary_for_v(boundary_fn, u0)
+        a, b, c = boundary
+        lower = (a, b, -c)  # c < 0: the wall solves for v
         v_cur = v_next
         if v_cur >= t_at:
             return columns
 
 
-def _collect_event(
-    fn: Poly, u0: Fraction, v_cur: Fraction, events: list[tuple[Fraction, Poly]]
-) -> None:
-    """Record where the affine-in-(u,v) function fn crosses zero from above
-    along increasing v at u = u0."""
-    at_u0 = fn.subs(u=u0)
-    a = at_u0.coefficient((0, 0, 0))
-    b = at_u0.coefficient((0, 1, 0))
-    if b >= 0:
-        return
-    root = -a / b
-    if root > v_cur:
-        events.append((root, fn))
+def _expand_support(family: _Family, point: Form) -> _Forms:
+    """The forms of the support just above ``point`` along increasing v.
 
-
-def _sign_at_plus(v0: Fraction):
-    def sign(value: Poly) -> int:
-        if any(e != (0, 0, 0) and e != (0, 1, 0) for e in value.terms):
-            raise ValueError(f"not affine in v: {value}")
-        b = value.coefficient((0, 1, 0))
-        return _sign(value.coefficient((0, 0, 0)) + b * v0) or _sign(b)
-
-    return sign
-
-
-def _symbolic_decomposition(
-    model: SurfaceModel, family: Sequence[Poly], support: tuple[int, ...]
-) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
-    """Exact N and P coefficient polynomials for one fixed support."""
-    if support:
-        sub = [[model.gram[i][j] for j in support] for i in support]
-        rhs = [model.dot_curve(family, i) for i in support]
-        try:
-            n_vals = linalg.solve(sub, rhs)
-        except ValueError as exc:
-            raise ConeAssumptionError("cone assumption violated") from exc
-    else:
-        n_vals = []
-    n_sym = [Poly() for _ in range(model.n)]
-    for j, val in zip(support, n_vals):
-        n_sym[j] = val
-    p_sym = [family[i] - n_sym[i] for i in range(model.n)]
-    return tuple(n_sym), tuple(p_sym)
-
-
-def _solve_boundary_for_v(fn: Poly, u0: Fraction) -> Poly:
-    """Solve the affine locus fn(u, v) = 0 for v as an affine poly in u."""
-    gamma_v = fn.coefficient((0, 1, 0))
-    if gamma_v == 0:
-        raise _ResampleNeeded()
-    rest = fn - Poly.var("v") * gamma_v
-    return -rest / gamma_v
+    Starting from the empty support, every curve k with P.C_k < 0 there
+    (one-sided: the sign of P.C_k at the point, or of its v-coefficient
+    where it vanishes) joins the support en bloc, until none is left.
+    """
+    U, V, W = point
+    support: tuple[int, ...] = ()
+    for _ in range(family.model.n + 1):
+        forms = family.column(support)
+        entering = tuple(k for k, (a, b, c) in enumerate(forms.pc) if k not in support
+                         and ((s := a * W + b * U + c * V) < 0 or s == 0 and c < 0))
+        if not entering:
+            return forms
+        support = tuple(sorted(support + entering))
+    raise ConeAssumptionError("decomposition failed to stabilize")
 
 
 def _certify_columns(
-    model: SurfaceModel, piece: ThresholdPiece, columns: list[_Column]
+    family: _Family, piece: ThresholdPiece, columns: list[_Column], depth: int
 ) -> list[ScanChamber]:
     """Prove the sampled column structure over the whole u-interval.
 
@@ -731,57 +718,72 @@ def _certify_columns(
     decomposition at every point of the chamber.  Any violated affine
     condition has an exact root in u, which is raised as a split point.
     """
-    bounds: list[Poly] = [col.lower for col in columns] + [piece.t]
+    ends = [(u.numerator, u.denominator) for u in (piece.u_lo, piece.u_hi)]
+    walls = [col.lower for col in columns] + [_wall(piece.t)]
+    gaps = [_gap(lo, hi) for lo, hi in zip(walls, walls[1:])]
     # Boundary ordering across the interval (affine: endpoints suffice).
-    for i in range(len(bounds) - 1):
-        lo, hi = bounds[i], bounds[i + 1]
-        gap = hi - lo
-        g_lo, g_hi = gap(u=piece.u_lo), gap(u=piece.u_hi)
-        if g_lo < 0 or g_hi < 0:
-            cross = _affine_root(gap, piece.u_lo, piece.u_hi)
+    for a, b in gaps:
+        if any(a * q + b * p < 0 for p, q in ends):
+            cross = _root_inside(a, b, piece)
             if cross is not None:
                 raise _SplitNeeded(cross)
-            raise RuntimeError("inconsistent chamber boundaries")
+            raise ScanError("inconsistent chamber boundaries", piece.u_lo, piece.u_hi, depth)
 
-    out: list[ScanChamber] = []
+    kept: list[int] = []
     for idx, col in enumerate(columns):
-        lo, hi = bounds[idx], bounds[idx + 1]
-        gap = hi - lo
-        if gap.is_zero():
+        if gaps[idx] == (0, 0):
             continue
-        chamber = Chamber(piece.u_lo, piece.u_hi, lo, hi)
-        # Zariski conditions on the chamber, checked at the corners.
-        for j, nj in zip(col.support, [col.n_sym[j] for j in col.support]):
-            for u0, v0 in chamber.corners():
-                if nj(u=u0, v=v0) < 0:
-                    split = _corner_failure_split(nj, lo, hi, piece)
-                    if split is not None:
-                        raise _SplitNeeded(split)
-                    raise RuntimeError("negative support coefficient in chamber")
-        for k in range(model.n):
-            val = model.dot_curve(col.p_sym, k)
+        lo, hi = walls[idx], walls[idx + 1]
+        corners = [(p * w[2], w[0] * q + w[1] * p, q * w[2]) for p, q in ends for w in (lo, hi)]
+
+        def check(form: Form, reason: str) -> None:
+            # A Zariski condition on the chamber, checked at the corners.
+            a, b, c = form
+            if any(a * W + b * U + c * V < 0 for U, V, W in corners):
+                split = _corner_failure_split(form, lo, hi, piece)
+                if split is not None:
+                    raise _SplitNeeded(split)
+                raise ScanError(reason, piece.u_lo, piece.u_hi, depth)
+
+        forms = col.forms
+        for j in col.support:
+            check(forms.n[j], "negative support coefficient in chamber")
+        for k, val in enumerate(forms.pc):
             if k in col.support:
-                if not val.is_zero():
-                    raise RuntimeError("support orthogonality failed symbolically")
+                if val != ZERO:
+                    raise ScanError("support orthogonality failed symbolically",
+                                    piece.u_lo, piece.u_hi, depth)
                 continue
-            for u0, v0 in chamber.corners():
-                if val(u=u0, v=v0) < 0:
-                    split = _corner_failure_split(val, lo, hi, piece)
-                    if split is not None:
-                        raise _SplitNeeded(split)
-                    raise RuntimeError("nef condition failed inside chamber")
-        sub = [[model.gram[i][j] for j in col.support] for i in col.support]
-        if col.support and not linalg.is_negative_definite(sub):
+            check(val, "nef condition failed inside chamber")
+        if col.support and not _support_block(family.model, col.support).negative_definite:
             raise ConeAssumptionError("cone assumption violated")
-        out.append(
-            ScanChamber(
-                chamber=chamber,
-                support=col.support,
-                n_coeffs=tuple(col.n_sym),
-                p_coeffs=tuple(col.p_sym),
-            )
-        )
-    return out
+        kept.append(idx)
+    bounds = [_wall_poly(w) for w in walls[:-1]] + [piece.t]
+    return [ScanChamber(Chamber(piece.u_lo, piece.u_hi, bounds[idx], bounds[idx + 1]),
+                        columns[idx].support, *columns[idx].forms.polys) for idx in kept]
+
+
+def _gap(lo: Form, hi: Form) -> tuple[int, int]:
+    """hi - lo of two walls as (const, u-coefficient), up to a positive factor."""
+    return hi[0] * lo[2] - lo[0] * hi[2], hi[1] * lo[2] - lo[1] * hi[2]
+
+
+def _root_inside(a: int, b: int, piece: ThresholdPiece) -> Fraction | None:
+    """The root of a + b*u if it lies strictly inside the piece."""
+    if b == 0:
+        return None
+    root = Fraction(-a, b)
+    return root if piece.u_lo < root < piece.u_hi else None
+
+
+def _corner_failure_split(form: Form, lo: Form, hi: Form, piece: ThresholdPiece) -> Fraction | None:
+    """Where the form vanishes along the lower or else the upper wall."""
+    a, b, c = form
+    for w0, w1, d in (lo, hi):
+        root = _root_inside(a * d + c * w0, b * d + c * w1, piece)
+        if root is not None:
+            return root
+    return None
 
 
 def _affine_root(fn: Poly, lo: Fraction, hi: Fraction) -> Fraction | None:
@@ -791,17 +793,6 @@ def _affine_root(fn: Poly, lo: Fraction, hi: Fraction) -> Fraction | None:
         return None
     root = -a / b
     return root if lo < root < hi else None
-
-
-def _corner_failure_split(
-    fn: Poly, lo: Poly, hi: Poly, piece: ThresholdPiece
-) -> Fraction | None:
-    for bound in (lo, hi):
-        along = fn.subs(v=bound)
-        root = _affine_root(along, piece.u_lo, piece.u_hi)
-        if root is not None:
-            return root
-    return None
 
 
 # ---------------------------------------------------------------------------

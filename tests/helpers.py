@@ -2,10 +2,22 @@
 
 from fractions import Fraction
 
+from dataclasses import dataclass
+from typing import Sequence
+
 from fano_delta import linalg
 from fano_delta.exactmath import VARS, Chamber, ChamberFunction, Poly, integrate_chamber, integrate_univariate, q
 from fano_delta.scenarios import builders, c_domain
-from fano_delta.surfzar import ChamberedDecomposition, SurfaceModel, SurfDivisor
+from fano_delta.surfzar import (
+    ChamberedDecomposition,
+    ConeAssumptionError,
+    NotPseudoeffectiveError,
+    ScanChamber,
+    SurfaceModel,
+    SurfDivisor,
+    ThresholdPiece,
+    threshold_pieces,
+)
 from fano_delta.toric3 import ToricDivisor
 
 
@@ -230,3 +242,237 @@ def solve_overdetermined(rows, rhs):
     if len(pivots) < n_cols:
         return [None] * n_cols  # underdetermined
     return [row[n_cols:] for row in m[:n_cols]]
+
+
+# ---------------------------------------------------------------------------
+# Pointwise Zariski decomposition
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ZariskiDecomposition:
+    positive: SurfDivisor
+    negative: SurfDivisor
+    support: tuple[int, ...]
+
+    def validate(self) -> list[str]:
+        problems = []
+        model = self.positive.model
+        for j in self.support:
+            if self.negative.coeffs[j].as_fraction() < 0:
+                problems.append(f"negative coefficient at {model.curve_names[j]}")
+        for j in range(model.n):
+            val = model.dot_curve(self.positive.coeffs, j).as_fraction()
+            if j in self.support and val != 0:
+                problems.append(f"P.{model.curve_names[j]} = {val} != 0 on support")
+            if val < 0:
+                problems.append(f"P.{model.curve_names[j]} = {val} < 0")
+        sub = [[model.gram[i][j] for j in self.support] for i in self.support]
+        if self.support and not linalg.is_negative_definite(sub):
+            problems.append("support Gram block not negative definite")
+        return problems
+
+
+def is_pseudoeffective(model: SurfaceModel, coeffs) -> bool:
+    vec = [Poly.coerce(x).as_fraction() for x in coeffs]
+    return all(
+        sum(h[i] * vec[i] for i in range(model.n)) >= 0 for h in model.facets()
+    )
+
+
+def zariski_decompose(model: SurfaceModel, d: SurfDivisor) -> ZariskiDecomposition:
+    """Zariski decomposition of a rational-coefficient divisor class."""
+    if not model.generates_pseff:
+        raise ConeAssumptionError("cone assumption violated")
+    coeffs = [x.as_fraction() for x in d.coeffs]
+    if not is_pseudoeffective(model, coeffs):
+        raise NotPseudoeffectiveError("divisor not pseudoeffective in model")
+    support, n_vals = _expand_support(model, coeffs, _sign, lambda x, j: _dot(model, x, j))
+    n_vec = [Fraction(0)] * model.n
+    for j, val in zip(support, n_vals):
+        n_vec[j] = val
+    p_vec = [coeffs[i] - n_vec[i] for i in range(model.n)]
+    dec = ZariskiDecomposition(
+        positive=SurfDivisor(model, p_vec),
+        negative=SurfDivisor(model, n_vec),
+        support=tuple(support),
+    )
+    problems = dec.validate()
+    if any("negative coefficient" in p for p in problems):
+        raise NotPseudoeffectiveError("divisor not pseudoeffective in model")
+    if problems:
+        raise ConeAssumptionError("; ".join(problems))
+    return dec
+
+
+def _dot(model: SurfaceModel, x, j: int) -> Fraction:
+    """`dot_curve` for a rational coefficient vector."""
+    return sum((x[i] * model.gram[i][j] for i in range(model.n)), Fraction(0))
+
+
+def _sign(x: Fraction) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _expand_support(model: SurfaceModel, coeffs: Sequence, sign, dot) -> tuple[list[int], list]:
+    """Support-growing decomposition loop.
+
+    Runs on rational coefficients with ``dot = _dot`` and on symbolic ones
+    with ``dot = model.dot_curve``.  ``sign`` maps an intersection value to
+    its sign at the evaluation point; using one-sided signs lets the same
+    loop compute the support valid just beyond a chamber boundary.  Returns
+    (support, negative coefficients on the support).
+    """
+    support: list[int] = []
+    n_vals: list = []
+    for _ in range(model.n + 1):
+        p_vec = list(coeffs)
+        for j, val in zip(support, n_vals):
+            p_vec[j] = p_vec[j] - val
+        entering = []
+        for k in range(model.n):
+            if k in support:
+                continue
+            if sign(dot(p_vec, k)) < 0:
+                entering.append(k)
+        if not entering:
+            return support, n_vals
+        support = sorted(support + entering)
+        sub = [[model.gram[i][j] for j in support] for i in support]
+        rhs = [dot(coeffs, i) for i in support]
+        try:
+            n_vals = linalg.solve(sub, rhs)
+        except ValueError as exc:
+            raise ConeAssumptionError("cone assumption violated") from exc
+    raise ConeAssumptionError("decomposition failed to stabilize")
+
+
+# ---------------------------------------------------------------------------
+# Reference chamber scan: the same algorithm as `chamber_scan` on Polys
+# ---------------------------------------------------------------------------
+
+
+def reference_chamber_scan(model: SurfaceModel, base, curve, u_lo, u_hi) -> ChamberedDecomposition:
+    """`chamber_scan` with every decomposition, event and certificate step
+    computed on rational Polys instead of integer numerators."""
+    u_lo, u_hi = q(u_lo), q(u_hi)
+    base = [Poly.coerce(b) for b in base]
+    cvec = tuple(Fraction(i == curve) for i in range(model.n)) if isinstance(curve, int) else (
+        tuple(q(x) for x in curve))
+    family = [base[i] - Poly.var("v") * cvec[i] for i in range(model.n)]
+    tpieces = threshold_pieces(model, base, curve, u_lo, u_hi)
+    chambers = [ch for piece in tpieces for ch in _reference_scan_piece(model, family, piece)]
+    return ChamberedDecomposition(model=model, curve=cvec, u_lo=u_lo, u_hi=u_hi,
+                                  threshold=tuple(tpieces), chambers=tuple(chambers))
+
+
+class _Split(Exception):
+    def __init__(self, at: Fraction):
+        self.at = at
+
+
+def _reference_scan_piece(model, family, piece: ThresholdPiece, depth: int = 0) -> list[ScanChamber]:
+    if depth > 24:
+        raise RuntimeError("chamber scan failed to stabilize")
+    columns = _reference_columns(model, family, piece, piece.u_lo + (piece.u_hi - piece.u_lo) / 2)
+    try:
+        return _reference_certify(model, piece, columns)
+    except _Split as split:
+        at = split.at
+        if not (piece.u_lo < at < piece.u_hi):
+            raise RuntimeError(f"invalid split point u={at}") from None
+        return (_reference_scan_piece(model, family, ThresholdPiece(piece.u_lo, at, piece.t), depth + 1)
+                + _reference_scan_piece(model, family, ThresholdPiece(at, piece.u_hi, piece.t), depth + 1))
+
+
+def _reference_columns(model, family, piece: ThresholdPiece, u0: Fraction) -> list:
+    """(support, lower wall, N, P) of each column above u0, walking v up from 0."""
+    t_at = piece.t(u=u0)
+    fam_u0 = [f.subs(u=u0) for f in family]  # affine in v
+    columns = []
+    v_cur = Fraction(0)
+    lower = Poly()
+    for _ in range(60):
+        def sign_above(value: Poly) -> int:
+            b = value.coefficient((0, 1, 0))
+            return _sign(value.coefficient((0, 0, 0)) + b * v_cur) or _sign(b)
+
+        support, _ = _expand_support(model, fam_u0, sign_above, model.dot_curve)
+        support = tuple(support)
+        n_sym, p_sym = _reference_decomposition(model, family, support)
+        v_next, boundary = t_at, None
+        for fn in [n_sym[j] for j in support] + [
+                model.dot_curve(p_sym, k) for k in range(model.n) if k not in support]:
+            at_u0 = fn.subs(u=u0)
+            a, b = at_u0.coefficient((0, 0, 0)), at_u0.coefficient((0, 1, 0))
+            if b < 0 and v_cur < -a / b < v_next:
+                v_next, boundary = -a / b, fn
+        columns.append((support, lower, n_sym, p_sym))
+        if boundary is None or v_next >= t_at:
+            return columns
+        gamma_v = boundary.coefficient((0, 1, 0))
+        lower = -(boundary - Poly.var("v") * gamma_v) / gamma_v
+        v_cur = v_next
+    raise RuntimeError("v-scan failed to terminate")
+
+
+def _reference_decomposition(model, family, support):
+    """Exact N and P coefficient polynomials for one fixed support."""
+    n_sym = [Poly() for _ in range(model.n)]
+    if support:
+        sub = [[model.gram[i][j] for j in support] for i in support]
+        try:
+            n_vals = linalg.solve(sub, [model.dot_curve(family, i) for i in support])
+        except ValueError as exc:
+            raise ConeAssumptionError("cone assumption violated") from exc
+        for j, val in zip(support, n_vals):
+            n_sym[j] = val
+    return tuple(n_sym), tuple(family[i] - n_sym[i] for i in range(model.n))
+
+
+def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ScanChamber]:
+    """The certificate of `surfzar._certify_columns`, on Polys."""
+    bounds = [lower for _, lower, _, _ in columns] + [piece.t]
+    for lo, hi in zip(bounds, bounds[1:]):
+        gap = hi - lo
+        if gap(u=piece.u_lo) < 0 or gap(u=piece.u_hi) < 0:
+            cross = _u_root(gap, piece)
+            if cross is not None:
+                raise _Split(cross)
+            raise RuntimeError("inconsistent chamber boundaries")
+    out = []
+    for (support, _, n_sym, p_sym), lo, hi in zip(columns, bounds, bounds[1:]):
+        if (hi - lo).is_zero():
+            continue
+        chamber = Chamber(piece.u_lo, piece.u_hi, lo, hi)
+
+        def check(fn: Poly, failure: str) -> None:
+            if any(fn(u=u0, v=v0) < 0 for u0, v0 in chamber.corners()):
+                for bound in (lo, hi):
+                    root = _u_root(fn.subs(v=bound), piece)
+                    if root is not None:
+                        raise _Split(root)
+                raise RuntimeError(failure)
+
+        for j in support:
+            check(n_sym[j], "negative support coefficient in chamber")
+        for k in range(model.n):
+            val = model.dot_curve(p_sym, k)
+            if k in support:
+                if not val.is_zero():
+                    raise RuntimeError("support orthogonality failed symbolically")
+                continue
+            check(val, "nef condition failed inside chamber")
+        sub = [[model.gram[i][j] for j in support] for i in support]
+        if support and not linalg.is_negative_definite(sub):
+            raise ConeAssumptionError("cone assumption violated")
+        out.append(ScanChamber(chamber=chamber, support=support, n_coeffs=n_sym, p_coeffs=p_sym))
+    return out
+
+
+def _u_root(fn: Poly, piece: ThresholdPiece):
+    """The root of the affine-in-u fn strictly inside the piece, if any."""
+    a, b = fn.coefficient((0, 0, 0)), fn.coefficient((1, 0, 0))
+    if b != 0 and piece.u_lo < -a / b < piece.u_hi:
+        return -a / b
+    return None

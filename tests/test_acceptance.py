@@ -13,10 +13,9 @@ from fractions import Fraction as F
 from fano_delta import toric3
 from fano_delta.exactmath import Poly, integrate_chamber, Chamber, q
 from fano_delta.scenarios import builders, load_fan, load_model
-from fano_delta.surfzar import zariski_decompose
 from fano_delta.toric3 import ToricDivisor, intersection_number
 
-from helpers import interpolate, random_pseudoeffective
+from helpers import interpolate, random_pseudoeffective, zariski_decompose
 
 
 def by_label(checks, label):

@@ -15,14 +15,21 @@ from fano_delta.surfzar import (
     SurfDivisor,
     TableRow,
     chamber_scan,
-    is_pseudoeffective,
     pseff_threshold,
     threshold_pieces,
     verify_surface_table,
-    zariski_decompose,
 )
 
-from helpers import check_continuity, evaluate, interpolate, random_pseudoeffective, threshold_at
+from helpers import (
+    check_continuity,
+    evaluate,
+    interpolate,
+    is_pseudoeffective,
+    random_pseudoeffective,
+    reference_chamber_scan,
+    threshold_at,
+    zariski_decompose,
+)
 
 U, V = Poly.var("u"), Poly.var("v")
 
@@ -324,15 +331,22 @@ def test_basis_store_stays_bounded_over_many_c(monkeypatch):
     def stored():
         return sum(len(t.bases) for name in names for t in load_model(name)._threshold_lps.values())
 
+    def blocks():
+        return {name: set(load_model(name)._support_blocks) for name in names}
+
     before = stored()
     calls = count_solves(monkeypatch)
     builders.run_218([F(k, 31) for k in range(1, 31, 3)])
     size = stored()
     assert size - before == len(calls) <= len(names)
+    supports = blocks()
+    assert any(supports.values())
     del calls[:]
     checks = builders.run_218([F(k, 31) for k in range(2, 31, 3)])
     assert not [c.label for c in checks if c.status == builders.FAIL]
     assert calls == [] and stored() == size
+    # The Gram block of a support depends on the model only, not on c.
+    assert blocks() == supports
 
 
 def test_family_leaving_the_cone_inside_a_piece_raises():
@@ -422,6 +436,21 @@ def test_scan_boundary_well_posedness(d4):
         assert d4.pair(dec.positive.coeffs, dec.positive.coeffs).as_fraction() >= 0
 
 
+def test_scan_follows_a_curve_leaving_the_support(heart):
+    # D = z + (4 - v)*s on the heart model (z, f, s): s carries N_s = 7/2 - v
+    # until it leaves the support at v = 7/2, where z enters.  The v-walk must
+    # take the vanishing of N_s as the wall.
+    scan = chamber_scan(heart, [1, 0, 4], 2, 0, 1)
+    assert [(str(ch.chamber.v_lo), str(ch.chamber.v_hi), ch.support) for ch in scan.chambers] == [
+        ("0", "7/2", (2,)), ("7/2", "4", (0,))]
+    for ch in scan.chambers:
+        for v0 in (ch.chamber.v_lo(u=0) + F(1, 4), ch.chamber.v_hi(u=0) - F(1, 4)):
+            dec = zariski_decompose(heart, SurfDivisor(heart, [1, 0, 4 - v0]))
+            assert dec.support == ch.support
+            assert [x.as_fraction() for x in dec.negative.coeffs] == [
+                n(u=F(1, 2), v=v0) for n in ch.n_coeffs]
+
+
 def test_scan_rejects_non_affine_family(d4):
     with pytest.raises(ValueError, match="affine"):
         chamber_scan(d4, [U * U, 1, 1, 2, 6, 0], 0, 0, 1)
@@ -433,20 +462,24 @@ def test_scan_rejects_non_affine_family(d4):
 
 def test_scan_rejects_shifted_support_coefficient(d4, monkeypatch):
     # N_j + 1/1000 with P = D - N: P.C_j is no longer 0 on the support.
-    original = surfzar._symbolic_decomposition
+    original = surfzar._negative_part
 
-    def shifted(model, family, support):
-        n_sym, p_sym = original(model, family, support)
+    def shifted(family, support):
+        den, n = original(family, support)
         if not support:
-            return n_sym, p_sym
-        j = support[0]
-        n_sym = n_sym[:j] + (n_sym[j] + F(1, 1000),) + n_sym[j + 1:]
-        p_sym = p_sym[:j] + (p_sym[j] - F(1, 1000),) + p_sym[j + 1:]
-        return n_sym, p_sym
+            return den, n
+        n = [(1000 * a, 1000 * b, 1000 * c) for a, b, c in n]
+        a, b, c = n[support[0]]
+        n[support[0]] = (a + den, b, c)
+        return 1000 * den, n
 
-    monkeypatch.setattr(surfzar, "_symbolic_decomposition", shifted)
-    with pytest.raises(RuntimeError, match="support orthogonality failed symbolically"):
+    monkeypatch.setattr(surfzar, "_negative_part", shifted)
+    with pytest.raises(surfzar.ScanError, match="support orthogonality failed symbolically") as info:
         chamber_scan(d4, ptilde_d4("56"), 5, 5, 6)
+    error = info.value
+    assert (error.reason, error.u_lo, error.u_hi, error.depth) == (
+        "support orthogonality failed symbolically", 5, 6, 0)
+    assert str(error) == "support orthogonality failed symbolically (u in [5, 6], depth 0)"
 
 
 @pytest.mark.parametrize("shift, failure", [
@@ -460,13 +493,69 @@ def test_scan_rejects_shifted_wall(d4, monkeypatch, shift, failure):
 
     def shifted(*args):
         columns = original(*args)
-        columns[1].lower = columns[1].lower + shift
+        # The wall v = (a + b*u)/d moved up by shift.
+        a, b, d = columns[1].lower
+        columns[1].lower = (a * shift.denominator + shift.numerator * d,
+                            b * shift.denominator, d * shift.denominator)
         return columns
 
     monkeypatch.setattr(surfzar, "_column_structure", shifted)
     # Unpatched: v = 3 - u/2 is the one wall, between supports () and (alpha0,).
-    with pytest.raises(RuntimeError, match=failure):
+    with pytest.raises(surfzar.ScanError, match=failure):
         chamber_scan(d4, ptilde_d4("56"), 5, 5, 6)
+
+
+# The integer scan against the same algorithm on rational Polys.
+
+def scan_outcome(scan, *args):
+    """The chambers of a scan with their N and P, or the kind and reason of
+    the error it raises (a `ScanError` carries the reason a bare
+    RuntimeError of the Poly scan prints)."""
+    try:
+        return [(ch.chamber, ch.support, ch.n_coeffs, ch.p_coeffs) for ch in scan(*args).chambers]
+    except RuntimeError as exc:
+        return "RuntimeError", getattr(exc, "reason", str(exc))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def boundary_weights():
+    """c in (0, 1), with denominators up to 10^6."""
+    return st.one_of(
+        st.fractions(min_value=F(1, 12), max_value=F(11, 12), max_denominator=12),
+        st.integers(2, 10**6).flatmap(lambda d: st.builds(F, st.integers(1, d - 1), st.just(d))))
+
+
+@st.composite
+def families_at_c(draw):
+    model = load_model(draw(st.sampled_from(CERTIFIED_MODELS)))
+    c = draw(boundary_weights())
+    small = st.fractions(min_value=0, max_value=4, max_denominator=4)
+    coefficient = st.builds(lambda a, b: a + b * c, small, small)
+    ends = [draw(st.lists(coefficient, min_size=model.n, max_size=model.n)) for _ in range(2)]
+    lo = draw(st.fractions(min_value=-2, max_value=2, max_denominator=5))
+    hi = lo + draw(st.fractions(min_value=0, max_value=3, max_denominator=5)) + c
+    # A convex combination of two effective classes: pseudoeffective.
+    base = [a + (b - a) * (U - lo) / (hi - lo) for a, b in zip(*ends)]
+    curve = draw(st.one_of(
+        st.integers(0, model.n - 1),
+        st.lists(st.integers(0, 2), min_size=model.n, max_size=model.n).filter(any)))
+    return model, base, curve, lo, hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(families_at_c())
+def test_integer_scan_equals_reference_scan_on_random_families(case):
+    assert scan_outcome(chamber_scan, *case) == scan_outcome(reference_chamber_scan, *case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(load_scenario_data("218")["cases"])), boundary_weights())
+def test_integer_scan_equals_reference_scan_on_218_families(case, c):
+    scenario = builders.Case218(case, c).scenario
+    for piece in scenario.pieces:
+        args = (scenario.model, piece.coeffs, scenario.curve_class, piece.u_lo, piece.u_hi)
+        assert scan_outcome(chamber_scan, *args) == scan_outcome(reference_chamber_scan, *args)
 
 
 # ---------------------------------------------------------------------------
