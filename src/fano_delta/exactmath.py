@@ -12,24 +12,29 @@ is mathematical equality.  The module also provides
   * parse_poly / str round-trips for a compact human-auditable text form
     ("(8-u-3*v)/3"), used by the JSON fixtures,
   * exact definite integration over intervals and over chambers
-    (u-intervals with affine-in-u bounds for v).
+    (u-intervals with affine-in-u bounds for v): an integrand's integer
+    numerators meet the chamber's integer moment numerators over one chamber
+    denominator in one sum, which becomes one Fraction.
 
 No floating point exists anywhere in this package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 VARS = ("u", "v", "c")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
 
 Exponent = tuple[int, int, int]
 Scalar = Union[int, str, Fraction]
+# An integer affine form a + b*u + c*v is the triple (a, b, c), kept over a
+# denominator beside it; a wall v = (a + b*u)/d is the triple (a, b, d), d > 0.
+Form = tuple[int, int, int]
 
 
 def _index(name: str) -> int:
@@ -411,6 +416,8 @@ class Chamber:
     u_hi: Fraction
     v_lo: Poly | None = None
     v_hi: Poly | None = None
+    # Integer moment tables by degree (see `integrate`).
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u_lo", q(self.u_lo))
@@ -431,73 +438,101 @@ class Chamber:
     def is_two_dimensional(self) -> bool:
         return self.v_lo is not None
 
-    def contains(self, u0: Scalar, v0: Scalar | None = None) -> bool:
-        u0 = q(u0)
-        if not (self.u_lo <= u0 <= self.u_hi):
-            return False
-        if self.v_lo is None:
-            return v0 is None
-        v0 = q(v0)
-        return self.v_lo(u=u0) <= v0 <= self.v_hi(u=u0)
-
-    def corners(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        if self.v_lo is None:
-            raise ValueError("corners of a 1-dimensional chamber")
-        return self._corners
-
-    @cached_property
-    def _corners(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(
-            (u0, bound(u=u0))
-            for u0 in (self.u_lo, self.u_hi)
-            for bound in (self.v_lo, self.v_hi)
-        )
-
     @cached_property
     def label(self) -> str:
         """The chamber as S-value breakdowns print it."""
         return f"u[{self.u_lo},{self.u_hi}] v[{self.v_lo},{self.v_hi}]"
 
     @cached_property
-    def _moments(self) -> dict[tuple[int, int], Fraction]:
-        return {}
+    def _integer_bounds(self) -> tuple[tuple[tuple[int, int], ...], tuple[Form, Form]]:
+        """The u-ends as (numerator, denominator) and the walls v_lo, v_hi."""
+        return tuple((x.numerator, x.denominator) for x in (self.u_lo, self.u_hi)), (
+            wall(self.v_lo), wall(self.v_hi))
 
-    def moment(self, a: int, b: int) -> Fraction:
-        """iint u^a v^b over the 2-dimensional chamber, computed once: with
-        v_lo = l0 + l1*u and v_hi = h0 + h1*u, the u-integral of u^a times
-        (v_hi^(b+1) - v_lo^(b+1)) / (b+1), expanded binomially."""
-        if (a, b) not in self._moments:
-            (l0, l1), (h0, h1) = ((x.coefficient((0, 0, 0)), x.coefficient((1, 0, 0)))
-                                  for x in (self.v_lo, self.v_hi))
-            self._moments[a, b] = sum((
-                comb(b + 1, k) * (h0 ** (b + 1 - k) * h1**k - l0 ** (b + 1 - k) * l1**k)
-                * (self.u_hi ** (a + k + 1) - self.u_lo ** (a + k + 1)) / (a + k + 1)
-                for k in range(b + 2)), Fraction(0)) / (b + 1)
-        return self._moments[a, b]
+    def nonnegative(self, form: Form) -> bool:
+        """Whether a + b*u + c*v >= 0 on the 2-dimensional chamber: the form is
+        affine and the chamber convex, so its sign at the corners, as integer
+        points (u*W, v*W, W) with W > 0, decides it."""
+        (a, b, c), (ends, walls) = form, self._integer_bounds
+        return all(a * m * d + b * n * d + c * (w0 * m + w1 * n) >= 0 for n, m in ends for w0, w1, d in walls)
+
+    def integrate(self, terms: Mapping[tuple[int, int], int], den: int) -> Fraction:
+        """iint of sum terms[a, b] * u^a * v^b / den over the 2-dimensional
+        chamber, as one Fraction from the chamber's moment table of that degree
+        (at least 2, the degree of every flag integrand, so a flag needs one)."""
+        k = max(2, max((a + b for (a, b), x in terms.items() if x), default=0))
+        if k not in self._tables:
+            ends, walls = self._integer_bounds
+            self._tables[k] = _moment_table(ends, *walls, k)
+        delta, table = self._tables[k]
+        return Fraction(sum(x * table[e] for e, x in terms.items()), den * delta)
+
+
+def _moment_table(ends: Sequence[tuple[int, int]], lo: Form, hi: Form, k: int
+                 ) -> tuple[int, dict[tuple[int, int], int]]:
+    """(Delta, m) with m[a, b] / Delta = iint u^a v^b, a + b <= k, over the
+    chamber A/q_a <= u <= B/q_b, (l0 + l1*u)/d_l <= v <= (h0 + h1*u)/d_h: the
+    sum over j of C(b+1, j) (h0^(b+1-j) h1^j / d_h^(b+1) - l0^(b+1-j) l1^j /
+    d_l^(b+1)) (u_hi^n - u_lo^n) / ((b+1) n), n = a + j + 1, over
+    Delta = L^2 (d_l d_h)^(k+1) (q_a q_b)^(k+2), L = lcm(1, ..., k+2)."""
+    (A, qa), (B, qb) = ends
+    (l0, l1, dl), (h0, h1, dh) = lo, hi
+    L, D, Q = math.lcm(*range(1, k + 3)), dl * dh, qa * qb
+    # L/n (u_hi^n - u_lo^n) Q^(k+2), by n.
+    spans = [0] + [L // n * (B**n * qa**n - A**n * qb**n) * Q ** (k + 2 - n) for n in range(1, k + 3)]
+    table = {}
+    for b in range(k + 1):
+        e = b + 1
+        # L/e (v_hi^e - v_lo^e) D^(k+1), by powers of u.
+        scale = L // e * D ** (k + 1 - e)
+        rise = [scale * math.comb(e, j) * (h0 ** (e - j) * h1**j * dl**e - l0 ** (e - j) * l1**j * dh**e)
+                for j in range(e + 1)]
+        for a in range(k + 1 - b):
+            table[a, b] = sum(r * spans[a + j + 1] for j, r in enumerate(rise))
+    return L * L * D ** (k + 1) * Q ** (k + 2), table
+
+
+def numerators(xs: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
+    """The integer numerators of xs over their least common denominator."""
+    xs = tuple(xs)
+    den = math.lcm(*(x.denominator for x in xs))
+    return tuple(x.numerator * (den // x.denominator) for x in xs), den
+
+
+def wall(t: Poly) -> Form:
+    """The wall v = t(u) of a Poly affine in u."""
+    (a, b), d = numerators(t.coefficient(e) for e in ((0, 0, 0), (1, 0, 0)))
+    return a, b, d
+
+
+def combine(terms: Iterable[tuple[int, int]], forms: Sequence[Form]) -> Form:
+    """sum of k * forms[i] over the (i, k) of ``terms``."""
+    a = b = c = 0
+    for i, k in terms:
+        f = forms[i]
+        a += k * f[0]
+        b += k * f[1]
+        c += k * f[2]
+    return a, b, c
+
+
+def products(pairs: Iterable[tuple[Form, Form]]) -> dict[tuple[int, int], int]:
+    """sum of f * g over pairs of affine forms, by (u, v) exponents."""
+    terms = [(a * x, a * y + b * x, a * z + c * x, b * y, b * z + c * y, c * z)
+             for (a, b, c), (x, y, z) in pairs]
+    return dict(zip(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), map(sum, zip(*terms))))
 
 
 def integrate_chamber(p: Poly, ch: Chamber) -> Fraction:
-    """Exact iterated integral of p over a chamber (dv then du): on a 2-dimensional
-    chamber, the sum of coef * moment(a, b) over the terms coef * u^a * v^b of p,
-    with the moments shared by every integrand of the chamber."""
+    """Exact iterated integral of p over a chamber (dv then du): on a
+    2-dimensional chamber, p's denominators are cleared and its integer
+    numerators meet the chamber's integer moment numerators over one chamber
+    denominator (`Chamber.integrate`), giving one Fraction."""
     if p.degree_in("c"):
         raise ValueError("arity mismatch")
     if not ch.is_two_dimensional():
         if p.degree_in("v"):
             raise ValueError("arity mismatch")
         return integrate_univariate(p, ch.u_lo, ch.u_hi, "u")
-    return sum((coef * ch.moment(e[0], e[1]) for e, coef in p.terms.items()), Fraction(0))
-
-
-@dataclass(frozen=True)
-class ChamberFunction:
-    """A function given by one polynomial per chamber.
-
-    The chambers are expected to have pairwise disjoint interiors; adjacent
-    pieces of volume-type functions agree on shared boundaries.
-    """
-
-    pieces: tuple[tuple[Chamber, Poly], ...]
-
-    def __init__(self, pieces: Iterable[tuple[Chamber, Poly]]):
-        object.__setattr__(self, "pieces", tuple((ch, Poly.coerce(p)) for ch, p in pieces))
+    nums, den = numerators(p.terms.values())
+    return ch.integrate({e[:2]: x for e, x in zip(p.terms, nums)}, den)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactmath import Poly, Scalar, integrate_chamber, integrate_univariate, q
+from .exactmath import Poly, Scalar, combine, integrate_univariate, numerators, products, q
 from .surfzar import ChamberedDecomposition, SurfaceModel, chamber_scan
 
 Vec = tuple[Fraction, ...]
@@ -158,8 +158,10 @@ def s_curve_flag(scenario: FlagScenario) -> SInvariantResult:
         val = factor * integrate_univariate(p_sq * piece.d, piece.u_lo, piece.u_hi, "u")
         breakdown.append((f"ord-term u[{piece.u_lo},{piece.u_hi}]", val))
     for scan in scenario_scans(scenario):
-        for chamber, p_sq in scan.p_squared().pieces:
-            breakdown.append((chamber.label, factor * integrate_chamber(p_sq, chamber)))
+        for ch in scan.chambers:
+            # P^2 = sum_i P_i (P.C_i), from the scan's integer forms.
+            p_sq = products(zip(ch.forms.p, ch.forms.pc))
+            breakdown.append((ch.chamber.label, factor * ch.chamber.integrate(p_sq, ch.forms.den**2)))
     value = sum((x for _, x in breakdown), Fraction(0))
     return SInvariantResult(value=value, breakdown=tuple(breakdown))
 
@@ -167,28 +169,34 @@ def s_curve_flag(scenario: FlagScenario) -> SInvariantResult:
 def f_correction(scenario: FlagScenario, point: MarkedPoint | str) -> Fraction:
     """The point-level correction term F_Q (exact).
 
-    Per chamber the integrand's order function is affine; it must be
-    nonnegative on the chamber, which is certified at the corners.
+    Per chamber ord_Q is an integer affine form: the multiplicity-weighted N
+    numerators plus the piece's sum_j mult_j (N'_j - (v + d) Sigma_j).  An
+    integer sign test at the corners certifies it nonnegative on the chamber.
     """
     if isinstance(point, str):
         point = scenario.point(point)
     model = scenario.model
     mults = point.ord_coefficients(model.n)
+    weights, mden = numerators(mults)
     sigma = scenario.sigma_vec()
     factor = Fraction(6) / scenario.l_cubed
     total = Fraction(0)
     for piece, scan in zip(scenario.pieces, scenario_scans(scenario)):
         nprime = piece.nprime if piece.nprime else tuple([Poly()] * model.n)
         v_d = Poly.var("v") + piece.d
-        for ch, (p_dot, _) in zip(scan.chambers, scan.curve_terms):
-            ord_poly = sum(((nprime[j] + ch.n_coeffs[j] - v_d * sigma[j]) * mults[j]
-                            for j in range(model.n) if mults[j]), Poly())
-            if ord_poly.is_zero():
+        rest = sum(((nprime[j] - v_d * sigma[j]) * mults[j] for j in range(model.n) if mults[j]), Poly())
+        if rest.total_degree() > 1 or rest.degree_in("c"):
+            raise ValueError("invalid correction data")
+        rest, rden = numerators(rest.coefficient(e) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+        for ch, (p_dot, pden, _) in zip(scan.chambers, scan.curve_terms):
+            den = ch.forms.den * mden * rden  # of ord_Q
+            n_part = combine(enumerate(weights), ch.forms.n)
+            ord_q = tuple(rden * x + den // rden * y for x, y in zip(n_part, rest))
+            if not any(ord_q):
                 continue
-            for u0, v0 in ch.chamber.corners():
-                if ord_poly(u=u0, v=v0) < 0:
-                    raise ValueError("invalid correction data")
-            total += factor * integrate_chamber(p_dot * ord_poly, ch.chamber)
+            if not ch.chamber.nonnegative(ord_q):
+                raise ValueError("invalid correction data")
+            total += factor * ch.chamber.integrate(products([(p_dot, ord_q)]), pden * den)
     return total
 
 
@@ -203,7 +211,7 @@ def s_point_flag(scenario: FlagScenario, point: MarkedPoint | str) -> SInvariant
     factor = Fraction(3) / scenario.l_cubed
     breakdown: list[tuple[str, Fraction]] = []
     for scan in scenario_scans(scenario):
-        for ch, (_, p_dot_sq) in zip(scan.chambers, scan.curve_terms):
+        for ch, (_, _, p_dot_sq) in zip(scan.chambers, scan.curve_terms):
             breakdown.append((ch.chamber.label, factor * p_dot_sq))
     correction = f_correction(scenario, point)
     if correction != 0:

@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg, lp
-from .exactmath import Chamber, ChamberFunction, Poly, Scalar, integrate_chamber, q
+from .exactmath import Chamber, Form, Poly, Scalar, combine, numerators, products, q, wall
 
 Vec = tuple[Fraction, ...]
 
@@ -204,33 +204,9 @@ def _canon(vec: Sequence[Fraction]) -> Vec:
     return tuple(x * scale for x in vec)
 
 
-@dataclass(frozen=True)
-class SurfDivisor:
-    model: SurfaceModel
-    coeffs: tuple[Poly, ...]
-
-    def __init__(self, model: SurfaceModel, coeffs: Sequence[Poly | Scalar]):
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "coeffs", tuple(Poly.coerce(x) for x in coeffs))
-        if len(self.coeffs) != model.n:
-            raise ValueError("coefficient list length must match curve count")
-
-
 # ---------------------------------------------------------------------------
 # Pseudoeffective threshold (exact LP)
 # ---------------------------------------------------------------------------
-
-
-def pseff_threshold(
-    model: SurfaceModel, d: SurfDivisor, curve: int | Sequence[Scalar]
-) -> Fraction:
-    """Largest v such that D - v*C stays in the span of the basis curves.
-
-    Exact rational LP: maximize v subject to
-        D - v*C + (relation combination) = e,  e >= 0.
-    """
-    threshold_lp = _threshold_lp(model, _curve_vector(model, curve))
-    return threshold_lp.solve([x.as_fraction() for x in d.coeffs]).value
 
 
 @dataclass
@@ -429,6 +405,7 @@ class ScanChamber:
     support: tuple[int, ...]
     n_coeffs: tuple[Poly, ...]  # affine in (u, v)
     p_coeffs: tuple[Poly, ...]
+    forms: _Forms  # the same N and P, with P.C_k, as integer forms
 
 
 @dataclass(frozen=True)
@@ -441,17 +418,17 @@ class ChamberedDecomposition:
     chambers: tuple[ScanChamber, ...]
 
     @cached_property
-    def curve_terms(self) -> tuple[tuple[Poly, Fraction], ...]:
-        """(P.C, iint (P.C)^2) per chamber, C = ``curve``: the part of a flag's
-        point S-invariants that is the same for every point, computed once."""
-        p_dots = [self.model.pair(ch.p_coeffs, self.curve) for ch in self.chambers]
-        return tuple((p, integrate_chamber(p * p, ch.chamber)) for p, ch in zip(p_dots, self.chambers))
-
-    def p_squared(self) -> ChamberFunction:
-        return ChamberFunction(
-            (ch.chamber, self.model.pair(ch.p_coeffs, ch.p_coeffs))
-            for ch in self.chambers
-        )
+    def curve_terms(self) -> tuple[tuple[Form, int, Fraction], ...]:
+        """(P.C as an integer form, its denominator, iint (P.C)^2) per chamber,
+        C = ``curve``: the part of a flag's point S-invariants that is the same
+        for every point, computed once.  P.C = sum_k C_k (P.C_k) comes from the
+        scan's integer forms."""
+        weights, cden = numerators(self.curve)
+        out = []
+        for ch in self.chambers:
+            pc, den = combine(enumerate(weights), ch.forms.pc), cden * ch.forms.den
+            out.append((pc, den, ch.chamber.integrate(products([(pc, pc)]), den * den)))
+        return tuple(out)
 
 
 def chamber_scan(
@@ -476,29 +453,17 @@ def chamber_scan(
     cvec = _curve_vector(model, curve)
     family = _Family(model, base, cvec)
     tpieces = threshold_pieces(model, base, curve, u_lo, u_hi)
-    chambers = tuple(ch for piece in tpieces for ch in _scan_threshold_piece(family, piece))
+    # A piece with t = 0 has the single line v = 0 as its v-range: no chamber.
+    chambers = tuple(ch for piece in tpieces if not piece.t.is_zero()
+                     for ch in _scan_threshold_piece(family, piece))
     return ChamberedDecomposition(model=model, curve=cvec, u_lo=u_lo, u_hi=u_hi,
                                   threshold=tuple(tpieces), chambers=chambers)
 
 
-# The scan computes in integers.  An affine form a + b*u + c*v is the triple
-# (a, b, c) of integer numerators over a positive denominator; a wall
-# v = (a + b*u)/d is the triple (a, b, d) with d > 0; a point (u, v) is the
-# homogeneous triple (U, V, W) = (u*W, v*W, W) with W > 0, where a form has
-# the sign of a*W + b*U + c*V.
-Form = tuple[int, int, int]
+# The scan computes in integers, on exactmath's affine forms and walls over
+# positive denominators; a point (u, v) is the homogeneous triple (U, V, W) =
+# (u*W, v*W, W), W > 0, where a form has the sign of a*W + b*U + c*V.
 ZERO: Form = (0, 0, 0)
-
-
-def _combine(terms, forms: Sequence[Form]) -> Form:
-    """sum of k * forms[i] over the (i, k) of ``terms``."""
-    a = b = c = 0
-    for i, k in terms:
-        f = forms[i]
-        a += k * f[0]
-        b += k * f[1]
-        c += k * f[2]
-    return a, b, c
 
 
 @dataclass(frozen=True)
@@ -523,11 +488,9 @@ def _support_block(model: SurfaceModel, support: tuple[int, ...]) -> _SupportBlo
         if len(pivots) < m:
             block = _SupportBlock(None, 1, False)
         else:
-            inverse = [row[m:] for row in reduced]
-            den = math.lcm(*(x.denominator for row in inverse for x in row))
-            block = _SupportBlock(
-                tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in inverse),
-                den, linalg.is_negative_definite(sub))
+            flat, den = numerators(x for row in reduced for x in row[m:])
+            block = _SupportBlock(tuple(flat[r * m:r * m + m] for r in range(m)), den,
+                                  linalg.is_negative_definite(sub))
         model._support_blocks[support] = block
     return block
 
@@ -553,12 +516,12 @@ class _Family:
     of every support the scan has met, computed once each."""
 
     def __init__(self, model: SurfaceModel, base: Sequence[Poly], cvec: Vec):
-        rows = [(b.coefficient((0, 0, 0)), b.coefficient((1, 0, 0)), -x) for b, x in zip(base, cvec)]
-        den = math.lcm(*(x.denominator for row in rows for x in row))
+        flat, den = numerators(x for b, c in zip(base, cvec)
+                               for x in (b.coefficient((0, 0, 0)), b.coefficient((1, 0, 0)), -c))
         self.model, self.den = model, den
-        self.forms = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+        self.forms = tuple(flat[i:i + 3] for i in range(0, len(flat), 3))
         # D.C_k times g * den, g the Gram denominator.
-        self.gram_dots = tuple(_combine(col, self.forms) for col in model._int_columns)
+        self.gram_dots = tuple(combine(col, self.forms) for col in model._int_columns)
         self._columns: dict[tuple[int, ...], _Forms] = {}
 
     def column(self, support: tuple[int, ...]) -> _Forms:
@@ -578,7 +541,7 @@ def _negative_part(family: _Family, support: tuple[int, ...]) -> tuple[int, list
         raise ConeAssumptionError("cone assumption violated")
     dots = [family.gram_dots[k] for k in support]
     for j, row in zip(support, block.inverse):
-        n[j] = _combine(zip(range(len(support)), row), dots)
+        n[j] = combine(zip(range(len(support)), row), dots)
     return block.den * family.den, n
 
 
@@ -589,7 +552,7 @@ def _column_forms(family: _Family, support: tuple[int, ...]) -> _Forms:
     p = [(scale * f[0] - x[0], scale * f[1] - x[1], scale * f[2] - x[2])
          for f, x in zip(family.forms, n)]
     # P.C_k = sum_i G_ik P_i: integer Gram columns put it over (Gram scale) * den.
-    pc = tuple(_combine(col, p) for col in family.model._int_columns)
+    pc = tuple(combine(col, p) for col in family.model._int_columns)
     g = family.model._gram_scale
     if g != 1:
         n = [(g * a, g * b, g * c) for a, b, c in n]
@@ -603,15 +566,8 @@ def _poly(form: Form, den: int) -> Poly:
                        (0, 1, 0): Fraction(c, den)})
 
 
-def _wall(t: Poly) -> Form:
-    """The wall v = t(u) of an affine Poly t."""
-    a, b = t.coefficient((0, 0, 0)), t.coefficient((1, 0, 0))
-    d = math.lcm(a.denominator, b.denominator)
-    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d
-
-
-def _wall_poly(wall: Form) -> Poly:
-    a, b, d = wall
+def _wall_poly(w: Form) -> Poly:
+    a, b, d = w
     return _poly((a, b, 0), d)
 
 
@@ -719,7 +675,7 @@ def _certify_columns(
     condition has an exact root in u, which is raised as a split point.
     """
     ends = [(u.numerator, u.denominator) for u in (piece.u_lo, piece.u_hi)]
-    walls = [col.lower for col in columns] + [_wall(piece.t)]
+    walls = [col.lower for col in columns] + [wall(piece.t)]
     gaps = [_gap(lo, hi) for lo, hi in zip(walls, walls[1:])]
     # Boundary ordering across the interval (affine: endpoints suffice).
     for a, b in gaps:
@@ -760,7 +716,7 @@ def _certify_columns(
         kept.append(idx)
     bounds = [_wall_poly(w) for w in walls[:-1]] + [piece.t]
     return [ScanChamber(Chamber(piece.u_lo, piece.u_hi, bounds[idx], bounds[idx + 1]),
-                        columns[idx].support, *columns[idx].forms.polys) for idx in kept]
+                        columns[idx].support, *columns[idx].forms.polys, columns[idx].forms) for idx in kept]
 
 
 def _gap(lo: Form, hi: Form) -> tuple[int, int]:

@@ -3,22 +3,75 @@
 from fractions import Fraction
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from fano_delta import linalg
-from fano_delta.exactmath import VARS, Chamber, ChamberFunction, Poly, integrate_chamber, integrate_univariate, q
+from fano_delta.exactmath import VARS, Chamber, Poly, Scalar, integrate_chamber, integrate_univariate, q
 from fano_delta.scenarios import builders, c_domain
 from fano_delta.surfzar import (
     ChamberedDecomposition,
     ConeAssumptionError,
     NotPseudoeffectiveError,
-    ScanChamber,
     SurfaceModel,
-    SurfDivisor,
     ThresholdPiece,
+    _curve_vector,
+    _threshold_lp,
     threshold_pieces,
 )
 from fano_delta.toric3 import ToricDivisor
+
+
+@dataclass(frozen=True)
+class ChamberFunction:
+    """A function given by one polynomial per chamber.
+
+    The chambers are expected to have pairwise disjoint interiors; adjacent
+    pieces of volume-type functions agree on shared boundaries.
+    """
+
+    pieces: tuple[tuple[Chamber, Poly], ...]
+
+    def __init__(self, pieces: Iterable[tuple[Chamber, Poly]]):
+        object.__setattr__(self, "pieces", tuple((ch, Poly.coerce(p)) for ch, p in pieces))
+
+
+def corners(ch: Chamber) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The four corners (u, v) of a 2-dimensional chamber."""
+    return tuple((u0, bound(u=u0)) for u0 in (ch.u_lo, ch.u_hi) for bound in (ch.v_lo, ch.v_hi))
+
+
+@dataclass(frozen=True)
+class SurfDivisor:
+    model: SurfaceModel
+    coeffs: tuple[Poly, ...]
+
+    def __init__(self, model: SurfaceModel, coeffs: Sequence[Poly | Scalar]):
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "coeffs", tuple(Poly.coerce(x) for x in coeffs))
+        if len(self.coeffs) != model.n:
+            raise ValueError("coefficient list length must match curve count")
+
+
+def pseff_threshold(
+    model: SurfaceModel, d: SurfDivisor, curve: int | Sequence[Scalar]
+) -> Fraction:
+    """Largest v such that D - v*C stays in the span of the basis curves.
+
+    Exact rational LP: maximize v subject to
+        D - v*C + (relation combination) = e,  e >= 0.
+    """
+    threshold_lp = _threshold_lp(model, _curve_vector(model, curve))
+    return threshold_lp.solve([x.as_fraction() for x in d.coeffs]).value
+
+
+def contains(ch: Chamber, u0, v0=None) -> bool:
+    """Whether (u0, v0), or u0 alone on a 1-dimensional chamber, lies in ch."""
+    u0 = q(u0)
+    if not (ch.u_lo <= u0 <= ch.u_hi):
+        return False
+    if ch.v_lo is None:
+        return v0 is None
+    return ch.v_lo(u=u0) <= q(v0) <= ch.v_hi(u=u0)
 
 
 def random_pseudoeffective(model: SurfaceModel, rng) -> SurfDivisor:
@@ -46,7 +99,7 @@ def evaluate(fn: ChamberFunction, u0, v0=None) -> Fraction:
     """The value of a chamber function at (u0, v0), from the first chamber
     that contains the point."""
     for ch, p in fn.pieces:
-        if ch.contains(u0, v0):
+        if contains(ch, u0, v0):
             args = {"u": q(u0)}
             if v0 is not None:
                 args["v"] = q(v0)
@@ -57,6 +110,16 @@ def evaluate(fn: ChamberFunction, u0, v0=None) -> Fraction:
 def integrate(fn: ChamberFunction) -> Fraction:
     """The integral of a chamber function: the sum over its pieces."""
     return sum((integrate_chamber(p, ch) for ch, p in fn.pieces), Fraction(0))
+
+
+def p_squared(scan: ChamberedDecomposition) -> ChamberFunction:
+    """P^2 of a chamber scan as one Poly per chamber."""
+    return ChamberFunction((ch.chamber, scan.model.pair(ch.p_coeffs, ch.p_coeffs)) for ch in scan.chambers)
+
+
+def form_poly(terms, den) -> Poly:
+    """The Poly of integer numerators by (u, v) exponents over den."""
+    return Poly({(a, b, 0): Fraction(x, den) for (a, b), x in terms.items()})
 
 
 def reference_integrate_chamber(p: Poly, ch) -> Fraction:
@@ -361,9 +424,19 @@ def reference_chamber_scan(model: SurfaceModel, base, curve, u_lo, u_hi) -> Cham
         tuple(q(x) for x in curve))
     family = [base[i] - Poly.var("v") * cvec[i] for i in range(model.n)]
     tpieces = threshold_pieces(model, base, curve, u_lo, u_hi)
-    chambers = [ch for piece in tpieces for ch in _reference_scan_piece(model, family, piece)]
+    chambers = [ch for piece in tpieces if not piece.t.is_zero()
+                for ch in _reference_scan_piece(model, family, piece)]
     return ChamberedDecomposition(model=model, curve=cvec, u_lo=u_lo, u_hi=u_hi,
                                   threshold=tuple(tpieces), chambers=tuple(chambers))
+
+
+class ReferenceChamber(NamedTuple):
+    """A chamber of the reference scan: `ScanChamber` without integer forms."""
+
+    chamber: Chamber
+    support: tuple[int, ...]
+    n_coeffs: tuple[Poly, ...]
+    p_coeffs: tuple[Poly, ...]
 
 
 class _Split(Exception):
@@ -371,7 +444,7 @@ class _Split(Exception):
         self.at = at
 
 
-def _reference_scan_piece(model, family, piece: ThresholdPiece, depth: int = 0) -> list[ScanChamber]:
+def _reference_scan_piece(model, family, piece: ThresholdPiece, depth: int = 0) -> list[ReferenceChamber]:
     if depth > 24:
         raise RuntimeError("chamber scan failed to stabilize")
     columns = _reference_columns(model, family, piece, piece.u_lo + (piece.u_hi - piece.u_lo) / 2)
@@ -430,7 +503,7 @@ def _reference_decomposition(model, family, support):
     return tuple(n_sym), tuple(family[i] - n_sym[i] for i in range(model.n))
 
 
-def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ScanChamber]:
+def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ReferenceChamber]:
     """The certificate of `surfzar._certify_columns`, on Polys."""
     bounds = [lower for _, lower, _, _ in columns] + [piece.t]
     for lo, hi in zip(bounds, bounds[1:]):
@@ -447,7 +520,7 @@ def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ScanChambe
         chamber = Chamber(piece.u_lo, piece.u_hi, lo, hi)
 
         def check(fn: Poly, failure: str) -> None:
-            if any(fn(u=u0, v=v0) < 0 for u0, v0 in chamber.corners()):
+            if any(fn(u=u0, v=v0) < 0 for u0, v0 in corners(chamber)):
                 for bound in (lo, hi):
                     root = _u_root(fn.subs(v=bound), piece)
                     if root is not None:
@@ -466,7 +539,7 @@ def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ScanChambe
         sub = [[model.gram[i][j] for j in support] for i in support]
         if support and not linalg.is_negative_definite(sub):
             raise ConeAssumptionError("cone assumption violated")
-        out.append(ScanChamber(chamber=chamber, support=support, n_coeffs=n_sym, p_coeffs=p_sym))
+        out.append(ReferenceChamber(chamber, support, n_sym, p_sym))
     return out
 
 

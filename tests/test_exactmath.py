@@ -8,15 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from fano_delta.exactmath import (
     Chamber,
-    ChamberFunction,
     Poly,
     integrate_chamber,
     integrate_univariate,
+    numerators,
     parse_poly,
 )
 
 from helpers import (
+    ChamberFunction,
     check_continuity,
+    contains,
+    corners,
     evaluate,
     integrate,
     interpolate,
@@ -329,6 +332,58 @@ def test_chamber_moments_match_reference_integration(a, b, lo, hi, polys):
         assert integrate_chamber(p, ch) == reference_integrate_chamber(p, ch)
 
 
+# Chambers as c-sweep's scans make them: u-ends and wall coefficients with
+# denominators up to 10^6.
+wide_rationals = st.integers(1, 10**6).flatmap(
+    lambda d: st.builds(F, st.integers(-3 * d, 3 * d), st.just(d)))
+wide_affine = st.tuples(wide_rationals, wide_rationals).map(lambda ab: ab[0] + ab[1] * U)
+
+
+@st.composite
+def wide_chambers(draw):
+    u_lo = draw(wide_rationals)
+    u_hi = u_lo + abs(draw(wide_rationals)) + F(1, draw(st.integers(1, 10**6)))
+    lo = draw(wide_affine)
+    # v_hi - v_lo: nonnegative at both ends, hence on the whole interval.
+    g_lo, g_hi = (abs(draw(wide_rationals)) for _ in range(2))
+    hi = lo + g_lo + (g_hi - g_lo) * (U - u_lo) / (u_hi - u_lo)
+    return Chamber(u_lo, u_hi, lo, hi)
+
+
+def product(factors):
+    out = Poly.const(1)
+    for f in factors:
+        out = out * f
+    return out
+
+
+# Products of up to four affine forms in (u, v), as the flag integrands are;
+# three factors give the cubics with u*v terms of a P.C * ord_Q whose ord_Q
+# carries a v*d(u) term.
+affine_uv = st.tuples(rationals, rationals, rationals).map(lambda t: t[0] + t[1] * U + t[2] * V)
+form_products = st.lists(affine_uv, max_size=4).map(product)
+
+
+@kernel_settings
+@given(wide_chambers(), st.lists(st.one_of(uv_polys, form_products), min_size=1, max_size=3))
+def test_integer_moment_table_matches_reference_on_wide_denominators(ch, polys):
+    for p in polys:  # several integrands share the chamber's table
+        assert integrate_chamber(p, ch) == reference_integrate_chamber(p, ch)
+
+
+@kernel_settings
+@given(wide_chambers(), st.tuples(wide_rationals, wide_rationals, wide_rationals))
+def test_integer_corner_test_matches_rational_corners(ch, coeffs):
+    a, b, c = coeffs
+    form = a + b * U + c * V
+    values = [form(u=u0, v=v0) for u0, v0 in corners(ch)]
+    assert ch.nonnegative(numerators(coeffs)[0]) == (min(values) >= 0)
+    # Shifted to vanish at its lowest corner, the form passes; any less fails.
+    shifted, _ = numerators((a - min(values), b, c))
+    assert ch.nonnegative(shifted)
+    assert not ch.nonnegative((shifted[0] - 1, *shifted[1:]))
+
+
 def test_chamber_function_continuity_check():
     good = ChamberFunction([
         (Chamber(0, 1, Poly.const(0), Poly.const(1)), U + V),
@@ -357,7 +412,7 @@ def test_one_dimensional_chambers():
     ch = Chamber(0, 2)
     assert not ch.is_two_dimensional()
     assert integrate_chamber(parse_poly("3*u^2"), ch) == 8
-    assert ch.contains(1) and not ch.contains(3)
+    assert contains(ch, 1) and not contains(ch, 3)
     fn = ChamberFunction([(Chamber(0, 1), U), (Chamber(1, 2), parse_poly("2-u"))])
     assert check_continuity(fn) == []
     assert integrate(fn) == 1

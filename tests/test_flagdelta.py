@@ -1,12 +1,14 @@
 """Flag S-invariants, corrections, discrepancies and delta bounds."""
 
+import gc
 import sys
+import weakref
 from fractions import Fraction as F
 
 import pytest
 
-from fano_delta import flagdelta, surfzar
-from fano_delta.exactmath import Poly, integrate_chamber, parse_poly
+from fano_delta import flagdelta
+from fano_delta.exactmath import Chamber, Poly, integrate_chamber, parse_poly
 from fano_delta.flagdelta import (
     BasePiece,
     FlagScenario,
@@ -23,7 +25,7 @@ from fano_delta.flagdelta import (
 )
 from fano_delta.scenarios import builders, load_model
 
-from helpers import reference_integrate_chamber
+from helpers import form_poly, reference_integrate_chamber
 
 
 def weighted_scenario():
@@ -93,22 +95,22 @@ def test_f_correction_is_point_total_minus_base():
 
 
 def count_point_free_integrals(monkeypatch, sc):
-    """Patch the integration that flagdelta and surfzar use to count, per
-    chamber, the integrals of (P.C)^2."""
+    """Patch `Chamber.integrate`, which every chamber integral of a flag goes
+    through, to count per chamber the integer integrals of (P.C)^2."""
     squares = {}
     for scan in scenario_scans(sc):
         for ch in scan.chambers:
             p_dot = sc.model.pair(ch.p_coeffs, sc.curve_class)
             squares[ch.chamber] = p_dot * p_dot
     counts = dict.fromkeys(squares, 0)
+    integrate = Chamber.integrate
 
-    def counting(p, chamber):
-        if squares.get(chamber) == p:
+    def counting(chamber, terms, den):
+        if squares.get(chamber) == form_poly(terms, den):
             counts[chamber] += 1
-        return integrate_chamber(p, chamber)
+        return integrate(chamber, terms, den)
 
-    for module in (flagdelta, surfzar):
-        monkeypatch.setattr(module, "integrate_chamber", counting, raising=False)
+    monkeypatch.setattr(Chamber, "integrate", counting)
     return counts
 
 
@@ -201,6 +203,22 @@ def test_invalid_correction_data_detected():
         f_correction(sc, "z")
 
 
+def test_non_affine_order_is_rejected():
+    # ord_Q must be affine on each chamber for the corner test to certify it.
+    model = load_model("m34-s-weighted")
+    coeffs = tuple(parse_poly(s) for s in ("3", "1", "1"))
+    sc = FlagScenario(
+        name="bent-nprime",
+        l_cubed=F(9),
+        model=model,
+        curve_class=(F(1), F(0), F(0)),
+        pieces=(BasePiece(F(0), F(1), coeffs, Poly(), (Poly(), parse_poly("u^2"), Poly())),),
+        points=(MarkedPoint("z", F(1), ((1, F(1)),)),),
+    )
+    with pytest.raises(ValueError, match="invalid correction data"):
+        f_correction(sc, "z")
+
+
 def module_cache_sizes():
     """Size of every module-level cache and container of the package."""
     sizes = {}
@@ -217,13 +235,37 @@ def module_cache_sizes():
     return sizes
 
 
-def test_scan_cache_stays_bounded_over_many_c():
+def test_scan_cache_stays_bounded_over_many_c(monkeypatch):
+    # Weak references to the chambers, which hold their moment tables, and to
+    # the integer forms of every scan that the first batch makes.
+    chambers, forms = [], []
+    scan = flagdelta.chamber_scan
+
+    def recording(*args):
+        result = scan(*args)
+        chambers.extend(weakref.ref(ch.chamber) for ch in result.chambers)
+        forms.extend(weakref.ref(ch.forms) for ch in result.chambers)
+        return result
+
+    def live(refs):
+        gc.collect()
+        return [x for x in (ref() for ref in refs) if x is not None]
+
     sizes = []
     for batch in (range(1, 11), range(11, 21)):
-        checks = builders.run_218([F(k, 23) for k in batch])
+        with monkeypatch.context() as patch:
+            if not sizes:
+                patch.setattr(flagdelta, "chamber_scan", recording)
+            checks = builders.run_218([F(k, 23) for k in batch])
         assert not [c.label for c in checks if c.status == builders.FAIL]
         assert scenario_scans.cache_info().currsize <= 8
         sizes.append(module_cache_sizes())
+        if len(sizes) == 1:
+            # Only the cached scans' chambers live, each with its moment table.
+            assert 0 < len(live(chambers)) < len(chambers) / 2
+            assert all(ch._tables for ch in live(chambers))
+    # The second batch has evicted every scan of the first.
+    assert chambers and not live(chambers) and not live(forms)
     assert sizes[0][flagdelta.__name__, "scenario_scans"] == 8
     # Only the parse cache of fixture expressions may grow: the second batch,
     # all above c = 1/2, reads a branch of a closed form for the first time.

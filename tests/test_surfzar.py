@@ -7,26 +7,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fano_delta import flagdelta, surfzar
-from fano_delta.exactmath import Poly, parse_poly
+from fano_delta.exactmath import Poly, products, parse_poly
 from fano_delta.scenarios import builders, load_model, load_scenario_data, table_rows
 from fano_delta.surfzar import (
     NotPseudoeffectiveError,
     SurfaceModel,
-    SurfDivisor,
     TableRow,
     chamber_scan,
-    pseff_threshold,
     threshold_pieces,
     verify_surface_table,
 )
 
 from helpers import (
+    SurfDivisor,
     check_continuity,
     evaluate,
+    form_poly,
     interpolate,
     is_pseudoeffective,
+    p_squared,
+    pseff_threshold,
     random_pseudoeffective,
     reference_chamber_scan,
+    reference_integrate_chamber,
     threshold_at,
     zariski_decompose,
 )
@@ -415,7 +418,7 @@ def test_scan_detects_crossing_split(a3):
 
 def test_scan_p_squared_continuity_and_monotonicity(d4):
     scan = chamber_scan(d4, ptilde_d4("24"), 0, 2, 4)
-    p_sq = scan.p_squared()
+    p_sq = p_squared(scan)
     assert check_continuity(p_sq) == []
     for u0 in (F(5, 2), F(3), F(7, 2)):
         t = threshold_at(scan, u0)
@@ -449,6 +452,15 @@ def test_scan_follows_a_curve_leaving_the_support(heart):
             assert dec.support == ch.support
             assert [x.as_fraction() for x in dec.negative.coeffs] == [
                 n(u=F(1, 2), v=v0) for n in ch.n_coeffs]
+
+
+def test_zero_width_piece_has_no_chamber(d4):
+    # t = 0 on all of [0, 1]: the v-range is the line v = 0, where the
+    # support search just above it would meet a singular Gram block.
+    for scan in (chamber_scan, reference_chamber_scan):
+        result = scan(load_model("d4-g"), [0] * 6, 0, 0, 1)
+        assert result.chambers == ()
+        assert [(p.u_lo, p.u_hi, p.t) for p in result.threshold] == [(0, 1, Poly())]
 
 
 def test_scan_rejects_non_affine_family(d4):
@@ -698,3 +710,32 @@ def test_family_scans_match_pointwise_decompositions(monkeypatch):
                     n(u=u0, v=v0) for n in ch.n_coeffs]
                 assert [x.as_fraction() for x in dec.positive.coeffs] == [
                     p(u=u0, v=v0) for p in ch.p_coeffs]
+
+
+def test_family_scans_integer_forms_equal_the_pairings(monkeypatch):
+    # For every chamber that the toric and 2.18 runs scan, the integer forms
+    # of P^2, P.C and (P.C)^2 equal the Poly pairings of the chamber's P, and
+    # the kept iint (P.C)^2 equals the reference integral.
+    scans = []
+
+    def recording(*args):
+        scans.append(chamber_scan(*args))
+        return scans[-1]
+
+    monkeypatch.setattr(surfzar, "chamber_scan", recording)
+    monkeypatch.setattr(flagdelta, "chamber_scan", recording)
+    flagdelta.scenario_scans.cache_clear()  # cached scans would not be recorded
+    for family in ("34-d4", "34-a3", "218"):
+        builders.run_family(family)
+    flagdelta.scenario_scans.cache_clear()
+    assert len(scans) > 50
+    for scan in scans:
+        model = scan.model
+        for ch, (pc, pden, pc_sq) in zip(scan.chambers, scan.curve_terms):
+            forms = ch.forms
+            assert form_poly(products(zip(forms.p, forms.pc)), forms.den**2) == model.pair(
+                ch.p_coeffs, ch.p_coeffs)
+            p_dot = model.pair(ch.p_coeffs, scan.curve)
+            assert form_poly(dict(zip(((0, 0), (1, 0), (0, 1)), pc)), pden) == p_dot
+            assert form_poly(products([(pc, pc)]), pden**2) == p_dot * p_dot
+            assert pc_sq == reference_integrate_chamber(p_dot * p_dot, ch.chamber)
