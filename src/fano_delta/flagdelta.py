@@ -21,13 +21,13 @@ times the local intersection multiplicity with C at Q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .exactmath import Poly, Scalar, combine, integrate_univariate, numerators, products, q
-from .surfzar import ChamberedDecomposition, SurfaceModel, chamber_scan
+from .surfzar import ChamberedDecomposition, ScanError, SurfaceModel, chamber_scan
 
 Vec = tuple[Fraction, ...]
 
@@ -85,6 +85,14 @@ class FlagScenario:
     sigma: Vec = ()
     points: tuple[MarkedPoint, ...] = ()
     curve_a: Fraction = Fraction(1)
+
+    def __post_init__(self):
+        # `scenario_scans` hashes its key on every lookup, down through the
+        # model and the base Polys; the fields are immutable, so hash once.
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def sigma_vec(self) -> Vec:
         return self.sigma if self.sigma else tuple([Fraction(0)] * self.model.n)
@@ -379,7 +387,7 @@ def _isolate_roots(chain, coeffs, lo: Fraction, hi: Fraction) -> list[tuple[Frac
     while intervals:
         guard += 1
         if guard > 10_000:
-            raise RuntimeError("root isolation failed to terminate")
+            raise ScanError("root isolation failed to terminate", lo, hi)
         a, b = intervals.pop()
         count = _root_count(chain, a, b)
         if count == 0:

@@ -1,66 +1,104 @@
-"""Exact dense linear algebra over Q (and over Q-linear rhs entries).
+"""Exact dense linear algebra over Q, computed in integers.
 
-Gaussian elimination with Fraction pivots.  The systems in this package are
-tiny (at most ~12 x 12), so clarity wins over asymptotics.  One Gauss-Jordan
-step, `pivot`, serves `rref`, the definiteness test and the simplex tableau
-in `lp`; `rref` serves every solver here, and right-hand-side columns ride
-along in the same rows.  Right-hand sides may contain Poly entries: only
-addition and scaling by Fractions is ever applied to them.
+Fraction-free (Bareiss) elimination: a rational matrix is first scaled to
+integers by one common denominator, and every later entry stays an integer,
+because each step divides exactly by the previous pivot (Bareiss, Math.
+Comp. 22, 1968).  The systems in this package are tiny (at most ~12 x 12),
+so clarity wins over asymptotics.  One fraction-free Gauss-Jordan step,
+`pivot`, serves `rref`, `solve`, `inverse`, the definiteness test and the
+integer simplex tableau in `lp`; right-hand-side columns ride along in the
+same rows.  Entries are ints or Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
-Matrix = list[list[Fraction]]
+from .exactmath import numerators
 
+def pivot(m: list[list[int]], row: int, col: int, d: int) -> int:
+    """One fraction-free Gauss-Jordan step in place on p = m[row][col] != 0.
 
-def pivot(m: list[list], row: int, col: int) -> None:
-    """One Gauss-Jordan step in place on the nonzero entry m[row][col].
-
-    Scales `row` to a leading 1 in `col` and subtracts multiples of it to
-    clear `col` from every other row.
+    d is the pivot of the step before (1 for the first).  Row `row` is kept;
+    every other row r becomes (p * m[r] - m[r][col] * m[row]) / d, which
+    clears `col` and divides exactly.  If m / d was a rational matrix before
+    the step, m / p is it after one rational Gauss-Jordan step on the same
+    entry.  Returns p, the next step's d.
     """
-    inv = Fraction(1) / m[row][col]
-    m[row] = lead = [x * inv for x in m[row]]
+    p = m[row][col]
+    lead = m[row]
     for r in range(len(m)):
-        if r != row and m[r][col] != 0:
+        if r != row:
             f = m[r][col]
-            m[r] = [x - f * y for x, y in zip(m[r], lead)]
+            if f:
+                m[r] = [(p * x - f * y) // d for x, y in zip(m[r], lead)]
+            else:
+                m[r] = [p * x // d for x in m[r]]
+    return p
 
 
-def rref(rows: Sequence[Sequence], n_cols: int) -> tuple[list[list], list[int]]:
+def integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """The rows as integers times one common denominator D, and D."""
+    width = len(rows[0]) if rows else 0
+    flat, den = numerators(x for row in rows for x in row)
+    return [list(flat[i * width:i * width + width]) for i in range(len(rows))], den
+
+
+def _eliminate(rows: Sequence[Sequence], n_cols: int) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan of D * rows, D their common denominator, on
+    the first n_cols columns: (m, pivots, d, D), where a pivot row of m is d
+    times its reduced row and every other row d * D times it."""
+    m, den = integer_rows(rows)
+    pivots: list[int] = []
+    d = 1
+    for col in range(n_cols):
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        d = pivot(m, rank, col, d)
+        pivots.append(col)
+    return m, pivots, d, den
+
+
+def rref(rows: Sequence[Sequence], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form, pivoting only in the first n_cols columns.
 
     Columns from n_cols on are right-hand sides: every row operation applies
     to them, but they are never pivoted on.  Returns the reduced rows and the
     pivot columns; row r < len(pivots) has its leading 1 in pivots[r].
     """
-    m = [list(r) for r in rows]
-    pivots: list[int] = []
-    for col in range(n_cols):
-        rank = len(pivots)
-        pivot_row = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot(m, rank, col)
-        pivots.append(col)
-    return m, pivots
+    m, pivots, d, den = _eliminate(rows, n_cols)
+    rank = len(pivots)
+    return [[Fraction(x, d if r < rank else d * den) for x in row] for r, row in enumerate(m)], pivots
 
 
-def solve(a: Sequence[Sequence[Fraction]], b: Sequence) -> list:
+def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction]:
     """Solve a square nonsingular system a*x = b exactly.
 
-    b entries may be Fractions or Polys.  Raises ValueError on a singular
-    matrix.
+    Raises ValueError on a singular matrix.
     """
     n = len(a)
-    m, pivots = rref([list(row) + [rhs] for row, rhs in zip(a, b)], n)
+    m, pivots, d, _ = _eliminate([list(row) + [rhs] for row, rhs in zip(a, b)], n)
     if len(pivots) < n:
         raise ValueError("singular matrix")
-    return [row[n] for row in m]
+    return [Fraction(row[n], d) for row in m]
+
+
+def inverse(a: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int] | None:
+    """(B, den) with B / den the inverse of the square matrix a, B integer
+    and den > 0 the least common denominator; None if a is singular."""
+    n = len(a)
+    m, pivots, d, _ = _eliminate([list(row) + [int(i == r) for i in range(n)]
+                                  for r, row in enumerate(a)], n)
+    if len(pivots) < n:
+        return None
+    g = gcd(d, *(x for row in m for x in row[n:]))
+    g = -g if d < 0 else g
+    return [[x // g for x in row[n:]] for row in m], d // g
 
 
 def nullspace(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
@@ -81,7 +119,7 @@ def nullspace(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 
 def column_space_basis(a: Sequence[Sequence[Fraction]]) -> list[int]:
     """Indices of a maximal set of linearly independent columns of a."""
-    return rref(a, len(a[0]))[1] if a else []
+    return _eliminate(a, len(a[0]))[1] if a else []
 
 
 def det3(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> int:
@@ -97,15 +135,18 @@ def det3(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> int:
 
 
 def is_negative_definite(a: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact test by elimination along the diagonal, without row swaps.
+    """Exact test by fraction-free elimination along the diagonal, without
+    row swaps.
 
-    Pivot k is det_k / det_(k-1), the ratio of consecutive leading principal
-    minors, so by Sylvester's criterion the matrix is negative definite iff
-    every pivot is < 0; a zero pivot means it is not definite.
+    On the integer matrix D*a, D > 0, pivot k is its leading principal minor
+    det_(k+1), and the step before left d = det_k.  By Sylvester's criterion
+    the matrix is negative definite iff every det_(k+1) / det_k is < 0; a
+    zero minor means it is not definite.
     """
-    m = [list(r) for r in a]
+    m, _ = integer_rows(a)
+    d = 1
     for k in range(len(m)):
-        if m[k][k] >= 0:
+        if m[k][k] * d >= 0:
             return False
-        pivot(m, k, k)
+        d = pivot(m, k, k, d)
     return True

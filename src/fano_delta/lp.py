@@ -1,9 +1,14 @@
 """Exact rational linear programming (primal simplex, Bland's rule).
 
-Solves  max c.x  subject to  A x = b, x >= 0  entirely over Fractions.
-Bland's rule guarantees termination; there is no numerical tolerance
-anywhere.  Problems in this package have at most ~15 variables and ~8
-constraints, so the dense tableau is fine.  An optimal result carries its
+Solves  max c.x  subject to  A x = b, x >= 0  on an integer tableau: the
+rows are scaled to integers by one common denominator and every pivot is
+`linalg.pivot`'s fraction-free step, so the tableau T holds the rational
+tableau as T / d with d > 0 the last pivot (Edmonds 1967; Azulay and Pique,
+ACM TOMS 27, 2001).  Reduced costs and ratio tests compare cross-multiplied
+integers, so every choice, and the final basis, is the one the rational
+tableau gives.  Bland's rule guarantees termination; there is no numerical
+tolerance anywhere.  Problems in this package have at most ~15 variables and
+~8 constraints, so the dense tableau is fine.  An optimal result carries its
 final basis, so a caller whose b moves can re-prove optimality from it.
 """
 
@@ -14,6 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
+from .exactmath import numerators
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -37,17 +43,16 @@ def solve_max(
 ) -> LPResult:
     """Maximize c.x subject to a x = b, x >= 0 (two-phase simplex)."""
     m, n = len(a), len(c)
-    rows = [list(row) for row in a]
-    rhs = list(b)
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
+    # Rows with b >= 0, times one common denominator: scaling every row by it
+    # scales the artificial variables and the phase-1 objective alike, so the
+    # rational tableau of every basis, and every choice below, is unchanged.
+    rows, _ = linalg.integer_rows([[-x for x in row] + [-rhs] if rhs < 0 else list(row) + [rhs]
+                                   for row, rhs in zip(a, b)])
 
     # Phase 1: artificial variables, minimize their sum.
-    tableau = [rows[i] + [Fraction(i == r) for r in range(m)] + [rhs[i]] for i in range(m)]
+    tableau = [row[:n] + [int(i == r) for r in range(m)] + row[n:] for i, row in enumerate(rows)]
     basis = [n + i for i in range(m)]
-    value = _run_simplex(tableau, basis, [Fraction(0)] * n + [Fraction(-1)] * m)
+    d, value = _run_simplex(tableau, basis, [0] * n + [-1] * m, 1)
     if value is None or value < 0:
         return LPResult(INFEASIBLE)
 
@@ -57,49 +62,53 @@ def solve_max(
         if basis[i] >= n:
             pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
             if pivot_col is not None:
-                linalg.pivot(tableau, i, pivot_col)
+                if tableau[i][pivot_col] < 0:  # keep d > 0: the row's rhs is 0
+                    tableau[i] = [-x for x in tableau[i]]
+                d = linalg.pivot(tableau, i, pivot_col, d)
                 basis[i] = pivot_col
 
-    # Phase 2 on the original columns only.
+    # Phase 2 on the original columns only, with c over one denominator.
     keep = [r for r in range(m) if basis[r] < n]
     tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
     basis = [basis[r] for r in keep]
-    if _run_simplex(tableau, basis, list(c)) is None:
+    d, value = _run_simplex(tableau, basis, list(numerators(c)[0]), d)
+    if value is None:
         return LPResult(UNBOUNDED)
     x = [Fraction(0)] * n
     for r, var in enumerate(basis):
-        x[var] = tableau[r][-1]
+        x[var] = Fraction(tableau[r][-1], d)
     return LPResult(OPTIMAL, x, sum(ci * xi for ci, xi in zip(c, x)), basis)
 
 
-def _run_simplex(tableau: list[list[Fraction]], basis: list[int], cost: list[Fraction]) -> Fraction | None:
-    """Run primal simplex to optimality; returns the objective or None if
-    unbounded.  Entering/leaving choices use Bland's rule.  The tableau is
-    kept in reduced form (basic columns are unit columns), so the simplex
-    multipliers are just the basic costs."""
+def _run_simplex(tableau: list[list[int]], basis: list[int], cost: list[int],
+                 d: int) -> tuple[int, int | None]:
+    """Run primal simplex to optimality on the integer tableau over d > 0;
+    returns (d, d times the objective), the objective None if unbounded.
+    Entering/leaving choices use Bland's rule.  Basic columns are d times
+    unit columns, so the simplex multipliers are just the basic costs."""
     while True:
         y = [cost[var] for var in basis]
         entering = None
         for j in range(len(cost)):
             if j in basis:
                 continue
-            reduced = cost[j] - sum(y[r] * tableau[r][j] for r in range(len(tableau)))
-            if reduced > 0:
+            if cost[j] * d - sum(y[r] * tableau[r][j] for r in range(len(tableau))) > 0:
                 entering = j
                 break  # Bland: smallest improving index
         if entering is None:
-            return sum(y[r] * tableau[r][-1] for r in range(len(tableau)))
+            return d, sum(y[r] * tableau[r][-1] for r in range(len(tableau)))
         leaving = None
-        best = None
         for r in range(len(tableau)):
             if tableau[r][entering] > 0:
-                ratio = tableau[r][-1] / tableau[r][entering]
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leaving]
-                ):
-                    best = ratio
+                if leaving is None:
+                    leaving = r
+                    continue
+                # Ratios rhs / entry over positive entries, cross-multiplied.
+                lhs = tableau[r][-1] * tableau[leaving][entering]
+                rhs = tableau[leaving][-1] * tableau[r][entering]
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leaving]):
                     leaving = r
         if leaving is None:
-            return None  # unbounded
-        linalg.pivot(tableau, leaving, entering)
+            return d, None  # unbounded
+        d = linalg.pivot(tableau, leaving, entering, d)
         basis[leaving] = entering

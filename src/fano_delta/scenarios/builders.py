@@ -245,7 +245,11 @@ class ToricFamily:
             "F": (1, 0, 0),
             "S": (0, 1, 0),
         }
-        return toric3.s_invariant_toric(self.l_div, _named(vectors, target, "toric-s target"))
+        return toric3.s_invariant_toric(self.l_polytope, _named(vectors, target, "toric-s target"))
+
+    @cached_property
+    def l_polytope(self) -> toric3.HPolytope:
+        return toric3.divisor_polytope(self.l_div)
 
     def s_curve(self, curve: str) -> SInvariantResult:
         return flagdelta.s_curve_flag(self.flag_scenario(curve))
@@ -297,8 +301,7 @@ class ToricFamily:
             weights, [(q(self.data["branch_coeff"]), q(self.data["branch_ord"]))]
         )
         self._emit("A(G)", a_val, q(self.data["expected"]["A(G)"]))
-        l_div = self.l_div
-        p = toric3.divisor_polytope(l_div)
+        l_div, p = self.l_div, self.l_polytope
         l_cubed = 6 * toric3.polytope_volume(p)
         self._emit("3!*vol(P_L)", l_cubed, q(self.data["expected"]["L^3"]))
         self._emit(

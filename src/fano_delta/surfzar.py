@@ -228,15 +228,15 @@ class _ThresholdLP:
             raise ValueError("threshold unbounded")
         return result
 
-    def prove(self, basis: list[int]) -> tuple[list[list[Fraction]], list[Fraction]]:
-        """Store the basis B once every reduced cost c_j - c_B.B^-1.A_j <= 0."""
+    def prove(self, basis: list[int]) -> tuple[list[list[int]], list[Fraction]]:
+        """Store the basis B once every reduced cost c_j - c_B.B^-1.A_j <= 0;
+        B^-1 is kept as its integer rows over a positive denominator."""
         m = len(self.rows)
-        reduced, pivots = linalg.rref([[row[j] for j in basis] + [Fraction(i == r) for i in range(m)]
-                                       for r, row in enumerate(self.rows)], len(basis))
-        if len(basis) != m or len(pivots) < m:
+        found = linalg.inverse([[row[j] for j in basis] for row in self.rows]) if len(basis) == m else None
+        if found is None:
             raise AssertionError(f"LP basis {basis} is not a basis")
-        inverse = [row[m:] for row in reduced]
-        dual = inverse[basis.index(0)] if 0 in basis else [Fraction(0)] * m
+        inverse, den = found
+        dual = [Fraction(x, den) for x in inverse[basis.index(0)]] if 0 in basis else [Fraction(0)] * m
         for j in range(len(self.rows[0])):
             reduced_cost = (j == 0) - _dot(dual, [row[j] for row in self.rows])
             if reduced_cost > 0:
@@ -333,7 +333,9 @@ def _certify_piece(threshold_lp: _ThresholdLP, base: Sequence[Poly], t: Poly,
     """Prove that t is the LP threshold of base(u) on all of [lo, hi]."""
     if depth > 24:
         raise ScanError("threshold certificate failed to stabilize", lo, hi, depth)
-    ends = [[b(u=u0) for b in base] for u0 in (lo, hi)]
+    # The base at both ends as integer numerators over one positive denominator.
+    flat, _ = numerators(b(u=u0) for u0 in (lo, hi) for b in base)
+    ends = flat[:len(base)], flat[len(base):]
     for inverse, dual in threshold_lp.bases:
         if all(_dot(row, end) >= 0 for end in ends for row in inverse):
             break
@@ -344,7 +346,7 @@ def _certify_piece(threshold_lp: _ThresholdLP, base: Sequence[Poly], t: Poly,
             x_lo, x_hi = _dot(row, ends[0]), _dot(row, ends[1])
             if x_lo < 0 or x_hi < 0:
                 # This basic variable is >= 0 at mid and reaches 0 at `at`.
-                at = lo + (hi - lo) * x_lo / (x_lo - x_hi)
+                at = lo + (hi - lo) * Fraction(x_lo, x_lo - x_hi)
                 _certify_piece(threshold_lp, base, t, lo, at, depth + 1)
                 _certify_piece(threshold_lp, base, t, at, hi, depth + 1)
                 return
@@ -354,7 +356,7 @@ def _certify_piece(threshold_lp: _ThresholdLP, base: Sequence[Poly], t: Poly,
 
 
 def _dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(x, y) if a), Fraction(0))
+    return sum(a * b for a, b in zip(x, y) if a)
 
 
 def _lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fraction) -> list[ThresholdPiece]:
@@ -480,17 +482,10 @@ def _support_block(model: SurfaceModel, support: tuple[int, ...]) -> _SupportBlo
     """The block of ``support``, eliminated once per model."""
     block = model._support_blocks.get(support)
     if block is None:
-        m = len(support)
-        scale = model._gram_scale
-        sub = [[model.gram[i][j] * scale for j in support] for i in support]
-        reduced, pivots = linalg.rref(
-            [row + [Fraction(i == r) for i in range(m)] for r, row in enumerate(sub)], m)
-        if len(pivots) < m:
-            block = _SupportBlock(None, 1, False)
-        else:
-            flat, den = numerators(x for row in reduced for x in row[m:])
-            block = _SupportBlock(tuple(flat[r * m:r * m + m] for r in range(m)), den,
-                                  linalg.is_negative_definite(sub))
+        sub = [[model.gram[i][j] * model._gram_scale for j in support] for i in support]
+        inverse = linalg.inverse(sub)
+        block = _SupportBlock(None, 1, False) if inverse is None else _SupportBlock(
+            tuple(map(tuple, inverse[0])), inverse[1], linalg.is_negative_definite(sub))
         model._support_blocks[support] = block
     return block
 

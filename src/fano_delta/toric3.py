@@ -13,21 +13,23 @@ character relations drive pullbacks along toric morphisms, restriction to
 invariant surfaces (star construction), and the 2D Gram matrices.
 
 Divisor polytopes are handled by brute-force vertex enumeration (at most a
-handful of facets here), giving exact volumes, moments and minima for the
-lattice-polytope form of the S-invariant.
+handful of facets here), each facet triple solved by Cramer's rule in
+integers, giving exact volumes, moments and minima for the lattice-polytope
+form of the S-invariant.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 from typing import Mapping, Sequence
 
-from . import linalg
-from .exactmath import Poly, Scalar, q
+from . import linalg, lp
+from .exactmath import Poly, Scalar, numerators, q
 
 Ray = tuple[int, int, int]
 Cone = tuple[int, int, int]
@@ -70,6 +72,11 @@ class Fan3:
     @cached_property
     def _triples(self) -> dict[Cone, Fraction]:
         """Triple products computed so far, keyed by sorted ray indices."""
+        return {}
+
+    @cached_property
+    def _pullbacks(self) -> dict[Fan3, tuple[tuple[tuple[int, Fraction], ...], ...]]:
+        """Pullback map from each coarse fan met so far (see `_pullback_map`)."""
         return {}
 
 
@@ -286,17 +293,56 @@ def nef_on_interval(d: ToricDivisor, u_lo: Scalar, u_hi: Scalar) -> NefReport:
 # ---------------------------------------------------------------------------
 
 
-def _in_cone(vec: Sequence[int], rays: Sequence[Ray]) -> bool:
-    """Whether vec lies in the simplicial cone spanned by three rays.
+def _cone_coordinates(vec: Sequence[int], rays: Sequence[Ray]) -> tuple[int, int, int, int] | None:
+    """(det_0, det_1, det_2, det), det > 0, if vec lies in the simplicial cone
+    spanned by three rays, else None.
 
     Cramer's rule in integers: the coordinates of vec in the ray basis are
     det_k / det, with det_k the determinant after replacing ray k by vec.
     """
     det = linalg.det3(*rays)
-    return det != 0 and all(
-        linalg.det3(*(vec if t == k else ray for t, ray in enumerate(rays))) * det >= 0
-        for k in range(3)
-    )
+    if det == 0:
+        return None
+    sign = 1 if det > 0 else -1
+    coords = [sign * linalg.det3(*(vec if t == k else ray for t, ray in enumerate(rays)))
+              for k in range(3)]
+    return (*coords, sign * det) if min(coords) >= 0 else None
+
+
+def _pullback_map(fine: Fan3, coarse: Fan3) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    """Per fine ray w, the pairs (coarse ray j, weight) whose sum of weight *
+    a_j is the pulled-back coefficient at w; built once per fan pair.
+
+    With w = sum_t lambda_t v_t in a coarse cone sigma, lambda the Cramer
+    coordinates, the support function is phi_D(w) = -sum_t lambda_t a_t.
+    """
+    table = fine._pullbacks.get(coarse)
+    if table is not None:
+        return table
+    coarse_index: dict[Ray, int] = {ray: i for i, ray in enumerate(coarse.rays)}
+    if not set(coarse.rays) <= set(fine.rays):
+        raise ValueError("not a refinement")
+    # The coarse cones containing each fine ray, in the coarse fan's order,
+    # with the ray's coordinates in each.
+    homes = [
+        [(s, coords) for s in coarse.cones
+         if (coords := _cone_coordinates(w, [coarse.rays[j] for j in s])) is not None]
+        for w in fine.rays
+    ]
+    for cone in fine.cones:
+        if not set.intersection(*({s for s, _ in homes[i]} for i in cone)):
+            raise ValueError("not a refinement")
+    rows = []
+    for k, w in enumerate(fine.rays):
+        if w in coarse_index:
+            rows.append(((coarse_index[w], Fraction(1)),))
+            continue
+        if not homes[k]:
+            raise ValueError("not a refinement")
+        sigma, (*nums, det) = homes[k][0]
+        rows.append(tuple((j, Fraction(x, det)) for j, x in zip(sigma, nums) if x))
+    table = fine._pullbacks[coarse] = tuple(rows)
+    return table
 
 
 def pullback(fine: Fan3, coarse: Fan3, d: ToricDivisor) -> ToricDivisor:
@@ -304,38 +350,12 @@ def pullback(fine: Fan3, coarse: Fan3, d: ToricDivisor) -> ToricDivisor:
 
     The coefficient at a ray w of the fine fan is -phi_D(w), where phi_D is
     the support function of the divisor (linear on each coarse cone, taking
-    value -a_r at ray r).
+    value -a_r at ray r): a fixed rational combination of the a_r.
     """
     if d.fan != coarse:
         raise ValueError("divisor does not live on the coarse fan")
-    coarse_index: dict[Ray, int] = {ray: i for i, ray in enumerate(coarse.rays)}
-    if not set(coarse.rays) <= set(fine.rays):
-        raise ValueError("not a refinement")
-    # The coarse cones containing each fine ray, in the coarse fan's order.
-    homes = [
-        [s for s in coarse.cones if _in_cone(w, [coarse.rays[j] for j in s])]
-        for w in fine.rays
-    ]
-    for cone in fine.cones:
-        if not set.intersection(*(set(homes[i]) for i in cone)):
-            raise ValueError("not a refinement")
-
-    coeffs: list[Poly] = []
-    for k, w in enumerate(fine.rays):
-        if w in coarse_index:
-            coeffs.append(d.coeffs[coarse_index[w]])
-            continue
-        if not homes[k]:
-            raise ValueError("not a refinement")
-        sigma = homes[k][0]
-        rays = [coarse.rays[j] for j in sigma]
-        m = linalg.solve(
-            [list(r) for r in rays],
-            [-d.coeffs[j] for j in sigma],
-        )
-        phi = sum((m[t] * w[t] for t in range(3)), Poly())
-        coeffs.append(-phi)
-    return ToricDivisor(fine, coeffs)
+    return ToricDivisor(fine, [sum((d.coeffs[j] * x for j, x in row), Poly())
+                               for row in _pullback_map(fine, coarse)])
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +501,10 @@ def restrict_to_star(
 def surface_gram(fan2: Fan2) -> list[list[Fraction]]:
     """Gram matrix of the invariant curves of a complete simplicial 2D fan."""
     n = len(fan2.rays)
-    order = _cyclic_order(fan2.rays)
+    order = sorted(range(n), key=functools.cmp_to_key(
+        lambda i, j: _ccw_compare(fan2.rays[i], fan2.rays[j])))
+    if any(_ccw_compare(fan2.rays[i], fan2.rays[j]) == 0 for i, j in zip(order, order[1:])):
+        raise ValueError("not complete")  # parallel rays
     consecutive = {
         tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)
     }
@@ -503,27 +526,6 @@ def surface_gram(fan2: Fan2) -> list[list[Fraction]]:
     return gram
 
 
-def _cyclic_order(rays: Sequence[tuple[int, int]]) -> list[int]:
-    """Indices of the rays sorted counterclockwise, exactly."""
-
-    def half(vec: tuple[int, int]) -> int:
-        # 0 for angle in [0, pi), 1 for [pi, 2 pi).
-        return 0 if (vec[1] > 0 or (vec[1] == 0 and vec[0] > 0)) else 1
-
-    import functools
-
-    def compare(i: int, j: int) -> int:
-        a, b = rays[i], rays[j]
-        if half(a) != half(b):
-            return -1 if half(a) < half(b) else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        if cross == 0:
-            raise ValueError("not complete")  # parallel rays
-        return -1 if cross > 0 else 1
-
-    return sorted(range(len(rays)), key=functools.cmp_to_key(compare))
-
-
 # ---------------------------------------------------------------------------
 # Divisor polytopes
 # ---------------------------------------------------------------------------
@@ -531,141 +533,99 @@ def _cyclic_order(rays: Sequence[tuple[int, int]]) -> list[int]:
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Intersection of half-spaces <x, normal> >= rhs in R^3."""
+    """Intersection of half-spaces <x, normal> >= rhs in R^3.
+
+    Its vertices and its triangulation are computed on first use and kept.
+    """
 
     normals: tuple[Ray, ...]
     rhs: tuple[Fraction, ...]
 
+    @cached_property
+    def _vertices(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
+        """All vertices, sorted, by exhaustive intersection of inequality triples.
+
+        Each triple is solved by Cramer's rule in integers: with the rhs as
+        numerators r over one denominator D, the solution is X / (D * det),
+        X_t the determinant with column t replaced by r, and <n_l, x> >= rhs_l
+        holds iff (<n_l, X> - r_l * det) * det >= 0.
+        """
+        n = len(self.normals)
+        r, den = numerators(self.rhs)
+        dets = {trio: linalg.det3(*(self.normals[i] for i in trio))
+                for trio in itertools.combinations(range(n), 3)}
+        # Boundedness: the normals must positively span R^3, i.e. 0 is in the
+        # interior of their convex-conic hull and they have rank 3.
+        if not any(dets.values()) or lp.solve_max(
+                [0] * n, [[normal[t] for normal in self.normals] for t in range(3)] + [[1] * n],
+                [0, 0, 0, 1]).status != lp.OPTIMAL:
+            raise ValueError("not a polytope")
+        points: set[tuple[int, int, int, int]] = set()
+        for trio, det in dets.items():
+            if det == 0:
+                continue
+            x = [linalg.det3(*([r[i] if s == t else self.normals[i][s] for s in range(3)] for i in trio))
+                 for t in range(3)]
+            if all((sum(a * b for a, b in zip(normal, x)) - r_l * det) * det >= 0
+                   for normal, r_l in zip(self.normals, r)):
+                # The point X / (D * det) in lowest terms, with a positive denominator.
+                g = gcd(den * det, *x) * (1 if det > 0 else -1)
+                points.add((*(c // g for c in x), den * det // g))
+        if not points:
+            raise ValueError("empty polytope")
+        return tuple(sorted((Fraction(x, w), Fraction(y, w), Fraction(z, w)) for x, y, z, w in points))
+
+    @cached_property
+    def _tetrahedra(self) -> list[tuple[Fraction, tuple[tuple[Fraction, ...], ...]]]:
+        """(volume, tetrahedron) covering the polytope: apex + fan
+        triangulation per facet."""
+        apex = self._vertices[0]
+        out = []
+        for normal, rhs in zip(self.normals, self.rhs):
+            on_facet = [v for v in self._vertices if sum(a * b for a, b in zip(normal, v)) == rhs]
+            ordered = _order_facet(on_facet, normal) if len(on_facet) >= 3 else ()
+            for k in range(1, len(ordered) - 1):
+                tet = (apex, ordered[0], ordered[k], ordered[k + 1])
+                edges = ([a - b for a, b in zip(v, apex)] for v in tet[1:])
+                out.append((abs(linalg.det3(*edges)) / 6, tet))
+        return out
+
 
 def divisor_polytope(d: ToricDivisor) -> HPolytope:
     """H-polytope of a constant-coefficient divisor: <m, v_r> >= -a_r."""
-    rhs = []
-    for coeff in d.coeffs:
-        rhs.append(-coeff.as_fraction())
-    return HPolytope(normals=d.fan.rays, rhs=tuple(rhs))
+    return HPolytope(normals=d.fan.rays, rhs=tuple(-coeff.as_fraction() for coeff in d.coeffs))
 
 
 def polytope_vertices(p: HPolytope) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """All vertices by exhaustive intersection of inequality triples."""
-    from . import lp
-
-    n = len(p.normals)
-    # Boundedness: the normals must positively span R^3, i.e. 0 is in the
-    # interior of their convex-conic hull and they have rank 3.
-    if len(linalg.column_space_basis([[Fraction(r[t]) for r in p.normals] for t in range(3)])) < 3:
-        raise ValueError("not a polytope")
-    feas = lp.solve_max(
-        [Fraction(0)] * n,
-        [[Fraction(p.normals[j][t]) for j in range(n)] for t in range(3)]
-        + [[Fraction(1)] * n],
-        [Fraction(0), Fraction(0), Fraction(0), Fraction(1)],
-    )
-    if feas.status != lp.OPTIMAL:
-        raise ValueError("not a polytope")
-
-    vertices: set[tuple[Fraction, Fraction, Fraction]] = set()
-    for trio in itertools.combinations(range(n), 3):
-        try:
-            x = linalg.solve(
-                [[Fraction(p.normals[i][t]) for t in range(3)] for i in trio],
-                [p.rhs[i] for i in trio],
-            )
-        except ValueError:
-            continue
-        if all(
-            sum(Fraction(p.normals[i][t]) * x[t] for t in range(3)) >= p.rhs[i]
-            for i in range(n)
-        ):
-            vertices.add(tuple(x))
-    if not vertices:
-        raise ValueError("empty polytope")
-    return sorted(vertices)
+    """All vertices, sorted."""
+    return list(p._vertices)
 
 
-def _facet_triangulation(
-    p: HPolytope,
-) -> list[tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]]:
-    """Tetrahedra covering the polytope: apex + fan triangulation per facet."""
-    vertices = polytope_vertices(p)
-    apex = vertices[0]
-    tets = []
-    for i in range(len(p.normals)):
-        on_facet = [
-            v
-            for v in vertices
-            if sum(Fraction(p.normals[i][t]) * v[t] for t in range(3)) == p.rhs[i]
-        ]
-        if len(on_facet) < 3:
-            continue
-        ordered = _order_facet(on_facet, p.normals[i])
-        for k in range(1, len(ordered) - 1):
-            tets.append((apex, ordered[0], ordered[k], ordered[k + 1]))
-    return tets
+def _ccw_compare(a: Sequence[Fraction], b: Sequence[Fraction]) -> int:
+    """Counterclockwise order of nonzero plane vectors from the positive
+    x-axis, exactly; 0 for two vectors of one direction."""
+    half_a, half_b = (0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1 for v in (a, b))
+    cross = a[0] * b[1] - a[1] * b[0]
+    return half_a - half_b or (cross < 0) - (cross > 0)
 
 
-def _order_facet(points: list[tuple[Fraction, ...]], normal: Ray):
-    """Order coplanar points cyclically around their centroid, exactly."""
-    n = len(points)
-    centroid = tuple(sum(pt[t] for pt in points) / n for t in range(3))
-    # Exact tangent basis of the facet plane.
-    e1 = _any_orthogonal(normal)
-    e2 = _cross(normal, e1)
-
-    def planar(pt):
-        d = tuple(pt[t] - centroid[t] for t in range(3))
-        return (
-            sum(Fraction(e1[t]) * d[t] for t in range(3)),
-            sum(Fraction(e2[t]) * d[t] for t in range(3)),
-        )
-
-    import functools
-
-    coords = {pt: planar(pt) for pt in points}
-
-    def half(vec) -> int:
-        return 0 if (vec[1] > 0 or (vec[1] == 0 and vec[0] > 0)) else 1
-
-    def compare(a, b):
-        va, vb = coords[a], coords[b]
-        if half(va) != half(vb):
-            return -1 if half(va) < half(vb) else 1
-        cross = va[0] * vb[1] - va[1] * vb[0]
-        if cross == 0:
-            return 0
-        return -1 if cross > 0 else 1
-
-    return sorted(points, key=functools.cmp_to_key(compare))
-
-
-def _any_orthogonal(v: Ray) -> tuple[int, int, int]:
-    if v[0] == 0 and v[1] == 0:
-        return (1, 0, 0)
-    return (-v[1], v[0], 0)
-
-
-def _cross(a, b) -> tuple[int, int, int]:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+def _order_facet(points: list[tuple[Fraction, ...]], normal: Ray) -> list[tuple[Fraction, ...]]:
+    """Order coplanar points cyclically around their centroid, exactly, in
+    the two coordinates left by dropping one the normal does not vanish on
+    (a one-to-one projection of the facet's plane)."""
+    k = next(t for t in range(3) if normal[t])
+    a, b = (t for t in range(3) if t != k)
+    centre = [sum(pt[t] for pt in points) / len(points) for t in (a, b)]
+    planar = {pt: (pt[a] - centre[0], pt[b] - centre[1]) for pt in points}
+    return sorted(points, key=functools.cmp_to_key(lambda x, y: _ccw_compare(planar[x], planar[y])))
 
 
 def polytope_volume(p: HPolytope) -> Fraction:
-    total = Fraction(0)
-    for apex, a, b, c in _facet_triangulation(p):
-        rows = [
-            [a[t] - apex[t] for t in range(3)],
-            [b[t] - apex[t] for t in range(3)],
-            [c[t] - apex[t] for t in range(3)],
-        ]
-        total += abs(linalg.det3(*rows)) / 6
-    return total
+    return sum((vol for vol, _ in p._tetrahedra), Fraction(0))
 
 
 def polytope_min(p: HPolytope, w: Sequence[int]) -> Fraction:
-    vertices = polytope_vertices(p)
-    return min(sum(v[t] * w[t] for t in range(3)) for v in vertices)
+    return min(sum(v[t] * w[t] for t in range(3)) for v in p._vertices)
 
 
 def polytope_moment(p: HPolytope, w: Sequence[int]) -> Fraction:
@@ -674,57 +634,27 @@ def polytope_moment(p: HPolytope, w: Sequence[int]) -> Fraction:
     The integrand is linear, so on each tetrahedron the integral is the
     volume times the average of the vertex values.
     """
-    total = Fraction(0)
-    for tet in _facet_triangulation(p):
-        apex, a, b, c = tet
-        rows = [
-            [a[t] - apex[t] for t in range(3)],
-            [b[t] - apex[t] for t in range(3)],
-            [c[t] - apex[t] for t in range(3)],
-        ]
-        vol = abs(linalg.det3(*rows)) / 6
-        avg = sum(sum(v[t] * w[t] for t in range(3)) for v in tet) / 4
-        total += vol * avg
-    return total
+    return sum((vol * sum(sum(v[t] * w[t] for t in range(3)) for v in tet) / 4
+                for vol, tet in p._tetrahedra), Fraction(0))
 
 
 def lattice_min(p: HPolytope, w: Sequence[int]) -> Fraction:
     """Minimum of <x, w> over the lattice points of the polytope."""
-    vertices = polytope_vertices(p)
-    lo = [min(v[t] for v in vertices) for t in range(3)]
-    hi = [max(v[t] for v in vertices) for t in range(3)]
-    best = None
-    for x in range(_ceil(lo[0]), _floor(hi[0]) + 1):
-        for y in range(_ceil(lo[1]), _floor(hi[1]) + 1):
-            for z in range(_ceil(lo[2]), _floor(hi[2]) + 1):
-                if all(
-                    p.normals[i][0] * x + p.normals[i][1] * y + p.normals[i][2] * z
-                    >= p.rhs[i]
-                    for i in range(len(p.normals))
-                ):
-                    val = Fraction(x * w[0] + y * w[1] + z * w[2])
-                    if best is None or val < best:
-                        best = val
-    if best is None:
+    box = [range(ceil(min(v[t] for v in p._vertices)), floor(max(v[t] for v in p._vertices)) + 1)
+           for t in range(3)]
+    values = [x * w[0] + y * w[1] + z * w[2] for x, y, z in itertools.product(*box)
+              if all(n[0] * x + n[1] * y + n[2] * z >= r for n, r in zip(p.normals, p.rhs))]
+    if not values:
         raise ValueError("empty polytope")
-    return best
+    return Fraction(min(values))
 
 
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def s_invariant_toric(d: ToricDivisor, w: Sequence[int]) -> Fraction:
+def s_invariant_toric(p: HPolytope, w: Sequence[int]) -> Fraction:
     """Expected vanishing order along the valuation of the lattice vector w.
 
-    Computed on the divisor polytope as -min + (3!/L^3) * moment, with
+    Computed on the divisor polytope p as -min + (3!/L^3) * moment, with
     L^3 = 3! * volume.
     """
-    p = divisor_polytope(d)
     vol = polytope_volume(p)
     if vol == 0:
         raise ValueError("empty polytope")

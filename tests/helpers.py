@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from fano_delta import linalg
+from fano_delta import linalg, lp
 from fano_delta.exactmath import VARS, Chamber, Poly, Scalar, integrate_chamber, integrate_univariate, q
 from fano_delta.scenarios import builders, c_domain
 from fano_delta.surfzar import (
@@ -18,7 +19,7 @@ from fano_delta.surfzar import (
     _threshold_lp,
     threshold_pieces,
 )
-from fano_delta.toric3 import ToricDivisor
+from fano_delta.toric3 import Fan3, HPolytope, ToricDivisor
 
 
 @dataclass(frozen=True)
@@ -404,7 +405,7 @@ def _expand_support(model: SurfaceModel, coeffs: Sequence, sign, dot) -> tuple[l
         sub = [[model.gram[i][j] for j in support] for i in support]
         rhs = [dot(coeffs, i) for i in support]
         try:
-            n_vals = linalg.solve(sub, rhs)
+            n_vals = fraction_solve(sub, rhs)
         except ValueError as exc:
             raise ConeAssumptionError("cone assumption violated") from exc
     raise ConeAssumptionError("decomposition failed to stabilize")
@@ -495,7 +496,7 @@ def _reference_decomposition(model, family, support):
     if support:
         sub = [[model.gram[i][j] for j in support] for i in support]
         try:
-            n_vals = linalg.solve(sub, [model.dot_curve(family, i) for i in support])
+            n_vals = fraction_solve(sub, [model.dot_curve(family, i) for i in support])
         except ValueError as exc:
             raise ConeAssumptionError("cone assumption violated") from exc
         for j, val in zip(support, n_vals):
@@ -549,3 +550,154 @@ def _u_root(fn: Poly, piece: ThresholdPiece):
     if b != 0 and piece.u_lo < -a / b < piece.u_hi:
         return -a / b
     return None
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles of the integer linear algebra, the simplex, the pullback
+# map and the polytope vertices
+# ---------------------------------------------------------------------------
+
+
+def fraction_pivot(m: list[list], row: int, col: int) -> None:
+    """One Gauss-Jordan step in place on the nonzero entry m[row][col].
+
+    Scales `row` to a leading 1 in `col` and subtracts multiples of it to
+    clear `col` from every other row.
+    """
+    inv = Fraction(1) / m[row][col]
+    m[row] = lead = [x * inv for x in m[row]]
+    for r in range(len(m)):
+        if r != row and m[r][col] != 0:
+            f = m[r][col]
+            m[r] = [x - f * y for x, y in zip(m[r], lead)]
+
+
+def fraction_rref(rows, n_cols: int) -> tuple[list[list], list[int]]:
+    """`linalg.rref` by Fraction Gauss-Jordan; right-hand-side columns may
+    hold Polys, to which only addition and scaling by Fractions apply."""
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(n_cols):
+        rank = len(pivots)
+        pivot_row = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        fraction_pivot(m, rank, col)
+        pivots.append(col)
+    return m, pivots
+
+
+def fraction_solve(a, b) -> list:
+    """`linalg.solve` by `fraction_rref`; b entries may be Fractions or Polys."""
+    n = len(a)
+    m, pivots = fraction_rref([list(row) + [rhs] for row, rhs in zip(a, b)], n)
+    if len(pivots) < n:
+        raise ValueError("singular matrix")
+    return [row[n] for row in m]
+
+
+def fraction_solve_max(c, a, b) -> lp.LPResult:
+    """`lp.solve_max` on a Fraction tableau: the two-phase simplex with
+    Bland's rule, every pivot a `fraction_pivot`."""
+    m, n = len(a), len(c)
+    rows = [list(row) for row in a]
+    rhs = list(b)
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    tableau = [rows[i] + [Fraction(i == r) for r in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    value = _fraction_simplex(tableau, basis, [Fraction(0)] * n + [Fraction(-1)] * m)
+    if value is None or value < 0:
+        return lp.LPResult(lp.INFEASIBLE)
+    for i in range(m):
+        if basis[i] >= n:
+            pivot_col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            if pivot_col is not None:
+                fraction_pivot(tableau, i, pivot_col)
+                basis[i] = pivot_col
+    keep = [r for r in range(m) if basis[r] < n]
+    tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
+    basis = [basis[r] for r in keep]
+    if _fraction_simplex(tableau, basis, list(c)) is None:
+        return lp.LPResult(lp.UNBOUNDED)
+    x = [Fraction(0)] * n
+    for r, var in enumerate(basis):
+        x[var] = tableau[r][-1]
+    return lp.LPResult(lp.OPTIMAL, x, sum(ci * xi for ci, xi in zip(c, x)), basis)
+
+
+def _fraction_simplex(tableau, basis, cost):
+    """Primal simplex with Bland's rule on a reduced Fraction tableau;
+    returns the objective, or None if unbounded."""
+    while True:
+        y = [cost[var] for var in basis]
+        entering = None
+        for j in range(len(cost)):
+            if j in basis:
+                continue
+            if cost[j] - sum(y[r] * tableau[r][j] for r in range(len(tableau))) > 0:
+                entering = j
+                break
+        if entering is None:
+            return sum(y[r] * tableau[r][-1] for r in range(len(tableau)))
+        leaving = best = None
+        for r in range(len(tableau)):
+            if tableau[r][entering] > 0:
+                ratio = tableau[r][-1] / tableau[r][entering]
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
+                    best, leaving = ratio, r
+        if leaving is None:
+            return None
+        fraction_pivot(tableau, leaving, entering)
+        basis[leaving] = entering
+
+
+def reference_cone_coordinates(vec, rays) -> list[Fraction] | None:
+    """The coordinates of vec in the basis of three rays by a Fraction solve,
+    if they are all >= 0; None if they are not or the rays are dependent."""
+    try:
+        coords = fraction_solve([[Fraction(rays[j][t]) for j in range(3)] for t in range(3)],
+                                [Fraction(x) for x in vec])
+    except ValueError:
+        return None
+    return coords if all(x >= 0 for x in coords) else None
+
+
+def reference_pullback(fine: Fan3, coarse: Fan3, d: ToricDivisor) -> ToricDivisor:
+    """`toric3.pullback` by solving for the support function's slope m on the
+    first coarse cone holding each fine ray: <m, v_j> = -a_j."""
+    coeffs = []
+    for w in fine.rays:
+        sigma = next(s for s in coarse.cones
+                     if reference_cone_coordinates(w, [coarse.rays[j] for j in s]) is not None)
+        m = fraction_solve([list(coarse.rays[j]) for j in sigma], [-d.coeffs[j] for j in sigma])
+        coeffs.append(-sum((m[t] * w[t] for t in range(3)), Poly()))
+    return ToricDivisor(fine, coeffs)
+
+
+def reference_polytope_vertices(p: HPolytope) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """`toric3.polytope_vertices` by Fraction solves of every facet triple
+    and Fraction feasibility tests."""
+    n = len(p.normals)
+    if len(fraction_rref([[Fraction(r[t]) for r in p.normals] for t in range(3)], n)[1]) < 3:
+        raise ValueError("not a polytope")
+    feas = fraction_solve_max([Fraction(0)] * n,
+                              [[Fraction(p.normals[j][t]) for j in range(n)] for t in range(3)]
+                              + [[Fraction(1)] * n], [0, 0, 0, 1])
+    if feas.status != lp.OPTIMAL:
+        raise ValueError("not a polytope")
+    vertices = set()
+    for trio in itertools.combinations(range(n), 3):
+        try:
+            x = fraction_solve([[Fraction(p.normals[i][t]) for t in range(3)] for i in trio],
+                               [p.rhs[i] for i in trio])
+        except ValueError:
+            continue
+        if all(sum(p.normals[i][t] * x[t] for t in range(3)) >= p.rhs[i] for i in range(n)):
+            vertices.add(tuple(x))
+    if not vertices:
+        raise ValueError("empty polytope")
+    return sorted(vertices)

@@ -1,5 +1,6 @@
 """Flag S-invariants, corrections, discrepancies and delta bounds."""
 
+import dataclasses
 import gc
 import sys
 import weakref
@@ -53,6 +54,28 @@ def test_s_from_volume_values():
     assert s_from_volume(
         9, [(0, 1, parse_poly("9-6*u")), (1, 2, parse_poly("3*(2-u)^2"))]
     ) == F(7, 9)
+
+
+def test_root_isolation_guard_raises_scan_error(monkeypatch):
+    # A root count that never falls to 0 or 1 bisects without end; no split
+    # point is a root.
+    monkeypatch.setattr(flagdelta, "_root_count", lambda chain, lo, hi: 2)
+    monkeypatch.setattr(flagdelta, "_eval_dense", lambda coeffs, x: 1)
+    with pytest.raises(flagdelta.ScanError, match="root isolation failed to terminate") as info:
+        s_from_volume(9, [(0, 1, parse_poly("9-9*u^2"))])
+    assert (info.value.reason, info.value.u_lo, info.value.u_hi) == (
+        "root isolation failed to terminate", 0, 1)
+
+
+def test_scenario_hash_is_kept_and_equality_is_by_value():
+    sc, twin = weighted_scenario(), weighted_scenario()
+    assert sc is not twin and sc == twin and hash(sc) == hash(twin)
+    assert hash(sc) == hash(tuple(getattr(sc, f.name) for f in dataclasses.fields(sc)))
+    other = dataclasses.replace(twin, curve_a=F(2))
+    assert other != sc and hash(other) != hash(sc)
+    # The hash is not recomputed from the fields on a lookup.
+    object.__setattr__(sc, "name", "renamed")
+    assert hash(sc) == hash(twin)
 
 
 def test_s_from_volume_rejects_negative_volume():

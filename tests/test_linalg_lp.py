@@ -1,11 +1,14 @@
 """Exact linear algebra and the rational simplex."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fano_delta import linalg, lp
+
+from helpers import fraction_rref, fraction_solve, fraction_solve_max
 
 
 def test_solve_and_singular():
@@ -148,3 +151,94 @@ def test_returned_basis_certifies_the_optimum(c, a, b, optimum):
     y = linalg.solve([list(col) for col in zip(*basis_cols)], [c[j] for j in res.basis])
     for j in range(len(c)):
         assert c[j] - sum(yi * a[r][j] for yi, r in zip(y, rows)) <= 0
+
+
+# ---------------------------------------------------------------------------
+# Differential tests against the Fraction oracles in helpers
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _rational_matrices(draw, rows=None, cols=None, integer=None):
+    """Small rational or integer matrices; some rows are combinations of
+    others, so singular and rank-deficient ones are common."""
+    m = rows if rows is not None else draw(st.integers(1, 5))
+    n = cols if cols is not None else draw(st.integers(1, 6))
+    integer = draw(st.booleans()) if integer is None else integer
+    dens = st.just(1) if integer else st.integers(1, 12)
+    cell = st.builds(F, st.integers(-9, 9), dens)
+    out = [draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(m)]
+    for r in range(1, m):
+        if draw(st.integers(0, 3)) == 0:  # a combination of earlier rows
+            a, b = draw(cell), draw(cell)
+            out[r] = [a * x + b * y for x, y in zip(out[draw(st.integers(0, r - 1))], out[0])]
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bareiss_rref_matches_fraction_rref(data):
+    a = data.draw(_rational_matrices())
+    n_cols = data.draw(st.integers(0, len(a[0])))
+    assert linalg.rref(a, n_cols) == fraction_rref(a, n_cols)
+    assert linalg.column_space_basis(a) == fraction_rref(a, len(a[0]))[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bareiss_solve_and_inverse_match_fraction_rref(data):
+    n = data.draw(st.integers(1, 5))
+    a = data.draw(_rational_matrices(rows=n, cols=n))
+    b = data.draw(st.lists(st.builds(F, st.integers(-9, 9), st.integers(1, 12)), min_size=n, max_size=n))
+    reduced, pivots = fraction_rref([row + [F(i == r) for i in range(n)] for r, row in enumerate(a)], n)
+    inverse = linalg.inverse(a)
+    if len(pivots) < n:
+        assert inverse is None
+        with pytest.raises(ValueError, match="singular"):
+            linalg.solve(a, b)
+        return
+    rows, den = inverse
+    assert den > 0 and math.gcd(den, *(x for row in rows for x in row)) == 1
+    assert [[F(x, den) for x in row] for row in rows] == [row[n:] for row in reduced]
+    assert linalg.solve(a, b) == fraction_solve(a, b)
+
+
+@st.composite
+def _random_lps(draw):
+    """max c.x, a x = b, x >= 0 with small rational data: zero right-hand
+    sides (degenerate), duplicated and combined rows (redundant), and sign
+    patterns that make infeasible and unbounded problems common."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    cell = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3, 5]))
+    row = st.lists(cell, min_size=n, max_size=n)
+    a = [draw(row) for _ in range(m)]
+    b = [draw(st.one_of(st.just(F(0)), cell)) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):  # a redundant row: a multiple of another
+        k, s = draw(st.integers(0, m - 2)), draw(st.sampled_from([F(1), F(2), F(-1, 3)]))
+        a[-1], b[-1] = [s * x for x in a[k]], s * b[k]
+    return draw(row), a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_lps())
+def test_integer_simplex_matches_fraction_simplex(lp_data):
+    c, a, b = lp_data
+    got, want = lp.solve_max(c, a, b), fraction_solve_max(c, a, b)
+    assert (got.status, got.x, got.value, got.basis) == (want.status, want.x, want.value, want.basis)
+
+
+def test_random_lps_reach_every_status():
+    """The strategy above meets every outcome and redundant rows."""
+    seen = set()
+
+    @settings(max_examples=120, deadline=None, database=None, derandomize=True)
+    @given(_random_lps())
+    def collect(lp_data):
+        c, a, b = lp_data
+        res = fraction_solve_max(c, a, b)
+        seen.add(res.status)
+        if res.status == lp.OPTIMAL and len(res.basis) < len(a):
+            seen.add("redundant")
+
+    collect()
+    assert seen == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED, "redundant"}

@@ -1,7 +1,9 @@
 """Fixture integrity and the family re-derivation runs."""
 
 import json
+import traceback
 from fractions import Fraction as F
+
 import pytest
 
 from fano_delta.exactmath import integrate_chamber, integrate_univariate, parse_poly, q, Chamber
@@ -303,3 +305,29 @@ def test_blowup_tangent_piecewise_formulas_symbolically():
     c = F(1, 3)
     assert _match_branches("blowup-tangent", c,
                            [(F(0), F(2, 3), low_u), (F(2, 3), F(7, 3), high_u)]) >= 6
+
+
+def test_full_report_work_counts(monkeypatch):
+    """One cold `run_family("all")` makes at most 10 `linalg.solve` and 28
+    `lp.solve_max` calls, and the pullbacks and polytope vertices call
+    neither `linalg.solve` nor `linalg.rref`."""
+    from fano_delta import flagdelta, linalg, lp, scenarios
+
+    callers = {"solve": [], "rref": [], "solve_max": []}
+    for module, name in ((linalg, "solve"), (linalg, "rref"), (lp, "solve_max")):
+        def counting(*args, _original=getattr(module, name), _calls=callers[name]):
+            _calls.append({frame.name for frame in traceback.extract_stack()})
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    # Cold caches: the fixtures, which keep the fans' pullback maps and the
+    # models' LP bases, the parsed expressions and the scans.
+    for cache in (scenarios.fixture, scenarios.fixture_poly, flagdelta.scenario_scans):
+        cache.cache_clear()
+    builders.run_family("all")
+    assert len(callers["solve"]) <= 10
+    assert len(callers["solve_max"]) <= 28
+    toric = {"pullback", "_pullback_map", "polytope_vertices", "_vertices"}
+    assert not [stack for stack in callers["solve"] + callers["rref"] if stack & toric]
+    # The full report builds each family's L polytope once.
+    assert sum("_vertices" in stack for stack in callers["solve_max"]) == 2

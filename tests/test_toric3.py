@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from fano_delta import linalg
 from fano_delta.exactmath import Poly, parse_poly
 from fano_delta.scenarios import fixtures_dir, load_fan
-from fano_delta.toric3 import (    _in_cone,
+from fano_delta.toric3 import (
+    _cone_coordinates,
     CurveClass,
     Fan3,
     ToricDivisor,
@@ -32,7 +33,7 @@ from fano_delta.toric3 import (    _in_cone,
     verify_zariski3,
 )
 
-from helpers import at_u
+from helpers import at_u, reference_cone_coordinates, reference_pullback, reference_polytope_vertices
 
 U = Poly.var("u")
 
@@ -278,30 +279,47 @@ def test_pullback_rejects_straddling_cone():
     assert pullback(ok, P3, d).coeffs[4] == 0
 
 
-def reference_in_cone(vec, rays):
-    """The Fraction-solve version of the refinement test."""
-    try:
-        coords = linalg.solve([[F(rays[j][t]) for j in range(3)] for t in range(3)],
-                              [F(x) for x in vec])
-    except ValueError:
-        return False
-    return all(x >= 0 for x in coords)
-
-
 small_vectors = st.tuples(*[st.integers(-3, 3)] * 3)
 
 
 @settings(max_examples=400, deadline=None)
 @given(small_vectors, st.tuples(small_vectors, small_vectors, small_vectors))
 def test_integer_in_cone_matches_fraction_solve(vec, rays):
-    assert _in_cone(vec, rays) == reference_in_cone(vec, rays)
+    coords = _cone_coordinates(vec, rays)
+    reference = reference_cone_coordinates(vec, rays)
+    assert (coords is None) == (reference is None)
+    if coords is not None:
+        assert coords[3] > 0 and [F(x, coords[3]) for x in coords[:3]] == reference
 
 
 def test_in_cone_faces_and_degenerate_cones():
     rays = [E1, E2, E3]
-    assert _in_cone((1, 1, 0), rays) and _in_cone((0, 0, 0), rays) and _in_cone(E3, rays)
-    assert not _in_cone((1, -1, 0), rays)
-    assert not _in_cone(E1, [E1, E2, (1, 1, 0)])  # det 0: no cone
+    assert _cone_coordinates((1, 1, 0), rays) == (1, 1, 0, 1)
+    assert _cone_coordinates((0, 0, 0), rays) == (0, 0, 0, 1)
+    assert _cone_coordinates(E3, rays[::-1]) == (1, 0, 0, 1)
+    assert _cone_coordinates((1, -1, 0), rays) is None
+    assert _cone_coordinates((2, 1, 0), [E2, E1, E3]) == (1, 2, 0, 1)  # det -1
+    assert _cone_coordinates((-1, -1, -1), [E2, E1, E3]) is None
+    assert _cone_coordinates(E1, [E1, E2, (1, 1, 0)]) is None  # det 0: no cone
+
+
+@pytest.mark.parametrize("family", ["34-d4", "34-a3"])
+def test_pullback_map_matches_solve_reference(family):
+    """Every fixture fan pair: T0..T3 and L_u pulled back by the cached map
+    equal the Fraction-solve reference."""
+    from fano_delta.scenarios import builders
+
+    fam = builders.ToricFamily(family)
+    names = {spec["coarse"] for spec in fam.data["pullbacks"].values()} | set(fam.models)
+    for name in sorted(names):
+        coarse = load_fan(name)
+        n = len(coarse.rays)
+        divisors = [ToricDivisor(coarse, [int(k == j) for k in range(n)]) for j in range(4)]
+        if len(fam.l_u) == n:
+            divisors.append(ToricDivisor(coarse, fam.l_u))
+        for d in divisors:
+            assert pullback(fam.resolution, coarse, d) == reference_pullback(fam.resolution, coarse, d)
+        assert coarse in fam.resolution._pullbacks  # built once, kept on the fine fan
 
 
 def test_projection_formula_sample(w0):
@@ -425,10 +443,10 @@ def test_polytope_moment_oracle(y):
 
 
 def test_s_invariant_values(y):
-    l_div = ToricDivisor(y, [1, 1, 2, 0, 0, 0])
-    assert s_invariant_toric(l_div, (1, 3, -1)) == F(59, 18)
-    assert s_invariant_toric(l_div, (2, 4, -1)) == F(41, 9)
-    assert s_invariant_toric(l_div, (0, 0, 1)) == F(5, 9)
+    p = divisor_polytope(ToricDivisor(y, [1, 1, 2, 0, 0, 0]))
+    assert s_invariant_toric(p, (1, 3, -1)) == F(59, 18)
+    assert s_invariant_toric(p, (2, 4, -1)) == F(41, 9)
+    assert s_invariant_toric(p, (0, 0, 1)) == F(5, 9)
 
 
 def test_s_invariant_relabeling_invariance(y):
@@ -440,7 +458,7 @@ def test_s_invariant_relabeling_invariance(y):
     coeffs = [0] * 6
     for old, coef in enumerate([1, 1, 2, 0, 0, 0]):
         coeffs[inverse[old]] = coef
-    assert s_invariant_toric(ToricDivisor(shuffled, coeffs), (1, 3, -1)) == F(59, 18)
+    assert s_invariant_toric(divisor_polytope(ToricDivisor(shuffled, coeffs)), (1, 3, -1)) == F(59, 18)
 
 
 def test_unbounded_region_rejected():
@@ -449,6 +467,39 @@ def test_unbounded_region_rejected():
     p = HPolytope(normals=((1, 0, 0), (0, 1, 0), (0, 0, 1)), rhs=(F(0), F(0), F(0)))
     with pytest.raises(ValueError, match="not a polytope"):
         polytope_vertices(p)
+
+
+@st.composite
+def _random_polytopes(draw):
+    """Half-space systems in R^3: usually a box cut by a few random facets,
+    so bounded, sometimes empty or with coinciding vertices; without the box
+    often unbounded."""
+    from fano_delta.toric3 import HPolytope
+
+    cell = st.builds(F, st.integers(-4, 2), st.integers(1, 6))
+    normals, rhs = [], []
+    if draw(st.integers(0, 4)):
+        for t in range(3):  # lo <= x_t <= lo + width, a flat box if width is 0
+            lo, width = draw(cell), draw(st.builds(F, st.integers(0, 4), st.integers(1, 4)))
+            normals += [tuple(int(s == t) for s in range(3)), tuple(-int(s == t) for s in range(3))]
+            rhs += [lo, -lo - width]
+    for _ in range(draw(st.integers(0, 4)) if normals else draw(st.integers(3, 7))):
+        normals.append(draw(st.tuples(*[st.integers(-3, 3)] * 3).filter(any)))
+        rhs.append(draw(cell))
+    return HPolytope(tuple(normals), tuple(rhs))
+
+
+def _outcome(vertices, p):
+    try:
+        return vertices(p)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_random_polytopes())
+def test_integer_vertices_match_fraction_solve(p):
+    assert _outcome(polytope_vertices, p) == _outcome(reference_polytope_vertices, p)
 
 
 # ---------------------------------------------------------------------------
