@@ -292,7 +292,8 @@ def parse_poly(text: str) -> Poly:
 
     Grammar: + - * / ^ with parentheses; division only by a constant
     subexpression; implicit multiplication is not supported.  This is the
-    format used by the JSON fixtures, e.g. "(8-u-3*v)/3" or "u^2".
+    format used by the JSON fixtures, e.g. "(8-u-3*v)/3" or "u^2".  Any
+    malformed text raises ValueError naming it.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -319,6 +320,8 @@ def parse_poly(text: str) -> Poly:
         while peek() in ("*", "/"):
             op = take()
             rhs = parse_factor()
+            if op == "/" and rhs.is_zero():
+                raise ValueError(f"division by zero in {text!r}")
             node = node * rhs if op == "*" else node / rhs
         return node
 
@@ -326,10 +329,10 @@ def parse_poly(text: str) -> Poly:
         node = parse_atom()
         if peek() == "^":
             take()
-            exp_tok = take()
-            if not exp_tok.isdigit():
+            exp_tok = peek()
+            if exp_tok is None or not exp_tok.isdigit():
                 raise ValueError(f"bad exponent {exp_tok!r} in {text!r}")
-            node = node ** int(exp_tok)
+            node = node ** int(take())
         return node
 
     def parse_atom() -> Poly:
@@ -407,36 +410,45 @@ def integrate_univariate(p: Poly, lo: Scalar, hi: Scalar, name: str | None = Non
 
 @dataclass(frozen=True)
 class Chamber:
-    """A region u in [u_lo, u_hi], v in [v_lo(u), v_hi(u)] with affine v-bounds.
-
-    For one-variable (u only) pieces, v_lo and v_hi are None.
-    """
+    """A region u in [u_lo, u_hi], v between the integer walls ``lower`` and
+    ``upper`` the chamber scan proved, each v = (a + b*u)/d as (a, b, d) in
+    lowest terms, d > 0; both None for one-variable (u only) pieces.
+    ``v_lo``, ``v_hi`` and ``label`` are read from the walls."""
 
     u_lo: Fraction
     u_hi: Fraction
-    v_lo: Poly | None = None
-    v_hi: Poly | None = None
+    lower: Form | None = None
+    upper: Form | None = None
     # Integer moment tables by degree (see `integrate`).
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u_lo", q(self.u_lo))
         object.__setattr__(self, "u_hi", q(self.u_hi))
-        if (self.v_lo is None) != (self.v_hi is None):
-            raise ValueError("v_lo and v_hi must both be set or both None")
+        if (self.lower is None) != (self.upper is None):
+            raise ValueError("lower and upper walls must both be set or both None")
         if self.u_lo > self.u_hi:
             raise ValueError("empty or inverted chamber")
-        if self.v_lo is not None:
-            for b in (self.v_lo, self.v_hi):
-                if b.degree_in("v") or b.degree_in("c") or b.total_degree() > 1:
-                    raise ValueError("v-bounds must be affine in u")
-            # Affine bounds: endpoint checks certify v_lo <= v_hi throughout.
+        if self.lower is not None:
+            lo, hi = lowest(self.lower), lowest(self.upper)
+            object.__setattr__(self, "lower", lo)
+            object.__setattr__(self, "upper", hi)
+            # Affine walls: the sign of hi - lo at both u-ends certifies lo <= hi.
             for u0 in (self.u_lo, self.u_hi):
-                if self.v_lo(u=u0) > self.v_hi(u=u0):
+                p, r = u0.numerator, u0.denominator
+                if (lo[0] * r + lo[1] * p) * hi[2] > (hi[0] * r + hi[1] * p) * lo[2]:
                     raise ValueError("empty or inverted chamber")
 
     def is_two_dimensional(self) -> bool:
-        return self.v_lo is not None
+        return self.lower is not None
+
+    @cached_property
+    def v_lo(self) -> Poly | None:
+        return None if self.lower is None else affine_poly(self.lower[:2], self.lower[2])
+
+    @cached_property
+    def v_hi(self) -> Poly | None:
+        return None if self.upper is None else affine_poly(self.upper[:2], self.upper[2])
 
     @cached_property
     def label(self) -> str:
@@ -444,17 +456,17 @@ class Chamber:
         return f"u[{self.u_lo},{self.u_hi}] v[{self.v_lo},{self.v_hi}]"
 
     @cached_property
-    def _integer_bounds(self) -> tuple[tuple[tuple[int, int], ...], tuple[Form, Form]]:
-        """The u-ends as (numerator, denominator) and the walls v_lo, v_hi."""
-        return tuple((x.numerator, x.denominator) for x in (self.u_lo, self.u_hi)), (
-            wall(self.v_lo), wall(self.v_hi))
+    def _ends(self) -> tuple[tuple[int, int], ...]:
+        """The u-ends as (numerator, denominator)."""
+        return tuple((x.numerator, x.denominator) for x in (self.u_lo, self.u_hi))
 
     def nonnegative(self, form: Form) -> bool:
         """Whether a + b*u + c*v >= 0 on the 2-dimensional chamber: the form is
         affine and the chamber convex, so its sign at the corners, as integer
         points (u*W, v*W, W) with W > 0, decides it."""
-        (a, b, c), (ends, walls) = form, self._integer_bounds
-        return all(a * m * d + b * n * d + c * (w0 * m + w1 * n) >= 0 for n, m in ends for w0, w1, d in walls)
+        a, b, c = form
+        return all(a * m * d + b * n * d + c * (w0 * m + w1 * n) >= 0
+                   for n, m in self._ends for w0, w1, d in (self.lower, self.upper))
 
     def integrate(self, terms: Mapping[tuple[int, int], int], den: int) -> Fraction:
         """iint of sum terms[a, b] * u^a * v^b / den over the 2-dimensional
@@ -462,8 +474,7 @@ class Chamber:
         (at least 2, the degree of every flag integrand, so a flag needs one)."""
         k = max(2, max((a + b for (a, b), x in terms.items() if x), default=0))
         if k not in self._tables:
-            ends, walls = self._integer_bounds
-            self._tables[k] = _moment_table(ends, *walls, k)
+            self._tables[k] = _moment_table(self._ends, self.lower, self.upper, k)
         delta, table = self._tables[k]
         return Fraction(sum(x * table[e] for e, x in terms.items()), den * delta)
 
@@ -499,10 +510,37 @@ def numerators(xs: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (den // x.denominator) for x in xs), den
 
 
+# The exponents of 1, u and v: an affine form's terms.
+AFFINE = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
+
+
+def affine_form(p: Poly, exps: Sequence[Exponent] = AFFINE) -> tuple[tuple[int, ...], int]:
+    """p = (a + b*u + c*v)/den as ((a, b, c), den), den > 0, or its
+    coefficients at other ``exps``; ValueError if p has any other term."""
+    if any(e not in exps for e in p.terms):
+        raise ValueError(f"not affine: {p}")
+    return numerators(p.coefficient(e) for e in exps)
+
+
 def wall(t: Poly) -> Form:
-    """The wall v = t(u) of a Poly affine in u."""
-    (a, b), d = numerators(t.coefficient(e) for e in ((0, 0, 0), (1, 0, 0)))
+    """The wall v = t(u), in lowest terms, of a Poly affine in u."""
+    (a, b), d = affine_form(t, AFFINE[:2])
     return a, b, d
+
+
+def lowest(w: Form) -> Form:
+    """The wall w in lowest terms; ValueError unless its denominator is positive."""
+    a, b, d = w
+    if d <= 0:
+        raise ValueError(f"wall {w} needs a positive denominator")
+    g = math.gcd(a, b, d)
+    return (a, b, d) if g == 1 else (a // g, b // g, d // g)
+
+
+def affine_poly(form: Sequence[int], den: int) -> Poly:
+    """The Poly (a + b*u + c*v)/den of an integer form (a, b, c), or
+    (a + b*u)/den of (a, b): a wall v = (a + b*u)/d is affine_poly(w[:2], d)."""
+    return Poly._make({e: Fraction(x, den) for e, x in zip(AFFINE, form)})
 
 
 def combine(terms: Iterable[tuple[int, int]], forms: Sequence[Form]) -> Form:

@@ -31,13 +31,16 @@ from ..surfzar import SurfaceModel, TableRow
 from ..toric3 import Fan3, fan_from_dict
 
 
+_PACKAGE_FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
 def fixtures_dir() -> Path:
     override = os.environ.get("FANO_DELTA_FIXTURES")
     if override:
         # Absolute, so that a relative setting names one cache entry per
         # directory even when the working directory changes.
         return Path(override).resolve()
-    return Path(__file__).resolve().parent / "fixtures"
+    return _PACKAGE_FIXTURES
 
 
 @lru_cache(maxsize=None)

@@ -16,9 +16,11 @@ support for N and P as affine functions of (u, v), and proves the result on
 the whole chamber: the Zariski conditions are affine, so corner checks,
 support-orthogonality identities and a negative definite support block are
 a complete certificate, and any failure exhibits an exact crossing point to
-split at.  The scan runs on integer numerators over one denominator per
-support, with each support's Gram block inverted once per model; Polys are
-built only for the chambers it keeps.  The pointwise reference
+split at.  The threshold envelope, the scan and the table-row checks run
+on integer numerators over one denominator per support, with each
+support's Gram block inverted once per model; thresholds and chamber walls
+are integer walls v = (a + b*u)/d.  A Poly (of t, a wall, N or P) is built
+on first read, for report text and tests.  The pointwise reference
 decomposition is test code.
 """
 
@@ -29,10 +31,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import linalg, lp
-from .exactmath import Chamber, Form, Poly, Scalar, combine, numerators, products, q, wall
+from .exactmath import (Chamber, Form, Poly, Scalar, affine_form, affine_poly, combine, lowest,
+                        numerators, products, q, wall)
 
 Vec = tuple[Fraction, ...]
 
@@ -107,8 +110,8 @@ class SurfaceModel:
         """Numerical relations among the basis curves (Gram kernel)."""
         return self._cone[0]
 
-    def facets(self) -> list[Vec]:
-        """Linear functionals cutting out the effective cone.
+    def facets(self) -> list[tuple[int, ...]]:
+        """Integer linear functionals cutting out the effective cone.
 
         Each facet h acts on a coefficient vector x as sum_i h_i x_i; the
         class of x is pseudoeffective iff every facet value is >= 0.
@@ -126,7 +129,7 @@ class SurfaceModel:
         return {}
 
     @cached_property
-    def _cone(self) -> tuple[list[Vec], list[Vec]]:
+    def _cone(self) -> tuple[list[Vec], list[tuple[int, ...]]]:
         relations = [tuple(v) for v in linalg.nullspace([list(r) for r in self.gram])]
         return relations, _effective_cone_facets(self, relations)
 
@@ -148,13 +151,14 @@ class SurfaceModel:
         return Poly._make(out)
 
 
-def _effective_cone_facets(model: SurfaceModel, relations: list[Vec]) -> list[Vec]:
+def _effective_cone_facets(model: SurfaceModel, relations: list[Vec]) -> list[tuple[int, ...]]:
     """Facet functionals of the cone spanned by the basis curve classes.
 
     Classes are coordinatized by their intersection vector against a maximal
     independent subset of the curves; the facets of the finitely generated
     cone are enumerated from (d-1)-subsets of the generators.  The returned
-    functionals act directly on coefficient vectors.
+    functionals act directly on coefficient vectors, as primitive integer
+    vectors.
     """
     n = model.n
     gram_rows = [list(r) for r in model.gram]
@@ -163,12 +167,18 @@ def _effective_cone_facets(model: SurfaceModel, relations: list[Vec]) -> list[Ve
     gens = [
         tuple(model.gram[r][i] for r in pivot_rows) for i in range(n)
     ]  # generator i in quotient coordinates
-    normals: set[Vec] = set()
+    facets: set[tuple[int, ...]] = set()
+
+    def add(normal: Sequence[Fraction]) -> None:
+        # The facet as a primitive integer functional on coefficient vectors.
+        h, _ = numerators(sum(x * y for x, y in zip(normal, g)) for g in gens)
+        k = math.gcd(*h)
+        facets.add(tuple(x // k for x in h))
+
     if d == 1:
-        if all(g[0] >= 0 for g in gens):
-            normals.add((Fraction(1),))
-        if all(g[0] <= 0 for g in gens):
-            normals.add((Fraction(-1),))
+        for sign in (1, -1):
+            if all(sign * g[0] >= 0 for g in gens):
+                add((Fraction(sign),))
     else:
         for subset in itertools.combinations(range(n), d - 1):
             rows = [list(gens[i]) for i in subset]
@@ -178,30 +188,10 @@ def _effective_cone_facets(model: SurfaceModel, relations: list[Vec]) -> list[Ve
             normal = kernel[0]
             vals = [sum(normal[t] * g[t] for t in range(d)) for g in gens]
             if all(v >= 0 for v in vals):
-                normals.add(_canon(normal))
+                add(normal)
             elif all(v <= 0 for v in vals):
-                normals.add(_canon([-x for x in normal]))
-    # Express each facet as a functional on coefficient vectors.
-    facets = []
-    for normal in sorted(normals):
-        facets.append(
-            tuple(
-                sum(normal[t] * gens[i][t] for t in range(len(normal)))
-                for i in range(n)
-            )
-        )
-    return facets
-
-
-def _canon(vec: Sequence[Fraction]) -> Vec:
-    scale = None
-    for x in vec:
-        if x != 0:
-            scale = 1 / abs(x)
-            break
-    if scale is None:
-        return tuple(vec)
-    return tuple(x * scale for x in vec)
+                add([-x for x in normal])
+    return sorted(facets)
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +203,12 @@ def _canon(vec: Sequence[Fraction]) -> Vec:
 class _ThresholdLP:
     """max v over v, lam+ (k), lam- (k), e (n) >= 0, one row per curve j:
     v*C_j - R_j.lam+ + R_j.lam- + e_j = D_j, with R the k relations.  Only D
-    depends on the divisor.  ``bases`` holds (B^-1, c_B.B^-1) for each basis
-    B proved dual feasible, hence optimal for every D with B^-1.D >= 0."""
+    depends on the divisor.  ``bases`` holds (B^-1, c_B.B^-1, den), both as
+    integer rows over the positive ``den``, for each basis B proved dual
+    feasible, hence optimal for every D with B^-1.D >= 0."""
 
     rows: list[list[Fraction]]
-    bases: list[tuple[list[list[Fraction]], list[Fraction]]] = field(default_factory=list)
+    bases: list[tuple[list[list[int]], list[int], int]] = field(default_factory=list)
 
     def solve(self, dvec: Sequence[Fraction]) -> lp.LPResult:
         objective = [Fraction(1)] + [Fraction(0)] * (len(self.rows[0]) - 1)
@@ -228,21 +219,19 @@ class _ThresholdLP:
             raise ValueError("threshold unbounded")
         return result
 
-    def prove(self, basis: list[int]) -> tuple[list[list[int]], list[Fraction]]:
-        """Store the basis B once every reduced cost c_j - c_B.B^-1.A_j <= 0;
-        B^-1 is kept as its integer rows over a positive denominator."""
+    def prove(self, basis: list[int]) -> tuple[list[list[int]], list[int], int]:
+        """Store the basis B once every reduced cost c_j - c_B.B^-1.A_j <= 0."""
         m = len(self.rows)
         found = linalg.inverse([[row[j] for j in basis] for row in self.rows]) if len(basis) == m else None
         if found is None:
             raise AssertionError(f"LP basis {basis} is not a basis")
         inverse, den = found
-        dual = [Fraction(x, den) for x in inverse[basis.index(0)]] if 0 in basis else [Fraction(0)] * m
+        dual = inverse[basis.index(0)] if 0 in basis else [0] * m
         for j in range(len(self.rows[0])):
-            reduced_cost = (j == 0) - _dot(dual, [row[j] for row in self.rows])
-            if reduced_cost > 0:
+            if (j == 0) * den - _dot(dual, [row[j] for row in self.rows]) > 0:
                 raise AssertionError(f"LP basis {basis} is not optimal at column {j}")
-        self.bases.append((inverse, dual))
-        return inverse, dual
+        self.bases.append((inverse, dual, den))
+        return inverse, dual, den
 
 
 def _threshold_lp(model: SurfaceModel, cvec: Vec) -> _ThresholdLP:
@@ -275,12 +264,16 @@ def _curve_vector(model: SurfaceModel, curve: int | Sequence[Scalar]) -> Vec:
 class ThresholdPiece:
     u_lo: Fraction
     u_hi: Fraction
-    t: Poly  # affine in u
+    wall: Form  # t(u) = (a + b*u)/d, in lowest terms
+
+    @cached_property
+    def t(self) -> Poly:
+        return affine_poly(self.wall[:2], self.wall[2])
 
 
 def threshold_pieces(
     model: SurfaceModel,
-    base: Sequence[Poly],
+    base: Sequence[Poly | Scalar],
     curve: Sequence[Scalar] | int,
     u_lo: Scalar,
     u_hi: Scalar,
@@ -296,104 +289,106 @@ def threshold_pieces(
     base(u) is affine, so an optimal basis B kept on the model stays optimal
     where B^-1.base(u) >= 0 at both ends, and there c_B.B^-1.base(u) must be t.
     Else one cold solve at the midpoint gives B, split where it turns infeasible.
+    All of it runs on the family's integer forms.
     """
-    u_lo, u_hi = q(u_lo), q(u_hi)
-    base = [Poly.coerce(b) for b in base]
-    cvec = _curve_vector(model, curve)
-    lines: list[Poly] = []
-    for h in model.facets():
-        hc = sum(h[i] * cvec[i] for i in range(model.n))
-        terms: dict = {}
-        for hi, b in zip(h, base):
-            if hi:
-                for e, c in b.terms.items():
-                    terms[e] = terms[e] + c * hi if e in terms else c * hi
-        hb = Poly._make(terms)
-        if hb.total_degree() > 1 or hb.degree_in("v") or hb.degree_in("c"):
-            raise ValueError("base family must be affine in u")
-        if hc > 0:
-            lines.append(hb / hc)
-        elif hc == 0:
+    return _threshold_pieces(_Family(model, base, _curve_vector(model, curve)), q(u_lo), q(u_hi))
+
+
+def _threshold_pieces(family: "_Family", u_lo: Fraction, u_hi: Fraction) -> list[ThresholdPiece]:
+    lines: list[Form] = []
+    for h in family.model.facets():
+        # h(base) - v*h(C), times a positive factor: h(C) > 0 iff c < 0.
+        a, b, c = combine(enumerate(h), family.forms)
+        if c < 0:
+            lines.append(lowest((a, b, -c)))
+        elif c == 0:
             for u0 in (u_lo, u_hi):
-                if hb(u=u0) < 0:
+                if a * u0.denominator + b * u0.numerator < 0:
                     raise NotPseudoeffectiveError(
                         f"base family leaves the effective cone at u={u0}"
                     )
     if not lines:
         raise ValueError("threshold unbounded")
     pieces = _lower_envelope(lines, u_lo, u_hi)
-    threshold_lp = _threshold_lp(model, cvec)
+    threshold_lp = _threshold_lp(family.model, family.cvec)
     for piece in pieces:
-        _certify_piece(threshold_lp, base, piece.t, piece.u_lo, piece.u_hi)
+        _certify_piece(threshold_lp, family, piece.wall, piece.u_lo, piece.u_hi)
     return pieces
 
 
-def _certify_piece(threshold_lp: _ThresholdLP, base: Sequence[Poly], t: Poly,
+def _certify_piece(threshold_lp: _ThresholdLP, family: "_Family", t: Form,
                    lo: Fraction, hi: Fraction, depth: int = 0) -> None:
     """Prove that t is the LP threshold of base(u) on all of [lo, hi]."""
     if depth > 24:
         raise ScanError("threshold certificate failed to stabilize", lo, hi, depth)
-    # The base at both ends as integer numerators over one positive denominator.
-    flat, _ = numerators(b(u=u0) for u0 in (lo, hi) for b in base)
-    ends = flat[:len(base)], flat[len(base):]
-    for inverse, dual in threshold_lp.bases:
-        if all(_dot(row, end) >= 0 for end in ends for row in inverse):
+    consts, slopes = [f[0] for f in family.forms], [f[1] for f in family.forms]
+    ends = [(u0.numerator, u0.denominator) for u0 in (lo, hi)]
+
+    def basic(inverse: list[list[int]]) -> Iterator[tuple[int, int]]:
+        # Each basic variable B^-1.base(u) as an affine function of u.
+        return ((_dot(row, consts), _dot(row, slopes)) for row in inverse)
+
+    for inverse, dual, den in threshold_lp.bases:
+        if all(a * r + b * p >= 0 for a, b in basic(inverse) for p, r in ends):
             break
     else:
         mid = (lo + hi) / 2
-        inverse, dual = threshold_lp.prove(threshold_lp.solve([b(u=mid) for b in base]).basis)
-        for row in inverse:
-            x_lo, x_hi = _dot(row, ends[0]), _dot(row, ends[1])
-            if x_lo < 0 or x_hi < 0:
-                # This basic variable is >= 0 at mid and reaches 0 at `at`.
-                at = lo + (hi - lo) * Fraction(x_lo, x_lo - x_hi)
-                _certify_piece(threshold_lp, base, t, lo, at, depth + 1)
-                _certify_piece(threshold_lp, base, t, at, hi, depth + 1)
+        p, r = mid.numerator, mid.denominator
+        dvec = [Fraction(a * r + b * p, family.den * r) for a, b in zip(consts, slopes)]
+        inverse, dual, den = threshold_lp.prove(threshold_lp.solve(dvec).basis)
+        for a, b in basic(inverse):
+            if any(a * r + b * p < 0 for p, r in ends):
+                # This basic variable is >= 0 at mid and vanishes at `at`.
+                at = Fraction(-a, b)
+                _certify_piece(threshold_lp, family, t, lo, at, depth + 1)
+                _certify_piece(threshold_lp, family, t, at, hi, depth + 1)
                 return
-    value = sum((b * y for b, y in zip(base, dual) if y), Poly())
-    if value != t:
-        raise AssertionError(f"threshold mismatch on [{lo}, {hi}]: envelope {t}, LP {value}")
+    # c_B.B^-1.base(u) = t: the value's const and slope over den * family.den.
+    value = (_dot(dual, consts), _dot(dual, slopes))
+    scale = den * family.den
+    if value[0] * t[2] != t[0] * scale or value[1] * t[2] != t[1] * scale:
+        raise AssertionError(f"threshold mismatch on [{lo}, {hi}]: envelope {affine_poly(t[:2], t[2])}, "
+                             f"LP {affine_poly(value, scale)}")
 
 
-def _dot(x: Sequence[Fraction], y: Sequence[Fraction]) -> Fraction:
+def _dot(x: Sequence, y: Sequence):
     return sum(a * b for a, b in zip(x, y) if a)
 
 
-def _lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fraction) -> list[ThresholdPiece]:
-    def slope(line: Poly) -> Fraction:
-        return line.coefficient((1, 0, 0))
-
+def _lower_envelope(lines: Sequence[Form], u_lo: Fraction, u_hi: Fraction) -> list[ThresholdPiece]:
+    """The lower envelope of the walls ``lines`` on [u_lo, u_hi]: from each
+    breakpoint the lowest line there, the least steep of those tied, holds
+    until the first line that falls below it."""
     pieces: list[ThresholdPiece] = []
     cur = u_lo
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 100:
-            raise ScanError("lower envelope failed to terminate", u_lo, u_hi)
-        vmin = min(l(u=cur) for l in lines)
-        active = min(
-            (l for l in lines if l(u=cur) == vmin), key=slope
-        )
+    for _ in range(100):
+        p, r = cur.numerator, cur.denominator
+        active = lines[0]
+        for line in lines[1:]:
+            a, b, d = line
+            a0, b0, d0 = active
+            # The sign of line - active at cur, times d * d0 * r > 0.
+            below = (a * r + b * p) * d0 - (a0 * r + b0 * p) * d
+            if below < 0 or below == 0 and b * d0 < b0 * d:
+                active = line
         if cur >= u_hi:
             if not pieces:
                 pieces.append(ThresholdPiece(u_lo, u_hi, active))
-            break
+            return pieces
         nxt = u_hi
-        for line in lines:
-            if line == active:
-                continue
-            ds = slope(line) - slope(active)
-            if ds >= 0:
-                continue
-            # line falls below active at the crossing.
-            cross = (active(u=0) - line(u=0)) / ds
-            if cur < cross < nxt:
-                nxt = cross
+        a0, b0, d0 = active
+        for a, b, d in lines:
+            falls = b * d0 - b0 * d  # the slope of line - active, times d * d0
+            if falls < 0:
+                # line falls below active at the crossing.
+                cross = Fraction(a0 * d - a * d0, falls)
+                if cur < cross < nxt:
+                    nxt = cross
         pieces.append(ThresholdPiece(cur, nxt, active))
         if nxt >= u_hi:
-            break
+            return pieces
         cur = nxt
-    return pieces
+    raise ScanError("lower envelope failed to terminate", u_lo, u_hi)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +400,16 @@ def _lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fraction) -> li
 class ScanChamber:
     chamber: Chamber
     support: tuple[int, ...]
-    n_coeffs: tuple[Poly, ...]  # affine in (u, v)
-    p_coeffs: tuple[Poly, ...]
-    forms: _Forms  # the same N and P, with P.C_k, as integer forms
+    forms: _Forms  # N and P, with P.C_k, as integer forms
+
+    @cached_property
+    def n_coeffs(self) -> tuple[Poly, ...]:
+        """N as Polys affine in (u, v)."""
+        return tuple(affine_poly(f, self.forms.den) for f in self.forms.n)
+
+    @cached_property
+    def p_coeffs(self) -> tuple[Poly, ...]:
+        return tuple(affine_poly(f, self.forms.den) for f in self.forms.p)
 
 
 @dataclass(frozen=True)
@@ -448,15 +450,11 @@ def chamber_scan(
     coefficient or an excluded-curve intersection vanishes.
     """
     u_lo, u_hi = q(u_lo), q(u_hi)
-    base = [Poly.coerce(b) for b in base]
-    for b in base:
-        if b.total_degree() > 1 or b.degree_in("v") or b.degree_in("c"):
-            raise ValueError("family coefficients must be affine in u")
     cvec = _curve_vector(model, curve)
     family = _Family(model, base, cvec)
-    tpieces = threshold_pieces(model, base, curve, u_lo, u_hi)
+    tpieces = _threshold_pieces(family, u_lo, u_hi)
     # A piece with t = 0 has the single line v = 0 as its v-range: no chamber.
-    chambers = tuple(ch for piece in tpieces if not piece.t.is_zero()
+    chambers = tuple(ch for piece in tpieces if any(piece.wall[:2])
                      for ch in _scan_threshold_piece(family, piece))
     return ChamberedDecomposition(model=model, curve=cvec, u_lo=u_lo, u_hi=u_hi,
                                   threshold=tuple(tpieces), chambers=chambers)
@@ -500,20 +498,18 @@ class _Forms:
     p: tuple[Form, ...]
     pc: tuple[Form, ...]
 
-    @cached_property
-    def polys(self) -> tuple[tuple[Poly, ...], tuple[Poly, ...]]:
-        """(N, P) as Polys, built for the chambers that are kept."""
-        return tuple(tuple(_poly(f, self.den) for f in forms) for forms in (self.n, self.p))
-
 
 class _Family:
     """D - v*C as forms over one denominator ``den``, with the column forms
     of every support the scan has met, computed once each."""
 
-    def __init__(self, model: SurfaceModel, base: Sequence[Poly], cvec: Vec):
+    def __init__(self, model: SurfaceModel, base: Sequence[Poly | Scalar], cvec: Vec):
+        base = [Poly.coerce(b) for b in base]
+        if any(e[1] or e[2] or e[0] > 1 for b in base for e in b.terms):
+            raise ValueError("base family must be affine in u")
         flat, den = numerators(x for b, c in zip(base, cvec)
                                for x in (b.coefficient((0, 0, 0)), b.coefficient((1, 0, 0)), -c))
-        self.model, self.den = model, den
+        self.model, self.cvec, self.den = model, cvec, den
         self.forms = tuple(flat[i:i + 3] for i in range(0, len(flat), 3))
         # D.C_k times g * den, g the Gram denominator.
         self.gram_dots = tuple(combine(col, self.forms) for col in model._int_columns)
@@ -555,17 +551,6 @@ def _column_forms(family: _Family, support: tuple[int, ...]) -> _Forms:
     return _Forms(support, g * den, tuple(n), tuple(p), pc)
 
 
-def _poly(form: Form, den: int) -> Poly:
-    a, b, c = form
-    return Poly._make({(0, 0, 0): Fraction(a, den), (1, 0, 0): Fraction(b, den),
-                       (0, 1, 0): Fraction(c, den)})
-
-
-def _wall_poly(w: Form) -> Poly:
-    a, b, d = w
-    return _poly((a, b, 0), d)
-
-
 def _scan_threshold_piece(family: _Family, piece: ThresholdPiece, depth: int = 0) -> list[ScanChamber]:
     if depth > 24:
         raise ScanError("chamber scan failed to stabilize", piece.u_lo, piece.u_hi, depth)
@@ -576,8 +561,8 @@ def _scan_threshold_piece(family: _Family, piece: ThresholdPiece, depth: int = 0
         at = split.at
         if not (piece.u_lo < at < piece.u_hi):
             raise ScanError(f"invalid split point u={at}", piece.u_lo, piece.u_hi, depth) from None
-        left = ThresholdPiece(piece.u_lo, at, piece.t)
-        right = ThresholdPiece(at, piece.u_hi, piece.t)
+        left = ThresholdPiece(piece.u_lo, at, piece.wall)
+        right = ThresholdPiece(at, piece.u_hi, piece.wall)
         return _scan_threshold_piece(family, left, depth + 1) + (
             _scan_threshold_piece(family, right, depth + 1)
         )
@@ -603,8 +588,8 @@ def _column_structure(family: _Family, piece: ThresholdPiece, u0: Fraction, dept
     determines the next boundary exactly, and the boundary's defining form
     is solved for v as an affine function of u.
     """
-    t_at = piece.t(u=u0)
     p, q = u0.numerator, u0.denominator
+    t_at = Fraction(piece.wall[0] * q + piece.wall[1] * p, piece.wall[2] * q)
     n = family.model.n
     columns: list[_Column] = []
     v_cur = Fraction(0)
@@ -670,12 +655,12 @@ def _certify_columns(
     condition has an exact root in u, which is raised as a split point.
     """
     ends = [(u.numerator, u.denominator) for u in (piece.u_lo, piece.u_hi)]
-    walls = [col.lower for col in columns] + [wall(piece.t)]
+    walls = [col.lower for col in columns] + [piece.wall]
     gaps = [_gap(lo, hi) for lo, hi in zip(walls, walls[1:])]
     # Boundary ordering across the interval (affine: endpoints suffice).
     for a, b in gaps:
         if any(a * q + b * p < 0 for p, q in ends):
-            cross = _root_inside(a, b, piece)
+            cross = _root_inside(a, b, piece.u_lo, piece.u_hi)
             if cross is not None:
                 raise _SplitNeeded(cross)
             raise ScanError("inconsistent chamber boundaries", piece.u_lo, piece.u_hi, depth)
@@ -709,9 +694,8 @@ def _certify_columns(
         if col.support and not _support_block(family.model, col.support).negative_definite:
             raise ConeAssumptionError("cone assumption violated")
         kept.append(idx)
-    bounds = [_wall_poly(w) for w in walls[:-1]] + [piece.t]
-    return [ScanChamber(Chamber(piece.u_lo, piece.u_hi, bounds[idx], bounds[idx + 1]),
-                        columns[idx].support, *columns[idx].forms.polys, columns[idx].forms) for idx in kept]
+    return [ScanChamber(Chamber(piece.u_lo, piece.u_hi, walls[idx], walls[idx + 1]),
+                        columns[idx].support, columns[idx].forms) for idx in kept]
 
 
 def _gap(lo: Form, hi: Form) -> tuple[int, int]:
@@ -719,31 +703,22 @@ def _gap(lo: Form, hi: Form) -> tuple[int, int]:
     return hi[0] * lo[2] - lo[0] * hi[2], hi[1] * lo[2] - lo[1] * hi[2]
 
 
-def _root_inside(a: int, b: int, piece: ThresholdPiece) -> Fraction | None:
-    """The root of a + b*u if it lies strictly inside the piece."""
+def _root_inside(a: int, b: int, lo: Fraction, hi: Fraction) -> Fraction | None:
+    """The root of a + b*u if it lies strictly between lo and hi."""
     if b == 0:
         return None
     root = Fraction(-a, b)
-    return root if piece.u_lo < root < piece.u_hi else None
+    return root if lo < root < hi else None
 
 
 def _corner_failure_split(form: Form, lo: Form, hi: Form, piece: ThresholdPiece) -> Fraction | None:
     """Where the form vanishes along the lower or else the upper wall."""
     a, b, c = form
     for w0, w1, d in (lo, hi):
-        root = _root_inside(a * d + c * w0, b * d + c * w1, piece)
+        root = _root_inside(a * d + c * w0, b * d + c * w1, piece.u_lo, piece.u_hi)
         if root is not None:
             return root
     return None
-
-
-def _affine_root(fn: Poly, lo: Fraction, hi: Fraction) -> Fraction | None:
-    a = fn.coefficient((0, 0, 0))
-    b = fn.coefficient((1, 0, 0))
-    if b == 0:
-        return None
-    root = -a / b
-    return root if lo < root < hi else None
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +755,14 @@ class TableRow:
     def key(self) -> tuple[str, str]:
         return (f"[{self.u_lo},{self.u_hi}]", f"[{self.v_lo},{self.v_hi}]")
 
+    @cached_property
+    def _forms(self) -> tuple[tuple[Form, Form], tuple[tuple[tuple[Form, int] | None, ...], ...]]:
+        """The v-bounds as walls, and the N and P cells as integer forms over
+        positive denominators, None for a cell not affine in (u, v)."""
+        return (wall(self.v_lo), wall(self.v_hi)), tuple(
+            tuple(None if x.total_degree() > 1 or x.degree_in("c") else affine_form(x) for x in cells)
+            for cells in (self.n, self.p))
+
 
 def verify_surface_table(
     scan: ChamberedDecomposition,
@@ -805,6 +788,7 @@ def _check_row(scan: ChamberedDecomposition, row: TableRow) -> list[RowMismatch]
     model = scan.model
     out: list[RowMismatch] = []
     overlaps_found = False
+    (row_lo, row_hi), (n_cells, p_cells) = row._forms
     for ch in scan.chambers:
         u_lo = max(row.u_lo, ch.chamber.u_lo)
         u_hi = min(row.u_hi, ch.chamber.u_hi)
@@ -812,22 +796,24 @@ def _check_row(scan: ChamberedDecomposition, row: TableRow) -> list[RowMismatch]
             continue
         # The v-overlap min(v_hi) - max(v_lo) is concave and piecewise affine
         # in u, so it is positive somewhere on the common interval iff it is
-        # positive at an end or where the two lower or two upper bounds cross.
-        crossings = (_affine_root(row.v_lo - ch.chamber.v_lo, u_lo, u_hi),
-                     _affine_root(row.v_hi - ch.chamber.v_hi, u_lo, u_hi))
+        # positive at an end or where the two lower or two upper walls cross.
+        lows, highs = (row_lo, ch.chamber.lower), (row_hi, ch.chamber.upper)
+        crossings = (_root_inside(*_gap(*lows), u_lo, u_hi), _root_inside(*_gap(*highs), u_lo, u_hi))
+        gaps = [_gap(lo, hi) for lo in lows for hi in highs]
         if not any(
-            min(row.v_hi(u=u0), ch.chamber.v_hi(u=u0))
-            > max(row.v_lo(u=u0), ch.chamber.v_lo(u=u0))
+            all(a * u0.denominator + b * u0.numerator > 0 for a, b in gaps)
             for u0 in (u_lo, u_hi, *(x for x in crossings if x is not None))
         ):
             continue
         overlaps_found = True
+        forms = ch.forms
         for i in range(model.n):
-            for name, printed, recomputed in (("N", row.n[i], ch.n_coeffs[i]),
-                                              ("P", row.p[i], ch.p_coeffs[i])):
-                if printed != recomputed:
+            for name, printed, cell, form in (("N", row.n[i], n_cells[i], forms.n[i]),
+                                              ("P", row.p[i], p_cells[i], forms.p[i])):
+                # Equal over the common denominator; a non-affine cell never is.
+                if cell is None or any(x * forms.den != y * cell[1] for x, y in zip(cell[0], form)):
                     out.append(RowMismatch(row_key=row.key(), field=name, curve=model.curve_names[i],
-                                           printed=str(printed), recomputed=str(recomputed)))
+                                           printed=str(printed), recomputed=str(affine_poly(form, forms.den))))
     if not overlaps_found:
         out.append(
             RowMismatch(

@@ -7,13 +7,16 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from fano_delta import linalg, lp
-from fano_delta.exactmath import VARS, Chamber, Poly, Scalar, integrate_chamber, integrate_univariate, q
+from fano_delta.exactmath import VARS, Chamber, Poly, Scalar, integrate_chamber, integrate_univariate, q, wall
 from fano_delta.scenarios import builders, c_domain
 from fano_delta.surfzar import (
     ChamberedDecomposition,
     ConeAssumptionError,
     NotPseudoeffectiveError,
+    RowMismatch,
+    ScanError,
     SurfaceModel,
+    TableRow,
     ThresholdPiece,
     _curve_vector,
     _threshold_lp,
@@ -34,6 +37,12 @@ class ChamberFunction:
 
     def __init__(self, pieces: Iterable[tuple[Chamber, Poly]]):
         object.__setattr__(self, "pieces", tuple((ch, Poly.coerce(p)) for ch, p in pieces))
+
+
+def poly_chamber(u_lo, u_hi, v_lo, v_hi) -> Chamber:
+    """The Chamber between the walls v = v_lo(u) and v = v_hi(u), given as
+    Polys or scalars affine in u."""
+    return Chamber(u_lo, u_hi, wall(Poly.coerce(v_lo)), wall(Poly.coerce(v_hi)))
 
 
 def corners(ch: Chamber) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -455,8 +464,8 @@ def _reference_scan_piece(model, family, piece: ThresholdPiece, depth: int = 0) 
         at = split.at
         if not (piece.u_lo < at < piece.u_hi):
             raise RuntimeError(f"invalid split point u={at}") from None
-        return (_reference_scan_piece(model, family, ThresholdPiece(piece.u_lo, at, piece.t), depth + 1)
-                + _reference_scan_piece(model, family, ThresholdPiece(at, piece.u_hi, piece.t), depth + 1))
+        return (_reference_scan_piece(model, family, ThresholdPiece(piece.u_lo, at, piece.wall), depth + 1)
+                + _reference_scan_piece(model, family, ThresholdPiece(at, piece.u_hi, piece.wall), depth + 1))
 
 
 def _reference_columns(model, family, piece: ThresholdPiece, u0: Fraction) -> list:
@@ -510,7 +519,7 @@ def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ReferenceC
     for lo, hi in zip(bounds, bounds[1:]):
         gap = hi - lo
         if gap(u=piece.u_lo) < 0 or gap(u=piece.u_hi) < 0:
-            cross = _u_root(gap, piece)
+            cross = _affine_root(gap, piece.u_lo, piece.u_hi)
             if cross is not None:
                 raise _Split(cross)
             raise RuntimeError("inconsistent chamber boundaries")
@@ -518,12 +527,12 @@ def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ReferenceC
     for (support, _, n_sym, p_sym), lo, hi in zip(columns, bounds, bounds[1:]):
         if (hi - lo).is_zero():
             continue
-        chamber = Chamber(piece.u_lo, piece.u_hi, lo, hi)
+        chamber = poly_chamber(piece.u_lo, piece.u_hi, lo, hi)
 
         def check(fn: Poly, failure: str) -> None:
             if any(fn(u=u0, v=v0) < 0 for u0, v0 in corners(chamber)):
                 for bound in (lo, hi):
-                    root = _u_root(fn.subs(v=bound), piece)
+                    root = _affine_root(fn.subs(v=bound), piece.u_lo, piece.u_hi)
                     if root is not None:
                         raise _Split(root)
                 raise RuntimeError(failure)
@@ -544,10 +553,128 @@ def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ReferenceC
     return out
 
 
-def _u_root(fn: Poly, piece: ThresholdPiece):
-    """The root of the affine-in-u fn strictly inside the piece, if any."""
+# ---------------------------------------------------------------------------
+# Reference thresholds and table-row checks: the same algorithms as
+# `surfzar.threshold_pieces` and `surfzar._check_row` on Polys
+# ---------------------------------------------------------------------------
+
+
+class ReferencePiece(NamedTuple):
+    """A threshold piece of the reference envelope: t as a Poly affine in u."""
+
+    u_lo: Fraction
+    u_hi: Fraction
+    t: Poly
+
+
+def reference_threshold_pieces(model: SurfaceModel, base, curve, u_lo, u_hi) -> list[ReferencePiece]:
+    """`threshold_pieces` with every facet line, envelope step and
+    certificate step computed on rational Polys; it keeps its LP bases on
+    the model as `threshold_pieces` does."""
+    u_lo, u_hi = q(u_lo), q(u_hi)
+    base = [Poly.coerce(b) for b in base]
+    cvec = _curve_vector(model, curve)
+    lines: list[Poly] = []
+    for h in model.facets():
+        hc = sum(h[i] * cvec[i] for i in range(model.n))
+        hb = sum((b * hi for hi, b in zip(h, base) if hi), Poly())
+        if hb.total_degree() > 1 or hb.degree_in("v") or hb.degree_in("c"):
+            raise ValueError("base family must be affine in u")
+        if hc > 0:
+            lines.append(hb / hc)
+        elif hc == 0:
+            for u0 in (u_lo, u_hi):
+                if hb(u=u0) < 0:
+                    raise NotPseudoeffectiveError(f"base family leaves the effective cone at u={u0}")
+    if not lines:
+        raise ValueError("threshold unbounded")
+    pieces = _reference_lower_envelope(lines, u_lo, u_hi)
+    threshold_lp = _threshold_lp(model, cvec)
+    for piece in pieces:
+        _reference_certify_piece(threshold_lp, base, piece.t, piece.u_lo, piece.u_hi)
+    return pieces
+
+
+def _reference_certify_piece(threshold_lp, base, t: Poly, lo: Fraction, hi: Fraction, depth: int = 0):
+    if depth > 24:
+        raise ScanError("threshold certificate failed to stabilize", lo, hi, depth)
+    ends = [[b(u=u0) for b in base] for u0 in (lo, hi)]
+    for inverse, dual, den in threshold_lp.bases:
+        if all(sum(x * y for x, y in zip(row, end)) >= 0 for end in ends for row in inverse):
+            break
+    else:
+        mid = (lo + hi) / 2
+        inverse, dual, den = threshold_lp.prove(threshold_lp.solve([b(u=mid) for b in base]).basis)
+        for row in inverse:
+            x_lo, x_hi = (sum(x * y for x, y in zip(row, end)) for end in ends)
+            if x_lo < 0 or x_hi < 0:
+                at = lo + (hi - lo) * x_lo / (x_lo - x_hi)
+                _reference_certify_piece(threshold_lp, base, t, lo, at, depth + 1)
+                _reference_certify_piece(threshold_lp, base, t, at, hi, depth + 1)
+                return
+    value = sum((b * Fraction(y, den) for b, y in zip(base, dual) if y), Poly())
+    if value != t:
+        raise AssertionError(f"threshold mismatch on [{lo}, {hi}]: envelope {t}, LP {value}")
+
+
+def _reference_lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fraction) -> list[ReferencePiece]:
+    def slope(line: Poly) -> Fraction:
+        return line.coefficient((1, 0, 0))
+
+    pieces: list[ReferencePiece] = []
+    cur = u_lo
+    for _ in range(100):
+        vmin = min(line(u=cur) for line in lines)
+        active = min((line for line in lines if line(u=cur) == vmin), key=slope)
+        if cur >= u_hi:
+            if not pieces:
+                pieces.append(ReferencePiece(u_lo, u_hi, active))
+            return pieces
+        nxt = u_hi
+        for line in lines:
+            ds = slope(line) - slope(active)
+            if line == active or ds >= 0:
+                continue
+            cross = (active(u=0) - line(u=0)) / ds  # line falls below active here
+            if cur < cross < nxt:
+                nxt = cross
+        pieces.append(ReferencePiece(cur, nxt, active))
+        if nxt >= u_hi:
+            return pieces
+        cur = nxt
+    raise ScanError("lower envelope failed to terminate", u_lo, u_hi)
+
+
+def reference_check_row(scan: ChamberedDecomposition, row: TableRow) -> list[RowMismatch]:
+    """`surfzar._check_row` by Poly evaluation and Poly comparison."""
+    out: list[RowMismatch] = []
+    overlaps_found = False
+    for ch in scan.chambers:
+        u_lo, u_hi = max(row.u_lo, ch.chamber.u_lo), min(row.u_hi, ch.chamber.u_hi)
+        if u_lo >= u_hi:
+            continue
+        crossings = [_affine_root(row.v_lo - ch.chamber.v_lo, u_lo, u_hi),
+                     _affine_root(row.v_hi - ch.chamber.v_hi, u_lo, u_hi)]
+        if not any(min(row.v_hi(u=u0), ch.chamber.v_hi(u=u0)) > max(row.v_lo(u=u0), ch.chamber.v_lo(u=u0))
+                   for u0 in [u_lo, u_hi] + [x for x in crossings if x is not None]):
+            continue
+        overlaps_found = True
+        for i in range(scan.model.n):
+            for name, printed, recomputed in (("N", row.n[i], ch.n_coeffs[i]),
+                                              ("P", row.p[i], ch.p_coeffs[i])):
+                if printed != recomputed:
+                    out.append(RowMismatch(row.key(), name, scan.model.curve_names[i],
+                                           str(printed), str(recomputed)))
+    if not overlaps_found:
+        out.append(RowMismatch(row.key(), "region", "-", f"v in [{row.v_lo}, {row.v_hi}]",
+                               "row region lies outside the scanned decomposition"))
+    return out
+
+
+def _affine_root(fn: Poly, lo: Fraction, hi: Fraction) -> Fraction | None:
+    """The root of the affine-in-u fn strictly between lo and hi, if any."""
     a, b = fn.coefficient((0, 0, 0)), fn.coefficient((1, 0, 0))
-    if b != 0 and piece.u_lo < -a / b < piece.u_hi:
+    if b != 0 and lo < -a / b < hi:
         return -a / b
     return None
 

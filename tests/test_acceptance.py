@@ -11,11 +11,11 @@ import random
 from fractions import Fraction as F
 
 from fano_delta import toric3
-from fano_delta.exactmath import Poly, integrate_chamber, Chamber, q
+from fano_delta.exactmath import Poly, integrate_chamber, q
 from fano_delta.scenarios import builders, load_fan, load_model
 from fano_delta.toric3 import ToricDivisor, intersection_number
 
-from helpers import interpolate, random_pseudoeffective, zariski_decompose
+from helpers import interpolate, poly_chamber, random_pseudoeffective, zariski_decompose
 
 
 def by_label(checks, label):
@@ -247,9 +247,9 @@ def test_criterion_8_property_suites():
             pts.add((F(rng.randrange(-5, 6)), F(rng.randrange(-5, 6), 2)))
         samples = [((x, y), p(u=x, v=y)) for x, y in pts]
         assert interpolate(samples, 2, ("u", "v")) == p
-        ch = Chamber(0, 2, Poly.const(-1), Poly.const(1))
+        ch = poly_chamber(0, 2, Poly.const(-1), Poly.const(1))
         swapped = p.subs(u=V, v=U)
-        ch_swapped = Chamber(-1, 1, Poly.const(0), Poly.const(2))
+        ch_swapped = poly_chamber(-1, 1, Poly.const(0), Poly.const(2))
         assert integrate_chamber(p, ch) == integrate_chamber(swapped, ch_swapped)
 
     report(f"ACCEPTANCE 8 PASS: {decompositions} random Zariski decompositions with "

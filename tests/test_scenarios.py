@@ -1,12 +1,13 @@
 """Fixture integrity and the family re-derivation runs."""
 
 import json
+import sys
 import traceback
 from fractions import Fraction as F
 
 import pytest
 
-from fano_delta.exactmath import integrate_chamber, integrate_univariate, parse_poly, q, Chamber
+from fano_delta.exactmath import integrate_chamber, integrate_univariate, parse_poly, q
 from fano_delta.scenarios import (
     builders,
     default_c_samples,
@@ -16,7 +17,7 @@ from fano_delta.scenarios import (
     table_rows,
 )
 
-from helpers import build_218
+from helpers import build_218, poly_chamber
 
 
 def test_fixture_files_round_trip():
@@ -85,7 +86,7 @@ def test_flag_scenario_values_recomputable_from_clean_tables(family_runs):
         model = family.surface
         total = F(0)
         for row in table_rows(table_id):
-            chamber = Chamber(row.u_lo, row.u_hi, row.v_lo, row.v_hi)
+            chamber = poly_chamber(row.u_lo, row.u_hi, row.v_lo, row.v_hi)
             p_sq = model.pair(row.p, row.p)
             total += F(3, 9) * integrate_chamber(p_sq, chamber)
         if curve == "alpha1":
@@ -125,7 +126,7 @@ def test_point_value_recomputable_from_clean_tables(family_runs):
     e1 = [F(1), F(0), F(0), F(0), F(0), F(0)]
     total = F(0)
     for row in table_rows("table-11"):
-        chamber = Chamber(row.u_lo, row.u_hi, row.v_lo, row.v_hi)
+        chamber = poly_chamber(row.u_lo, row.u_hi, row.v_lo, row.v_hi)
         p_dot = model.pair(row.p, e1)
         total += F(3, 9) * integrate_chamber(p_dot * p_dot, chamber)
     assert total == F(1, 9)
@@ -331,3 +332,39 @@ def test_full_report_work_counts(monkeypatch):
     assert not [stack for stack in callers["solve"] + callers["rref"] if stack & toric]
     # The full report builds each family's L polytope once.
     assert sum("_vertices" in stack for stack in callers["solve_max"]) == 2
+
+
+def test_full_report_poly_work(monkeypatch):
+    """One cold `run_family("all")` makes at most 2,000 `Poly.__call__` and
+    28 `lp.solve_max` calls, and the threshold envelope, the chamber scan's
+    column walk, chamber construction, the table-row check and the nef test
+    evaluate no Poly: they run on integer forms and walls."""
+    from fano_delta import exactmath, flagdelta, lp, scenarios, surfzar, toric3
+
+    integer_only = {fn.__code__ for fn in (
+        surfzar.threshold_pieces, surfzar._lower_envelope, surfzar._certify_piece,
+        surfzar._column_structure, exactmath.Chamber.__post_init__, surfzar._check_row,
+        toric3.nef_on_interval)}
+    evaluations, offending, solves = [], [], []
+
+    def counting(self, _original=exactmath.Poly.__call__, **values):
+        evaluations.append(None)
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code in integer_only:
+                offending.append(frame.f_code.co_name)
+            frame = frame.f_back
+        return _original(self, **values)
+
+    def solve_max(*args, _original=lp.solve_max):
+        solves.append(None)
+        return _original(*args)
+
+    monkeypatch.setattr(exactmath.Poly, "__call__", counting)
+    monkeypatch.setattr(lp, "solve_max", solve_max)
+    for cache in (scenarios.fixture, scenarios.fixture_poly, flagdelta.scenario_scans):
+        cache.cache_clear()
+    builders.run_family("all")
+    assert len(evaluations) <= 2000
+    assert offending == []
+    assert len(solves) <= 28

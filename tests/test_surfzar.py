@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fano_delta import flagdelta, surfzar
-from fano_delta.exactmath import Poly, products, parse_poly
+from fano_delta.exactmath import Poly, products, parse_poly, wall
 from fano_delta.scenarios import builders, load_model, load_scenario_data, table_rows
 from fano_delta.surfzar import (
     NotPseudoeffectiveError,
@@ -29,7 +29,9 @@ from helpers import (
     pseff_threshold,
     random_pseudoeffective,
     reference_chamber_scan,
+    reference_check_row,
     reference_integrate_chamber,
+    reference_threshold_pieces,
     threshold_at,
     zariski_decompose,
 )
@@ -250,7 +252,23 @@ def test_certificate_catches_piece_rotated_about_its_midpoint(d4, monkeypatch):
         mid = (first.u_lo + first.u_hi) / 2
         tilted = first.t + (U - mid) * F(1, 7)
         assert tilted(u=mid) == first.t(u=mid)
-        return [surfzar.ThresholdPiece(first.u_lo, first.u_hi, tilted)] + rest
+        return [surfzar.ThresholdPiece(first.u_lo, first.u_hi, wall(tilted))] + rest
+
+    monkeypatch.setattr(surfzar, "_lower_envelope", rotated)
+    for model in (d4, fresh(d4)):
+        with pytest.raises(AssertionError, match="threshold mismatch"):
+            threshold_pieces(model, ptilde_d4("56"), [1, 1, 1, 0, 0, 0], 5, 6)
+
+
+def test_certificate_catches_piece_with_the_right_constant_and_a_wrong_slope(d4, monkeypatch):
+    # Rotated about u = 0: the constant term of t is right, only its slope is not.
+    envelope = surfzar._lower_envelope
+
+    def rotated(lines, lo, hi):
+        first, *rest = envelope(lines, lo, hi)
+        tilted = first.t + U * F(1, 7)
+        assert tilted.coefficient((0, 0, 0)) == first.t.coefficient((0, 0, 0))
+        return [surfzar.ThresholdPiece(first.u_lo, first.u_hi, wall(tilted))] + rest
 
     monkeypatch.setattr(surfzar, "_lower_envelope", rotated)
     for model in (d4, fresh(d4)):
@@ -268,7 +286,7 @@ def test_certificate_refuses_a_feasible_basis_that_is_not_optimal(d4, monkeypatc
     monkeypatch.setattr(surfzar.lp, "solve_max", lambda c, a, b: surfzar.lp.LPResult(
         surfzar.lp.OPTIMAL, [F(0)] * (1 + 2 * k) + list(b), F(0), slack))
     monkeypatch.setattr(surfzar, "_lower_envelope",
-                        lambda lines, lo, hi: [surfzar.ThresholdPiece(lo, hi, Poly())])
+                        lambda lines, lo, hi: [surfzar.ThresholdPiece(lo, hi, (0, 0, 1))])
     with pytest.raises(AssertionError, match="not optimal"):
         threshold_pieces(model, [1] * n, 0, 0, 1)
 
@@ -570,6 +588,55 @@ def test_integer_scan_equals_reference_scan_on_218_families(case, c):
         assert scan_outcome(chamber_scan, *args) == scan_outcome(reference_chamber_scan, *args)
 
 
+# The integer threshold envelope against the same algorithm on rational Polys.
+
+def threshold_outcome(pieces_of, model, *args):
+    """The pieces (u_lo, u_hi, t) and the LP bases kept on a fresh copy of
+    the model, or the type of the error raised."""
+    model = fresh(model)
+    try:
+        pieces = [(p.u_lo, p.u_hi, p.t) for p in pieces_of(model, *args)]
+    except (ValueError, RuntimeError, AssertionError) as exc:
+        return type(exc)
+    return pieces, {cvec: lp_.bases for cvec, lp_ in model._threshold_lps.items()}
+
+
+def two_curves():
+    # Two disjoint (-1)-curves: facets x_a >= 0 and x_b >= 0.
+    return SurfaceModel(["a", "b"], [["-1", "0"], ["0", "-1"]])
+
+
+@pytest.mark.parametrize("model, base, curve, lo, hi", [
+    (two_curves(), [1, 1], [1, 1], 0, 1),  # tied lines: both facets give t = 1
+    (two_curves(), [1 + U, 2 - U], [1, 1], 0, 1),  # the lines cross at u = 1/2
+    (two_curves(), [1, 1 - U], 0, 0, 2),  # h(C) = 0 facet negative at u = 2
+    (two_curves(), [1 - U, 1], 0, 0, 2),  # the envelope leaves the cone inside
+    (two_curves(), [U * U, 1], 0, 0, 1),  # not affine in u
+    (SurfaceModel(["c"], [["-1"]]), [1], [-1], 0, 1),  # no facet bounds v
+    (load_model("d4-g"), ptilde_d4("24"), 0, 3, 3),  # a zero-width piece
+    (load_model("d4-g"), [0] * 6, 0, 0, 1),  # t = 0
+    (load_model("a3-g"), [parse_poly(s) for s in ["(u-8)/2", "0", "1/2", "(11-u)/4", "(10-u)/2", "0"]],
+     [1, 2, 1, 0, 0, 0], 5, 7),
+])
+def test_integer_thresholds_equal_reference_on_edge_cases(model, base, curve, lo, hi):
+    got = threshold_outcome(threshold_pieces, model, base, curve, lo, hi)
+    assert got == threshold_outcome(reference_threshold_pieces, model, base, curve, lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(families_at_c(), st.sampled_from(["as drawn", "apex", "zero width", "reversed curve"]))
+def test_integer_thresholds_equal_reference_on_random_families(case, variant):
+    model, base, curve, lo, hi = case
+    if variant == "apex":  # base(lo) = 0: every line passes through 0 there, a tie
+        base = [b(u=hi) * (U - lo) / (hi - lo) for b in base]
+    elif variant == "zero width":
+        hi = lo
+    elif variant == "reversed curve":  # C with negative weights: facets with h(C) <= 0
+        curve = [-x for x in curve] if isinstance(curve, list) else [-(i == curve) for i in range(model.n)]
+    got = threshold_outcome(threshold_pieces, model, base, curve, lo, hi)
+    assert got == threshold_outcome(reference_threshold_pieces, model, base, curve, lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # Table verification
 # ---------------------------------------------------------------------------
@@ -626,6 +693,38 @@ def test_verify_flags_row_overlapping_a_chamber_off_the_probes(d4, v_lo, v_hi, p
     report = verify_surface_table(scan, [row], "table-04")
     assert not report.accepted
     assert {(mm.field, mm.curve) for mm in report.mismatches} == {("N", "alpha2"), ("P", "alpha2")}
+
+
+def chamber_table_rows():
+    """(scan, row) for every printed chamber row of tables 01-14 (tables 04-07
+    and 11-14; the others print no v-range), with the scan that covers it."""
+    for name in ("34-d4", "34-a3"):
+        family = builders.ToricFamily(name)
+        for curve, case in family.data["curve_cases"].items():
+            scans = flagdelta.scenario_scans(family.flag_scenario(curve))
+            for row in table_rows(case["table"]):
+                yield next(s for s in scans if s.u_lo <= row.u_lo and row.u_hi <= s.u_hi), row
+
+
+def moved(row, lift=Poly(), n0=Poly(), p1=None):
+    """The row with its v-range lifted by ``lift``, ``n0`` added to its first
+    N cell and its second P cell replaced by ``p1``."""
+    p = row.p if p1 is None else (row.p[0], p1, *row.p[2:])
+    return TableRow(row.u_lo, row.u_hi, row.v_lo + lift, row.v_hi + lift, p, (row.n[0] + n0, *row.n[1:]))
+
+
+def test_integer_row_check_equals_reference_on_the_printed_tables():
+    fields = set()
+    rows = list(chamber_table_rows())
+    assert len(rows) > 50
+    for scan, row in rows:
+        for copy in (row, moved(row, lift=F(1, 5)), moved(row, lift=F(-1, 2)),
+                     moved(row, lift=(U - row.u_lo) / 3), moved(row, lift=F(-1, 7) - U / 5),
+                     moved(row, n0=V / 7), moved(row, p1=U * V), moved(row, p1=parse_poly("c"))):
+            got = surfzar._check_row(scan, copy)
+            assert got == reference_check_row(scan, copy)
+            fields |= {mm.field for mm in got}
+    assert fields == {"N", "P", "region"}
 
 
 def test_p_squared_reconstruction_by_interpolation(d4):
