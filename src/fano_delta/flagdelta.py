@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactmath import Poly, Scalar, combine, integrate_univariate, numerators, products, q
+from .exactmath import _VAR_INDEX, Poly, Scalar, combine, integrate_univariate, numerators, products, q
 from .surfzar import ChamberedDecomposition, ScanError, SurfaceModel, chamber_scan
 
 Vec = tuple[Fraction, ...]
@@ -323,8 +323,6 @@ def _nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
 def _dense_coeffs(p: Poly, var: str) -> list[Fraction]:
     deg = p.degree_in(var)
     out = [Fraction(0)] * (deg + 1)
-    from .exactmath import _VAR_INDEX
-
     idx = _VAR_INDEX[var]
     for exp, coef in p.terms.items():
         out[exp[idx]] += coef

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .. import flagdelta, surfzar, toric3
+from .. import flagdelta, linalg, surfzar, toric3
 from ..exactmath import Poly, integrate_univariate, q
 from ..flagdelta import BasePiece, FlagScenario, MarkedPoint, SInvariantResult
 from ..toric3 import CurveClass, Fan3, ToricDivisor
@@ -72,31 +72,23 @@ def _known_identities() -> frozenset[tuple]:
     return fixture(fixtures_dir(), "known_discrepancies.json", _registry_identities)
 
 
+# The registry fields that identify an entry of each kind, in identity order;
+# the cell bounds are canonical expressions.  Entries of other kinds are skipped.
+_REGISTRY_FIELDS = {
+    "table-cell": ("table", "u_lo", "u_hi", "v_lo", "v_hi", "field", "curve"),
+    "ratio": ("scenario",),
+    "printed-range": ("scenario", "case", "where"),
+    "fan-cones": ("fan",),
+    "point-value": ("scenario", "curve", "point"),
+}
+_CANONICAL_FIELDS = {"u_lo", "u_hi", "v_lo", "v_hi"}
+
+
 def _registry_identities(entries: list[dict]) -> frozenset[tuple]:
-    out = set()
-    for entry in entries:
-        if entry["kind"] == "table-cell":
-            out.add(
-                (
-                    "table-cell",
-                    entry["table"],
-                    _canon(entry["u_lo"]),
-                    _canon(entry["u_hi"]),
-                    _canon(entry["v_lo"]),
-                    _canon(entry["v_hi"]),
-                    entry["field"],
-                    entry["curve"],
-                )
-            )
-        elif entry["kind"] == "ratio":
-            out.add(("ratio", entry["scenario"]))
-        elif entry["kind"] == "printed-range":
-            out.add(("printed-range", entry["scenario"], entry["case"], entry["where"]))
-        elif entry["kind"] == "fan-cones":
-            out.add(("fan-cones", entry["fan"]))
-        elif entry["kind"] == "point-value":
-            out.add(("point-value", entry["scenario"], entry["curve"], entry["point"]))
-    return frozenset(out)
+    return frozenset(
+        (entry["kind"], *(_canon(entry[f]) if f in _CANONICAL_FIELDS else entry[f]
+                          for f in _REGISTRY_FIELDS[entry["kind"]]))
+        for entry in entries if entry["kind"] in _REGISTRY_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +96,21 @@ def _registry_identities(entries: list[dict]) -> frozenset[tuple]:
 # ---------------------------------------------------------------------------
 
 
+TORIC_FAMILIES = ("34-d4", "34-a3")
 _RAY_COLUMNS = {"T0": 0, "T1": 1, "T2": 2, "T3": 3, "T7": 7, "T8": 8, "T9": 9, "T10": 10}
+
+
+def _checked_names(data: dict) -> dict[str, tuple[str, ...]]:
+    """The tables and the fans a toric family checks, by the registry kind
+    of their discrepancies; fans in check order, each once."""
+    star = data["star"]
+    return {
+        "table-cell": (star["table_zd3"], star["table_restriction"], star["table_threshold"],
+                       *(case["table"] for case in data["curve_cases"].values())),
+        "fan-cones": tuple(dict.fromkeys((data["ambient_fan"],
+                                          *(iv["model"] for iv in data["certificate"]),
+                                          data["resolution_fan"]))),
+    }
 
 
 @dataclass
@@ -119,9 +125,6 @@ class ToricFamily:
         self.data = load_scenario_data(self.scenario_id)
         self.resolution = load_fan(self.data["resolution_fan"])
         self.ambient = load_fan(self.data["ambient_fan"])
-        self.models = {
-            iv["model"]: load_fan(iv["model"]) for iv in self.data["certificate"]
-        }
         self.l_u = tuple(fixture_poly(s) for s in self.data["l_u"])
         self.l_div = ToricDivisor(self.ambient, [fixture_poly(s) for s in self.data["l_on_y"]])
         self.surface = load_model(self.data["star"]["surface_model"])
@@ -129,11 +132,12 @@ class ToricFamily:
 
     # -- building blocks --------------------------------------------------
 
+    @cached_property
     def certificate(self) -> toric3.ZariskiCertificate3:
         intervals = []
         n = len(self.l_u)
         for iv in self.data["certificate"]:
-            fan = self.models[iv["model"]]
+            fan = load_fan(iv["model"])
             n_coeffs = [Poly() for _ in range(n)]
             for ray, expr in iv["N"].items():
                 n_coeffs[int(ray)] = fixture_poly(expr)
@@ -155,14 +159,12 @@ class ToricFamily:
     @cached_property
     def resolved_decomposition(self):
         """Per interval: (u_lo, u_hi, P and N pulled back to the resolution)."""
-        zeta0_coarse = self.data["pullbacks"]["zeta0"]["coarse"]
+        zeta0_coarse = load_fan(self.data["pullbacks"]["zeta0"]["coarse"])
         l_ambient = toric3.pullback(
-            self.resolution,
-            self.models[zeta0_coarse],
-            ToricDivisor(self.models[zeta0_coarse], self.l_u),
+            self.resolution, zeta0_coarse, ToricDivisor(zeta0_coarse, self.l_u)
         )
         out = []
-        for iv in self.certificate().intervals:
+        for iv in self.certificate.intervals:
             p_res = toric3.pullback(self.resolution, iv.model, iv.positive)
             n_res = l_ambient - p_res
             out.append((iv.u_lo, iv.u_hi, p_res, n_res))
@@ -280,10 +282,8 @@ class ToricFamily:
         self.checks.append(_compare(self.scenario_id, label, got, want, **how))
 
     def _check_fans(self):
-        fans = {self.data["ambient_fan"]: self.ambient, **self.models,
-                self.data["resolution_fan"]: self.resolution}
-        for name, fan in fans.items():
-            report = toric3.validate_fan(fan)
+        for name in _checked_names(self.data)["fan-cones"]:
+            report = toric3.validate_fan(load_fan(name))
             self._emit(f"fan {name} valid", report.valid or report.issues, True)
             raw = fixture(fixtures_dir(), f"fans/{name}.json")
             if "printed_cones" in raw and raw["printed_cones"] != raw["cones"]:
@@ -324,19 +324,18 @@ class ToricFamily:
                        shown=(str(ratio), printed), flag_label="A(G)/S_L(G) vs printed")
 
     def _check_certificate(self):
-        report = toric3.verify_zariski3(self.certificate())
+        report = toric3.verify_zariski3(self.certificate)
         self._emit("zariski3 certificate", report.accepted or report.lines, True)
         for model_name, window in self.data["expected"]["nef_windows"].items():
-            fan = self.models[model_name]
             nef = toric3.nef_on_interval(
-                ToricDivisor(fan, self.l_u), q(window[0]), q(window[1])
+                ToricDivisor(load_fan(model_name), self.l_u), q(window[0]), q(window[1])
             )
             self._emit(f"L_u nef on {model_name} for u in {window}", nef.nef, True)
 
     def _check_pullbacks(self):
         n = len(self.resolution.rays)
         for zeta, spec in self.data["pullbacks"].items():
-            coarse = self.models[spec["coarse"]] if spec["coarse"] in self.models else load_fan(spec["coarse"])
+            coarse = load_fan(spec["coarse"])
             for t_label in ("T0", "T1", "T2", "T3"):
                 j = int(t_label[1:])
                 unit = ToricDivisor(coarse, [1 if k == j else 0 for k in range(len(coarse.rays))])
@@ -352,7 +351,7 @@ class ToricFamily:
 
     def _check_intersection_fixtures(self):
         for model_name, triples in self.data["printed_triples"].items():
-            fan = self.models.get(model_name) or load_fan(model_name)
+            fan = load_fan(model_name)
             for key, val in triples.items():
                 i, j, k = (int(x) for x in key.split(","))
                 self._emit(
@@ -361,7 +360,7 @@ class ToricFamily:
                     q(val),
                 )
         for model_name, relations in self.data["character_relations"].items():
-            fan = self.models.get(model_name) or load_fan(model_name)
+            fan = load_fan(model_name)
             probes = [
                 ToricDivisor(fan, [((7 * i + 3 * r) % 11) - 5 for r in range(len(fan.rays))])
                 for i in (1, 2)
@@ -374,7 +373,7 @@ class ToricFamily:
         for name, coeffs in self.data["auxiliary_divisors"].items():
             divisors[name] = tuple(fixture_poly(s) for s in coeffs)
         for block in self.data["printed_curve_values"]:
-            fan = self.models[block["model"]]
+            fan = load_fan(block["model"])
             d = ToricDivisor(fan, divisors[block["divisor"]])
             for key, val in block["values"].items():
                 i, j = (int(x) for x in key.split(","))
@@ -458,8 +457,6 @@ class ToricFamily:
                            [Fraction(0)] * self.surface.n)
                 continue
             i = next(k for k, x in enumerate(cvec) if x != 0)
-            from .. import linalg
-
             sub = [[self.surface.gram[a][b] for b in contracted] for a in contracted]
             rhs = [-self.surface.gram[i][b] for b in contracted]
             sol = linalg.solve(sub, rhs)
@@ -470,28 +467,20 @@ class ToricFamily:
 
     def _check_thresholds(self):
         table = load_table(self.data["star"]["table_threshold"])
-        pieces = self.surface_pieces
         for curve, cells in table["cells"].items():
-            case = self.data["curve_cases"][curve]
-            cvec = [q(x) for x in case["class"]]
+            scans = flagdelta.scenario_scans(self.flag_scenario(curve))
             for cell in cells:
                 lo, hi = q(cell["u"][0]), q(cell["u"][1])
                 want = fixture_poly(cell["t"])
-                got: list[str] = []
-                ok = True
-                for plo, phi, ptilde, _ in pieces:
-                    a, b = max(lo, plo), min(hi, phi)
-                    if a >= b:
-                        continue
-                    for piece in surfzar.threshold_pieces(self.surface, ptilde, cvec, a, b):
-                        got.append(str(piece.t))
-                        if piece.t != want:
-                            ok = False
+                # The threshold on the cell is the scans' envelope clipped to
+                # it, each piece already proved by its LP basis.
+                got = [piece.t for scan in scans for piece in scan.threshold
+                       if max(lo, piece.u_lo) < min(hi, piece.u_hi)]
                 label = f"{table['id']} t({curve}) on [{cell['u'][0]},{cell['u'][1]}]"
                 self.checks.append(CheckResult(
                     self.scenario_id, label,
-                    "; ".join(got) if got else "uncovered",
-                    str(want), PASS if ok and got else FAIL))
+                    "; ".join(map(str, got)) or "uncovered",
+                    str(want), PASS if got and all(t == want for t in got) else FAIL))
 
     def _check_chamber_tables(self):
         for curve, case in self.data["curve_cases"].items():
@@ -756,11 +745,11 @@ def run_family(family: str, c_values=None) -> list[CheckResult]:
         return run_218(c_values)
     if family == "34-surfaces":
         return run_34_surfaces()
-    if family in ("34-d4", "34-a3"):
+    if family in TORIC_FAMILIES:
         return run_toric_family(family)
     if family == "all":
         out = []
-        for fam in ("218", "34-surfaces", "34-d4", "34-a3"):
+        for fam in ("218", "34-surfaces", *TORIC_FAMILIES):
             out.extend(run_family(fam, c_values))
         return out
     raise KeyError(f"unknown family {family!r}")
@@ -771,31 +760,11 @@ def flagged_identities(checks: Iterable[CheckResult]) -> set[tuple]:
 
 
 def expected_flag_identities(families: Sequence[str]) -> set[tuple]:
-    """The registered known-discrepancy identities relevant to the families."""
-    relevant_tables = set()
-    relevant_fans = set()
-    relevant = set()
-    for family in families:
-        if family in ("34-d4", "34-a3"):
-            data = load_scenario_data(family)
-            relevant_tables.add(data["star"]["table_zd3"])
-            relevant_tables.add(data["star"]["table_restriction"])
-            relevant_tables.add(data["star"]["table_threshold"])
-            for case in data["curve_cases"].values():
-                relevant_tables.add(case["table"])
-            relevant_fans.add(data["ambient_fan"])
-            relevant_fans.add(data["resolution_fan"])
-            for iv in data["certificate"]:
-                relevant_fans.add(iv["model"])
-    for identity in _known_identities():
-        if identity[0] == "table-cell" and identity[1] in relevant_tables:
-            relevant.add(identity)
-        elif identity[0] == "ratio" and identity[1] in families:
-            relevant.add(identity)
-        elif identity[0] == "printed-range" and identity[1] in families:
-            relevant.add(identity)
-        elif identity[0] == "fan-cones" and identity[1] in relevant_fans:
-            relevant.add(identity)
-        elif identity[0] == "point-value" and identity[1] in families:
-            relevant.add(identity)
-    return relevant
+    """The registered known-discrepancy identities relevant to the families:
+    by family name, or by the tables and fans a toric family checks."""
+    checked: dict[str, set[str]] = {"table-cell": set(), "fan-cones": set()}
+    for family in set(families) & set(TORIC_FAMILIES):
+        for kind, names in _checked_names(load_scenario_data(family)).items():
+            checked[kind].update(names)
+    return {identity for identity in _known_identities()
+            if identity[1] in checked.get(identity[0], families)}

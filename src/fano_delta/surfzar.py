@@ -131,7 +131,7 @@ class SurfaceModel:
     @cached_property
     def _cone(self) -> tuple[list[Vec], list[tuple[int, ...]]]:
         relations = [tuple(v) for v in linalg.nullspace([list(r) for r in self.gram])]
-        return relations, _effective_cone_facets(self, relations)
+        return relations, _effective_cone_facets(self)
 
     def pair(self, x: Sequence[Poly | Scalar], y: Sequence[Poly | Scalar]) -> Poly:
         """Intersection number of two classes given by coefficient vectors."""
@@ -151,7 +151,7 @@ class SurfaceModel:
         return Poly._make(out)
 
 
-def _effective_cone_facets(model: SurfaceModel, relations: list[Vec]) -> list[tuple[int, ...]]:
+def _effective_cone_facets(model: SurfaceModel) -> list[tuple[int, ...]]:
     """Facet functionals of the cone spanned by the basis curve classes.
 
     Classes are coordinatized by their intersection vector against a maximal

@@ -274,15 +274,21 @@ def nef_on_interval(d: ToricDivisor, u_lo: Scalar, u_hi: Scalar) -> NefReport:
         val = curve_intersection(d, CurveClass(d.fan, pair))
         if val.total_degree() > 1:
             raise ValueError(f"curve intersection {val} is not affine in u")
-        a, b, _ = wall(val)
-        for u0 in (u_lo, u_hi):
-            if a * u0.denominator + b * u0.numerator < 0:
-                return NefReport(False, pair, f"curve {pair} meets the divisor in {val} < 0 at u={u0}")
+        u0 = _negative_end(val, u_lo, u_hi)
+        if u0 is not None:
+            return NefReport(False, pair, f"curve {pair} meets the divisor in {val} < 0 at u={u0}")
     return NefReport(
         True,
         note="all curve intersections affine in u; nonnegativity at both "
         "endpoints certifies the interval",
     )
+
+
+def _negative_end(val: Poly, u_lo: Fraction, u_hi: Fraction) -> Fraction | None:
+    """The first of u_lo, u_hi at which val, a Poly affine in u, is negative,
+    by the integer sign of its wall; None if it is >= 0 at both."""
+    a, b, _ = wall(val)
+    return next((u0 for u0 in (u_lo, u_hi) if a * u0.denominator + b * u0.numerator < 0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -722,9 +728,9 @@ def _check_interval(cert: ZariskiCertificate3, iv: Zariski3Interval) -> str | No
     for k, coeff in enumerate(iv.negative.coeffs):
         if coeff.total_degree() > 1:
             return f"negative coefficient at ray {k} is not affine in u"
-        for u0 in (iv.u_lo, iv.u_hi):
-            if coeff(u=u0) < 0:
-                return f"negative part not effective at ray {k}, u={u0}"
+        u0 = _negative_end(coeff, iv.u_lo, iv.u_hi)
+        if u0 is not None:
+            return f"negative part not effective at ray {k}, u={u0}"
     # (c) positive part nef on the stated model.
     nef = nef_on_interval(iv.positive, iv.u_lo, iv.u_hi)
     if not nef.nef:

@@ -114,6 +114,46 @@ def test_tampered_fixture_fails(tmp_path, capsys, monkeypatch):
     assert "table-02" in out and "5" in out
 
 
+def _tamper_threshold(data):
+    data["cells"]["alpha1"][0]["t"] = "2*u"  # computed: u
+    return data
+
+
+def _uncovered_threshold(data):
+    data["cells"]["alpha1"].append({"u": ["7", "8"], "t": "1"})  # past u = 7
+    return data
+
+
+@pytest.mark.parametrize("edit, label, computed", [
+    (_tamper_threshold, "table-03 t(alpha1) on [0,1]", "u"),
+    (_uncovered_threshold, "table-03 t(alpha1) on [7,8]", "uncovered"),
+])
+def test_threshold_cell_failures(tmp_path, capsys, monkeypatch, edit, label, computed):
+    dst = _fixture_copy(tmp_path / "fixtures", "tables/table-03.json", edit)
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    code, out, _ = run_cli(capsys, "verify", "--family", "34-d4")
+    assert code == 1
+    assert f"[FAIL   ] 34-d4: {label}\n          computed: {computed}\n" in out
+    assert out.endswith(", 1 failed\n")
+
+
+def _register_a3_only(entries):
+    return entries + [
+        {"kind": "table-cell", "table": "table-10", "u_lo": "0", "u_hi": "1",
+         "v_lo": "0", "v_hi": "0", "field": "P", "curve": "alpha1"},
+        {"kind": "fan-cones", "fan": "a3-w3"},
+    ]
+
+
+def test_registry_scope_follows_the_checked_tables_and_fans(tmp_path, capsys, monkeypatch):
+    # Entries for a table and a fan that only 34-a3 checks: never flagged,
+    # so they are missing from 34-a3's run and out of 34-d4's scope.
+    dst = _fixture_copy(tmp_path / "fixtures", "known_discrepancies.json", _register_a3_only)
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    assert run_cli(capsys, "verify", "--family", "34-d4")[0] == 0
+    assert run_cli(capsys, "verify", "--family", "34-a3")[0] == 1
+
+
 def test_verdict_follows_the_fixture_directory(tmp_path, capsys, monkeypatch):
     # One process, four fixture directories in turn: each verdict must come
     # from the files of the directory the run reads, not from data kept

@@ -337,14 +337,15 @@ def test_full_report_work_counts(monkeypatch):
 def test_full_report_poly_work(monkeypatch):
     """One cold `run_family("all")` makes at most 2,000 `Poly.__call__` and
     28 `lp.solve_max` calls, and the threshold envelope, the chamber scan's
-    column walk, chamber construction, the table-row check and the nef test
-    evaluate no Poly: they run on integer forms and walls."""
+    column walk, chamber construction, the table-row check, the nef test and
+    the Zariski interval check evaluate no Poly: they run on integer forms
+    and walls."""
     from fano_delta import exactmath, flagdelta, lp, scenarios, surfzar, toric3
 
     integer_only = {fn.__code__ for fn in (
         surfzar.threshold_pieces, surfzar._lower_envelope, surfzar._certify_piece,
         surfzar._column_structure, exactmath.Chamber.__post_init__, surfzar._check_row,
-        toric3.nef_on_interval)}
+        toric3.nef_on_interval, toric3._check_interval)}
     evaluations, offending, solves = [], [], []
 
     def counting(self, _original=exactmath.Poly.__call__, **values):
@@ -368,3 +369,28 @@ def test_full_report_poly_work(monkeypatch):
     assert len(evaluations) <= 2000
     assert offending == []
     assert len(solves) <= 28
+
+
+def test_full_report_one_threshold_envelope_per_scan(monkeypatch):
+    """A cold `run_family("all")` builds one threshold envelope per chamber
+    scan: the toric threshold check reads the pieces of the flag scans, and
+    nothing calls `threshold_pieces` for a sub-interval."""
+    from fano_delta import flagdelta, scenarios, surfzar
+
+    calls = {"envelope": 0, "scan": 0, "threshold_pieces": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(surfzar, "_threshold_pieces", counted("envelope", surfzar._threshold_pieces))
+    monkeypatch.setattr(surfzar, "threshold_pieces",
+                        counted("threshold_pieces", surfzar.threshold_pieces))
+    monkeypatch.setattr(flagdelta, "chamber_scan", counted("scan", flagdelta.chamber_scan))
+    for cache in (scenarios.fixture, scenarios.fixture_poly, flagdelta.scenario_scans):
+        cache.cache_clear()
+    builders.run_family("all")
+    assert calls["scan"] > 0
+    assert calls == {"envelope": calls["scan"], "scan": calls["scan"], "threshold_pieces": 0}

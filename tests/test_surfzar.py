@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fano_delta import flagdelta, surfzar
 from fano_delta.exactmath import Poly, products, parse_poly, wall
-from fano_delta.scenarios import builders, load_model, load_scenario_data, table_rows
+from fano_delta.scenarios import builders, load_model, load_scenario_data, load_table, table_rows
 from fano_delta.surfzar import (
     NotPseudoeffectiveError,
     SurfaceModel,
@@ -635,6 +635,55 @@ def test_integer_thresholds_equal_reference_on_random_families(case, variant):
         curve = [-x for x in curve] if isinstance(curve, list) else [-(i == curve) for i in range(model.n)]
     got = threshold_outcome(threshold_pieces, model, base, curve, lo, hi)
     assert got == threshold_outcome(reference_threshold_pieces, model, base, curve, lo, hi)
+
+
+# The threshold on a sub-interval is the envelope of the whole interval
+# clipped to it: the toric runner reads each cell's threshold from its scan.
+
+def clipped(pieces, a, b):
+    """(u_lo, u_hi, wall) of each piece that meets [a, b] in positive width,
+    cut to [a, b]."""
+    return [(max(a, p.u_lo), min(b, p.u_hi), p.wall) for p in pieces
+            if max(a, p.u_lo) < min(b, p.u_hi)]
+
+
+def sub_interval_pieces(model, base, curve, a, b):
+    return [(p.u_lo, p.u_hi, p.wall) for p in threshold_pieces(model, base, curve, a, b)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(families_at_c(), st.data())
+def test_sub_interval_threshold_is_the_clipped_envelope(case, data):
+    model, base, curve, lo, hi = case
+    try:
+        whole = threshold_pieces(model, base, curve, lo, hi)
+    except (ValueError, RuntimeError):
+        return  # no threshold on [lo, hi]; the edge-case tests cover the errors
+    # Ends at rational points of [lo, hi], or at the envelope's breakpoints.
+    ends = st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=7).map(lambda s: lo + s * (hi - lo)),
+        st.sampled_from([p.u_lo for p in whole] + [whole[-1].u_hi]))
+    a, b = sorted(data.draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+    assert sub_interval_pieces(model, base, curve, a, b) == clipped(whole, a, b)
+
+
+@pytest.mark.parametrize("family", builders.TORIC_FAMILIES)
+def test_printed_threshold_cells_read_the_clipped_envelope(family):
+    """Every printed threshold cell meets each base piece in an interval on
+    which a cold envelope equals the scan's envelope clipped to it."""
+    fam = builders.ToricFamily(family)
+    cells = load_table(fam.data["star"]["table_threshold"])["cells"]
+    compared = 0
+    for curve, rows in cells.items():
+        scenario = fam.flag_scenario(curve)
+        for piece, scan in zip(scenario.pieces, flagdelta.scenario_scans(scenario)):
+            for cell in rows:
+                a, b = max(F(cell["u"][0]), piece.u_lo), min(F(cell["u"][1]), piece.u_hi)
+                if a < b:
+                    got = sub_interval_pieces(fam.surface, piece.coeffs, scenario.curve_class, a, b)
+                    assert got == clipped(scan.threshold, a, b)
+                    compared += 1
+    assert compared >= sum(map(len, cells.values()))  # every cell meets a piece
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,7 @@ def test_pullback_map_matches_solve_reference(family):
     from fano_delta.scenarios import builders
 
     fam = builders.ToricFamily(family)
-    names = {spec["coarse"] for spec in fam.data["pullbacks"].values()} | set(fam.models)
+    names = {spec["coarse"] for spec in fam.data["pullbacks"].values()} | {iv["model"] for iv in fam.data["certificate"]}
     for name in sorted(names):
         coarse = load_fan(name)
         n = len(coarse.rays)
@@ -511,7 +511,7 @@ def test_zariski3_interval_accept_and_reject():
     from fano_delta.scenarios import builders
 
     family = builders.ToricFamily("34-d4")
-    cert = family.certificate()
+    cert = family.certificate
     report = verify_zariski3(cert)
     assert report.accepted
 
@@ -539,7 +539,7 @@ def test_zariski3_forcing_check():
     from fano_delta.scenarios import builders
 
     family = builders.ToricFamily("34-d4")
-    cert = family.certificate()
+    cert = family.certificate
     iv = cert.intervals[2]
     missing = dataclasses.replace(iv, forcing=())
     report = verify_zariski3(dataclasses.replace(cert, intervals=(missing,)))
@@ -556,7 +556,7 @@ def test_polytope_volume_equals_positive_part_cube():
     for fam, samples in (("34-d4", (F(1, 2), F(3), F(11, 2), F(13, 2))),
                          ("34-a3", (F(1, 2), F(4), F(15, 2), F(9)))):
         family = builders.ToricFamily(fam)
-        cert = family.certificate()
+        cert = family.certificate
         for u0 in samples:
             iv = next(i for i in cert.intervals if i.u_lo <= u0 <= i.u_hi)
             l_at = ToricDivisor(iv.model, [c.subs(u=u0) for c in cert.l_u])
