@@ -11,10 +11,10 @@ is mathematical equality.  The module also provides
 
   * parse_poly / str round-trips for a compact human-auditable text form
     ("(8-u-3*v)/3"), used by the JSON fixtures,
-  * exact definite integration over intervals and over chambers
-    (u-intervals with affine-in-u bounds for v): an integrand's integer
-    numerators meet the chamber's integer moment numerators over one chamber
-    denominator in one sum, which becomes one Fraction.
+  * exact definite integration over u-intervals and over chambers (a
+    u-interval between two integer walls v = (a + b*u)/d): an integrand's
+    integer numerators meet the chamber's integer moment numerators over one
+    chamber denominator in one sum, which becomes one Fraction.
 
 No floating point exists anywhere in this package.
 """
@@ -392,63 +392,52 @@ def _tokenize(text: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def integrate_univariate(p: Poly, lo: Scalar, hi: Scalar, name: str | None = None) -> Fraction:
-    """Exact definite integral of a univariate polynomial over [lo, hi]."""
-    used = p.variables()
-    if len(used) > 1:
-        raise ValueError("arity mismatch")
-    if name is None:
-        name = used[0] if used else "u"
-    elif used and used != (name,):
+def integrate_univariate(p: Poly, lo: Scalar, hi: Scalar) -> Fraction:
+    """Exact definite integral over u in [lo, hi] of a polynomial in u alone."""
+    if p.degree_in("v") or p.degree_in("c"):
         raise ValueError("arity mismatch")
     lo, hi = q(lo), q(hi)
     if lo > hi:
         raise ValueError(f"inverted interval [{lo}, {hi}]")
-    anti = p.antiderivative(name)
-    return anti(**{name: hi}) - anti(**{name: lo})
+    anti = p.antiderivative("u")
+    return anti(u=hi) - anti(u=lo)
 
 
 @dataclass(frozen=True)
 class Chamber:
     """A region u in [u_lo, u_hi], v between the integer walls ``lower`` and
     ``upper`` the chamber scan proved, each v = (a + b*u)/d as (a, b, d) in
-    lowest terms, d > 0; both None for one-variable (u only) pieces.
-    ``v_lo``, ``v_hi`` and ``label`` are read from the walls."""
+    lowest terms, d > 0.  ``v_lo``, ``v_hi`` and ``label`` are read from the
+    walls."""
 
     u_lo: Fraction
     u_hi: Fraction
-    lower: Form | None = None
-    upper: Form | None = None
+    lower: Form
+    upper: Form
     # Integer moment tables by degree (see `integrate`).
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u_lo", q(self.u_lo))
         object.__setattr__(self, "u_hi", q(self.u_hi))
-        if (self.lower is None) != (self.upper is None):
-            raise ValueError("lower and upper walls must both be set or both None")
         if self.u_lo > self.u_hi:
             raise ValueError("empty or inverted chamber")
-        if self.lower is not None:
-            lo, hi = lowest(self.lower), lowest(self.upper)
-            object.__setattr__(self, "lower", lo)
-            object.__setattr__(self, "upper", hi)
-            # Affine walls: the sign of hi - lo at both u-ends certifies lo <= hi.
-            for u0 in (self.u_lo, self.u_hi):
-                p, r = u0.numerator, u0.denominator
-                if (lo[0] * r + lo[1] * p) * hi[2] > (hi[0] * r + hi[1] * p) * lo[2]:
-                    raise ValueError("empty or inverted chamber")
-
-    def is_two_dimensional(self) -> bool:
-        return self.lower is not None
+        lo, hi = lowest(self.lower), lowest(self.upper)
+        object.__setattr__(self, "lower", lo)
+        object.__setattr__(self, "upper", hi)
+        # Affine walls: the sign of hi - lo at both u-ends certifies lo <= hi.
+        for u0 in (self.u_lo, self.u_hi):
+            p, r = u0.numerator, u0.denominator
+            if (lo[0] * r + lo[1] * p) * hi[2] > (hi[0] * r + hi[1] * p) * lo[2]:
+                raise ValueError("empty or inverted chamber")
 
     @cached_property
-    def v_lo(self) -> Poly | None:
-        return None if self.lower is None else affine_poly(self.lower[:2], self.lower[2])
+    def v_lo(self) -> Poly:
+        return affine_poly(self.lower[:2], self.lower[2])
 
     @cached_property
-    def v_hi(self) -> Poly | None:
-        return None if self.upper is None else affine_poly(self.upper[:2], self.upper[2])
+    def v_hi(self) -> Poly:
+        return affine_poly(self.upper[:2], self.upper[2])
 
     @cached_property
     def label(self) -> str:
@@ -461,17 +450,17 @@ class Chamber:
         return tuple((x.numerator, x.denominator) for x in (self.u_lo, self.u_hi))
 
     def nonnegative(self, form: Form) -> bool:
-        """Whether a + b*u + c*v >= 0 on the 2-dimensional chamber: the form is
-        affine and the chamber convex, so its sign at the corners, as integer
-        points (u*W, v*W, W) with W > 0, decides it."""
+        """Whether a + b*u + c*v >= 0 on the chamber: the form is affine and
+        the chamber convex, so its sign at the corners, as integer points
+        (u*W, v*W, W) with W > 0, decides it."""
         a, b, c = form
         return all(a * m * d + b * n * d + c * (w0 * m + w1 * n) >= 0
                    for n, m in self._ends for w0, w1, d in (self.lower, self.upper))
 
     def integrate(self, terms: Mapping[tuple[int, int], int], den: int) -> Fraction:
-        """iint of sum terms[a, b] * u^a * v^b / den over the 2-dimensional
-        chamber, as one Fraction from the chamber's moment table of that degree
-        (at least 2, the degree of every flag integrand, so a flag needs one)."""
+        """iint of sum terms[a, b] * u^a * v^b / den over the chamber, as one
+        Fraction from the chamber's moment table of that degree (at least 2,
+        the degree of every flag integrand, so a flag needs one)."""
         k = max(2, max((a + b for (a, b), x in terms.items() if x), default=0))
         if k not in self._tables:
             self._tables[k] = _moment_table(self._ends, self.lower, self.upper, k)
@@ -559,18 +548,3 @@ def products(pairs: Iterable[tuple[Form, Form]]) -> dict[tuple[int, int], int]:
     terms = [(a * x, a * y + b * x, a * z + c * x, b * y, b * z + c * y, c * z)
              for (a, b, c), (x, y, z) in pairs]
     return dict(zip(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), map(sum, zip(*terms))))
-
-
-def integrate_chamber(p: Poly, ch: Chamber) -> Fraction:
-    """Exact iterated integral of p over a chamber (dv then du): on a
-    2-dimensional chamber, p's denominators are cleared and its integer
-    numerators meet the chamber's integer moment numerators over one chamber
-    denominator (`Chamber.integrate`), giving one Fraction."""
-    if p.degree_in("c"):
-        raise ValueError("arity mismatch")
-    if not ch.is_two_dimensional():
-        if p.degree_in("v"):
-            raise ValueError("arity mismatch")
-        return integrate_univariate(p, ch.u_lo, ch.u_hi, "u")
-    nums, den = numerators(p.terms.values())
-    return ch.integrate({e[:2]: x for e, x in zip(p.terms, nums)}, den)

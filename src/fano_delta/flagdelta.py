@@ -147,7 +147,7 @@ def s_from_volume(
         poly = Poly.coerce(poly)
         if not _nonneg_on_interval(poly, lo, hi):
             raise ValueError("invalid volume function")
-        total += integrate_univariate(poly, lo, hi, "u")
+        total += integrate_univariate(poly, lo, hi)
         last_hi, last_poly = hi, poly
     if last_poly is not None and last_poly(u=last_hi) != 0:
         raise ValueError("invalid volume function")
@@ -163,7 +163,7 @@ def s_curve_flag(scenario: FlagScenario) -> SInvariantResult:
         if piece.d.is_zero():
             continue
         p_sq = model.pair(piece.coeffs, piece.coeffs)
-        val = factor * integrate_univariate(p_sq * piece.d, piece.u_lo, piece.u_hi, "u")
+        val = factor * integrate_univariate(p_sq * piece.d, piece.u_lo, piece.u_hi)
         breakdown.append((f"ord-term u[{piece.u_lo},{piece.u_hi}]", val))
     for scan in scenario_scans(scenario):
         for ch in scan.chambers:

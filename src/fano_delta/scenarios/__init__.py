@@ -75,10 +75,6 @@ def load_scenario_data(scenario_id: str) -> dict:
     return fixture(fixtures_dir(), f"scenarios/family-{scenario_id}.json")
 
 
-def known_discrepancies() -> list[dict]:
-    return fixture(fixtures_dir(), "known_discrepancies.json")
-
-
 @lru_cache(maxsize=1024)
 def fixture_poly(text: str) -> Poly:
     """`parse_poly` of a fixture expression, parsed once per process.

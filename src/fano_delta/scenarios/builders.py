@@ -383,26 +383,29 @@ class ToricFamily:
                     str(fixture_poly(val)),
                 )
 
-    def _check_resolution_table(self):
-        table = load_table(self.data["star"]["table_zd3"])
-        columns = table["columns"]
-        rows = table["rows"]
-        resolved = self.resolved_decomposition
-        self._emit(f"{table['id']} row count", len(rows), len(resolved))
-        for row, (lo, hi, p_res, n_res) in zip(rows, resolved):
-            self._emit(
-                f"{table['id']} interval [{row['u'][0]},{row['u'][1]}]",
-                (str(lo), str(hi)),
-                (str(q(row["u"][0])), str(q(row["u"][1]))),
-            )
-            for which, computed in (("P", p_res), ("N", n_res)):
-                for col, expr in zip(columns, row[which]):
-                    ray = _RAY_COLUMNS[col]
+    def _check_table_cells(self, table_id: str, pieces, coefficient) -> dict:
+        """The row count and the P and N cells of a table printing one row per
+        piece (u_lo, u_hi, P, N); ``coefficient(x, idx, col)`` reads the
+        recomputed P or N at printed column idx, named col.  Returns the table."""
+        table = load_table(table_id)
+        self._emit(f"{table['id']} row count", len(table["rows"]), len(pieces))
+        for row, (_, _, *parts) in zip(table["rows"], pieces):
+            for which, computed in zip(("P", "N"), parts):
+                for idx, (col, expr) in enumerate(zip(table["columns"], row[which])):
                     self._emit(
                         f"{table['id']} [{row['u'][0]},{row['u'][1]}] {which}({col})",
-                        computed.coeffs[ray], fixture_poly(expr),
+                        coefficient(computed, idx, col), fixture_poly(expr),
                         identity=("table-cell", table["id"], _canon(row["u"][0]),
                                   _canon(row["u"][1]), "0", "0", which, col))
+        return table
+
+    def _check_resolution_table(self):
+        resolved = self.resolved_decomposition
+        table = self._check_table_cells(self.data["star"]["table_zd3"], resolved,
+                                        lambda x, idx, col: x.coeffs[_RAY_COLUMNS[col]])
+        for row, (lo, hi, p_res, n_res) in zip(table["rows"], resolved):
+            self._emit(f"{table['id']} interval [{row['u'][0]},{row['u'][1]}]",
+                       (str(lo), str(hi)), (str(q(row["u"][0])), str(q(row["u"][1]))))
             # Off-table rays must vanish.
             for ray in (4, 5, 6):
                 if not (p_res.coeffs[ray] == self.l_u[ray] and n_res.coeffs[ray].is_zero()):
@@ -414,7 +417,7 @@ class ToricFamily:
         total = Fraction(0)
         for lo, hi, p_res, _ in self.resolved_decomposition:
             cube = toric3.intersection_number(p_res, p_res, p_res)
-            total += integrate_univariate(cube, lo, hi, "u")
+            total += integrate_univariate(cube, lo, hi)
         s_val = total / q(self.data["expected"]["L^3"])
         self._emit("S_L(G) [volume of positive parts]", s_val,
                    q(self.data["expected"]["S_L(G)"]))
@@ -433,19 +436,8 @@ class ToricFamily:
                    [[str(q(x)) for x in row] for row in self.surface.gram])
 
     def _check_restriction_table(self):
-        table = load_table(self.data["star"]["table_restriction"])
-        columns = table["columns"]
-        rows = table["rows"]
-        pieces = self.surface_pieces
-        self._emit(f"{table['id']} row count", len(rows), len(pieces))
-        for row, (lo, hi, ptilde, ntilde) in zip(rows, pieces):
-            for which, computed in (("P", ptilde), ("N", ntilde)):
-                for idx, (col, expr) in enumerate(zip(columns, row[which])):
-                    self._emit(
-                        f"{table['id']} [{row['u'][0]},{row['u'][1]}] {which}({col})",
-                        computed[idx], fixture_poly(expr),
-                        identity=("table-cell", table["id"], _canon(row["u"][0]),
-                                  _canon(row["u"][1]), "0", "0", which, col))
+        self._check_table_cells(self.data["star"]["table_restriction"], self.surface_pieces,
+                                lambda x, idx, col: x[idx])
 
     def _check_sigmas(self):
         contracted = self.data["star"]["contracted"]
@@ -473,14 +465,17 @@ class ToricFamily:
                 lo, hi = q(cell["u"][0]), q(cell["u"][1])
                 want = fixture_poly(cell["t"])
                 # The threshold on the cell is the scans' envelope clipped to
-                # it, each piece already proved by its LP basis.
-                got = [piece.t for scan in scans for piece in scan.threshold
+                # it, each piece already proved by its LP basis; the pieces
+                # that meet the cell must cover all of it.
+                met = [piece for scan in scans for piece in scan.threshold
                        if max(lo, piece.u_lo) < min(hi, piece.u_hi)]
+                covered = bool(met) and sum(
+                    min(hi, piece.u_hi) - max(lo, piece.u_lo) for piece in met) == hi - lo
+                got = [str(piece.t) for piece in met] + ([] if covered else ["uncovered"])
                 label = f"{table['id']} t({curve}) on [{cell['u'][0]},{cell['u'][1]}]"
                 self.checks.append(CheckResult(
-                    self.scenario_id, label,
-                    "; ".join(map(str, got)) or "uncovered",
-                    str(want), PASS if got and all(t == want for t in got) else FAIL))
+                    self.scenario_id, label, "; ".join(got), str(want),
+                    PASS if covered and all(piece.t == want for piece in met) else FAIL))
 
     def _check_chamber_tables(self):
         for curve, case in self.data["curve_cases"].items():
@@ -498,17 +493,15 @@ class ToricFamily:
                     self.checks.append(CheckResult(
                         self.scenario_id, label, "no scan covers the row", None, FAIL))
                     continue
-                report = surfzar.verify_surface_table(scan, [row], table_id)
-                if report.accepted:
+                mismatches = surfzar.row_mismatches(scan, row)
+                if not mismatches:
                     self.checks.append(CheckResult(
                         self.scenario_id, label, "recomputation matches", "match", PASS))
-                for mm in report.mismatches:
+                for mm in mismatches:
                     self._emit(
                         f"{label} {mm.field}({mm.curve})", mm.recomputed, mm.printed,
-                        identity=("table-cell", table_id,
-                                  _canon(str(row.u_lo)), _canon(str(row.u_hi)),
-                                  _canon(str(row.v_lo)), _canon(str(row.v_hi)),
-                                  mm.field, mm.curve),
+                        identity=("table-cell", table_id, str(row.u_lo), str(row.u_hi),
+                                  str(row.v_lo), str(row.v_hi), mm.field, mm.curve),
                         shown=(f"recomputed {mm.recomputed}", f"printed {mm.printed}"))
 
     def _check_flag_values(self):
@@ -724,14 +717,14 @@ def _run_218_case(sid, case: Case218) -> list[CheckResult]:
     conclusion = bound > 1 if spec["conclusion"] == ">1" else bound >= 1
     checks.append(_compare(sid, f"{tag}: delta bound {spec['conclusion']} (= {bound})",
                            conclusion, True))
-    # The derived pseudoeffective range of the scan must match the last
-    # threshold formula; printed_as annotations were compared above.
-    for entry in spec.get("printed_ranges", ()):
-        derived = fixture_poly(entry["derived"]).subs(c=c)
+    # Every derived pseudoeffective range must be the scan's threshold; the
+    # printed ranges were compared with the derived ones above.
+    ranges = spec.get("printed_ranges", ())
+    if ranges:
         pieces = flagdelta.scenario_scans(case.scenario)[0].threshold
-        ok = all(piece.t == derived for piece in pieces)
+        derived = [fixture_poly(text).subs(c=c) for text in {entry["derived"] for entry in ranges}]
+        ok = all(piece.t == t for t in derived for piece in pieces)
         checks.append(_compare(sid, f"{tag}: derived range is the threshold", ok, True))
-        break
     return checks
 
 
@@ -747,11 +740,6 @@ def run_family(family: str, c_values=None) -> list[CheckResult]:
         return run_34_surfaces()
     if family in TORIC_FAMILIES:
         return run_toric_family(family)
-    if family == "all":
-        out = []
-        for fam in ("218", "34-surfaces", *TORIC_FAMILIES):
-            out.extend(run_family(fam, c_values))
-        return out
     raise KeyError(f"unknown family {family!r}")
 
 

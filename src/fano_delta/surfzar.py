@@ -16,12 +16,13 @@ support for N and P as affine functions of (u, v), and proves the result on
 the whole chamber: the Zariski conditions are affine, so corner checks,
 support-orthogonality identities and a negative definite support block are
 a complete certificate, and any failure exhibits an exact crossing point to
-split at.  The threshold envelope, the scan and the table-row checks run
-on integer numerators over one denominator per support, with each
-support's Gram block inverted once per model; thresholds and chamber walls
-are integer walls v = (a + b*u)/d.  A Poly (of t, a wall, N or P) is built
-on first read, for report text and tests.  The pointwise reference
-decomposition is test code.
+split at.  A printed table row is checked against the scan one row at a
+time (`row_mismatches`).  The threshold envelope, the scan and the row
+check run on integer numerators over one denominator per support, with
+each support's Gram block inverted once per model; thresholds and chamber
+walls are integer walls v = (a + b*u)/d.  A Poly (of t, a wall or a
+mismatched cell) is built only for report text.  The pointwise reference
+decomposition and the Poly forms of N and P are test code.
 """
 
 from __future__ import annotations
@@ -102,9 +103,6 @@ class SurfaceModel:
     @property
     def n(self) -> int:
         return len(self.curve_names)
-
-    def index(self, name: str) -> int:
-        return self.curve_names.index(name)
 
     def relations(self) -> list[Vec]:
         """Numerical relations among the basis curves (Gram kernel)."""
@@ -271,13 +269,7 @@ class ThresholdPiece:
         return affine_poly(self.wall[:2], self.wall[2])
 
 
-def threshold_pieces(
-    model: SurfaceModel,
-    base: Sequence[Poly | Scalar],
-    curve: Sequence[Scalar] | int,
-    u_lo: Scalar,
-    u_hi: Scalar,
-) -> list[ThresholdPiece]:
+def _threshold_pieces(family: "_Family", u_lo: Fraction, u_hi: Fraction) -> list[ThresholdPiece]:
     """t(u) for the family base(u) - v*C as exact affine pieces.
 
     Every effective-cone facet h with h(C) > 0 bounds v by the affine
@@ -291,10 +283,6 @@ def threshold_pieces(
     Else one cold solve at the midpoint gives B, split where it turns infeasible.
     All of it runs on the family's integer forms.
     """
-    return _threshold_pieces(_Family(model, base, _curve_vector(model, curve)), q(u_lo), q(u_hi))
-
-
-def _threshold_pieces(family: "_Family", u_lo: Fraction, u_hi: Fraction) -> list[ThresholdPiece]:
     lines: list[Form] = []
     for h in family.model.facets():
         # h(base) - v*h(C), times a positive factor: h(C) > 0 iff c < 0.
@@ -401,15 +389,6 @@ class ScanChamber:
     chamber: Chamber
     support: tuple[int, ...]
     forms: _Forms  # N and P, with P.C_k, as integer forms
-
-    @cached_property
-    def n_coeffs(self) -> tuple[Poly, ...]:
-        """N as Polys affine in (u, v)."""
-        return tuple(affine_poly(f, self.forms.den) for f in self.forms.n)
-
-    @cached_property
-    def p_coeffs(self) -> tuple[Poly, ...]:
-        return tuple(affine_poly(f, self.forms.den) for f in self.forms.p)
 
 
 @dataclass(frozen=True)
@@ -728,19 +707,10 @@ def _corner_failure_split(form: Form, lo: Form, hi: Form, piece: ThresholdPiece)
 
 @dataclass
 class RowMismatch:
-    row_key: tuple[str, str]  # (u-interval, v-interval) as printed
     field: str  # "P", "N" or "region"
     curve: str
     printed: str
     recomputed: str
-
-
-@dataclass
-class TableReport:
-    table_id: str
-    accepted: bool
-    mismatches: list[RowMismatch] = field(default_factory=list)
-    rows_checked: int = 0
 
 
 @dataclass(frozen=True)
@@ -752,9 +722,6 @@ class TableRow:
     p: tuple[Poly, ...]
     n: tuple[Poly, ...]
 
-    def key(self) -> tuple[str, str]:
-        return (f"[{self.u_lo},{self.u_hi}]", f"[{self.v_lo},{self.v_hi}]")
-
     @cached_property
     def _forms(self) -> tuple[tuple[Form, Form], tuple[tuple[tuple[Form, int] | None, ...], ...]]:
         """The v-bounds as walls, and the N and P cells as integer forms over
@@ -764,27 +731,13 @@ class TableRow:
             for cells in (self.n, self.p))
 
 
-def verify_surface_table(
-    scan: ChamberedDecomposition,
-    rows: Sequence[TableRow],
-    table_id: str,
-) -> TableReport:
-    """Compare printed chamber rows against the recomputed decomposition.
+def row_mismatches(scan: ChamberedDecomposition, row: TableRow) -> list[RowMismatch]:
+    """Compare one printed chamber row against the recomputed decomposition.
 
-    Recomputation is authoritative: a row is accepted iff on its whole region
-    the recomputed chamber structure matches the printed region, P and N
-    exactly.  Mismatched cells are reported with the recomputed truth.
+    Recomputation is authoritative: the row is accepted (no mismatch) iff on
+    its whole region the recomputed chamber structure matches the printed
+    region, P and N exactly.  Mismatched cells carry the recomputed truth.
     """
-    report = TableReport(table_id=table_id, accepted=True)
-    for row in rows:
-        report.rows_checked += 1
-        for mismatch in _check_row(scan, row):
-            report.mismatches.append(mismatch)
-            report.accepted = False
-    return report
-
-
-def _check_row(scan: ChamberedDecomposition, row: TableRow) -> list[RowMismatch]:
     model = scan.model
     out: list[RowMismatch] = []
     overlaps_found = False
@@ -812,16 +765,9 @@ def _check_row(scan: ChamberedDecomposition, row: TableRow) -> list[RowMismatch]
                                               ("P", row.p[i], p_cells[i], forms.p[i])):
                 # Equal over the common denominator; a non-affine cell never is.
                 if cell is None or any(x * forms.den != y * cell[1] for x, y in zip(cell[0], form)):
-                    out.append(RowMismatch(row_key=row.key(), field=name, curve=model.curve_names[i],
-                                           printed=str(printed), recomputed=str(affine_poly(form, forms.den))))
+                    out.append(RowMismatch(field=name, curve=model.curve_names[i], printed=str(printed),
+                                           recomputed=str(affine_poly(form, forms.den))))
     if not overlaps_found:
-        out.append(
-            RowMismatch(
-                row_key=row.key(),
-                field="region",
-                curve="-",
-                printed=f"v in [{row.v_lo}, {row.v_hi}]",
-                recomputed="row region lies outside the scanned decomposition",
-            )
-        )
+        out.append(RowMismatch(field="region", curve="-", printed=f"v in [{row.v_lo}, {row.v_hi}]",
+                               recomputed="row region lies outside the scanned decomposition"))
     return out

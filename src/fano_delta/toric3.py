@@ -138,10 +138,6 @@ class ToricDivisor:
         if len(self.coeffs) != len(fan.rays):
             raise ValueError("coefficient list length must equal ray count")
 
-    def __add__(self, other: "ToricDivisor") -> "ToricDivisor":
-        self._same_fan(other)
-        return ToricDivisor(self.fan, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __sub__(self, other: "ToricDivisor") -> "ToricDivisor":
         self._same_fan(other)
         return ToricDivisor(self.fan, [a - b for a, b in zip(self.coeffs, other.coeffs)])
@@ -597,11 +593,6 @@ class HPolytope:
 def divisor_polytope(d: ToricDivisor) -> HPolytope:
     """H-polytope of a constant-coefficient divisor: <m, v_r> >= -a_r."""
     return HPolytope(normals=d.fan.rays, rhs=tuple(-coeff.as_fraction() for coeff in d.coeffs))
-
-
-def polytope_vertices(p: HPolytope) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """All vertices, sorted."""
-    return list(p._vertices)
 
 
 def _ccw_compare(a: Sequence[Fraction], b: Sequence[Fraction]) -> int:

@@ -7,20 +7,23 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from fano_delta import linalg, lp
-from fano_delta.exactmath import VARS, Chamber, Poly, Scalar, integrate_chamber, integrate_univariate, q, wall
+from fano_delta.exactmath import (VARS, Chamber, Poly, Scalar, affine_poly, integrate_univariate, numerators,
+                                  q, wall)
 from fano_delta.scenarios import builders, c_domain
 from fano_delta.surfzar import (
     ChamberedDecomposition,
     ConeAssumptionError,
     NotPseudoeffectiveError,
     RowMismatch,
+    ScanChamber,
     ScanError,
     SurfaceModel,
     TableRow,
     ThresholdPiece,
     _curve_vector,
+    _Family,
     _threshold_lp,
-    threshold_pieces,
+    _threshold_pieces,
 )
 from fano_delta.toric3 import Fan3, HPolytope, ToricDivisor
 
@@ -46,7 +49,7 @@ def poly_chamber(u_lo, u_hi, v_lo, v_hi) -> Chamber:
 
 
 def corners(ch: Chamber) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The four corners (u, v) of a 2-dimensional chamber."""
+    """The four corners (u, v) of a chamber."""
     return tuple((u0, bound(u=u0)) for u0 in (ch.u_lo, ch.u_hi) for bound in (ch.v_lo, ch.v_hi))
 
 
@@ -74,14 +77,10 @@ def pseff_threshold(
     return threshold_lp.solve([x.as_fraction() for x in d.coeffs]).value
 
 
-def contains(ch: Chamber, u0, v0=None) -> bool:
-    """Whether (u0, v0), or u0 alone on a 1-dimensional chamber, lies in ch."""
+def contains(ch: Chamber, u0, v0) -> bool:
+    """Whether (u0, v0) lies in ch."""
     u0 = q(u0)
-    if not (ch.u_lo <= u0 <= ch.u_hi):
-        return False
-    if ch.v_lo is None:
-        return v0 is None
-    return ch.v_lo(u=u0) <= q(v0) <= ch.v_hi(u=u0)
+    return ch.u_lo <= u0 <= ch.u_hi and ch.v_lo(u=u0) <= q(v0) <= ch.v_hi(u=u0)
 
 
 def random_pseudoeffective(model: SurfaceModel, rng) -> SurfDivisor:
@@ -105,26 +104,45 @@ def interpolate(samples, degree_bound, variables=None):
     return interpolate_many(points, [[value] for _, value in samples], degree_bound, variables)[0]
 
 
-def evaluate(fn: ChamberFunction, u0, v0=None) -> Fraction:
+def evaluate(fn: ChamberFunction, u0, v0) -> Fraction:
     """The value of a chamber function at (u0, v0), from the first chamber
     that contains the point."""
     for ch, p in fn.pieces:
         if contains(ch, u0, v0):
-            args = {"u": q(u0)}
-            if v0 is not None:
-                args["v"] = q(v0)
-            return p(**args)
+            return p(u=q(u0), v=q(v0))
     raise ValueError(f"point ({u0}, {v0}) outside every chamber")
+
+
+def integrate_poly(p: Poly, ch: Chamber) -> Fraction:
+    """iint p over ch by the chamber's integer moment table: p's
+    denominators cleared, its numerators by (u, v) exponents."""
+    nums, den = numerators(p.terms.values())
+    return ch.integrate({e[:2]: x for e, x in zip(p.terms, nums)}, den)
 
 
 def integrate(fn: ChamberFunction) -> Fraction:
     """The integral of a chamber function: the sum over its pieces."""
-    return sum((integrate_chamber(p, ch) for ch, p in fn.pieces), Fraction(0))
+    return sum((integrate_poly(p, ch) for ch, p in fn.pieces), Fraction(0))
+
+
+def threshold_pieces(model: SurfaceModel, base, curve, u_lo, u_hi) -> list[ThresholdPiece]:
+    """The certified threshold envelope of base(u) - v*C on [u_lo, u_hi]."""
+    return _threshold_pieces(_Family(model, base, _curve_vector(model, curve)), q(u_lo), q(u_hi))
+
+
+def n_coeffs(ch: ScanChamber) -> tuple[Poly, ...]:
+    """N of a scan chamber as Polys affine in (u, v)."""
+    return tuple(affine_poly(f, ch.forms.den) for f in ch.forms.n)
+
+
+def p_coeffs(ch: ScanChamber) -> tuple[Poly, ...]:
+    """P of a scan chamber as Polys affine in (u, v)."""
+    return tuple(affine_poly(f, ch.forms.den) for f in ch.forms.p)
 
 
 def p_squared(scan: ChamberedDecomposition) -> ChamberFunction:
     """P^2 of a chamber scan as one Poly per chamber."""
-    return ChamberFunction((ch.chamber, scan.model.pair(ch.p_coeffs, ch.p_coeffs)) for ch in scan.chambers)
+    return ChamberFunction((ch.chamber, scan.model.pair(p_coeffs(ch), p_coeffs(ch))) for ch in scan.chambers)
 
 
 def form_poly(terms, den) -> Poly:
@@ -135,11 +153,9 @@ def form_poly(terms, den) -> Poly:
 def reference_integrate_chamber(p: Poly, ch) -> Fraction:
     """Reference for the chamber-moment integration: the v-antiderivative of
     p between the affine bounds, then the u-integral."""
-    if not ch.is_two_dimensional():
-        return integrate_univariate(p, ch.u_lo, ch.u_hi, "u")
     anti = p.antiderivative("v")
     inner = anti.subs(v=ch.v_hi) - anti.subs(v=ch.v_lo)
-    return integrate_univariate(inner, ch.u_lo, ch.u_hi, "u")
+    return integrate_univariate(inner, ch.u_lo, ch.u_hi)
 
 
 def build_218(case: str, c: Fraction):
@@ -175,26 +191,15 @@ def check_continuity(fn: ChamberFunction) -> list[str]:
             ch_a, p_a = pieces[a]
             ch_b, p_b = pieces[b]
             for u0, v0 in shared_boundary_samples(ch_a, ch_b):
-                if v0 is None:
-                    va, vb = p_a(u=u0), p_b(u=u0)
-                else:
-                    va, vb = p_a(u=u0, v=v0), p_b(u=u0, v=v0)
+                va, vb = p_a(u=u0, v=v0), p_b(u=u0, v=v0)
                 if va != vb:
                     problems.append(f"discontinuity at (u,v)=({u0},{v0}): {va} != {vb}")
     return problems
 
 
-def shared_boundary_samples(a: Chamber, b: Chamber) -> list[tuple[Fraction, Fraction | None]]:
+def shared_boundary_samples(a: Chamber, b: Chamber) -> list[tuple[Fraction, Fraction]]:
     """Two exact sample points on each shared boundary segment of a and b."""
-    if a.is_two_dimensional() != b.is_two_dimensional():
-        return []
-    if not a.is_two_dimensional():
-        if a.u_hi == b.u_lo:
-            return [(a.u_hi, None)]
-        if b.u_hi == a.u_lo:
-            return [(b.u_hi, None)]
-        return []
-    samples: list[tuple[Fraction, Fraction | None]] = []
+    samples: list[tuple[Fraction, Fraction]] = []
     # Vertical boundary: same u-line, overlapping v-ranges.
     for u0 in {a.u_hi} & {b.u_lo} | {a.u_lo} & {b.u_hi}:
         lo = max(a.v_lo(u=u0), b.v_lo(u=u0))
@@ -555,7 +560,7 @@ def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ReferenceC
 
 # ---------------------------------------------------------------------------
 # Reference thresholds and table-row checks: the same algorithms as
-# `surfzar.threshold_pieces` and `surfzar._check_row` on Polys
+# `surfzar._threshold_pieces` and `surfzar.row_mismatches` on Polys
 # ---------------------------------------------------------------------------
 
 
@@ -570,7 +575,7 @@ class ReferencePiece(NamedTuple):
 def reference_threshold_pieces(model: SurfaceModel, base, curve, u_lo, u_hi) -> list[ReferencePiece]:
     """`threshold_pieces` with every facet line, envelope step and
     certificate step computed on rational Polys; it keeps its LP bases on
-    the model as `threshold_pieces` does."""
+    the model as `surfzar._threshold_pieces` does."""
     u_lo, u_hi = q(u_lo), q(u_hi)
     base = [Poly.coerce(b) for b in base]
     cvec = _curve_vector(model, curve)
@@ -646,7 +651,7 @@ def _reference_lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fract
 
 
 def reference_check_row(scan: ChamberedDecomposition, row: TableRow) -> list[RowMismatch]:
-    """`surfzar._check_row` by Poly evaluation and Poly comparison."""
+    """`surfzar.row_mismatches` by Poly evaluation and Poly comparison."""
     out: list[RowMismatch] = []
     overlaps_found = False
     for ch in scan.chambers:
@@ -659,14 +664,13 @@ def reference_check_row(scan: ChamberedDecomposition, row: TableRow) -> list[Row
                    for u0 in [u_lo, u_hi] + [x for x in crossings if x is not None]):
             continue
         overlaps_found = True
+        n, p = n_coeffs(ch), p_coeffs(ch)
         for i in range(scan.model.n):
-            for name, printed, recomputed in (("N", row.n[i], ch.n_coeffs[i]),
-                                              ("P", row.p[i], ch.p_coeffs[i])):
+            for name, printed, recomputed in (("N", row.n[i], n[i]), ("P", row.p[i], p[i])):
                 if printed != recomputed:
-                    out.append(RowMismatch(row.key(), name, scan.model.curve_names[i],
-                                           str(printed), str(recomputed)))
+                    out.append(RowMismatch(name, scan.model.curve_names[i], str(printed), str(recomputed)))
     if not overlaps_found:
-        out.append(RowMismatch(row.key(), "region", "-", f"v in [{row.v_lo}, {row.v_hi}]",
+        out.append(RowMismatch("region", "-", f"v in [{row.v_lo}, {row.v_hi}]",
                                "row region lies outside the scanned decomposition"))
     return out
 
@@ -806,7 +810,7 @@ def reference_pullback(fine: Fan3, coarse: Fan3, d: ToricDivisor) -> ToricDiviso
 
 
 def reference_polytope_vertices(p: HPolytope) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """`toric3.polytope_vertices` by Fraction solves of every facet triple
+    """`HPolytope._vertices` by Fraction solves of every facet triple
     and Fraction feasibility tests."""
     n = len(p.normals)
     if len(fraction_rref([[Fraction(r[t]) for r in p.normals] for t in range(3)], n)[1]) < 3:

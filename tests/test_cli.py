@@ -124,9 +124,15 @@ def _uncovered_threshold(data):
     return data
 
 
+def _widened_threshold(data):
+    data["cells"]["alpha1"][-1]["u"][1] = "9"  # [6,7] -> [6,9], past u = 7
+    return data
+
+
 @pytest.mark.parametrize("edit, label, computed", [
     (_tamper_threshold, "table-03 t(alpha1) on [0,1]", "u"),
     (_uncovered_threshold, "table-03 t(alpha1) on [7,8]", "uncovered"),
+    (_widened_threshold, "table-03 t(alpha1) on [6,9]", "-u + 7; uncovered"),
 ])
 def test_threshold_cell_failures(tmp_path, capsys, monkeypatch, edit, label, computed):
     dst = _fixture_copy(tmp_path / "fixtures", "tables/table-03.json", edit)
@@ -134,6 +140,21 @@ def test_threshold_cell_failures(tmp_path, capsys, monkeypatch, edit, label, com
     code, out, _ = run_cli(capsys, "verify", "--family", "34-d4")
     assert code == 1
     assert f"[FAIL   ] 34-d4: {label}\n          computed: {computed}\n" in out
+    assert out.endswith(", 1 failed\n")
+
+
+def _misderived_range(data):
+    # The second of three printed ranges; the threshold is 2-2*c+2*u.
+    data["cases"]["blowup-tangent"]["printed_ranges"][1]["derived"] = "3-2*c+2*u"
+    return data
+
+
+def test_every_derived_range_is_checked_against_the_threshold(tmp_path, capsys, monkeypatch):
+    dst = _fixture_copy(tmp_path / "fixtures", "scenarios/family-218.json", _misderived_range)
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    code, out, _ = run_cli(capsys, "verify", "--family", "218", "--c", "1/2")
+    assert code == 1
+    assert "[FAIL   ] 218: blowup-tangent@c=1/2: derived range is the threshold\n" in out
     assert out.endswith(", 1 failed\n")
 
 

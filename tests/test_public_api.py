@@ -1,0 +1,68 @@
+"""Every public function, method and property of the package has a caller in
+the package: public API that only its own tests call belongs in the tests."""
+
+import ast
+import fractions
+from collections import defaultdict
+from pathlib import Path
+
+import fano_delta
+
+SRC = Path(fano_delta.__file__).resolve().parent
+
+# Public names kept without a caller in the package, each with its reason.
+ALLOWED: dict[str, str] = {}
+
+# A method named like a method of a builtin type cannot be told apart from
+# that method by name, so it counts as uncalled.
+BUILTIN_METHODS = {name for t in (list, tuple, dict, set, str, int, fractions.Fraction)
+                   for name in dir(t) if not name.startswith("_")}
+
+
+def public_definitions(tree):
+    """(definition, is a method) for the module's public functions and the
+    public methods and properties of its classes."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item, True
+
+
+def uncalled(root: Path) -> list[str]:
+    """path:name of each public definition under root that nothing under root
+    reads outside the definition itself: a method or property by attribute
+    (x.name), a function also by name or import."""
+    trees = {path.relative_to(root): ast.parse(path.read_text()) for path in sorted(root.rglob("*.py"))}
+    reads = defaultdict(list)  # name -> (path, line, read as an attribute)
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                reads[node.attr].append((path, node.lineno, True))
+            elif isinstance(node, ast.Name):
+                reads[node.id].append((path, node.lineno, False))
+            elif isinstance(node, ast.alias):
+                reads[node.name].append((path, node.lineno, False))
+    found = []
+    for path, tree in trees.items():
+        for node, method in public_definitions(tree):
+            called = node.name in ALLOWED or not (method and node.name in BUILTIN_METHODS) and any(
+                (attribute or not method) and not (where == path and node.lineno <= line <= node.end_lineno)
+                for where, line, attribute in reads[node.name])
+            if not called:
+                found.append(f"{path}:{node.name}")
+    return found
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    assert uncalled(SRC) == []
+
+
+def test_uncalled_names_are_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def used():\n    return 1\n\n\ndef unused():\n    return used()\n\n\n"
+        "class K:\n    def index(self):\n        return [].index(0)\n\n"
+        "    @property\n    def size(self):\n        return self.size\n")
+    assert uncalled(tmp_path) == ["m.py:unused", "m.py:index", "m.py:size"]

@@ -7,17 +7,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from fano_delta.exactmath import integrate_chamber, integrate_univariate, parse_poly, q
+from fano_delta.exactmath import integrate_univariate, parse_poly, q
 from fano_delta.scenarios import (
     builders,
     default_c_samples,
+    fixture,
     fixtures_dir,
-    known_discrepancies,
     load_table,
     table_rows,
 )
 
-from helpers import build_218, poly_chamber
+from helpers import build_218, integrate_poly, p_coeffs, poly_chamber
 
 
 def test_fixture_files_round_trip():
@@ -59,7 +59,7 @@ def test_default_c_samples():
 
 def test_known_discrepancy_registry_well_formed():
     kinds = {"table-cell", "ratio", "printed-range", "fan-cones", "point-value"}
-    for entry in known_discrepancies():
+    for entry in fixture(fixtures_dir(), "known_discrepancies.json"):
         assert entry["kind"] in kinds
         assert "note" in entry and "printed" in entry and "recomputed" in entry
 
@@ -88,7 +88,7 @@ def test_flag_scenario_values_recomputable_from_clean_tables(family_runs):
         for row in table_rows(table_id):
             chamber = poly_chamber(row.u_lo, row.u_hi, row.v_lo, row.v_hi)
             p_sq = model.pair(row.p, row.p)
-            total += F(3, 9) * integrate_chamber(p_sq, chamber)
+            total += F(3, 9) * integrate_poly(p_sq, chamber)
         if curve == "alpha1":
             # ord-term of the ambient negative part along alpha1 (table 9).
             table9 = load_table("table-09")
@@ -99,7 +99,7 @@ def test_flag_scenario_values_recomputable_from_clean_tables(family_runs):
                     continue
                 p_tilde = [parse_poly(s) for s in raw["P"]]
                 p_sq = model.pair(p_tilde, p_tilde)
-                total += F(3, 9) * integrate_univariate(p_sq * d, lo, hi, "u")
+                total += F(3, 9) * integrate_univariate(p_sq * d, lo, hi)
         assert total == expected
 
 
@@ -128,7 +128,7 @@ def test_point_value_recomputable_from_clean_tables(family_runs):
     for row in table_rows("table-11"):
         chamber = poly_chamber(row.u_lo, row.u_hi, row.v_lo, row.v_hi)
         p_dot = model.pair(row.p, e1)
-        total += F(3, 9) * integrate_chamber(p_dot * p_dot, chamber)
+        total += F(3, 9) * integrate_poly(p_dot * p_dot, chamber)
     assert total == F(1, 9)
     from fano_delta import flagdelta
 
@@ -182,9 +182,9 @@ def test_heart_piecewise_formulas_symbolically(c, regimes):
             for v_lo, v_hi, p_sq, p_dot in branches:
                 if (parse_poly(v_lo).subs(c=c) == ch.chamber.v_lo
                         and parse_poly(v_hi).subs(c=c) == ch.chamber.v_hi):
-                    assert model.pair(ch.p_coeffs, ch.p_coeffs) == \
+                    assert model.pair(p_coeffs(ch), p_coeffs(ch)) == \
                         parse_poly(p_sq).subs(c=c)
-                    assert model.pair(ch.p_coeffs, scenario.curve_class) == \
+                    assert model.pair(p_coeffs(ch), scenario.curve_class) == \
                         parse_poly(p_dot).subs(c=c)
                     matched += 1
                     break
@@ -222,9 +222,9 @@ def test_diamond_piecewise_formulas_symbolically():
             for v_lo, v_hi, p_sq, p_dot in branches:
                 if (parse_poly(v_lo).subs(c=c) == ch.chamber.v_lo
                         and parse_poly(v_hi).subs(c=c) == ch.chamber.v_hi):
-                    assert model.pair(ch.p_coeffs, ch.p_coeffs) == \
+                    assert model.pair(p_coeffs(ch), p_coeffs(ch)) == \
                         parse_poly(p_sq).subs(c=c)
-                    assert model.pair(ch.p_coeffs, scenario.curve_class) == \
+                    assert model.pair(p_coeffs(ch), scenario.curve_class) == \
                         parse_poly(p_dot).subs(c=c)
                     matched += 1
                     break
@@ -248,9 +248,9 @@ def _match_branches(case, c, regimes):
             for v_lo, v_hi, p_sq, p_dot in branches:
                 if (parse_poly(v_lo).subs(c=c) == ch.chamber.v_lo
                         and parse_poly(v_hi).subs(c=c) == ch.chamber.v_hi):
-                    assert model.pair(ch.p_coeffs, ch.p_coeffs) == \
+                    assert model.pair(p_coeffs(ch), p_coeffs(ch)) == \
                         parse_poly(p_sq).subs(c=c), (case, c, v_lo)
-                    assert model.pair(ch.p_coeffs, scenario.curve_class) == \
+                    assert model.pair(p_coeffs(ch), scenario.curve_class) == \
                         parse_poly(p_dot).subs(c=c), (case, c, v_lo)
                     matched += 1
                     break
@@ -309,10 +309,10 @@ def test_blowup_tangent_piecewise_formulas_symbolically():
 
 
 def test_full_report_work_counts(monkeypatch):
-    """One cold `run_family("all")` makes at most 10 `linalg.solve` and 28
+    """One cold full report makes at most 10 `linalg.solve` and 28
     `lp.solve_max` calls, and the pullbacks and polytope vertices call
     neither `linalg.solve` nor `linalg.rref`."""
-    from fano_delta import flagdelta, linalg, lp, scenarios
+    from fano_delta import cli, flagdelta, linalg, lp, scenarios
 
     callers = {"solve": [], "rref": [], "solve_max": []}
     for module, name in ((linalg, "solve"), (linalg, "rref"), (lp, "solve_max")):
@@ -325,26 +325,26 @@ def test_full_report_work_counts(monkeypatch):
     # models' LP bases, the parsed expressions and the scans.
     for cache in (scenarios.fixture, scenarios.fixture_poly, flagdelta.scenario_scans):
         cache.cache_clear()
-    builders.run_family("all")
+    cli.build_report("all", None)
     assert len(callers["solve"]) <= 10
     assert len(callers["solve_max"]) <= 28
-    toric = {"pullback", "_pullback_map", "polytope_vertices", "_vertices"}
+    toric = {"pullback", "_pullback_map", "_vertices"}
     assert not [stack for stack in callers["solve"] + callers["rref"] if stack & toric]
     # The full report builds each family's L polytope once.
     assert sum("_vertices" in stack for stack in callers["solve_max"]) == 2
 
 
 def test_full_report_poly_work(monkeypatch):
-    """One cold `run_family("all")` makes at most 2,000 `Poly.__call__` and
+    """One cold full report makes at most 2,000 `Poly.__call__` and
     28 `lp.solve_max` calls, and the threshold envelope, the chamber scan's
     column walk, chamber construction, the table-row check, the nef test and
     the Zariski interval check evaluate no Poly: they run on integer forms
     and walls."""
-    from fano_delta import exactmath, flagdelta, lp, scenarios, surfzar, toric3
+    from fano_delta import cli, exactmath, flagdelta, lp, scenarios, surfzar, toric3
 
     integer_only = {fn.__code__ for fn in (
-        surfzar.threshold_pieces, surfzar._lower_envelope, surfzar._certify_piece,
-        surfzar._column_structure, exactmath.Chamber.__post_init__, surfzar._check_row,
+        surfzar._threshold_pieces, surfzar._lower_envelope, surfzar._certify_piece,
+        surfzar._column_structure, exactmath.Chamber.__post_init__, surfzar.row_mismatches,
         toric3.nef_on_interval, toric3._check_interval)}
     evaluations, offending, solves = [], [], []
 
@@ -365,19 +365,18 @@ def test_full_report_poly_work(monkeypatch):
     monkeypatch.setattr(lp, "solve_max", solve_max)
     for cache in (scenarios.fixture, scenarios.fixture_poly, flagdelta.scenario_scans):
         cache.cache_clear()
-    builders.run_family("all")
+    cli.build_report("all", None)
     assert len(evaluations) <= 2000
     assert offending == []
     assert len(solves) <= 28
 
 
 def test_full_report_one_threshold_envelope_per_scan(monkeypatch):
-    """A cold `run_family("all")` builds one threshold envelope per chamber
-    scan: the toric threshold check reads the pieces of the flag scans, and
-    nothing calls `threshold_pieces` for a sub-interval."""
-    from fano_delta import flagdelta, scenarios, surfzar
+    """A cold full report builds one threshold envelope per chamber
+    scan: the toric threshold check reads the pieces of the flag scans."""
+    from fano_delta import cli, flagdelta, scenarios, surfzar
 
-    calls = {"envelope": 0, "scan": 0, "threshold_pieces": 0}
+    calls = {"envelope": 0, "scan": 0}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -386,11 +385,9 @@ def test_full_report_one_threshold_envelope_per_scan(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(surfzar, "_threshold_pieces", counted("envelope", surfzar._threshold_pieces))
-    monkeypatch.setattr(surfzar, "threshold_pieces",
-                        counted("threshold_pieces", surfzar.threshold_pieces))
     monkeypatch.setattr(flagdelta, "chamber_scan", counted("scan", flagdelta.chamber_scan))
     for cache in (scenarios.fixture, scenarios.fixture_poly, flagdelta.scenario_scans):
         cache.cache_clear()
-    builders.run_family("all")
+    cli.build_report("all", None)
     assert calls["scan"] > 0
-    assert calls == {"envelope": calls["scan"], "scan": calls["scan"], "threshold_pieces": 0}
+    assert calls["envelope"] == calls["scan"]

@@ -14,17 +14,19 @@ from fano_delta.surfzar import (
     SurfaceModel,
     TableRow,
     chamber_scan,
-    threshold_pieces,
-    verify_surface_table,
+    row_mismatches,
 )
 
 from helpers import (
+    ReferenceChamber,
     SurfDivisor,
     check_continuity,
     evaluate,
     form_poly,
     interpolate,
     is_pseudoeffective,
+    n_coeffs,
+    p_coeffs,
     p_squared,
     pseff_threshold,
     random_pseudoeffective,
@@ -33,6 +35,7 @@ from helpers import (
     reference_integrate_chamber,
     reference_threshold_pieces,
     threshold_at,
+    threshold_pieces,
     zariski_decompose,
 )
 
@@ -401,8 +404,8 @@ def test_scan_d4_alpha1_splits_at_u_minus_4(d4):
     first, second = scan.chambers
     assert first.support == () and str(first.chamber.v_hi) == "u - 4"
     assert second.support == (1,)
-    assert second.n_coeffs[1] == parse_poly("(v+4-u)/3")
-    assert second.p_coeffs[1] == parse_poly("(u-4-v)/3")
+    assert n_coeffs(second)[1] == parse_poly("(v+4-u)/3")
+    assert p_coeffs(second)[1] == parse_poly("(u-4-v)/3")
 
 
 def test_scan_nef_family_single_chamber(d4):
@@ -423,7 +426,7 @@ def test_scan_a3_alpha1_splits(a3):
     scan = chamber_scan(a3, base, 0, 5, 7)
     lows = [str(ch.chamber.v_lo) for ch in scan.chambers]
     assert lows == ["0", "1/2*u - 5/2"]
-    assert scan.chambers[1].n_coeffs[1] == parse_poly("(2*v-u+5)/4")
+    assert n_coeffs(scan.chambers[1])[1] == parse_poly("(2*v-u+5)/4")
 
 
 def test_scan_detects_crossing_split(a3):
@@ -469,7 +472,7 @@ def test_scan_follows_a_curve_leaving_the_support(heart):
             dec = zariski_decompose(heart, SurfDivisor(heart, [1, 0, 4 - v0]))
             assert dec.support == ch.support
             assert [x.as_fraction() for x in dec.negative.coeffs] == [
-                n(u=F(1, 2), v=v0) for n in ch.n_coeffs]
+                n(u=F(1, 2), v=v0) for n in n_coeffs(ch)]
 
 
 def test_zero_width_piece_has_no_chamber(d4):
@@ -542,7 +545,8 @@ def scan_outcome(scan, *args):
     the error it raises (a `ScanError` carries the reason a bare
     RuntimeError of the Poly scan prints)."""
     try:
-        return [(ch.chamber, ch.support, ch.n_coeffs, ch.p_coeffs) for ch in scan(*args).chambers]
+        return [tuple(ch) if isinstance(ch, ReferenceChamber) else
+                (ch.chamber, ch.support, n_coeffs(ch), p_coeffs(ch)) for ch in scan(*args).chambers]
     except RuntimeError as exc:
         return "RuntimeError", getattr(exc, "reason", str(exc))
     except ValueError as exc:
@@ -695,8 +699,7 @@ def test_verify_accepts_correct_rows(d4):
     scan = chamber_scan(d4, ptilde_d4("45"), 0, 4, 5)
     rows = [r for r in table_rows("table-04") if r.u_lo == 4 and str(r.v_lo) == "0"]
     assert len(rows) == 1
-    report = verify_surface_table(scan, rows, "table-04")
-    assert report.accepted
+    assert row_mismatches(scan, rows[0]) == []
 
 
 def test_verify_flags_tampered_row(d4):
@@ -706,9 +709,7 @@ def test_verify_flags_tampered_row(d4):
         u_lo=row.u_lo, u_hi=row.u_hi, v_lo=row.v_lo, v_hi=row.v_hi,
         p=row.p, n=tuple([parse_poly("v/7")] + list(row.n[1:])),
     )
-    report = verify_surface_table(scan, [tampered], "table-04")
-    assert not report.accepted
-    (mm,) = report.mismatches
+    (mm,) = row_mismatches(scan, tampered)
     assert mm.field == "N" and mm.curve == "alpha1"
     assert mm.printed == "1/7*v" and mm.recomputed == "0"
 
@@ -719,9 +720,7 @@ def test_verify_flags_region_outside_threshold(d4):
         u_lo=F(4), u_hi=F(5), v_lo=parse_poly("3"), v_hi=parse_poly("4"),
         p=tuple(Poly() for _ in range(6)), n=tuple(Poly() for _ in range(6)),
     )
-    report = verify_surface_table(scan, [row], "table-04")
-    assert not report.accepted
-    assert report.mismatches[0].field == "region"
+    assert [mm.field for mm in row_mismatches(scan, row)] == ["region"]
 
 
 @pytest.mark.parametrize("v_lo, v_hi, printed", [
@@ -738,10 +737,8 @@ def test_verify_flags_row_overlapping_a_chamber_off_the_probes(d4, v_lo, v_hi, p
     scan = chamber_scan(d4, ptilde_d4("45"), 0, 4, 5)
     shown = scan.chambers[printed]
     row = TableRow(u_lo=F(4), u_hi=F(5), v_lo=parse_poly(v_lo), v_hi=parse_poly(v_hi),
-                   p=shown.p_coeffs, n=shown.n_coeffs)
-    report = verify_surface_table(scan, [row], "table-04")
-    assert not report.accepted
-    assert {(mm.field, mm.curve) for mm in report.mismatches} == {("N", "alpha2"), ("P", "alpha2")}
+                   p=p_coeffs(shown), n=n_coeffs(shown))
+    assert {(mm.field, mm.curve) for mm in row_mismatches(scan, row)} == {("N", "alpha2"), ("P", "alpha2")}
 
 
 def chamber_table_rows():
@@ -770,7 +767,7 @@ def test_integer_row_check_equals_reference_on_the_printed_tables():
         for copy in (row, moved(row, lift=F(1, 5)), moved(row, lift=F(-1, 2)),
                      moved(row, lift=(U - row.u_lo) / 3), moved(row, lift=F(-1, 7) - U / 5),
                      moved(row, n0=V / 7), moved(row, p1=U * V), moved(row, p1=parse_poly("c"))):
-            got = surfzar._check_row(scan, copy)
+            got = row_mismatches(scan, copy)
             assert got == reference_check_row(scan, copy)
             fields |= {mm.field for mm in got}
     assert fields == {"N", "P", "region"}
@@ -791,7 +788,7 @@ def test_p_squared_reconstruction_by_interpolation(d4):
     reconstructed = interpolate(samples, 2, ("v",))
     scan = chamber_scan(d4, [parse_poly(s) for s in ["u-6", "u-2", "u", "2", "6", "0"]], 0, 0, 1)
     (chamber,) = scan.chambers
-    symbolic = d4.pair(chamber.p_coeffs, chamber.p_coeffs).subs(u=u0)
+    symbolic = d4.pair(p_coeffs(chamber), p_coeffs(chamber)).subs(u=u0)
     assert reconstructed == symbolic
 
 
@@ -821,7 +818,7 @@ def test_scan_chambers_match_pointwise_decompositions(d4, a3):
                 dec = zariski_decompose(model, SurfDivisor(model, coeffs))
                 assert dec.support == ch.support
                 got = [x.as_fraction() for x in dec.negative.coeffs]
-                want = [n(u=u0, v=v0) for n in ch.n_coeffs]
+                want = [n(u=u0, v=v0) for n in n_coeffs(ch)]
                 assert got == want
 
 
@@ -847,7 +844,6 @@ def test_family_scans_match_pointwise_decompositions(monkeypatch):
         model = scan.model
         for ch in scan.chambers:
             c = ch.chamber
-            assert c.is_two_dimensional()
             for s, t in ((F(1, 3), F(1, 3)), (F(2, 3), F(3, 5))):
                 u0 = c.u_lo + (c.u_hi - c.u_lo) * s
                 v0 = c.v_lo(u=u0) + (c.v_hi(u=u0) - c.v_lo(u=u0)) * t
@@ -855,9 +851,9 @@ def test_family_scans_match_pointwise_decompositions(monkeypatch):
                 dec = zariski_decompose(model, SurfDivisor(model, coeffs))
                 assert dec.support == ch.support
                 assert [x.as_fraction() for x in dec.negative.coeffs] == [
-                    n(u=u0, v=v0) for n in ch.n_coeffs]
+                    n(u=u0, v=v0) for n in n_coeffs(ch)]
                 assert [x.as_fraction() for x in dec.positive.coeffs] == [
-                    p(u=u0, v=v0) for p in ch.p_coeffs]
+                    p(u=u0, v=v0) for p in p_coeffs(ch)]
 
 
 def test_family_scans_integer_forms_equal_the_pairings(monkeypatch):
@@ -882,8 +878,8 @@ def test_family_scans_integer_forms_equal_the_pairings(monkeypatch):
         for ch, (pc, pden, pc_sq) in zip(scan.chambers, scan.curve_terms):
             forms = ch.forms
             assert form_poly(products(zip(forms.p, forms.pc)), forms.den**2) == model.pair(
-                ch.p_coeffs, ch.p_coeffs)
-            p_dot = model.pair(ch.p_coeffs, scan.curve)
+                p_coeffs(ch), p_coeffs(ch))
+            p_dot = model.pair(p_coeffs(ch), scan.curve)
             assert form_poly(dict(zip(((0, 0), (1, 0), (0, 1)), pc)), pden) == p_dot
             assert form_poly(products([(pc, pc)]), pden**2) == p_dot * p_dot
             assert pc_sq == reference_integrate_chamber(p_dot * p_dot, ch.chamber)

@@ -21,7 +21,6 @@ from fano_delta.toric3 import (
     nef_on_interval,
     polytope_min,
     polytope_moment,
-    polytope_vertices,
     polytope_volume,
     pullback,
     restrict_to_star,
@@ -412,7 +411,7 @@ def test_divisor_polytope_inequalities(y):
 
 def test_zero_divisor_polytope_is_origin(y):
     p = divisor_polytope(ToricDivisor(y, [0] * 6))
-    assert polytope_vertices(p) == [(F(0), F(0), F(0))]
+    assert p._vertices == ((F(0), F(0), F(0)),)
     assert polytope_volume(p) == 0
 
 
@@ -466,7 +465,7 @@ def test_unbounded_region_rejected():
 
     p = HPolytope(normals=((1, 0, 0), (0, 1, 0), (0, 0, 1)), rhs=(F(0), F(0), F(0)))
     with pytest.raises(ValueError, match="not a polytope"):
-        polytope_vertices(p)
+        p._vertices
 
 
 @st.composite
@@ -499,7 +498,7 @@ def _outcome(vertices, p):
 @settings(max_examples=120, deadline=None)
 @given(_random_polytopes())
 def test_integer_vertices_match_fraction_solve(p):
-    assert _outcome(polytope_vertices, p) == _outcome(reference_polytope_vertices, p)
+    assert _outcome(lambda p: list(p._vertices), p) == _outcome(reference_polytope_vertices, p)
 
 
 # ---------------------------------------------------------------------------
