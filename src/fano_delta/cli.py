@@ -187,7 +187,15 @@ def main(argv=None) -> int:
     p_report.add_argument("--decimal", action="store_true")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except (FileNotFoundError, json.JSONDecodeError) as exc:
+        # Any command: a fixture file that is missing or not JSON ends the run.
+        print(f"error: unreadable fixture: {exc}", file=sys.stderr)
+        return 1
 
+
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.command == "compute":
             c = None if args.c is None else _parse_c(args.c)
@@ -202,12 +210,7 @@ def main(argv=None) -> int:
         print(_fmt_value(str(value), args.decimal))
         return 0
 
-    try:
-        report = build_report(args.family, c_values)
-    except FileNotFoundError as exc:
-        print(f"error: missing fixture: {exc}", file=sys.stderr)
-        return 1
-
+    report = build_report(args.family, c_values)
     if args.command == "verify" or args.format == "text":
         _print_table(report, args.decimal)
     else:

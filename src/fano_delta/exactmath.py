@@ -14,7 +14,11 @@ is mathematical equality.  The module also provides
   * exact definite integration over u-intervals and over chambers (a
     u-interval between two integer walls v = (a + b*u)/d): an integrand's
     integer numerators meet the chamber's integer moment numerators over one
-    chamber denominator in one sum, which becomes one Fraction.
+    chamber denominator in one sum, which becomes one Fraction,
+  * the one rule that evaluates the integer affine forms and walls of the
+    exact layers: at a u, at both u-ends, gaps, roots, and a chamber's
+    corners and crossings (`at`, `negative_end`, `gap`, `root_inside`,
+    `Chamber.nonnegative`, `Chamber.crossing`).
 
 No floating point exists anywhere in this package.
 """
@@ -426,10 +430,8 @@ class Chamber:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
         # Affine walls: the sign of hi - lo at both u-ends certifies lo <= hi.
-        for u0 in (self.u_lo, self.u_hi):
-            p, r = u0.numerator, u0.denominator
-            if (lo[0] * r + lo[1] * p) * hi[2] > (hi[0] * r + hi[1] * p) * lo[2]:
-                raise ValueError("empty or inverted chamber")
+        if negative_end(gap(lo, hi), self.u_lo, self.u_hi) is not None:
+            raise ValueError("empty or inverted chamber")
 
     @cached_property
     def v_lo(self) -> Poly:
@@ -456,6 +458,16 @@ class Chamber:
         a, b, c = form
         return all(a * m * d + b * n * d + c * (w0 * m + w1 * n) >= 0
                    for n, m in self._ends for w0, w1, d in (self.lower, self.upper))
+
+    def crossing(self, form: Form) -> Fraction | None:
+        """The u strictly inside the chamber where a + b*u + c*v vanishes on
+        the lower wall, else on the upper wall; None if there is none."""
+        a, b, c = form
+        for w0, w1, d in (self.lower, self.upper):
+            root = root_inside(a * d + c * w0, b * d + c * w1, self.u_lo, self.u_hi)
+            if root is not None:
+                return root
+        return None
 
     def integrate(self, terms: Mapping[tuple[int, int], int], den: int) -> Fraction:
         """iint of sum terms[a, b] * u^a * v^b / den over the chamber, as one
@@ -524,6 +536,31 @@ def lowest(w: Form) -> Form:
         raise ValueError(f"wall {w} needs a positive denominator")
     g = math.gcd(a, b, d)
     return (a, b, d) if g == 1 else (a // g, b // g, d // g)
+
+
+def at(form: Sequence[int], u: Fraction) -> int:
+    """a + b*u of a form or wall (a, b, ...) at u, times u's denominator: an
+    integer with the sign of the form, or of the wall, at u."""
+    return form[0] * u.denominator + form[1] * u.numerator
+
+
+def negative_end(form: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction | None:
+    """The first of lo, hi at which a + b*u is negative; None if it is >= 0
+    at both, hence (affine) on all of [lo, hi]."""
+    return next((u for u in (lo, hi) if at(form, u) < 0), None)
+
+
+def gap(lo: Form, hi: Form) -> tuple[int, int]:
+    """hi - lo of two walls as (const, u-coefficient), up to a positive factor."""
+    return hi[0] * lo[2] - lo[0] * hi[2], hi[1] * lo[2] - lo[1] * hi[2]
+
+
+def root_inside(a: int, b: int, lo: Fraction, hi: Fraction) -> Fraction | None:
+    """The root of a + b*u if it lies strictly between lo and hi."""
+    if b == 0:
+        return None
+    root = Fraction(-a, b)
+    return root if lo < root < hi else None
 
 
 def affine_poly(form: Sequence[int], den: int) -> Poly:

@@ -26,7 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactmath import _VAR_INDEX, Poly, Scalar, combine, integrate_univariate, numerators, products, q
+from .exactmath import (_VAR_INDEX, Poly, Scalar, affine_form, combine, integrate_univariate, numerators,
+                        products, q)
 from .surfzar import ChamberedDecomposition, ScanError, SurfaceModel, chamber_scan
 
 Vec = tuple[Fraction, ...]
@@ -195,7 +196,7 @@ def f_correction(scenario: FlagScenario, point: MarkedPoint | str) -> Fraction:
         rest = sum(((nprime[j] - v_d * sigma[j]) * mults[j] for j in range(model.n) if mults[j]), Poly())
         if rest.total_degree() > 1 or rest.degree_in("c"):
             raise ValueError("invalid correction data")
-        rest, rden = numerators(rest.coefficient(e) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0)))
+        rest, rden = affine_form(rest)
         for ch, (p_dot, pden, _) in zip(scan.chambers, scan.curve_terms):
             den = ch.forms.den * mden * rden  # of ord_Q
             n_part = combine(enumerate(weights), ch.forms.n)

@@ -51,7 +51,10 @@ def fixture(root: Path, relative: str, build: Callable | None = None):
     built once per process, and a different root is read afresh.
     """
     with open(root / relative) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:  # name the file in the message
+            raise json.JSONDecodeError(f"{fh.name}: {exc.msg}", exc.doc, exc.pos) from None
     return data if build is None else build(data)
 
 

@@ -20,8 +20,10 @@ split at.  A printed table row is checked against the scan one row at a
 time (`row_mismatches`).  The threshold envelope, the scan and the row
 check run on integer numerators over one denominator per support, with
 each support's Gram block inverted once per model; thresholds and chamber
-walls are integer walls v = (a + b*u)/d.  A Poly (of t, a wall or a
-mismatched cell) is built only for report text.  The pointwise reference
+walls are integer walls v = (a + b*u)/d, and every sign, gap, root and
+corner test of a form or wall is exactmath's (`at`, `negative_end`, `gap`,
+`root_inside`, `Chamber.nonnegative`, `Chamber.crossing`).  A Poly (of t, a
+wall or a mismatched cell) is built only for report text.  The pointwise reference
 decomposition and the Poly forms of N and P are test code.
 """
 
@@ -35,8 +37,8 @@ from functools import cached_property
 from typing import Iterator, Sequence
 
 from . import linalg, lp
-from .exactmath import (Chamber, Form, Poly, Scalar, affine_form, affine_poly, combine, lowest,
-                        numerators, products, q, wall)
+from .exactmath import (Chamber, Form, Poly, Scalar, affine_form, affine_poly, at, combine, gap, lowest,
+                        negative_end, numerators, products, q, root_inside, wall)
 
 Vec = tuple[Fraction, ...]
 
@@ -245,14 +247,6 @@ def _threshold_lp(model: SurfaceModel, cvec: Vec) -> _ThresholdLP:
     return model._threshold_lps[cvec]
 
 
-def _curve_vector(model: SurfaceModel, curve: int | Sequence[Scalar]) -> Vec:
-    if isinstance(curve, int):
-        vec = [Fraction(0)] * model.n
-        vec[curve] = Fraction(1)
-        return tuple(vec)
-    return tuple(q(x) for x in curve)
-
-
 # ---------------------------------------------------------------------------
 # Pseudoeffective threshold as a function of u (exact lower envelope)
 # ---------------------------------------------------------------------------
@@ -289,12 +283,8 @@ def _threshold_pieces(family: "_Family", u_lo: Fraction, u_hi: Fraction) -> list
         a, b, c = combine(enumerate(h), family.forms)
         if c < 0:
             lines.append(lowest((a, b, -c)))
-        elif c == 0:
-            for u0 in (u_lo, u_hi):
-                if a * u0.denominator + b * u0.numerator < 0:
-                    raise NotPseudoeffectiveError(
-                        f"base family leaves the effective cone at u={u0}"
-                    )
+        elif c == 0 and (u0 := negative_end((a, b), u_lo, u_hi)) is not None:
+            raise NotPseudoeffectiveError(f"base family leaves the effective cone at u={u0}")
     if not lines:
         raise ValueError("threshold unbounded")
     pieces = _lower_envelope(lines, u_lo, u_hi)
@@ -310,26 +300,24 @@ def _certify_piece(threshold_lp: _ThresholdLP, family: "_Family", t: Form,
     if depth > 24:
         raise ScanError("threshold certificate failed to stabilize", lo, hi, depth)
     consts, slopes = [f[0] for f in family.forms], [f[1] for f in family.forms]
-    ends = [(u0.numerator, u0.denominator) for u0 in (lo, hi)]
 
     def basic(inverse: list[list[int]]) -> Iterator[tuple[int, int]]:
         # Each basic variable B^-1.base(u) as an affine function of u.
         return ((_dot(row, consts), _dot(row, slopes)) for row in inverse)
 
     for inverse, dual, den in threshold_lp.bases:
-        if all(a * r + b * p >= 0 for a, b in basic(inverse) for p, r in ends):
+        if all(negative_end(x, lo, hi) is None for x in basic(inverse)):
             break
     else:
         mid = (lo + hi) / 2
-        p, r = mid.numerator, mid.denominator
-        dvec = [Fraction(a * r + b * p, family.den * r) for a, b in zip(consts, slopes)]
+        dvec = [Fraction(at(f, mid), family.den * mid.denominator) for f in family.forms]
         inverse, dual, den = threshold_lp.prove(threshold_lp.solve(dvec).basis)
         for a, b in basic(inverse):
-            if any(a * r + b * p < 0 for p, r in ends):
-                # This basic variable is >= 0 at mid and vanishes at `at`.
-                at = Fraction(-a, b)
-                _certify_piece(threshold_lp, family, t, lo, at, depth + 1)
-                _certify_piece(threshold_lp, family, t, at, hi, depth + 1)
+            if negative_end((a, b), lo, hi) is not None:
+                # This basic variable is >= 0 at mid and vanishes at `cut`.
+                cut = Fraction(-a, b)
+                _certify_piece(threshold_lp, family, t, lo, cut, depth + 1)
+                _certify_piece(threshold_lp, family, t, cut, hi, depth + 1)
                 return
     # c_B.B^-1.base(u) = t: the value's const and slope over den * family.den.
     value = (_dot(dual, consts), _dot(dual, slopes))
@@ -350,28 +338,23 @@ def _lower_envelope(lines: Sequence[Form], u_lo: Fraction, u_hi: Fraction) -> li
     pieces: list[ThresholdPiece] = []
     cur = u_lo
     for _ in range(100):
-        p, r = cur.numerator, cur.denominator
         active = lines[0]
         for line in lines[1:]:
-            a, b, d = line
-            a0, b0, d0 = active
-            # The sign of line - active at cur, times d * d0 * r > 0.
-            below = (a * r + b * p) * d0 - (a0 * r + b0 * p) * d
-            if below < 0 or below == 0 and b * d0 < b0 * d:
+            rise = gap(active, line)  # line - active
+            below = at(rise, cur)
+            if below < 0 or below == 0 and rise[1] < 0:
                 active = line
         if cur >= u_hi:
             if not pieces:
                 pieces.append(ThresholdPiece(u_lo, u_hi, active))
             return pieces
+        # active is lowest at cur, so a line that rises against it crosses
+        # it at or before cur: a crossing after cur is a line falling below.
         nxt = u_hi
-        a0, b0, d0 = active
-        for a, b, d in lines:
-            falls = b * d0 - b0 * d  # the slope of line - active, times d * d0
-            if falls < 0:
-                # line falls below active at the crossing.
-                cross = Fraction(a0 * d - a * d0, falls)
-                if cur < cross < nxt:
-                    nxt = cross
+        for line in lines:
+            cross = root_inside(*gap(active, line), cur, nxt)
+            if cross is not None:
+                nxt = cross
         pieces.append(ThresholdPiece(cur, nxt, active))
         if nxt >= u_hi:
             return pieces
@@ -387,8 +370,7 @@ def _lower_envelope(lines: Sequence[Form], u_lo: Fraction, u_hi: Fraction) -> li
 @dataclass(frozen=True)
 class ScanChamber:
     chamber: Chamber
-    support: tuple[int, ...]
-    forms: _Forms  # N and P, with P.C_k, as integer forms
+    forms: _Forms  # the support, N and P, with P.C_k, as integer forms
 
 
 @dataclass(frozen=True)
@@ -414,14 +396,10 @@ class ChamberedDecomposition:
         return tuple(out)
 
 
-def chamber_scan(
-    model: SurfaceModel,
-    base: Sequence[Poly | Scalar],
-    curve: Sequence[Scalar] | int,
-    u_lo: Scalar,
-    u_hi: Scalar,
-) -> ChamberedDecomposition:
-    """Chamber decomposition of the family base(u) - v*C over [u_lo, u_hi].
+def chamber_scan(model: SurfaceModel, base: Sequence[Poly | Scalar], curve: Sequence[Scalar],
+                 u_lo: Scalar, u_hi: Scalar) -> ChamberedDecomposition:
+    """Chamber decomposition of the family base(u) - v*C over [u_lo, u_hi],
+    C the curve class with coefficient vector ``curve``.
 
     The v-range for each u is [0, t(u)] with t the pseudoeffective
     threshold.  Chambers are maximal regions of constant negative support;
@@ -429,7 +407,7 @@ def chamber_scan(
     coefficient or an excluded-curve intersection vanishes.
     """
     u_lo, u_hi = q(u_lo), q(u_hi)
-    cvec = _curve_vector(model, curve)
+    cvec = tuple(q(x) for x in curve)
     family = _Family(model, base, cvec)
     tpieces = _threshold_pieces(family, u_lo, u_hi)
     # A piece with t = 0 has the single line v = 0 as its v-range: no chamber.
@@ -440,8 +418,10 @@ def chamber_scan(
 
 
 # The scan computes in integers, on exactmath's affine forms and walls over
-# positive denominators; a point (u, v) is the homogeneous triple (U, V, W) =
-# (u*W, v*W, W), W > 0, where a form has the sign of a*W + b*U + c*V.
+# positive denominators, evaluated by exactmath's rule.  The one exception is
+# the support search above a sample point (u, v): the point is the homogeneous
+# triple (U, V, W) = (u*W, v*W, W), W > 0, where a form has the sign of
+# a*W + b*U + c*V.
 ZERO: Form = (0, 0, 0)
 
 
@@ -537,11 +517,11 @@ def _scan_threshold_piece(family: _Family, piece: ThresholdPiece, depth: int = 0
     try:
         return _certify_columns(family, piece, stack, depth)
     except _SplitNeeded as split:
-        at = split.at
-        if not (piece.u_lo < at < piece.u_hi):
-            raise ScanError(f"invalid split point u={at}", piece.u_lo, piece.u_hi, depth) from None
-        left = ThresholdPiece(piece.u_lo, at, piece.wall)
-        right = ThresholdPiece(at, piece.u_hi, piece.wall)
+        cut = split.at
+        if not (piece.u_lo < cut < piece.u_hi):
+            raise ScanError(f"invalid split point u={cut}", piece.u_lo, piece.u_hi, depth) from None
+        left = ThresholdPiece(piece.u_lo, cut, piece.wall)
+        right = ThresholdPiece(cut, piece.u_hi, piece.wall)
         return _scan_threshold_piece(family, left, depth + 1) + (
             _scan_threshold_piece(family, right, depth + 1)
         )
@@ -554,7 +534,6 @@ class _SplitNeeded(Exception):
 
 @dataclass
 class _Column:
-    support: tuple[int, ...]
     lower: Form  # wall
     forms: _Forms
 
@@ -568,7 +547,7 @@ def _column_structure(family: _Family, piece: ThresholdPiece, u0: Fraction, dept
     is solved for v as an affine function of u.
     """
     p, q = u0.numerator, u0.denominator
-    t_at = Fraction(piece.wall[0] * q + piece.wall[1] * p, piece.wall[2] * q)
+    t_at = Fraction(at(piece.wall, u0), piece.wall[2] * q)
     n = family.model.n
     columns: list[_Column] = []
     v_cur = Fraction(0)
@@ -584,12 +563,12 @@ def _column_structure(family: _Family, piece: ThresholdPiece, u0: Fraction, dept
         # Next event: a support coefficient vanishing or an excluded-curve
         # intersection vanishing, whichever comes first along v at u0.
         v_next, boundary = t_at, None
-        for a, b, c in [forms.n[j] for j in support] + [forms.pc[k] for k in range(n) if k not in support]:
-            if c < 0:
-                root = Fraction(-(a * q + b * p), c * q)
+        for form in [forms.n[j] for j in support] + [forms.pc[k] for k in range(n) if k not in support]:
+            if form[2] < 0:
+                root = Fraction(at(form, u0), -form[2] * q)
                 if v_cur < root < v_next:
-                    v_next, boundary = root, (a, b, c)
-        columns.append(_Column(support=support, lower=lower, forms=forms))
+                    v_next, boundary = root, form
+        columns.append(_Column(lower=lower, forms=forms))
         if boundary is None:
             return columns
         a, b, c = boundary
@@ -633,71 +612,42 @@ def _certify_columns(
     decomposition at every point of the chamber.  Any violated affine
     condition has an exact root in u, which is raised as a split point.
     """
-    ends = [(u.numerator, u.denominator) for u in (piece.u_lo, piece.u_hi)]
     walls = [col.lower for col in columns] + [piece.wall]
-    gaps = [_gap(lo, hi) for lo, hi in zip(walls, walls[1:])]
+    gaps = [gap(lo, hi) for lo, hi in zip(walls, walls[1:])]
     # Boundary ordering across the interval (affine: endpoints suffice).
-    for a, b in gaps:
-        if any(a * q + b * p < 0 for p, q in ends):
-            cross = _root_inside(a, b, piece.u_lo, piece.u_hi)
+    for g in gaps:
+        if negative_end(g, piece.u_lo, piece.u_hi) is not None:
+            cross = root_inside(*g, piece.u_lo, piece.u_hi)
             if cross is not None:
                 raise _SplitNeeded(cross)
             raise ScanError("inconsistent chamber boundaries", piece.u_lo, piece.u_hi, depth)
 
-    kept: list[int] = []
-    for idx, col in enumerate(columns):
-        if gaps[idx] == (0, 0):
+    def check(chamber: Chamber, form: Form, reason: str) -> None:
+        # A Zariski condition on the chamber, checked at its corners.
+        if not chamber.nonnegative(form):
+            split = chamber.crossing(form)
+            if split is not None:
+                raise _SplitNeeded(split)
+            raise ScanError(reason, piece.u_lo, piece.u_hi, depth)
+
+    out: list[ScanChamber] = []
+    for col, lo, hi, g in zip(columns, walls, walls[1:], gaps):
+        if g == (0, 0):
             continue
-        lo, hi = walls[idx], walls[idx + 1]
-        corners = [(p * w[2], w[0] * q + w[1] * p, q * w[2]) for p, q in ends for w in (lo, hi)]
-
-        def check(form: Form, reason: str) -> None:
-            # A Zariski condition on the chamber, checked at the corners.
-            a, b, c = form
-            if any(a * W + b * U + c * V < 0 for U, V, W in corners):
-                split = _corner_failure_split(form, lo, hi, piece)
-                if split is not None:
-                    raise _SplitNeeded(split)
-                raise ScanError(reason, piece.u_lo, piece.u_hi, depth)
-
-        forms = col.forms
-        for j in col.support:
-            check(forms.n[j], "negative support coefficient in chamber")
+        chamber, forms = Chamber(piece.u_lo, piece.u_hi, lo, hi), col.forms
+        for j in forms.support:
+            check(chamber, forms.n[j], "negative support coefficient in chamber")
         for k, val in enumerate(forms.pc):
-            if k in col.support:
+            if k in forms.support:
                 if val != ZERO:
                     raise ScanError("support orthogonality failed symbolically",
                                     piece.u_lo, piece.u_hi, depth)
                 continue
-            check(val, "nef condition failed inside chamber")
-        if col.support and not _support_block(family.model, col.support).negative_definite:
+            check(chamber, val, "nef condition failed inside chamber")
+        if forms.support and not _support_block(family.model, forms.support).negative_definite:
             raise ConeAssumptionError("cone assumption violated")
-        kept.append(idx)
-    return [ScanChamber(Chamber(piece.u_lo, piece.u_hi, walls[idx], walls[idx + 1]),
-                        columns[idx].support, columns[idx].forms) for idx in kept]
-
-
-def _gap(lo: Form, hi: Form) -> tuple[int, int]:
-    """hi - lo of two walls as (const, u-coefficient), up to a positive factor."""
-    return hi[0] * lo[2] - lo[0] * hi[2], hi[1] * lo[2] - lo[1] * hi[2]
-
-
-def _root_inside(a: int, b: int, lo: Fraction, hi: Fraction) -> Fraction | None:
-    """The root of a + b*u if it lies strictly between lo and hi."""
-    if b == 0:
-        return None
-    root = Fraction(-a, b)
-    return root if lo < root < hi else None
-
-
-def _corner_failure_split(form: Form, lo: Form, hi: Form, piece: ThresholdPiece) -> Fraction | None:
-    """Where the form vanishes along the lower or else the upper wall."""
-    a, b, c = form
-    for w0, w1, d in (lo, hi):
-        root = _root_inside(a * d + c * w0, b * d + c * w1, piece.u_lo, piece.u_hi)
-        if root is not None:
-            return root
-    return None
+        out.append(ScanChamber(chamber, forms))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +701,10 @@ def row_mismatches(scan: ChamberedDecomposition, row: TableRow) -> list[RowMisma
         # in u, so it is positive somewhere on the common interval iff it is
         # positive at an end or where the two lower or two upper walls cross.
         lows, highs = (row_lo, ch.chamber.lower), (row_hi, ch.chamber.upper)
-        crossings = (_root_inside(*_gap(*lows), u_lo, u_hi), _root_inside(*_gap(*highs), u_lo, u_hi))
-        gaps = [_gap(lo, hi) for lo in lows for hi in highs]
+        crossings = (root_inside(*gap(*lows), u_lo, u_hi), root_inside(*gap(*highs), u_lo, u_hi))
+        gaps = [gap(lo, hi) for lo in lows for hi in highs]
         if not any(
-            all(a * u0.denominator + b * u0.numerator > 0 for a, b in gaps)
+            all(at(g, u0) > 0 for g in gaps)
             for u0 in (u_lo, u_hi, *(x for x in crossings if x is not None))
         ):
             continue

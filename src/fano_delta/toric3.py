@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Mapping, Sequence
 
 from . import linalg, lp
-from .exactmath import Poly, Scalar, numerators, q, wall
+from .exactmath import Poly, Scalar, negative_end, numerators, q, wall
 
 Ray = tuple[int, int, int]
 Cone = tuple[int, int, int]
@@ -77,14 +77,9 @@ class Fan3:
         return {}
 
 
-@dataclass
-class FanReport:
-    valid: bool
-    issues: list[str] = field(default_factory=list)
-
-
-def validate_fan(fan: Fan3) -> FanReport:
-    """Check primitivity, simpliciality and the 2-face completeness criterion.
+def validate_fan(fan: Fan3) -> list[str]:
+    """The issues of a fan, none for a valid one: primitivity, simpliciality
+    and the 2-face completeness criterion.
 
     Completeness here means: every index pair occurring in some maximal cone
     occurs in exactly two of them.  For the complete simplicial fans handled
@@ -119,7 +114,7 @@ def validate_fan(fan: Fan3) -> FanReport:
     for pair, count in sorted(counts.items()):
         if count != 2:
             issues.append(f"face {list(pair)} lies in {count} maximal cone(s), expected 2")
-    return FanReport(valid=not issues, issues=issues)
+    return issues
 
 
 # ---------------------------------------------------------------------------
@@ -251,40 +246,22 @@ def curve_intersection(d: ToricDivisor, curve: CurveClass) -> Poly:
     return total
 
 
-@dataclass
-class NefReport:
-    nef: bool
-    witness: tuple[int, int] | None = None
-    note: str = ""
-
-
-def nef_on_interval(d: ToricDivisor, u_lo: Scalar, u_hi: Scalar) -> NefReport:
-    """Nefness of a Poly-in-u divisor over [u_lo, u_hi].
+def nef_on_interval(d: ToricDivisor, u_lo: Scalar, u_hi: Scalar) -> str | None:
+    """Where a Poly-in-u divisor fails to be nef on [u_lo, u_hi], as text;
+    None when it is nef there.
 
     Every curve intersection is checked to be affine in u, so nonnegativity
-    at the two endpoints certifies the whole interval; the justification is
-    recorded in the report.
+    at the two endpoints certifies the whole interval.
     """
     u_lo, u_hi = q(u_lo), q(u_hi)
     for pair in d.fan.two_cones:
         val = curve_intersection(d, CurveClass(d.fan, pair))
         if val.total_degree() > 1:
             raise ValueError(f"curve intersection {val} is not affine in u")
-        u0 = _negative_end(val, u_lo, u_hi)
+        u0 = negative_end(wall(val), u_lo, u_hi)
         if u0 is not None:
-            return NefReport(False, pair, f"curve {pair} meets the divisor in {val} < 0 at u={u0}")
-    return NefReport(
-        True,
-        note="all curve intersections affine in u; nonnegativity at both "
-        "endpoints certifies the interval",
-    )
-
-
-def _negative_end(val: Poly, u_lo: Fraction, u_hi: Fraction) -> Fraction | None:
-    """The first of u_lo, u_hi at which val, a Poly affine in u, is negative,
-    by the integer sign of its wall; None if it is >= 0 at both."""
-    a, b, _ = wall(val)
-    return next((u0 for u0 in (u_lo, u_hi) if a * u0.denominator + b * u0.numerator < 0), None)
+            return f"curve {pair} meets the divisor in {val} < 0 at u={u0}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -685,23 +662,10 @@ class ZariskiCertificate3:
     intervals: tuple[Zariski3Interval, ...]
 
 
-@dataclass
-class Zariski3Report:
-    accepted: bool
-    lines: list[str] = field(default_factory=list)
-
-
-def verify_zariski3(cert: ZariskiCertificate3) -> Zariski3Report:
-    report = Zariski3Report(accepted=True)
-    for iv in cert.intervals:
-        label = f"[{iv.u_lo},{iv.u_hi}] on {len(iv.model.rays)}-ray model"
-        failure = _check_interval(cert, iv)
-        if failure:
-            report.accepted = False
-            report.lines.append(f"{label}: REJECT ({failure})")
-        else:
-            report.lines.append(f"{label}: accept")
-    return report
+def verify_zariski3(cert: ZariskiCertificate3) -> list[str]:
+    """One line per rejected interval of the certificate, none when it holds."""
+    return [f"[{iv.u_lo},{iv.u_hi}] on {len(iv.model.rays)}-ray model: REJECT ({failure})"
+            for iv in cert.intervals if (failure := _check_interval(cert, iv))]
 
 
 def _check_interval(cert: ZariskiCertificate3, iv: Zariski3Interval) -> str | None:
@@ -719,13 +683,13 @@ def _check_interval(cert: ZariskiCertificate3, iv: Zariski3Interval) -> str | No
     for k, coeff in enumerate(iv.negative.coeffs):
         if coeff.total_degree() > 1:
             return f"negative coefficient at ray {k} is not affine in u"
-        u0 = _negative_end(coeff, iv.u_lo, iv.u_hi)
+        u0 = negative_end(wall(coeff), iv.u_lo, iv.u_hi)
         if u0 is not None:
             return f"negative part not effective at ray {k}, u={u0}"
     # (c) positive part nef on the stated model.
-    nef = nef_on_interval(iv.positive, iv.u_lo, iv.u_hi)
-    if not nef.nef:
-        return f"positive part not nef: {nef.note}"
+    not_nef = nef_on_interval(iv.positive, iv.u_lo, iv.u_hi)
+    if not_nef:
+        return f"positive part not nef: {not_nef}"
     # (d) forcing certificates for every ray in the negative support.
     support = [
         k for k, coeff in enumerate(iv.negative.coeffs) if not coeff.is_zero()

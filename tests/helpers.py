@@ -20,7 +20,6 @@ from fano_delta.surfzar import (
     SurfaceModel,
     TableRow,
     ThresholdPiece,
-    _curve_vector,
     _Family,
     _threshold_lp,
     _threshold_pieces,
@@ -65,6 +64,14 @@ class SurfDivisor:
             raise ValueError("coefficient list length must match curve count")
 
 
+def curve_vector(model: SurfaceModel, curve: int | Sequence[Scalar]) -> tuple[Fraction, ...]:
+    """The coefficient vector of a curve class, or of basis curve number
+    ``curve`` when it is an index."""
+    if isinstance(curve, int):
+        return tuple(Fraction(i == curve) for i in range(model.n))
+    return tuple(q(x) for x in curve)
+
+
 def pseff_threshold(
     model: SurfaceModel, d: SurfDivisor, curve: int | Sequence[Scalar]
 ) -> Fraction:
@@ -73,7 +80,7 @@ def pseff_threshold(
     Exact rational LP: maximize v subject to
         D - v*C + (relation combination) = e,  e >= 0.
     """
-    threshold_lp = _threshold_lp(model, _curve_vector(model, curve))
+    threshold_lp = _threshold_lp(model, curve_vector(model, curve))
     return threshold_lp.solve([x.as_fraction() for x in d.coeffs]).value
 
 
@@ -127,7 +134,7 @@ def integrate(fn: ChamberFunction) -> Fraction:
 
 def threshold_pieces(model: SurfaceModel, base, curve, u_lo, u_hi) -> list[ThresholdPiece]:
     """The certified threshold envelope of base(u) - v*C on [u_lo, u_hi]."""
-    return _threshold_pieces(_Family(model, base, _curve_vector(model, curve)), q(u_lo), q(u_hi))
+    return _threshold_pieces(_Family(model, base, curve_vector(model, curve)), q(u_lo), q(u_hi))
 
 
 def n_coeffs(ch: ScanChamber) -> tuple[Poly, ...]:
@@ -435,10 +442,9 @@ def reference_chamber_scan(model: SurfaceModel, base, curve, u_lo, u_hi) -> Cham
     computed on rational Polys instead of integer numerators."""
     u_lo, u_hi = q(u_lo), q(u_hi)
     base = [Poly.coerce(b) for b in base]
-    cvec = tuple(Fraction(i == curve) for i in range(model.n)) if isinstance(curve, int) else (
-        tuple(q(x) for x in curve))
+    cvec = curve_vector(model, curve)
     family = [base[i] - Poly.var("v") * cvec[i] for i in range(model.n)]
-    tpieces = threshold_pieces(model, base, curve, u_lo, u_hi)
+    tpieces = threshold_pieces(model, base, cvec, u_lo, u_hi)
     chambers = [ch for piece in tpieces if not piece.t.is_zero()
                 for ch in _reference_scan_piece(model, family, piece)]
     return ChamberedDecomposition(model=model, curve=cvec, u_lo=u_lo, u_hi=u_hi,
@@ -578,7 +584,7 @@ def reference_threshold_pieces(model: SurfaceModel, base, curve, u_lo, u_hi) -> 
     the model as `surfzar._threshold_pieces` does."""
     u_lo, u_hi = q(u_lo), q(u_hi)
     base = [Poly.coerce(b) for b in base]
-    cvec = _curve_vector(model, curve)
+    cvec = curve_vector(model, curve)
     lines: list[Poly] = []
     for h in model.facets():
         hc = sum(h[i] * cvec[i] for i in range(model.n))

@@ -97,6 +97,27 @@ def _fixture_copy(dst, relative, edit):
     return dst
 
 
+@pytest.mark.parametrize("fixtures, argv, named", [
+    ("missing", ("compute", "--scenario", "34-d4", "--op", "toric-s", "--target", "G"),
+     "family-34-d4.json"),
+    ("missing", ("verify", "--family", "218", "--c", "1/2"), "family-218.json"),  # read by --c
+    ("missing", ("verify", "--family", "34-d4"), "family-34-d4.json"),
+    ("malformed", ("verify", "--family", "34-d4"), "table-02.json"),  # the file is "{"
+])
+def test_unreadable_fixture_is_one_error_line(tmp_path, capsys, monkeypatch, fixtures, argv, named):
+    from fano_delta import scenarios
+
+    root = tmp_path / "fixtures"
+    if fixtures == "malformed":
+        shutil.copytree(scenarios.fixtures_dir(), root)
+        (root / "tables" / "table-02.json").write_text("{")
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(root))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: unreadable fixture: ") and err.count("\n") == 1
+    assert named in err
+
+
 def _tamper_table_02(data):
     data["rows"][0]["P"][3] = "5"  # one restriction coefficient
     return data

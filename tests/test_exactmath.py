@@ -9,9 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from fano_delta.exactmath import (
     Poly,
+    at,
+    gap,
     integrate_univariate,
+    negative_end,
     numerators,
     parse_poly,
+    root_inside,
 )
 
 from helpers import (
@@ -399,6 +403,75 @@ def test_integer_corner_test_matches_rational_corners(ch, coeffs):
     shifted, _ = numerators((a - min(values), b, c))
     assert ch.nonnegative(shifted)
     assert not ch.nonnegative((shifted[0] - 1, *shifted[1:]))
+
+
+# exactmath's integer rule for forms and walls against the same values in
+# Fractions: a + b*u of a form or wall (a, b, ...), its end values, and the
+# root of an affine function from its values at two ends.
+
+small_ints = st.integers(-40, 40)
+int_walls = st.tuples(small_ints, small_ints, st.integers(1, 9))
+u_intervals = st.lists(rationals, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+def value_at(form, u0):
+    """a + b*u of an integer form or wall (a, b, ...) at u0, as a Fraction."""
+    return form[0] + form[1] * u0
+
+
+def secant_root(f_lo, f_hi, lo, hi):
+    """The root in (lo, hi) of the affine function with values f_lo at lo and
+    f_hi at hi, where these have strictly opposite signs; else None."""
+    return lo + (hi - lo) * f_lo / (f_lo - f_hi) if f_lo * f_hi < 0 else None
+
+
+@kernel_settings
+@given(int_walls, int_walls, u_intervals)
+def test_form_rule_agrees_with_fractions(wall_, other, ends):
+    lo, hi = ends
+    for u0 in ends:
+        # A wall v = (a + b*u)/d has the sign of its numerator; so does a form.
+        assert sign(at(wall_, u0)) == sign(value_at(wall_, u0) / wall_[2])
+        assert sign(at(wall_[:2], u0)) == sign(value_at(wall_, u0))
+        # The gap of two walls has the sign of upper minus lower.
+        rise = F(value_at(other, u0), other[2]) - F(value_at(wall_, u0), wall_[2])
+        assert sign(at(gap(wall_, other), u0)) == sign(rise)
+    negative = [u0 for u0 in ends if value_at(wall_, u0) < 0]
+    assert negative_end(wall_[:2], lo, hi) == (negative[0] if negative else None)
+    assert root_inside(*wall_[:2], lo, hi) == secant_root(value_at(wall_, lo), value_at(wall_, hi), lo, hi)
+
+
+@kernel_settings
+@given(wide_chambers(), st.tuples(small_ints, small_ints, small_ints),
+       st.one_of(st.none(), st.tuples(st.booleans(), st.fractions(0, 1, max_denominator=9))))
+def test_chamber_crossing_agrees_with_fractions(ch, form, pin):
+    if pin is not None:  # the form moved to vanish at a point of one wall
+        upper, s = pin
+        u0 = ch.u_lo + (ch.u_hi - ch.u_lo) * s
+        v0 = (ch.v_hi if upper else ch.v_lo)(u=u0)
+        form = numerators((-form[1] * u0 - form[2] * v0, F(form[1]), F(form[2])))[0]
+    a, b, c = form
+    # The form along each wall at the two u-ends: a crossing is a root
+    # strictly inside, on the lower wall first.
+    along = [[a + b * u0 + c * F(value_at(w, u0), w[2]) for u0 in (ch.u_lo, ch.u_hi)]
+             for w in (ch.lower, ch.upper)]
+    roots = [secant_root(*ends, ch.u_lo, ch.u_hi) for ends in along]
+    expected = next((r for r in roots if r is not None), None)
+    assert ch.crossing(form) == expected
+    if expected is None:
+        # None only when the form has one sign strictly inside on each wall,
+        # or vanishes along it: sampled at interior points.
+        for w in (ch.lower, ch.upper):
+            inside = (ch.u_lo + (ch.u_hi - ch.u_lo) * F(k, 7) for k in range(1, 7))
+            assert len({sign(a + b * u0 + c * F(value_at(w, u0), w[2])) for u0 in inside}) == 1
+    else:
+        w = ch.lower if roots[0] is not None else ch.upper
+        assert ch.u_lo < expected < ch.u_hi
+        assert a + b * expected + c * F(value_at(w, expected), w[2]) == 0
 
 
 def test_chamber_function_continuity_check():

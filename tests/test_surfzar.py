@@ -21,6 +21,7 @@ from helpers import (
     ReferenceChamber,
     SurfDivisor,
     check_continuity,
+    curve_vector,
     evaluate,
     form_poly,
     interpolate,
@@ -399,11 +400,11 @@ def test_zero_facet_is_checked_at_both_ends(second, end):
 
 
 def test_scan_d4_alpha1_splits_at_u_minus_4(d4):
-    scan = chamber_scan(d4, ptilde_d4("45"), 0, 4, 5)
+    scan = chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
     assert len(scan.chambers) == 2
     first, second = scan.chambers
-    assert first.support == () and str(first.chamber.v_hi) == "u - 4"
-    assert second.support == (1,)
+    assert first.forms.support == () and str(first.chamber.v_hi) == "u - 4"
+    assert second.forms.support == (1,)
     assert n_coeffs(second)[1] == parse_poly("(v+4-u)/3")
     assert p_coeffs(second)[1] == parse_poly("(u-4-v)/3")
 
@@ -418,12 +419,12 @@ def test_scan_nef_family_single_chamber(d4):
         1,
     )
     assert len(scan.chambers) == 1
-    assert scan.chambers[0].support == ()
+    assert scan.chambers[0].forms.support == ()
 
 
 def test_scan_a3_alpha1_splits(a3):
     base = [parse_poly(s) for s in ["(u-8)/2", "0", "1/2", "(11-u)/4", "(10-u)/2", "0"]]
-    scan = chamber_scan(a3, base, 0, 5, 7)
+    scan = chamber_scan(a3, base, curve_vector(a3, 0), 5, 7)
     lows = [str(ch.chamber.v_lo) for ch in scan.chambers]
     assert lows == ["0", "1/2*u - 5/2"]
     assert n_coeffs(scan.chambers[1])[1] == parse_poly("(2*v-u+5)/4")
@@ -438,7 +439,7 @@ def test_scan_detects_crossing_split(a3):
 
 
 def test_scan_p_squared_continuity_and_monotonicity(d4):
-    scan = chamber_scan(d4, ptilde_d4("24"), 0, 2, 4)
+    scan = chamber_scan(d4, ptilde_d4("24"), curve_vector(d4, 0), 2, 4)
     p_sq = p_squared(scan)
     assert check_continuity(p_sq) == []
     for u0 in (F(5, 2), F(3), F(7, 2)):
@@ -464,13 +465,13 @@ def test_scan_follows_a_curve_leaving_the_support(heart):
     # D = z + (4 - v)*s on the heart model (z, f, s): s carries N_s = 7/2 - v
     # until it leaves the support at v = 7/2, where z enters.  The v-walk must
     # take the vanishing of N_s as the wall.
-    scan = chamber_scan(heart, [1, 0, 4], 2, 0, 1)
-    assert [(str(ch.chamber.v_lo), str(ch.chamber.v_hi), ch.support) for ch in scan.chambers] == [
+    scan = chamber_scan(heart, [1, 0, 4], curve_vector(heart, 2), 0, 1)
+    assert [(str(ch.chamber.v_lo), str(ch.chamber.v_hi), ch.forms.support) for ch in scan.chambers] == [
         ("0", "7/2", (2,)), ("7/2", "4", (0,))]
     for ch in scan.chambers:
         for v0 in (ch.chamber.v_lo(u=0) + F(1, 4), ch.chamber.v_hi(u=0) - F(1, 4)):
             dec = zariski_decompose(heart, SurfDivisor(heart, [1, 0, 4 - v0]))
-            assert dec.support == ch.support
+            assert dec.support == ch.forms.support
             assert [x.as_fraction() for x in dec.negative.coeffs] == [
                 n(u=F(1, 2), v=v0) for n in n_coeffs(ch)]
 
@@ -479,14 +480,14 @@ def test_zero_width_piece_has_no_chamber(d4):
     # t = 0 on all of [0, 1]: the v-range is the line v = 0, where the
     # support search just above it would meet a singular Gram block.
     for scan in (chamber_scan, reference_chamber_scan):
-        result = scan(load_model("d4-g"), [0] * 6, 0, 0, 1)
+        result = scan(load_model("d4-g"), [0] * 6, curve_vector(d4, 0), 0, 1)
         assert result.chambers == ()
         assert [(p.u_lo, p.u_hi, p.t) for p in result.threshold] == [(0, 1, Poly())]
 
 
 def test_scan_rejects_non_affine_family(d4):
     with pytest.raises(ValueError, match="affine"):
-        chamber_scan(d4, [U * U, 1, 1, 2, 6, 0], 0, 0, 1)
+        chamber_scan(d4, [U * U, 1, 1, 2, 6, 0], curve_vector(d4, 0), 0, 1)
 
 
 # The symbolic certificate is the only proof of a chamber: each wrong input
@@ -508,7 +509,7 @@ def test_scan_rejects_shifted_support_coefficient(d4, monkeypatch):
 
     monkeypatch.setattr(surfzar, "_negative_part", shifted)
     with pytest.raises(surfzar.ScanError, match="support orthogonality failed symbolically") as info:
-        chamber_scan(d4, ptilde_d4("56"), 5, 5, 6)
+        chamber_scan(d4, ptilde_d4("56"), curve_vector(d4, 5), 5, 6)
     error = info.value
     assert (error.reason, error.u_lo, error.u_hi, error.depth) == (
         "support orthogonality failed symbolically", 5, 6, 0)
@@ -535,7 +536,7 @@ def test_scan_rejects_shifted_wall(d4, monkeypatch, shift, failure):
     monkeypatch.setattr(surfzar, "_column_structure", shifted)
     # Unpatched: v = 3 - u/2 is the one wall, between supports () and (alpha0,).
     with pytest.raises(surfzar.ScanError, match=failure):
-        chamber_scan(d4, ptilde_d4("56"), 5, 5, 6)
+        chamber_scan(d4, ptilde_d4("56"), curve_vector(d4, 5), 5, 6)
 
 
 # The integer scan against the same algorithm on rational Polys.
@@ -546,7 +547,7 @@ def scan_outcome(scan, *args):
     RuntimeError of the Poly scan prints)."""
     try:
         return [tuple(ch) if isinstance(ch, ReferenceChamber) else
-                (ch.chamber, ch.support, n_coeffs(ch), p_coeffs(ch)) for ch in scan(*args).chambers]
+                (ch.chamber, ch.forms.support, n_coeffs(ch), p_coeffs(ch)) for ch in scan(*args).chambers]
     except RuntimeError as exc:
         return "RuntimeError", getattr(exc, "reason", str(exc))
     except ValueError as exc:
@@ -574,7 +575,7 @@ def families_at_c(draw):
     curve = draw(st.one_of(
         st.integers(0, model.n - 1),
         st.lists(st.integers(0, 2), min_size=model.n, max_size=model.n).filter(any)))
-    return model, base, curve, lo, hi
+    return model, base, curve_vector(model, curve), lo, hi
 
 
 @settings(max_examples=150, deadline=None)
@@ -636,7 +637,7 @@ def test_integer_thresholds_equal_reference_on_random_families(case, variant):
     elif variant == "zero width":
         hi = lo
     elif variant == "reversed curve":  # C with negative weights: facets with h(C) <= 0
-        curve = [-x for x in curve] if isinstance(curve, list) else [-(i == curve) for i in range(model.n)]
+        curve = [-x for x in curve]
     got = threshold_outcome(threshold_pieces, model, base, curve, lo, hi)
     assert got == threshold_outcome(reference_threshold_pieces, model, base, curve, lo, hi)
 
@@ -696,14 +697,14 @@ def test_printed_threshold_cells_read_the_clipped_envelope(family):
 
 
 def test_verify_accepts_correct_rows(d4):
-    scan = chamber_scan(d4, ptilde_d4("45"), 0, 4, 5)
+    scan = chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
     rows = [r for r in table_rows("table-04") if r.u_lo == 4 and str(r.v_lo) == "0"]
     assert len(rows) == 1
     assert row_mismatches(scan, rows[0]) == []
 
 
 def test_verify_flags_tampered_row(d4):
-    scan = chamber_scan(d4, ptilde_d4("45"), 0, 4, 5)
+    scan = chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
     (row,) = [r for r in table_rows("table-04") if r.u_lo == 4 and str(r.v_lo) == "0"]
     tampered = TableRow(
         u_lo=row.u_lo, u_hi=row.u_hi, v_lo=row.v_lo, v_hi=row.v_hi,
@@ -715,7 +716,7 @@ def test_verify_flags_tampered_row(d4):
 
 
 def test_verify_flags_region_outside_threshold(d4):
-    scan = chamber_scan(d4, ptilde_d4("45"), 0, 4, 5)
+    scan = chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
     row = TableRow(
         u_lo=F(4), u_hi=F(5), v_lo=parse_poly("3"), v_hi=parse_poly("4"),
         p=tuple(Poly() for _ in range(6)), n=tuple(Poly() for _ in range(6)),
@@ -734,7 +735,7 @@ def test_verify_flags_row_overlapping_a_chamber_off_the_probes(d4, v_lo, v_hi, p
     # Over [4, 5] the chambers are v in [0, u-4] with empty support and
     # v in [u-4, 1] with support alpha2.  Each row prints the data of one
     # chamber and overlaps the other only away from u = 17/4, 9/2 and 19/4.
-    scan = chamber_scan(d4, ptilde_d4("45"), 0, 4, 5)
+    scan = chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
     shown = scan.chambers[printed]
     row = TableRow(u_lo=F(4), u_hi=F(5), v_lo=parse_poly(v_lo), v_hi=parse_poly(v_hi),
                    p=p_coeffs(shown), n=n_coeffs(shown))
@@ -786,7 +787,8 @@ def test_p_squared_reconstruction_by_interpolation(d4):
         dec = zariski_decompose(d4, SurfDivisor(d4, coeffs))
         samples.append(((v0,), d4.pair(dec.positive.coeffs, dec.positive.coeffs).as_fraction()))
     reconstructed = interpolate(samples, 2, ("v",))
-    scan = chamber_scan(d4, [parse_poly(s) for s in ["u-6", "u-2", "u", "2", "6", "0"]], 0, 0, 1)
+    scan = chamber_scan(d4, [parse_poly(s) for s in ["u-6", "u-2", "u", "2", "6", "0"]],
+                        curve_vector(d4, 0), 0, 1)
     (chamber,) = scan.chambers
     symbolic = d4.pair(p_coeffs(chamber), p_coeffs(chamber)).subs(u=u0)
     assert reconstructed == symbolic
@@ -816,7 +818,7 @@ def test_scan_chambers_match_pointwise_decompositions(d4, a3):
                 v0 = vlo + (vhi - vlo) * F(rng.randrange(1, 8), 8)
                 coeffs = [b.subs(u=u0) - v0 * q for b, q in zip(base, cvec)]
                 dec = zariski_decompose(model, SurfDivisor(model, coeffs))
-                assert dec.support == ch.support
+                assert dec.support == ch.forms.support
                 got = [x.as_fraction() for x in dec.negative.coeffs]
                 want = [n(u=u0, v=v0) for n in n_coeffs(ch)]
                 assert got == want
@@ -849,7 +851,7 @@ def test_family_scans_match_pointwise_decompositions(monkeypatch):
                 v0 = c.v_lo(u=u0) + (c.v_hi(u=u0) - c.v_lo(u=u0)) * t
                 coeffs = [Poly.coerce(b)(u=u0) - v0 * x for b, x in zip(base, scan.curve)]
                 dec = zariski_decompose(model, SurfDivisor(model, coeffs))
-                assert dec.support == ch.support
+                assert dec.support == ch.forms.support
                 assert [x.as_fraction() for x in dec.negative.coeffs] == [
                     n(u=u0, v=v0) for n in n_coeffs(ch)]
                 assert [x.as_fraction() for x in dec.positive.coeffs] == [
