@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scenarios import builders, c_domain
+from .scenarios import FixtureError, builders, c_domain
 
 FAMILIES = ("218", "34-surfaces", "34-d4", "34-a3")
 
@@ -189,8 +189,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        # Any command: a fixture file that is missing or not JSON ends the run.
+    except FixtureError as exc:
+        # Any command: a fixture file that is unreadable, not JSON or missing
+        # a key ends the run.
         print(f"error: unreadable fixture: {exc}", file=sys.stderr)
         return 1
 

@@ -9,8 +9,9 @@ variable universe (u, v, c):
 Zero coefficients are never stored, so structural equality of the term maps
 is mathematical equality.  The module also provides
 
-  * parse_poly / str round-trips for a compact human-auditable text form
-    ("(8-u-3*v)/3"), used by the JSON fixtures,
+  * parse_poly / str round-trips for the compact text form of the JSON
+    fixtures ("(8-u-3*v)/3", "-u^2 + 1"): Python's expression grammar and
+    precedence, read by ``ast``, with ``^`` for ``**``,
   * exact definite integration over u-intervals and over chambers (a
     u-interval between two integer walls v = (a + b*u)/d): an integrand's
     integer numerators meet the chamber's integer moment numerators over one
@@ -25,7 +26,10 @@ No floating point exists anywhere in this package.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -95,11 +99,8 @@ class Poly:
 
     @staticmethod
     def var(name: str) -> "Poly":
-        if name not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {name!r}; expected one of {VARS}")
-        exp = [0, 0, 0]
-        exp[_VAR_INDEX[name]] = 1
-        return Poly({tuple(exp): Fraction(1)})
+        i = _index(name)
+        return Poly._make({tuple(int(k == i) for k in range(3)): Fraction(1)})
 
     @staticmethod
     def coerce(x: "Poly | Scalar") -> "Poly":
@@ -120,12 +121,7 @@ class Poly:
 
     def variables(self) -> tuple[str, ...]:
         """Ordered subset of (u, v, c) actually occurring."""
-        used = [False, False, False]
-        for exp in self.terms:
-            for i in range(3):
-                if exp[i]:
-                    used[i] = True
-        return tuple(name for i, name in enumerate(VARS) if used[i])
+        return tuple(name for i, name in enumerate(VARS) if any(e[i] for e in self.terms))
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -259,29 +255,16 @@ class Poly:
     # -- formatting --------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+        text = ""
         for exp in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
             coef = self.terms[exp]
-            mono = "*".join(
-                f"{VARS[i]}^{e}" if e > 1 else VARS[i]
-                for i, e in enumerate(exp)
-                if e
-            )
-            if not mono:
-                body = str(abs(coef))
-            elif abs(coef) == 1:
-                body = mono
+            mono = "*".join(f"{VARS[i]}^{e}" if e > 1 else VARS[i] for i, e in enumerate(exp) if e)
+            body = f"{abs(coef)}*{mono}" if mono and abs(coef) != 1 else mono or str(abs(coef))
+            if text:
+                text += f" {'-' if coef < 0 else '+'} {body}"
             else:
-                body = f"{abs(coef)}*{mono}"
-            sign = "-" if coef < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+                text = f"-{body}" if coef < 0 else body
+        return text or "0"
 
     __repr__ = __str__
 
@@ -292,103 +275,45 @@ class Poly:
 
 
 def parse_poly(text: str) -> Poly:
-    """Parse a compact polynomial expression over u, v, c.
+    """Parse a polynomial over u, v, c as the fixtures and ``str`` write it.
 
-    Grammar: + - * / ^ with parentheses; division only by a constant
-    subexpression; implicit multiplication is not supported.  This is the
-    format used by the JSON fixtures, e.g. "(8-u-3*v)/3" or "u^2".  Any
-    malformed text raises ValueError naming it.
+    Python's expression grammar and precedence, read by ``ast``, with ``^``
+    for ``**``: int literals (no leading zeros), the names u, v and c, unary
+    + and -, binary + - * /, ``^`` by a digit string, and parentheses; so
+    "-u^2" is -(u^2).  Division is by a nonzero constant only.  Any other
+    text raises ValueError naming it.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take() -> str:
-        nonlocal pos
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_expr() -> Poly:
-        node = parse_term()
-        while peek() in ("+", "-"):
-            op = take()
-            rhs = parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
-
-    def parse_term() -> Poly:
-        node = parse_factor()
-        while peek() in ("*", "/"):
-            op = take()
-            rhs = parse_factor()
-            if op == "/" and rhs.is_zero():
-                raise ValueError(f"division by zero in {text!r}")
-            node = node * rhs if op == "*" else node / rhs
-        return node
-
-    def parse_factor() -> Poly:
-        node = parse_atom()
-        if peek() == "^":
-            take()
-            exp_tok = peek()
-            if exp_tok is None or not exp_tok.isdigit():
-                raise ValueError(f"bad exponent {exp_tok!r} in {text!r}")
-            node = node ** int(take())
-        return node
-
-    def parse_atom() -> Poly:
-        tok = peek()
-        if tok is None:
-            raise ValueError(f"unexpected end of expression in {text!r}")
-        if tok == "(":
-            take()
-            node = parse_expr()
-            if peek() != ")":
-                raise ValueError(f"unbalanced parentheses in {text!r}")
-            take()
-            return node
-        if tok == "-":
-            take()
-            return -parse_atom()
-        if tok == "+":
-            take()
-            return parse_atom()
-        take()
-        if tok in _VAR_INDEX:
-            return Poly.var(tok)
-        return Poly.const(Fraction(tok))
-
-    result = parse_expr()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in {text!r}")
-    return result
+    if not _TEXT.fullmatch(text) or _BAD_POWER.search(text):
+        raise ValueError(f"bad character or exponent in {text!r}")
+    try:
+        return _walk(ast.parse(text.strip().replace("^", "**"), mode="eval").body, text)
+    except (SyntaxError, RecursionError):
+        raise ValueError(f"malformed expression {text!r}") from None
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "+-*/^()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch in _VAR_INDEX:
-            tokens.append(ch)
-            i += 1
-        else:
-            raise ValueError(f"bad character {ch!r} in {text!r}")
-    return tokens
+_TEXT = re.compile(r"[0-9uvc+\-*/^() ]*")
+_BAD_POWER = re.compile(r"\*\*|\^(?!\s*\d)")
+_RING = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+
+def _walk(node: ast.expr, text: str) -> Poly:
+    match node:
+        case ast.Constant(value=int(n)):
+            return Poly.const(n)
+        case ast.Name(id=("u" | "v" | "c") as name):
+            return Poly.var(name)
+        case ast.UnaryOp(op=ast.UAdd() | ast.USub() as op, operand=x):
+            return -_walk(x, text) if isinstance(op, ast.USub) else _walk(x, text)
+        case ast.BinOp(left=x, op=ast.Pow(), right=ast.Constant(value=int(n))):
+            return _walk(x, text) ** n
+        case ast.BinOp(left=x, op=ast.Div(), right=y):
+            d = _walk(y, text)
+            if d.is_zero() or not d.is_constant():
+                raise ValueError(f"division by {d} in {text!r}")
+            return _walk(x, text) / d
+        case ast.BinOp(left=x, op=ast.Add() | ast.Sub() | ast.Mult() as op, right=y):
+            return _RING[type(op)](_walk(x, text), _walk(y, text))
+    raise ValueError(f"unsupported {ast.unparse(node).replace('**', '^')!r} in {text!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
@@ -43,18 +43,40 @@ def fixtures_dir() -> Path:
     return _PACKAGE_FIXTURES
 
 
+class FixtureError(Exception):
+    """A fixture file that cannot be read, is not JSON, or lacks a key that
+    a runner reads; the message names the file and the key."""
+
+
+class _Record(dict):
+    """A JSON object of the fixture file `path`: a missing key is a FixtureError."""
+
+    __slots__ = ("path",)
+
+    def __init__(self, path: Path, pairs: dict):
+        super().__init__(pairs)
+        self.path = path
+
+    def __missing__(self, key):
+        raise FixtureError(f"{self.path}: missing key {key!r}")
+
+
 @lru_cache(maxsize=None)
 def fixture(root: Path, relative: str, build: Callable | None = None):
     """The parsed JSON file `relative` under `root`, or `build` of it.
 
     The one store of fixture data: each (root, file, build) is read and
-    built once per process, and a different root is read afresh.
+    built once per process, and a different root is read afresh.  Every
+    failure to read it, and every key a reader misses in it, is one
+    FixtureError.
     """
-    with open(root / relative) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:  # name the file in the message
-            raise json.JSONDecodeError(f"{fh.name}: {exc.msg}", exc.doc, exc.pos) from None
+    path = root / relative
+    try:
+        data = json.loads(path.read_text(), object_hook=partial(_Record, path))
+    except OSError as exc:
+        raise FixtureError(f"{path}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise FixtureError(f"{path}: {exc}") from None
     return data if build is None else build(data)
 
 
@@ -89,20 +111,17 @@ def fixture_poly(text: str) -> Poly:
 
 
 def table_rows(table_id: str) -> list[TableRow]:
-    data = load_table(table_id)
-    rows = []
-    for row in data["rows"]:
-        rows.append(
-            TableRow(
-                u_lo=q(row["u"][0]),
-                u_hi=q(row["u"][1]),
-                v_lo=fixture_poly(row["v"][0]),
-                v_hi=fixture_poly(row["v"][1]),
-                p=tuple(fixture_poly(s) for s in row["P"]),
-                n=tuple(fixture_poly(s) for s in row["N"]),
-            )
+    return [
+        TableRow(
+            u_lo=q(row["u"][0]),
+            u_hi=q(row["u"][1]),
+            v_lo=fixture_poly(row["v"][0]),
+            v_hi=fixture_poly(row["v"][1]),
+            p=tuple(fixture_poly(s) for s in row["P"]),
+            n=tuple(fixture_poly(s) for s in row["N"]),
         )
-    return rows
+        for row in load_table(table_id)["rows"]
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,6 @@ def _registry_identities(entries: list[dict]) -> frozenset[tuple]:
 
 
 TORIC_FAMILIES = ("34-d4", "34-a3")
-_RAY_COLUMNS = {"T0": 0, "T1": 1, "T2": 2, "T3": 3, "T7": 7, "T8": 8, "T9": 9, "T10": 10}
 
 
 def _checked_names(data: dict) -> dict[str, tuple[str, ...]]:
@@ -334,7 +333,7 @@ class ToricFamily:
         n = len(self.resolution.rays)
         for zeta, spec in self.data["pullbacks"].items():
             coarse = load_fan(spec["coarse"])
-            for t_label in ("T0", "T1", "T2", "T3"):
+            for t_label in (key for key in spec if key != "coarse"):
                 j = int(t_label[1:])
                 unit = ToricDivisor(coarse, [1 if k == j else 0 for k in range(len(coarse.rays))])
                 computed = toric3.pullback(self.resolution, coarse, unit)
@@ -359,14 +358,10 @@ class ToricFamily:
                 )
         for model_name, relations in self.data["character_relations"].items():
             fan = load_fan(model_name)
-            probes = [
-                ToricDivisor(fan, [((7 * i + 3 * r) % 11) - 5 for r in range(len(fan.rays))])
-                for i in (1, 2)
-            ]
             for idx, rel in enumerate(relations):
                 div_chi = ToricDivisor(fan, [fixture_poly(s) for s in rel])
-                val = toric3.intersection_number(div_chi, probes[0], probes[1])
-                self._emit(f"{model_name}: div(chi_{idx+1}) annihilates", val, Poly())
+                self._emit(f"{model_name}: div(chi_{idx+1}) annihilates",
+                           toric3.principal_residual(div_chi), Fraction(0))
         divisors = {"L": self.l_u}
         for name, coeffs in self.data["auxiliary_divisors"].items():
             divisors[name] = tuple(fixture_poly(s) for s in coeffs)
@@ -400,16 +395,16 @@ class ToricFamily:
     def _check_resolution_table(self):
         resolved = self.resolved_decomposition
         table = self._check_table_cells(self.data["star"]["table_zd3"], resolved,
-                                        lambda x, idx, col: x.coeffs[_RAY_COLUMNS[col]])
+                                        lambda x, idx, col: x.coeffs[int(col[1:])])
+        # On the resolution's rays the table leaves out, N vanishes: P is L.
+        hidden = [r for r in range(len(self.resolution.rays)) if f"T{r}" not in table["columns"]]
         for row, (lo, hi, p_res, n_res) in zip(table["rows"], resolved):
             self._emit(f"{table['id']} interval [{row['u'][0]},{row['u'][1]}]",
                        (str(lo), str(hi)), (str(q(row["u"][0])), str(q(row["u"][1]))))
-            # Off-table rays must vanish.
-            for ray in (4, 5, 6):
-                if not (p_res.coeffs[ray] == self.l_u[ray] and n_res.coeffs[ray].is_zero()):
-                    self.checks.append(CheckResult(
-                        self.scenario_id, f"{table['id']} hidden ray {ray}",
-                        str(p_res.coeffs[ray]), str(self.l_u[ray]), FAIL))
+            for ray in (r for r in hidden if not n_res.coeffs[r].is_zero()):
+                self.checks.append(CheckResult(
+                    self.scenario_id, f"{table['id']} [{row['u'][0]},{row['u'][1]}] hidden ray {ray}",
+                    str(p_res.coeffs[ray]), str(p_res.coeffs[ray] + n_res.coeffs[ray]), FAIL))
 
     def _check_volume_route(self):
         total = Fraction(0)

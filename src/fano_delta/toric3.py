@@ -246,6 +246,21 @@ def curve_intersection(d: ToricDivisor, curve: CurveClass) -> Poly:
     return total
 
 
+def principal_residual(d: ToricDivisor) -> Fraction:
+    """0 if the constant divisor d = sum a_rho D_rho is div(chi^m), that is
+    <m, rho> = a_rho on every ray for one m in Q^3 (Cox-Little-Schenck,
+    Thm 4.1.3); else a_rho - <m, rho> at the first ray where they differ,
+    with m solved by Cramer's rule on the first three independent rays."""
+    rays, a = d.fan.rays, [x.as_fraction() for x in d.coeffs]
+    basis = next(t for t in itertools.combinations(range(len(rays)), 3)
+                 if linalg.det3(*(rays[i] for i in t)))
+    det = linalg.det3(*(rays[i] for i in basis))
+    m = [Fraction(linalg.det3(*([a[i] if t == k else x for t, x in enumerate(rays[i])]
+                                for i in basis)), det) for k in range(3)]
+    residuals = (a_r - sum(x * y for x, y in zip(m, ray)) for ray, a_r in zip(rays, a))
+    return next((r for r in residuals if r), Fraction(0))
+
+
 def nef_on_interval(d: ToricDivisor, u_lo: Scalar, u_hi: Scalar) -> str | None:
     """Where a Poly-in-u divisor fails to be nef on [u_lo, u_hi], as text;
     None when it is nef there.

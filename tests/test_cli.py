@@ -103,14 +103,29 @@ def _fixture_copy(dst, relative, edit):
     ("missing", ("verify", "--family", "218", "--c", "1/2"), "family-218.json"),  # read by --c
     ("missing", ("verify", "--family", "34-d4"), "family-34-d4.json"),
     ("malformed", ("verify", "--family", "34-d4"), "table-02.json"),  # the file is "{"
+    ("empty", ("verify", "--family", "34-d4"), "table-02.json: missing key 'id'"),
+    ("keyless", ("compute", "--scenario", "34-d4", "--op", "toric-s", "--target", "G"),
+     "family-34-d4.json: missing key 'weight_vector'"),
+    ("keyless", ("verify", "--family", "34-d4"), "family-34-d4.json: missing key 'weight_vector'"),
+    ("directory", ("verify", "--family", "34-d4"), "table-02.json: Is a directory"),
 ])
 def test_unreadable_fixture_is_one_error_line(tmp_path, capsys, monkeypatch, fixtures, argv, named):
     from fano_delta import scenarios
 
     root = tmp_path / "fixtures"
-    if fixtures == "malformed":
+    if fixtures != "missing":
         shutil.copytree(scenarios.fixtures_dir(), root)
-        (root / "tables" / "table-02.json").write_text("{")
+    table = root / "tables" / "table-02.json"
+    if fixtures in ("malformed", "empty"):
+        table.write_text("{" if fixtures == "malformed" else "{}")
+    elif fixtures == "directory":
+        table.unlink()
+        table.mkdir()
+    elif fixtures == "keyless":
+        family = root / "scenarios" / "family-34-d4.json"
+        data = json.loads(family.read_text())
+        del data["weight_vector"]
+        family.write_text(json.dumps(data))
     monkeypatch.setenv("FANO_DELTA_FIXTURES", str(root))
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
@@ -177,6 +192,41 @@ def test_every_derived_range_is_checked_against_the_threshold(tmp_path, capsys, 
     assert code == 1
     assert "[FAIL   ] 218: blowup-tangent@c=1/2: derived range is the threshold\n" in out
     assert out.endswith(", 1 failed\n")
+
+
+def _non_principal_relation(data):
+    # (15, 21, 0, 0, 0, 0, -1) is div(chi^m) for no m: the residual at ray 3
+    # of d4-w0 is 2, where one intersection number with fixed probes was 0.
+    data["character_relations"]["d4-w0"][0] = ["15", "21", "0", "0", "0", "0", "-1"]
+    return data
+
+
+def test_character_relation_must_be_principal(tmp_path, capsys, monkeypatch):
+    dst = _fixture_copy(tmp_path / "fixtures", "scenarios/family-34-d4.json",
+                        _non_principal_relation)
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    code, out, _ = run_cli(capsys, "verify", "--family", "34-d4")
+    assert code == 1
+    assert "[FAIL   ] 34-d4: d4-w0: div(chi_1) annihilates\n          computed: 2\n" in out
+    assert out.endswith(", 1 failed\n")
+
+
+def _drop_t10(data):
+    i = data["columns"].index("T10")
+    for cells in [data["columns"]] + [row[f] for row in data["rows"] for f in ("P", "N")]:
+        del cells[i]
+    return data
+
+
+def test_rays_left_out_of_the_resolution_table_must_have_no_negative_part(
+        tmp_path, capsys, monkeypatch):
+    # Ray 10's N is u - 4 on [4, 7]: leaving its column out of table-01 must fail.
+    dst = _fixture_copy(tmp_path / "fixtures", "tables/table-01.json", _drop_t10)
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    code, out, _ = run_cli(capsys, "verify", "--family", "34-d4")
+    assert code == 1
+    failed = re.findall(r"\[FAIL   \] 34-d4: (.*)", out)
+    assert failed == [f"table-01 [{lo},{hi}] hidden ray 10" for lo, hi in ((4, 5), (5, 6), (6, 7))]
 
 
 def _register_a3_only(entries):

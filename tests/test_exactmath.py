@@ -67,12 +67,40 @@ def test_parse_round_trip_on_table_style_expressions():
         assert parse_poly(str(p)) == p
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("-u^2", -U**2),
+    ("-2^2", F(-4)),
+    ("2*-u^2", -2 * U**2),
+    ("-u^2 + 1", 1 - U**2),
+    ("(-u)^2", U**2),
+    ("u^ 2", U**2),
+    ("1/2/3", F(1, 6)),
+])
+def test_parse_follows_python_precedence(text, expected):
+    # Unary minus binds looser than ^, as in Python: -u^2 is -(u^2).
+    assert parse_poly(text) == expected
+
+
+exponent_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 4)),
+    max_size=6,
+).map(Poly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_polys)
+def test_str_and_parse_round_trip(p):
+    assert parse_poly(str(p)) == p
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_poly("u +* v")
     with pytest.raises(ValueError):
         parse_poly("x + 1")
-    for text in ("u/0", "1/0", "0/0", "(u+1)/(2-2)", "2^", "u^ "):
+    for text in ("u/0", "1/0", "0/0", "(u+1)/(2-2)", "2^", "u^ ", "u/v", "u**2", "u^u",
+                 "u^(2)", "u^2^2", "2^-1", "07", "()", "u v", "", "-" * 5000 + "1"):
         with pytest.raises(ValueError, match=re.escape(repr(text))):
             parse_poly(text)
 

@@ -42,6 +42,26 @@ def test_table_poly_cells_parse_and_reprint():
         for text in cells:
             p = parse_poly(text)
             assert parse_poly(str(p)) == p
+    # Every other fixture string that parses: the c-forms and volume pieces
+    # of the scenario files, the registry's bounds, the fan and model data.
+    reprinted = set()
+    for path in sorted(fixtures_dir().rglob("*.json")):
+        for text in _string_leaves(json.loads(path.read_text())):
+            try:
+                p = parse_poly(text)
+            except ValueError:
+                continue
+            assert parse_poly(str(p)) == p
+            reprinted.add(path.parent.name)
+    assert reprinted >= {"scenarios", "tables", "models"}
+
+
+def _string_leaves(data):
+    if isinstance(data, str):
+        yield data
+    elif isinstance(data, (list, dict)):
+        for item in data.values() if isinstance(data, dict) else data:
+            yield from _string_leaves(item)
 
 
 def test_build_218_validates_c():
