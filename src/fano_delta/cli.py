@@ -18,6 +18,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .scenarios import FixtureError, builders, c_domain
 
@@ -158,7 +159,9 @@ def _parse_c(text: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call of a process."""
     parser = argparse.ArgumentParser(
         prog="fano-delta",
         description="Exact verification of the surface/toric flag invariants",
@@ -185,8 +188,11 @@ def main(argv=None) -> int:
     p_report.add_argument("--format", choices=["text", "json"], default="text")
     p_report.add_argument("--c", action="append")
     p_report.add_argument("--decimal", action="store_true")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _run(args)
     except FixtureError as exc:

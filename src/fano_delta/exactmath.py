@@ -19,7 +19,9 @@ is mathematical equality.  The module also provides
   * the one rule that evaluates the integer affine forms and walls of the
     exact layers: at a u, at both u-ends, gaps, roots, and a chamber's
     corners and crossings (`at`, `negative_end`, `gap`, `root_inside`,
-    `Chamber.nonnegative`, `Chamber.crossing`).
+    `Chamber.nonnegative`, `Chamber.crossing`), and its homogeneous form
+    for integer coefficient lists of any degree (`horner`), which signs
+    Sturm chains, integrates in u and folds fixture texts at a rational c.
 
 No floating point exists anywhere in this package.
 """
@@ -180,8 +182,9 @@ class Poly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
@@ -240,17 +243,6 @@ class Poly:
                     coef *= point[i] ** e
             total += coef
         return total
-
-    # -- calculus ----------------------------------------------------------
-
-    def antiderivative(self, name: str) -> "Poly":
-        i = _VAR_INDEX[name]
-        out: dict[Exponent, Fraction] = {}
-        for exp, coef in self.terms.items():
-            new = list(exp)
-            new[i] += 1
-            out[tuple(new)] = coef / new[i]
-        return Poly._make(out)
 
     # -- formatting --------------------------------------------------------
 
@@ -322,14 +314,17 @@ def _walk(node: ast.expr, text: str) -> Poly:
 
 
 def integrate_univariate(p: Poly, lo: Scalar, hi: Scalar) -> Fraction:
-    """Exact definite integral over u in [lo, hi] of a polynomial in u alone."""
+    """Exact definite integral over u in [lo, hi] of a polynomial in u alone:
+    `horner` of the antiderivative's integer numerators at both ends."""
     if p.degree_in("v") or p.degree_in("c"):
         raise ValueError("arity mismatch")
     lo, hi = q(lo), q(hi)
     if lo > hi:
         raise ValueError(f"inverted interval [{lo}, {hi}]")
-    anti = p.antiderivative("u")
-    return anti(u=hi) - anti(u=lo)
+    k = p.degree_in("u") + 1
+    anti, den = numerators([Fraction(0), *(p.coefficient((i, 0, 0)) / (i + 1) for i in range(k))])
+    return Fraction(horner(anti, hi) * lo.denominator**k - horner(anti, lo) * hi.denominator**k,
+                    den * (lo.denominator * hi.denominator) ** k)
 
 
 @dataclass(frozen=True)
@@ -467,6 +462,16 @@ def at(form: Sequence[int], u: Fraction) -> int:
     """a + b*u of a form or wall (a, b, ...) at u, times u's denominator: an
     integer with the sign of the form, or of the wall, at u."""
     return form[0] * u.denominator + form[1] * u.numerator
+
+
+def horner(coeffs: Sequence[int], x: Fraction) -> int:
+    """sum coeffs[i] * x^i, rising degree, times x.denominator^(len - 1): an
+    integer with the sign of the polynomial at x; `at` is its degree 1."""
+    total, scale = 0, 1
+    for a in reversed(coeffs):
+        total = total * x.numerator + a * scale
+        scale *= x.denominator
+    return total
 
 
 def negative_end(form: Sequence[int], lo: Fraction, hi: Fraction) -> Fraction | None:

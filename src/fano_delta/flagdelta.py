@@ -21,13 +21,14 @@ times the local intersection multiplicity with C at Q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .exactmath import (_VAR_INDEX, Poly, Scalar, affine_form, combine, integrate_univariate, numerators,
-                        products, q)
+from .exactmath import (_VAR_INDEX, Chamber, Poly, Scalar, affine_form, combine, horner, integrate_univariate,
+                        numerators, products, q)
 from .surfzar import ChamberedDecomposition, ScanError, SurfaceModel, chamber_scan
 
 Vec = tuple[Fraction, ...]
@@ -75,6 +76,12 @@ class BasePiece:
     d: Poly = Poly()
     nprime: tuple[Poly, ...] = ()
 
+    @cached_property
+    def _ord_forms(self) -> tuple[tuple[tuple[int, ...], int] | None, ...]:
+        """`affine_form` of each N'_j, then of d; None for one not affine in u, v."""
+        return tuple(affine_form(p) if p.total_degree() <= 1 and not p.degree_in("c") else None
+                     for p in (*self.nprime, self.d))
+
 
 @dataclass(frozen=True)
 class FlagScenario:
@@ -107,10 +114,18 @@ class FlagScenario:
 
 @dataclass(frozen=True)
 class SInvariantResult:
+    """An S-value and its parts, each a (chamber or term label, value); a
+    chamber's label is formatted only when ``breakdown`` is read."""
+
     value: Fraction
-    breakdown: tuple[tuple[str, Fraction], ...]
+    parts: tuple[tuple[Chamber | str, Fraction], ...]
+
+    @property
+    def breakdown(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple((where if isinstance(where, str) else where.label, x) for where, x in self.parts)
 
     def check(self) -> bool:
+        """Whether the breakdown, as printed, sums to the value."""
         return self.value == sum((x for _, x in self.breakdown), Fraction(0))
 
 
@@ -158,45 +173,48 @@ def s_from_volume(
 def s_curve_flag(scenario: FlagScenario) -> SInvariantResult:
     """S of the flag curve: (3/L^3) [ int P~(u)^2 d(u) du + iint P(u,v)^2 ]."""
     model = scenario.model
-    breakdown: list[tuple[str, Fraction]] = []
+    parts: list[tuple[Chamber | str, Fraction]] = []
     factor = Fraction(3) / scenario.l_cubed
     for piece in scenario.pieces:
         if piece.d.is_zero():
             continue
         p_sq = model.pair(piece.coeffs, piece.coeffs)
         val = factor * integrate_univariate(p_sq * piece.d, piece.u_lo, piece.u_hi)
-        breakdown.append((f"ord-term u[{piece.u_lo},{piece.u_hi}]", val))
+        parts.append((f"ord-term u[{piece.u_lo},{piece.u_hi}]", val))
     for scan in scenario_scans(scenario):
         for ch in scan.chambers:
             # P^2 = sum_i P_i (P.C_i), from the scan's integer forms.
             p_sq = products(zip(ch.forms.p, ch.forms.pc))
-            breakdown.append((ch.chamber.label, factor * ch.chamber.integrate(p_sq, ch.forms.den**2)))
-    value = sum((x for _, x in breakdown), Fraction(0))
-    return SInvariantResult(value=value, breakdown=tuple(breakdown))
+            parts.append((ch.chamber, factor * ch.chamber.integrate(p_sq, ch.forms.den**2)))
+    return SInvariantResult(sum((x for _, x in parts), Fraction(0)), tuple(parts))
 
 
 def f_correction(scenario: FlagScenario, point: MarkedPoint | str) -> Fraction:
     """The point-level correction term F_Q (exact).
 
     Per chamber ord_Q is an integer affine form: the multiplicity-weighted N
-    numerators plus the piece's sum_j mult_j (N'_j - (v + d) Sigma_j).  An
-    integer sign test at the corners certifies it nonnegative on the chamber.
+    numerators plus the piece's sum_j mult_j (N'_j - (v + d) Sigma_j), read
+    from the piece's forms of N'_j and d.  An integer sign test at the
+    corners certifies it nonnegative on the chamber.
     """
     if isinstance(point, str):
         point = scenario.point(point)
     model = scenario.model
     mults = point.ord_coefficients(model.n)
     weights, mden = numerators(mults)
-    sigma = scenario.sigma_vec()
+    s = sum(m * x for m, x in zip(mults, scenario.sigma_vec()))
     factor = Fraction(6) / scenario.l_cubed
     total = Fraction(0)
     for piece, scan in zip(scenario.pieces, scenario_scans(scenario)):
-        nprime = piece.nprime if piece.nprime else tuple([Poly()] * model.n)
-        v_d = Poly.var("v") + piece.d
-        rest = sum(((nprime[j] - v_d * sigma[j]) * mults[j] for j in range(model.n) if mults[j]), Poly())
-        if rest.total_degree() > 1 or rest.degree_in("c"):
-            raise ValueError("invalid correction data")
-        rest, rden = affine_form(rest)
+        # sum_j mult_j N'_j - s (v + d), s = sum_j mult_j Sigma_j.
+        coeffs = [Fraction(0), Fraction(0), -s]
+        terms = [(m, j) for j, m in enumerate(mults) if m and piece.nprime]
+        for k, j in terms + ([(-s, -1)] if s else []):
+            if piece._ord_forms[j] is None:
+                raise ValueError("invalid correction data")
+            form, den = piece._ord_forms[j]
+            coeffs = [x + k * y / den for x, y in zip(coeffs, form)]
+        rest, rden = numerators(coeffs)
         for ch, (p_dot, pden, _) in zip(scan.chambers, scan.curve_terms):
             den = ch.forms.den * mden * rden  # of ord_Q
             n_part = combine(enumerate(weights), ch.forms.n)
@@ -218,15 +236,13 @@ def s_point_flag(scenario: FlagScenario, point: MarkedPoint | str) -> SInvariant
     if isinstance(point, str):
         point = scenario.point(point)
     factor = Fraction(3) / scenario.l_cubed
-    breakdown: list[tuple[str, Fraction]] = []
-    for scan in scenario_scans(scenario):
-        for ch, (_, _, p_dot_sq) in zip(scan.chambers, scan.curve_terms):
-            breakdown.append((ch.chamber.label, factor * p_dot_sq))
+    parts: list[tuple[Chamber | str, Fraction]] = [
+        (ch.chamber, factor * p_dot_sq) for scan in scenario_scans(scenario)
+        for ch, (_, _, p_dot_sq) in zip(scan.chambers, scan.curve_terms)]
     correction = f_correction(scenario, point)
     if correction != 0:
-        breakdown.append((f"F({point.name})", correction))
-    value = sum((x for _, x in breakdown), Fraction(0))
-    return SInvariantResult(value=value, breakdown=tuple(breakdown))
+        parts.append((f"F({point.name})", correction))
+    return SInvariantResult(sum((x for _, x in parts), Fraction(0)), tuple(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -290,88 +306,58 @@ def delta_lower_bound(levels: Sequence[tuple[Scalar, Scalar]]) -> Fraction:
 def _nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     """Exact check that the univariate polynomial p is >= 0 on [lo, hi].
 
-    Uses a Sturm chain to count distinct real roots; on root-free stretches
-    one sample pins the sign.  Roots are isolated by bisection until each
-    bracketing interval contains one root, and the sign is tested strictly
-    between consecutive brackets.
+    A Sturm chain of p's square-free part counts its distinct roots in
+    half-open intervals (a, b]; bisection, off the roots, isolates each root
+    in one with a > lo.  Then lo, hi and the ends of these intervals hold a
+    point of every stretch between roots, so p's sign there decides.  Every
+    sign is that of `horner` on integer numerators.
     """
     used = p.variables()
     if len(used) > 1:
         raise ValueError("arity mismatch")
-    var = used[0] if used else "u"
-    coeffs = _dense_coeffs(p, var)
+    idx = _VAR_INDEX[used[0] if used else "u"]
+    coeffs = [Fraction(0)] * (max((e[idx] for e in p.terms), default=0) + 1)
+    for exp, coef in p.terms.items():
+        coeffs[exp[idx]] += coef
     if len(coeffs) == 1:
         return coeffs[0] >= 0
-    if p(**{var: lo}) < 0 or p(**{var: hi}) < 0:
-        return False
-    chain = _sturm_chain(coeffs)
-    brackets = _isolate_roots(chain, coeffs, lo, hi)
-    checkpoints = [lo]
-    for a, b in brackets:
-        checkpoints.extend([a, b])
-    checkpoints.append(hi)
-    for x in checkpoints:
-        if _eval_dense(coeffs, x) < 0:
-            return False
-    for x0, x1 in zip(checkpoints, checkpoints[1:]):
-        if x1 <= x0:
-            continue
-        if _eval_dense(coeffs, (x0 + x1) / 2) < 0:
-            return False
-    return True
+    top = list(numerators(coeffs)[0])
+    ends = (x for bracket in _isolate_roots(_sturm_chain(top), lo, hi) for x in bracket)
+    return all(horner(top, x) >= 0 for x in (lo, *ends, hi))
 
 
-def _dense_coeffs(p: Poly, var: str) -> list[Fraction]:
-    deg = p.degree_in(var)
-    out = [Fraction(0)] * (deg + 1)
-    idx = _VAR_INDEX[var]
-    for exp, coef in p.terms.items():
-        out[exp[idx]] += coef
-    return out
+def _pdivmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Integer quotient and remainder, by rising degree, of k*a by b for some
+    k > 0; the remainder without trailing zeros."""
+    rem, quotient, scale, sign = list(a), [], abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(rem) >= len(b):
+        top = sign * rem.pop()
+        quotient, rem = [scale * x for x in quotient] + [top], [scale * x for x in rem]
+        for i, x in enumerate(b[:-1], len(rem) + 1 - len(b)):
+            rem[i] -= top * x
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return quotient[::-1], rem or [0]
 
 
-def _eval_dense(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
+def _sturm_chain(coeffs: list[int]) -> list[list[int]]:
+    """The Sturm chain of p (integer coefficients, rising degree) over its
+    last member gcd(p, p'), each member up to a positive factor: the chain
+    of p's square-free part, whose members never all vanish at a root."""
+    chain = [coeffs, [c * i for i, c in enumerate(coeffs)][1:]]
+    while any(rem := [-x for x in _pdivmod(chain[-2], chain[-1])[1]]):
+        chain.append(_primitive(rem))
+    return [_primitive(_pdivmod(f, chain[-1])[0]) for f in chain]
 
 
-def _poly_div_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = list(a)
-    while len(a) >= len(b) and any(x != 0 for x in a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i in range(len(b)):
-            a[shift + i] -= factor * b[i]
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a if a else [Fraction(0)]
+def _primitive(f: list[int]) -> list[int]:
+    """f over the gcd of its coefficients, a positive factor."""
+    g = math.gcd(*f)
+    return [x // g for x in f]
 
 
-def _sturm_chain(coeffs: list[Fraction]) -> list[list[Fraction]]:
-    p0 = list(coeffs)
-    p1 = [c * i for i, c in enumerate(coeffs)][1:] or [Fraction(0)]
-    chain = [p0, p1]
-    while len(chain[-1]) > 1 or chain[-1][0] != 0:
-        rem = _poly_div_rem(chain[-2], chain[-1])
-        rem = [-c for c in rem]
-        if len(rem) == 1 and rem[0] == 0:
-            break
-        chain.append(rem)
-    return chain
-
-
-def _sign_changes(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for poly in chain:
-        val = _eval_dense(poly, x)
-        if val != 0:
-            signs.append(1 if val > 0 else -1)
+def _sign_changes(chain: list[list[int]], x: Fraction) -> int:
+    signs = [val > 0 for val in (horner(poly, x) for poly in chain) if val]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -379,27 +365,24 @@ def _root_count(chain, lo: Fraction, hi: Fraction) -> int:
     return _sign_changes(chain, lo) - _sign_changes(chain, hi)
 
 
-def _isolate_roots(chain, coeffs, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    intervals = [(lo, hi)]
-    out: list[tuple[Fraction, Fraction]] = []
-    guard = 0
-    while intervals:
-        guard += 1
-        if guard > 10_000:
-            raise ScanError("root isolation failed to terminate", lo, hi)
+def _isolate_roots(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    intervals, out = [(lo, hi)], []
+    for _ in range(10_000):
+        if not intervals:
+            return sorted(out)
         a, b = intervals.pop()
         count = _root_count(chain, a, b)
         if count == 0:
             continue
-        if count == 1:
+        if count == 1 and a > lo:
             out.append((a, b))
             continue
         mid = (a + b) / 2
         # Nudge the split point off a root.
-        while _eval_dense(coeffs, mid) == 0:
+        while horner(chain[0], mid) == 0:
             out.append((mid, mid))
             mid += (b - a) / 7
             if not a < mid < b:
                 break
         intervals.extend([(a, mid), (mid, b)])
-    return sorted(out)
+    raise ScanError("root isolation failed to terminate", lo, hi)

@@ -11,6 +11,9 @@ FANO_DELTA_FIXTURES environment variable):
 
 Fixture data is cached per directory: a process reads each file once for
 each fixture directory it uses, so a changed directory is read afresh.
+Each fixture expression is parsed once per process, and each one read at a
+boundary weight c is also compiled once into integer coefficient lists in c,
+so a new c costs integer Horner passes (`at_c`, `rf_eval`).
 
 Tables are stored as data, never as code, so the verification harness and
 the source tables stay diffable.  All rationals are "p/q" strings; small
@@ -26,7 +29,7 @@ from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
-from ..exactmath import Poly, parse_poly, q
+from ..exactmath import Poly, horner, numerators, parse_poly, q
 from ..surfzar import SurfaceModel, TableRow
 from ..toric3 import Fan3, fan_from_dict
 
@@ -105,9 +108,13 @@ def fixture_poly(text: str) -> Poly:
     """`parse_poly` of a fixture expression, parsed once per process.
 
     The same closed forms are read for every c sample and every table check;
-    Poly is immutable, so all readers share one parsed result.
+    Poly is immutable, so all readers share one parsed result.  Text that
+    does not parse is a FixtureError naming it.
     """
-    return parse_poly(text)
+    try:
+        return parse_poly(text)
+    except ValueError as exc:
+        raise FixtureError(exc) from None
 
 
 def table_rows(table_id: str) -> list[TableRow]:
@@ -129,6 +136,30 @@ def table_rows(table_id: str) -> list[TableRow]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
+def _c_fold(text: str) -> dict[tuple[int, int], tuple[tuple[int, ...], int]]:
+    """fixture_poly(text) as {(i, j): ((a_0, ..., a_k), den)}, its coefficient
+    of u^i v^j being sum a_m c^m / den."""
+    p = fixture_poly(text)
+    return {(i, j): numerators(p.coefficient((i, j, m)) for m in range(p.degree_in("c") + 1))
+            for i, j, _ in p.terms}
+
+
+def at_c(text: str, c: Fraction) -> Poly:
+    """fixture_poly(text).subs(c=c): one integer Horner pass and one Fraction
+    for each monomial in u and v."""
+    return Poly({(i, j, 0): Fraction(horner(nums, c), den * c.denominator ** (len(nums) - 1))
+                 for (i, j), (nums, den) in _c_fold(text).items()})
+
+
+def _c_value(text: str, c: Fraction) -> tuple[int, int]:
+    """A closed form in c alone at c, as (numerator, positive denominator)."""
+    if _c_fold(text).keys() - {(0, 0)}:
+        raise FixtureError(f"{text!r} is not a closed form in c")
+    nums, den = _c_fold(text).get((0, 0), ((0,), 1))
+    return horner(nums, c), den * c.denominator ** (len(nums) - 1)
+
+
 def rf_eval(spec, c: Fraction) -> Fraction:
     """Evaluate a fixture closed form at an exact c.
 
@@ -137,19 +168,15 @@ def rf_eval(spec, c: Fraction) -> Fraction:
     """
     if isinstance(spec, list):
         for branch in spec:
-            lo = branch.get("c_min")
-            hi = branch.get("c_max")
-            if lo is not None and not c > q(lo):
-                continue
-            if hi is not None and not c <= q(hi):
-                continue
-            return rf_eval({k: v for k, v in branch.items() if k in ("num", "den")}, c)
+            if ("c_min" not in branch or c > q(branch["c_min"])) and (
+                    "c_max" not in branch or c <= q(branch["c_max"])):
+                return rf_eval(branch, c)
         raise ValueError(f"no branch covers c={c}")
     if isinstance(spec, str):
-        return fixture_poly(spec)(c=c)
-    num = fixture_poly(spec["num"])(c=c)
-    den = fixture_poly(spec.get("den", "1"))(c=c)
-    return num / den
+        return Fraction(*_c_value(spec, c))
+    num, num_den = _c_value(spec["num"], c)
+    den, den_den = _c_value(spec.get("den", "1"), c)
+    return Fraction(num * den_den, num_den * den)
 
 
 def c_domain() -> tuple[Fraction, Fraction]:

@@ -21,6 +21,7 @@ from ..exactmath import Poly, integrate_univariate, q
 from ..flagdelta import BasePiece, FlagScenario, MarkedPoint, SInvariantResult
 from ..toric3 import CurveClass, Fan3, ToricDivisor
 from . import (
+    at_c,
     fixture,
     fixture_poly,
     fixtures_dir,
@@ -636,22 +637,19 @@ class Case218:
         data = load_scenario_data("218")
         spec = _named(data["cases"], name, "2.18 case")
         self.name, self.c, self.spec = name, c, spec
-        base = BasePiece(Fraction(0), fixture_poly(spec["u_hi"])(c=c),
-                         tuple(fixture_poly(s).subs(c=c) for s in spec["base"]))
+        base = BasePiece(Fraction(0), rf_eval(spec["u_hi"], c), tuple(at_c(s, c) for s in spec["base"]))
         self.scenario = _basis_curve_flag(
             f"218-{name}@c={c}", spec, rf_eval(data["l_cubed"], c), (base,),
             _marked_points(spec["points"], lambda a: rf_eval(a, c)),
-            curve_a=fixture_poly(spec["curve_a"])(c=c))
+            curve_a=rf_eval(spec["curve_a"], c))
         self._s_points: dict[str, SInvariantResult] = {}
 
     @cached_property
     def s_ambient(self) -> Fraction:
         """S of the ambient divisor from its stored volume pieces."""
         c = self.c
-        pieces = [
-            (fixture_poly(p["lo"])(c=c), fixture_poly(p["hi"])(c=c), fixture_poly(p["poly"]).subs(c=c))
-            for p in self.spec["ambient"]["volume"]
-        ]
+        pieces = [(rf_eval(p["lo"], c), rf_eval(p["hi"], c), at_c(p["poly"], c))
+                  for p in self.spec["ambient"]["volume"]]
         return flagdelta.s_from_volume(self.scenario.l_cubed, pieces)
 
     @cached_property
@@ -715,7 +713,7 @@ def _run_218_case(sid, case: Case218) -> list[CheckResult]:
     ranges = spec.get("printed_ranges", ())
     if ranges:
         pieces = flagdelta.scenario_scans(case.scenario)[0].threshold
-        derived = [fixture_poly(text).subs(c=c) for text in {entry["derived"] for entry in ranges}]
+        derived = [at_c(text, c) for text in {entry["derived"] for entry in ranges}]
         ok = all(piece.t == t for t in derived for piece in pieces)
         checks.append(_compare(sid, f"{tag}: derived range is the threshold", ok, True))
     return checks

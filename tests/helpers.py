@@ -160,9 +160,26 @@ def form_poly(terms, den) -> Poly:
 def reference_integrate_chamber(p: Poly, ch) -> Fraction:
     """Reference for the chamber-moment integration: the v-antiderivative of
     p between the affine bounds, then the u-integral."""
-    anti = p.antiderivative("v")
+    anti = antiderivative(p, "v")
     inner = anti.subs(v=ch.v_hi) - anti.subs(v=ch.v_lo)
     return integrate_univariate(inner, ch.u_lo, ch.u_hi)
+
+
+def antiderivative(p: Poly, name: str) -> Poly:
+    """The antiderivative of p in the variable `name`, with constant 0."""
+    i = VARS.index(name)
+    out = {}
+    for exp, coef in p.terms.items():
+        new = list(exp)
+        new[i] += 1
+        out[tuple(new)] = coef / new[i]
+    return Poly(out)
+
+
+def reference_integrate_univariate(p: Poly, lo, hi) -> Fraction:
+    """The u-integral of p over [lo, hi] from its Poly antiderivative."""
+    anti = antiderivative(p, "u")
+    return anti(u=q(hi)) - anti(u=q(lo))
 
 
 def build_218(case: str, c: Fraction):
@@ -838,3 +855,83 @@ def reference_polytope_vertices(p: HPolytope) -> list[tuple[Fraction, Fraction, 
     if not vertices:
         raise ValueError("empty polytope")
     return sorted(vertices)
+
+
+def reference_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
+    """Whether the univariate p is >= 0 on [lo, hi]: the Sturm chain of p
+    itself counts the roots, bisection isolates them, and every sign is a
+    Fraction evaluation of the chain.  The oracle of the integer-sign test in
+    flagdelta where neither end is a root; with a root at an end it can
+    answer wrongly or bisect until its guard raises."""
+    var = (p.variables() or ("u",))[0]
+    coeffs = [Fraction(0)] * (p.degree_in(var) + 1)
+    for exp, coef in p.terms.items():
+        coeffs[exp[VARS.index(var)]] += coef
+    if len(coeffs) == 1:
+        return coeffs[0] >= 0
+    if _eval_dense(coeffs, lo) < 0 or _eval_dense(coeffs, hi) < 0:
+        return False
+    chain = [coeffs, [c * i for i, c in enumerate(coeffs)][1:]]
+    while True:
+        rem = [-c for c in _div_rem(chain[-2], chain[-1])]
+        if rem == [0]:
+            break
+        chain.append(rem)
+    checkpoints = [lo]
+    for a, b in _reference_isolate(chain, lo, hi):
+        checkpoints.extend([a, b])
+    checkpoints.append(hi)
+    if any(_eval_dense(coeffs, x) < 0 for x in checkpoints):
+        return False
+    return not any(x0 < x1 and _eval_dense(coeffs, (x0 + x1) / 2) < 0
+                   for x0, x1 in zip(checkpoints, checkpoints[1:]))
+
+
+def _eval_dense(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
+    total = Fraction(0)
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def _div_rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    a = list(a)
+    while len(a) >= len(b) and any(x != 0 for x in a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        factor = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i in range(len(b)):
+            a[shift + i] -= factor * b[i]
+        a.pop()
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a if a else [Fraction(0)]
+
+
+def _reference_sign_changes(chain, x: Fraction) -> int:
+    signs = [v > 0 for v in (_eval_dense(poly, x) for poly in chain) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _reference_isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+    intervals, out = [(lo, hi)], []
+    for _ in range(10_000):
+        if not intervals:
+            return sorted(out)
+        a, b = intervals.pop()
+        count = _reference_sign_changes(chain, a) - _reference_sign_changes(chain, b)
+        if count == 0:
+            continue
+        if count == 1:
+            out.append((a, b))
+            continue
+        mid = (a + b) / 2
+        while _eval_dense(chain[0], mid) == 0:
+            out.append((mid, mid))
+            mid += (b - a) / 7
+            if not a < mid < b:
+                break
+        intervals.extend([(a, mid), (mid, b)])
+    raise ScanError("root isolation failed to terminate", lo, hi)

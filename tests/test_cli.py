@@ -108,6 +108,7 @@ def _fixture_copy(dst, relative, edit):
      "family-34-d4.json: missing key 'weight_vector'"),
     ("keyless", ("verify", "--family", "34-d4"), "family-34-d4.json: missing key 'weight_vector'"),
     ("directory", ("verify", "--family", "34-d4"), "table-02.json: Is a directory"),
+    ("bad-expression", ("verify", "--family", "34-d4"), "'u^^2'"),  # one P cell is "u^^2"
 ])
 def test_unreadable_fixture_is_one_error_line(tmp_path, capsys, monkeypatch, fixtures, argv, named):
     from fano_delta import scenarios
@@ -121,6 +122,10 @@ def test_unreadable_fixture_is_one_error_line(tmp_path, capsys, monkeypatch, fix
     elif fixtures == "directory":
         table.unlink()
         table.mkdir()
+    elif fixtures == "bad-expression":
+        data = json.loads(table.read_text())
+        data["rows"][0]["P"][0] = "u^^2"
+        table.write_text(json.dumps(data))
     elif fixtures == "keyless":
         family = root / "scenarios" / "family-34-d4.json"
         data = json.loads(family.read_text())
@@ -131,6 +136,26 @@ def test_unreadable_fixture_is_one_error_line(tmp_path, capsys, monkeypatch, fix
     assert code == 1 and out == ""
     assert err.startswith("error: unreadable fixture: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_verify_218_folds_c_in_integers_and_formats_no_label(capsys, monkeypatch):
+    # At a c, every fixture text is read through its integer fold in c, and
+    # no S-value breakdown is formatted, as nothing on this path reads one.
+    from fano_delta.exactmath import Chamber, Poly
+
+    with_c, labels = [], []
+    for name in ("subs", "__call__"):
+        def counting(self, _original=getattr(Poly, name), _name=name, **values):
+            if "c" in values:
+                with_c.append(_name)
+            return _original(self, **values)
+
+        monkeypatch.setattr(Poly, name, counting)
+    label = Chamber.label.func
+    monkeypatch.setattr(Chamber, "label", property(lambda ch: labels.append(ch) or label(ch)))
+    code, out, _ = run_cli(capsys, "verify", "--family", "218", "--c", "3/7")
+    assert code == 0 and out.endswith("40 passed, 3 flagged (known discrepancies), 0 failed\n")
+    assert with_c == [] and labels == []
 
 
 def _tamper_table_02(data):

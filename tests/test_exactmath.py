@@ -11,6 +11,7 @@ from fano_delta.exactmath import (
     Poly,
     at,
     gap,
+    horner,
     integrate_univariate,
     negative_end,
     numerators,
@@ -29,6 +30,7 @@ from helpers import (
     interpolate_many,
     poly_chamber,
     reference_integrate_chamber,
+    reference_integrate_univariate,
 )
 
 U, V, C = Poly.var("u"), Poly.var("v"), Poly.var("c")
@@ -187,6 +189,39 @@ def test_affine_subs_matches_reference(p, lo, hi, c0):
         assert_canonical(result)
 
 
+@settings(max_examples=100, deadline=None)
+@given(sparse_polys)
+def test_power_equals_the_repeated_product(p):
+    # 100 examples, each for n = 0..5.
+    product = Poly.const(1)
+    for n in range(6):
+        assert p**n == product
+        product = product * p
+
+
+def test_power_squares_the_base_only_while_bits_remain(monkeypatch):
+    products = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda self, other: products.append(None) or mul(self, other))
+    for n, count in ((1, 1), (2, 2), (3, 3), (4, 3), (5, 4)):
+        products.clear()
+        assert (7 - 6 * C - U - V) ** n is not None
+        assert len(products) == count, n
+
+
+wide_fractions = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=6), wide_fractions)
+def test_horner_is_the_value_times_a_power_of_the_denominator(coeffs, x):
+    # 200 examples; `at` is its degree-1 case.
+    value = sum((a * x**i for i, a in enumerate(coeffs)), F(0))
+    assert horner(coeffs, x) == value * x.denominator ** (len(coeffs) - 1)
+    form = (coeffs + [0])[:2]
+    assert at(form, x) == horner(form, x)
+
+
 def test_evaluation_errors():
     p = parse_poly("u*v + c")
     with pytest.raises(ValueError, match="not a constant polynomial: "):
@@ -304,6 +339,17 @@ def test_univariate_against_antiderivative_oracle():
     hi = parse_poly("3-2*c")(c=c)
     oracle = -((2 - hi) ** 3) + 2**3
     assert integrate_univariate(integrand, 0, hi) == oracle == 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 5), st.builds(F, st.integers(-10**4, 10**4), st.integers(1, 60)),
+                       max_size=6),
+       wide_fractions, wide_fractions)
+def test_univariate_integral_equals_the_antiderivative_at_the_ends(coeffs, a, b):
+    # 200 examples of degree <= 5 over ends with denominators up to 10^6.
+    p = Poly({(i, 0, 0): x for i, x in coeffs.items()})
+    lo, hi = min(a, b), max(a, b)
+    assert integrate_univariate(p, lo, hi) == reference_integrate_univariate(p, lo, hi)
 
 
 def test_univariate_arity_mismatch():

@@ -2,11 +2,13 @@
 
 import dataclasses
 import gc
+import math
 import sys
 import weakref
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fano_delta import flagdelta
 from fano_delta.exactmath import Chamber, Poly, parse_poly
@@ -26,7 +28,8 @@ from fano_delta.flagdelta import (
 )
 from fano_delta.scenarios import builders, load_model
 
-from helpers import form_poly, integrate_poly, n_coeffs, p_coeffs, reference_integrate_chamber
+from helpers import (form_poly, integrate_poly, n_coeffs, p_coeffs, reference_integrate_chamber,
+                     reference_nonneg_on_interval)
 
 
 def weighted_scenario():
@@ -60,11 +63,65 @@ def test_root_isolation_guard_raises_scan_error(monkeypatch):
     # A root count that never falls to 0 or 1 bisects without end; no split
     # point is a root.
     monkeypatch.setattr(flagdelta, "_root_count", lambda chain, lo, hi: 2)
-    monkeypatch.setattr(flagdelta, "_eval_dense", lambda coeffs, x: 1)
+    monkeypatch.setattr(flagdelta, "horner", lambda coeffs, x: 1)
     with pytest.raises(flagdelta.ScanError, match="root isolation failed to terminate") as info:
         s_from_volume(9, [(0, 1, parse_poly("9-9*u^2"))])
     assert (info.value.reason, info.value.u_lo, info.value.u_hi) == (
         "root isolation failed to terminate", 0, 1)
+
+
+small_rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+# Degree <= 4 in u: dense coefficients, or a scaled product of linear factors,
+# each root once or twice, so that intervals meet rational and double roots.
+dense_polys = st.lists(st.builds(F, st.integers(-30, 30), st.integers(1, 4)), min_size=1, max_size=5).map(
+    lambda cs: sum((k * Poly.var("u") ** i for i, k in enumerate(cs)), Poly()))
+scales = st.sampled_from((-2, -1, 1, F(1, 3)))
+
+
+def factored(k, roots, twice) -> Poly:
+    """k * prod (u - r) over the roots, each once or, if twice, twice."""
+    return k * math.prod((Poly.var("u") - r for r in roots * (1 + twice)), start=Poly.const(1))
+
+
+rooted_polys = st.builds(factored, scales, st.lists(small_rationals, max_size=2), st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(dense_polys, rooted_polys), small_rationals, small_rationals)
+def test_integer_sign_nonnegativity_equals_the_fraction_chain(p, a, b):
+    # 300 examples: the square-free chain with integer signs decides as the
+    # chain of p with every sign a Fraction evaluation.  That chain is sound
+    # only where neither end is a root; the factored test below covers those.
+    lo, hi = min(a, b), max(a, b)
+    assume(p(u=lo) != 0 and p(u=hi) != 0)
+    assert flagdelta._nonneg_on_interval(p, lo, hi) == reference_nonneg_on_interval(p, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scales, st.lists(small_rationals, max_size=2), st.booleans(), st.data())
+def test_nonnegativity_of_factored_polynomials(k, roots, twice, data):
+    # 300 examples of k * prod (u - r), each root once or twice, on intervals
+    # whose ends are often roots: between consecutive roots the sign of p is
+    # that at any point, so a point in each gap decides.
+    ends = st.one_of(small_rationals, st.sampled_from(roots)) if roots else small_rationals
+    lo, hi = sorted((data.draw(ends), data.draw(ends)))
+    p = factored(k, roots, twice)
+    cuts = sorted({lo, hi, *(r for r in roots if lo < r < hi)})
+    want = all(p(u=x) >= 0 for x in cuts + [(x + y) / 2 for x, y in zip(cuts, cuts[1:])])
+    assert flagdelta._nonneg_on_interval(p, lo, hi) is want
+
+
+@pytest.mark.parametrize("text, lo, hi, nonneg", [
+    ("u*(4*u-1)", 0, 1, False),  # a simple root at lo, negative just above it
+    ("u^2*(u-1)", 0, 2, False),  # a double root at lo
+    ("(6*u-11)^2*(u-2)^2", F(-1, 2), F(11, 6), True),  # a double root at hi, another beyond it
+    ("(u-2)^2*(3-u)", 0, 2, True),
+])
+def test_nonnegativity_with_roots_at_the_ends(text, lo, hi, nonneg):
+    # The chain of p itself, unreduced, and a root bracket starting at lo
+    # call the first two nonnegative and bisect the last two until the
+    # guard raises ScanError.
+    assert flagdelta._nonneg_on_interval(parse_poly(text), F(lo), F(hi)) is nonneg
 
 
 def test_scenario_hash_is_kept_and_equality_is_by_value():
@@ -83,6 +140,8 @@ def test_s_from_volume_rejects_negative_volume():
         s_from_volume(9, [(0, 3, parse_poly("(u-1)*(u-2)"))])
     with pytest.raises(ValueError, match="invalid volume function"):
         s_from_volume(9, [(0, 1, parse_poly("1-u/2"))])  # nonzero right endpoint
+    with pytest.raises(ValueError, match="invalid volume function"):
+        s_from_volume(9, [(0, 1, parse_poly("u*(4*u-1)*(1-u)"))])  # negative on (0, 1/4)
 
 
 def test_s_curve_weighted_case():
@@ -290,8 +349,9 @@ def test_scan_cache_stays_bounded_over_many_c(monkeypatch):
     # The second batch has evicted every scan of the first.
     assert chambers and not live(chambers) and not live(forms)
     assert sizes[0][flagdelta.__name__, "scenario_scans"] == 8
-    # Only the parse cache of fixture expressions may grow: the second batch,
-    # all above c = 1/2, reads a branch of a closed form for the first time.
+    # Only the caches of fixture expressions, parsed and folded in c, may
+    # grow: the second batch, all above c = 1/2, reads a branch of a closed
+    # form for the first time.
     assert sizes[1].keys() == sizes[0].keys()
     grown = {key for key in sizes[0] if sizes[1][key] != sizes[0][key]}
-    assert {attr for _, attr in grown} <= {"fixture_poly"}
+    assert {attr for _, attr in grown} <= {"fixture_poly", "_c_fold"}

@@ -6,14 +6,19 @@ import traceback
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fano_delta.exactmath import integrate_univariate, parse_poly, q
+from fano_delta.exactmath import Poly, integrate_univariate, parse_poly, q
 from fano_delta.scenarios import (
+    FixtureError,
+    at_c,
     builders,
     default_c_samples,
     fixture,
     fixtures_dir,
+    fixture_poly,
     load_table,
+    rf_eval,
     table_rows,
 )
 
@@ -411,3 +416,30 @@ def test_full_report_one_threshold_envelope_per_scan(monkeypatch):
     cli.build_report("all", None)
     assert calls["scan"] > 0
     assert calls["envelope"] == calls["scan"]
+
+
+uvc_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 4)),
+    st.builds(F, st.integers(-50, 50), st.integers(1, 12)),
+    max_size=6,
+).map(Poly)
+c_values = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(uvc_polys, uvc_polys, c_values)
+def test_c_fold_equals_substitution(p, d, c):
+    # 200 examples: the integer fold of a text in c is its Poly with c
+    # substituted, and a closed form in c alone evaluates as the Poly does.
+    assert at_c(str(p), c) == fixture_poly(str(p)).subs(c=c)
+    num, den = p.subs(u=0, v=0), d.subs(u=0, v=0)
+    assert rf_eval(str(num), c) == num(c=c)
+    if den(c=c) != 0:
+        assert rf_eval({"num": str(num), "den": str(den)}, c) == num(c=c) / den(c=c)
+
+
+def test_closed_forms_in_c_must_not_hold_u_or_v():
+    with pytest.raises(FixtureError, match="'2-u' is not a closed form in c"):
+        rf_eval({"num": "1", "den": "2-u"}, F(1, 2))
+    with pytest.raises(FixtureError, match="u\\^\\^2"):
+        at_c("u^^2", F(1, 2))
