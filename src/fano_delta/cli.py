@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .scenarios import FixtureError, builders, c_domain
+from .scenarios import FixtureError, UsageError, builders, c_domain
 
 FAMILIES = ("218", "34-surfaces", "34-d4", "34-a3")
 
@@ -95,10 +95,6 @@ def _fmt_value(text: str, decimal: bool) -> str:
 # ---------------------------------------------------------------------------
 # compute
 # ---------------------------------------------------------------------------
-
-
-class UsageError(Exception):
-    pass
 
 
 def _split(target: str) -> tuple[str, str]:
@@ -210,7 +206,7 @@ def _run(args: argparse.Namespace) -> int:
         else:
             # Equal values (1/2, 2/4) name one c: run it once, first-seen order.
             c_values = list(dict.fromkeys(map(_parse_c, args.c))) if args.c else None
-    except (UsageError, KeyError) as exc:
+    except UsageError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     if args.command == "compute":

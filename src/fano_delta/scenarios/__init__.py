@@ -51,6 +51,10 @@ class FixtureError(Exception):
     a runner reads; the message names the file and the key."""
 
 
+class UsageError(Exception):
+    """A name or value on the command line that the fixtures do not define."""
+
+
 class _Record(dict):
     """A JSON object of the fixture file `path`: a missing key is a FixtureError."""
 

@@ -21,6 +21,8 @@ from ..exactmath import Poly, integrate_univariate, q
 from ..flagdelta import BasePiece, FlagScenario, MarkedPoint, SInvariantResult
 from ..toric3 import CurveClass, Fan3, ToricDivisor
 from . import (
+    FixtureError,
+    UsageError,
     at_c,
     fixture,
     fixture_poly,
@@ -172,39 +174,22 @@ class ToricFamily:
 
     @cached_property
     def star(self) -> toric3.StarSurface:
+        """The star surface of the fixture's `star` block, its curves in
+        `alpha_order`; a block that defines none is a FixtureError."""
         spec = self.data["star"]
-        return toric3.star_surface(
-            self.resolution,
-            spec["ray"],
-            {int(k): tuple(vv) for k, vv in spec["pinned"].items()},
-        )
-
-    @cached_property
-    def _alpha_perm(self) -> list[int]:
-        adjacent = {r: k for k, r in enumerate(self.star.adjacent)}
-        return [adjacent[r] for r in self.data["star"]["alpha_order"]]
-
-    def alpha_fan2(self) -> toric3.Fan2:
-        star = self.star
-        perm = self._alpha_perm
-        inverse = {p: k for k, p in enumerate(perm)}
-        rays = [star.fan2.rays[p] for p in perm]
-        cones = [tuple(sorted((inverse[a], inverse[b]))) for a, b in star.fan2.cones]
-        return toric3.Fan2(rays, cones)
-
-    def restrict_alpha(self, d: ToricDivisor) -> tuple[Poly, ...]:
-        raw = toric3.restrict_to_star(
-            self.star, d, self.data["star"]["self_character"]
-        )
-        return tuple(raw[p] for p in self._alpha_perm)
+        try:
+            return toric3.star_surface(
+                self.resolution, spec["ray"], {int(k): tuple(v) for k, v in spec["pinned"].items()},
+                spec["alpha_order"], spec["self_character"])
+        except ValueError as exc:
+            raise FixtureError(f"{self.data.path}: 'star': {exc}") from None
 
     @cached_property
     def surface_pieces(self):
         """(u_lo, u_hi, P~ in the alpha basis, N~ in the alpha basis)."""
-        return [
-            (lo, hi, self.restrict_alpha(p), self.restrict_alpha(n))
-            for lo, hi, p, n in self.resolved_decomposition
-        ]
+        star = self.star
+        return [(lo, hi, toric3.restrict_to_star(star, p), toric3.restrict_to_star(star, n))
+                for lo, hi, p, n in self.resolved_decomposition]
 
     def flag_scenario(self, curve: str) -> FlagScenario:
         if curve in self._scenarios:
@@ -257,7 +242,8 @@ class ToricFamily:
         return flagdelta.s_curve_flag(self.flag_scenario(curve))
 
     def s_point(self, curve: str, point: str) -> SInvariantResult:
-        return flagdelta.s_point_flag(self.flag_scenario(curve), point)
+        scenario = self.flag_scenario(curve)
+        return flagdelta.s_point_flag(scenario, _point(scenario, point))
 
     # -- checks -----------------------------------------------------------
 
@@ -403,9 +389,8 @@ class ToricFamily:
             self._emit(f"{table['id']} interval [{row['u'][0]},{row['u'][1]}]",
                        (str(lo), str(hi)), (str(q(row["u"][0])), str(q(row["u"][1]))))
             for ray in (r for r in hidden if not n_res.coeffs[r].is_zero()):
-                self.checks.append(CheckResult(
-                    self.scenario_id, f"{table['id']} [{row['u'][0]},{row['u'][1]}] hidden ray {ray}",
-                    str(p_res.coeffs[ray]), str(p_res.coeffs[ray] + n_res.coeffs[ray]), FAIL))
+                self._emit(f"{table['id']} [{row['u'][0]},{row['u'][1]}] hidden ray {ray}",
+                           p_res.coeffs[ray], p_res.coeffs[ray] + n_res.coeffs[ray])
 
     def _check_volume_route(self):
         total = Fraction(0)
@@ -417,14 +402,12 @@ class ToricFamily:
                    q(self.data["expected"]["S_L(G)"]))
 
     def _check_star(self):
-        spec = self.data["star"]
-        fan2 = self.alpha_fan2()
+        spec, star = self.data["star"], self.star
         self._emit("star quotient rays",
-                   [list(r) for r in fan2.rays], spec["expected_rays"])
-        mults = [self.star.mults[p] for p in self._alpha_perm]
+                   [list(r) for r in star.fan2.rays], spec["expected_rays"])
         self._emit("star restriction multipliers",
-                   [str(m) for m in mults], [str(q(s)) for s in spec["expected_mults"]])
-        gram = toric3.surface_gram(fan2)
+                   [str(m) for m in star.mults], [str(q(s)) for s in spec["expected_mults"]])
+        gram = toric3.surface_gram(star.fan2)
         self._emit("quotient-surface intersection matrix",
                    [[str(x) for x in row] for row in gram],
                    [[str(q(x)) for x in row] for row in self.surface.gram])
@@ -466,10 +449,9 @@ class ToricFamily:
                 covered = bool(met) and sum(
                     min(hi, piece.u_hi) - max(lo, piece.u_lo) for piece in met) == hi - lo
                 got = [str(piece.t) for piece in met] + ([] if covered else ["uncovered"])
-                label = f"{table['id']} t({curve}) on [{cell['u'][0]},{cell['u'][1]}]"
-                self.checks.append(CheckResult(
-                    self.scenario_id, label, "; ".join(got), str(want),
-                    PASS if covered and all(piece.t == want for piece in met) else FAIL))
+                self._emit(f"{table['id']} t({curve}) on [{cell['u'][0]},{cell['u'][1]}]",
+                           covered and all(piece.t == want for piece in met), True,
+                           shown=("; ".join(got), str(want)))
 
     def _check_chamber_tables(self):
         for curve, case in self.data["curve_cases"].items():
@@ -484,13 +466,11 @@ class ToricFamily:
                 )
                 label = f"{table_id} row u[{row.u_lo},{row.u_hi}] v[{row.v_lo},{row.v_hi}]"
                 if scan is None:
-                    self.checks.append(CheckResult(
-                        self.scenario_id, label, "no scan covers the row", None, FAIL))
+                    self._emit(label, False, True, shown=("no scan covers the row", None))
                     continue
                 mismatches = surfzar.row_mismatches(scan, row)
                 if not mismatches:
-                    self.checks.append(CheckResult(
-                        self.scenario_id, label, "recomputation matches", "match", PASS))
+                    self._emit(label, True, True, shown=("recomputation matches", "match"))
                 for mm in mismatches:
                     self._emit(
                         f"{label} {mm.field}({mm.curve})", mm.recomputed, mm.printed,
@@ -521,10 +501,6 @@ class ToricFamily:
                         s_pt.value <= q(point["a"]), True)
             self._emit(f"inequality S_L(W^G;{curve}) <= A_G({curve})",
                        s_curve.value <= q(case["curve_a"]), True)
-
-
-def run_toric_family(scenario_id: str) -> list[CheckResult]:
-    return ToricFamily(scenario_id).run()
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +539,8 @@ def surface_s_curve(name: str) -> SInvariantResult:
 
 
 def surface_s_point(name: str, point: str) -> SInvariantResult:
-    return flagdelta.s_point_flag(surface_flag(name), point)
+    flag = surface_flag(name)
+    return flagdelta.s_point_flag(flag, _point(flag, point))
 
 
 def surface_delta(name: str) -> Fraction:
@@ -616,9 +593,14 @@ def _marked_points(specs, value) -> tuple[MarkedPoint, ...]:
 
 
 def _named(table, name: str, kind: str):
+    """table[name]; an unknown name is a UsageError."""
     if name not in table:
-        raise KeyError(f"unknown {kind} {name!r}")
+        raise UsageError(f"unknown {kind} {name!r}")
     return table[name]
+
+
+def _point(scenario: FlagScenario, name: str) -> MarkedPoint:
+    return _named({p.name: p for p in scenario.points}, name, "marked point")
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +640,7 @@ class Case218:
 
     def s_point(self, point: str) -> SInvariantResult:
         if point not in self._s_points:
-            self._s_points[point] = flagdelta.s_point_flag(self.scenario, point)
+            self._s_points[point] = flagdelta.s_point_flag(self.scenario, _point(self.scenario, point))
         return self._s_points[point]
 
     @cached_property
@@ -730,7 +712,7 @@ def run_family(family: str, c_values=None) -> list[CheckResult]:
     if family == "34-surfaces":
         return run_34_surfaces()
     if family in TORIC_FAMILIES:
-        return run_toric_family(family)
+        return ToricFamily(family).run()
     raise KeyError(f"unknown family {family!r}")
 
 

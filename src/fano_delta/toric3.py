@@ -10,7 +10,10 @@ spanning a maximal cone the product is 1/|det|, other distinct triples give
 0, and repeated rays are eliminated by substituting a principal divisor
 div(chi_m) chosen so the coefficient at the repeated ray cancels.  The same
 character relations drive pullbacks along toric morphisms, restriction to
-invariant surfaces (star construction), and the 2D Gram matrices.
+invariant surfaces (star construction), and the 2D Gram matrices.  A star
+surface is built once with every choice of its basis: the order of its
+curves and the self character that rewrites the star ray, so restriction to
+it is one fixed linear map.
 
 Divisor polytopes are handled by brute-force vertex enumeration (at most a
 handful of facets here), each facet triple solved by Cramer's rule in
@@ -370,40 +373,52 @@ class Fan2:
 class StarSurface:
     """The invariant surface of a ray, as a 2D fan plus restriction data.
 
-    ``adjacent`` lists the 3D rays spanning a 2-cone with the star ray; entry
-    k of ``fan2.rays`` is the primitive image of ``adjacent[k]`` under the
-    quotient map, and ``mults[k]`` is the reciprocal lattice index of the
-    image, i.e. the multiplier for restricting that ray's divisor.
+    ``adjacent`` lists the 3D rays spanning a 2-cone with the star ray, in
+    the order given to `star_surface`; curve k of the surface comes from
+    r = ``adjacent[k]``.  ``fan2.rays[k]`` is the primitive image of v_r
+    under the quotient map, ``mults[k]`` the reciprocal lattice index of
+    that image (the multiplier restricting T_r), and ``weights[k]`` =
+    <m, v_r> / <m, v_0> the share of the star ray's divisor that
+    div(chi^m) moves onto T_r, m the self character.
     """
 
     fan: Fan3
     ray_index: int
-    quotient: tuple[tuple[int, int, int], tuple[int, int, int]]
     adjacent: tuple[int, ...]
     fan2: Fan2
     mults: tuple[Fraction, ...]
-
-    def restriction_table(self) -> dict[int, tuple[int, Fraction]]:
-        return {r: (k, self.mults[k]) for k, r in enumerate(self.adjacent)}
+    weights: tuple[Fraction, ...]
 
 
 def star_surface(
-    fan: Fan3, ray_index: int, pinned: Mapping[int, Sequence[int]]
+    fan: Fan3, ray_index: int, pinned: Mapping[int, Sequence[int]],
+    order: Sequence[int], self_character: Sequence[int],
 ) -> StarSurface:
-    """Quotient the star of a ray to a 2D fan.
+    """Quotient the star of a ray to a 2D fan, its curves in ``order``.
 
     ``pinned`` fixes the images of two adjacent rays (e.g. {1: (1, 0),
     3: (0, 1)}), which pins the quotient lattice isomorphism Z^3/Z v_0 = Z^2.
     The map is validated to be integral and surjective; it is never chosen
-    silently, so outputs are reproducible.
+    silently, so outputs are reproducible.  ``order`` lists each adjacent
+    ray once, and the character ``self_character`` must pair nontrivially
+    with the star ray.
     """
     cones = fan.cones_containing(ray_index)
     if not cones:
         raise ValueError("isolated ray")
-    if len(pinned) != 2:
-        raise ValueError("exactly two pinned ray images are required")
+    adjacent = {r for cone in cones for r in cone if r != ray_index}
+    order = tuple(int(r) for r in order)
+    if sorted(order) != sorted(adjacent):
+        raise ValueError(f"order {list(order)} must list the adjacent rays "
+                         f"{sorted(adjacent)} once each")
+    if len(pinned) != 2 or not set(pinned) <= adjacent or any(len(v) != 2 for v in pinned.values()):
+        raise ValueError("exactly two pinned images of adjacent rays are required")
     (r1, img1), (r2, img2) = sorted(pinned.items())
     v0 = fan.rays[ray_index]
+    m = tuple(int(x) for x in self_character)
+    pairing = sum(a * b for a, b in zip(m, v0))
+    if len(m) != 3 or pairing == 0:
+        raise ValueError("self_character must pair nontrivially with the star ray")
     rows = []
     for coord in range(2):
         sol = linalg.solve(
@@ -420,73 +435,35 @@ def star_surface(
     if gcd(gcd(abs(minors[0]), abs(minors[1])), abs(minors[2])) != 1:
         raise ValueError("pinned images do not define a lattice basis of the quotient")
 
-    adjacent = sorted(
-        {r for cone in cones for r in cone if r != ray_index}
-    )
     images: list[tuple[int, int]] = []
     mults: list[Fraction] = []
-    for r in adjacent:
-        vec = fan.rays[r]
-        img = (
-            sum(rows[0][t] * vec[t] for t in range(3)),
-            sum(rows[1][t] * vec[t] for t in range(3)),
-        )
+    for r in order:
+        img = tuple(sum(row[t] * fan.rays[r][t] for t in range(3)) for row in rows)
         g = gcd(abs(img[0]), abs(img[1]))
         if g == 0:
             raise ValueError(f"adjacent ray {r} maps to zero in the quotient")
         images.append((img[0] // g, img[1] // g))
         mults.append(Fraction(1, g))
-    position = {r: k for k, r in enumerate(adjacent)}
-    cones2 = []
-    for cone in cones:
-        a, b = (r for r in cone if r != ray_index)
-        cones2.append((position[a], position[b]))
-    return StarSurface(
-        fan=fan,
-        ray_index=ray_index,
-        quotient=(rows[0], rows[1]),
-        adjacent=tuple(adjacent),
-        fan2=Fan2(images, cones2),
-        mults=tuple(mults),
-    )
+    position = {r: k for k, r in enumerate(order)}
+    cones2 = [tuple(position[r] for r in cone if r != ray_index) for cone in cones]
+    weights = tuple(Fraction(sum(a * b for a, b in zip(m, fan.rays[r])), pairing) for r in order)
+    return StarSurface(fan, ray_index, order, Fan2(images, cones2), tuple(mults), weights)
 
 
-def restrict_to_star(
-    star: StarSurface, d: ToricDivisor, self_character: Sequence[int] = (1, 0, 0)
-) -> tuple[Poly, ...]:
-    """Coefficients of D restricted to the star surface, in its curve basis.
+def restrict_to_star(star: StarSurface, d: ToricDivisor) -> tuple[Poly, ...]:
+    """Coefficients of D restricted to the star surface, in its curve order.
 
-    Adjacent rays restrict with their lattice-index multiplier; rays not
-    adjacent to the star ray restrict to zero; the star ray itself is first
-    rewritten via the character relation div(chi_m) for ``self_character`` m
-    (which must pair nontrivially with the star ray).  The character is a
-    required input so coefficient vectors are reproducible against reference
-    data that fixed a particular choice.
+    The fixed linear map (a_r - a_0 * weights[k]) * mults[k] for curve k,
+    r = adjacent[k]: adjacent rays restrict with their lattice-index
+    multiplier, rays not adjacent to the star ray restrict to zero, and the
+    star ray's own coefficient a_0 is first moved onto the adjacent rays
+    through the self character.
     """
     if d.fan != star.fan:
         raise ValueError("different fans")
-    fan = star.fan
-    n2 = len(star.fan2.rays)
-    out = [Poly() for _ in range(n2)]
-    table = star.restriction_table()
-    for r, coeff in enumerate(d.coeffs):
-        if coeff.is_zero() or r == star.ray_index:
-            continue
-        if r in table:
-            k, mult = table[r]
-            out[k] = out[k] + coeff * mult
-    c0 = d.coeffs[star.ray_index]
-    if not c0.is_zero():
-        m = tuple(int(x) for x in self_character)
-        pairing = sum(m[t] * fan.rays[star.ray_index][t] for t in range(3))
-        if pairing == 0:
-            raise ValueError("self_character must pair nontrivially with the star ray")
-        for r in star.adjacent:
-            k, mult = table[r]
-            weight = sum(m[t] * fan.rays[r][t] for t in range(3))
-            if weight:
-                out[k] = out[k] - c0 * Fraction(weight, pairing) * mult
-    return tuple(out)
+    a0 = d.coeffs[star.ray_index]
+    return tuple((d.coeffs[r] - a0 * w) * mult
+                 for r, mult, w in zip(star.adjacent, star.mults, star.weights))
 
 
 def surface_gram(fan2: Fan2) -> list[list[Fraction]]:

@@ -158,6 +158,53 @@ def test_verify_218_folds_c_in_integers_and_formats_no_label(capsys, monkeypatch
     assert with_c == [] and labels == []
 
 
+def _star_edit(key, value):
+    def edit(data):
+        data["star"][key] = value
+        return data
+    return edit
+
+
+S_POINT_34_D4 = ("compute", "--scenario", "34-d4", "--op", "s-point", "--target", "alpha0:generic")
+
+
+@pytest.mark.parametrize("edit, argv, named", [
+    (_star_edit("alpha_order", [99, 9, 8, 3, 7, 4]), S_POINT_34_D4, "once each"),
+    (_star_edit("alpha_order", [99, 9, 8, 3, 7, 4]), ("verify", "--family", "34-d4"), "once each"),
+    (_star_edit("self_character", [1, 0, 1]), S_POINT_34_D4, "self_character"),  # <m, (1,3,-1)> = 0
+    (_star_edit("ray", 99), ("verify", "--family", "34-d4"), "isolated ray"),
+    (_star_edit("pinned", {"1": [1, 0], "3": [0, 2]}), S_POINT_34_D4, "lattice basis"),
+])
+def test_bad_star_block_is_one_fixture_error(tmp_path, capsys, monkeypatch, edit, argv, named):
+    dst = _fixture_copy(tmp_path / "fixtures", "scenarios/family-34-d4.json", edit)
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: unreadable fixture: ") and err.count("\n") == 1
+    assert "family-34-d4.json: 'star': " in err and named in err
+
+
+@pytest.mark.parametrize("argv, point", [
+    (("--scenario", "34-d4", "--target", "alpha0:nonsense"), "nonsense"),
+    (("--scenario", "218", "--target", "heart:zz", "--c", "1/2"), "zz"),
+    (("--scenario", "34-surfaces", "--target", "S-weighted:zz"), "zz"),
+])
+def test_unknown_marked_point_is_a_usage_error(capsys, argv, point):
+    code, out, err = run_cli(capsys, "compute", "--op", "s-point", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: unknown marked point {point!r}\n"
+
+
+def test_key_error_inside_a_builder_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(self, target):
+        raise KeyError("weight_vector")
+
+    monkeypatch.setattr(cli.builders.ToricFamily, "toric_s", broken)
+    with pytest.raises(KeyError):
+        cli.main(["compute", "--scenario", "34-d4", "--op", "toric-s", "--target", "G"])
+    assert capsys.readouterr().err == ""
+
+
 def _tamper_table_02(data):
     data["rows"][0]["P"][3] = "5"  # one restriction coefficient
     return data

@@ -1,9 +1,11 @@
 """Fixture integrity and the family re-derivation runs."""
 
+import ast
 import json
 import sys
 import traceback
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from fano_delta.exactmath import Poly, integrate_univariate, parse_poly, q
 from fano_delta.scenarios import (
     FixtureError,
+    UsageError,
     at_c,
     builders,
     default_c_samples,
@@ -72,10 +75,23 @@ def _string_leaves(data):
 def test_build_218_validates_c():
     with pytest.raises(ValueError):
         build_218("easy", F(3, 2))
-    with pytest.raises(KeyError):
+    with pytest.raises(UsageError):
         build_218("nonsense", F(1, 2))
     scenario = build_218("heart", F(1, 2))
     assert scenario.l_cubed == 6 * (1 - F(1, 2)) * (3 - 1) ** 2
+
+
+def test_every_check_is_built_by_compare():
+    # One verdict path: every CheckResult of builders is made in `_compare`,
+    # so `_compare` alone decides PASS, FLAGGED or FAIL.
+    tree = ast.parse(Path(builders.__file__).read_text())
+    compare = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_compare")
+    inside = {id(node) for node in ast.walk(compare)}
+    built = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and id(node) not in inside
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CheckResult"]
+    assert built == []
 
 
 def test_default_c_samples():

@@ -338,9 +338,16 @@ def test_projection_formula_sample(w0):
 # ---------------------------------------------------------------------------
 
 
+# The star block shared by the 34-d4 and 34-a3 fixtures: the pinned images,
+# the alpha order of the surface's curves and the self character.
+PINNED = {1: (1, 0), 3: (0, 1)}
+ALPHA_ORDER = (1, 9, 8, 3, 7, 4)
+SELF_CHARACTER = (1, 0, 0)
+
+
 def test_star_surface_quotient_rays():
     wt = load_fan("d4-wt")
-    star = star_surface(wt, 0, {1: (1, 0), 3: (0, 1)})
+    star = star_surface(wt, 0, PINNED, ALPHA_ORDER, SELF_CHARACTER)
     images = dict(zip(star.adjacent, star.fan2.rays))
     assert images[1] == (1, 0) and images[3] == (0, 1)
     assert images[9] == (1, 2) and images[8] == (1, 3)
@@ -350,23 +357,23 @@ def test_star_surface_quotient_rays():
 
 def test_star_surface_fractional_multiplicities():
     wt = load_fan("a3-wt")
-    star = star_surface(wt, 0, {1: (1, 0), 3: (0, 1)})
-    table = star.restriction_table()
-    assert table[4][1] == F(1, 2)  # T4 restricts with multiplier 1/2
-    assert table[7][1] == F(1, 2)
-    assert table[1][1] == 1
+    star = star_surface(wt, 0, PINNED, ALPHA_ORDER, SELF_CHARACTER)
+    mults = dict(zip(star.adjacent, star.mults))
+    assert mults[4] == F(1, 2)  # T4 restricts with multiplier 1/2
+    assert mults[7] == F(1, 2)
+    assert mults[1] == 1
 
 
 def test_star_surface_restriction_vector():
     wt = load_fan("d4-wt")
-    star = star_surface(wt, 0, {1: (1, 0), 3: (0, 1)})
+    star = star_surface(wt, 0, PINNED, ALPHA_ORDER, SELF_CHARACTER)
     t4 = ToricDivisor(wt, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0])
     restricted = restrict_to_star(star, t4)
     pos = star.adjacent.index(4)
     assert restricted[pos] == Poly.const(1)
     # T0 restricts through the chi_1 relation to -(alpha1+alpha2+alpha3).
     t0 = ToricDivisor(wt, [1] + [0] * 10)
-    r0 = restrict_to_star(star, t0, (1, 0, 0))
+    r0 = restrict_to_star(star, t0)
     by_ray = dict(zip(star.adjacent, r0))
     assert by_ray[1] == Poly.const(-1)
     assert by_ray[8] == Poly.const(-1) and by_ray[9] == Poly.const(-1)
@@ -376,9 +383,47 @@ def test_star_surface_restriction_vector():
 def test_star_requires_valid_basis():
     wt = load_fan("d4-wt")
     with pytest.raises(ValueError):
-        star_surface(wt, 0, {1: (1, 0), 3: (0, 2)})
+        star_surface(wt, 0, {1: (1, 0), 3: (0, 2)}, ALPHA_ORDER, SELF_CHARACTER)
     with pytest.raises(ValueError, match="isolated ray"):
-        star_surface(Fan3([(1, 0, 0)], []), 0, {})
+        star_surface(Fan3([(1, 0, 0)], []), 0, {}, (), SELF_CHARACTER)
+
+
+@pytest.mark.parametrize("order", [
+    ALPHA_ORDER[:-1],  # omits ray 4
+    ALPHA_ORDER + (1,),  # repeats ray 1
+    ALPHA_ORDER[:-1] + (1,),  # repeats ray 1 in place of ray 4
+    ALPHA_ORDER + (5,),  # adds ray 5, not adjacent to ray 0
+    (99,) + ALPHA_ORDER[1:],  # names a ray the fan does not have
+])
+def test_star_order_lists_each_adjacent_ray_once(order):
+    with pytest.raises(ValueError, match="once each"):
+        star_surface(load_fan("d4-wt"), 0, PINNED, order, SELF_CHARACTER)
+
+
+@pytest.mark.parametrize("fan, character", [("d4-wt", (1, 0, 1)), ("a3-wt", (0, 1, 4))])
+def test_star_self_character_must_pair_with_the_star_ray(fan, character):
+    # d4-wt's ray 0 is (1, 3, -1) and a3-wt's is (2, 4, -1): both pair to 0.
+    with pytest.raises(ValueError, match="self_character"):
+        star_surface(load_fan(fan), 0, PINNED, ALPHA_ORDER, character)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fan_name=st.sampled_from(["d4-wt", "a3-wt"]),
+       order=st.permutations(ALPHA_ORDER),
+       coeffs=st.lists(st.integers(-5, 5), min_size=11, max_size=11))
+def test_star_restriction_and_gram_follow_the_curve_order(fan_name, order, coeffs):
+    # The order names the curves and nothing else: each ray restricts to the
+    # same coefficient, and the Gram matrix is the fixture-order one permuted.
+    fan = load_fan(fan_name)
+    reference = star_surface(fan, 0, PINNED, ALPHA_ORDER, SELF_CHARACTER)
+    star = star_surface(fan, 0, PINNED, order, SELF_CHARACTER)
+    assert star.adjacent == tuple(order)
+    d = ToricDivisor(fan, coeffs)
+    assert (dict(zip(star.adjacent, restrict_to_star(star, d)))
+            == dict(zip(reference.adjacent, restrict_to_star(reference, d))))
+    gram, fixed = surface_gram(star.fan2), surface_gram(reference.fan2)
+    at = [ALPHA_ORDER.index(r) for r in order]
+    assert gram == [[fixed[a][b] for b in at] for a in at]
 
 
 def test_surface_gram_quadric():
