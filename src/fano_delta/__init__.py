@@ -12,7 +12,7 @@ Subpackages and modules:
   surfzar     Zariski decompositions on surfaces with rational Gram
               matrices, pseudoeffective thresholds, chamber scans
   flagdelta   S-invariants of flags, correction terms, log discrepancies,
-              beta and delta bounds
+              delta bounds
   scenarios   fixture data and the per-family re-derivation pipelines
   cli         fano-delta command line (verify / compute / report)
 

@@ -121,10 +121,6 @@ class Poly:
             raise ValueError(f"not a constant polynomial: {self}")
         return self.terms.get((0, 0, 0), Fraction(0))
 
-    def variables(self) -> tuple[str, ...]:
-        """Ordered subset of (u, v, c) actually occurring."""
-        return tuple(name for i, name in enumerate(VARS) if any(e[i] for e in self.terms))
-
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 

@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .exactmath import (_VAR_INDEX, Chamber, Poly, Scalar, affine_form, combine, horner, integrate_univariate,
-                        numerators, products, q)
+from .exactmath import (Chamber, Poly, Scalar, affine_form, combine, horner, integrate_univariate, numerators,
+                        products, q)
 from .surfzar import ChamberedDecomposition, ScanError, SurfaceModel, chamber_scan
 
 Vec = tuple[Fraction, ...]
@@ -105,12 +105,6 @@ class FlagScenario:
     def sigma_vec(self) -> Vec:
         return self.sigma if self.sigma else tuple([Fraction(0)] * self.model.n)
 
-    def point(self, name: str) -> MarkedPoint:
-        for pt in self.points:
-            if pt.name == name:
-                return pt
-        raise KeyError(f"no marked point {name!r} in scenario {self.name}")
-
 
 @dataclass(frozen=True)
 class SInvariantResult:
@@ -161,9 +155,9 @@ def s_from_volume(
     for lo, hi, poly in pieces:
         lo, hi = q(lo), q(hi)
         poly = Poly.coerce(poly)
+        total += integrate_univariate(poly, lo, hi)  # "arity mismatch" unless in u alone
         if not _nonneg_on_interval(poly, lo, hi):
             raise ValueError("invalid volume function")
-        total += integrate_univariate(poly, lo, hi)
         last_hi, last_poly = hi, poly
     if last_poly is not None and last_poly(u=last_hi) != 0:
         raise ValueError("invalid volume function")
@@ -172,13 +166,14 @@ def s_from_volume(
 
 def s_curve_flag(scenario: FlagScenario) -> SInvariantResult:
     """S of the flag curve: (3/L^3) [ int P~(u)^2 d(u) du + iint P(u,v)^2 ]."""
-    model = scenario.model
+    gram = scenario.model.gram
     parts: list[tuple[Chamber | str, Fraction]] = []
     factor = Fraction(3) / scenario.l_cubed
     for piece in scenario.pieces:
         if piece.d.is_zero():
             continue
-        p_sq = model.pair(piece.coeffs, piece.coeffs)
+        p = piece.coeffs
+        p_sq = sum((p[i] * p[j] * g for i, row in enumerate(gram) for j, g in enumerate(row) if g), Poly())
         val = factor * integrate_univariate(p_sq * piece.d, piece.u_lo, piece.u_hi)
         parts.append((f"ord-term u[{piece.u_lo},{piece.u_hi}]", val))
     for scan in scenario_scans(scenario):
@@ -189,7 +184,7 @@ def s_curve_flag(scenario: FlagScenario) -> SInvariantResult:
     return SInvariantResult(sum((x for _, x in parts), Fraction(0)), tuple(parts))
 
 
-def f_correction(scenario: FlagScenario, point: MarkedPoint | str) -> Fraction:
+def f_correction(scenario: FlagScenario, point: MarkedPoint) -> Fraction:
     """The point-level correction term F_Q (exact).
 
     Per chamber ord_Q is an integer affine form: the multiplicity-weighted N
@@ -197,10 +192,7 @@ def f_correction(scenario: FlagScenario, point: MarkedPoint | str) -> Fraction:
     from the piece's forms of N'_j and d.  An integer sign test at the
     corners certifies it nonnegative on the chamber.
     """
-    if isinstance(point, str):
-        point = scenario.point(point)
-    model = scenario.model
-    mults = point.ord_coefficients(model.n)
+    mults = point.ord_coefficients(scenario.model.n)
     weights, mden = numerators(mults)
     s = sum(m * x for m, x in zip(mults, scenario.sigma_vec()))
     factor = Fraction(6) / scenario.l_cubed
@@ -227,14 +219,12 @@ def f_correction(scenario: FlagScenario, point: MarkedPoint | str) -> Fraction:
     return total
 
 
-def s_point_flag(scenario: FlagScenario, point: MarkedPoint | str) -> SInvariantResult:
+def s_point_flag(scenario: FlagScenario, point: MarkedPoint) -> SInvariantResult:
     """S of a point of the flag curve: (3/L^3) iint (P.C)^2 + F_Q.
 
     The per-chamber integrals of (P.C)^2 do not depend on the point: they are
     the scans' `curve_terms`, computed once for all points of the scenario.
     """
-    if isinstance(point, str):
-        point = scenario.point(point)
     factor = Fraction(3) / scenario.l_cubed
     parts: list[tuple[Chamber | str, Fraction]] = [
         (ch.chamber, factor * p_dot_sq) for scan in scenario_scans(scenario)
@@ -246,7 +236,7 @@ def s_point_flag(scenario: FlagScenario, point: MarkedPoint | str) -> SInvariant
 
 
 # ---------------------------------------------------------------------------
-# Log discrepancies, differents, beta and delta
+# Log discrepancies, differents and delta
 # ---------------------------------------------------------------------------
 
 
@@ -281,10 +271,6 @@ def a_point_on_curve(
     return out
 
 
-def beta(a: Scalar, s: Scalar) -> Fraction:
-    return q(a) - q(s)
-
-
 def delta_lower_bound(levels: Sequence[tuple[Scalar, Scalar]]) -> Fraction:
     """min over comparison levels of A / S."""
     if not levels:
@@ -304,7 +290,7 @@ def delta_lower_bound(levels: Sequence[tuple[Scalar, Scalar]]) -> Fraction:
 
 
 def _nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
-    """Exact check that the univariate polynomial p is >= 0 on [lo, hi].
+    """Exact check that p, read as a polynomial in u, is >= 0 on [lo, hi].
 
     A Sturm chain of p's square-free part counts its distinct roots in
     half-open intervals (a, b]; bisection, off the roots, isolates each root
@@ -312,13 +298,7 @@ def _nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     point of every stretch between roots, so p's sign there decides.  Every
     sign is that of `horner` on integer numerators.
     """
-    used = p.variables()
-    if len(used) > 1:
-        raise ValueError("arity mismatch")
-    idx = _VAR_INDEX[used[0] if used else "u"]
-    coeffs = [Fraction(0)] * (max((e[idx] for e in p.terms), default=0) + 1)
-    for exp, coef in p.terms.items():
-        coeffs[exp[idx]] += coef
+    coeffs = [p.coefficient((i, 0, 0)) for i in range(p.degree_in("u") + 1)]
     if len(coeffs) == 1:
         return coeffs[0] >= 0
     top = list(numerators(coeffs)[0])

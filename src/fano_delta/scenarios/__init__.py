@@ -68,6 +68,14 @@ class _Record(dict):
         raise FixtureError(f"{self.path}: missing key {key!r}")
 
 
+def lookup(record: _Record, key: str, table, name: str, kind: str):
+    """table[name] for a name read from record[key]; an unknown name is a
+    FixtureError naming the record's file and the key."""
+    if name not in table:
+        raise FixtureError(f"{record.path}: {key!r}: unknown {kind} {name!r}")
+    return table[name]
+
+
 @lru_cache(maxsize=None)
 def fixture(root: Path, relative: str, build: Callable | None = None):
     """The parsed JSON file `relative` under `root`, or `build` of it.

@@ -24,6 +24,7 @@ from . import (
     FixtureError,
     UsageError,
     at_c,
+    default_c_samples,
     fixture,
     fixture_poly,
     fixtures_dir,
@@ -31,6 +32,7 @@ from . import (
     load_model,
     load_scenario_data,
     load_table,
+    lookup,
     rf_eval,
     table_rows,
 )
@@ -354,7 +356,7 @@ class ToricFamily:
             divisors[name] = tuple(fixture_poly(s) for s in coeffs)
         for block in self.data["printed_curve_values"]:
             fan = load_fan(block["model"])
-            d = ToricDivisor(fan, divisors[block["divisor"]])
+            d = ToricDivisor(fan, lookup(block, "divisor", divisors, block["divisor"], "divisor"))
             for key, val in block["values"].items():
                 i, j = (int(x) for x in key.split(","))
                 self._emit(
@@ -437,6 +439,7 @@ class ToricFamily:
     def _check_thresholds(self):
         table = load_table(self.data["star"]["table_threshold"])
         for curve, cells in table["cells"].items():
+            lookup(table, "cells", self.data["curve_cases"], curve, "curve")
             scans = flagdelta.scenario_scans(self.flag_scenario(curve))
             for cell in cells:
                 lo, hi = q(cell["u"][0]), q(cell["u"][1])
@@ -480,6 +483,10 @@ class ToricFamily:
 
     def _check_flag_values(self):
         for curve, case in self.data["curve_cases"].items():
+            points = {point["name"]: point for point in case["points"]}
+            for key in ("different", "check_points"):
+                for name in case[key]:
+                    lookup(case, key, points, name, "marked point")
             s_curve = self.s_curve(curve)
             self._emit(f"S_L(W^G;{curve})", s_curve.value, q(case["expected_s_curve"]))
             self._emit(f"S_L(W^G;{curve}) breakdown sums", s_curve.check(), True)
@@ -520,7 +527,7 @@ def surface_s(name: str) -> Fraction:
 
 
 def surface_beta(name: str) -> Fraction:
-    return flagdelta.beta(1, surface_s(name))
+    return 1 - surface_s(name)
 
 
 def surface_flag(name: str) -> FlagScenario:
@@ -653,8 +660,6 @@ class Case218:
 
 
 def run_218(c_values: Sequence[Fraction] | None = None) -> list[CheckResult]:
-    from . import default_c_samples
-
     data = load_scenario_data("218")
     sid = "218"
     checks: list[CheckResult] = []

@@ -23,8 +23,9 @@ each support's Gram block inverted once per model; thresholds and chamber
 walls are integer walls v = (a + b*u)/d, and every sign, gap, root and
 corner test of a form or wall is exactmath's (`at`, `negative_end`, `gap`,
 `root_inside`, `Chamber.nonnegative`, `Chamber.crossing`).  A Poly (of t, a
-wall or a mismatched cell) is built only for report text.  The pointwise reference
-decomposition and the Poly forms of N and P are test code.
+wall or a mismatched cell) is built only for report text.  The pointwise
+reference decomposition, the Poly pairing of classes and the Poly forms of N
+and P are test code.
 """
 
 from __future__ import annotations
@@ -91,15 +92,12 @@ class SurfaceModel:
         object.__setattr__(self, "curve_names", names)
         object.__setattr__(self, "gram", rows)
         object.__setattr__(self, "generates_pseff", bool(generates_pseff))
-        # Nonzero (i, gram[i][j]) entries of each column j.
-        object.__setattr__(self, "_columns", tuple(
-            tuple((i, row[j]) for i, row in enumerate(rows) if row[j]) for j in range(len(rows))
-        ))
-        # The same columns scaled by the Gram denominator to integers.
+        # The nonzero (i, gram[i][j]) of each column j, scaled by the Gram
+        # denominator to integers; column j is row j, the matrix being symmetric.
         scale = math.lcm(*(x.denominator for row in rows for x in row))
         object.__setattr__(self, "_gram_scale", scale)
         object.__setattr__(self, "_int_columns", tuple(
-            tuple((i, g.numerator * (scale // g.denominator)) for i, g in col) for col in self._columns
+            tuple((i, g.numerator * (scale // g.denominator)) for i, g in enumerate(row) if g) for row in rows
         ))
 
     @property
@@ -132,23 +130,6 @@ class SurfaceModel:
     def _cone(self) -> tuple[list[Vec], list[tuple[int, ...]]]:
         relations = [tuple(v) for v in linalg.nullspace([list(r) for r in self.gram])]
         return relations, _effective_cone_facets(self)
-
-    def pair(self, x: Sequence[Poly | Scalar], y: Sequence[Poly | Scalar]) -> Poly:
-        """Intersection number of two classes given by coefficient vectors."""
-        out: dict = {}
-        for j in range(self.n):
-            for e, c in (self.dot_curve(x, j) * y[j]).terms.items():
-                out[e] = out[e] + c if e in out else c
-        return Poly._make(out)
-
-    def dot_curve(self, x: Sequence[Poly | Scalar], j: int) -> Poly:
-        """Intersection of a class with basis curve j."""
-        out: dict = {}
-        for i, g in self._columns[j]:
-            xi = x[i]
-            for e, c in xi.terms.items() if isinstance(xi, Poly) else (((0, 0, 0), q(xi)),):
-                out[e] = out[e] + c * g if e in out else c * g
-        return Poly._make(out)
 
 
 def _effective_cone_facets(model: SurfaceModel) -> list[tuple[int, ...]]:

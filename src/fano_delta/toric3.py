@@ -63,9 +63,6 @@ class Fan3:
         """Index pairs spanning a 2-dimensional cone of the fan, sorted."""
         return tuple(sorted({pair for cone in self.cones for pair in itertools.combinations(cone, 2)}))
 
-    def cone_set(self) -> frozenset[Cone]:
-        return frozenset(self.cones)
-
     def cones_containing(self, ray_index: int) -> list[Cone]:
         return [c for c in self.cones if ray_index in c]
 
@@ -176,7 +173,7 @@ def _triple(fan: Fan3, i: int, j: int, k: int) -> Fraction:
 
 def _triple_uncached(fan: Fan3, i: int, j: int, k: int) -> Fraction:
     if i != j and j != k and i != k:
-        if (i, j, k) in fan.cone_set():
+        if (i, j, k) in fan.cones:  # i < j < k, as each cone is stored
             det = linalg.det3(fan.rays[i], fan.rays[j], fan.rays[k])
             return Fraction(1, abs(det))
         return Fraction(0)

@@ -9,6 +9,7 @@ from typing import Iterable, NamedTuple, Sequence
 from fano_delta import linalg, lp
 from fano_delta.exactmath import (VARS, Chamber, Poly, Scalar, affine_poly, integrate_univariate, numerators,
                                   q, wall)
+from fano_delta.flagdelta import FlagScenario, MarkedPoint
 from fano_delta.scenarios import builders, c_domain
 from fano_delta.surfzar import (
     ChamberedDecomposition,
@@ -149,7 +150,8 @@ def p_coeffs(ch: ScanChamber) -> tuple[Poly, ...]:
 
 def p_squared(scan: ChamberedDecomposition) -> ChamberFunction:
     """P^2 of a chamber scan as one Poly per chamber."""
-    return ChamberFunction((ch.chamber, scan.model.pair(p_coeffs(ch), p_coeffs(ch))) for ch in scan.chambers)
+    return ChamberFunction((ch.chamber, pair(scan.model, p_coeffs(ch), p_coeffs(ch)))
+                           for ch in scan.chambers)
 
 
 def form_poly(terms, den) -> Poly:
@@ -180,6 +182,11 @@ def reference_integrate_univariate(p: Poly, lo, hi) -> Fraction:
     """The u-integral of p over [lo, hi] from its Poly antiderivative."""
     anti = antiderivative(p, "u")
     return anti(u=q(hi)) - anti(u=q(lo))
+
+
+def marked_point(scenario: FlagScenario, name: str) -> MarkedPoint:
+    """The marked point of a flag scenario by its name."""
+    return next(p for p in scenario.points if p.name == name)
 
 
 def build_218(case: str, c: Fraction):
@@ -364,7 +371,7 @@ class ZariskiDecomposition:
             if self.negative.coeffs[j].as_fraction() < 0:
                 problems.append(f"negative coefficient at {model.curve_names[j]}")
         for j in range(model.n):
-            val = model.dot_curve(self.positive.coeffs, j).as_fraction()
+            val = dot_curve(model, self.positive.coeffs, j).as_fraction()
             if j in self.support and val != 0:
                 problems.append(f"P.{model.curve_names[j]} = {val} != 0 on support")
             if val < 0:
@@ -412,6 +419,21 @@ def _dot(model: SurfaceModel, x, j: int) -> Fraction:
     return sum((x[i] * model.gram[i][j] for i in range(model.n)), Fraction(0))
 
 
+def dot_curve(model: SurfaceModel, x: Sequence[Poly | Scalar], j: int) -> Poly:
+    """Intersection of a class, given by its coefficient vector, with basis curve j."""
+    out: dict = {}
+    for xi, row in zip(x, model.gram):
+        if row[j]:
+            for e, c in Poly.coerce(xi).terms.items():
+                out[e] = out.get(e, 0) + c * row[j]
+    return Poly(out)
+
+
+def pair(model: SurfaceModel, x: Sequence[Poly | Scalar], y: Sequence[Poly | Scalar]) -> Poly:
+    """Intersection number of two classes given by coefficient vectors."""
+    return sum((dot_curve(model, x, j) * y[j] for j in range(model.n)), Poly())
+
+
 def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
@@ -420,7 +442,7 @@ def _expand_support(model: SurfaceModel, coeffs: Sequence, sign, dot) -> tuple[l
     """Support-growing decomposition loop.
 
     Runs on rational coefficients with ``dot = _dot`` and on symbolic ones
-    with ``dot = model.dot_curve``.  ``sign`` maps an intersection value to
+    with ``dot = dot_curve``.  ``sign`` maps an intersection value to
     its sign at the evaluation point; using one-sided signs lets the same
     loop compute the support valid just beyond a chamber boundary.  Returns
     (support, negative coefficients on the support).
@@ -508,12 +530,12 @@ def _reference_columns(model, family, piece: ThresholdPiece, u0: Fraction) -> li
             b = value.coefficient((0, 1, 0))
             return _sign(value.coefficient((0, 0, 0)) + b * v_cur) or _sign(b)
 
-        support, _ = _expand_support(model, fam_u0, sign_above, model.dot_curve)
+        support, _ = _expand_support(model, fam_u0, sign_above, lambda x, k: dot_curve(model, x, k))
         support = tuple(support)
         n_sym, p_sym = _reference_decomposition(model, family, support)
         v_next, boundary = t_at, None
         for fn in [n_sym[j] for j in support] + [
-                model.dot_curve(p_sym, k) for k in range(model.n) if k not in support]:
+                dot_curve(model, p_sym, k) for k in range(model.n) if k not in support]:
             at_u0 = fn.subs(u=u0)
             a, b = at_u0.coefficient((0, 0, 0)), at_u0.coefficient((0, 1, 0))
             if b < 0 and v_cur < -a / b < v_next:
@@ -533,7 +555,7 @@ def _reference_decomposition(model, family, support):
     if support:
         sub = [[model.gram[i][j] for j in support] for i in support]
         try:
-            n_vals = fraction_solve(sub, [model.dot_curve(family, i) for i in support])
+            n_vals = fraction_solve(sub, [dot_curve(model, family, i) for i in support])
         except ValueError as exc:
             raise ConeAssumptionError("cone assumption violated") from exc
         for j, val in zip(support, n_vals):
@@ -568,7 +590,7 @@ def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ReferenceC
         for j in support:
             check(n_sym[j], "negative support coefficient in chamber")
         for k in range(model.n):
-            val = model.dot_curve(p_sym, k)
+            val = dot_curve(model, p_sym, k)
             if k in support:
                 if not val.is_zero():
                     raise RuntimeError("support orthogonality failed symbolically")
@@ -858,15 +880,12 @@ def reference_polytope_vertices(p: HPolytope) -> list[tuple[Fraction, Fraction, 
 
 
 def reference_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
-    """Whether the univariate p is >= 0 on [lo, hi]: the Sturm chain of p
+    """Whether p, read as a polynomial in u, is >= 0 on [lo, hi]: the Sturm chain of p
     itself counts the roots, bisection isolates them, and every sign is a
     Fraction evaluation of the chain.  The oracle of the integer-sign test in
     flagdelta where neither end is a root; with a root at an end it can
     answer wrongly or bisect until its guard raises."""
-    var = (p.variables() or ("u",))[0]
-    coeffs = [Fraction(0)] * (p.degree_in(var) + 1)
-    for exp, coef in p.terms.items():
-        coeffs[exp[VARS.index(var)]] += coef
+    coeffs = [p.coefficient((i, 0, 0)) for i in range(p.degree_in("u") + 1)]
     if len(coeffs) == 1:
         return coeffs[0] >= 0
     if _eval_dense(coeffs, lo) < 0 or _eval_dense(coeffs, hi) < 0:

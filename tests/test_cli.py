@@ -50,9 +50,10 @@ def test_compute_218_requires_c(capsys):
 
 
 def test_compute_usage_error(capsys):
-    code, _, err = run_cli(capsys, "compute", "--scenario", "34-d4",
-                           "--op", "s-curve", "--target", "alpha9")
-    assert code == 2 and "alpha9" in err
+    # A curve name given on the command line, not one a fixture reads.
+    code, out, err = run_cli(capsys, "compute", "--scenario", "34-d4",
+                             "--op", "s-curve", "--target", "alpha9")
+    assert (code, out, err) == (2, "", "error: unknown curve 'alpha9'\n")
 
 
 def test_compute_decimal_marked_approximate(capsys):
@@ -203,6 +204,49 @@ def test_key_error_inside_a_builder_is_not_a_usage_error(capsys, monkeypatch):
     with pytest.raises(KeyError):
         cli.main(["compute", "--scenario", "34-d4", "--op", "toric-s", "--target", "G"])
     assert capsys.readouterr().err == ""
+
+
+def _rename_threshold_curve(data):
+    data["cells"]["alpha9"] = data["cells"].pop("alpha1")
+    return data
+
+
+def _rename_check_point(data):
+    case = data["curve_cases"]["alpha1"]
+    case["check_points"] = ["Q99" if name == "Q16" else name for name in case["check_points"]]
+    return data
+
+
+def _rename_different_point(data):
+    different = data["curve_cases"]["alpha1"]["different"]
+    different["Q99"] = different.pop("Q16")
+    return data
+
+
+def _unknown_printed_divisor(data):
+    data["printed_curve_values"][0]["divisor"] = "Z"
+    return data
+
+
+@pytest.mark.parametrize("relative, edit, named", [
+    ("tables/table-03.json", _rename_threshold_curve, "table-03.json: 'cells': unknown curve 'alpha9'"),
+    ("scenarios/family-34-d4.json", _rename_check_point,
+     "family-34-d4.json: 'check_points': unknown marked point 'Q99'"),
+    ("scenarios/family-34-d4.json", _rename_different_point,
+     "family-34-d4.json: 'different': unknown marked point 'Q99'"),
+    ("scenarios/family-34-d4.json", _unknown_printed_divisor,
+     "family-34-d4.json: 'divisor': unknown divisor 'Z'"),
+], ids=["threshold-curve", "check-point", "different-point", "printed-divisor"])
+def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit,
+                                                        named):
+    # A name a fixture reads that nothing defines ends the run with one line
+    # naming the file and key: no check drops out silently.
+    dst = _fixture_copy(tmp_path / "fixtures", relative, edit)
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    code, out, err = run_cli(capsys, "verify", "--family", "34-d4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: unreadable fixture: ") and err.count("\n") == 1
+    assert named in err
 
 
 def _tamper_table_02(data):

@@ -58,11 +58,6 @@ def test_canonical_terms_and_equality():
     assert p.terms.get((1, 0, 0)) is None  # no zero coefficients stored
 
 
-def test_variables_are_ordered_subset():
-    assert ((U + C) * V).variables() == ("u", "v", "c")
-    assert Poly.const(3).variables() == ()
-
-
 def test_parse_round_trip_on_table_style_expressions():
     for text in ("(8-u-3*v)/3", "u/2-2*v", "3*(4*v-u+1)/4", "-v", "2", "(7-6*c-u-v)^2/2"):
         p = parse_poly(text)

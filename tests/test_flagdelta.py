@@ -17,7 +17,6 @@ from fano_delta.flagdelta import (
     FlagScenario,
     MarkedPoint,
     a_point_on_curve,
-    beta,
     delta_lower_bound,
     f_correction,
     log_discrepancy_weighted,
@@ -28,8 +27,8 @@ from fano_delta.flagdelta import (
 )
 from fano_delta.scenarios import builders, load_model
 
-from helpers import (form_poly, integrate_poly, n_coeffs, p_coeffs, reference_integrate_chamber,
-                     reference_nonneg_on_interval)
+from helpers import (form_poly, integrate_poly, marked_point, n_coeffs, p_coeffs, pair,
+                     reference_integrate_chamber, reference_nonneg_on_interval)
 
 
 def weighted_scenario():
@@ -152,16 +151,16 @@ def test_s_curve_weighted_case():
 
 def test_s_point_values_weighted_case():
     sc = weighted_scenario()
-    assert s_point_flag(sc, "generic").value == F(3, 16)
-    assert s_point_flag(sc, "q").value == F(2, 9)
-    assert s_point_flag(sc, "z").value == F(1, 2)
+    assert s_point_flag(sc, marked_point(sc, "generic")).value == F(3, 16)
+    assert s_point_flag(sc, marked_point(sc, "q")).value == F(2, 9)
+    assert s_point_flag(sc, marked_point(sc, "z")).value == F(1, 2)
 
 
 def test_f_correction_examples():
     sc = weighted_scenario()
-    assert f_correction(sc, "generic") == 0
+    assert f_correction(sc, marked_point(sc, "generic")) == 0
     # Derived: difference of the point total and the base double integral.
-    assert f_correction(sc, "q") == F(2, 9) - F(3, 16) == F(5, 144)
+    assert f_correction(sc, marked_point(sc, "q")) == F(2, 9) - F(3, 16) == F(5, 144)
 
 
 def test_f_correction_is_point_total_minus_base():
@@ -170,10 +169,10 @@ def test_f_correction_is_point_total_minus_base():
     base = F(0)
     for scan in scenario_scans(sc):
         for ch in scan.chambers:
-            p_dot = model.pair(p_coeffs(ch), sc.curve_class)
+            p_dot = pair(model, p_coeffs(ch), sc.curve_class)
             base += F(3, 9) * integrate_poly(p_dot * p_dot, ch.chamber)
-    for name in ("z", "q", "generic"):
-        assert s_point_flag(sc, name).value == base + f_correction(sc, name)
+    for pt in sc.points:
+        assert s_point_flag(sc, pt).value == base + f_correction(sc, pt)
 
 
 def count_point_free_integrals(monkeypatch, sc):
@@ -182,7 +181,7 @@ def count_point_free_integrals(monkeypatch, sc):
     squares = {}
     for scan in scenario_scans(sc):
         for ch in scan.chambers:
-            p_dot = sc.model.pair(p_coeffs(ch), sc.curve_class)
+            p_dot = pair(sc.model, p_coeffs(ch), sc.curve_class)
             squares[ch.chamber] = p_dot * p_dot
     counts = dict.fromkeys(squares, 0)
     integrate = Chamber.integrate
@@ -214,7 +213,7 @@ def test_point_breakdown_matches_per_point_formula():
         for scan in scenario_scans(sc):
             for ch in scan.chambers:
                 c = ch.chamber
-                p_dot = model.pair(p_coeffs(ch), sc.curve_class)
+                p_dot = pair(model, p_coeffs(ch), sc.curve_class)
                 want.append((f"u[{c.u_lo},{c.u_hi}] v[{c.v_lo},{c.v_hi}]",
                              factor * reference_integrate_chamber(p_dot * p_dot, c)))
                 ord_poly = sum((n_coeffs(ch)[j] * mults[j] for j in range(model.n)), Poly())
@@ -258,15 +257,9 @@ def test_delta_scaling_invariance():
     assert delta_lower_bound(levels) == delta_lower_bound(scaled)
 
 
-def test_beta():
-    assert beta(1, F(5, 9)) == F(4, 9)
-    assert beta(1, 1) == 0
-    assert beta(1, F(7, 9)) == F(2, 9)
-
-
 def test_breakdown_additivity():
     sc = weighted_scenario()
-    for result in (s_curve_flag(sc), s_point_flag(sc, "z")):
+    for result in (s_curve_flag(sc), s_point_flag(sc, marked_point(sc, "z"))):
         assert result.value == sum((x for _, x in result.breakdown), F(0))
 
 
@@ -282,7 +275,7 @@ def test_invalid_correction_data_detected():
         points=(MarkedPoint("z", F(1), ((1, F(1)),)),),
     )
     with pytest.raises(ValueError, match="invalid correction data"):
-        f_correction(sc, "z")
+        f_correction(sc, marked_point(sc, "z"))
 
 
 def test_non_affine_order_is_rejected():
@@ -298,7 +291,7 @@ def test_non_affine_order_is_rejected():
         points=(MarkedPoint("z", F(1), ((1, F(1)),)),),
     )
     with pytest.raises(ValueError, match="invalid correction data"):
-        f_correction(sc, "z")
+        f_correction(sc, marked_point(sc, "z"))
 
 
 def module_cache_sizes():

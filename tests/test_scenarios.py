@@ -25,7 +25,7 @@ from fano_delta.scenarios import (
     table_rows,
 )
 
-from helpers import build_218, integrate_poly, p_coeffs, poly_chamber
+from helpers import build_218, integrate_poly, marked_point, p_coeffs, pair, poly_chamber
 
 
 def test_fixture_files_round_trip():
@@ -128,7 +128,7 @@ def test_flag_scenario_values_recomputable_from_clean_tables(family_runs):
         total = F(0)
         for row in table_rows(table_id):
             chamber = poly_chamber(row.u_lo, row.u_hi, row.v_lo, row.v_hi)
-            p_sq = model.pair(row.p, row.p)
+            p_sq = pair(model, row.p, row.p)
             total += F(3, 9) * integrate_poly(p_sq, chamber)
         if curve == "alpha1":
             # ord-term of the ambient negative part along alpha1 (table 9).
@@ -139,7 +139,7 @@ def test_flag_scenario_values_recomputable_from_clean_tables(family_runs):
                 if d.is_zero():
                     continue
                 p_tilde = [parse_poly(s) for s in raw["P"]]
-                p_sq = model.pair(p_tilde, p_tilde)
+                p_sq = pair(model, p_tilde, p_tilde)
                 total += F(3, 9) * integrate_univariate(p_sq * d, lo, hi)
         assert total == expected
 
@@ -168,14 +168,15 @@ def test_point_value_recomputable_from_clean_tables(family_runs):
     total = F(0)
     for row in table_rows("table-11"):
         chamber = poly_chamber(row.u_lo, row.u_hi, row.v_lo, row.v_hi)
-        p_dot = model.pair(row.p, e1)
+        p_dot = pair(model, row.p, e1)
         total += F(3, 9) * integrate_poly(p_dot * p_dot, chamber)
     assert total == F(1, 9)
     from fano_delta import flagdelta
 
     scenario = family.flag_scenario("alpha1")
-    assert flagdelta.f_correction(scenario, "Q16") == 0
-    assert flagdelta.s_point_flag(scenario, "Q16").value == total
+    q16 = marked_point(scenario, "Q16")
+    assert flagdelta.f_correction(scenario, q16) == 0
+    assert flagdelta.s_point_flag(scenario, q16).value == total
 
 
 def test_218_closed_forms_at_stress_weights():
@@ -223,9 +224,9 @@ def test_heart_piecewise_formulas_symbolically(c, regimes):
             for v_lo, v_hi, p_sq, p_dot in branches:
                 if (parse_poly(v_lo).subs(c=c) == ch.chamber.v_lo
                         and parse_poly(v_hi).subs(c=c) == ch.chamber.v_hi):
-                    assert model.pair(p_coeffs(ch), p_coeffs(ch)) == \
+                    assert pair(model, p_coeffs(ch), p_coeffs(ch)) == \
                         parse_poly(p_sq).subs(c=c)
-                    assert model.pair(p_coeffs(ch), scenario.curve_class) == \
+                    assert pair(model, p_coeffs(ch), scenario.curve_class) == \
                         parse_poly(p_dot).subs(c=c)
                     matched += 1
                     break
@@ -263,9 +264,9 @@ def test_diamond_piecewise_formulas_symbolically():
             for v_lo, v_hi, p_sq, p_dot in branches:
                 if (parse_poly(v_lo).subs(c=c) == ch.chamber.v_lo
                         and parse_poly(v_hi).subs(c=c) == ch.chamber.v_hi):
-                    assert model.pair(p_coeffs(ch), p_coeffs(ch)) == \
+                    assert pair(model, p_coeffs(ch), p_coeffs(ch)) == \
                         parse_poly(p_sq).subs(c=c)
-                    assert model.pair(p_coeffs(ch), scenario.curve_class) == \
+                    assert pair(model, p_coeffs(ch), scenario.curve_class) == \
                         parse_poly(p_dot).subs(c=c)
                     matched += 1
                     break
@@ -289,9 +290,9 @@ def _match_branches(case, c, regimes):
             for v_lo, v_hi, p_sq, p_dot in branches:
                 if (parse_poly(v_lo).subs(c=c) == ch.chamber.v_lo
                         and parse_poly(v_hi).subs(c=c) == ch.chamber.v_hi):
-                    assert model.pair(p_coeffs(ch), p_coeffs(ch)) == \
+                    assert pair(model, p_coeffs(ch), p_coeffs(ch)) == \
                         parse_poly(p_sq).subs(c=c), (case, c, v_lo)
-                    assert model.pair(p_coeffs(ch), scenario.curve_class) == \
+                    assert pair(model, p_coeffs(ch), scenario.curve_class) == \
                         parse_poly(p_dot).subs(c=c), (case, c, v_lo)
                     matched += 1
                     break

@@ -22,6 +22,7 @@ from helpers import (
     SurfDivisor,
     check_continuity,
     curve_vector,
+    dot_curve,
     evaluate,
     form_poly,
     interpolate,
@@ -29,6 +30,7 @@ from helpers import (
     n_coeffs,
     p_coeffs,
     p_squared,
+    pair,
     pseff_threshold,
     random_pseudoeffective,
     reference_chamber_scan,
@@ -82,7 +84,7 @@ def test_model_validation():
 def test_relations_annihilate_numerically(d4):
     for rel in d4.relations():
         for j in range(d4.n):
-            assert d4.dot_curve(rel, j).is_zero()
+            assert dot_curve(d4, rel, j).is_zero()
     assert len(d4.relations()) == 2
 
 
@@ -125,11 +127,16 @@ def models_and_classes(draw):
 @settings(max_examples=200, deadline=None)
 @given(models_and_classes())
 def test_sparse_gram_kernel_matches_reference(case):
+    # The integer Gram columns of the scans, over the Gram scale, and the
+    # Poly oracles of the tests both agree with the term-by-term expansion.
     model, x, y = case
     for j in range(model.n):
-        got = model.dot_curve(x, j)
-        assert isinstance(got, Poly) and got == reference_dot_curve(model, x, j)
-    got = model.pair(x, y)
+        want = reference_dot_curve(model, x, j)
+        scaled = sum((Poly.coerce(x[i]) * g for i, g in model._int_columns[j]), Poly())
+        assert all(g for _, g in model._int_columns[j]) and scaled / model._gram_scale == want
+        got = dot_curve(model, x, j)
+        assert isinstance(got, Poly) and got == want
+    got = pair(model, x, y)
     assert isinstance(got, Poly) and got == reference_pair(model, x, y)
     assert all(c != 0 for c in got.terms.values())
 
@@ -163,7 +170,7 @@ def test_heart_decomposition_against_printed_formulas(heart):
     assert [x.as_fraction() for x in dec.negative.coeffs] == [0, n_f, n_s]
     # P = (7-6c-u-v)/2 * (s + 2f + 2z) = z + f + s/2 at this point.
     assert [x.as_fraction() for x in dec.positive.coeffs] == [1, 1, F(1, 2)]
-    p_sq = heart.pair(dec.positive.coeffs, dec.positive.coeffs).as_fraction()
+    p_sq = pair(heart, dec.positive.coeffs, dec.positive.coeffs).as_fraction()
     assert p_sq == (7 - 6 * c - u - v) ** 2 / 2 == F(1, 2)
     assert dec.validate() == []
 
@@ -458,7 +465,7 @@ def test_scan_boundary_well_posedness(d4):
         coeffs = [b.subs(u=u0) - t * c for b, c in zip(base, cvec)]
         dec = zariski_decompose(d4, SurfDivisor(d4, coeffs))
         assert dec.validate() == []
-        assert d4.pair(dec.positive.coeffs, dec.positive.coeffs).as_fraction() >= 0
+        assert pair(d4, dec.positive.coeffs, dec.positive.coeffs).as_fraction() >= 0
 
 
 def test_scan_follows_a_curve_leaving_the_support(heart):
@@ -785,12 +792,12 @@ def test_p_squared_reconstruction_by_interpolation(d4):
     for v0 in (F(1, 16), F(1, 8), F(1, 4), F(3, 8)):
         coeffs = [b - (v0 if i == 0 else 0) for i, b in enumerate(base)]
         dec = zariski_decompose(d4, SurfDivisor(d4, coeffs))
-        samples.append(((v0,), d4.pair(dec.positive.coeffs, dec.positive.coeffs).as_fraction()))
+        samples.append(((v0,), pair(d4, dec.positive.coeffs, dec.positive.coeffs).as_fraction()))
     reconstructed = interpolate(samples, 2, ("v",))
     scan = chamber_scan(d4, [parse_poly(s) for s in ["u-6", "u-2", "u", "2", "6", "0"]],
                         curve_vector(d4, 0), 0, 1)
     (chamber,) = scan.chambers
-    symbolic = d4.pair(p_coeffs(chamber), p_coeffs(chamber)).subs(u=u0)
+    symbolic = pair(d4, p_coeffs(chamber), p_coeffs(chamber)).subs(u=u0)
     assert reconstructed == symbolic
 
 
@@ -879,9 +886,9 @@ def test_family_scans_integer_forms_equal_the_pairings(monkeypatch):
         model = scan.model
         for ch, (pc, pden, pc_sq) in zip(scan.chambers, scan.curve_terms):
             forms = ch.forms
-            assert form_poly(products(zip(forms.p, forms.pc)), forms.den**2) == model.pair(
-                p_coeffs(ch), p_coeffs(ch))
-            p_dot = model.pair(p_coeffs(ch), scan.curve)
+            assert form_poly(products(zip(forms.p, forms.pc)), forms.den**2) == pair(
+                model, p_coeffs(ch), p_coeffs(ch))
+            p_dot = pair(model, p_coeffs(ch), scan.curve)
             assert form_poly(dict(zip(((0, 0), (1, 0), (0, 1)), pc)), pden) == p_dot
             assert form_poly(products([(pc, pc)]), pden**2) == p_dot * p_dot
             assert pc_sq == reference_integrate_chamber(p_dot * p_dot, ch.chamber)

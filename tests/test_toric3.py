@@ -151,7 +151,7 @@ def reference_triple(fan, i, j, k):
     a 3x3 Fraction solve."""
     i, j, k = sorted((i, j, k))
     if i != j and j != k:
-        if (i, j, k) in fan.cone_set():
+        if (i, j, k) in fan.cones:
             return F(1, abs(linalg.det3(fan.rays[i], fan.rays[j], fan.rays[k])))
         return F(0)
     rep = i if i == j else k
