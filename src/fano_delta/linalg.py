@@ -117,11 +117,6 @@ def nullspace(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def column_space_basis(a: Sequence[Sequence[Fraction]]) -> list[int]:
-    """Indices of a maximal set of linearly independent columns of a."""
-    return _eliminate(a, len(a[0]))[1] if a else []
-
-
 def det3(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> int:
     """Determinant of the 3x3 matrix with rows u, v, w.
 

@@ -76,6 +76,15 @@ def lookup(record: _Record, key: str, table, name: str, kind: str):
     return table[name]
 
 
+def curve_index(record: _Record, key: str, index, n: int) -> int:
+    """The curve index read from record[key]; anything but an int or digit
+    string below n is a FixtureError naming the record's file and the key."""
+    text = str(index)
+    if not (text.isdecimal() and int(text) < n):
+        raise FixtureError(f"{record.path}: {key!r}: {index!r} is no curve index of {n} curves")
+    return int(text)
+
+
 @lru_cache(maxsize=None)
 def fixture(root: Path, relative: str, build: Callable | None = None):
     """The parsed JSON file `relative` under `root`, or `build` of it.
@@ -96,7 +105,9 @@ def fixture(root: Path, relative: str, build: Callable | None = None):
 
 
 def _model_from_dict(data) -> SurfaceModel:
-    return SurfaceModel(data["curves"], data["gram"], data.get("generates_pseff", True))
+    if data.get("generates_pseff", True) is not True:  # every scan assumes it
+        raise FixtureError(f"{data.path}: 'generates_pseff': only true is supported")
+    return SurfaceModel(data["curves"], data["gram"])
 
 
 def load_fan(name: str) -> Fan3:

@@ -17,13 +17,14 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .. import flagdelta, linalg, surfzar, toric3
-from ..exactmath import Poly, integrate_univariate, q
+from ..exactmath import Poly, q
 from ..flagdelta import BasePiece, FlagScenario, MarkedPoint, SInvariantResult
 from ..toric3 import CurveClass, Fan3, ToricDivisor
 from . import (
     FixtureError,
     UsageError,
     at_c,
+    curve_index,
     default_c_samples,
     fixture,
     fixture_poly,
@@ -197,15 +198,15 @@ class ToricFamily:
         if curve in self._scenarios:
             return self._scenarios[curve]
         case = _named(self.data["curve_cases"], curve, "curve")
-        cvec = tuple(q(x) for x in case["class"])
+        cvec = _curve_class(case, self.surface.n)
         is_basis = sum(1 for x in cvec if x != 0) == 1
-        curve_index = next(i for i, x in enumerate(cvec) if x != 0) if is_basis else None
+        index = next(i for i, x in enumerate(cvec) if x != 0) if is_basis else None
         pieces = []
         for lo, hi, ptilde, ntilde in self.surface_pieces:
             if is_basis:
-                d = ntilde[curve_index]
+                d = ntilde[index]
                 nprime = tuple(
-                    ntilde[i] - (d if i == curve_index else Poly())
+                    ntilde[i] - (d if i == index else Poly())
                     for i in range(self.surface.n)
                 )
             else:
@@ -218,7 +219,7 @@ class ToricFamily:
             curve_class=cvec,
             pieces=tuple(pieces),
             sigma=tuple(q(x) for x in case["sigma"]),
-            points=_marked_points(case["points"], q),
+            points=_marked_points(case["points"], q, self.surface.n),
             curve_a=q(case["curve_a"]),
         )
         self._scenarios[curve] = scenario
@@ -395,11 +396,9 @@ class ToricFamily:
                            p_res.coeffs[ray], p_res.coeffs[ray] + n_res.coeffs[ray])
 
     def _check_volume_route(self):
-        total = Fraction(0)
-        for lo, hi, p_res, _ in self.resolved_decomposition:
-            cube = toric3.intersection_number(p_res, p_res, p_res)
-            total += integrate_univariate(cube, lo, hi)
-        s_val = total / q(self.data["expected"]["L^3"])
+        volume = [(lo, hi, toric3.intersection_number(p_res, p_res, p_res))
+                  for lo, hi, p_res, _ in self.resolved_decomposition]
+        s_val = flagdelta.s_from_volume(q(self.data["expected"]["L^3"]), volume)
         self._emit("S_L(G) [volume of positive parts]", s_val,
                    q(self.data["expected"]["S_L(G)"]))
 
@@ -419,10 +418,11 @@ class ToricFamily:
                                 lambda x, idx, col: x[idx])
 
     def _check_sigmas(self):
-        contracted = self.data["star"]["contracted"]
+        star, n = self.data["star"], self.surface.n
+        contracted = [curve_index(star, "contracted", a, n) for a in star["contracted"]]
         for curve, case in self.data["curve_cases"].items():
             stored = [q(x) for x in case["sigma"]]
-            cvec = [q(x) for x in case["class"]]
+            cvec = _curve_class(case, n)
             if sum(1 for x in cvec if x != 0) != 1:
                 self._emit(f"sigma({curve})", stored,
                            [Fraction(0)] * self.surface.n)
@@ -537,8 +537,7 @@ def surface_flag(name: str) -> FlagScenario:
         BasePiece(q(p["u"][0]), q(p["u"][1]), tuple(fixture_poly(s) for s in p["base"]))
         for p in spec["pieces"]
     )
-    return _basis_curve_flag(f"{SURFACES}:{name}", spec, q(data["l_cubed"]), pieces,
-                             _marked_points(spec["points"], q))
+    return _basis_curve_flag(f"{SURFACES}:{name}", spec, q(data["l_cubed"]), pieces, q)
 
 
 def surface_s_curve(name: str) -> SInvariantResult:
@@ -579,24 +578,34 @@ def run_34_surfaces() -> list[CheckResult]:
     return checks
 
 
-def _basis_curve_flag(name, spec, l_cubed, pieces, points, **extra) -> FlagScenario:
-    """Flag scenario whose curve is the basis curve spec["curve"] of spec["model"]."""
+def _basis_curve_flag(name, spec, l_cubed, pieces, value, **extra) -> FlagScenario:
+    """Flag scenario whose curve is the basis curve spec["curve"] of
+    spec["model"], each log discrepancy of its marked points read by `value`."""
     model = load_model(spec["model"])
-    curve = int(spec["curve"])
+    curve = curve_index(spec, "curve", spec["curve"], model.n)
     return FlagScenario(
         name=name, l_cubed=l_cubed, model=model,
         curve_class=tuple(Fraction(int(i == curve)) for i in range(model.n)),
-        pieces=pieces, points=points, **extra,
+        pieces=pieces, points=_marked_points(spec["points"], value, model.n), **extra,
     )
 
 
-def _marked_points(specs, value) -> tuple[MarkedPoint, ...]:
-    """Marked points of a fixture, each log discrepancy read by `value`."""
+def _marked_points(specs, value, n: int) -> tuple[MarkedPoint, ...]:
+    """Marked points of a fixture on a model of n curves, each log
+    discrepancy read by `value`."""
     return tuple(
         MarkedPoint(p["name"], value(p["a"]),
-                    tuple((int(k), q(v)) for k, v in sorted(p["mults"].items())))
+                    tuple((curve_index(p, "mults", k, n), q(v)) for k, v in sorted(p["mults"].items())))
         for p in specs
     )
+
+
+def _curve_class(case, n: int) -> tuple[Fraction, ...]:
+    """case["class"] as n rationals; another length is a FixtureError."""
+    cvec = tuple(q(x) for x in case["class"])
+    if len(cvec) != n:
+        raise FixtureError(f"{case.path}: 'class': {len(cvec)} entries for {n} curves")
+    return cvec
 
 
 def _named(table, name: str, kind: str):
@@ -628,8 +637,7 @@ class Case218:
         self.name, self.c, self.spec = name, c, spec
         base = BasePiece(Fraction(0), rf_eval(spec["u_hi"], c), tuple(at_c(s, c) for s in spec["base"]))
         self.scenario = _basis_curve_flag(
-            f"218-{name}@c={c}", spec, rf_eval(data["l_cubed"], c), (base,),
-            _marked_points(spec["points"], lambda a: rf_eval(a, c)),
+            f"218-{name}@c={c}", spec, rf_eval(data["l_cubed"], c), (base,), lambda a: rf_eval(a, c),
             curve_a=rf_eval(spec["curve_a"], c))
         self._s_points: dict[str, SInvariantResult] = {}
 

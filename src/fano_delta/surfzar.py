@@ -1,41 +1,41 @@
 """Zariski decompositions on surfaces presented by a curve basis.
 
 A surface model is a list of curve names plus the exact rational Gram matrix
-of their intersection numbers, together with the declared assumption that
-the curves generate the pseudoeffective cone (and hence span the numerical
-lattice, so numerical relations among them are exactly the kernel of the
-Gram matrix).  Fractional self-intersections are first-class: the models
-here include singular del Pezzo surfaces and quotient toric surfaces.
+of their intersection numbers; the curves are assumed to generate the
+pseudoeffective cone (and hence span the numerical lattice, so numerical
+relations among them are exactly the kernel of the Gram matrix).
+Fractional self-intersections are first-class: the models here include
+singular del Pezzo surfaces and quotient toric surfaces.
 
-Thresholds are an exact facet envelope, each piece proved on its whole
-u-interval by an optimal basis of the exact threshold LP.  The chamber scan
-finds the supports above one sample u by the classical iterative scheme
-(add every curve that meets the candidate positive part negatively, en
-bloc, and make the positive part orthogonal to the support), solves each
-support for N and P as affine functions of (u, v), and proves the result on
-the whole chamber: the Zariski conditions are affine, so corner checks,
-support-orthogonality identities and a negative definite support block are
-a complete certificate, and any failure exhibits an exact crossing point to
-split at.  A printed table row is checked against the scan one row at a
-time (`row_mismatches`).  The threshold envelope, the scan and the row
-check run on integer numerators over one denominator per support, with
-each support's Gram block inverted once per model; thresholds and chamber
-walls are integer walls v = (a + b*u)/d, and every sign, gap, root and
-corner test of a form or wall is exactmath's (`at`, `negative_end`, `gap`,
-`root_inside`, `Chamber.nonnegative`, `Chamber.crossing`).  A Poly (of t, a
-wall or a mismatched cell) is built only for report text.  The pointwise
-reference decomposition, the Poly pairing of classes and the Poly forms of N
-and P are test code.
+The threshold t(u) is the exact threshold LP, walked parametrically over its
+bases, with no facet envelope: an optimal basis gives t on the interval where
+its basic variables stay >= 0, certified by its reduced costs and their
+signs at both ends.  The chamber scan finds the supports above one sample u
+by the classical iterative scheme (add every curve that meets the candidate
+positive part negatively, en bloc, and make the positive part orthogonal to
+the support), solves each support for N and P as affine functions of (u, v),
+and proves the result on the whole chamber: the Zariski conditions are
+affine, so corner checks, support-orthogonality identities and a negative
+definite support block are a complete certificate, and any failure exhibits
+an exact crossing point to split at.  A printed table row is checked against
+the scan one row at a time (`row_mismatches`).  The threshold walk, the scan
+and the row check run on integer numerators over one denominator per
+support, with each support's Gram block inverted once per model; thresholds
+and chamber walls are integer walls v = (a + b*u)/d, and every sign, gap,
+root and corner test of a form or wall is exactmath's (`at`, `negative_end`,
+`gap`, `root_inside`, `Chamber.nonnegative`, `Chamber.crossing`).  A Poly (of
+t, a wall or a mismatched cell) is built only for report text.  The
+reference decomposition, the facet envelope, the Poly pairing of classes and
+the Poly forms of N and P are test code.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import linalg, lp
 from .exactmath import (Chamber, Form, Poly, Scalar, affine_form, affine_poly, at, combine, gap, lowest,
@@ -69,18 +69,12 @@ class ScanError(RuntimeError):
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """Curve basis with exact Gram matrix and the generation assumption."""
+    """Curve basis with exact Gram matrix, generating the pseudoeffective cone."""
 
     curve_names: tuple[str, ...]
     gram: tuple[tuple[Fraction, ...], ...]
-    generates_pseff: bool = True
 
-    def __init__(
-        self,
-        curve_names: Sequence[str],
-        gram: Sequence[Sequence[Scalar]],
-        generates_pseff: bool = True,
-    ):
+    def __init__(self, curve_names: Sequence[str], gram: Sequence[Sequence[Scalar]]):
         names = tuple(curve_names)
         rows = tuple(tuple(q(x) for x in row) for row in gram)
         if len(rows) != len(names) or any(len(r) != len(names) for r in rows):
@@ -91,7 +85,6 @@ class SurfaceModel:
                     raise ValueError("Gram matrix must be symmetric")
         object.__setattr__(self, "curve_names", names)
         object.__setattr__(self, "gram", rows)
-        object.__setattr__(self, "generates_pseff", bool(generates_pseff))
         # The nonzero (i, gram[i][j]) of each column j, scaled by the Gram
         # denominator to integers; column j is row j, the matrix being symmetric.
         scale = math.lcm(*(x.denominator for row in rows for x in row))
@@ -104,17 +97,10 @@ class SurfaceModel:
     def n(self) -> int:
         return len(self.curve_names)
 
+    @cached_property
     def relations(self) -> list[Vec]:
         """Numerical relations among the basis curves (Gram kernel)."""
-        return self._cone[0]
-
-    def facets(self) -> list[tuple[int, ...]]:
-        """Integer linear functionals cutting out the effective cone.
-
-        Each facet h acts on a coefficient vector x as sum_i h_i x_i; the
-        class of x is pseudoeffective iff every facet value is >= 0.
-        """
-        return self._cone[1]
+        return [tuple(v) for v in linalg.nullspace([list(r) for r in self.gram])]
 
     @cached_property
     def _threshold_lps(self) -> dict[Vec, "_ThresholdLP"]:
@@ -125,54 +111,6 @@ class SurfaceModel:
     def _support_blocks(self) -> dict[tuple[int, ...], "_SupportBlock"]:
         """Inverted Gram block per support (see `_support_block`)."""
         return {}
-
-    @cached_property
-    def _cone(self) -> tuple[list[Vec], list[tuple[int, ...]]]:
-        relations = [tuple(v) for v in linalg.nullspace([list(r) for r in self.gram])]
-        return relations, _effective_cone_facets(self)
-
-
-def _effective_cone_facets(model: SurfaceModel) -> list[tuple[int, ...]]:
-    """Facet functionals of the cone spanned by the basis curve classes.
-
-    Classes are coordinatized by their intersection vector against a maximal
-    independent subset of the curves; the facets of the finitely generated
-    cone are enumerated from (d-1)-subsets of the generators.  The returned
-    functionals act directly on coefficient vectors, as primitive integer
-    vectors.
-    """
-    n = model.n
-    gram_rows = [list(r) for r in model.gram]
-    pivot_rows = linalg.column_space_basis(gram_rows)  # symmetric matrix
-    d = len(pivot_rows)
-    gens = [
-        tuple(model.gram[r][i] for r in pivot_rows) for i in range(n)
-    ]  # generator i in quotient coordinates
-    facets: set[tuple[int, ...]] = set()
-
-    def add(normal: Sequence[Fraction]) -> None:
-        # The facet as a primitive integer functional on coefficient vectors.
-        h, _ = numerators(sum(x * y for x, y in zip(normal, g)) for g in gens)
-        k = math.gcd(*h)
-        facets.add(tuple(x // k for x in h))
-
-    if d == 1:
-        for sign in (1, -1):
-            if all(sign * g[0] >= 0 for g in gens):
-                add((Fraction(sign),))
-    else:
-        for subset in itertools.combinations(range(n), d - 1):
-            rows = [list(gens[i]) for i in subset]
-            kernel = linalg.nullspace(rows)
-            if len(kernel) != 1:
-                continue
-            normal = kernel[0]
-            vals = [sum(normal[t] * g[t] for t in range(d)) for g in gens]
-            if all(v >= 0 for v in vals):
-                add(normal)
-            elif all(v <= 0 for v in vals):
-                add([-x for x in normal])
-    return sorted(facets)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +129,11 @@ class _ThresholdLP:
     rows: list[list[Fraction]]
     bases: list[tuple[list[list[int]], list[int], int]] = field(default_factory=list)
 
-    def solve(self, dvec: Sequence[Fraction]) -> lp.LPResult:
+    def solve(self, dvec: Sequence[Fraction], where: str = "") -> lp.LPResult:
         objective = [Fraction(1)] + [Fraction(0)] * (len(self.rows[0]) - 1)
         result = lp.solve_max(objective, self.rows, dvec)
         if result.status == lp.INFEASIBLE:
-            raise NotPseudoeffectiveError("not pseudoeffective")
+            raise NotPseudoeffectiveError(f"not pseudoeffective{where}")
         if result.status == lp.UNBOUNDED:
             raise ValueError("threshold unbounded")
         return result
@@ -217,10 +155,8 @@ class _ThresholdLP:
 
 def _threshold_lp(model: SurfaceModel, cvec: Vec) -> _ThresholdLP:
     """The threshold LP of (model, cvec), built once and kept on the model."""
-    if not model.generates_pseff:
-        raise ConeAssumptionError("cone assumption violated")
     if cvec not in model._threshold_lps:
-        relations = model.relations()
+        relations = model.relations
         n = model.n
         rows = [[cvec[j]] + [-rel[j] for rel in relations] + [rel[j] for rel in relations]
                 + [Fraction(i == j) for i in range(n)] for j in range(n)]
@@ -228,8 +164,12 @@ def _threshold_lp(model: SurfaceModel, cvec: Vec) -> _ThresholdLP:
     return model._threshold_lps[cvec]
 
 
+def _dot(x: Sequence, y: Sequence):
+    return sum(a * b for a, b in zip(x, y) if a)
+
+
 # ---------------------------------------------------------------------------
-# Pseudoeffective threshold as a function of u (exact lower envelope)
+# Pseudoeffective threshold as a function of u (parametric LP)
 # ---------------------------------------------------------------------------
 
 
@@ -245,102 +185,63 @@ class ThresholdPiece:
 
 
 def _threshold_pieces(family: "_Family", u_lo: Fraction, u_hi: Fraction) -> list[ThresholdPiece]:
-    """t(u) for the family base(u) - v*C as exact affine pieces.
+    """t(u) for the family base(u) - v*C as exact affine pieces, by a walk over
+    the bases of the threshold LP (Gal and Nedoma, Management Sci. 18, 1972).
 
-    Every effective-cone facet h with h(C) > 0 bounds v by the affine
-    function h(base(u)) / h(C); t is their lower envelope, computed exactly.
-    Facets with h(C) <= 0 never bound v from above; h(C) = 0 facets must stay
-    nonnegative on the base family (affine: both ends suffice) or the
-    family leaves the cone.  Each piece is proved to be the LP threshold on
-    its whole interval by basis stability (parametric LP): the right-hand side
-    base(u) is affine, so an optimal basis B kept on the model stays optimal
-    where B^-1.base(u) >= 0 at both ends, and there c_B.B^-1.base(u) must be t.
-    Else one cold solve at the midpoint gives B, split where it turns infeasible.
-    All of it runs on the family's integer forms.
+    Only base(u) moves, affinely in u, so a basis B proved optimal by its
+    reduced costs gives t = c_B.B^-1.base(u) wherever its basic variables
+    B^-1.base(u) are >= 0: on one interval.  The walk takes the middle of the
+    part of [u_lo, u_hi] not yet covered, uses the first kept basis feasible
+    there (else proves the basis of one cold solve), covers its interval,
+    checks every basic variable >= 0 at both ends, and goes on with what is
+    left on each side; adjacent pieces with the same wall merge.
     """
-    lines: list[Form] = []
-    for h in family.model.facets():
-        # h(base) - v*h(C), times a positive factor: h(C) > 0 iff c < 0.
-        a, b, c = combine(enumerate(h), family.forms)
-        if c < 0:
-            lines.append(lowest((a, b, -c)))
-        elif c == 0 and (u0 := negative_end((a, b), u_lo, u_hi)) is not None:
-            raise NotPseudoeffectiveError(f"base family leaves the effective cone at u={u0}")
-    if not lines:
-        raise ValueError("threshold unbounded")
-    pieces = _lower_envelope(lines, u_lo, u_hi)
     threshold_lp = _threshold_lp(family.model, family.cvec)
-    for piece in pieces:
-        _certify_piece(threshold_lp, family, piece.wall, piece.u_lo, piece.u_hi)
+    consts, slopes = [f[0] for f in family.forms], [f[1] for f in family.forms]
+    pieces: list[ThresholdPiece] = []
+
+    def walk(lo: Fraction, hi: Fraction, depth: int) -> None:
+        if depth > 24:
+            raise ScanError("threshold walk failed to terminate", lo, hi, depth)
+        mid = (lo + hi) / 2
+        for inverse, dual, den in threshold_lp.bases:
+            # Each basic variable B^-1.base(u) as an affine form in u.
+            basic = [(_dot(row, consts), _dot(row, slopes)) for row in inverse]
+            if all(at(x, mid) >= 0 for x in basic):
+                break
+        else:
+            dvec = [Fraction(at(f, mid), family.den * mid.denominator) for f in family.forms]
+            inverse, dual, den = threshold_lp.prove(threshold_lp.solve(dvec, f" at u={mid}").basis)
+            basic = [(_dot(row, consts), _dot(row, slopes)) for row in inverse]
+            if any(at(x, mid) < 0 for x in basic):
+                raise AssertionError(f"LP basis is not feasible at u={mid}")
+        a, b = _basis_interval(basic, lo, hi)
+        for x in basic:
+            if (end := negative_end(x, a, b)) is not None:
+                raise AssertionError(f"LP basis is not feasible at u={end}")
+        if lo < a:
+            walk(lo, a, depth + 1)
+        t = lowest((_dot(dual, consts), _dot(dual, slopes), den * family.den))
+        if pieces and pieces[-1].wall == t:
+            pieces[-1] = ThresholdPiece(pieces[-1].u_lo, b, t)
+        elif a < b or u_lo == u_hi:  # a point piece at a kink adds nothing
+            pieces.append(ThresholdPiece(a, b, t))
+        if b < hi:
+            walk(b, hi, depth + 1)
+
+    walk(u_lo, u_hi, 0)
     return pieces
 
 
-def _certify_piece(threshold_lp: _ThresholdLP, family: "_Family", t: Form,
-                   lo: Fraction, hi: Fraction, depth: int = 0) -> None:
-    """Prove that t is the LP threshold of base(u) on all of [lo, hi]."""
-    if depth > 24:
-        raise ScanError("threshold certificate failed to stabilize", lo, hi, depth)
-    consts, slopes = [f[0] for f in family.forms], [f[1] for f in family.forms]
-
-    def basic(inverse: list[list[int]]) -> Iterator[tuple[int, int]]:
-        # Each basic variable B^-1.base(u) as an affine function of u.
-        return ((_dot(row, consts), _dot(row, slopes)) for row in inverse)
-
-    for inverse, dual, den in threshold_lp.bases:
-        if all(negative_end(x, lo, hi) is None for x in basic(inverse)):
-            break
-    else:
-        mid = (lo + hi) / 2
-        dvec = [Fraction(at(f, mid), family.den * mid.denominator) for f in family.forms]
-        inverse, dual, den = threshold_lp.prove(threshold_lp.solve(dvec).basis)
-        for a, b in basic(inverse):
-            if negative_end((a, b), lo, hi) is not None:
-                # This basic variable is >= 0 at mid and vanishes at `cut`.
-                cut = Fraction(-a, b)
-                _certify_piece(threshold_lp, family, t, lo, cut, depth + 1)
-                _certify_piece(threshold_lp, family, t, cut, hi, depth + 1)
-                return
-    # c_B.B^-1.base(u) = t: the value's const and slope over den * family.den.
-    value = (_dot(dual, consts), _dot(dual, slopes))
-    scale = den * family.den
-    if value[0] * t[2] != t[0] * scale or value[1] * t[2] != t[1] * scale:
-        raise AssertionError(f"threshold mismatch on [{lo}, {hi}]: envelope {affine_poly(t[:2], t[2])}, "
-                             f"LP {affine_poly(value, scale)}")
-
-
-def _dot(x: Sequence, y: Sequence):
-    return sum(a * b for a, b in zip(x, y) if a)
-
-
-def _lower_envelope(lines: Sequence[Form], u_lo: Fraction, u_hi: Fraction) -> list[ThresholdPiece]:
-    """The lower envelope of the walls ``lines`` on [u_lo, u_hi]: from each
-    breakpoint the lowest line there, the least steep of those tied, holds
-    until the first line that falls below it."""
-    pieces: list[ThresholdPiece] = []
-    cur = u_lo
-    for _ in range(100):
-        active = lines[0]
-        for line in lines[1:]:
-            rise = gap(active, line)  # line - active
-            below = at(rise, cur)
-            if below < 0 or below == 0 and rise[1] < 0:
-                active = line
-        if cur >= u_hi:
-            if not pieces:
-                pieces.append(ThresholdPiece(u_lo, u_hi, active))
-            return pieces
-        # active is lowest at cur, so a line that rises against it crosses
-        # it at or before cur: a crossing after cur is a line falling below.
-        nxt = u_hi
-        for line in lines:
-            cross = root_inside(*gap(active, line), cur, nxt)
-            if cross is not None:
-                nxt = cross
-        pieces.append(ThresholdPiece(cur, nxt, active))
-        if nxt >= u_hi:
-            return pieces
-        cur = nxt
-    raise ScanError("lower envelope failed to terminate", u_lo, u_hi)
+def _basis_interval(basic: list[tuple[int, int]], lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """The part of [lo, hi] where every basic variable const + slope*u is
+    >= 0, given a point of it where all are: each one's root bounds it."""
+    for const, slope in basic:
+        if slope > 0:
+            lo = max(lo, Fraction(-const, slope))
+        elif slope < 0:
+            hi = min(hi, Fraction(-const, slope))
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 from fractions import Fraction
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from fano_delta import linalg, lp
@@ -382,17 +384,57 @@ class ZariskiDecomposition:
         return problems
 
 
+def column_space_basis(a: Sequence[Sequence[Fraction]]) -> list[int]:
+    """Indices of a maximal set of linearly independent columns of a."""
+    return linalg.rref(a, len(a[0]))[1] if a else []
+
+
+@lru_cache(maxsize=None)
+def effective_cone_facets(model: SurfaceModel) -> tuple[tuple[int, ...], ...]:
+    """Facet functionals of the cone spanned by the basis curve classes, as
+    primitive integer vectors acting on coefficient vectors: the class of x
+    is pseudoeffective iff sum_i h_i x_i >= 0 for every facet h.
+
+    Classes are coordinatized by their intersection vector against a maximal
+    independent subset of the curves; the facets of the finitely generated
+    cone are enumerated from (d-1)-subsets of the generators.
+    """
+    pivot_rows = column_space_basis([list(r) for r in model.gram])  # symmetric matrix
+    d = len(pivot_rows)
+    gens = [tuple(model.gram[r][i] for r in pivot_rows) for i in range(model.n)]
+    facets: set[tuple[int, ...]] = set()
+
+    def add(normal: Sequence[Fraction]) -> None:
+        h, _ = numerators(sum(x * y for x, y in zip(normal, g)) for g in gens)
+        k = math.gcd(*h)
+        facets.add(tuple(x // k for x in h))
+
+    if d == 1:
+        for sign in (1, -1):
+            if all(sign * g[0] >= 0 for g in gens):
+                add((Fraction(sign),))
+    else:
+        for subset in itertools.combinations(range(model.n), d - 1):
+            kernel = linalg.nullspace([list(gens[i]) for i in subset])
+            if len(kernel) != 1:
+                continue
+            vals = [sum(x * y for x, y in zip(kernel[0], g)) for g in gens]
+            if all(v >= 0 for v in vals):
+                add(kernel[0])
+            elif all(v <= 0 for v in vals):
+                add([-x for x in kernel[0]])
+    return tuple(sorted(facets))
+
+
 def is_pseudoeffective(model: SurfaceModel, coeffs) -> bool:
     vec = [Poly.coerce(x).as_fraction() for x in coeffs]
     return all(
-        sum(h[i] * vec[i] for i in range(model.n)) >= 0 for h in model.facets()
+        sum(h[i] * vec[i] for i in range(model.n)) >= 0 for h in effective_cone_facets(model)
     )
 
 
 def zariski_decompose(model: SurfaceModel, d: SurfDivisor) -> ZariskiDecomposition:
     """Zariski decomposition of a rational-coefficient divisor class."""
-    if not model.generates_pseff:
-        raise ConeAssumptionError("cone assumption violated")
     coeffs = [x.as_fraction() for x in d.coeffs]
     if not is_pseudoeffective(model, coeffs):
         raise NotPseudoeffectiveError("divisor not pseudoeffective in model")
@@ -604,8 +646,9 @@ def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ReferenceC
 
 
 # ---------------------------------------------------------------------------
-# Reference thresholds and table-row checks: the same algorithms as
-# `surfzar._threshold_pieces` and `surfzar.row_mismatches` on Polys
+# Reference thresholds and table-row checks: `surfzar._threshold_pieces` as
+# the lower envelope of the effective cone's facets, and
+# `surfzar.row_mismatches` on Polys
 # ---------------------------------------------------------------------------
 
 
@@ -618,53 +661,41 @@ class ReferencePiece(NamedTuple):
 
 
 def reference_threshold_pieces(model: SurfaceModel, base, curve, u_lo, u_hi) -> list[ReferencePiece]:
-    """`threshold_pieces` with every facet line, envelope step and
-    certificate step computed on rational Polys; it keeps its LP bases on
-    the model as `surfzar._threshold_pieces` does."""
+    """`threshold_pieces` from the facets of the effective cone, on rational
+    Polys and without the LP.
+
+    A facet h with h(C) > 0 bounds v from above by h(base(u)) / h(C), one
+    with h(C) < 0 from below, and one with h(C) = 0 must stay >= 0 on the
+    base family (affine: both ends suffice).  t is the lower envelope of the
+    upper bounds, and the family leaves the cone wherever t falls below 0 or
+    a lower bound (affine on each piece: its ends suffice).
+    """
     u_lo, u_hi = q(u_lo), q(u_hi)
     base = [Poly.coerce(b) for b in base]
     cvec = curve_vector(model, curve)
     lines: list[Poly] = []
-    for h in model.facets():
+    floors: list[Poly] = [Poly()]
+    for h in effective_cone_facets(model):
         hc = sum(h[i] * cvec[i] for i in range(model.n))
         hb = sum((b * hi for hi, b in zip(h, base) if hi), Poly())
         if hb.total_degree() > 1 or hb.degree_in("v") or hb.degree_in("c"):
             raise ValueError("base family must be affine in u")
         if hc > 0:
             lines.append(hb / hc)
-        elif hc == 0:
+        elif hc < 0:
+            floors.append(hb / hc)
+        else:
             for u0 in (u_lo, u_hi):
                 if hb(u=u0) < 0:
                     raise NotPseudoeffectiveError(f"base family leaves the effective cone at u={u0}")
     if not lines:
         raise ValueError("threshold unbounded")
     pieces = _reference_lower_envelope(lines, u_lo, u_hi)
-    threshold_lp = _threshold_lp(model, cvec)
     for piece in pieces:
-        _reference_certify_piece(threshold_lp, base, piece.t, piece.u_lo, piece.u_hi)
+        for u0 in (piece.u_lo, piece.u_hi):
+            if any(piece.t(u=u0) < floor(u=u0) for floor in floors):
+                raise NotPseudoeffectiveError(f"base family leaves the effective cone at u={u0}")
     return pieces
-
-
-def _reference_certify_piece(threshold_lp, base, t: Poly, lo: Fraction, hi: Fraction, depth: int = 0):
-    if depth > 24:
-        raise ScanError("threshold certificate failed to stabilize", lo, hi, depth)
-    ends = [[b(u=u0) for b in base] for u0 in (lo, hi)]
-    for inverse, dual, den in threshold_lp.bases:
-        if all(sum(x * y for x, y in zip(row, end)) >= 0 for end in ends for row in inverse):
-            break
-    else:
-        mid = (lo + hi) / 2
-        inverse, dual, den = threshold_lp.prove(threshold_lp.solve([b(u=mid) for b in base]).basis)
-        for row in inverse:
-            x_lo, x_hi = (sum(x * y for x, y in zip(row, end)) for end in ends)
-            if x_lo < 0 or x_hi < 0:
-                at = lo + (hi - lo) * x_lo / (x_lo - x_hi)
-                _reference_certify_piece(threshold_lp, base, t, lo, at, depth + 1)
-                _reference_certify_piece(threshold_lp, base, t, at, hi, depth + 1)
-                return
-    value = sum((b * Fraction(y, den) for b, y in zip(base, dual) if y), Poly())
-    if value != t:
-        raise AssertionError(f"threshold mismatch on [{lo}, {hi}]: envelope {t}, LP {value}")
 
 
 def _reference_lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fraction) -> list[ReferencePiece]:

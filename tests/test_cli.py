@@ -159,9 +159,13 @@ def test_verify_218_folds_c_in_integers_and_formats_no_label(capsys, monkeypatch
     assert with_c == [] and labels == []
 
 
-def _star_edit(key, value):
+def _set(*path):
+    """An edit that sets data[path[0]]...[path[-2]] to path[-1]."""
     def edit(data):
-        data["star"][key] = value
+        node = data
+        for key in path[:-2]:
+            node = node[key]
+        node[path[-2]] = path[-1]
         return data
     return edit
 
@@ -170,11 +174,11 @@ S_POINT_34_D4 = ("compute", "--scenario", "34-d4", "--op", "s-point", "--target"
 
 
 @pytest.mark.parametrize("edit, argv, named", [
-    (_star_edit("alpha_order", [99, 9, 8, 3, 7, 4]), S_POINT_34_D4, "once each"),
-    (_star_edit("alpha_order", [99, 9, 8, 3, 7, 4]), ("verify", "--family", "34-d4"), "once each"),
-    (_star_edit("self_character", [1, 0, 1]), S_POINT_34_D4, "self_character"),  # <m, (1,3,-1)> = 0
-    (_star_edit("ray", 99), ("verify", "--family", "34-d4"), "isolated ray"),
-    (_star_edit("pinned", {"1": [1, 0], "3": [0, 2]}), S_POINT_34_D4, "lattice basis"),
+    (_set("star", "alpha_order", [99, 9, 8, 3, 7, 4]), S_POINT_34_D4, "once each"),
+    (_set("star", "alpha_order", [99, 9, 8, 3, 7, 4]), ("verify", "--family", "34-d4"), "once each"),
+    (_set("star", "self_character", [1, 0, 1]), S_POINT_34_D4, "self_character"),  # <m, (1,3,-1)> = 0
+    (_set("star", "ray", 99), ("verify", "--family", "34-d4"), "isolated ray"),
+    (_set("star", "pinned", {"1": [1, 0], "3": [0, 2]}), S_POINT_34_D4, "lattice basis"),
 ])
 def test_bad_star_block_is_one_fixture_error(tmp_path, capsys, monkeypatch, edit, argv, named):
     dst = _fixture_copy(tmp_path / "fixtures", "scenarios/family-34-d4.json", edit)
@@ -244,6 +248,30 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
     dst = _fixture_copy(tmp_path / "fixtures", relative, edit)
     monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
     code, out, err = run_cli(capsys, "verify", "--family", "34-d4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: unreadable fixture: ") and err.count("\n") == 1
+    assert named in err
+
+
+@pytest.mark.parametrize("relative, edit, family, named", [
+    ("scenarios/family-34-d4.json", _set("star", "contracted", [99]), "34-d4",
+     "family-34-d4.json: 'contracted': 99 is no curve index of 6 curves"),
+    ("scenarios/family-34-d4.json", _set("curve_cases", "alpha1", "class", ["1", "0", "0"]), "34-d4",
+     "family-34-d4.json: 'class': 3 entries for 6 curves"),
+    ("scenarios/family-34-surfaces.json", _set("flags", "S-weighted", "points", 0, "mults", "9", "1"),
+     "34-surfaces", "family-34-surfaces.json: 'mults': '9' is no curve index of 3 curves"),
+    ("scenarios/family-34-surfaces.json", _set("flags", "S-weighted", "points", 0, "mults", "x", "1"),
+     "34-surfaces", "family-34-surfaces.json: 'mults': 'x' is no curve index of 3 curves"),
+    ("scenarios/family-34-surfaces.json", _set("flags", "S-Z", "curve", 2), "34-surfaces",
+     "family-34-surfaces.json: 'curve': 2 is no curve index of 2 curves"),
+    ("models/m34-quadric.json", _set("generates_pseff", False), "34-surfaces",
+     "m34-quadric.json: 'generates_pseff': only true is supported"),
+], ids=["contracted", "class", "mults", "mults-text", "flag-curve", "generates-pseff"])
+def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit, family,
+                                                        named):
+    dst = _fixture_copy(tmp_path / "fixtures", relative, edit)
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    code, out, err = run_cli(capsys, "verify", "--family", family)
     assert code == 1 and out == ""
     assert err.startswith("error: unreadable fixture: ") and err.count("\n") == 1
     assert named in err

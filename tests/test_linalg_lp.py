@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fano_delta import linalg, lp
 
-from helpers import fraction_rref, fraction_solve, fraction_solve_max
+from helpers import column_space_basis, fraction_rref, fraction_solve, fraction_solve_max
 
 
 def test_solve_and_singular():
@@ -141,7 +141,7 @@ def test_returned_basis_certifies_the_optimum(c, a, b, optimum):
     res = lp.solve_max(c, a, b)
     assert res.status == lp.OPTIMAL and res.value == optimum
     # Redundant rows follow from the others; B is square on independent rows.
-    rows = linalg.column_space_basis([list(col) for col in zip(*a)])
+    rows = column_space_basis([list(col) for col in zip(*a)])
     assert len(res.basis) == len(rows) == len(set(res.basis))
     basis_cols = [[a[r][j] for j in res.basis] for r in rows]
     x_b = linalg.solve(basis_cols, [b[r] for r in rows])
@@ -181,7 +181,7 @@ def test_bareiss_rref_matches_fraction_rref(data):
     a = data.draw(_rational_matrices())
     n_cols = data.draw(st.integers(0, len(a[0])))
     assert linalg.rref(a, n_cols) == fraction_rref(a, n_cols)
-    assert linalg.column_space_basis(a) == fraction_rref(a, len(a[0]))[1]
+    assert column_space_basis(a) == fraction_rref(a, len(a[0]))[1]
 
 
 @settings(max_examples=200, deadline=None)

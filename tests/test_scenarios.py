@@ -378,16 +378,15 @@ def test_full_report_work_counts(monkeypatch):
 
 def test_full_report_poly_work(monkeypatch):
     """One cold full report makes at most 2,000 `Poly.__call__` and
-    28 `lp.solve_max` calls, and the threshold envelope, the chamber scan's
+    28 `lp.solve_max` calls, and the threshold walk, the chamber scan's
     column walk, chamber construction, the table-row check, the nef test and
     the Zariski interval check evaluate no Poly: they run on integer forms
     and walls."""
     from fano_delta import cli, exactmath, flagdelta, lp, scenarios, surfzar, toric3
 
     integer_only = {fn.__code__ for fn in (
-        surfzar._threshold_pieces, surfzar._lower_envelope, surfzar._certify_piece,
-        surfzar._column_structure, exactmath.Chamber.__post_init__, surfzar.row_mismatches,
-        toric3.nef_on_interval, toric3._check_interval)}
+        surfzar._threshold_pieces, surfzar._column_structure, exactmath.Chamber.__post_init__,
+        surfzar.row_mismatches, toric3.nef_on_interval, toric3._check_interval)}
     evaluations, offending, solves = [], [], []
 
     def counting(self, _original=exactmath.Poly.__call__, **values):
@@ -414,8 +413,8 @@ def test_full_report_poly_work(monkeypatch):
 
 
 def test_full_report_one_threshold_envelope_per_scan(monkeypatch):
-    """A cold full report builds one threshold envelope per chamber
-    scan: the toric threshold check reads the pieces of the flag scans."""
+    """A cold full report walks the threshold LP once per chamber scan:
+    the toric threshold check reads the pieces of the flag scans."""
     from fano_delta import cli, flagdelta, scenarios, surfzar
 
     calls = {"envelope": 0, "scan": 0}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fano_delta import flagdelta, surfzar
-from fano_delta.exactmath import Poly, products, parse_poly, wall
+from fano_delta.exactmath import Poly, products, parse_poly
 from fano_delta.scenarios import builders, load_model, load_scenario_data, load_table, table_rows
 from fano_delta.surfzar import (
     NotPseudoeffectiveError,
@@ -82,10 +82,10 @@ def test_model_validation():
 
 
 def test_relations_annihilate_numerically(d4):
-    for rel in d4.relations():
+    for rel in d4.relations:
         for j in range(d4.n):
             assert dot_curve(d4, rel, j).is_zero()
-    assert len(d4.relations()) == 2
+    assert len(d4.relations) == 2
 
 
 def reference_dot_curve(model, x, j):
@@ -250,56 +250,37 @@ def test_threshold_not_pseudoeffective(d4):
 
 def fresh(model):
     """An equal model with an empty basis store."""
-    return SurfaceModel(model.curve_names, model.gram, model.generates_pseff)
-
-
-def test_certificate_catches_piece_rotated_about_its_midpoint(d4, monkeypatch):
-    # The rotated piece agrees with the true threshold at its midpoint only,
-    # so a comparison at the midpoint cannot see it.
-    envelope = surfzar._lower_envelope
-
-    def rotated(lines, lo, hi):
-        first, *rest = envelope(lines, lo, hi)
-        mid = (first.u_lo + first.u_hi) / 2
-        tilted = first.t + (U - mid) * F(1, 7)
-        assert tilted(u=mid) == first.t(u=mid)
-        return [surfzar.ThresholdPiece(first.u_lo, first.u_hi, wall(tilted))] + rest
-
-    monkeypatch.setattr(surfzar, "_lower_envelope", rotated)
-    for model in (d4, fresh(d4)):
-        with pytest.raises(AssertionError, match="threshold mismatch"):
-            threshold_pieces(model, ptilde_d4("56"), [1, 1, 1, 0, 0, 0], 5, 6)
-
-
-def test_certificate_catches_piece_with_the_right_constant_and_a_wrong_slope(d4, monkeypatch):
-    # Rotated about u = 0: the constant term of t is right, only its slope is not.
-    envelope = surfzar._lower_envelope
-
-    def rotated(lines, lo, hi):
-        first, *rest = envelope(lines, lo, hi)
-        tilted = first.t + U * F(1, 7)
-        assert tilted.coefficient((0, 0, 0)) == first.t.coefficient((0, 0, 0))
-        return [surfzar.ThresholdPiece(first.u_lo, first.u_hi, wall(tilted))] + rest
-
-    monkeypatch.setattr(surfzar, "_lower_envelope", rotated)
-    for model in (d4, fresh(d4)):
-        with pytest.raises(AssertionError, match="threshold mismatch"):
-            threshold_pieces(model, ptilde_d4("56"), [1, 1, 1, 0, 0, 0], 5, 6)
+    return SurfaceModel(model.curve_names, model.gram)
 
 
 def test_certificate_refuses_a_feasible_basis_that_is_not_optimal(d4, monkeypatch):
     # The basis of the slack columns e is feasible for a nonnegative divisor
-    # and has LP value 0; an envelope of 0 would match it, so only the
-    # reduced costs show that v can still grow.
+    # and has LP value 0, so only the reduced costs show that v can still grow.
     model = fresh(d4)
-    k, n = len(model.relations()), model.n
+    k, n = len(model.relations), model.n
     slack = list(range(1 + 2 * k, 1 + 2 * k + n))
     monkeypatch.setattr(surfzar.lp, "solve_max", lambda c, a, b: surfzar.lp.LPResult(
         surfzar.lp.OPTIMAL, [F(0)] * (1 + 2 * k) + list(b), F(0), slack))
-    monkeypatch.setattr(surfzar, "_lower_envelope",
-                        lambda lines, lo, hi: [surfzar.ThresholdPiece(lo, hi, (0, 0, 1))])
     with pytest.raises(AssertionError, match="not optimal"):
         threshold_pieces(model, [1] * n, 0, 0, 1)
+
+
+def test_certificate_refuses_a_cold_basis_infeasible_at_its_sample(monkeypatch):
+    # Two disjoint (-1)-curves and C = a + b: v <= D_a and v <= D_b.  A solve
+    # that answers for the swapped divisor (2, 1) returns the basis with
+    # v = D_b, optimal there, but e_a = D_a - D_b = -1 < 0 at the sample.
+    solve = surfzar.lp.solve_max
+    monkeypatch.setattr(surfzar.lp, "solve_max", lambda c, a, b: solve(c, a, b[::-1]))
+    with pytest.raises(AssertionError, match="not feasible at u=1/2$"):
+        threshold_pieces(two_curves(), [1, 2], [1, 1], 0, 1)
+
+
+def test_certificate_refuses_a_piece_past_its_basis(monkeypatch):
+    # With C = a, the basic variable e_b = 1 - u ends the first basis at
+    # u = 1; an interval that runs past it is caught by the end signs.
+    monkeypatch.setattr(surfzar, "_basis_interval", lambda basic, lo, hi: (lo, hi))
+    with pytest.raises(AssertionError, match="not feasible at u=2$"):
+        threshold_pieces(two_curves(), [1, 1 - U], 0, 0, 2)
 
 
 def affine_families(model_names):
@@ -395,9 +376,11 @@ def test_family_leaving_the_cone_inside_a_piece_raises():
 @pytest.mark.parametrize("second, end", [(1 - U, 2), (1 + U, -2)])
 def test_zero_facet_is_checked_at_both_ends(second, end):
     # Two disjoint (-1)-curves: the facet x_2 >= 0 does not bound v for
-    # C = curve 0, so it is checked on the base family alone.
+    # C = curve 0.  The first basis holds until x_2 = 0 at u = end/2; the walk
+    # samples the middle of the rest, 3/4 of the way to the end, and finds
+    # the family outside the cone there.
     model = SurfaceModel(["a", "b"], [["-1", "0"], ["0", "-1"]])
-    with pytest.raises(NotPseudoeffectiveError, match=f"at u={end}$"):
+    with pytest.raises(NotPseudoeffectiveError, match=f"at u={F(3, 4) * end}$"):
         threshold_pieces(model, [1, second], 0, min(0, end), max(0, end))
 
 
@@ -600,17 +583,15 @@ def test_integer_scan_equals_reference_scan_on_218_families(case, c):
         assert scan_outcome(chamber_scan, *args) == scan_outcome(reference_chamber_scan, *args)
 
 
-# The integer threshold envelope against the same algorithm on rational Polys.
+# The threshold walk against the facet envelope on rational Polys.
 
 def threshold_outcome(pieces_of, model, *args):
-    """The pieces (u_lo, u_hi, t) and the LP bases kept on a fresh copy of
-    the model, or the type of the error raised."""
-    model = fresh(model)
+    """The pieces (u_lo, u_hi, t) on a fresh copy of the model, or the type
+    of the error raised."""
     try:
-        pieces = [(p.u_lo, p.u_hi, p.t) for p in pieces_of(model, *args)]
+        return [(p.u_lo, p.u_hi, p.t) for p in pieces_of(fresh(model), *args)]
     except (ValueError, RuntimeError, AssertionError) as exc:
         return type(exc)
-    return pieces, {cvec: lp_.bases for cvec, lp_ in model._threshold_lps.items()}
 
 
 def two_curves():
@@ -647,6 +628,22 @@ def test_integer_thresholds_equal_reference_on_random_families(case, variant):
         curve = [-x for x in curve]
     got = threshold_outcome(threshold_pieces, model, base, curve, lo, hi)
     assert got == threshold_outcome(reference_threshold_pieces, model, base, curve, lo, hi)
+
+
+def test_thresholds_of_a_full_report_equal_the_facet_reference(monkeypatch):
+    """Every chamber scan of a cold full report has the threshold pieces of
+    the facet envelope."""
+    from fano_delta import cli, scenarios
+
+    scans = []
+    scan = flagdelta.chamber_scan
+    monkeypatch.setattr(flagdelta, "chamber_scan", lambda *args: scans.append((args, scan(*args))) or scans[-1][1])
+    for cache in (scenarios.fixture, scenarios.fixture_poly, flagdelta.scenario_scans):
+        cache.cache_clear()
+    cli.build_report("all", None)
+    assert len(scans) == 104
+    for args, result in scans:
+        assert [(p.u_lo, p.u_hi, p.t) for p in result.threshold] == reference_threshold_pieces(*args)
 
 
 # The threshold on a sub-interval is the envelope of the whole interval
