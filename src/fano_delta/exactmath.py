@@ -389,11 +389,21 @@ class Chamber:
         """iint of sum terms[a, b] * u^a * v^b / den over the chamber, as one
         Fraction from the chamber's moment table of that degree (at least 2,
         the degree of every flag integrand, so a flag needs one)."""
-        k = max(2, max((a + b for (a, b), x in terms.items() if x), default=0))
+        delta, table = self._table(max(2, max((a + b for (a, b), x in terms.items() if x), default=0)))
+        return Fraction(sum(x * table[e] for e, x in terms.items()), den * delta)
+
+    def moments(self, form: Form) -> tuple[tuple[int, int, int], int]:
+        """(m, Delta): m[i]/Delta is the iint of (a + b*u + c*v) times 1, u,
+        v for i = 0, 1, 2 over the chamber, from its degree-2 moment table."""
+        delta, t = self._table(2)
+        a, b, c = form
+        return (a * t[0, 0] + b * t[1, 0] + c * t[0, 1], a * t[1, 0] + b * t[2, 0] + c * t[1, 1],
+                a * t[0, 1] + b * t[1, 1] + c * t[0, 2]), delta
+
+    def _table(self, k: int) -> tuple[int, dict[tuple[int, int], int]]:
         if k not in self._tables:
             self._tables[k] = _moment_table(self._ends, self.lower, self.upper, k)
-        delta, table = self._tables[k]
-        return Fraction(sum(x * table[e] for e, x in terms.items()), den * delta)
+        return self._tables[k]
 
 
 def _moment_table(ends: Sequence[tuple[int, int]], lo: Form, hi: Form, k: int

@@ -102,8 +102,15 @@ class FlagScenario:
     def __hash__(self) -> int:
         return self._hash
 
-    def sigma_vec(self) -> Vec:
-        return self.sigma if self.sigma else tuple([Fraction(0)] * self.model.n)
+    @cached_property
+    def _point_free(self) -> tuple[tuple[tuple[Chamber, Fraction], ...], Fraction]:
+        """The chamber parts (3/L^3) iint (P.C)^2 of every point's S, from the
+        scans' `curve_terms` (P.C and its moments), and their sum."""
+        factor = Fraction(3) / self.l_cubed
+        parts = tuple((ch.chamber, factor * Fraction(sum(x * m for x, m in zip(pc, moments)), den * pc_den))
+                      for scan in scenario_scans(self)
+                      for ch, (pc, den, moments, pc_den) in zip(scan.chambers, scan.curve_terms))
+        return parts, sum((x for _, x in parts), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -128,12 +135,8 @@ class SInvariantResult:
 @lru_cache(maxsize=8)
 def scenario_scans(scenario: FlagScenario) -> tuple[ChamberedDecomposition, ...]:
     """Chamber scans of every base piece (cached per scenario)."""
-    return tuple(
-        chamber_scan(
-            scenario.model, piece.coeffs, scenario.curve_class, piece.u_lo, piece.u_hi
-        )
-        for piece in scenario.pieces
-    )
+    return tuple(chamber_scan(scenario.model, piece.coeffs, scenario.curve_class, piece.u_lo, piece.u_hi)
+                 for piece in scenario.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +193,15 @@ def f_correction(scenario: FlagScenario, point: MarkedPoint) -> Fraction:
     Per chamber ord_Q is an integer affine form: the multiplicity-weighted N
     numerators plus the piece's sum_j mult_j (N'_j - (v + d) Sigma_j), read
     from the piece's forms of N'_j and d.  An integer sign test at the
-    corners certifies it nonnegative on the chamber.
+    corners certifies it nonnegative on the chamber, and its three
+    coefficients dotted with the scan's moments iint (P.C)*(1, u, v) give
+    the chamber's iint (P.C)*ord_Q.
     """
     mults = point.ord_coefficients(scenario.model.n)
     weights, mden = numerators(mults)
-    s = sum(m * x for m, x in zip(mults, scenario.sigma_vec()))
-    factor = Fraction(6) / scenario.l_cubed
-    total = Fraction(0)
+    weights = [(j, w) for j, w in enumerate(weights) if w]
+    s = sum((m * x for m, x in zip(mults, scenario.sigma) if m), Fraction(0))  # no sigma: 0
+    total, total_den = 0, 1  # the sum of iint (P.C)*ord_Q, kept as an integer ratio
     for piece, scan in zip(scenario.pieces, scenario_scans(scenario)):
         # sum_j mult_j N'_j - s (v + d), s = sum_j mult_j Sigma_j.
         coeffs = [Fraction(0), Fraction(0), -s]
@@ -207,32 +212,30 @@ def f_correction(scenario: FlagScenario, point: MarkedPoint) -> Fraction:
             form, den = piece._ord_forms[j]
             coeffs = [x + k * y / den for x, y in zip(coeffs, form)]
         rest, rden = numerators(coeffs)
-        for ch, (p_dot, pden, _) in zip(scan.chambers, scan.curve_terms):
+        for ch, (_, _, moments, pc_den) in zip(scan.chambers, scan.curve_terms):
             den = ch.forms.den * mden * rden  # of ord_Q
-            n_part = combine(enumerate(weights), ch.forms.n)
-            ord_q = tuple(rden * x + den // rden * y for x, y in zip(n_part, rest))
+            n_part = combine(weights, ch.forms.n)
+            ord_q = [rden * x + den // rden * y for x, y in zip(n_part, rest)]
             if not any(ord_q):
                 continue
             if not ch.chamber.nonnegative(ord_q):
                 raise ValueError("invalid correction data")
-            total += factor * ch.chamber.integrate(products([(p_dot, ord_q)]), pden * den)
-    return total
+            num, den = sum(x * m for x, m in zip(ord_q, moments)), den * pc_den
+            total, total_den = total * den + num * total_den, total_den * den
+    return Fraction(6 * total * scenario.l_cubed.denominator, total_den * scenario.l_cubed.numerator)
 
 
 def s_point_flag(scenario: FlagScenario, point: MarkedPoint) -> SInvariantResult:
     """S of a point of the flag curve: (3/L^3) iint (P.C)^2 + F_Q.
 
-    The per-chamber integrals of (P.C)^2 do not depend on the point: they are
-    the scans' `curve_terms`, computed once for all points of the scenario.
+    The per-chamber integrals of (P.C)^2 and their sum do not depend on the
+    point: they are made once per scenario.
     """
-    factor = Fraction(3) / scenario.l_cubed
-    parts: list[tuple[Chamber | str, Fraction]] = [
-        (ch.chamber, factor * p_dot_sq) for scan in scenario_scans(scenario)
-        for ch, (_, _, p_dot_sq) in zip(scan.chambers, scan.curve_terms)]
+    parts, value = scenario._point_free
     correction = f_correction(scenario, point)
     if correction != 0:
-        parts.append((f"F({point.name})", correction))
-    return SInvariantResult(sum((x for _, x in parts), Fraction(0)), tuple(parts))
+        parts, value = (*parts, (f"F({point.name})", correction)), value + correction
+    return SInvariantResult(value, parts)
 
 
 # ---------------------------------------------------------------------------

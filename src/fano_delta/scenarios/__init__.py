@@ -85,6 +85,15 @@ def curve_index(record: _Record, key: str, index, n: int) -> int:
     return int(text)
 
 
+def curve_indices(record: _Record, key: str, n: int) -> list[int]:
+    """The curve indices listed at record[key], each read by `curve_index`;
+    a repeated one is a FixtureError naming the record's file and the key."""
+    indices = [curve_index(record, key, x, n) for x in record[key]]
+    if len(set(indices)) < len(indices):
+        raise FixtureError(f"{record.path}: {key!r}: repeated curve index in {record[key]!r}")
+    return indices
+
+
 @lru_cache(maxsize=None)
 def fixture(root: Path, relative: str, build: Callable | None = None):
     """The parsed JSON file `relative` under `root`, or `build` of it.
@@ -107,7 +116,10 @@ def fixture(root: Path, relative: str, build: Callable | None = None):
 def _model_from_dict(data) -> SurfaceModel:
     if data.get("generates_pseff", True) is not True:  # every scan assumes it
         raise FixtureError(f"{data.path}: 'generates_pseff': only true is supported")
-    return SurfaceModel(data["curves"], data["gram"])
+    try:
+        return SurfaceModel(data["curves"], data["gram"])
+    except ValueError as exc:
+        raise FixtureError(f"{data.path}: 'gram': {exc}") from None
 
 
 def load_fan(name: str) -> Fan3:

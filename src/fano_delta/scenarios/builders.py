@@ -25,6 +25,7 @@ from . import (
     UsageError,
     at_c,
     curve_index,
+    curve_indices,
     default_c_samples,
     fixture,
     fixture_poly,
@@ -149,25 +150,15 @@ class ToricFamily:
             positive = ToricDivisor(fan, [self.l_u[k] - n_coeffs[k] for k in range(n)])
             negative = ToricDivisor(fan, n_coeffs)
             forcing = tuple((int(r), tuple(pair)) for r, pair in iv["forcing"].items())
-            intervals.append(
-                toric3.Zariski3Interval(
-                    u_lo=q(iv["u"][0]),
-                    u_hi=q(iv["u"][1]),
-                    model=fan,
-                    positive=positive,
-                    negative=negative,
-                    forcing=forcing,
-                )
-            )
+            intervals.append(toric3.Zariski3Interval(u_lo=q(iv["u"][0]), u_hi=q(iv["u"][1]), model=fan,
+                                                     positive=positive, negative=negative, forcing=forcing))
         return toric3.ZariskiCertificate3(l_u=self.l_u, intervals=tuple(intervals))
 
     @cached_property
     def resolved_decomposition(self):
         """Per interval: (u_lo, u_hi, P and N pulled back to the resolution)."""
         zeta0_coarse = load_fan(self.data["pullbacks"]["zeta0"]["coarse"])
-        l_ambient = toric3.pullback(
-            self.resolution, zeta0_coarse, ToricDivisor(zeta0_coarse, self.l_u)
-        )
+        l_ambient = toric3.pullback(self.resolution, zeta0_coarse, ToricDivisor(zeta0_coarse, self.l_u))
         out = []
         for iv in self.certificate.intervals:
             p_res = toric3.pullback(self.resolution, iv.model, iv.positive)
@@ -205,10 +196,7 @@ class ToricFamily:
         for lo, hi, ptilde, ntilde in self.surface_pieces:
             if is_basis:
                 d = ntilde[index]
-                nprime = tuple(
-                    ntilde[i] - (d if i == index else Poly())
-                    for i in range(self.surface.n)
-                )
+                nprime = tuple(ntilde[i] - (d if i == index else Poly()) for i in range(self.surface.n))
             else:
                 d, nprime = Poly(), ntilde
             pieces.append(BasePiece(lo, hi, ptilde, d, nprime))
@@ -294,7 +282,7 @@ class ToricFamily:
         self._emit("3!*vol(P_L)", l_cubed, q(self.data["expected"]["L^3"]))
         self._emit(
             "L^3 via intersection",
-            toric3.intersection_number(l_div, l_div, l_div).as_fraction(),
+            toric3.divisor_cube(l_div).as_fraction(),
             q(self.data["expected"]["L^3"]),
         )
         w = tuple(self.data["weight_vector"])
@@ -396,7 +384,7 @@ class ToricFamily:
                            p_res.coeffs[ray], p_res.coeffs[ray] + n_res.coeffs[ray])
 
     def _check_volume_route(self):
-        volume = [(lo, hi, toric3.intersection_number(p_res, p_res, p_res))
+        volume = [(lo, hi, toric3.divisor_cube(p_res))
                   for lo, hi, p_res, _ in self.resolved_decomposition]
         s_val = flagdelta.s_from_volume(q(self.data["expected"]["L^3"]), volume)
         self._emit("S_L(G) [volume of positive parts]", s_val,
@@ -419,13 +407,12 @@ class ToricFamily:
 
     def _check_sigmas(self):
         star, n = self.data["star"], self.surface.n
-        contracted = [curve_index(star, "contracted", a, n) for a in star["contracted"]]
+        contracted = curve_indices(star, "contracted", n)
         for curve, case in self.data["curve_cases"].items():
             stored = [q(x) for x in case["sigma"]]
             cvec = _curve_class(case, n)
             if sum(1 for x in cvec if x != 0) != 1:
-                self._emit(f"sigma({curve})", stored,
-                           [Fraction(0)] * self.surface.n)
+                self._emit(f"sigma({curve})", stored, [Fraction(0)] * n)
                 continue
             i = next(k for k, x in enumerate(cvec) if x != 0)
             sub = [[self.surface.gram[a][b] for b in contracted] for a in contracted]
@@ -463,10 +450,7 @@ class ToricFamily:
             scenario = self.flag_scenario(curve)
             scans = flagdelta.scenario_scans(scenario)
             for row in rows:
-                scan = next(
-                    (s for s in scans if s.u_lo <= row.u_lo and row.u_hi <= s.u_hi),
-                    None,
-                )
+                scan = next((s for s in scans if s.u_lo <= row.u_lo and row.u_hi <= s.u_hi), None)
                 label = f"{table_id} row u[{row.u_lo},{row.u_hi}] v[{row.v_lo},{row.v_hi}]"
                 if scan is None:
                     self._emit(label, False, True, shown=("no scan covers the row", None))

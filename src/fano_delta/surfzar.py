@@ -39,7 +39,7 @@ from typing import Sequence
 
 from . import linalg, lp
 from .exactmath import (Chamber, Form, Poly, Scalar, affine_form, affine_poly, at, combine, gap, lowest,
-                        negative_end, numerators, products, q, root_inside, wall)
+                        negative_end, numerators, q, root_inside, wall)
 
 Vec = tuple[Fraction, ...]
 
@@ -265,16 +265,18 @@ class ChamberedDecomposition:
     chambers: tuple[ScanChamber, ...]
 
     @cached_property
-    def curve_terms(self) -> tuple[tuple[Form, int, Fraction], ...]:
-        """(P.C as an integer form, its denominator, iint (P.C)^2) per chamber,
-        C = ``curve``: the part of a flag's point S-invariants that is the same
-        for every point, computed once.  P.C = sum_k C_k (P.C_k) comes from the
-        scan's integer forms."""
+    def curve_terms(self) -> tuple[tuple[Form, int, tuple[int, int, int], int], ...]:
+        """(P.C as an integer form, its denominator, the integers iint (P.C)*(1,
+        u, v), their denominator) per chamber, C = ``curve``: the part of a
+        flag's point S-invariants that is the same for every point, computed
+        once from the chamber's degree-2 moment table.  P.C = sum_k C_k (P.C_k)
+        comes from the scan's integer forms."""
         weights, cden = numerators(self.curve)
         out = []
         for ch in self.chambers:
             pc, den = combine(enumerate(weights), ch.forms.pc), cden * ch.forms.den
-            out.append((pc, den, ch.chamber.integrate(products([(pc, pc)]), den * den)))
+            moments, delta = ch.chamber.moments(pc)
+            out.append((pc, den, moments, den * delta))
         return tuple(out)
 
 

@@ -8,7 +8,9 @@ u for one-parameter families.
 Triple intersection numbers follow the simplicial recipe: for distinct rays
 spanning a maximal cone the product is 1/|det|, other distinct triples give
 0, and repeated rays are eliminated by substituting a principal divisor
-div(chi_m) chosen so the coefficient at the repeated ray cancels.  The same
+div(chi_m) chosen so the coefficient at the repeated ray cancels.  Only rays
+of one cone meet, so the cube D^3 of a divisor affine in u reads the fan's
+table of nonzero triples once, in integers.  The same
 character relations drive pullbacks along toric morphisms, restriction to
 invariant surfaces (star construction), and the 2D Gram matrices.  A star
 surface is built once with every choice of its basis: the order of its
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -51,25 +54,28 @@ class Fan3:
     cones: tuple[Cone, ...]
 
     def __init__(self, rays: Sequence[Sequence[int]], cones: Sequence[Sequence[int]]):
-        object.__setattr__(
-            self, "rays", tuple(tuple(int(x) for x in r) for r in rays)
-        )
-        object.__setattr__(
-            self, "cones", tuple(tuple(sorted(int(i) for i in c)) for c in cones)
-        )
+        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in rays))
+        object.__setattr__(self, "cones", tuple(tuple(sorted(int(i) for i in c)) for c in cones))
 
     @cached_property
     def two_cones(self) -> tuple[tuple[int, int], ...]:
         """Index pairs spanning a 2-dimensional cone of the fan, sorted."""
         return tuple(sorted({pair for cone in self.cones for pair in itertools.combinations(cone, 2)}))
 
-    def cones_containing(self, ray_index: int) -> list[Cone]:
-        return [c for c in self.cones if ray_index in c]
-
     @cached_property
     def _triples(self) -> dict[Cone, Fraction]:
         """Triple products computed so far, keyed by sorted ray indices."""
         return {}
+
+    @cached_property
+    def _cube_terms(self) -> tuple[tuple[tuple[int, int, int, int], ...], int]:
+        """(terms, den) for `divisor_cube`: (i, j, k, w) per nonzero triple
+        product, i <= j <= k rays of one cone (other triples vanish), with
+        w/den = T_ijk times its number of orderings, 1, 3 or 6."""
+        keys = {key for cone in self.cones for key in itertools.combinations_with_replacement(cone, 3)}
+        values = [(key, x) for key in sorted(keys) if (x := _triple(self, *key))]
+        nums, den = numerators((1, 3, 6)[len(set(key)) - 1] * x for key, x in values)
+        return tuple((*key, w) for (key, _), w in zip(values, nums)), den
 
     @cached_property
     def _pullbacks(self) -> dict[Fan3, tuple[tuple[tuple[int, Fraction], ...], ...]]:
@@ -107,10 +113,7 @@ def validate_fan(fan: Fan3) -> list[str]:
         det = linalg.det3(*(fan.rays[i] for i in cone))
         if det == 0:
             issues.append(f"cone {cone} is not simplicial (rays dependent)")
-    counts: dict[tuple[int, int], int] = {}
-    for cone in fan.cones:
-        for a, b in itertools.combinations(cone, 2):
-            counts[(a, b)] = counts.get((a, b), 0) + 1
+    counts = Counter(pair for cone in fan.cones for pair in itertools.combinations(cone, 2))
     for pair, count in sorted(counts.items()):
         if count != 2:
             issues.append(f"face {list(pair)} lies in {count} maximal cone(s), expected 2")
@@ -134,12 +137,9 @@ class ToricDivisor:
             raise ValueError("coefficient list length must equal ray count")
 
     def __sub__(self, other: "ToricDivisor") -> "ToricDivisor":
-        self._same_fan(other)
-        return ToricDivisor(self.fan, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def _same_fan(self, other: "ToricDivisor"):
         if self.fan != other.fan:
             raise ValueError("different fans")
+        return ToricDivisor(self.fan, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
 
 @dataclass(frozen=True)
@@ -208,42 +208,32 @@ def _triple_uncached(fan: Fan3, i: int, j: int, k: int) -> Fraction:
     return total
 
 
-def intersection_number(
-    d1: ToricDivisor, d2: ToricDivisor, d3: ToricDivisor
-) -> Poly:
-    """Trilinear extension of the invariant-divisor triple products."""
-    d1._same_fan(d2)
-    d1._same_fan(d3)
-    fan = d1.fan
-    s1, s2, s3 = ([(i, c) for i, c in enumerate(d.coeffs) if c.terms] for d in (d1, d2, d3))
-    out: dict = {}
-    for i, ci in s1:
-        for j, cj in s2:
-            # sum_k T_ijk * d3_k, then one product with d1_i * d2_j.
-            inner: dict = {}
-            for k, ck in s3:
-                t = _triple(fan, i, j, k)
-                if t:
-                    for e, c in ck.terms.items():
-                        inner[e] = inner[e] + c * t if e in inner else c * t
-            if inner:
-                for e, c in (ci * cj * Poly._make(inner)).terms.items():
-                    out[e] = out[e] + c if e in out else c
-    return Poly._make(out)
+def divisor_cube(d: ToricDivisor) -> Poly:
+    """D^3 of a divisor affine in u, a cubic in u: the fan's nonzero triple
+    products (`Fan3._cube_terms`) against D's integer coefficient forms
+    a_r + b_r*u, summed in integers over one denominator."""
+    if any(e[1] or e[2] or e[0] > 1 for x in d.coeffs for e in x.terms):
+        raise ValueError("divisor must be affine in u")
+    flat, den = numerators(x.coefficient((e, 0, 0)) for x in d.coeffs for e in (0, 1))
+    forms = [flat[i:i + 2] for i in range(0, len(flat), 2)]
+    terms, tden = d.fan._cube_terms
+    out = [0, 0, 0, 0]
+    for i, j, k, w in terms:
+        (a0, a1), (b0, b1), (c0, c1) = forms[i], forms[j], forms[k]
+        ab0, ab1, ab2 = w * a0 * b0, w * (a0 * b1 + a1 * b0), w * a1 * b1
+        out[0] += ab0 * c0
+        out[1] += ab0 * c1 + ab1 * c0
+        out[2] += ab1 * c1 + ab2 * c0
+        out[3] += ab2 * c1
+    return Poly._make({(e, 0, 0): Fraction(x, tden * den**3) for e, x in enumerate(out)})
 
 
 def curve_intersection(d: ToricDivisor, curve: CurveClass) -> Poly:
     if d.fan != curve.fan:
         raise ValueError("different fans")
     i, j = curve.pair
-    total = Poly()
-    for r, coeff in enumerate(d.coeffs):
-        if coeff.is_zero():
-            continue
-        t = triple_product(d.fan, r, i, j)
-        if t != 0:
-            total = total + coeff * t
-    return total
+    return sum((coeff * t for r, coeff in enumerate(d.coeffs)
+                if coeff.terms and (t := triple_product(d.fan, r, i, j))), Poly())
 
 
 def principal_residual(d: ToricDivisor) -> Fraction:
@@ -361,9 +351,7 @@ class Fan2:
 
     def __init__(self, rays: Sequence[Sequence[int]], cones: Sequence[Sequence[int]]):
         object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in rays))
-        object.__setattr__(
-            self, "cones", tuple(tuple(sorted(int(x) for x in c)) for c in cones)
-        )
+        object.__setattr__(self, "cones", tuple(tuple(sorted(int(x) for x in c)) for c in cones))
 
 
 @dataclass(frozen=True)
@@ -400,7 +388,7 @@ def star_surface(
     ray once, and the character ``self_character`` must pair nontrivially
     with the star ray.
     """
-    cones = fan.cones_containing(ray_index)
+    cones = [c for c in fan.cones if ray_index in c]
     if not cones:
         raise ValueError("isolated ray")
     adjacent = {r for cone in cones for r in cone if r != ray_index}
@@ -470,9 +458,7 @@ def surface_gram(fan2: Fan2) -> list[list[Fraction]]:
         lambda i, j: _ccw_compare(fan2.rays[i], fan2.rays[j])))
     if any(_ccw_compare(fan2.rays[i], fan2.rays[j]) == 0 for i, j in zip(order, order[1:])):
         raise ValueError("not complete")  # parallel rays
-    consecutive = {
-        tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)
-    }
+    consecutive = {tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)}
     if n < 3 or consecutive != set(fan2.cones):
         raise ValueError("not complete")
     gram = [[Fraction(0)] * n for _ in range(n)]

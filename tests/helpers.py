@@ -27,7 +27,7 @@ from fano_delta.surfzar import (
     _threshold_lp,
     _threshold_pieces,
 )
-from fano_delta.toric3 import Fan3, HPolytope, ToricDivisor
+from fano_delta.toric3 import Fan3, HPolytope, ToricDivisor, triple_product
 
 
 @dataclass(frozen=True)
@@ -985,3 +985,18 @@ def _reference_isolate(chain, lo: Fraction, hi: Fraction) -> list[tuple[Fraction
                 break
         intervals.extend([(a, mid), (mid, b)])
     raise ScanError("root isolation failed to terminate", lo, hi)
+
+
+def intersection_number(d1: ToricDivisor, d2: ToricDivisor, d3: ToricDivisor) -> Poly:
+    """Trilinear extension of the invariant-divisor triple products, in Poly
+    arithmetic: the oracle of the integer cube `toric3.divisor_cube`."""
+    if not d1.fan == d2.fan == d3.fan:
+        raise ValueError("different fans")
+    s1, s2, s3 = ([(i, c) for i, c in enumerate(d.coeffs) if c.terms] for d in (d1, d2, d3))
+    total = Poly()
+    for i, ci in s1:
+        for j, cj in s2:
+            # sum_k T_ijk * d3_k, then one product with d1_i * d2_j.
+            inner = sum((ck * t for k, ck in s3 if (t := triple_product(d1.fan, i, j, k))), Poly())
+            total = total + ci * cj * inner
+    return total

@@ -13,9 +13,10 @@ from fractions import Fraction as F
 from fano_delta import toric3
 from fano_delta.exactmath import Poly, q
 from fano_delta.scenarios import builders, load_fan, load_model
-from fano_delta.toric3 import ToricDivisor, intersection_number
+from fano_delta.toric3 import ToricDivisor
 
-from helpers import integrate_poly, interpolate, poly_chamber, random_pseudoeffective, zariski_decompose
+from helpers import (integrate_poly, intersection_number, interpolate, poly_chamber, random_pseudoeffective,
+                     zariski_decompose)
 
 
 def by_label(checks, label):

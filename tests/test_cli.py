@@ -266,7 +266,14 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
      "family-34-surfaces.json: 'curve': 2 is no curve index of 2 curves"),
     ("models/m34-quadric.json", _set("generates_pseff", False), "34-surfaces",
      "m34-quadric.json: 'generates_pseff': only true is supported"),
-], ids=["contracted", "class", "mults", "mults-text", "flag-curve", "generates-pseff"])
+    ("scenarios/family-34-d4.json", _set("star", "contracted", [1, 1]), "34-d4",
+     "family-34-d4.json: 'contracted': repeated curve index in [1, 1]"),
+    ("models/m34-quadric.json", _set("gram", [["0", "1"]]), "34-surfaces",
+     "m34-quadric.json: 'gram': Gram matrix dimensions must match curve count"),
+    ("models/m34-quadric.json", _set("gram", 0, 1, "2"), "34-surfaces",
+     "m34-quadric.json: 'gram': Gram matrix must be symmetric"),
+], ids=["contracted", "class", "mults", "mults-text", "flag-curve", "generates-pseff", "contracted-repeated",
+        "gram-rows", "gram-asymmetric"])
 def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit, family,
                                                         named):
     dst = _fixture_copy(tmp_path / "fixtures", relative, edit)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fano_delta import flagdelta
-from fano_delta.exactmath import Chamber, Poly, parse_poly
+from fano_delta.exactmath import AFFINE, Chamber, Poly, parse_poly
 from fano_delta.flagdelta import (
     BasePiece,
     FlagScenario,
@@ -27,7 +27,7 @@ from fano_delta.flagdelta import (
 )
 from fano_delta.scenarios import builders, load_model
 
-from helpers import (form_poly, integrate_poly, marked_point, n_coeffs, p_coeffs, pair,
+from helpers import (integrate_poly, marked_point, n_coeffs, p_coeffs, pair,
                      reference_integrate_chamber, reference_nonneg_on_interval)
 
 
@@ -176,22 +176,25 @@ def test_f_correction_is_point_total_minus_base():
 
 
 def count_point_free_integrals(monkeypatch, sc):
-    """Patch `Chamber.integrate`, which every chamber integral of a flag goes
-    through, to count per chamber the integer integrals of (P.C)^2."""
-    squares = {}
+    """Patch `Chamber.moments`, from which every point-free chamber integral
+    of a flag is read, to count per chamber the moments of P.C taken."""
+    p_dots = {}
     for scan in scenario_scans(sc):
         for ch in scan.chambers:
-            p_dot = pair(sc.model, p_coeffs(ch), sc.curve_class)
-            squares[ch.chamber] = p_dot * p_dot
-    counts = dict.fromkeys(squares, 0)
-    integrate = Chamber.integrate
+            p_dots[ch.chamber] = pair(sc.model, p_coeffs(ch), sc.curve_class)
+    counts = dict.fromkeys(p_dots, 0)
+    moments = Chamber.moments
 
-    def counting(chamber, terms, den):
-        if squares.get(chamber) == form_poly(terms, den):
-            counts[chamber] += 1
-        return integrate(chamber, terms, den)
+    def counting(chamber, form):
+        # Count a form that is P.C times a positive factor.
+        if chamber in p_dots:
+            coeffs = [p_dots[chamber].coefficient(e) for e in AFFINE]
+            k = next((F(x) / y for x, y in zip(form, coeffs) if y), None)
+            if k is not None and k > 0 and all(x == k * y for x, y in zip(form, coeffs)):
+                counts[chamber] += 1
+        return moments(chamber, form)
 
-    monkeypatch.setattr(Chamber, "integrate", counting)
+    monkeypatch.setattr(Chamber, "moments", counting)
     return counts
 
 
@@ -202,6 +205,19 @@ def test_points_of_a_scenario_share_the_point_free_integrals(monkeypatch):
     for pt in sc.points:
         s_point_flag(sc, pt)
     assert counts and set(counts.values()) == {1}
+
+
+def test_f_correction_integrates_nothing(monkeypatch):
+    # F_Q dots each chamber's ord_Q form with the scan's three moments of
+    # P.C: it makes no chamber integral of its own.
+    scenario_scans.cache_clear()  # so the moments, too, are made below
+    family = builders.ToricFamily("34-d4")
+    scenarios = [weighted_scenario()] + [family.flag_scenario(c) for c in family.data["curve_cases"]]
+    calls = []
+    integrate = Chamber.integrate
+    monkeypatch.setattr(Chamber, "integrate", lambda *args: calls.append(args) or integrate(*args))
+    values = [f_correction(sc, pt) for sc in scenarios for pt in sc.points]
+    assert sum(1 for x in values if x) >= 5 and calls == []
 
 
 def test_point_breakdown_matches_per_point_formula():

@@ -862,30 +862,50 @@ def test_family_scans_match_pointwise_decompositions(monkeypatch):
                     p(u=u0, v=v0) for p in p_coeffs(ch)]
 
 
-def test_family_scans_integer_forms_equal_the_pairings(monkeypatch):
-    # For every chamber that the toric and 2.18 runs scan, the integer forms
-    # of P^2, P.C and (P.C)^2 equal the Poly pairings of the chamber's P, and
-    # the kept iint (P.C)^2 equals the reference integral.
+@pytest.fixture(scope="module")
+def family_scans():
+    """Every chamber scan of cold runs of the toric and 2.18 families."""
     scans = []
 
     def recording(*args):
         scans.append(chamber_scan(*args))
         return scans[-1]
 
-    monkeypatch.setattr(surfzar, "chamber_scan", recording)
-    monkeypatch.setattr(flagdelta, "chamber_scan", recording)
-    flagdelta.scenario_scans.cache_clear()  # cached scans would not be recorded
-    for family in ("34-d4", "34-a3", "218"):
-        builders.run_family(family)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(surfzar, "chamber_scan", recording)
+        patch.setattr(flagdelta, "chamber_scan", recording)
+        flagdelta.scenario_scans.cache_clear()  # cached scans would not be recorded
+        for family in ("34-d4", "34-a3", "218"):
+            builders.run_family(family)
     flagdelta.scenario_scans.cache_clear()
     assert len(scans) > 50
-    for scan in scans:
+    return scans
+
+
+def test_family_scans_integer_forms_equal_the_pairings(family_scans):
+    # For every chamber that the toric and 2.18 runs scan, the integer forms
+    # of P^2 and P.C equal the Poly pairings of the chamber's P, and iint
+    # (P.C)^2 read from the kept moments of P.C equals the reference integral.
+    for scan in family_scans:
         model = scan.model
-        for ch, (pc, pden, pc_sq) in zip(scan.chambers, scan.curve_terms):
+        for ch, (pc, pden, moments, mden) in zip(scan.chambers, scan.curve_terms):
             forms = ch.forms
             assert form_poly(products(zip(forms.p, forms.pc)), forms.den**2) == pair(
                 model, p_coeffs(ch), p_coeffs(ch))
             p_dot = pair(model, p_coeffs(ch), scan.curve)
             assert form_poly(dict(zip(((0, 0), (1, 0), (0, 1)), pc)), pden) == p_dot
-            assert form_poly(products([(pc, pc)]), pden**2) == p_dot * p_dot
-            assert pc_sq == reference_integrate_chamber(p_dot * p_dot, ch.chamber)
+            assert F(sum(x * m for x, m in zip(pc, moments)), pden * mden) == reference_integrate_chamber(
+                p_dot * p_dot, ch.chamber)
+
+
+def test_family_scans_keep_the_moments_of_p_dot(family_scans):
+    # Each chamber's three kept integers over their denominator are iint
+    # (P.C)*1, (P.C)*u and (P.C)*v, by the reference integral.
+    chambers = 0
+    for scan in family_scans:
+        for ch, (_, _, moments, mden) in zip(scan.chambers, scan.curve_terms):
+            p_dot = pair(scan.model, p_coeffs(ch), scan.curve)
+            assert [F(m, mden) for m in moments] == [
+                reference_integrate_chamber(p_dot * x, ch.chamber) for x in (Poly.const(1), U, V)]
+            chambers += 1
+    assert chambers > 100

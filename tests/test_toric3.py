@@ -15,8 +15,8 @@ from fano_delta.toric3 import (
     Fan3,
     ToricDivisor,
     curve_intersection,
+    divisor_cube,
     divisor_polytope,
-    intersection_number,
     lattice_min,
     nef_on_interval,
     polytope_min,
@@ -32,7 +32,8 @@ from fano_delta.toric3 import (
     verify_zariski3,
 )
 
-from helpers import at_u, reference_cone_coordinates, reference_pullback, reference_polytope_vertices
+from helpers import (at_u, intersection_number, reference_cone_coordinates, reference_pullback,
+                     reference_polytope_vertices)
 
 U = Poly.var("u")
 
@@ -134,6 +135,34 @@ def test_intersection_number_matches_triple_loop(name, data):
                                                      max_size=len(fan.rays))))
                 for _ in range(3)]
     assert intersection_number(*divisors) == reference_intersection_number(*divisors)
+
+
+ALL_FANS = sorted(path.stem for path in (fixtures_dir() / "fans").glob("*.json"))
+
+affine_coefficient = st.one_of(
+    st.just(Poly()),
+    st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=3),
+              st.fractions(min_value=-3, max_value=3, max_denominator=4)).map(lambda ab: ab[0] + ab[1] * U),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ALL_FANS), st.data())
+def test_divisor_cube_matches_the_poly_cube(name, data):
+    # 150 examples over the 10 fan fixtures: the integer cube from the fan's
+    # nonzero triples equals the Poly trilinear oracle on a random divisor
+    # affine in u.
+    assert len(ALL_FANS) == 10
+    fan = load_fan(name)
+    d = ToricDivisor(fan, data.draw(st.lists(affine_coefficient, min_size=len(fan.rays),
+                                             max_size=len(fan.rays))))
+    assert divisor_cube(d) == intersection_number(d, d, d)
+
+
+def test_divisor_cube_needs_an_affine_divisor(w0):
+    with pytest.raises(ValueError, match="affine in u"):
+        divisor_cube(ToricDivisor(w0, [U * U] + [0] * 6))
+    assert divisor_cube(ToricDivisor(w0, [0] * 7)) == Poly()
 
 
 def test_triple_table_belongs_to_the_fan(w0):
