@@ -209,6 +209,10 @@ def _run(args: argparse.Namespace) -> int:
     except UsageError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    except builders.DERIVATION_ERRORS as exc:
+        # `compute` derives outside any check; run_218 reports these as FAIL entries.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     if args.command == "compute":
         print(_fmt_value(str(value), args.decimal))
         return 0

@@ -34,6 +34,12 @@ from .surfzar import ChamberedDecomposition, ScanError, SurfaceModel, chamber_sc
 Vec = tuple[Fraction, ...]
 
 
+class DerivationError(ValueError):
+    """Readable data that defines no value: a volume function negative or not
+    vanishing at its end, an order of vanishing along the flag curve that is
+    not affine or negative on a chamber, or no level or one with S <= 0."""
+
+
 # ---------------------------------------------------------------------------
 # Scenario data
 # ---------------------------------------------------------------------------
@@ -85,14 +91,12 @@ class BasePiece:
 
 @dataclass(frozen=True)
 class FlagScenario:
-    name: str
     l_cubed: Fraction
     model: SurfaceModel
     curve_class: Vec
     pieces: tuple[BasePiece, ...]
     sigma: Vec = ()
     points: tuple[MarkedPoint, ...] = ()
-    curve_a: Fraction = Fraction(1)
 
     def __post_init__(self):
         # `scenario_scans` hashes its key on every lookup, down through the
@@ -160,10 +164,10 @@ def s_from_volume(
         poly = Poly.coerce(poly)
         total += integrate_univariate(poly, lo, hi)  # "arity mismatch" unless in u alone
         if not _nonneg_on_interval(poly, lo, hi):
-            raise ValueError("invalid volume function")
+            raise DerivationError("invalid volume function")
         last_hi, last_poly = hi, poly
     if last_poly is not None and last_poly(u=last_hi) != 0:
-        raise ValueError("invalid volume function")
+        raise DerivationError("invalid volume function")
     return total / l_cubed
 
 
@@ -208,7 +212,7 @@ def f_correction(scenario: FlagScenario, point: MarkedPoint) -> Fraction:
         terms = [(m, j) for j, m in enumerate(mults) if m and piece.nprime]
         for k, j in terms + ([(-s, -1)] if s else []):
             if piece._ord_forms[j] is None:
-                raise ValueError("invalid correction data")
+                raise DerivationError("invalid correction data")
             form, den = piece._ord_forms[j]
             coeffs = [x + k * y / den for x, y in zip(coeffs, form)]
         rest, rden = numerators(coeffs)
@@ -219,7 +223,7 @@ def f_correction(scenario: FlagScenario, point: MarkedPoint) -> Fraction:
             if not any(ord_q):
                 continue
             if not ch.chamber.nonnegative(ord_q):
-                raise ValueError("invalid correction data")
+                raise DerivationError("invalid correction data")
             num, den = sum(x * m for x, m in zip(ord_q, moments)), den * pc_den
             total, total_den = total * den + num * total_den, total_den * den
     return Fraction(6 * total * scenario.l_cubed.denominator, total_den * scenario.l_cubed.numerator)
@@ -277,12 +281,12 @@ def a_point_on_curve(
 def delta_lower_bound(levels: Sequence[tuple[Scalar, Scalar]]) -> Fraction:
     """min over comparison levels of A / S."""
     if not levels:
-        raise ValueError("no levels")
+        raise DerivationError("no levels")
     ratios = []
     for a, s in levels:
         a, s = q(a), q(s)
         if s <= 0:
-            raise ValueError("degenerate level")
+            raise DerivationError("degenerate level")
         ratios.append(a / s)
     return min(ratios)
 

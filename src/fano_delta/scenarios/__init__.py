@@ -31,7 +31,7 @@ from typing import Callable
 
 from ..exactmath import Poly, horner, numerators, parse_poly, q
 from ..surfzar import SurfaceModel, TableRow
-from ..toric3 import Fan3, fan_from_dict
+from ..toric3 import Fan3
 
 
 _PACKAGE_FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -76,12 +76,13 @@ def lookup(record: _Record, key: str, table, name: str, kind: str):
     return table[name]
 
 
-def curve_index(record: _Record, key: str, index, n: int) -> int:
-    """The curve index read from record[key]; anything but an int or digit
-    string below n is a FixtureError naming the record's file and the key."""
+def curve_index(record: _Record, key: str, index, n: int, noun: str = "curve") -> int:
+    """The index of one of n curves (or rays, as ``noun`` names them) read
+    from record[key]; anything but an int or digit string below n is a
+    FixtureError naming the record's file and the key."""
     text = str(index)
     if not (text.isdecimal() and int(text) < n):
-        raise FixtureError(f"{record.path}: {key!r}: {index!r} is no curve index of {n} curves")
+        raise FixtureError(f"{record.path}: {key!r}: {index!r} is no {noun} index of {n} {noun}s")
     return int(text)
 
 
@@ -113,6 +114,10 @@ def fixture(root: Path, relative: str, build: Callable | None = None):
     return data if build is None else build(data)
 
 
+def _fan_from_dict(data) -> Fan3:
+    return Fan3(data["rays"], data["cones"])
+
+
 def _model_from_dict(data) -> SurfaceModel:
     if data.get("generates_pseff", True) is not True:  # every scan assumes it
         raise FixtureError(f"{data.path}: 'generates_pseff': only true is supported")
@@ -123,7 +128,7 @@ def _model_from_dict(data) -> SurfaceModel:
 
 
 def load_fan(name: str) -> Fan3:
-    return fixture(fixtures_dir(), f"fans/{name}.json", fan_from_dict)
+    return fixture(fixtures_dir(), f"fans/{name}.json", _fan_from_dict)
 
 
 def load_model(name: str) -> SurfaceModel:

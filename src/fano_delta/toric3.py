@@ -142,21 +142,6 @@ class ToricDivisor:
         return ToricDivisor(self.fan, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    """Torus-invariant curve given by a 2-dimensional cone [i, j]."""
-
-    fan: Fan3
-    pair: tuple[int, int]
-
-    def __init__(self, fan: Fan3, pair: Sequence[int]):
-        pair = tuple(sorted(int(x) for x in pair))
-        if pair not in fan.two_cones:
-            raise ValueError(f"pair {pair} is not a 2-cone of the fan")
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "pair", pair)
-
-
 def triple_product(fan: Fan3, i: int, j: int, k: int) -> Fraction:
     """Intersection number T_i.T_j.T_k of invariant divisors (exact)."""
     return _triple(fan, i, j, k)
@@ -228,12 +213,13 @@ def divisor_cube(d: ToricDivisor) -> Poly:
     return Poly._make({(e, 0, 0): Fraction(x, tden * den**3) for e, x in enumerate(out)})
 
 
-def curve_intersection(d: ToricDivisor, curve: CurveClass) -> Poly:
-    if d.fan != curve.fan:
-        raise ValueError("different fans")
-    i, j = curve.pair
+def curve_intersection(d: ToricDivisor, pair: Sequence[int]) -> Poly:
+    """D.C for the torus-invariant curve C of the 2-cone ``pair`` of d's fan."""
+    pair = tuple(sorted(int(x) for x in pair))
+    if pair not in d.fan.two_cones:
+        raise ValueError(f"pair {pair} is not a 2-cone of the fan")
     return sum((coeff * t for r, coeff in enumerate(d.coeffs)
-                if coeff.terms and (t := triple_product(d.fan, r, i, j))), Poly())
+                if coeff.terms and (t := triple_product(d.fan, r, *pair))), Poly())
 
 
 def principal_residual(d: ToricDivisor) -> Fraction:
@@ -255,14 +241,12 @@ def nef_on_interval(d: ToricDivisor, u_lo: Scalar, u_hi: Scalar) -> str | None:
     """Where a Poly-in-u divisor fails to be nef on [u_lo, u_hi], as text;
     None when it is nef there.
 
-    Every curve intersection is checked to be affine in u, so nonnegativity
-    at the two endpoints certifies the whole interval.
+    Every curve intersection must be affine in u, so nonnegativity at the
+    two endpoints certifies the whole interval.
     """
     u_lo, u_hi = q(u_lo), q(u_hi)
     for pair in d.fan.two_cones:
-        val = curve_intersection(d, CurveClass(d.fan, pair))
-        if val.total_degree() > 1:
-            raise ValueError(f"curve intersection {val} is not affine in u")
+        val = curve_intersection(d, pair)
         u0 = negative_end(wall(val), u_lo, u_hi)
         if u0 is not None:
             return f"curve {pair} meets the divisor in {val} < 0 at u={u0}"
@@ -623,27 +607,20 @@ class Zariski3Interval:
     forcing: tuple[tuple[int, tuple[int, int]], ...]  # (ray, forcing 2-cone)
 
 
-@dataclass(frozen=True)
-class ZariskiCertificate3:
-    """Interval-wise Zariski decomposition data for a one-parameter divisor.
+def verify_zariski3(l_u: Sequence[Poly], intervals: Sequence[Zariski3Interval]) -> list[str]:
+    """One line per rejected interval of an interval-wise Zariski
+    decomposition of the one-parameter divisor L_u, none when it holds.
 
     Each interval names the birational model on which the positive part is
     nef, the decomposition itself (coefficients affine in u), and, for every
     ray supporting the negative part, a forcing curve along which positivity
     pins the negative coefficient.
     """
-
-    l_u: tuple[Poly, ...]
-    intervals: tuple[Zariski3Interval, ...]
-
-
-def verify_zariski3(cert: ZariskiCertificate3) -> list[str]:
-    """One line per rejected interval of the certificate, none when it holds."""
     return [f"[{iv.u_lo},{iv.u_hi}] on {len(iv.model.rays)}-ray model: REJECT ({failure})"
-            for iv in cert.intervals if (failure := _check_interval(cert, iv))]
+            for iv in intervals if (failure := _check_interval(l_u, iv))]
 
 
-def _check_interval(cert: ZariskiCertificate3, iv: Zariski3Interval) -> str | None:
+def _check_interval(l_u: Sequence[Poly], iv: Zariski3Interval) -> str | None:
     fan = iv.model
     if iv.positive.fan != fan or iv.negative.fan != fan:
         return "decomposition parts on a different fan"
@@ -651,7 +628,7 @@ def _check_interval(cert: ZariskiCertificate3, iv: Zariski3Interval) -> str | No
     # small modifications keep ray coefficients, so the transform of L_u has
     # the same coefficient vector on every model.
     for k in range(len(fan.rays)):
-        if iv.positive.coeffs[k] + iv.negative.coeffs[k] != cert.l_u[k]:
+        if iv.positive.coeffs[k] + iv.negative.coeffs[k] != l_u[k]:
             return f"P + N differs from L_u at ray {k}"
     # (b) negative part effective on the interval (affine coefficients: the
     # two endpoints certify it).
@@ -673,23 +650,13 @@ def _check_interval(cert: ZariskiCertificate3, iv: Zariski3Interval) -> str | No
     for k in support:
         if k not in forcing:
             return f"no forcing curve for negative ray {k}"
-        curve = CurveClass(fan, forcing[k])
-        along = curve_intersection(iv.positive, curve)
+        along = curve_intersection(iv.positive, forcing[k])
         if not along.is_zero():
             return f"forcing curve {forcing[k]} not orthogonal to P (got {along})"
-        self_int = triple_product(fan, k, *curve.pair)
+        self_int = triple_product(fan, k, *forcing[k])
         if self_int >= 0:
             return (
                 f"forcing curve {forcing[k]} does not pin ray {k}: "
                 f"T{k}.curve = {self_int} >= 0"
             )
     return None
-
-
-# ---------------------------------------------------------------------------
-# JSON deserialization per the external fan schema
-# ---------------------------------------------------------------------------
-
-
-def fan_from_dict(data) -> Fan3:
-    return Fan3(data["rays"], data["cones"])

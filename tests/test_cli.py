@@ -272,8 +272,16 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
      "m34-quadric.json: 'gram': Gram matrix dimensions must match curve count"),
     ("models/m34-quadric.json", _set("gram", 0, 1, "2"), "34-surfaces",
      "m34-quadric.json: 'gram': Gram matrix must be symmetric"),
+    ("scenarios/family-34-d4.json", _set("certificate", 2, "N", {"99": "(u-2)/3"}), "34-d4",
+     "family-34-d4.json: 'N': '99' is no ray index of 7 rays"),
+    ("scenarios/family-34-d4.json", _set("certificate", 2, "forcing", {"x": [0, 3]}), "34-d4",
+     "family-34-d4.json: 'forcing': 'x' is no ray index of 7 rays"),
+    ("scenarios/family-34-d4.json", _set("pullbacks", "zeta0", "T0", {"42": "1"}), "34-d4",
+     "family-34-d4.json: 'T0': '42' is no ray index of 11 rays"),
+    ("tables/table-02.json", lambda data: {**data, "columns": data["columns"][:-1]}, "34-d4",
+     "table-02.json: 'P': 6 cells for 5 columns"),
 ], ids=["contracted", "class", "mults", "mults-text", "flag-curve", "generates-pseff", "contracted-repeated",
-        "gram-rows", "gram-asymmetric"])
+        "gram-rows", "gram-asymmetric", "certificate-ray", "forcing-ray", "pullback-ray", "table-columns"])
 def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit, family,
                                                         named):
     dst = _fixture_copy(tmp_path / "fixtures", relative, edit)
@@ -282,6 +290,46 @@ def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monke
     assert code == 1 and out == ""
     assert err.startswith("error: unreadable fixture: ") and err.count("\n") == 1
     assert named in err
+
+
+def _easy_volume_negative(data):
+    # Negative on the upper half of its piece [0, 2-2*c].
+    data["cases"]["easy"]["ambient"]["volume"][0]["poly"] = "3*(3-2*c)^2*(1-2*c-u)"
+    return data
+
+
+def _ok_volume_zero(data):
+    data["cases"]["ok"]["ambient"]["volume"][0]["poly"] = "0"
+    return data
+
+
+@pytest.mark.parametrize("edit, case, cause", [
+    (_easy_volume_negative, "easy", "DerivationError: invalid volume function"),
+    (_ok_volume_zero, "ok", "DerivationError: degenerate level"),
+], ids=["negative-volume", "zero-volume"])
+def test_derivation_error_is_one_fail_entry_per_case_and_c(tmp_path, capsys, monkeypatch, family_runs, edit,
+                                                          case, cause):
+    # The case's checks at each c give way to one FAIL naming the cause; the
+    # other cases, and the case's printed ranges, are checked as before.
+    dst = _fixture_copy(tmp_path / "fixtures", "scenarios/family-218.json", edit)
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    code, out, err = run_cli(capsys, "verify", "--family", "218")
+    samples = load_scenario_data("218")["default_c_samples"]
+    kept = [e for e in family_runs["218"] if not e.label.startswith(f"{case}@c=")]
+    counts = {status: sum(e.status == status for e in kept) for status in ("pass", "flagged", "fail")}
+    assert (code, err) == (1, "") and "Traceback" not in out
+    assert re.findall(r"\[FAIL   \] 218: (.*)\n +computed: (.*)", out) == [
+        (f"{case}@c={c}: derivation", cause) for c in sorted(samples)]
+    assert out.splitlines()[-1] == (f"{counts['pass']} passed, {counts['flagged']} flagged (known discrepancies), "
+                                    f"{counts['fail'] + len(samples)} failed")
+
+
+def test_derivation_error_in_compute_is_one_error_line(tmp_path, capsys, monkeypatch):
+    dst = _fixture_copy(tmp_path / "fixtures", "scenarios/family-218.json", _easy_volume_negative)
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    code, out, err = run_cli(capsys, "compute", "--scenario", "218", "--op", "delta", "--target", "easy",
+                             "--c", "1/2")
+    assert (code, out, err) == (1, "", "error: DerivationError: invalid volume function\n")
 
 
 def _tamper_table_02(data):

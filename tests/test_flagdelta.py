@@ -34,7 +34,6 @@ from helpers import (integrate_poly, marked_point, n_coeffs, p_coeffs, pair,
 def weighted_scenario():
     model = load_model("m34-s-weighted")
     return FlagScenario(
-        name="weighted",
         l_cubed=F(9),
         model=model,
         curve_class=(F(1), F(0), F(0)),
@@ -127,10 +126,10 @@ def test_scenario_hash_is_kept_and_equality_is_by_value():
     sc, twin = weighted_scenario(), weighted_scenario()
     assert sc is not twin and sc == twin and hash(sc) == hash(twin)
     assert hash(sc) == hash(tuple(getattr(sc, f.name) for f in dataclasses.fields(sc)))
-    other = dataclasses.replace(twin, curve_a=F(2))
+    other = dataclasses.replace(twin, l_cubed=F(10))
     assert other != sc and hash(other) != hash(sc)
     # The hash is not recomputed from the fields on a lookup.
-    object.__setattr__(sc, "name", "renamed")
+    object.__setattr__(sc, "l_cubed", F(10))
     assert hash(sc) == hash(twin)
 
 
@@ -282,7 +281,6 @@ def test_breakdown_additivity():
 def test_invalid_correction_data_detected():
     model = load_model("m34-s-weighted")
     sc = FlagScenario(
-        name="bad-sigma",
         l_cubed=F(9),
         model=model,
         curve_class=(F(1), F(0), F(0)),
@@ -299,7 +297,6 @@ def test_non_affine_order_is_rejected():
     model = load_model("m34-s-weighted")
     coeffs = tuple(parse_poly(s) for s in ("3", "1", "1"))
     sc = FlagScenario(
-        name="bent-nprime",
         l_cubed=F(9),
         model=model,
         curve_class=(F(1), F(0), F(0)),

@@ -11,7 +11,6 @@ from fano_delta.exactmath import Poly, parse_poly
 from fano_delta.scenarios import fixtures_dir, load_fan
 from fano_delta.toric3 import (
     _cone_coordinates,
-    CurveClass,
     Fan3,
     ToricDivisor,
     curve_intersection,
@@ -233,13 +232,13 @@ def test_principal_divisors_annihilate(w0):
 
 
 def test_curve_intersections(w0, l_on_w0):
-    assert curve_intersection(l_on_w0, CurveClass(w0, (0, 1))) == parse_poly("u/3")
-    at_one = curve_intersection(at_u(l_on_w0, 1), CurveClass(w0, (0, 1)))
+    assert curve_intersection(l_on_w0, (0, 1)) == parse_poly("u/3")
+    at_one = curve_intersection(at_u(l_on_w0, 1), (1, 0))
     assert at_one.as_fraction() == F(1, 3)
-    at_two = curve_intersection(at_u(l_on_w0, 2), CurveClass(w0, (1, 3)))
+    at_two = curve_intersection(at_u(l_on_w0, 2), (1, 3))
     assert at_two.as_fraction() == -1
     zero = ToricDivisor(w0, [0] * 7)
-    assert curve_intersection(zero, CurveClass(w0, (0, 1))).is_zero()
+    assert curve_intersection(zero, (0, 1)).is_zero()
 
 
 def test_nefness(w0, l_on_w0):
@@ -251,10 +250,9 @@ def test_nefness(w0, l_on_w0):
     assert nef_on_interval(l_on_w0, 0, 1) is None
 
 
-def test_different_fans_error(w0, y):
-    d_y = ToricDivisor(y, [1, 1, 2, 0, 0, 0])
-    with pytest.raises(ValueError, match="different fans"):
-        curve_intersection(d_y, CurveClass(w0, (0, 1)))
+def test_pair_that_is_no_two_cone_error(l_on_w0):
+    with pytest.raises(ValueError, match=r"pair \(1, 6\) is not a 2-cone of the fan"):
+        curve_intersection(l_on_w0, (6, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -583,23 +581,21 @@ def test_zariski3_interval_accept_and_reject():
     from fano_delta.scenarios import builders
 
     family = builders.ToricFamily("34-d4")
-    cert = family.certificate
-    assert verify_zariski3(cert) == []
+    l_u, intervals = family.l_u, family.certificate
+    assert verify_zariski3(l_u, intervals) == []
 
     # The [2,4] interval with N = 0 on W0 must be rejected with witness [1,3].
     import dataclasses
 
     w0 = load_fan("d4-w0")
-    l_u = cert.l_u
     bad_iv = dataclasses.replace(
-        cert.intervals[2],
+        intervals[2],
         model=w0,
         positive=ToricDivisor(w0, l_u),
         negative=ToricDivisor(w0, [0] * 7),
         forcing=(),
     )
-    bad = dataclasses.replace(cert, intervals=(bad_iv,))
-    rejected = verify_zariski3(bad)
+    rejected = verify_zariski3(l_u, (bad_iv,))
     assert rejected
     assert "(1, 3)" in rejected[0]
 
@@ -610,10 +606,8 @@ def test_zariski3_forcing_check():
     from fano_delta.scenarios import builders
 
     family = builders.ToricFamily("34-d4")
-    cert = family.certificate
-    iv = cert.intervals[2]
-    missing = dataclasses.replace(iv, forcing=())
-    rejected = verify_zariski3(dataclasses.replace(cert, intervals=(missing,)))
+    missing = dataclasses.replace(family.certificate[2], forcing=())
+    rejected = verify_zariski3(family.l_u, (missing,))
     assert rejected and "no forcing curve" in rejected[0]
 
 
@@ -627,10 +621,9 @@ def test_polytope_volume_equals_positive_part_cube():
     for fam, samples in (("34-d4", (F(1, 2), F(3), F(11, 2), F(13, 2))),
                          ("34-a3", (F(1, 2), F(4), F(15, 2), F(9)))):
         family = builders.ToricFamily(fam)
-        cert = family.certificate
         for u0 in samples:
-            iv = next(i for i in cert.intervals if i.u_lo <= u0 <= i.u_hi)
-            l_at = ToricDivisor(iv.model, [c.subs(u=u0) for c in cert.l_u])
+            iv = next(i for i in family.certificate if i.u_lo <= u0 <= i.u_hi)
+            l_at = ToricDivisor(iv.model, [c.subs(u=u0) for c in family.l_u])
             p_at = at_u(iv.positive, u0)
             cube = intersection_number(p_at, p_at, p_at).as_fraction()
             vol = 6 * polytope_volume(divisor_polytope(l_at))
