@@ -95,6 +95,17 @@ def curve_indices(record: _Record, key: str, n: int) -> list[int]:
     return indices
 
 
+def ray_indices(record: _Record, key: str, items, fan: Fan3, size: int) -> tuple[int, ...]:
+    """items, read from record[key], as `size` ray indices of fan, each read
+    by `curve_index`; a pair must span a 2-cone of fan.  Else a
+    FixtureError naming the record's file and the key."""
+    rays = tuple(curve_index(record, key, x, len(fan.rays), "ray") for x in items)
+    if len(rays) != size or size == 2 and tuple(sorted(rays)) not in fan.two_cones:
+        raise FixtureError(f"{record.path}: {key!r}: {list(rays)} is no "
+                           f"{'2-cone' if size == 2 else 'ray triple'} of the fan")
+    return rays
+
+
 @lru_cache(maxsize=None)
 def fixture(root: Path, relative: str, build: Callable | None = None):
     """The parsed JSON file `relative` under `root`, or `build` of it.
@@ -211,7 +222,8 @@ def rf_eval(spec, c: Fraction) -> Fraction:
             if ("c_min" not in branch or c > q(branch["c_min"])) and (
                     "c_max" not in branch or c <= q(branch["c_max"])):
                 return rf_eval(branch, c)
-        raise ValueError(f"no branch covers c={c}")
+        where = f"{spec[0].path}: " if spec else ""
+        raise FixtureError(f"{where}'c_min'/'c_max': no branch covers c={c}")
     if isinstance(spec, str):
         return Fraction(*_c_value(spec, c))
     num, num_den = _c_value(spec["num"], c)

@@ -36,6 +36,7 @@ from . import (
     load_scenario_data,
     load_table,
     lookup,
+    ray_indices,
     rf_eval,
     table_rows,
 )
@@ -152,8 +153,8 @@ class ToricFamily:
             n_coeffs = _ray_coeffs(iv, "N", n)
             positive = ToricDivisor(fan, [self.l_u[k] - n_coeffs[k] for k in range(n)])
             negative = ToricDivisor(fan, n_coeffs)
-            forcing = tuple((curve_index(iv, "forcing", r, n, "ray"), tuple(pair))
-                            for r, pair in iv["forcing"].items())
+            forcing = tuple((curve_index(iv, "forcing", r, n, "ray"),
+                             ray_indices(iv, "forcing", pair, fan, 2)) for r, pair in iv["forcing"].items())
             intervals.append(toric3.Zariski3Interval(u_lo=q(iv["u"][0]), u_hi=q(iv["u"][1]), model=fan,
                                                      positive=positive, negative=negative, forcing=forcing))
         return tuple(intervals)
@@ -243,19 +244,17 @@ class ToricFamily:
 
     def run(self) -> list[CheckResult]:
         self.checks = []
-        self._check_fans()
-        self._check_polytope()
-        self._check_certificate()
-        self._check_pullbacks()
-        self._check_intersection_fixtures()
-        self._check_resolution_table()
-        self._check_volume_route()
-        self._check_star()
-        self._check_restriction_table()
-        self._check_sigmas()
-        self._check_thresholds()
-        self._check_chamber_tables()
-        self._check_flag_values()
+        for stage in (self._check_fans, self._check_polytope, self._check_certificate,
+                      self._check_pullbacks, self._check_intersection_fixtures,
+                      self._check_resolution_table, self._check_volume_route, self._check_star,
+                      self._check_restriction_table, self._check_sigmas, self._check_thresholds,
+                      self._check_chamber_tables, self._check_flag_values):
+            try:
+                stage()
+            except DERIVATION_ERRORS as exc:
+                # The stage's other checks cannot be made: one FAIL names why.
+                self._emit(f"{stage.__name__.removeprefix('_check_')}: derivation", False, True,
+                           shown=(f"{type(exc).__name__}: {exc}", None))
         return self.checks
 
     def _emit(self, label, got, want, **how):
@@ -329,7 +328,7 @@ class ToricFamily:
         for model_name, triples in self.data["printed_triples"].items():
             fan = load_fan(model_name)
             for key, val in triples.items():
-                i, j, k = (int(x) for x in key.split(","))
+                i, j, k = ray_indices(triples, key, key.split(","), fan, 3)
                 self._emit(
                     f"{model_name}: T{i}.T{j}.T{k}",
                     toric3.triple_product(fan, i, j, k),
@@ -348,7 +347,7 @@ class ToricFamily:
             fan = load_fan(block["model"])
             d = ToricDivisor(fan, lookup(block, "divisor", divisors, block["divisor"], "divisor"))
             for key, val in block["values"].items():
-                i, j = (int(x) for x in key.split(","))
+                i, j = ray_indices(block["values"], key, key.split(","), fan, 2)
                 self._emit(
                     f"{block['model']}: {block['divisor']}.T{i}T{j}",
                     str(toric3.curve_intersection(d, (i, j))),

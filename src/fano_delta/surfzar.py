@@ -222,6 +222,8 @@ def _threshold_pieces(family: "_Family", u_lo: Fraction, u_hi: Fraction) -> list
         if lo < a:
             walk(lo, a, depth + 1)
         t = lowest((_dot(dual, consts), _dot(dual, slopes), den * family.den))
+        if u_lo == u_hi:  # a point: tied bases may slope either way, t(u_lo) is one value
+            t = lowest((at(t, u_lo), 0, t[2] * u_lo.denominator))
         if pieces and pieces[-1].wall == t:
             pieces[-1] = ThresholdPiece(pieces[-1].u_lo, b, t)
         elif a < b or u_lo == u_hi:  # a point piece at a kink adds nothing

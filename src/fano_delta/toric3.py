@@ -5,17 +5,17 @@ cones given as index triples.  Torus-invariant divisors are coefficient
 vectors over the rays; coefficients may be exact rationals or polynomials in
 u for one-parameter families.
 
-Triple intersection numbers follow the simplicial recipe: for distinct rays
-spanning a maximal cone the product is 1/|det|, other distinct triples give
-0, and repeated rays are eliminated by substituting a principal divisor
-div(chi_m) chosen so the coefficient at the repeated ray cancels.  Only rays
-of one cone meet, so the cube D^3 of a divisor affine in u reads the fan's
-table of nonzero triples once, in integers.  The same
-character relations drive pullbacks along toric morphisms, restriction to
-invariant surfaces (star construction), and the 2D Gram matrices.  A star
-surface is built once with every choice of its basis: the order of its
-curves and the self character that rewrites the star ray, so restriction to
-it is one fixed linear map.
+Triple intersection numbers are one table per fan (`Fan3.triple_table`),
+made in three closed-form passes with no recursion: 1/|det| on each cone,
+then each T_a^2.T_b from a principal divisor through the two cones of the
+2-face {a, b}, then each T_a^3 from the same character and the squares.
+Every other triple is 0, and the cube D^3 of a divisor affine in u reads
+the table once, in integers.  The same character relations drive pullbacks
+along toric morphisms, restriction to invariant surfaces (star
+construction), and the 2D Gram matrices.  A star surface is built once
+with every choice of its basis: the order of its curves and the self
+character that rewrites the star ray, so restriction to it is one fixed
+linear map.
 
 Divisor polytopes are handled by brute-force vertex enumeration (at most a
 handful of facets here), each facet triple solved by Cramer's rule in
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -58,24 +57,48 @@ class Fan3:
         object.__setattr__(self, "cones", tuple(tuple(sorted(int(i) for i in c)) for c in cones))
 
     @cached_property
+    def _faces(self) -> dict[tuple[int, int], list[Cone]]:
+        """Each index pair of a maximal cone, with the maximal cones holding it."""
+        faces: dict[tuple[int, int], list[Cone]] = {}
+        for cone in self.cones:
+            for pair in itertools.combinations(cone, 2):
+                faces.setdefault(pair, []).append(cone)
+        return faces
+
+    @cached_property
     def two_cones(self) -> tuple[tuple[int, int], ...]:
         """Index pairs spanning a 2-dimensional cone of the fan, sorted."""
-        return tuple(sorted({pair for cone in self.cones for pair in itertools.combinations(cone, 2)}))
+        return tuple(sorted(self._faces))
 
     @cached_property
-    def _triples(self) -> dict[Cone, Fraction]:
-        """Triple products computed so far, keyed by sorted ray indices."""
-        return {}
+    def triple_table(self) -> dict[Cone, Fraction]:
+        """Every nonzero T_i.T_j.T_k, keyed by sorted ray indices, in three
+        closed-form passes (Cox-Little-Schenck, Toric Varieties, 12.5).
 
-    @cached_property
-    def _cube_terms(self) -> tuple[tuple[tuple[int, int, int, int], ...], int]:
-        """(terms, den) for `divisor_cube`: (i, j, k, w) per nonzero triple
-        product, i <= j <= k rays of one cone (other triples vanish), with
-        w/den = T_ijk times its number of orderings, 1, 3 or 6."""
-        keys = {key for cone in self.cones for key in itertools.combinations_with_replacement(cone, 3)}
-        values = [(key, x) for key in sorted(keys) if (x := _triple(self, *key))]
-        nums, den = numerators((1, 3, 6)[len(set(key)) - 1] * x for key, x in values)
-        return tuple((*key, w) for (key, _), w in zip(values, nums)), den
+        A cone (a, b, c) gives T_abc = 1/|det|.  A 2-face {a, b} of the cones
+        (a, b, c) and (a, b, e) gives T_a^2.T_b = -<m, v_e> T_abe for the m
+        with <m, v_a> = 1 and <m, v_b> = <m, v_c> = 0, since div(chi^m) =
+        sum_r <m, v_r> T_r meets T_a.T_b in no other cone.  With the first
+        such m of a, T_a^3 = -sum_r <m, v_r> T_a^2.T_r over its neighbours r.
+        """
+        rays, table, first_m = self.rays, {}, {}
+        for cone in self.cones:
+            table[cone] = Fraction(1, abs(linalg.det3(*(rays[i] for i in cone))))
+        for (a, b), cones in self._faces.items():
+            if len(cones) != 2:
+                raise ValueError(f"face {[a, b]} lies in {len(cones)} maximal cone(s), expected 2")
+            (c,), (e,) = (set(cone) - {a, b} for cone in cones)
+            for x, y in ((a, b), (b, a)):
+                nums, det = _pairings(rays, x, y, c)
+                first_m.setdefault(x, (nums, det))
+                if value := Fraction(-nums[e], det) * table[cones[1]]:
+                    table[tuple(sorted((x, x, y)))] = value
+        for a, (nums, det) in first_m.items():
+            total = sum(nums[r] * table.get(tuple(sorted((a, a, r))), 0)
+                        for r in range(len(rays)) if r != a)
+            if total:
+                table[(a, a, a)] = -total / det
+        return table
 
     @cached_property
     def _pullbacks(self) -> dict[Fan3, tuple[tuple[tuple[int, Fraction], ...], ...]]:
@@ -84,8 +107,8 @@ class Fan3:
 
 
 def validate_fan(fan: Fan3) -> list[str]:
-    """The issues of a fan, none for a valid one: primitivity, simpliciality
-    and the 2-face completeness criterion.
+    """The issues of a fan, none for a valid one: primitivity, simpliciality,
+    the 2-face completeness criterion and a cone for every ray.
 
     Completeness here means: every index pair occurring in some maximal cone
     occurs in exactly two of them.  For the complete simplicial fans handled
@@ -113,10 +136,11 @@ def validate_fan(fan: Fan3) -> list[str]:
         det = linalg.det3(*(fan.rays[i] for i in cone))
         if det == 0:
             issues.append(f"cone {cone} is not simplicial (rays dependent)")
-    counts = Counter(pair for cone in fan.cones for pair in itertools.combinations(cone, 2))
-    for pair, count in sorted(counts.items()):
-        if count != 2:
-            issues.append(f"face {list(pair)} lies in {count} maximal cone(s), expected 2")
+    for pair, cones in sorted(fan._faces.items()):
+        if len(cones) != 2:
+            issues.append(f"face {list(pair)} lies in {len(cones)} maximal cone(s), expected 2")
+    covered = {i for cone in fan.cones for i in cone}
+    issues += [f"ray {i} lies in no maximal cone" for i in range(len(fan.rays)) if i not in covered]
     return issues
 
 
@@ -142,68 +166,31 @@ class ToricDivisor:
         return ToricDivisor(self.fan, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
 
+def _pairings(rays: Sequence[Ray], a: int, b: int, c: int) -> tuple[list[int], int]:
+    """([<m, v_r> * det for every ray r], det) for the m with <m, v_a> = 1 and
+    <m, v_b> = <m, v_c> = 0, by Cramer's rule in integers: <m, x> =
+    det3(x, v_b, v_c) / det3(v_a, v_b, v_c)."""
+    vb, vc = rays[b], rays[c]
+    return [linalg.det3(x, vb, vc) for x in rays], linalg.det3(rays[a], vb, vc)
+
+
 def triple_product(fan: Fan3, i: int, j: int, k: int) -> Fraction:
-    """Intersection number T_i.T_j.T_k of invariant divisors (exact)."""
-    return _triple(fan, i, j, k)
-
-
-def _triple(fan: Fan3, i: int, j: int, k: int) -> Fraction:
-    """`triple_product` through the fan's table of the triples computed so far."""
-    key = (i, j, k) if i <= j <= k else tuple(sorted((i, j, k)))
-    value = fan._triples.get(key)
-    if value is None:
-        value = fan._triples[key] = _triple_uncached(fan, *key)
-    return value
-
-
-def _triple_uncached(fan: Fan3, i: int, j: int, k: int) -> Fraction:
-    if i != j and j != k and i != k:
-        if (i, j, k) in fan.cones:  # i < j < k, as each cone is stored
-            det = linalg.det3(fan.rays[i], fan.rays[j], fan.rays[k])
-            return Fraction(1, abs(det))
-        return Fraction(0)
-    # Repeated ray: substitute T_rep ~ T_rep - div(chi_m) with <m, v_rep> = 1
-    # and <m, .> = 0 on the other two rays of a fixed (lowest-index) maximal
-    # cone, which cancels the repeated factor.  The cone is chosen to contain
-    # the remaining ray of the monomial as well, so every generated triple
-    # has distinct rays and the recursion terminates after at most two
-    # substitutions.
-    rep = i if i == j else k
-    others = [i, j, k]
-    others.remove(rep)
-    required = {rep} | {o for o in others if o != rep}
-    cone = next((c for c in sorted(fan.cones) if required <= set(c)), None)
-    if cone is None:
-        if len(required) > 1:
-            # The rays span no common cone: the divisors are disjoint.
-            return Fraction(0)
-        raise ValueError(f"ray {rep} lies in no maximal cone")
-    # <m, x> = det3(x, o1, o2) / det3(v_rep, o1, o2): 1 on v_rep, 0 on o1 and o2.
-    o1, o2 = (fan.rays[r] for r in cone if r != rep)
-    det = linalg.det3(fan.rays[rep], o1, o2)
-    if det == 0:
-        raise ValueError("singular matrix")
-    total = Fraction(0)
-    for r in range(len(fan.rays)):
-        if r == rep:
-            continue
-        num = linalg.det3(fan.rays[r], o1, o2)
-        if num:
-            total -= Fraction(num, det) * _triple(fan, r, others[0], others[1])
-    return total
+    """T_i.T_j.T_k of invariant divisors, exact: the fan's table entry, 0 off the table."""
+    return fan.triple_table.get((i, j, k) if i <= j <= k else tuple(sorted((i, j, k))), Fraction(0))
 
 
 def divisor_cube(d: ToricDivisor) -> Poly:
-    """D^3 of a divisor affine in u, a cubic in u: the fan's nonzero triple
-    products (`Fan3._cube_terms`) against D's integer coefficient forms
+    """D^3 of a divisor affine in u, a cubic in u: each nonzero triple of the
+    fan's table times its number of orderings, against D's integer forms
     a_r + b_r*u, summed in integers over one denominator."""
     if any(e[1] or e[2] or e[0] > 1 for x in d.coeffs for e in x.terms):
         raise ValueError("divisor must be affine in u")
     flat, den = numerators(x.coefficient((e, 0, 0)) for x in d.coeffs for e in (0, 1))
     forms = [flat[i:i + 2] for i in range(0, len(flat), 2)]
-    terms, tden = d.fan._cube_terms
+    table = d.fan.triple_table
+    weights, tden = numerators((1, 3, 6)[len(set(key)) - 1] * x for key, x in table.items())
     out = [0, 0, 0, 0]
-    for i, j, k, w in terms:
+    for (i, j, k), w in zip(table, weights):
         (a0, a1), (b0, b1), (c0, c1) = forms[i], forms[j], forms[k]
         ab0, ab1, ab2 = w * a0 * b0, w * (a0 * b1 + a1 * b0), w * a1 * b1
         out[0] += ab0 * c0
@@ -226,15 +213,14 @@ def principal_residual(d: ToricDivisor) -> Fraction:
     """0 if the constant divisor d = sum a_rho D_rho is div(chi^m), that is
     <m, rho> = a_rho on every ray for one m in Q^3 (Cox-Little-Schenck,
     Thm 4.1.3); else a_rho - <m, rho> at the first ray where they differ,
-    with m solved by Cramer's rule on the first three independent rays."""
+    with m solved by Cramer's rule (`_pairings`) on the first three independent rays."""
     rays, a = d.fan.rays, [x.as_fraction() for x in d.coeffs]
     basis = next(t for t in itertools.combinations(range(len(rays)), 3)
                  if linalg.det3(*(rays[i] for i in t)))
-    det = linalg.det3(*(rays[i] for i in basis))
-    m = [Fraction(linalg.det3(*([a[i] if t == k else x for t, x in enumerate(rays[i])]
-                                for i in basis)), det) for k in range(3)]
-    residuals = (a_r - sum(x * y for x, y in zip(m, ray)) for ray, a_r in zip(rays, a))
-    return next((r for r in residuals if r), Fraction(0))
+    duals = [(a[k], _pairings(rays, k, *(i for i in basis if i != k))) for k in basis]
+    residuals = (a[r] - sum(a_k * Fraction(nums[r], det) for a_k, (nums, det) in duals)
+                 for r in range(len(rays)))
+    return next((x for x in residuals if x), Fraction(0))
 
 
 def nef_on_interval(d: ToricDivisor, u_lo: Scalar, u_hi: Scalar) -> str | None:

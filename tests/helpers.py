@@ -708,8 +708,8 @@ def _reference_lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fract
         vmin = min(line(u=cur) for line in lines)
         active = min((line for line in lines if line(u=cur) == vmin), key=slope)
         if cur >= u_hi:
-            if not pieces:
-                pieces.append(ReferencePiece(u_lo, u_hi, active))
+            if not pieces:  # u_lo == u_hi: the value there, whichever line is active
+                pieces.append(ReferencePiece(u_lo, u_hi, Poly.const(vmin)))
             return pieces
         nxt = u_hi
         for line in lines:

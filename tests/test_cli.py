@@ -280,8 +280,28 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
      "family-34-d4.json: 'T0': '42' is no ray index of 11 rays"),
     ("tables/table-02.json", lambda data: {**data, "columns": data["columns"][:-1]}, "34-d4",
      "table-02.json: 'P': 6 cells for 5 columns"),
+    ("scenarios/family-34-d4.json", _set("printed_curve_values", 0, "values", "0,99", "1"), "34-d4",
+     "family-34-d4.json: '0,99': '99' is no ray index of 7 rays"),
+    ("scenarios/family-34-d4.json", _set("printed_curve_values", 0, "values", "1,6", "1"), "34-d4",
+     "family-34-d4.json: '1,6': [1, 6] is no 2-cone of the fan"),
+    ("scenarios/family-34-d4.json", _set("certificate", 2, "forcing", {"3": [0, 9]}), "34-d4",
+     "family-34-d4.json: 'forcing': 9 is no ray index of 7 rays"),
+    ("scenarios/family-34-d4.json", _set("certificate", 2, "forcing", {"3": [1, 6]}), "34-d4",
+     "family-34-d4.json: 'forcing': [1, 6] is no 2-cone of the fan"),
+    ("scenarios/family-218.json", _set("cases", "heart", "points", 2, "expected_s", 0, "c_max", "1/3"), "218",
+     "family-218.json: 'c_min'/'c_max': no branch covers c=1/2"),
+    # The triple table answers 0 off its keys: a key naming no ray must not
+    # pass as a triple that vanishes.
+    ("scenarios/family-34-d4.json", _set("printed_triples", "d4-w0", "0,1,99", "0"), "34-d4",
+     "family-34-d4.json: '0,1,99': '99' is no ray index of 7 rays"),
+    ("scenarios/family-34-d4.json", _set("printed_triples", "d4-w0", "99,99,99", "0"), "34-d4",
+     "family-34-d4.json: '99,99,99': '99' is no ray index of 7 rays"),
+    ("scenarios/family-34-d4.json", _set("printed_triples", "d4-w0", "0,1", "0"), "34-d4",
+     "family-34-d4.json: '0,1': [0, 1] is no ray triple of the fan"),
 ], ids=["contracted", "class", "mults", "mults-text", "flag-curve", "generates-pseff", "contracted-repeated",
-        "gram-rows", "gram-asymmetric", "certificate-ray", "forcing-ray", "pullback-ray", "table-columns"])
+        "gram-rows", "gram-asymmetric", "certificate-ray", "forcing-ray", "pullback-ray", "table-columns",
+        "curve-value-ray", "curve-value-pair", "forcing-pair-ray", "forcing-pair", "branch-gap",
+        "triple-ray", "triple-repeated-ray", "triple-two-rays"])
 def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit, family,
                                                         named):
     dst = _fixture_copy(tmp_path / "fixtures", relative, edit)
@@ -290,6 +310,28 @@ def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monke
     assert code == 1 and out == ""
     assert err.startswith("error: unreadable fixture: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_derivation_error_in_a_toric_stage_is_one_fail_entry(tmp_path, capsys, monkeypatch, family_runs):
+    # sigma(alpha1) five times too large gives invalid correction data: the
+    # flag-value stage ends in one FAIL naming the cause, and every earlier
+    # stage reports its checks as before.
+    from fano_delta.scenarios import builders
+
+    dst = _fixture_copy(tmp_path / "fixtures", "scenarios/family-34-d4.json",
+                        _set("curve_cases", "alpha1", "sigma", ["0", "5", "5", "0", "0", "0"]))
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    code, out, err = run_cli(capsys, "verify", "--family", "34-d4")
+    assert (code, err) == (1, "") and "Traceback" not in out
+    assert sorted(re.findall(r"\[FAIL   \] 34-d4: (.*)\n +computed: (.*)", out)) == [
+        ("flag_values: derivation", "DerivationError: invalid correction data"),
+        ("sigma(alpha1)", "[Fraction(0, 1), Fraction(1, 1), Fraction(1, 1), Fraction(0, 1), Fraction(0, 1), "
+                          "Fraction(0, 1)]")]
+    checks = builders.run_family("34-d4")
+    clean = [e.label for e in family_runs["34-d4"]]
+    first = next(i for i, label in enumerate(clean) if label.startswith("S_L(W^G;"))
+    assert [e.label for e in checks[:first]] == clean[:first]
+    assert (checks[-1].label, checks[-1].expected, checks[-1].status) == ("flag_values: derivation", None, "fail")
 
 
 def _easy_volume_negative(data):

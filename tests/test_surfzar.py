@@ -610,6 +610,9 @@ def two_curves():
     (load_model("d4-g"), [0] * 6, 0, 0, 1),  # t = 0
     (load_model("a3-g"), [parse_poly(s) for s in ["(u-8)/2", "0", "1/2", "(11-u)/4", "(10-u)/2", "0"]],
      [1, 2, 1, 0, 0, 0], 5, 7),
+    # A point where bases of t = u and t = 0 tie: the piece is the value 0.
+    (SurfaceModel(["a", "b", "c"], [["-1", "1", "1"], ["1", "-1", "0"], ["1", "0", "-1"]]), [U, 0, 0],
+     [1, 0, 1], 0, 0),
 ])
 def test_integer_thresholds_equal_reference_on_edge_cases(model, base, curve, lo, hi):
     got = threshold_outcome(threshold_pieces, model, base, curve, lo, hi)

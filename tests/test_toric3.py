@@ -75,6 +75,13 @@ def test_validate_flags_nonprimitive_ray(w0):
     assert any("not primitive" in issue for issue in issues)
 
 
+def test_validate_flags_a_ray_in_no_cone(w0):
+    # Its triples read 0 from the table, so the fan check names it.
+    fan = Fan3(w0.rays + ((1, 1, 1),), w0.cones)
+    assert validate_fan(fan) == ["ray 7 lies in no maximal cone"]
+    assert triple_product(fan, 7, 7, 7) == 0
+
+
 # ---------------------------------------------------------------------------
 # Intersection numbers
 # ---------------------------------------------------------------------------
@@ -165,16 +172,25 @@ def test_divisor_cube_needs_an_affine_divisor(w0):
 
 
 def test_triple_table_belongs_to_the_fan(w0):
-    # An equal fan built afresh gets its own table and the same values.
+    # An equal fan built afresh makes its own table, once, with the same
+    # values; a triple off the table is 0.
     copy = Fan3(w0.rays, w0.cones)
-    assert copy == w0 and copy._triples is not w0._triples
-    assert triple_product(copy, 2, 2, 6) == triple_product(w0, 6, 2, 2) == -1
-    assert copy._triples[(2, 2, 6)] == -1
+    table = copy.triple_table
+    assert copy == w0 and table is not w0.triple_table and table is copy.triple_table
+    assert table == w0.triple_table
+    assert triple_product(copy, 2, 2, 6) == triple_product(w0, 6, 2, 2) == table[(2, 2, 6)] == -1
+    assert (3, 3, 6) not in table and triple_product(copy, 6, 3, 3) == 0
+
+
+def test_triple_table_names_a_face_outside_two_cones(w0):
+    broken = Fan3(w0.rays, [c for c in w0.cones if c != (0, 1, 3)])
+    with pytest.raises(ValueError, match=r"face \[0, 1\] lies in 1 maximal cone\(s\), expected 2"):
+        broken.triple_table
 
 
 def reference_triple(fan, i, j, k):
-    """The solve-based triple product that `triple_product` replaced: a
-    repeated ray is moved off by the m with <m, v_rep> = 1 and <m, .> = 0 on
+    """The recursive, solve-based triple product that the fan's table
+    replaced: a repeated ray is moved off by the m with <m, v_rep> = 1 and <m, .> = 0 on
     the other two rays of the lowest-index cone holding all three, found by
     a 3x3 Fraction solve."""
     i, j, k = sorted((i, j, k))
@@ -207,13 +223,18 @@ FIXTURE_FANS = sorted(path.stem for path in (fixtures_dir() / "fans").glob("*.js
 
 @pytest.mark.parametrize("name", FIXTURE_FANS)
 def test_repeated_ray_triples_match_solve_reference(name):
+    # Every i <= j <= k, repeated rays or not; the table holds exactly the
+    # nonzero ones.
+    assert len(FIXTURE_FANS) == 10
     fan = load_fan(name)
     n = len(fan.rays)
-    repeated = [(i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)
-                if i == j or j == k]
-    assert repeated
-    for i, j, k in repeated:
-        assert triple_product(fan, i, j, k) == reference_triple(fan, i, j, k), (i, j, k)
+    nonzero = set()
+    for key in ((i, j, k) for i in range(n) for j in range(i, n) for k in range(j, n)):
+        want = reference_triple(fan, *key)
+        assert triple_product(fan, *key) == want, key
+        if want:
+            nonzero.add(key)
+    assert set(fan.triple_table) == nonzero
 
 
 def test_principal_divisors_annihilate(w0):
