@@ -95,6 +95,15 @@ def curve_indices(record: _Record, key: str, n: int) -> list[int]:
     return indices
 
 
+def sized(record: _Record, key: str, items, n: int, noun: str = "curve"):
+    """items, read from record[key], if they are n, one per curve (or
+    whatever ``noun`` names); else a FixtureError naming the record's file
+    and the key."""
+    if len(items) != n:
+        raise FixtureError(f"{record.path}: {key!r}: {len(items)} entries for {n} {noun}s")
+    return items
+
+
 def ray_indices(record: _Record, key: str, items, fan: Fan3, size: int) -> tuple[int, ...]:
     """items, read from record[key], as `size` ray indices of fan, each read
     by `curve_index`; a pair must span a 2-cone of fan.  Else a

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .. import flagdelta, linalg, surfzar, toric3
-from ..exactmath import Poly, q
+from ..exactmath import Poly, q, wall
 from ..flagdelta import BasePiece, DerivationError, FlagScenario, MarkedPoint, SInvariantResult
 from ..surfzar import ConeAssumptionError, NotPseudoeffectiveError, ScanError
 from ..toric3 import Fan3, ToricDivisor
@@ -38,6 +38,7 @@ from . import (
     lookup,
     ray_indices,
     rf_eval,
+    sized,
     table_rows,
 )
 
@@ -133,12 +134,16 @@ class ToricFamily:
     checks: list[CheckResult] = field(default_factory=list)
 
     def __post_init__(self):
-        self.data = load_scenario_data(self.scenario_id)
-        self.resolution = load_fan(self.data["resolution_fan"])
-        self.ambient = load_fan(self.data["ambient_fan"])
-        self.l_u = tuple(fixture_poly(s) for s in self.data["l_u"])
-        self.l_div = ToricDivisor(self.ambient, [fixture_poly(s) for s in self.data["l_on_y"]])
-        self.surface = load_model(self.data["star"]["surface_model"])
+        data = self.data = load_scenario_data(self.scenario_id)
+        self.resolution = load_fan(data["resolution_fan"])
+        self.ambient = load_fan(data["ambient_fan"])
+        # W0, zeta0's coarse fan and the first model of the certificate, carries L_u.
+        self.w0 = load_fan(data["pullbacks"]["zeta0"]["coarse"])
+        self.l_u = tuple(map(fixture_poly, sized(data, "l_u", data["l_u"], len(self.w0.rays), "ray")))
+        self.l_div = ToricDivisor(self.ambient, [
+            fixture_poly(s) for s in sized(data, "l_on_y", data["l_on_y"], len(self.ambient.rays), "ray")])
+        self.weight = tuple(sized(data, "weight_vector", data["weight_vector"], 3, "coordinate"))
+        self.surface = load_model(data["star"]["surface_model"])
         self._scenarios: dict[str, FlagScenario] = {}
 
     # -- building blocks --------------------------------------------------
@@ -150,23 +155,25 @@ class ToricFamily:
         n = len(self.l_u)
         for iv in self.data["certificate"]:
             fan = load_fan(iv["model"])
-            n_coeffs = _ray_coeffs(iv, "N", n)
-            positive = ToricDivisor(fan, [self.l_u[k] - n_coeffs[k] for k in range(n)])
-            negative = ToricDivisor(fan, n_coeffs)
+            negative = tuple(_ray_coeffs(iv, "N", n))
+            for coeff in negative:
+                try:
+                    wall(coeff)
+                except ValueError:
+                    raise FixtureError(f"{iv.path}: 'N': {coeff} is not affine in u") from None
             forcing = tuple((curve_index(iv, "forcing", r, n, "ray"),
                              ray_indices(iv, "forcing", pair, fan, 2)) for r, pair in iv["forcing"].items())
             intervals.append(toric3.Zariski3Interval(u_lo=q(iv["u"][0]), u_hi=q(iv["u"][1]), model=fan,
-                                                     positive=positive, negative=negative, forcing=forcing))
+                                                     negative=negative, forcing=forcing))
         return tuple(intervals)
 
     @cached_property
     def resolved_decomposition(self):
         """Per interval: (u_lo, u_hi, P and N pulled back to the resolution)."""
-        zeta0_coarse = load_fan(self.data["pullbacks"]["zeta0"]["coarse"])
-        l_ambient = toric3.pullback(self.resolution, zeta0_coarse, ToricDivisor(zeta0_coarse, self.l_u))
+        l_ambient = toric3.pullback(self.resolution, self.w0, ToricDivisor(self.w0, self.l_u))
         out = []
         for iv in self.certificate:
-            p_res = toric3.pullback(self.resolution, iv.model, iv.positive)
+            p_res = toric3.pullback(self.resolution, iv.model, iv.positive(self.l_u))
             n_res = l_ambient - p_res
             out.append((iv.u_lo, iv.u_hi, p_res, n_res))
         return out
@@ -194,9 +201,7 @@ class ToricFamily:
         if curve in self._scenarios:
             return self._scenarios[curve]
         case = _named(self.data["curve_cases"], curve, "curve")
-        cvec = tuple(q(x) for x in case["class"])
-        if len(cvec) != self.surface.n:
-            raise FixtureError(f"{case.path}: 'class': {len(cvec)} entries for {self.surface.n} curves")
+        cvec = tuple(q(x) for x in sized(case, "class", case["class"], self.surface.n))
         index = _basis_index(cvec)
         pieces = []
         for lo, hi, ptilde, ntilde in self.surface_pieces:
@@ -222,7 +227,7 @@ class ToricFamily:
     def toric_s(self, target: str) -> Fraction:
         """S_L of the toric valuation G (the weight vector), E, F or S."""
         vectors = {
-            "G": tuple(self.data["weight_vector"]),
+            "G": self.weight,
             "E": (0, 0, 1),
             "F": (1, 0, 0),
             "S": (0, 1, 0),
@@ -287,13 +292,12 @@ class ToricFamily:
             toric3.divisor_cube(l_div).as_fraction(),
             q(self.data["expected"]["L^3"]),
         )
-        w = tuple(self.data["weight_vector"])
         s_val = self.toric_s("G")
         self._emit("S_L(G) [polytope]", s_val, q(self.data["expected"]["S_L(G)"]))
         self._emit(
             "lattice minimum equals vertex minimum",
-            toric3.lattice_min(p, w),
-            toric3.polytope_min(p, w),
+            toric3.lattice_min(p, self.weight),
+            toric3.polytope_min(p, self.weight),
         )
         ratio = a_val / s_val
         printed = self.data["expected"].get("printed_ratio")
@@ -396,12 +400,11 @@ class ToricFamily:
     def _check_star(self):
         spec, star = self.data["star"], self.star
         self._emit("star quotient rays",
-                   [list(r) for r in star.fan2.rays], spec["expected_rays"])
+                   [list(r) for r in star.images], spec["expected_rays"])
         self._emit("star restriction multipliers",
                    [str(m) for m in star.mults], [str(q(s)) for s in spec["expected_mults"]])
-        gram = toric3.surface_gram(star.fan2)
         self._emit("quotient-surface intersection matrix",
-                   [[str(x) for x in row] for row in gram],
+                   [[str(x) for x in row] for row in star.gram],
                    [[str(q(x)) for x in row] for row in self.surface.gram])
 
     def _check_restriction_table(self):
@@ -570,6 +573,8 @@ def _basis_curve_flag(spec, l_cubed, pieces, value) -> FlagScenario:
     spec["model"], each log discrepancy of its marked points read by `value`."""
     model = load_model(spec["model"])
     curve = curve_index(spec, "curve", spec["curve"], model.n)
+    for piece in pieces:
+        sized(spec, "base", piece.coeffs, model.n)
     return FlagScenario(
         l_cubed=l_cubed, model=model,
         curve_class=tuple(Fraction(int(i == curve)) for i in range(model.n)),

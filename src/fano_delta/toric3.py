@@ -11,11 +11,11 @@ then each T_a^2.T_b from a principal divisor through the two cones of the
 2-face {a, b}, then each T_a^3 from the same character and the squares.
 Every other triple is 0, and the cube D^3 of a divisor affine in u reads
 the table once, in integers.  The same character relations drive pullbacks
-along toric morphisms, restriction to invariant surfaces (star
-construction), and the 2D Gram matrices.  A star surface is built once
-with every choice of its basis: the order of its curves and the self
-character that rewrites the star ray, so restriction to it is one fixed
-linear map.
+along toric morphisms and restriction to invariant surfaces (star
+construction).  A star surface is built once with every choice of its
+basis: the order of its curves and the self character that rewrites the
+star ray, so restriction to it is one fixed linear map, and its Gram
+matrix is read from the fan's table.
 
 Divisor polytopes are handled by brute-force vertex enumeration (at most a
 handful of facets here), each facet triple solved by Cramer's rule in
@@ -310,27 +310,17 @@ def pullback(fine: Fan3, coarse: Fan3, d: ToricDivisor) -> ToricDivisor:
 
 
 # ---------------------------------------------------------------------------
-# Star surfaces (restriction to an invariant surface) and 2D Gram matrices
+# Star surfaces (restriction to an invariant surface)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Fan2:
-    rays: tuple[tuple[int, int], ...]
-    cones: tuple[tuple[int, int], ...]
-
-    def __init__(self, rays: Sequence[Sequence[int]], cones: Sequence[Sequence[int]]):
-        object.__setattr__(self, "rays", tuple(tuple(int(x) for x in r) for r in rays))
-        object.__setattr__(self, "cones", tuple(tuple(sorted(int(x) for x in c)) for c in cones))
-
-
-@dataclass(frozen=True)
 class StarSurface:
-    """The invariant surface of a ray, as a 2D fan plus restriction data.
+    """The invariant surface of a ray, as its curves plus restriction data.
 
     ``adjacent`` lists the 3D rays spanning a 2-cone with the star ray, in
     the order given to `star_surface`; curve k of the surface comes from
-    r = ``adjacent[k]``.  ``fan2.rays[k]`` is the primitive image of v_r
+    r = ``adjacent[k]``.  ``images[k]`` is the primitive image of v_r
     under the quotient map, ``mults[k]`` the reciprocal lattice index of
     that image (the multiplier restricting T_r), and ``weights[k]`` =
     <m, v_r> / <m, v_0> the share of the star ray's divisor that
@@ -340,16 +330,26 @@ class StarSurface:
     fan: Fan3
     ray_index: int
     adjacent: tuple[int, ...]
-    fan2: Fan2
+    images: tuple[tuple[int, int], ...]
     mults: tuple[Fraction, ...]
     weights: tuple[Fraction, ...]
+
+    @property
+    def gram(self) -> list[list[Fraction]]:
+        """C_k.C_l of the surface's curves, from the fan's triple table: T_r
+        restricts to mults[k] C_k, so C_k.C_l = T_0.T_r.T_s / (mults[k]
+        mults[l]), with T_0 the star ray's divisor, r = adjacent[k] and
+        s = adjacent[l]."""
+        return [[triple_product(self.fan, self.ray_index, r, s) / (a * b)
+                 for s, b in zip(self.adjacent, self.mults)]
+                for r, a in zip(self.adjacent, self.mults)]
 
 
 def star_surface(
     fan: Fan3, ray_index: int, pinned: Mapping[int, Sequence[int]],
     order: Sequence[int], self_character: Sequence[int],
 ) -> StarSurface:
-    """Quotient the star of a ray to a 2D fan, its curves in ``order``.
+    """The invariant surface of a ray, its curves in ``order``.
 
     ``pinned`` fixes the images of two adjacent rays (e.g. {1: (1, 0),
     3: (0, 1)}), which pins the quotient lattice isomorphism Z^3/Z v_0 = Z^2.
@@ -358,10 +358,9 @@ def star_surface(
     ray once, and the character ``self_character`` must pair nontrivially
     with the star ray.
     """
-    cones = [c for c in fan.cones if ray_index in c]
-    if not cones:
+    adjacent = {r for cone in fan.cones if ray_index in cone for r in cone} - {ray_index}
+    if not adjacent:
         raise ValueError("isolated ray")
-    adjacent = {r for cone in cones for r in cone if r != ray_index}
     order = tuple(int(r) for r in order)
     if sorted(order) != sorted(adjacent):
         raise ValueError(f"order {list(order)} must list the adjacent rays "
@@ -399,10 +398,8 @@ def star_surface(
             raise ValueError(f"adjacent ray {r} maps to zero in the quotient")
         images.append((img[0] // g, img[1] // g))
         mults.append(Fraction(1, g))
-    position = {r: k for k, r in enumerate(order)}
-    cones2 = [tuple(position[r] for r in cone if r != ray_index) for cone in cones]
     weights = tuple(Fraction(sum(a * b for a, b in zip(m, fan.rays[r])), pairing) for r in order)
-    return StarSurface(fan, ray_index, order, Fan2(images, cones2), tuple(mults), weights)
+    return StarSurface(fan, ray_index, order, tuple(images), tuple(mults), weights)
 
 
 def restrict_to_star(star: StarSurface, d: ToricDivisor) -> tuple[Poly, ...]:
@@ -419,32 +416,6 @@ def restrict_to_star(star: StarSurface, d: ToricDivisor) -> tuple[Poly, ...]:
     a0 = d.coeffs[star.ray_index]
     return tuple((d.coeffs[r] - a0 * w) * mult
                  for r, mult, w in zip(star.adjacent, star.mults, star.weights))
-
-
-def surface_gram(fan2: Fan2) -> list[list[Fraction]]:
-    """Gram matrix of the invariant curves of a complete simplicial 2D fan."""
-    n = len(fan2.rays)
-    order = sorted(range(n), key=functools.cmp_to_key(
-        lambda i, j: _ccw_compare(fan2.rays[i], fan2.rays[j])))
-    if any(_ccw_compare(fan2.rays[i], fan2.rays[j]) == 0 for i, j in zip(order, order[1:])):
-        raise ValueError("not complete")  # parallel rays
-    consecutive = {tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)}
-    if n < 3 or consecutive != set(fan2.cones):
-        raise ValueError("not complete")
-    gram = [[Fraction(0)] * n for _ in range(n)]
-    for i, j in fan2.cones:
-        det = fan2.rays[i][0] * fan2.rays[j][1] - fan2.rays[i][1] * fan2.rays[j][0]
-        gram[i][j] = gram[j][i] = Fraction(1, abs(det))
-    for i in range(n):
-        w = fan2.rays[i]
-        m = (1, 0) if w[0] != 0 else (0, 1)
-        pairing = m[0] * w[0] + m[1] * w[1]
-        acc = Fraction(0)
-        for j in range(n):
-            if j != i:
-                acc += (m[0] * fan2.rays[j][0] + m[1] * fan2.rays[j][1]) * gram[i][j]
-        gram[i][i] = -acc / pairing
-    return gram
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +556,20 @@ def s_invariant_toric(p: HPolytope, w: Sequence[int]) -> Fraction:
 
 @dataclass(frozen=True)
 class Zariski3Interval:
+    """L_u = P + N on [u_lo, u_hi]: N's coefficients (affine in u) on the
+    rays of the model where P is nef, and for each ray of N's support the
+    2-cone of its forcing curve."""
+
     u_lo: Fraction
     u_hi: Fraction
     model: Fan3
-    positive: ToricDivisor
-    negative: ToricDivisor
+    negative: tuple[Poly, ...]
     forcing: tuple[tuple[int, tuple[int, int]], ...]  # (ray, forcing 2-cone)
+
+    def positive(self, l_u: Sequence[Poly]) -> ToricDivisor:
+        """P = L_u - N on the model.  Small modifications keep ray
+        coefficients, so L_u has the same coefficient vector on every model."""
+        return ToricDivisor(self.model, [x - n for x, n in zip(l_u, self.negative, strict=True)])
 
 
 def verify_zariski3(l_u: Sequence[Poly], intervals: Sequence[Zariski3Interval]) -> list[str]:
@@ -598,48 +577,34 @@ def verify_zariski3(l_u: Sequence[Poly], intervals: Sequence[Zariski3Interval]) 
     decomposition of the one-parameter divisor L_u, none when it holds.
 
     Each interval names the birational model on which the positive part is
-    nef, the decomposition itself (coefficients affine in u), and, for every
-    ray supporting the negative part, a forcing curve along which positivity
-    pins the negative coefficient.
+    nef, the negative part, and, for every ray supporting it, a forcing
+    curve along which positivity pins the negative coefficient.
     """
     return [f"[{iv.u_lo},{iv.u_hi}] on {len(iv.model.rays)}-ray model: REJECT ({failure})"
             for iv in intervals if (failure := _check_interval(l_u, iv))]
 
 
 def _check_interval(l_u: Sequence[Poly], iv: Zariski3Interval) -> str | None:
-    fan = iv.model
-    if iv.positive.fan != fan or iv.negative.fan != fan:
-        return "decomposition parts on a different fan"
-    # (a) positive + negative equals the transformed L_u coefficientwise:
-    # small modifications keep ray coefficients, so the transform of L_u has
-    # the same coefficient vector on every model.
-    for k in range(len(fan.rays)):
-        if iv.positive.coeffs[k] + iv.negative.coeffs[k] != l_u[k]:
-            return f"P + N differs from L_u at ray {k}"
-    # (b) negative part effective on the interval (affine coefficients: the
+    # (a) negative part effective on the interval (affine coefficients: the
     # two endpoints certify it).
-    for k, coeff in enumerate(iv.negative.coeffs):
-        if coeff.total_degree() > 1:
-            return f"negative coefficient at ray {k} is not affine in u"
+    for k, coeff in enumerate(iv.negative):
         u0 = negative_end(wall(coeff), iv.u_lo, iv.u_hi)
         if u0 is not None:
             return f"negative part not effective at ray {k}, u={u0}"
-    # (c) positive part nef on the stated model.
-    not_nef = nef_on_interval(iv.positive, iv.u_lo, iv.u_hi)
+    # (b) positive part nef on the stated model.
+    positive = iv.positive(l_u)
+    not_nef = nef_on_interval(positive, iv.u_lo, iv.u_hi)
     if not_nef:
         return f"positive part not nef: {not_nef}"
-    # (d) forcing certificates for every ray in the negative support.
-    support = [
-        k for k, coeff in enumerate(iv.negative.coeffs) if not coeff.is_zero()
-    ]
+    # (c) forcing certificates for every ray in the negative support.
     forcing = dict(iv.forcing)
-    for k in support:
+    for k in (k for k, coeff in enumerate(iv.negative) if not coeff.is_zero()):
         if k not in forcing:
             return f"no forcing curve for negative ray {k}"
-        along = curve_intersection(iv.positive, forcing[k])
+        along = curve_intersection(positive, forcing[k])
         if not along.is_zero():
             return f"forcing curve {forcing[k]} not orthogonal to P (got {along})"
-        self_int = triple_product(fan, k, *forcing[k])
+        self_int = triple_product(iv.model, k, *forcing[k])
         if self_int >= 0:
             return (
                 f"forcing curve {forcing[k]} does not pin ray {k}: "

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from fano_delta.surfzar import (
     _threshold_lp,
     _threshold_pieces,
 )
-from fano_delta.toric3 import Fan3, HPolytope, ToricDivisor, triple_product
+from fano_delta.toric3 import Fan3, HPolytope, ToricDivisor, _ccw_compare, triple_product
 
 
 @dataclass(frozen=True)
@@ -1000,3 +1001,23 @@ def intersection_number(d1: ToricDivisor, d2: ToricDivisor, d3: ToricDivisor) ->
             inner = sum((ck * t for k, ck in s3 if (t := triple_product(d1.fan, i, j, k))), Poly())
             total = total + ci * cj * inner
     return total
+
+
+def surface_gram(rays: Sequence[tuple[int, int]]) -> list[list[Fraction]]:
+    """Gram matrix of the invariant curves of the complete simplicial 2D fan
+    whose cones join consecutive rays in counterclockwise order, from the
+    plane's own character relations: the oracle of `StarSurface.gram`."""
+    n = len(rays)
+    order = sorted(range(n), key=functools.cmp_to_key(lambda i, j: _ccw_compare(rays[i], rays[j])))
+    dets = {(i, j): rays[i][0] * rays[j][1] - rays[i][1] * rays[j][0]
+            for i, j in zip(order, order[1:] + order[:1])}
+    if any(det <= 0 for det in dets.values()):
+        raise ValueError("not complete")  # a gap of angle pi or more, or parallel rays
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), det in dets.items():
+        gram[i][j] = gram[j][i] = Fraction(1, det)
+    for i, w in enumerate(rays):
+        m = (1, 0) if w[0] else (0, 1)
+        gram[i][i] = -sum((m[0] * rays[j][0] + m[1] * rays[j][1]) * gram[i][j]
+                          for j in range(n) if j != i) / (m[0] * w[0] + m[1] * w[1])
+    return gram

@@ -170,6 +170,19 @@ def _set(*path):
     return edit
 
 
+def _resized(*path):
+    """An edit that gives the list data[path[0]]...[path[-2]] path[-1] more
+    entries, copies of its first, or for a negative path[-1] that many fewer."""
+    def edit(data):
+        node = data
+        for key in path[:-2]:
+            node = node[key]
+        items, by = node[path[-2]], path[-1]
+        node[path[-2]] = items + items[:1] * by if by > 0 else items[:by]
+        return data
+    return edit
+
+
 S_POINT_34_D4 = ("compute", "--scenario", "34-d4", "--op", "s-point", "--target", "alpha0:generic")
 
 
@@ -298,10 +311,35 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
      "family-34-d4.json: '99,99,99': '99' is no ray index of 7 rays"),
     ("scenarios/family-34-d4.json", _set("printed_triples", "d4-w0", "0,1", "0"), "34-d4",
      "family-34-d4.json: '0,1': [0, 1] is no ray triple of the fan"),
+    # A list of the wrong length, checked where it meets its model or fan:
+    # one entry too many must not be dropped, one too few must not crash.
+    ("scenarios/family-218.json", _resized("cases", "easy", "base", 1), "218",
+     "family-218.json: 'base': 2 entries for 1 curves"),
+    ("scenarios/family-218.json", _resized("cases", "heart", "base", 1), "218",
+     "family-218.json: 'base': 4 entries for 3 curves"),
+    ("scenarios/family-218.json", _resized("cases", "heart", "base", -1), "218",
+     "family-218.json: 'base': 2 entries for 3 curves"),
+    ("scenarios/family-34-surfaces.json", _resized("flags", "E-l", "pieces", 0, "base", 1), "34-surfaces",
+     "family-34-surfaces.json: 'base': 3 entries for 2 curves"),
+    ("scenarios/family-34-surfaces.json", _resized("flags", "E-l", "pieces", 0, "base", -1), "34-surfaces",
+     "family-34-surfaces.json: 'base': 1 entries for 2 curves"),
+    ("scenarios/family-34-d4.json", _resized("l_u", -1), "34-d4", "family-34-d4.json: 'l_u': 6 entries for 7 rays"),
+    ("scenarios/family-34-d4.json", _resized("l_u", 1), "34-d4", "family-34-d4.json: 'l_u': 8 entries for 7 rays"),
+    ("scenarios/family-34-d4.json", _resized("l_on_y", -1), "34-d4",
+     "family-34-d4.json: 'l_on_y': 5 entries for 6 rays"),
+    ("scenarios/family-34-d4.json", _resized("weight_vector", -1), "34-d4",
+     "family-34-d4.json: 'weight_vector': 2 entries for 3 coordinates"),
+    # N must be affine in u: the endpoints of an interval certify it there.
+    ("scenarios/family-34-d4.json", _set("certificate", 2, "N", {"3": "(u-2)/3+v"}), "34-d4",
+     "family-34-d4.json: 'N': 1/3*u + v - 2/3 is not affine in u"),
+    ("scenarios/family-34-d4.json", _set("certificate", 2, "N", {"3": "u^2"}), "34-d4",
+     "family-34-d4.json: 'N': u^2 is not affine in u"),
 ], ids=["contracted", "class", "mults", "mults-text", "flag-curve", "generates-pseff", "contracted-repeated",
         "gram-rows", "gram-asymmetric", "certificate-ray", "forcing-ray", "pullback-ray", "table-columns",
         "curve-value-ray", "curve-value-pair", "forcing-pair-ray", "forcing-pair", "branch-gap",
-        "triple-ray", "triple-repeated-ray", "triple-two-rays"])
+        "triple-ray", "triple-repeated-ray", "triple-two-rays", "base-long", "base-long-heart", "base-short",
+        "flag-base-long", "flag-base-short", "l_u-short", "l_u-long", "l_on_y-short", "weight-vector-short",
+        "N-not-in-u", "N-quadratic"])
 def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit, family,
                                                         named):
     dst = _fixture_copy(tmp_path / "fixtures", relative, edit)

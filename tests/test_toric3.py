@@ -25,14 +25,13 @@ from fano_delta.toric3 import (
     restrict_to_star,
     s_invariant_toric,
     star_surface,
-    surface_gram,
     triple_product,
     validate_fan,
     verify_zariski3,
 )
 
 from helpers import (at_u, intersection_number, reference_cone_coordinates, reference_pullback,
-                     reference_polytope_vertices)
+                     reference_polytope_vertices, surface_gram)
 
 U = Poly.var("u")
 
@@ -382,7 +381,7 @@ def test_projection_formula_sample(w0):
 
 
 # ---------------------------------------------------------------------------
-# Star surfaces and 2D Gram matrices
+# Star surfaces and their Gram matrices
 # ---------------------------------------------------------------------------
 
 
@@ -396,7 +395,7 @@ SELF_CHARACTER = (1, 0, 0)
 def test_star_surface_quotient_rays():
     wt = load_fan("d4-wt")
     star = star_surface(wt, 0, PINNED, ALPHA_ORDER, SELF_CHARACTER)
-    images = dict(zip(star.adjacent, star.fan2.rays))
+    images = dict(zip(star.adjacent, star.images))
     assert images[1] == (1, 0) and images[3] == (0, 1)
     assert images[9] == (1, 2) and images[8] == (1, 3)
     assert images[7] == (-1, 0) and images[4] == (-1, -3)
@@ -462,6 +461,8 @@ def test_star_self_character_must_pair_with_the_star_ray(fan, character):
 def test_star_restriction_and_gram_follow_the_curve_order(fan_name, order, coeffs):
     # The order names the curves and nothing else: each ray restricts to the
     # same coefficient, and the Gram matrix is the fixture-order one permuted.
+    # The table's Gram matrix equals the one of the 2D quotient fan, also
+    # where T_r restricts with multiplier 1/2 (a3-wt).
     fan = load_fan(fan_name)
     reference = star_surface(fan, 0, PINNED, ALPHA_ORDER, SELF_CHARACTER)
     star = star_surface(fan, 0, PINNED, order, SELF_CHARACTER)
@@ -469,25 +470,19 @@ def test_star_restriction_and_gram_follow_the_curve_order(fan_name, order, coeff
     d = ToricDivisor(fan, coeffs)
     assert (dict(zip(star.adjacent, restrict_to_star(star, d)))
             == dict(zip(reference.adjacent, restrict_to_star(reference, d))))
-    gram, fixed = surface_gram(star.fan2), surface_gram(reference.fan2)
     at = [ALPHA_ORDER.index(r) for r in order]
-    assert gram == [[fixed[a][b] for b in at] for a in at]
+    assert star.gram == surface_gram(star.images) == [[reference.gram[a][b] for b in at] for a in at]
 
 
 def test_surface_gram_quadric():
-    from fano_delta.toric3 import Fan2
-
-    fan2 = Fan2([(1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1), (1, 2), (2, 3), (0, 3)])
-    gram = surface_gram(fan2)
+    gram = surface_gram([(1, 0), (0, 1), (-1, 0), (0, -1)])
     assert gram[0][0] == 0 and gram[1][1] == 0
     assert gram[0][1] == 1 and gram[1][2] == 1 and gram[0][2] == 0
 
 
 def test_surface_gram_incomplete():
-    from fano_delta.toric3 import Fan2
-
     with pytest.raises(ValueError, match="not complete"):
-        surface_gram(Fan2([(1, 0), (0, 1)], [(0, 1)]))
+        surface_gram([(1, 0), (0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -608,14 +603,7 @@ def test_zariski3_interval_accept_and_reject():
     # The [2,4] interval with N = 0 on W0 must be rejected with witness [1,3].
     import dataclasses
 
-    w0 = load_fan("d4-w0")
-    bad_iv = dataclasses.replace(
-        intervals[2],
-        model=w0,
-        positive=ToricDivisor(w0, l_u),
-        negative=ToricDivisor(w0, [0] * 7),
-        forcing=(),
-    )
+    bad_iv = dataclasses.replace(intervals[2], model=load_fan("d4-w0"), negative=(Poly(),) * 7, forcing=())
     rejected = verify_zariski3(l_u, (bad_iv,))
     assert rejected
     assert "(1, 3)" in rejected[0]
@@ -645,7 +633,7 @@ def test_polytope_volume_equals_positive_part_cube():
         for u0 in samples:
             iv = next(i for i in family.certificate if i.u_lo <= u0 <= i.u_hi)
             l_at = ToricDivisor(iv.model, [c.subs(u=u0) for c in family.l_u])
-            p_at = at_u(iv.positive, u0)
+            p_at = at_u(iv.positive(family.l_u), u0)
             cube = intersection_number(p_at, p_at, p_at).as_fraction()
             vol = 6 * polytope_volume(divisor_polytope(l_at))
             assert vol == cube
