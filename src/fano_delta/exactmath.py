@@ -12,10 +12,11 @@ is mathematical equality.  The module also provides
   * parse_poly / str round-trips for the compact text form of the JSON
     fixtures ("(8-u-3*v)/3", "-u^2 + 1"): Python's expression grammar and
     precedence, read by ``ast``, with ``^`` for ``**``,
-  * exact definite integration over u-intervals and over chambers (a
-    u-interval between two integer walls v = (a + b*u)/d): an integrand's
-    integer numerators meet the chamber's integer moment numerators over one
-    chamber denominator in one sum, which becomes one Fraction,
+  * exact definite integration over u-intervals, and over chambers (a
+    u-interval between two integer walls v = (a + b*u)/d) by moments only:
+    `Chamber.moments` gives iint f*(1, u, v) of an integer affine form f
+    from the chamber's one degree-2 moment table, so every chamber integral
+    (P^2, (P.C)^2, F_Q) is one affine form dotted with another's moments,
   * the one rule that evaluates the integer affine forms and walls of the
     exact layers: at a u, at both u-ends, gaps, roots, and a chamber's
     corners and crossings (`at`, `negative_end`, `gap`, `root_inside`,
@@ -32,7 +33,7 @@ import ast
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
@@ -334,8 +335,6 @@ class Chamber:
     u_hi: Fraction
     lower: Form
     upper: Form
-    # Integer moment tables by degree (see `integrate`).
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "u_lo", q(self.u_lo))
@@ -385,49 +384,36 @@ class Chamber:
                 return root
         return None
 
-    def integrate(self, terms: Mapping[tuple[int, int], int], den: int) -> Fraction:
-        """iint of sum terms[a, b] * u^a * v^b / den over the chamber, as one
-        Fraction from the chamber's moment table of that degree (at least 2,
-        the degree of every flag integrand, so a flag needs one)."""
-        delta, table = self._table(max(2, max((a + b for (a, b), x in terms.items() if x), default=0)))
-        return Fraction(sum(x * table[e] for e, x in terms.items()), den * delta)
-
     def moments(self, form: Form) -> tuple[tuple[int, int, int], int]:
         """(m, Delta): m[i]/Delta is the iint of (a + b*u + c*v) times 1, u,
         v for i = 0, 1, 2 over the chamber, from its degree-2 moment table."""
-        delta, t = self._table(2)
+        delta, t = self._table
         a, b, c = form
         return (a * t[0, 0] + b * t[1, 0] + c * t[0, 1], a * t[1, 0] + b * t[2, 0] + c * t[1, 1],
                 a * t[0, 1] + b * t[1, 1] + c * t[0, 2]), delta
 
-    def _table(self, k: int) -> tuple[int, dict[tuple[int, int], int]]:
-        if k not in self._tables:
-            self._tables[k] = _moment_table(self._ends, self.lower, self.upper, k)
-        return self._tables[k]
-
-
-def _moment_table(ends: Sequence[tuple[int, int]], lo: Form, hi: Form, k: int
-                 ) -> tuple[int, dict[tuple[int, int], int]]:
-    """(Delta, m) with m[a, b] / Delta = iint u^a v^b, a + b <= k, over the
-    chamber A/q_a <= u <= B/q_b, (l0 + l1*u)/d_l <= v <= (h0 + h1*u)/d_h: the
-    sum over j of C(b+1, j) (h0^(b+1-j) h1^j / d_h^(b+1) - l0^(b+1-j) l1^j /
-    d_l^(b+1)) (u_hi^n - u_lo^n) / ((b+1) n), n = a + j + 1, over
-    Delta = L^2 (d_l d_h)^(k+1) (q_a q_b)^(k+2), L = lcm(1, ..., k+2)."""
-    (A, qa), (B, qb) = ends
-    (l0, l1, dl), (h0, h1, dh) = lo, hi
-    L, D, Q = math.lcm(*range(1, k + 3)), dl * dh, qa * qb
-    # L/n (u_hi^n - u_lo^n) Q^(k+2), by n.
-    spans = [0] + [L // n * (B**n * qa**n - A**n * qb**n) * Q ** (k + 2 - n) for n in range(1, k + 3)]
-    table = {}
-    for b in range(k + 1):
-        e = b + 1
-        # L/e (v_hi^e - v_lo^e) D^(k+1), by powers of u.
-        scale = L // e * D ** (k + 1 - e)
-        rise = [scale * math.comb(e, j) * (h0 ** (e - j) * h1**j * dl**e - l0 ** (e - j) * l1**j * dh**e)
-                for j in range(e + 1)]
-        for a in range(k + 1 - b):
-            table[a, b] = sum(r * spans[a + j + 1] for j, r in enumerate(rise))
-    return L * L * D ** (k + 1) * Q ** (k + 2), table
+    @cached_property
+    def _table(self) -> tuple[int, dict[tuple[int, int], int]]:
+        """(Delta, m) with m[a, b] / Delta = iint u^a v^b, a + b <= 2, over the
+        chamber A/q_a <= u <= B/q_b, (l0 + l1*u)/d_l <= v <= (h0 + h1*u)/d_h:
+        the sum over j of C(b+1, j) (h0^(b+1-j) h1^j / d_h^(b+1) - l0^(b+1-j)
+        l1^j / d_l^(b+1)) (u_hi^n - u_lo^n) / ((b+1) n), n = a + j + 1, over
+        Delta = L^2 (d_l d_h)^3 (q_a q_b)^4, L = lcm(1, ..., 4) = 12."""
+        (A, qa), (B, qb) = self._ends
+        (l0, l1, dl), (h0, h1, dh) = self.lower, self.upper
+        L, D, Q = 12, dl * dh, qa * qb
+        # L/n (u_hi^n - u_lo^n) Q^4, by n.
+        spans = [0] + [L // n * (B**n * qa**n - A**n * qb**n) * Q ** (4 - n) for n in range(1, 5)]
+        table = {}
+        for b in range(3):
+            e = b + 1
+            # L/e (v_hi^e - v_lo^e) D^3, by powers of u.
+            scale = L // e * D ** (3 - e)
+            rise = [scale * math.comb(e, j) * (h0 ** (e - j) * h1**j * dl**e - l0 ** (e - j) * l1**j * dh**e)
+                    for j in range(e + 1)]
+            for a in range(3 - b):
+                table[a, b] = sum(r * spans[a + j + 1] for j, r in enumerate(rise))
+        return L * L * D**3 * Q**4, table
 
 
 def numerators(xs: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -514,10 +500,3 @@ def combine(terms: Iterable[tuple[int, int]], forms: Sequence[Form]) -> Form:
         b += k * f[1]
         c += k * f[2]
     return a, b, c
-
-
-def products(pairs: Iterable[tuple[Form, Form]]) -> dict[tuple[int, int], int]:
-    """sum of f * g over pairs of affine forms, by (u, v) exponents."""
-    terms = [(a * x, a * y + b * x, a * z + c * x, b * y, b * z + c * y, c * z)
-             for (a, b, c), (x, y, z) in pairs]
-    return dict(zip(((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)), map(sum, zip(*terms))))

@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .exactmath import (Chamber, Poly, Scalar, affine_form, combine, horner, integrate_univariate, numerators,
-                        products, q)
+from .exactmath import (Chamber, Poly, Scalar, affine_form, combine, horner, integrate_univariate,
+                        numerators, q)
 from .surfzar import ChamberedDecomposition, ScanError, SurfaceModel, chamber_scan
 
 Vec = tuple[Fraction, ...]
@@ -185,9 +185,12 @@ def s_curve_flag(scenario: FlagScenario) -> SInvariantResult:
         parts.append((f"ord-term u[{piece.u_lo},{piece.u_hi}]", val))
     for scan in scenario_scans(scenario):
         for ch in scan.chambers:
-            # P^2 = sum_i P_i (P.C_i), from the scan's integer forms.
-            p_sq = products(zip(ch.forms.p, ch.forms.pc))
-            parts.append((ch.chamber, factor * ch.chamber.integrate(p_sq, ch.forms.den**2)))
+            # P^2 = sum_i P_i (P.C_i): each P_i form dotted with the moments of P.C_i.
+            num = delta = 0
+            for p, pc in zip(ch.forms.p, ch.forms.pc):
+                moments, delta = ch.chamber.moments(pc)
+                num += sum(x * m for x, m in zip(p, moments))
+            parts.append((ch.chamber, factor * Fraction(num, ch.forms.den**2 * delta)))
     return SInvariantResult(sum((x for _, x in parts), Fraction(0)), tuple(parts))
 
 

@@ -5,9 +5,11 @@ integers by one common denominator, and every later entry stays an integer,
 because each step divides exactly by the previous pivot (Bareiss, Math.
 Comp. 22, 1968).  The systems in this package are tiny (at most ~12 x 12),
 so clarity wins over asymptotics.  One fraction-free Gauss-Jordan step,
-`pivot`, serves `rref`, `solve`, `inverse`, the definiteness test and the
-integer simplex tableau in `lp`; right-hand-side columns ride along in the
-same rows.  Entries are ints or Fractions.
+`pivot`, serves `nullspace`, `inverse`, the definiteness test and the
+integer simplex tableau in `lp`; the identity columns of `inverse` ride
+along in the same rows.  A linear system is solved through `inverse` (the
+3x3 integer systems of `toric3` by its one Cramer helper).  Entries are
+ints or Fractions.
 """
 
 from __future__ import annotations
@@ -64,30 +66,6 @@ def _eliminate(rows: Sequence[Sequence], n_cols: int) -> tuple[list[list[int]], 
     return m, pivots, d, den
 
 
-def rref(rows: Sequence[Sequence], n_cols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form, pivoting only in the first n_cols columns.
-
-    Columns from n_cols on are right-hand sides: every row operation applies
-    to them, but they are never pivoted on.  Returns the reduced rows and the
-    pivot columns; row r < len(pivots) has its leading 1 in pivots[r].
-    """
-    m, pivots, d, den = _eliminate(rows, n_cols)
-    rank = len(pivots)
-    return [[Fraction(x, d if r < rank else d * den) for x in row] for r, row in enumerate(m)], pivots
-
-
-def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square nonsingular system a*x = b exactly.
-
-    Raises ValueError on a singular matrix.
-    """
-    n = len(a)
-    m, pivots, d, _ = _eliminate([list(row) + [rhs] for row, rhs in zip(a, b)], n)
-    if len(pivots) < n:
-        raise ValueError("singular matrix")
-    return [Fraction(row[n], d) for row in m]
-
-
 def inverse(a: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int] | None:
     """(B, den) with B / den the inverse of the square matrix a, B integer
     and den > 0 the least common denominator; None if a is singular."""
@@ -106,13 +84,13 @@ def nullspace(a: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     if not a:
         return []
     n_cols = len(a[0])
-    m, pivots = rref(a, n_cols)
+    m, pivots, d, _ = _eliminate(a, n_cols)
     basis = []
     for fc in (c for c in range(n_cols) if c not in pivots):
         vec = [Fraction(0)] * n_cols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -m[r][fc]
+        for r, pc in enumerate(pivots):  # pivot row r is d times its reduced row
+            vec[pc] = Fraction(-m[r][fc], d)
         basis.append(vec)
     return basis
 

@@ -180,10 +180,8 @@ def fixture_poly(text: str) -> Poly:
 def table_rows(table_id: str) -> list[TableRow]:
     return [
         TableRow(
-            u_lo=q(row["u"][0]),
-            u_hi=q(row["u"][1]),
-            v_lo=fixture_poly(row["v"][0]),
-            v_hi=fixture_poly(row["v"][1]),
+            *map(q, sized(row, "u", row["u"], 2, "end")),
+            *map(fixture_poly, sized(row, "v", row["v"], 2, "end")),
             p=tuple(fixture_poly(s) for s in row["P"]),
             n=tuple(fixture_poly(s) for s in row["N"]),
         )

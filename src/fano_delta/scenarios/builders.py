@@ -163,7 +163,8 @@ class ToricFamily:
                     raise FixtureError(f"{iv.path}: 'N': {coeff} is not affine in u") from None
             forcing = tuple((curve_index(iv, "forcing", r, n, "ray"),
                              ray_indices(iv, "forcing", pair, fan, 2)) for r, pair in iv["forcing"].items())
-            intervals.append(toric3.Zariski3Interval(u_lo=q(iv["u"][0]), u_hi=q(iv["u"][1]), model=fan,
+            u_lo, u_hi = map(q, sized(iv, "u", iv["u"], 2, "end"))
+            intervals.append(toric3.Zariski3Interval(u_lo=u_lo, u_hi=u_hi, model=fan,
                                                      negative=negative, forcing=forcing))
         return tuple(intervals)
 
@@ -279,7 +280,7 @@ class ToricFamily:
                            "corrected cone list used"))
 
     def _check_polytope(self):
-        weights = self.data["blowup_weights"]
+        weights = sized(self.data, "blowup_weights", self.data["blowup_weights"], 3, "coordinate")
         a_val = flagdelta.log_discrepancy_weighted(
             weights, [(q(self.data["branch_coeff"]), q(self.data["branch_ord"]))]
         )
@@ -307,10 +308,10 @@ class ToricFamily:
 
     def _check_certificate(self):
         self._emit("zariski3 certificate", toric3.verify_zariski3(self.l_u, self.certificate) or True, True)
-        for model_name, window in self.data["expected"]["nef_windows"].items():
-            not_nef = toric3.nef_on_interval(
-                ToricDivisor(load_fan(model_name), self.l_u), q(window[0]), q(window[1])
-            )
+        windows = self.data["expected"]["nef_windows"]
+        for model_name, window in windows.items():
+            u_lo, u_hi = map(q, sized(windows, model_name, window, 2, "end"))
+            not_nef = toric3.nef_on_interval(ToricDivisor(load_fan(model_name), self.l_u), u_lo, u_hi)
             self._emit(f"L_u nef on {model_name} for u in {window}", not_nef or True, True)
 
     def _check_pullbacks(self):
@@ -341,6 +342,7 @@ class ToricFamily:
         for model_name, relations in self.data["character_relations"].items():
             fan = load_fan(model_name)
             for idx, rel in enumerate(relations):
+                rel = sized(self.data["character_relations"], model_name, rel, len(fan.rays), "ray")
                 div_chi = ToricDivisor(fan, [fixture_poly(s) for s in rel])
                 self._emit(f"{model_name}: div(chi_{idx+1}) annihilates",
                            toric3.principal_residual(div_chi), Fraction(0))
@@ -349,7 +351,8 @@ class ToricFamily:
             divisors[name] = tuple(fixture_poly(s) for s in coeffs)
         for block in self.data["printed_curve_values"]:
             fan = load_fan(block["model"])
-            d = ToricDivisor(fan, lookup(block, "divisor", divisors, block["divisor"], "divisor"))
+            coeffs = lookup(block, "divisor", divisors, block["divisor"], "divisor")
+            d = ToricDivisor(fan, sized(block, "divisor", coeffs, len(fan.rays), "ray"))
             for key, val in block["values"].items():
                 i, j = ray_indices(block["values"], key, key.split(","), fan, 2)
                 self._emit(
@@ -365,6 +368,7 @@ class ToricFamily:
         table = load_table(table_id)
         self._emit(f"{table['id']} row count", len(table["rows"]), len(pieces))
         for row, (_, _, *parts) in zip(table["rows"], pieces):
+            sized(row, "u", row["u"], 2, "end")
             for which, computed in zip(("P", "N"), parts):
                 if len(row[which]) != len(table["columns"]):
                     raise FixtureError(f"{row.path}: {which!r}: {len(row[which])} cells for "
@@ -412,22 +416,21 @@ class ToricFamily:
                                 lambda x, idx, col: x[idx])
 
     def _check_sigmas(self):
-        star, n = self.data["star"], self.surface.n
-        contracted = curve_indices(star, "contracted", n)
+        gram, n = self.surface.gram, self.surface.n
+        contracted = curve_indices(self.data["star"], "contracted", n)
+        # sigma of basis curve i solves the contracted block against -C_i.C_b.
+        found = linalg.inverse([[gram[a][b] for b in contracted] for a in contracted])
+        if found is None:
+            raise DerivationError(f"singular Gram block of the contracted curves {contracted}")
+        inv, den = found
         for curve in self.data["curve_cases"]:
             scenario = self.flag_scenario(curve)
-            stored = list(scenario.sigma)
             i = _basis_index(scenario.curve_class)
-            if i is None:
-                self._emit(f"sigma({curve})", stored, [Fraction(0)] * n)
-                continue
-            sub = [[self.surface.gram[a][b] for b in contracted] for a in contracted]
-            rhs = [-self.surface.gram[i][b] for b in contracted]
-            sol = linalg.solve(sub, rhs)
-            computed = [Fraction(0)] * self.surface.n
-            for k, a in enumerate(contracted):
-                computed[a] = sol[k]
-            self._emit(f"sigma({curve})", computed, stored)
+            computed = [Fraction(0)] * n
+            if i is not None:
+                for a, row in zip(contracted, inv):
+                    computed[a] = -sum(x * gram[i][b] for x, b in zip(row, contracted)) / den
+            self._emit(f"sigma({curve})", computed, list(scenario.sigma))
 
     def _check_thresholds(self):
         table = load_table(self.data["star"]["table_threshold"])
@@ -435,7 +438,7 @@ class ToricFamily:
             lookup(table, "cells", self.data["curve_cases"], curve, "curve")
             scans = flagdelta.scenario_scans(self.flag_scenario(curve))
             for cell in cells:
-                lo, hi = q(cell["u"][0]), q(cell["u"][1])
+                lo, hi = map(q, sized(cell, "u", cell["u"], 2, "end"))
                 want = fixture_poly(cell["t"])
                 # The threshold on the cell is the scans' envelope clipped to
                 # it, each piece already proved by its LP basis; the pieces
@@ -543,7 +546,8 @@ def surface_delta(name: str) -> Fraction:
     """The delta bound assembled from the stored (A, S) levels."""
     specs = {spec["name"]: spec for spec in load_scenario_data(SURFACES)["deltas"]}
     spec = _named(specs, name, "delta assembly")
-    return flagdelta.delta_lower_bound([(q(a), q(s)) for a, s in spec["levels"]])
+    return flagdelta.delta_lower_bound([tuple(map(q, sized(spec, "levels", level, 2, "value")))
+                                        for level in spec["levels"]])
 
 
 def run_34_surfaces() -> list[CheckResult]:

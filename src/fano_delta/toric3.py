@@ -18,9 +18,12 @@ star ray, so restriction to it is one fixed linear map, and its Gram
 matrix is read from the fan's table.
 
 Divisor polytopes are handled by brute-force vertex enumeration (at most a
-handful of facets here), each facet triple solved by Cramer's rule in
-integers, giving exact volumes, moments and minima for the lattice-polytope
-form of the S-invariant.
+handful of facets here), giving exact volumes, moments and minima for the
+lattice-polytope form of the S-invariant.
+
+One integer Cramer helper, `_cramer`, solves every 3x3 system here: a
+facet triple's vertex, a vector's coordinates in a cone and a star
+surface's quotient map (`_pairings` pairs a character with every ray).
 """
 
 from __future__ import annotations
@@ -174,6 +177,13 @@ def _pairings(rays: Sequence[Ray], a: int, b: int, c: int) -> tuple[list[int], i
     return [linalg.det3(x, vb, vc) for x in rays], linalg.det3(rays[a], vb, vc)
 
 
+def _cramer(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int]:
+    """[det3 of rows with column t replaced by rhs, t = 0, 1, 2]: Cramer's
+    rule in integers, rows * x = rhs having x_t = that / det3(*rows)."""
+    return [linalg.det3(*([b if s == t else row[s] for s in range(3)] for row, b in zip(rows, rhs)))
+            for t in range(3)]
+
+
 def triple_product(fan: Fan3, i: int, j: int, k: int) -> Fraction:
     """T_i.T_j.T_k of invariant divisors, exact: the fan's table entry, 0 off the table."""
     return fan.triple_table.get((i, j, k) if i <= j <= k else tuple(sorted((i, j, k))), Fraction(0))
@@ -246,17 +256,13 @@ def nef_on_interval(d: ToricDivisor, u_lo: Scalar, u_hi: Scalar) -> str | None:
 
 def _cone_coordinates(vec: Sequence[int], rays: Sequence[Ray]) -> tuple[int, int, int, int] | None:
     """(det_0, det_1, det_2, det), det > 0, if vec lies in the simplicial cone
-    spanned by three rays, else None.
-
-    Cramer's rule in integers: the coordinates of vec in the ray basis are
-    det_k / det, with det_k the determinant after replacing ray k by vec.
-    """
+    spanned by three rays, else None: vec's coordinates in the ray basis are
+    det_k / det, by `_cramer` on the rays as columns."""
     det = linalg.det3(*rays)
     if det == 0:
         return None
     sign = 1 if det > 0 else -1
-    coords = [sign * linalg.det3(*(vec if t == k else ray for t, ray in enumerate(rays)))
-              for k in range(3)]
+    coords = [sign * x for x in _cramer(list(zip(*rays)), vec)]
     return (*coords, sign * det) if min(coords) >= 0 else None
 
 
@@ -373,15 +379,15 @@ def star_surface(
     pairing = sum(a * b for a, b in zip(m, v0))
     if len(m) != 3 or pairing == 0:
         raise ValueError("self_character must pair nontrivially with the star ray")
-    rows = []
-    for coord in range(2):
-        sol = linalg.solve(
-            [list(v0), list(fan.rays[r1]), list(fan.rays[r2])],
-            [Fraction(0), Fraction(img1[coord]), Fraction(img2[coord])],
-        )
-        if any(x.denominator != 1 for x in sol):
-            raise ValueError("pinned images do not define an integral quotient map")
-        rows.append(tuple(int(x) for x in sol))
+    basis = (v0, fan.rays[r1], fan.rays[r2])
+    det = linalg.det3(*basis)
+    if det == 0:
+        raise ValueError("the star ray and the pinned rays are linearly dependent")
+    # Row t of the quotient map: v0 to 0, the pinned rays to their images' t-th coordinates.
+    rows = [_cramer(basis, (0, int(img1[t]), int(img2[t]))) for t in range(2)]
+    if any(x % det for row in rows for x in row):
+        raise ValueError("pinned images do not define an integral quotient map")
+    rows = [tuple(x // det for x in row) for row in rows]
     minors = [
         rows[0][a] * rows[1][b] - rows[0][b] * rows[1][a]
         for a, b in ((0, 1), (0, 2), (1, 2))
@@ -437,27 +443,26 @@ class HPolytope:
     def _vertices(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
         """All vertices, sorted, by exhaustive intersection of inequality triples.
 
-        Each triple is solved by Cramer's rule in integers: with the rhs as
-        numerators r over one denominator D, the solution is X / (D * det),
-        X_t the determinant with column t replaced by r, and <n_l, x> >= rhs_l
-        holds iff (<n_l, X> - r_l * det) * det >= 0.
+        Each triple is solved by `_cramer`: with the rhs as numerators r over
+        one denominator D, the solution is X / (D * det), and <n_l, x> >=
+        rhs_l holds iff (<n_l, X> - r_l * det) * det >= 0.
         """
         n = len(self.normals)
         r, den = numerators(self.rhs)
         dets = {trio: linalg.det3(*(self.normals[i] for i in trio))
                 for trio in itertools.combinations(range(n), 3)}
-        # Boundedness: the normals must positively span R^3, i.e. 0 is in the
-        # interior of their convex-conic hull and they have rank 3.
+        # Boundedness: the normals must positively span R^3, i.e. have rank 3
+        # and a strictly positive dependency sum lambda_i n_i = 0, lambda = 1
+        # + mu with mu >= 0.
         if not any(dets.values()) or lp.solve_max(
-                [0] * n, [[normal[t] for normal in self.normals] for t in range(3)] + [[1] * n],
-                [0, 0, 0, 1]).status != lp.OPTIMAL:
+                [0] * n, [[normal[t] for normal in self.normals] for t in range(3)],
+                [-sum(normal[t] for normal in self.normals) for t in range(3)]).status != lp.OPTIMAL:
             raise ValueError("not a polytope")
         points: set[tuple[int, int, int, int]] = set()
         for trio, det in dets.items():
             if det == 0:
                 continue
-            x = [linalg.det3(*([r[i] if s == t else self.normals[i][s] for s in range(3)] for i in trio))
-                 for t in range(3)]
+            x = _cramer([self.normals[i] for i in trio], [r[i] for i in trio])
             if all((sum(a * b for a, b in zip(normal, x)) - r_l * det) * det >= 0
                    for normal, r_l in zip(self.normals, r)):
                 # The point X / (D * det) in lowest terms, with a positive denominator.

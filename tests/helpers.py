@@ -124,16 +124,24 @@ def evaluate(fn: ChamberFunction, u0, v0) -> Fraction:
     raise ValueError(f"point ({u0}, {v0}) outside every chamber")
 
 
-def integrate_poly(p: Poly, ch: Chamber) -> Fraction:
-    """iint p over ch by the chamber's integer moment table: p's
-    denominators cleared, its numerators by (u, v) exponents."""
-    nums, den = numerators(p.terms.values())
-    return ch.integrate({e[:2]: x for e, x in zip(p.terms, nums)}, den)
+def moment_integral(p: Poly, ch: Chamber) -> Fraction:
+    """iint p over ch for p of degree <= 2 in u and v, by `Chamber.moments`
+    alone, as the flag layers integrate: p = f + u*g + v*h with affine forms
+    f, g, h, and iint p the moment of f against 1, g against u, h against v."""
+    if p.total_degree() > 2 or p.degree_in("c"):
+        raise ValueError(f"not of degree <= 2 in u, v: {p}")
+    exps = ((0, 0), (1, 0), (0, 1), None, (2, 0), (1, 1), None, None, (0, 2))
+    flat, den = numerators(p.coefficient((*e, 0)) if e else Fraction(0) for e in exps)
+    total = delta = 0
+    for i in range(3):
+        moments, delta = ch.moments(flat[3 * i:3 * i + 3])
+        total += moments[i]
+    return Fraction(total, den * delta)
 
 
 def integrate(fn: ChamberFunction) -> Fraction:
     """The integral of a chamber function: the sum over its pieces."""
-    return sum((integrate_poly(p, ch) for ch, p in fn.pieces), Fraction(0))
+    return sum((reference_integrate_chamber(p, ch) for ch, p in fn.pieces), Fraction(0))
 
 
 def threshold_pieces(model: SurfaceModel, base, curve, u_lo, u_hi) -> list[ThresholdPiece]:
@@ -348,7 +356,7 @@ def solve_overdetermined(rows, rhs):
     is not unique (rank-deficient).
     """
     n_cols = len(rows[0]) if rows else 0
-    m, pivots = linalg.rref([list(r) + list(b) for r, b in zip(rows, rhs)], n_cols)
+    m, pivots = fraction_rref([list(r) + list(b) for r, b in zip(rows, rhs)], n_cols)
     if any(x != 0 for row in m[len(pivots):] for x in row[n_cols:]):
         return None  # inconsistent
     if len(pivots) < n_cols:
@@ -387,7 +395,7 @@ class ZariskiDecomposition:
 
 def column_space_basis(a: Sequence[Sequence[Fraction]]) -> list[int]:
     """Indices of a maximal set of linearly independent columns of a."""
-    return linalg.rref(a, len(a[0]))[1] if a else []
+    return fraction_rref(a, len(a[0]))[1] if a else []
 
 
 @lru_cache(maxsize=None)
@@ -781,8 +789,10 @@ def fraction_pivot(m: list[list], row: int, col: int) -> None:
 
 
 def fraction_rref(rows, n_cols: int) -> tuple[list[list], list[int]]:
-    """`linalg.rref` by Fraction Gauss-Jordan; right-hand-side columns may
-    hold Polys, to which only addition and scaling by Fractions apply."""
+    """Reduced row echelon form by Fraction Gauss-Jordan, pivoting only in
+    the first n_cols columns: the reduced rows and the pivot columns.  The
+    columns from n_cols on are right-hand sides and may hold Polys, to which
+    only addition and scaling by Fractions apply."""
     m = [list(r) for r in rows]
     pivots: list[int] = []
     for col in range(n_cols):
@@ -797,7 +807,8 @@ def fraction_rref(rows, n_cols: int) -> tuple[list[list], list[int]]:
 
 
 def fraction_solve(a, b) -> list:
-    """`linalg.solve` by `fraction_rref`; b entries may be Fractions or Polys."""
+    """The solution of the square system a*x = b by `fraction_rref`,
+    ValueError if a is singular; b entries may be Fractions or Polys."""
     n = len(a)
     m, pivots = fraction_rref([list(row) + [rhs] for row, rhs in zip(a, b)], n)
     if len(pivots) < n:
@@ -890,12 +901,10 @@ def reference_polytope_vertices(p: HPolytope) -> list[tuple[Fraction, Fraction, 
     """`HPolytope._vertices` by Fraction solves of every facet triple
     and Fraction feasibility tests."""
     n = len(p.normals)
-    if len(fraction_rref([[Fraction(r[t]) for r in p.normals] for t in range(3)], n)[1]) < 3:
-        raise ValueError("not a polytope")
-    feas = fraction_solve_max([Fraction(0)] * n,
-                              [[Fraction(p.normals[j][t]) for j in range(n)] for t in range(3)]
-                              + [[Fraction(1)] * n], [0, 0, 0, 1])
-    if feas.status != lp.OPTIMAL:
+    # Bounded iff the normals positively span R^3: their cone holds +-e_t.
+    cols = [[Fraction(p.normals[j][t]) for j in range(n)] for t in range(3)]
+    units = [[sign * (t == k) for t in range(3)] for k in range(3) for sign in (1, -1)]
+    if any(fraction_solve_max([Fraction(0)] * n, cols, e).status != lp.OPTIMAL for e in units):
         raise ValueError("not a polytope")
     vertices = set()
     for trio in itertools.combinations(range(n), 3):

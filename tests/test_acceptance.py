@@ -15,7 +15,7 @@ from fano_delta.exactmath import Poly, q
 from fano_delta.scenarios import builders, load_fan, load_model
 from fano_delta.toric3 import ToricDivisor
 
-from helpers import (integrate_poly, intersection_number, interpolate, poly_chamber, random_pseudoeffective,
+from helpers import (intersection_number, interpolate, moment_integral, poly_chamber, random_pseudoeffective,
                      zariski_decompose)
 
 
@@ -251,7 +251,7 @@ def test_criterion_8_property_suites():
         ch = poly_chamber(0, 2, Poly.const(-1), Poly.const(1))
         swapped = p.subs(u=V, v=U)
         ch_swapped = poly_chamber(-1, 1, Poly.const(0), Poly.const(2))
-        assert integrate_poly(p, ch) == integrate_poly(swapped, ch_swapped)
+        assert moment_integral(p, ch) == moment_integral(swapped, ch_swapped)
 
     report(f"ACCEPTANCE 8 PASS: {decompositions} random Zariski decompositions with "
            "all invariants; 30 multilinearity/symmetry/annihilation checks; "

@@ -329,6 +329,26 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
      "family-34-d4.json: 'l_on_y': 5 entries for 6 rays"),
     ("scenarios/family-34-d4.json", _resized("weight_vector", -1), "34-d4",
      "family-34-d4.json: 'weight_vector': 2 entries for 3 coordinates"),
+    ("scenarios/family-34-d4.json", _resized("character_relations", "d4-w0", 0, -1), "34-d4",
+     "family-34-d4.json: 'd4-w0': 6 entries for 7 rays"),
+    ("scenarios/family-34-d4.json", _resized("auxiliary_divisors", "P1", -1), "34-d4",
+     "family-34-d4.json: 'divisor': 6 entries for 7 rays"),
+    ("scenarios/family-34-d4.json", _resized("blowup_weights", -1), "34-d4",
+     "family-34-d4.json: 'blowup_weights': 2 entries for 3 coordinates"),
+    ("scenarios/family-34-d4.json", _resized("certificate", 0, "u", -1), "34-d4",
+     "family-34-d4.json: 'u': 1 entries for 2 ends"),
+    ("scenarios/family-34-d4.json", _resized("expected", "nef_windows", "d4-w0", -1), "34-d4",
+     "family-34-d4.json: 'd4-w0': 1 entries for 2 ends"),
+    ("tables/table-02.json", _resized("rows", 0, "u", -1), "34-d4",
+     "table-02.json: 'u': 1 entries for 2 ends"),
+    ("tables/table-04.json", _resized("rows", 0, "u", -1), "34-d4",
+     "table-04.json: 'u': 1 entries for 2 ends"),
+    ("tables/table-04.json", _resized("rows", 0, "v", -1), "34-d4",
+     "table-04.json: 'v': 1 entries for 2 ends"),
+    ("tables/table-03.json", _resized("cells", "alpha1", 0, "u", -1), "34-d4",
+     "table-03.json: 'u': 1 entries for 2 ends"),
+    ("scenarios/family-34-surfaces.json", _resized("deltas", 0, "levels", 0, -1), "34-surfaces",
+     "family-34-surfaces.json: 'levels': 1 entries for 2 values"),
     # N must be affine in u: the endpoints of an interval certify it there.
     ("scenarios/family-34-d4.json", _set("certificate", 2, "N", {"3": "(u-2)/3+v"}), "34-d4",
      "family-34-d4.json: 'N': 1/3*u + v - 2/3 is not affine in u"),
@@ -339,7 +359,9 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
         "curve-value-ray", "curve-value-pair", "forcing-pair-ray", "forcing-pair", "branch-gap",
         "triple-ray", "triple-repeated-ray", "triple-two-rays", "base-long", "base-long-heart", "base-short",
         "flag-base-long", "flag-base-short", "l_u-short", "l_u-long", "l_on_y-short", "weight-vector-short",
-        "N-not-in-u", "N-quadratic"])
+        "relation-short", "aux-divisor-short", "blowup-weights-short", "interval-u-short", "nef-window-short",
+        "table-u-short", "chamber-row-u-short", "chamber-row-v-short", "threshold-cell-u-short",
+        "delta-level-short", "N-not-in-u", "N-quadratic"])
 def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit, family,
                                                         named):
     dst = _fixture_copy(tmp_path / "fixtures", relative, edit)
@@ -370,6 +392,24 @@ def test_derivation_error_in_a_toric_stage_is_one_fail_entry(tmp_path, capsys, m
     first = next(i for i, label in enumerate(clean) if label.startswith("S_L(W^G;"))
     assert [e.label for e in checks[:first]] == clean[:first]
     assert (checks[-1].label, checks[-1].expected, checks[-1].status) == ("flag_values: derivation", None, "fail")
+
+
+def test_singular_contracted_block_is_one_sigmas_fail(tmp_path, capsys, monkeypatch, family_runs):
+    # gram[5][5] = 0: the contracted block defines no sigma.  The sigma stage
+    # ends in one FAIL naming why, and every other check is made as before.
+    from fano_delta.scenarios import builders
+
+    dst = _fixture_copy(tmp_path / "fixtures", "scenarios/family-34-d4.json", _set("star", "contracted", [5]))
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    code, out, err = run_cli(capsys, "verify", "--family", "34-d4")
+    assert (code, err) == (1, "") and "Traceback" not in out
+    assert re.findall(r"\[FAIL   \] 34-d4: (.*)\n +computed: (.*)", out) == [
+        ("sigmas: derivation", "DerivationError: singular Gram block of the contracted curves [5]")]
+    clean = [e.label for e in family_runs["34-d4"]]
+    first = next(i for i, label in enumerate(clean) if label.startswith("sigma("))
+    labels = [e.label for e in builders.run_family("34-d4")]
+    assert labels == [*clean[:first], "sigmas: derivation",
+                      *(label for label in clean[first:] if not label.startswith("sigma("))]
 
 
 def _easy_volume_negative(data):

@@ -27,8 +27,8 @@ from fano_delta.flagdelta import (
 )
 from fano_delta.scenarios import builders, load_model
 
-from helpers import (integrate_poly, marked_point, n_coeffs, p_coeffs, pair,
-                     reference_integrate_chamber, reference_nonneg_on_interval)
+from helpers import (marked_point, n_coeffs, p_coeffs, pair, reference_integrate_chamber,
+                     reference_nonneg_on_interval)
 
 
 def weighted_scenario():
@@ -169,7 +169,7 @@ def test_f_correction_is_point_total_minus_base():
     for scan in scenario_scans(sc):
         for ch in scan.chambers:
             p_dot = pair(model, p_coeffs(ch), sc.curve_class)
-            base += F(3, 9) * integrate_poly(p_dot * p_dot, ch.chamber)
+            base += F(3, 9) * reference_integrate_chamber(p_dot * p_dot, ch.chamber)
     for pt in sc.points:
         assert s_point_flag(sc, pt).value == base + f_correction(sc, pt)
 
@@ -208,15 +208,22 @@ def test_points_of_a_scenario_share_the_point_free_integrals(monkeypatch):
 
 def test_f_correction_integrates_nothing(monkeypatch):
     # F_Q dots each chamber's ord_Q form with the scan's three moments of
-    # P.C: it makes no chamber integral of its own.
+    # P.C: it makes no chamber integral of its own, so the only moments
+    # taken are those of P.C, once per chamber.
     scenario_scans.cache_clear()  # so the moments, too, are made below
     family = builders.ToricFamily("34-d4")
     scenarios = [weighted_scenario()] + [family.flag_scenario(c) for c in family.data["curve_cases"]]
     calls = []
-    integrate = Chamber.integrate
-    monkeypatch.setattr(Chamber, "integrate", lambda *args: calls.append(args) or integrate(*args))
+    moments = Chamber.moments
+    monkeypatch.setattr(Chamber, "moments",
+                        lambda ch, form: calls.append((ch, tuple(form))) or moments(ch, form))
     values = [f_correction(sc, pt) for sc in scenarios for pt in sc.points]
-    assert sum(1 for x in values if x) >= 5 and calls == []
+    made = list(calls)
+    scans = [scan for sc in scenarios for scan in scenario_scans(sc)]
+    p_dots = {(ch.chamber, tuple(pc))
+              for scan in scans for ch, (pc, *_) in zip(scan.chambers, scan.curve_terms)}
+    assert sum(1 for x in values if x) >= 5
+    assert set(made) <= p_dots and len(made) == sum(len(scan.chambers) for scan in scans)
 
 
 def test_point_breakdown_matches_per_point_formula():
@@ -351,7 +358,7 @@ def test_scan_cache_stays_bounded_over_many_c(monkeypatch):
         if len(sizes) == 1:
             # Only the cached scans' chambers live, each with its moment table.
             assert 0 < len(live(chambers)) < len(chambers) / 2
-            assert all(ch._tables for ch in live(chambers))
+            assert all("_table" in vars(ch) for ch in live(chambers))
     # The second batch has evicted every scan of the first.
     assert chambers and not live(chambers) and not live(forms)
     assert sizes[0][flagdelta.__name__, "scenario_scans"] == 8

@@ -12,10 +12,11 @@ from helpers import column_space_basis, fraction_rref, fraction_solve, fraction_
 
 
 def test_solve_and_singular():
-    x = linalg.solve([[F(2), F(1)], [F(1), F(3)]], [F(4), F(7)])
-    assert x == [F(1), F(2)]
-    with pytest.raises(ValueError, match="singular"):
-        linalg.solve([[F(1), F(2)], [F(2), F(4)]], [F(1), F(1)])
+    # A system is solved through its inverse; a singular matrix has none.
+    rows, den = linalg.inverse([[F(2), F(1)], [F(1), F(3)]])
+    assert (rows, den) == ([[3, -1], [-1, 2]], 5)
+    assert [F(sum(x * b for x, b in zip(row, (4, 7))), den) for row in rows] == [F(1), F(2)]
+    assert linalg.inverse([[F(1), F(2)], [F(2), F(4)]]) is None
 
 
 def test_nullspace_of_gram_kernel():
@@ -144,11 +145,11 @@ def test_returned_basis_certifies_the_optimum(c, a, b, optimum):
     rows = column_space_basis([list(col) for col in zip(*a)])
     assert len(res.basis) == len(rows) == len(set(res.basis))
     basis_cols = [[a[r][j] for j in res.basis] for r in rows]
-    x_b = linalg.solve(basis_cols, [b[r] for r in rows])
+    x_b = fraction_solve(basis_cols, [b[r] for r in rows])
     assert all(x >= 0 for x in x_b)
     assert res.x == [x_b[res.basis.index(j)] if j in res.basis else 0 for j in range(len(c))]
     # Dual y with y.B = c_B: no column may have a positive reduced cost.
-    y = linalg.solve([list(col) for col in zip(*basis_cols)], [c[j] for j in res.basis])
+    y = fraction_solve([list(col) for col in zip(*basis_cols)], [c[j] for j in res.basis])
     for j in range(len(c)):
         assert c[j] - sum(yi * a[r][j] for yi, r in zip(y, rows)) <= 0
 
@@ -177,11 +178,17 @@ def _rational_matrices(draw, rows=None, cols=None, integer=None):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_bareiss_rref_matches_fraction_rref(data):
+def test_bareiss_nullspace_matches_fraction_rref(data):
     a = data.draw(_rational_matrices())
-    n_cols = data.draw(st.integers(0, len(a[0])))
-    assert linalg.rref(a, n_cols) == fraction_rref(a, n_cols)
-    assert column_space_basis(a) == fraction_rref(a, len(a[0]))[1]
+    n_cols = len(a[0])
+    reduced, pivots = fraction_rref(a, n_cols)
+    free = [col for col in range(n_cols) if col not in pivots]
+    # One basis vector per free column: 1 there, 0 at the other free
+    # columns, minus that column of the reduced rows at the pivots.
+    expected = [[F(col == fc) - sum((row[fc] for row, pc in zip(reduced, pivots) if pc == col), F(0))
+                 for col in range(n_cols)] for fc in free]
+    assert linalg.nullspace(a) == expected
+    assert all(sum(x * y for x, y in zip(row, vec)) == 0 for vec in expected for row in a)
 
 
 @settings(max_examples=200, deadline=None)
@@ -195,12 +202,13 @@ def test_bareiss_solve_and_inverse_match_fraction_rref(data):
     if len(pivots) < n:
         assert inverse is None
         with pytest.raises(ValueError, match="singular"):
-            linalg.solve(a, b)
+            fraction_solve(a, b)
         return
     rows, den = inverse
     assert den > 0 and math.gcd(den, *(x for row in rows for x in row)) == 1
     assert [[F(x, den) for x in row] for row in rows] == [row[n:] for row in reduced]
-    assert linalg.solve(a, b) == fraction_solve(a, b)
+    # Solving through the inverse, as `_check_sigmas` does.
+    assert [sum(x * y for x, y in zip(row, b)) / den for row in rows] == fraction_solve(a, b)
 
 
 @st.composite

@@ -25,7 +25,7 @@ from fano_delta.scenarios import (
     table_rows,
 )
 
-from helpers import build_218, integrate_poly, marked_point, p_coeffs, pair, poly_chamber
+from helpers import build_218, marked_point, p_coeffs, pair, poly_chamber, reference_integrate_chamber
 
 
 def test_fixture_files_round_trip():
@@ -129,7 +129,7 @@ def test_flag_scenario_values_recomputable_from_clean_tables(family_runs):
         for row in table_rows(table_id):
             chamber = poly_chamber(row.u_lo, row.u_hi, row.v_lo, row.v_hi)
             p_sq = pair(model, row.p, row.p)
-            total += F(3, 9) * integrate_poly(p_sq, chamber)
+            total += F(3, 9) * reference_integrate_chamber(p_sq, chamber)
         if curve == "alpha1":
             # ord-term of the ambient negative part along alpha1 (table 9).
             table9 = load_table("table-09")
@@ -169,7 +169,7 @@ def test_point_value_recomputable_from_clean_tables(family_runs):
     for row in table_rows("table-11"):
         chamber = poly_chamber(row.u_lo, row.u_hi, row.v_lo, row.v_hi)
         p_dot = pair(model, row.p, e1)
-        total += F(3, 9) * integrate_poly(p_dot * p_dot, chamber)
+        total += F(3, 9) * reference_integrate_chamber(p_dot * p_dot, chamber)
     assert total == F(1, 9)
     from fano_delta import flagdelta
 
@@ -351,13 +351,14 @@ def test_blowup_tangent_piecewise_formulas_symbolically():
 
 
 def test_full_report_work_counts(monkeypatch):
-    """One cold full report makes at most 10 `linalg.solve` and 28
-    `lp.solve_max` calls, and the pullbacks and polytope vertices call
-    neither `linalg.solve` nor `linalg.rref`."""
+    """One cold full report makes at most 72 `linalg.inverse` and 28
+    `lp.solve_max` calls, and the pullbacks, the star surface and the
+    polytope vertices call no `linalg.inverse`: their 3x3 systems go
+    through `toric3._cramer`."""
     from fano_delta import cli, flagdelta, linalg, lp, scenarios
 
-    callers = {"solve": [], "rref": [], "solve_max": []}
-    for module, name in ((linalg, "solve"), (linalg, "rref"), (lp, "solve_max")):
+    callers = {"inverse": [], "solve_max": []}
+    for module, name in ((linalg, "inverse"), (lp, "solve_max")):
         def counting(*args, _original=getattr(module, name), _calls=callers[name]):
             _calls.append({frame.name for frame in traceback.extract_stack()})
             return _original(*args)
@@ -368,10 +369,10 @@ def test_full_report_work_counts(monkeypatch):
     for cache in (scenarios.fixture, scenarios.fixture_poly, flagdelta.scenario_scans):
         cache.cache_clear()
     cli.build_report("all", None)
-    assert len(callers["solve"]) <= 10
+    assert len(callers["inverse"]) <= 72
     assert len(callers["solve_max"]) <= 28
-    toric = {"pullback", "_pullback_map", "_vertices"}
-    assert not [stack for stack in callers["solve"] + callers["rref"] if stack & toric]
+    toric = {"pullback", "_pullback_map", "_vertices", "star_surface"}
+    assert not [stack for stack in callers["inverse"] if stack & toric]
     # The full report builds each family's L polytope once.
     assert sum("_vertices" in stack for stack in callers["solve_max"]) == 2
 

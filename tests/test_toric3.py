@@ -11,6 +11,7 @@ from fano_delta.exactmath import Poly, parse_poly
 from fano_delta.scenarios import fixtures_dir, load_fan
 from fano_delta.toric3 import (
     _cone_coordinates,
+    _cramer,
     Fan3,
     ToricDivisor,
     curve_intersection,
@@ -30,7 +31,7 @@ from fano_delta.toric3 import (
     verify_zariski3,
 )
 
-from helpers import (at_u, intersection_number, reference_cone_coordinates, reference_pullback,
+from helpers import (at_u, fraction_solve, intersection_number, reference_cone_coordinates, reference_pullback,
                      reference_polytope_vertices, surface_gram)
 
 U = Poly.var("u")
@@ -207,7 +208,7 @@ def reference_triple(fan, i, j, k):
             return F(0)
         raise ValueError(f"ray {rep} lies in no maximal cone")
     other_rays = [r for r in cone if r != rep]
-    m = linalg.solve([list(fan.rays[r]) for r in [rep] + other_rays], [F(1), F(0), F(0)])
+    m = fraction_solve([list(fan.rays[r]) for r in [rep] + other_rays], [F(1), F(0), F(0)])
     total = F(0)
     for r in range(len(fan.rays)):
         if r != rep:
@@ -335,6 +336,14 @@ def test_integer_in_cone_matches_fraction_solve(vec, rays):
     assert (coords is None) == (reference is None)
     if coords is not None:
         assert coords[3] > 0 and [F(x, coords[3]) for x in coords[:3]] == reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(small_vectors, small_vectors, small_vectors).filter(lambda rows: linalg.det3(*rows)),
+       small_vectors)
+def test_cramer_matches_fraction_solve(rows, rhs):
+    det = linalg.det3(*rows)
+    assert [F(x, det) for x in _cramer(rows, rhs)] == fraction_solve([list(r) for r in rows], list(rhs))
 
 
 def test_in_cone_faces_and_degenerate_cones():
@@ -553,6 +562,13 @@ def test_unbounded_region_rejected():
     p = HPolytope(normals=((1, 0, 0), (0, 1, 0), (0, 0, 1)), rhs=(F(0), F(0), F(0)))
     with pytest.raises(ValueError, match="not a polytope"):
         p._vertices
+    # Rank 3 and 0 in the convex hull of the normals, but no strictly
+    # positive dependency: 0 <= x <= 1, y >= 0, z >= 0 is unbounded.
+    p = HPolytope(normals=((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)), rhs=(F(0), F(-1), F(0), F(0)))
+    with pytest.raises(ValueError, match="not a polytope"):
+        p._vertices
+    with pytest.raises(ValueError, match="not a polytope"):
+        reference_polytope_vertices(p)
 
 
 @st.composite
