@@ -175,13 +175,8 @@ class Poly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         out = Poly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
+        for _ in range(n):
+            out = out * self
         return out
 
     def __eq__(self, other) -> bool:
@@ -195,34 +190,19 @@ class Poly:
     # -- substitution ------------------------------------------------------
 
     def subs(self, **values: "Poly | Scalar") -> "Poly":
-        """Substitute polynomials or rationals for variables (partial ok).
-
-        Equals expanding every term with ring operations, built in one pass:
-        rational values fold into the coefficients, each power of a Poly
-        value is computed once per call.
-        """
-        point = {_index(name): val for name, val in values.items()}
-        moved = {i: x for i, x in point.items() if isinstance(x, Poly) and not x.is_constant()}
-        fixed = {i: q(x) for i, x in point.items() if i not in moved}
-        groups: dict[tuple[int, ...], dict[Exponent, Fraction]] = {}
+        """Substitute polynomials or rationals for variables (partial ok),
+        expanding every term with the ring operations."""
+        point = [Poly.var(name) for name in VARS]
+        for name, val in values.items():
+            point[_index(name)] = Poly.coerce(val)
+        out = Poly()
         for exp, coef in self.terms.items():
-            for i, x in fixed.items():
-                if exp[i]:
-                    coef *= x ** exp[i]
-            kept = tuple(0 if i in fixed or i in moved else e for i, e in enumerate(exp))
-            group = groups.setdefault(tuple(exp[i] for i in moved), {})
-            group[kept] = group[kept] + coef if kept in group else coef
-        powers: dict[tuple[int, int], Poly] = {}
-        out: dict[Exponent, Fraction] = {}
-        for key, group in groups.items():
-            part = Poly._make(group)
-            for i, e in zip(moved, key):
-                if (i, e) not in powers:
-                    powers[i, e] = moved[i] ** e
-                part = part * powers[i, e]
-            for exp, coef in part.terms.items():
-                out[exp] = out[exp] + coef if exp in out else coef
-        return Poly._make(out)
+            term = Poly.const(coef)
+            for x, e in zip(point, exp):
+                if e:
+                    term = term * x**e
+            out = out + term
+        return out
 
     def __call__(self, **values: "Poly | Scalar") -> Fraction:
         """Full evaluation; raises if any occurring variable is left free.

@@ -96,9 +96,11 @@ def curve_indices(record: _Record, key: str, n: int) -> list[int]:
 
 
 def sized(record: _Record, key: str, items, n: int, noun: str = "curve"):
-    """items, read from record[key], if they are n, one per curve (or
-    whatever ``noun`` names); else a FixtureError naming the record's file
-    and the key."""
+    """items, read from record[key], if they are a list (a JSON array) or a
+    tuple of n, one per curve (or whatever ``noun`` names); else a
+    FixtureError naming the record's file and the key."""
+    if not isinstance(items, (list, tuple)):
+        raise FixtureError(f"{record.path}: {key!r}: {items!r} is no array of {n} {noun}s")
     if len(items) != n:
         raise FixtureError(f"{record.path}: {key!r}: {len(items)} entries for {n} {noun}s")
     return items

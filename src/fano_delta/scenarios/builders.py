@@ -281,6 +281,8 @@ class ToricFamily:
 
     def _check_polytope(self):
         weights = sized(self.data, "blowup_weights", self.data["blowup_weights"], 3, "coordinate")
+        if not all(type(w) is int and w > 0 for w in weights):
+            raise FixtureError(f"{self.data.path}: 'blowup_weights': {weights!r} are not positive integers")
         a_val = flagdelta.log_discrepancy_weighted(
             weights, [(q(self.data["branch_coeff"]), q(self.data["branch_ord"]))]
         )

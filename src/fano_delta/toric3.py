@@ -18,12 +18,14 @@ star ray, so restriction to it is one fixed linear map, and its Gram
 matrix is read from the fan's table.
 
 Divisor polytopes are handled by brute-force vertex enumeration (at most a
-handful of facets here), giving exact volumes, moments and minima for the
-lattice-polytope form of the S-invariant.
+handful of facets here) and cut into tetrahedra from the least vertex, each
+facet fanned from its own least vertex, giving exact volumes, moments and
+minima for the lattice-polytope form of the S-invariant.
 
-One integer Cramer helper, `_cramer`, solves every 3x3 system here: a
-facet triple's vertex, a vector's coordinates in a cone and a star
-surface's quotient map (`_pairings` pairs a character with every ray).
+One Cramer helper, `_cramer`, solves every 3x3 system here: a facet
+triple's vertex in Fractions, and in integers a vector's coordinates in a
+cone and a star surface's quotient map (`_pairings` pairs a character with
+every ray).
 """
 
 from __future__ import annotations
@@ -177,9 +179,10 @@ def _pairings(rays: Sequence[Ray], a: int, b: int, c: int) -> tuple[list[int], i
     return [linalg.det3(x, vb, vc) for x in rays], linalg.det3(rays[a], vb, vc)
 
 
-def _cramer(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int]:
+def _cramer(rows: Sequence[Sequence[int]], rhs: Sequence[int | Fraction]) -> list[int | Fraction]:
     """[det3 of rows with column t replaced by rhs, t = 0, 1, 2]: Cramer's
-    rule in integers, rows * x = rhs having x_t = that / det3(*rows)."""
+    rule by ring operations, exact on ints and Fractions, rows * x = rhs
+    having x_t = that / det3(*rows)."""
     return [linalg.det3(*([b if s == t else row[s] for s in range(3)] for row, b in zip(rows, rhs)))
             for t in range(3)]
 
@@ -441,14 +444,9 @@ class HPolytope:
 
     @cached_property
     def _vertices(self) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        """All vertices, sorted, by exhaustive intersection of inequality triples.
-
-        Each triple is solved by `_cramer`: with the rhs as numerators r over
-        one denominator D, the solution is X / (D * det), and <n_l, x> >=
-        rhs_l holds iff (<n_l, X> - r_l * det) * det >= 0.
-        """
+        """All vertices, sorted, by exhaustive intersection of inequality
+        triples, each solved by `_cramer` in Fractions."""
         n = len(self.normals)
-        r, den = numerators(self.rhs)
         dets = {trio: linalg.det3(*(self.normals[i] for i in trio))
                 for trio in itertools.combinations(range(n), 3)}
         # Boundedness: the normals must positively span R^3, i.e. have rank 3
@@ -458,19 +456,17 @@ class HPolytope:
                 [0] * n, [[normal[t] for normal in self.normals] for t in range(3)],
                 [-sum(normal[t] for normal in self.normals) for t in range(3)]).status != lp.OPTIMAL:
             raise ValueError("not a polytope")
-        points: set[tuple[int, int, int, int]] = set()
+        points = set()
         for trio, det in dets.items():
             if det == 0:
                 continue
-            x = _cramer([self.normals[i] for i in trio], [r[i] for i in trio])
-            if all((sum(a * b for a, b in zip(normal, x)) - r_l * det) * det >= 0
-                   for normal, r_l in zip(self.normals, r)):
-                # The point X / (D * det) in lowest terms, with a positive denominator.
-                g = gcd(den * det, *x) * (1 if det > 0 else -1)
-                points.add((*(c // g for c in x), den * det // g))
+            x = tuple(Fraction(t, det)
+                      for t in _cramer([self.normals[i] for i in trio], [self.rhs[i] for i in trio]))
+            if all(sum(a * b for a, b in zip(normal, x)) >= r for normal, r in zip(self.normals, self.rhs)):
+                points.add(x)
         if not points:
             raise ValueError("empty polytope")
-        return tuple(sorted((Fraction(x, w), Fraction(y, w), Fraction(z, w)) for x, y, z, w in points))
+        return tuple(sorted(points))
 
     @cached_property
     def _tetrahedra(self) -> list[tuple[Fraction, tuple[tuple[Fraction, ...], ...]]]:
@@ -493,23 +489,14 @@ def divisor_polytope(d: ToricDivisor) -> HPolytope:
     return HPolytope(normals=d.fan.rays, rhs=tuple(-coeff.as_fraction() for coeff in d.coeffs))
 
 
-def _ccw_compare(a: Sequence[Fraction], b: Sequence[Fraction]) -> int:
-    """Counterclockwise order of nonzero plane vectors from the positive
-    x-axis, exactly; 0 for two vectors of one direction."""
-    half_a, half_b = (0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1 for v in (a, b))
-    cross = a[0] * b[1] - a[1] * b[0]
-    return half_a - half_b or (cross < 0) - (cross > 0)
-
-
 def _order_facet(points: list[tuple[Fraction, ...]], normal: Ray) -> list[tuple[Fraction, ...]]:
-    """Order coplanar points cyclically around their centroid, exactly, in
-    the two coordinates left by dropping one the normal does not vanish on
-    (a one-to-one projection of the facet's plane)."""
-    k = next(t for t in range(3) if normal[t])
-    a, b = (t for t in range(3) if t != k)
-    centre = [sum(pt[t] for pt in points) / len(points) for t in (a, b)]
-    planar = {pt: (pt[a] - centre[0], pt[b] - centre[1]) for pt in points}
-    return sorted(points, key=functools.cmp_to_key(lambda x, y: _ccw_compare(planar[x], planar[y])))
+    """The vertices of a facet, given sorted, in cyclic order from the least
+    one: the others lie within a half-turn around it, so the sign of one
+    cross product against the normal orders any two of them exactly."""
+    first = points[0]
+    edge = {pt: [a - b for a, b in zip(pt, first)] for pt in points[1:]}
+    turn = functools.cmp_to_key(lambda x, y: linalg.det3(normal, edge[y], edge[x]))
+    return [first, *sorted(points[1:], key=turn)]
 
 
 def polytope_volume(p: HPolytope) -> Fraction:

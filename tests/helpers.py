@@ -28,7 +28,7 @@ from fano_delta.surfzar import (
     _threshold_lp,
     _threshold_pieces,
 )
-from fano_delta.toric3 import Fan3, HPolytope, ToricDivisor, _ccw_compare, triple_product
+from fano_delta.toric3 import Fan3, HPolytope, ToricDivisor, triple_product
 
 
 @dataclass(frozen=True)
@@ -1010,6 +1010,14 @@ def intersection_number(d1: ToricDivisor, d2: ToricDivisor, d3: ToricDivisor) ->
             inner = sum((ck * t for k, ck in s3 if (t := triple_product(d1.fan, i, j, k))), Poly())
             total = total + ci * cj * inner
     return total
+
+
+def _ccw_compare(a: Sequence[Fraction], b: Sequence[Fraction]) -> int:
+    """Counterclockwise order of nonzero plane vectors from the positive
+    x-axis, exactly; 0 for two vectors of one direction."""
+    half_a, half_b = (0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1 for v in (a, b))
+    cross = a[0] * b[1] - a[1] * b[0]
+    return half_a - half_b or (cross < 0) - (cross > 0)
 
 
 def surface_gram(rays: Sequence[tuple[int, int]]) -> list[list[Fraction]]:

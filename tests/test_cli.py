@@ -337,6 +337,13 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
      "family-34-d4.json: 'blowup_weights': 2 entries for 3 coordinates"),
     ("scenarios/family-34-d4.json", _resized("certificate", 0, "u", -1), "34-d4",
      "family-34-d4.json: 'u': 1 entries for 2 ends"),
+    # A list key holding a scalar or a string, and a weight that is not positive.
+    ("scenarios/family-34-d4.json", _set("certificate", 0, "u", 5), "34-d4",
+     "family-34-d4.json: 'u': 5 is no array of 2 ends"),
+    ("scenarios/family-34-d4.json", _set("certificate", 0, "u", "01"), "34-d4",
+     "family-34-d4.json: 'u': '01' is no array of 2 ends"),
+    ("scenarios/family-34-d4.json", _set("blowup_weights", [0, 3, 1]), "34-d4",
+     "family-34-d4.json: 'blowup_weights': [0, 3, 1] are not positive integers"),
     ("scenarios/family-34-d4.json", _resized("expected", "nef_windows", "d4-w0", -1), "34-d4",
      "family-34-d4.json: 'd4-w0': 1 entries for 2 ends"),
     ("tables/table-02.json", _resized("rows", 0, "u", -1), "34-d4",
@@ -359,7 +366,8 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
         "curve-value-ray", "curve-value-pair", "forcing-pair-ray", "forcing-pair", "branch-gap",
         "triple-ray", "triple-repeated-ray", "triple-two-rays", "base-long", "base-long-heart", "base-short",
         "flag-base-long", "flag-base-short", "l_u-short", "l_u-long", "l_on_y-short", "weight-vector-short",
-        "relation-short", "aux-divisor-short", "blowup-weights-short", "interval-u-short", "nef-window-short",
+        "relation-short", "aux-divisor-short", "blowup-weights-short", "interval-u-short",
+        "interval-u-scalar", "interval-u-string", "blowup-weights-zero", "nef-window-short",
         "table-u-short", "chamber-row-u-short", "chamber-row-v-short", "threshold-cell-u-short",
         "delta-level-short", "N-not-in-u", "N-quadratic"])
 def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit, family,

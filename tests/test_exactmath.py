@@ -194,16 +194,6 @@ def test_power_equals_the_repeated_product(p):
         product = product * p
 
 
-def test_power_squares_the_base_only_while_bits_remain(monkeypatch):
-    products = []
-    mul = Poly.__mul__
-    monkeypatch.setattr(Poly, "__mul__", lambda self, other: products.append(None) or mul(self, other))
-    for n, count in ((1, 1), (2, 2), (3, 3), (4, 3), (5, 4)):
-        products.clear()
-        assert (7 - 6 * C - U - V) ** n is not None
-        assert len(products) == count, n
-
-
 wide_fractions = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
 
 

@@ -1,5 +1,6 @@
-"""Every public function, method and property of the package has a caller in
-the package: public API that only its own tests call belongs in the tests."""
+"""Every function, method and property of the package, public or private
+(dunders aside), has a caller in the package: API or a helper that only the
+tests call belongs in the tests."""
 
 import ast
 import fractions
@@ -10,7 +11,7 @@ import fano_delta
 
 SRC = Path(fano_delta.__file__).resolve().parent
 
-# Public names kept without a caller in the package, each with its reason.
+# Names kept without a caller in the package, each with its reason.
 ALLOWED: dict[str, str] = {}
 
 # A method named like a method of a builtin type cannot be told apart from
@@ -19,20 +20,24 @@ BUILTIN_METHODS = {name for t in (list, tuple, dict, set, str, int, fractions.Fr
                    for name in dir(t) if not name.startswith("_")}
 
 
-def public_definitions(tree):
-    """(definition, is a method) for the module's public functions and the
-    public methods and properties of its classes."""
+def _checked(node) -> bool:
+    return isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__"))
+
+
+def definitions(tree):
+    """(definition, is a method) for the module's functions and the methods
+    and properties of its classes, dunders aside."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+        if _checked(node):
             yield node, False
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if _checked(item):
                     yield item, True
 
 
 def uncalled(root: Path) -> list[str]:
-    """path:name of each public definition under root that nothing under root
+    """path:name of each definition under root that nothing under root
     reads outside the definition itself: a method or property by attribute
     (x.name), a function also by name or import."""
     trees = {path.relative_to(root): ast.parse(path.read_text()) for path in sorted(root.rglob("*.py"))}
@@ -47,7 +52,7 @@ def uncalled(root: Path) -> list[str]:
                 reads[node.name].append((path, node.lineno, False))
     found = []
     for path, tree in trees.items():
-        for node, method in public_definitions(tree):
+        for node, method in definitions(tree):
             called = node.name in ALLOWED or not (method and node.name in BUILTIN_METHODS) and any(
                 (attribute or not method) and not (where == path and node.lineno <= line <= node.end_lineno)
                 for where, line, attribute in reads[node.name])
@@ -63,6 +68,10 @@ def test_every_public_name_has_a_caller_in_the_package():
 def test_uncalled_names_are_found(tmp_path):
     (tmp_path / "m.py").write_text(
         "def used():\n    return 1\n\n\ndef unused():\n    return used()\n\n\n"
-        "class K:\n    def index(self):\n        return [].index(0)\n\n"
+        "def _helper():\n    return 2\n\n\n"
+        "class K:\n    def __init__(self):\n        self._set()\n\n"
+        "    def _set(self):\n        pass\n\n"
+        "    def _unset(self):\n        pass\n\n"
+        "    def index(self):\n        return [].index(0)\n\n"
         "    @property\n    def size(self):\n        return self.size\n")
-    assert uncalled(tmp_path) == ["m.py:unused", "m.py:index", "m.py:size"]
+    assert uncalled(tmp_path) == ["m.py:unused", "m.py:_helper", "m.py:_unset", "m.py:index", "m.py:size"]

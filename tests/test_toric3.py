@@ -600,7 +600,7 @@ def _outcome(vertices, p):
 
 @settings(max_examples=120, deadline=None)
 @given(_random_polytopes())
-def test_integer_vertices_match_fraction_solve(p):
+def test_vertices_match_fraction_solve(p):
     assert _outcome(lambda p: list(p._vertices), p) == _outcome(reference_polytope_vertices, p)
 
 
@@ -636,23 +636,24 @@ def test_zariski3_forcing_check():
     assert rejected and "no forcing curve" in rejected[0]
 
 
-def test_polytope_volume_equals_positive_part_cube():
-    # Independent oracle for the interval certificates: the divisor volume
-    # from pure lattice geometry (3! * polytope volume at fixed u) must equal
-    # the cube of the certificate's positive part, nef or not.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda d: st.builds(F, st.integers(0, 10 * d), st.just(d))))
+def test_polytope_volume_equals_positive_part_cube(u0):
+    # Independent oracle for the interval certificates and for the polytope's
+    # vertices and facet order: the divisor volume from pure lattice geometry
+    # (3! * polytope volume at fixed u) must equal the cube of the
+    # certificate's positive part, nef or not.  60 examples, each a rational
+    # u in [0, 10] checked in every interval that holds it, of both toric
+    # families (they span [0, 7] and [0, 10]).
     from fano_delta.scenarios import builders
-    from fano_delta.toric3 import divisor_polytope, polytope_volume
 
-    for fam, samples in (("34-d4", (F(1, 2), F(3), F(11, 2), F(13, 2))),
-                         ("34-a3", (F(1, 2), F(4), F(15, 2), F(9)))):
-        family = builders.ToricFamily(fam)
-        for u0 in samples:
-            iv = next(i for i in family.certificate if i.u_lo <= u0 <= i.u_hi)
-            l_at = ToricDivisor(iv.model, [c.subs(u=u0) for c in family.l_u])
-            p_at = at_u(iv.positive(family.l_u), u0)
-            cube = intersection_number(p_at, p_at, p_at).as_fraction()
-            vol = 6 * polytope_volume(divisor_polytope(l_at))
-            assert vol == cube
+    for family in (builders.ToricFamily("34-d4"), builders.ToricFamily("34-a3")):
+        for iv in family.certificate:
+            if iv.u_lo <= u0 <= iv.u_hi:
+                l_at = ToricDivisor(iv.model, [c.subs(u=u0) for c in family.l_u])
+                p_at = at_u(iv.positive(family.l_u), u0)
+                cube = intersection_number(p_at, p_at, p_at).as_fraction()
+                assert 6 * polytope_volume(divisor_polytope(l_at)) == cube
 
 
 def test_nef_divisor_volume_on_blowup_fans():
