@@ -249,8 +249,10 @@ def parse_poly(text: str) -> Poly:
     Python's expression grammar and precedence, read by ``ast``, with ``^``
     for ``**``: int literals (no leading zeros), the names u, v and c, unary
     + and -, binary + - * /, ``^`` by a digit string, and parentheses; so
-    "-u^2" is -(u^2).  Division is by a nonzero constant only.  Any other
-    text raises ValueError naming it.
+    "-u^2" is -(u^2).  Division is by a nonzero constant only, and text whose
+    total degree or an exponent exceeds `MAX_DEGREE` is refused before any
+    power or product is expanded.  Any other text raises ValueError naming
+    it.
     """
     if not _TEXT.fullmatch(text) or _BAD_POWER.search(text):
         raise ValueError(f"bad character or exponent in {text!r}")
@@ -263,25 +265,37 @@ def parse_poly(text: str) -> Poly:
 _TEXT = re.compile(r"[0-9uvc+\-*/^() ]*")
 _BAD_POWER = re.compile(r"\*\*|\^(?!\s*\d)")
 _RING = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+# The fixtures reach total degree 3 and exponent 2, and `str` writes at most
+# u^3*v^3*c^3 in the round trip; past this bound expansion could take
+# unbounded time.
+MAX_DEGREE = 9
 
 
-def _walk(node: ast.expr, text: str) -> Poly:
+def _walk(node: ast.expr, text: str, budget: int = MAX_DEGREE) -> Poly:
+    """The Poly of an expression node whose total degree may reach
+    ``budget``: a power or product shares out the budget before either
+    factor is expanded, so text past it is refused at once."""
     match node:
         case ast.Constant(value=int(n)):
             return Poly.const(n)
-        case ast.Name(id=("u" | "v" | "c") as name):
+        case ast.Name(id=("u" | "v" | "c") as name) if budget >= 1:
             return Poly.var(name)
         case ast.UnaryOp(op=ast.UAdd() | ast.USub() as op, operand=x):
-            return -_walk(x, text) if isinstance(op, ast.USub) else _walk(x, text)
-        case ast.BinOp(left=x, op=ast.Pow(), right=ast.Constant(value=int(n))):
-            return _walk(x, text) ** n
+            return -_walk(x, text, budget) if isinstance(op, ast.USub) else _walk(x, text, budget)
+        case ast.BinOp(left=x, op=ast.Pow(), right=ast.Constant(value=int(n))) if n <= MAX_DEGREE:
+            return _walk(x, text, budget // max(n, 1)) ** n
         case ast.BinOp(left=x, op=ast.Div(), right=y):
-            d = _walk(y, text)
+            d = _walk(y, text, budget)
             if d.is_zero() or not d.is_constant():
                 raise ValueError(f"division by {d} in {text!r}")
-            return _walk(x, text) / d
+            return _walk(x, text, budget) / d
         case ast.BinOp(left=x, op=ast.Add() | ast.Sub() | ast.Mult() as op, right=y):
-            return _RING[type(op)](_walk(x, text), _walk(y, text))
+            a = _walk(x, text, budget)
+            # A product's second factor may reach what the first leaves of the budget.
+            rest = budget - a.total_degree() if isinstance(op, ast.Mult) else budget
+            return _RING[type(op)](a, _walk(y, text, rest))
+        case ast.Name(id=("u" | "v" | "c")) | ast.BinOp(op=ast.Pow(), right=ast.Constant(value=int())):
+            raise ValueError(f"total degree or exponent above {MAX_DEGREE} in {text!r}")
     raise ValueError(f"unsupported {ast.unparse(node).replace('**', '^')!r} in {text!r}")
 
 
@@ -291,17 +305,25 @@ def _walk(node: ast.expr, text: str) -> Poly:
 
 
 def integrate_univariate(p: Poly, lo: Scalar, hi: Scalar) -> Fraction:
-    """Exact definite integral over u in [lo, hi] of a polynomial in u alone:
-    `horner` of the antiderivative's integer numerators at both ends."""
+    """Exact definite integral over u in [lo, hi] of a polynomial in u alone,
+    by `integral` of its integer numerators."""
     if p.degree_in("v") or p.degree_in("c"):
         raise ValueError("arity mismatch")
-    lo, hi = q(lo), q(hi)
+    nums, den = numerators(p.coefficient((i, 0, 0)) for i in range(p.degree_in("u") + 1))
+    return integral(nums, den, q(lo), q(hi))
+
+
+def integral(coeffs: Sequence[int], den: int, lo: Fraction, hi: Fraction) -> Fraction:
+    """The integral over u in [lo, hi] of sum coeffs[i] * u^i / den: `horner`
+    of the antiderivative's integer numerators, over lcm(1, ..., k), at both
+    ends."""
     if lo > hi:
         raise ValueError(f"inverted interval [{lo}, {hi}]")
-    k = p.degree_in("u") + 1
-    anti, den = numerators([Fraction(0), *(p.coefficient((i, 0, 0)) / (i + 1) for i in range(k))])
+    k = len(coeffs)
+    scale = math.lcm(*range(1, k + 1))
+    anti = [0, *(x * (scale // (i + 1)) for i, x in enumerate(coeffs))]
     return Fraction(horner(anti, hi) * lo.denominator**k - horner(anti, lo) * hi.denominator**k,
-                    den * (lo.denominator * hi.denominator) ** k)
+                    scale * den * (lo.denominator * hi.denominator) ** k)
 
 
 @dataclass(frozen=True)
@@ -403,21 +425,39 @@ def numerators(xs: Iterable[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (den // x.denominator) for x in xs), den
 
 
+def least(forms: Iterable[Sequence[int]], den: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer forms over a positive den, divided by the gcd of den and all
+    their entries: the same values over their least common denominator."""
+    forms = tuple(map(tuple, forms))
+    g = math.gcd(den, *(x for f in forms for x in f))
+    return (forms, den) if g == 1 else (tuple(tuple(x // g for x in f) for f in forms), den // g)
+
+
 # The exponents of 1, u and v: an affine form's terms.
 AFFINE = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
 
 
-def affine_form(p: Poly, exps: Sequence[Exponent] = AFFINE) -> tuple[tuple[int, ...], int]:
-    """p = (a + b*u + c*v)/den as ((a, b, c), den), den > 0, or its
-    coefficients at other ``exps``; ValueError if p has any other term."""
-    if any(e not in exps for e in p.terms):
+def affine_form(p: Poly) -> tuple[tuple[int, ...], int]:
+    """p = (a + b*u + c*v)/den as ((a, b, c), den), den > 0; ValueError if
+    p has any other term."""
+    if p.terms.keys() - AFFINE:
         raise ValueError(f"not affine: {p}")
-    return numerators(p.coefficient(e) for e in exps)
+    return numerators(p.coefficient(e) for e in AFFINE)
+
+
+def affine_forms(polys: Iterable[Poly]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Polys affine in u as integer forms (a, b), a + b*u, over their least
+    common denominator; ValueError naming one that is not affine in u."""
+    polys = tuple(polys)
+    if (bad := next((p for p in polys if p.terms.keys() - AFFINE[:2]), None)) is not None:
+        raise ValueError(f"{bad} is not affine in u")
+    flat, den = numerators(p.coefficient(e) for p in polys for e in AFFINE[:2])
+    return tuple(zip(flat[::2], flat[1::2])), den
 
 
 def wall(t: Poly) -> Form:
     """The wall v = t(u), in lowest terms, of a Poly affine in u."""
-    (a, b), d = affine_form(t, AFFINE[:2])
+    ((a, b),), d = affine_forms([t])
     return a, b, d
 
 

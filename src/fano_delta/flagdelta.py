@@ -27,8 +27,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .exactmath import (Chamber, Poly, Scalar, affine_form, combine, horner, integrate_univariate,
-                        numerators, q)
+from .exactmath import Chamber, Poly, Scalar, combine, horner, integral, integrate_univariate, numerators, q
 from .surfzar import ChamberedDecomposition, ScanError, SurfaceModel, chamber_scan
 
 Vec = tuple[Fraction, ...]
@@ -37,7 +36,7 @@ Vec = tuple[Fraction, ...]
 class DerivationError(ValueError):
     """Readable data that defines no value: a volume function negative or not
     vanishing at its end, an order of vanishing along the flag curve that is
-    not affine or negative on a chamber, or no level or one with S <= 0."""
+    negative on a chamber, or no level or one with S <= 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -68,25 +67,20 @@ class MarkedPoint:
 
 @dataclass(frozen=True)
 class BasePiece:
-    """One u-interval of the ambient restriction data.
+    """One u-interval of the ambient restriction data, as integer forms
+    (a, b), meaning (a + b*u)/den, over one positive ``den``.
 
-    ``coeffs`` is the positive part's coefficient vector (affine in u);
-    ``d`` is ord_C of the ambient negative part and ``nprime`` the rest of
-    that negative part, both zero in scenarios without an ambient negative
-    part.
+    ``coeffs`` is the positive part's coefficient vector; ``d`` is ord_C of
+    the ambient negative part and ``nprime`` the rest of that negative part,
+    both zero in scenarios without an ambient negative part.
     """
 
     u_lo: Fraction
     u_hi: Fraction
-    coeffs: tuple[Poly, ...]
-    d: Poly = Poly()
-    nprime: tuple[Poly, ...] = ()
-
-    @cached_property
-    def _ord_forms(self) -> tuple[tuple[tuple[int, ...], int] | None, ...]:
-        """`affine_form` of each N'_j, then of d; None for one not affine in u, v."""
-        return tuple(affine_form(p) if p.total_degree() <= 1 and not p.degree_in("c") else None
-                     for p in (*self.nprime, self.d))
+    coeffs: tuple[tuple[int, int], ...]
+    den: int = 1
+    d: tuple[int, int] = (0, 0)
+    nprime: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -139,8 +133,8 @@ class SInvariantResult:
 @lru_cache(maxsize=8)
 def scenario_scans(scenario: FlagScenario) -> tuple[ChamberedDecomposition, ...]:
     """Chamber scans of every base piece (cached per scenario)."""
-    return tuple(chamber_scan(scenario.model, piece.coeffs, scenario.curve_class, piece.u_lo, piece.u_hi)
-                 for piece in scenario.pieces)
+    return tuple(chamber_scan(scenario.model, piece.coeffs, piece.den, scenario.curve_class,
+                              piece.u_lo, piece.u_hi) for piece in scenario.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +167,20 @@ def s_from_volume(
 
 def s_curve_flag(scenario: FlagScenario) -> SInvariantResult:
     """S of the flag curve: (3/L^3) [ int P~(u)^2 d(u) du + iint P(u,v)^2 ]."""
-    gram = scenario.model.gram
+    model = scenario.model
     parts: list[tuple[Chamber | str, Fraction]] = []
     factor = Fraction(3) / scenario.l_cubed
     for piece in scenario.pieces:
-        if piece.d.is_zero():
+        if not any(piece.d):
             continue
-        p = piece.coeffs
-        p_sq = sum((p[i] * p[j] * g for i, row in enumerate(gram) for j, g in enumerate(row) if g), Poly())
-        val = factor * integrate_univariate(p_sq * piece.d, piece.u_lo, piece.u_hi)
+        # P~^2 = sum_i P_i (P.C_i), a quadratic in u over (Gram scale) * den^2.
+        p, sq = piece.coeffs, [0, 0, 0]
+        for (a, b), col in zip(p, model._int_columns):
+            c0, c1 = sum(g * p[j][0] for j, g in col), sum(g * p[j][1] for j, g in col)
+            sq = [sq[0] + a * c0, sq[1] + a * c1 + b * c0, sq[2] + b * c1]
+        d0, d1 = piece.d
+        cubic = [sq[0] * d0, sq[0] * d1 + sq[1] * d0, sq[1] * d1 + sq[2] * d0, sq[2] * d1]
+        val = factor * integral(cubic, model._gram_scale * piece.den**3, piece.u_lo, piece.u_hi)
         parts.append((f"ord-term u[{piece.u_lo},{piece.u_hi}]", val))
     for scan in scenario_scans(scenario):
         for ch in scan.chambers:
@@ -198,8 +197,8 @@ def f_correction(scenario: FlagScenario, point: MarkedPoint) -> Fraction:
     """The point-level correction term F_Q (exact).
 
     Per chamber ord_Q is an integer affine form: the multiplicity-weighted N
-    numerators plus the piece's sum_j mult_j (N'_j - (v + d) Sigma_j), read
-    from the piece's forms of N'_j and d.  An integer sign test at the
+    numerators plus the piece's sum_j mult_j (N'_j - (v + d) Sigma_j), from
+    the piece's forms of N'_j and d.  An integer sign test at the
     corners certifies it nonnegative on the chamber, and its three
     coefficients dotted with the scan's moments iint (P.C)*(1, u, v) give
     the chamber's iint (P.C)*ord_Q.
@@ -210,15 +209,11 @@ def f_correction(scenario: FlagScenario, point: MarkedPoint) -> Fraction:
     s = sum((m * x for m, x in zip(mults, scenario.sigma) if m), Fraction(0))  # no sigma: 0
     total, total_den = 0, 1  # the sum of iint (P.C)*ord_Q, kept as an integer ratio
     for piece, scan in zip(scenario.pieces, scenario_scans(scenario)):
-        # sum_j mult_j N'_j - s (v + d), s = sum_j mult_j Sigma_j.
-        coeffs = [Fraction(0), Fraction(0), -s]
-        terms = [(m, j) for j, m in enumerate(mults) if m and piece.nprime]
-        for k, j in terms + ([(-s, -1)] if s else []):
-            if piece._ord_forms[j] is None:
-                raise DerivationError("invalid correction data")
-            form, den = piece._ord_forms[j]
-            coeffs = [x + k * y / den for x, y in zip(coeffs, form)]
-        rest, rden = numerators(coeffs)
+        # sum_j mult_j N'_j - s (v + d), s = sum_j mult_j Sigma_j: zero without N' and Sigma.
+        rest, rden = (0, 0, 0), 1
+        if piece.nprime or s:
+            a, b = (sum((m * f[t] for m, f in zip(mults, piece.nprime) if m), -s * piece.d[t]) for t in (0, 1))
+            rest, rden = numerators((a / piece.den, b / piece.den, -s))
         for ch, (_, _, moments, pc_den) in zip(scan.chambers, scan.curve_terms):
             den = ch.forms.den * mden * rden  # of ord_Q
             n_part = combine(weights, ch.forms.n)

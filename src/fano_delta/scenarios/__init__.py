@@ -13,7 +13,8 @@ Fixture data is cached per directory: a process reads each file once for
 each fixture directory it uses, so a changed directory is read afresh.
 Each fixture expression is parsed once per process, and each one read at a
 boundary weight c is also compiled once into integer coefficient lists in c,
-so a new c costs integer Horner passes (`at_c`, `rf_eval`).
+so a new c costs integer Horner passes (`at_c`, `rf_eval`).  A divisor is
+read as integer forms affine in u (`fixture_forms`).
 
 Tables are stored as data, never as code, so the verification harness and
 the source tables stay diffable.  All rationals are "p/q" strings; small
@@ -29,9 +30,9 @@ from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
-from ..exactmath import Poly, horner, numerators, parse_poly, q
+from ..exactmath import Poly, affine_forms, horner, numerators, parse_poly, q
 from ..surfzar import SurfaceModel, TableRow
-from ..toric3 import Fan3
+from ..toric3 import Fan3, ToricDivisor
 
 
 _PACKAGE_FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -165,18 +166,51 @@ def load_scenario_data(scenario_id: str) -> dict:
     return fixture(fixtures_dir(), f"scenarios/family-{scenario_id}.json")
 
 
-@lru_cache(maxsize=1024)
 def fixture_poly(text: str) -> Poly:
     """`parse_poly` of a fixture expression, parsed once per process.
 
     The same closed forms are read for every c sample and every table check;
     Poly is immutable, so all readers share one parsed result.  Text that
-    does not parse is a FixtureError naming it.
+    does not parse, or a value that is not a string, is a FixtureError
+    naming it.
     """
+    if not isinstance(text, str):
+        raise FixtureError(f"expression {text!r} is not a string")
+    return _parsed(text)
+
+
+@lru_cache(maxsize=1024)
+def _parsed(text: str) -> Poly:
     try:
         return parse_poly(text)
     except ValueError as exc:
         raise FixtureError(exc) from None
+
+
+def fixture_forms(record: _Record, key: str, texts) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The expressions read from record[key], each affine in u, as integer
+    forms over one denominator (`affine_forms`); anything else is a
+    FixtureError naming the record's file and the key."""
+    try:
+        return affine_forms(map(fixture_poly, texts))
+    except (ValueError, FixtureError) as exc:
+        raise FixtureError(f"{record.path}: {key!r}: {exc}") from None
+
+
+def fixture_divisor(fan: Fan3, record: _Record, key: str, texts=None) -> ToricDivisor:
+    """The divisor on fan whose coefficients are the expressions at
+    record[key], or the texts read from it, one per ray."""
+    texts = record[key] if texts is None else texts
+    return ToricDivisor(fan, *fixture_forms(record, key, sized(record, key, texts, len(fan.rays), "ray")))
+
+
+def ray_texts(record: _Record, key: str, n: int) -> list[str]:
+    """record[key], a map {ray: expression}, as expressions over n rays, "0"
+    at rays it leaves out; each ray is read by `curve_index`."""
+    texts = ["0"] * n
+    for ray, expr in record[key].items():
+        texts[curve_index(record, key, ray, n, "ray")] = expr
+    return texts
 
 
 def table_rows(table_id: str) -> list[TableRow]:

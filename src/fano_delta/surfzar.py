@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg, lp
-from .exactmath import (Chamber, Form, Poly, Scalar, affine_form, affine_poly, at, combine, gap, lowest,
+from .exactmath import (Chamber, Form, Poly, Scalar, affine_form, affine_poly, at, combine, gap, least, lowest,
                         negative_end, numerators, q, root_inside, wall)
 
 Vec = tuple[Fraction, ...]
@@ -282,10 +282,11 @@ class ChamberedDecomposition:
         return tuple(out)
 
 
-def chamber_scan(model: SurfaceModel, base: Sequence[Poly | Scalar], curve: Sequence[Scalar],
+def chamber_scan(model: SurfaceModel, base: Sequence[tuple[int, int]], den: int, curve: Sequence[Scalar],
                  u_lo: Scalar, u_hi: Scalar) -> ChamberedDecomposition:
     """Chamber decomposition of the family base(u) - v*C over [u_lo, u_hi],
-    C the curve class with coefficient vector ``curve``.
+    base given by integer forms (a, b), (a + b*u)/den, and C the curve class
+    with coefficient vector ``curve``.
 
     The v-range for each u is [0, t(u)] with t the pseudoeffective
     threshold.  Chambers are maximal regions of constant negative support;
@@ -294,7 +295,7 @@ def chamber_scan(model: SurfaceModel, base: Sequence[Poly | Scalar], curve: Sequ
     """
     u_lo, u_hi = q(u_lo), q(u_hi)
     cvec = tuple(q(x) for x in curve)
-    family = _Family(model, base, cvec)
+    family = _Family(model, base, den, cvec)
     tpieces = _threshold_pieces(family, u_lo, u_hi)
     # A piece with t = 0 has the single line v = 0 as its v-range: no chamber.
     chambers = tuple(ch for piece in tpieces if any(piece.wall[:2])
@@ -345,17 +346,14 @@ class _Forms:
 
 
 class _Family:
-    """D - v*C as forms over one denominator ``den``, with the column forms
-    of every support the scan has met, computed once each."""
+    """D - v*C as forms over one denominator ``den``, the least one, with the
+    column forms of every support the scan has met, computed once each."""
 
-    def __init__(self, model: SurfaceModel, base: Sequence[Poly | Scalar], cvec: Vec):
-        base = [Poly.coerce(b) for b in base]
-        if any(e[1] or e[2] or e[0] > 1 for b in base for e in b.terms):
-            raise ValueError("base family must be affine in u")
-        flat, den = numerators(x for b, c in zip(base, cvec)
-                               for x in (b.coefficient((0, 0, 0)), b.coefficient((1, 0, 0)), -c))
-        self.model, self.cvec, self.den = model, cvec, den
-        self.forms = tuple(flat[i:i + 3] for i in range(0, len(flat), 3))
+    def __init__(self, model: SurfaceModel, base: Sequence[tuple[int, int]], den: int, cvec: Vec):
+        (base, den), (weights, cden) = least(base, den), numerators(cvec)
+        self.model, self.cvec, self.den = model, cvec, math.lcm(den, cden)
+        s, t = self.den // den, self.den // cden
+        self.forms = tuple((a * s, b * s, -w * t) for (a, b), w in zip(base, weights))
         # D.C_k times g * den, g the Gram denominator.
         self.gram_dots = tuple(combine(col, self.forms) for col in model._int_columns)
         self._columns: dict[tuple[int, ...], _Forms] = {}

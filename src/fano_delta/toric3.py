@@ -1,9 +1,12 @@
 """Simplicial complete fans in a rank-3 lattice and their intersection theory.
 
 A fan is a list of primitive integer ray generators plus a list of maximal
-cones given as index triples.  Torus-invariant divisors are coefficient
-vectors over the rays; coefficients may be exact rationals or polynomials in
-u for one-parameter families.
+cones given as index triples.  A torus-invariant divisor of a one-parameter
+family is one integer form (a, b), meaning (a + b*u)/den, per ray over one
+positive den, in lowest terms; a constant divisor has every b = 0.
+Pullback, restriction to a star surface, the curve intersections and the
+cube are integer maps on these forms, and a curve intersection is a wall
+(a, b, d), v = (a + b*u)/d, that the nef and forcing tests sign at the ends.
 
 Triple intersection numbers are one table per fan (`Fan3.triple_table`),
 made in three closed-form passes with no recursion: 1/|det| on each cone,
@@ -22,16 +25,17 @@ handful of facets here) and cut into tetrahedra from the least vertex, each
 facet fanned from its own least vertex, giving exact volumes, moments and
 minima for the lattice-polytope form of the S-invariant.
 
-One Cramer helper, `_cramer`, solves every 3x3 system here: a facet
-triple's vertex in Fractions, and in integers a vector's coordinates in a
-cone and a star surface's quotient map (`_pairings` pairs a character with
-every ray).
+One Cramer helper, `_cramer`, solves the 3x3 systems of a facet triple's
+vertex, in Fractions, and of a star surface's quotient map, in integers.
+`_pairings` pairs a character with every ray, and gives a cone's
+coordinates of many vectors at once (`_cone_coordinates`).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -39,7 +43,7 @@ from math import ceil, floor, gcd
 from typing import Mapping, Sequence
 
 from . import linalg, lp
-from .exactmath import Poly, Scalar, negative_end, numerators, q, wall
+from .exactmath import Form, Scalar, affine_poly, least, lowest, negative_end, numerators, q
 
 Ray = tuple[int, int, int]
 Cone = tuple[int, int, int]
@@ -106,7 +110,18 @@ class Fan3:
         return table
 
     @cached_property
-    def _pullbacks(self) -> dict[Fan3, tuple[tuple[tuple[int, Fraction], ...], ...]]:
+    def _curve_rows(self) -> dict[tuple[int, int], tuple[tuple[tuple[int, int], ...], int]]:
+        """Per 2-cone {i, j}: the nonzero T_r.T_i.T_j as pairs (r, integer)
+        over one positive denominator."""
+        rows = {}
+        for pair in self.two_cones:
+            row = [(r, t) for r in range(len(self.rays)) if (t := triple_product(self, r, *pair))]
+            nums, den = numerators(t for _, t in row)
+            rows[pair] = tuple((r, x) for (r, _), x in zip(row, nums)), den
+        return rows
+
+    @cached_property
+    def _pullbacks(self) -> dict[Fan3, tuple[tuple[tuple[tuple[int, int], ...], ...], int]]:
         """Pullback map from each coarse fan met so far (see `_pullback_map`)."""
         return {}
 
@@ -156,27 +171,35 @@ def validate_fan(fan: Fan3) -> list[str]:
 
 @dataclass(frozen=True)
 class ToricDivisor:
-    fan: Fan3
-    coeffs: tuple[Poly, ...]
+    """sum_r (a_r + b_r*u)/den T_r: integer forms (a_r, b_r) in ray order
+    over one positive den, in lowest terms, so == is equality."""
 
-    def __init__(self, fan: Fan3, coeffs: Sequence[Poly | Scalar]):
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "coeffs", tuple(Poly.coerce(x) for x in coeffs))
-        if len(self.coeffs) != len(fan.rays):
+    fan: Fan3
+    coeffs: tuple[tuple[int, int], ...]
+    den: int = 1
+
+    def __post_init__(self):
+        if len(self.coeffs) != len(self.fan.rays):
             raise ValueError("coefficient list length must equal ray count")
+        coeffs, den = least(self.coeffs, self.den)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "den", den)
 
     def __sub__(self, other: "ToricDivisor") -> "ToricDivisor":
         if self.fan != other.fan:
             raise ValueError("different fans")
-        return ToricDivisor(self.fan, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        s, t = other.den, self.den
+        return ToricDivisor(self.fan, tuple((a * s - c * t, b * s - d * t) for (a, b), (c, d)
+                                            in zip(self.coeffs, other.coeffs)), s * t)
 
 
 def _pairings(rays: Sequence[Ray], a: int, b: int, c: int) -> tuple[list[int], int]:
     """([<m, v_r> * det for every ray r], det) for the m with <m, v_a> = 1 and
     <m, v_b> = <m, v_c> = 0, by Cramer's rule in integers: <m, x> =
     det3(x, v_b, v_c) / det3(v_a, v_b, v_c)."""
-    vb, vc = rays[b], rays[c]
-    return [linalg.det3(x, vb, vc) for x in rays], linalg.det3(rays[a], vb, vc)
+    (b0, b1, b2), (c0, c1, c2) = rays[b], rays[c]
+    m0, m1, m2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0  # v_b x v_c
+    return [x * m0 + y * m1 + z * m2 for x, y, z in rays], linalg.det3(rays[a], rays[b], rays[c])
 
 
 def _cramer(rows: Sequence[Sequence[int]], rhs: Sequence[int | Fraction]) -> list[int | Fraction]:
@@ -192,14 +215,11 @@ def triple_product(fan: Fan3, i: int, j: int, k: int) -> Fraction:
     return fan.triple_table.get((i, j, k) if i <= j <= k else tuple(sorted((i, j, k))), Fraction(0))
 
 
-def divisor_cube(d: ToricDivisor) -> Poly:
-    """D^3 of a divisor affine in u, a cubic in u: each nonzero triple of the
-    fan's table times its number of orderings, against D's integer forms
-    a_r + b_r*u, summed in integers over one denominator."""
-    if any(e[1] or e[2] or e[0] > 1 for x in d.coeffs for e in x.terms):
-        raise ValueError("divisor must be affine in u")
-    flat, den = numerators(x.coefficient((e, 0, 0)) for x in d.coeffs for e in (0, 1))
-    forms = [flat[i:i + 2] for i in range(0, len(flat), 2)]
+def divisor_cube(d: ToricDivisor) -> tuple[list[int], int]:
+    """D^3, a cubic in u, as its integer coefficients by rising degree over
+    one positive denominator: each nonzero triple of the fan's table times
+    its number of orderings, against D's integer forms a_r + b_r*u."""
+    forms, den = d.coeffs, d.den
     table = d.fan.triple_table
     weights, tden = numerators((1, 3, 6)[len(set(key)) - 1] * x for key, x in table.items())
     out = [0, 0, 0, 0]
@@ -210,16 +230,25 @@ def divisor_cube(d: ToricDivisor) -> Poly:
         out[1] += ab0 * c1 + ab1 * c0
         out[2] += ab1 * c1 + ab2 * c0
         out[3] += ab2 * c1
-    return Poly._make({(e, 0, 0): Fraction(x, tden * den**3) for e, x in enumerate(out)})
+    return out, tden * den**3
 
 
-def curve_intersection(d: ToricDivisor, pair: Sequence[int]) -> Poly:
-    """D.C for the torus-invariant curve C of the 2-cone ``pair`` of d's fan."""
+def curve_intersection(d: ToricDivisor, pair: Sequence[int]) -> Form:
+    """D.C for the torus-invariant curve C of the 2-cone ``pair`` of d's
+    fan, as the wall (a, b, e): (a + b*u)/e, e > 0, in lowest terms."""
     pair = tuple(sorted(int(x) for x in pair))
     if pair not in d.fan.two_cones:
         raise ValueError(f"pair {pair} is not a 2-cone of the fan")
-    return sum((coeff * t for r, coeff in enumerate(d.coeffs)
-                if coeff.terms and (t := triple_product(d.fan, r, *pair))), Poly())
+    row, den = d.fan._curve_rows[pair]
+    forms = d.coeffs
+    return lowest((sum(w * forms[r][0] for r, w in row), sum(w * forms[r][1] for r, w in row), den * d.den))
+
+
+def _values(d: ToricDivisor) -> list[Fraction]:
+    """The coefficients of a constant divisor."""
+    if any(b for _, b in d.coeffs):
+        raise ValueError("divisor must be constant")
+    return [Fraction(a, d.den) for a, _ in d.coeffs]
 
 
 def principal_residual(d: ToricDivisor) -> Fraction:
@@ -227,7 +256,7 @@ def principal_residual(d: ToricDivisor) -> Fraction:
     <m, rho> = a_rho on every ray for one m in Q^3 (Cox-Little-Schenck,
     Thm 4.1.3); else a_rho - <m, rho> at the first ray where they differ,
     with m solved by Cramer's rule (`_pairings`) on the first three independent rays."""
-    rays, a = d.fan.rays, [x.as_fraction() for x in d.coeffs]
+    rays, a = d.fan.rays, _values(d)
     basis = next(t for t in itertools.combinations(range(len(rays)), 3)
                  if linalg.det3(*(rays[i] for i in t)))
     duals = [(a[k], _pairings(rays, k, *(i for i in basis if i != k))) for k in basis]
@@ -237,18 +266,18 @@ def principal_residual(d: ToricDivisor) -> Fraction:
 
 
 def nef_on_interval(d: ToricDivisor, u_lo: Scalar, u_hi: Scalar) -> str | None:
-    """Where a Poly-in-u divisor fails to be nef on [u_lo, u_hi], as text;
+    """Where a divisor affine in u fails to be nef on [u_lo, u_hi], as text;
     None when it is nef there.
 
-    Every curve intersection must be affine in u, so nonnegativity at the
-    two endpoints certifies the whole interval.
+    Every curve intersection is affine in u, so nonnegativity at the two
+    endpoints certifies the whole interval.
     """
     u_lo, u_hi = q(u_lo), q(u_hi)
     for pair in d.fan.two_cones:
         val = curve_intersection(d, pair)
-        u0 = negative_end(wall(val), u_lo, u_hi)
+        u0 = negative_end(val, u_lo, u_hi)
         if u0 is not None:
-            return f"curve {pair} meets the divisor in {val} < 0 at u={u0}"
+            return f"curve {pair} meets the divisor in {affine_poly(val[:2], val[2])} < 0 at u={u0}"
     return None
 
 
@@ -257,21 +286,25 @@ def nef_on_interval(d: ToricDivisor, u_lo: Scalar, u_hi: Scalar) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _cone_coordinates(vec: Sequence[int], rays: Sequence[Ray]) -> tuple[int, int, int, int] | None:
-    """(det_0, det_1, det_2, det), det > 0, if vec lies in the simplicial cone
-    spanned by three rays, else None: vec's coordinates in the ray basis are
-    det_k / det, by `_cramer` on the rays as columns."""
-    det = linalg.det3(*rays)
-    if det == 0:
-        return None
-    sign = 1 if det > 0 else -1
-    coords = [sign * x for x in _cramer(list(zip(*rays)), vec)]
-    return (*coords, sign * det) if min(coords) >= 0 else None
+def _cone_coordinates(vecs: Sequence[Sequence[int]], rays: Sequence[Ray]
+                      ) -> list[tuple[int, int, int, int] | None]:
+    """For each vec, (det_0, det_1, det_2, det), det > 0, if it lies in the
+    simplicial cone spanned by three rays, else None: its coordinates in the
+    ray basis are det_k / det, each made for every vec at once by
+    `_pairings` of the ray k against the other two."""
+    points = [*rays, *vecs]
+    (c0, det), (c1, _), (c2, _) = (_pairings(points, k, (k + 1) % 3, (k + 2) % 3) for k in range(3))
+    sign, out = (1 if det > 0 else -1), []
+    for xs in zip(c0[3:], c1[3:], c2[3:]):
+        coords = [sign * x for x in xs]
+        out.append((*coords, sign * det) if det and min(coords) >= 0 else None)
+    return out
 
 
-def _pullback_map(fine: Fan3, coarse: Fan3) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-    """Per fine ray w, the pairs (coarse ray j, weight) whose sum of weight *
-    a_j is the pulled-back coefficient at w; built once per fan pair.
+def _pullback_map(fine: Fan3, coarse: Fan3) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+    """(rows, den): per fine ray w, the pairs (coarse ray j, x) whose sum of
+    x * a_j over den is the pulled-back coefficient at w; built once per fan
+    pair, with one `_cone_coordinates` pass per coarse cone.
 
     With w = sum_t lambda_t v_t in a coarse cone sigma, lambda the Cramer
     coordinates, the support function is phi_D(w) = -sum_t lambda_t a_t.
@@ -279,29 +312,22 @@ def _pullback_map(fine: Fan3, coarse: Fan3) -> tuple[tuple[tuple[int, Fraction],
     table = fine._pullbacks.get(coarse)
     if table is not None:
         return table
-    coarse_index: dict[Ray, int] = {ray: i for i, ray in enumerate(coarse.rays)}
     if not set(coarse.rays) <= set(fine.rays):
         raise ValueError("not a refinement")
     # The coarse cones containing each fine ray, in the coarse fan's order,
     # with the ray's coordinates in each.
-    homes = [
-        [(s, coords) for s in coarse.cones
-         if (coords := _cone_coordinates(w, [coarse.rays[j] for j in s])) is not None]
-        for w in fine.rays
-    ]
-    for cone in fine.cones:
-        if not set.intersection(*({s for s, _ in homes[i]} for i in cone)):
-            raise ValueError("not a refinement")
-    rows = []
-    for k, w in enumerate(fine.rays):
-        if w in coarse_index:
-            rows.append(((coarse_index[w], Fraction(1)),))
-            continue
-        if not homes[k]:
-            raise ValueError("not a refinement")
-        sigma, (*nums, det) = homes[k][0]
-        rows.append(tuple((j, Fraction(x, det)) for j, x in zip(sigma, nums) if x))
-    table = fine._pullbacks[coarse] = tuple(rows)
+    homes: list[list] = [[] for _ in fine.rays]
+    for s in coarse.cones:
+        for home, coords in zip(homes, _cone_coordinates(fine.rays, [coarse.rays[j] for j in s])):
+            if coords is not None:
+                home.append((s, coords))
+    if not all(homes) or any(not set.intersection(*({s for s, _ in homes[i]} for i in cone))
+                             for cone in fine.cones):
+        raise ValueError("not a refinement")
+    den = math.lcm(*(home[0][1][3] for home in homes))
+    rows = tuple(tuple((j, x * (den // det)) for j, x in zip(sigma, nums) if x)
+                 for (sigma, (*nums, det)), *_ in homes)
+    table = fine._pullbacks[coarse] = rows, den
     return table
 
 
@@ -310,12 +336,15 @@ def pullback(fine: Fan3, coarse: Fan3, d: ToricDivisor) -> ToricDivisor:
 
     The coefficient at a ray w of the fine fan is -phi_D(w), where phi_D is
     the support function of the divisor (linear on each coarse cone, taking
-    value -a_r at ray r): a fixed rational combination of the a_r.
+    value -a_r at ray r): a fixed rational combination of the a_r, one
+    integer map on the forms.
     """
     if d.fan != coarse:
         raise ValueError("divisor does not live on the coarse fan")
-    return ToricDivisor(fine, [sum((d.coeffs[j] * x for j, x in row), Poly())
-                               for row in _pullback_map(fine, coarse)])
+    rows, den = _pullback_map(fine, coarse)
+    forms = d.coeffs
+    return ToricDivisor(fine, tuple((sum(x * forms[j][0] for j, x in row), sum(x * forms[j][1] for j, x in row))
+                                    for row in rows), den * d.den)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +371,14 @@ class StarSurface:
     images: tuple[tuple[int, int], ...]
     mults: tuple[Fraction, ...]
     weights: tuple[Fraction, ...]
+
+    @cached_property
+    def _restriction(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """(mults[k], -weights[k] * mults[k]) per curve k as integers over
+        one positive denominator: the factors of a_r and a_0 in the
+        restricted coefficient."""
+        flat, den = numerators(x for m, w in zip(self.mults, self.weights) for x in (m, -w * m))
+        return tuple(zip(flat[::2], flat[1::2])), den
 
     @property
     def gram(self) -> list[list[Fraction]]:
@@ -411,8 +448,9 @@ def star_surface(
     return StarSurface(fan, ray_index, order, tuple(images), tuple(mults), weights)
 
 
-def restrict_to_star(star: StarSurface, d: ToricDivisor) -> tuple[Poly, ...]:
-    """Coefficients of D restricted to the star surface, in its curve order.
+def restrict_to_star(star: StarSurface, d: ToricDivisor) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Coefficients of D restricted to the star surface, in its curve order,
+    as integer forms (a, b) over their least positive denominator.
 
     The fixed linear map (a_r - a_0 * weights[k]) * mults[k] for curve k,
     r = adjacent[k]: adjacent rays restrict with their lattice-index
@@ -422,9 +460,11 @@ def restrict_to_star(star: StarSurface, d: ToricDivisor) -> tuple[Poly, ...]:
     """
     if d.fan != star.fan:
         raise ValueError("different fans")
-    a0 = d.coeffs[star.ray_index]
-    return tuple((d.coeffs[r] - a0 * w) * mult
-                 for r, mult, w in zip(star.adjacent, star.mults, star.weights))
+    rows, den = star._restriction
+    forms = d.coeffs
+    a0, b0 = forms[star.ray_index]
+    return least(((x * forms[r][0] + y * a0, x * forms[r][1] + y * b0)
+                  for r, (x, y) in zip(star.adjacent, rows)), den * d.den)
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +525,8 @@ class HPolytope:
 
 
 def divisor_polytope(d: ToricDivisor) -> HPolytope:
-    """H-polytope of a constant-coefficient divisor: <m, v_r> >= -a_r."""
-    return HPolytope(normals=d.fan.rays, rhs=tuple(-coeff.as_fraction() for coeff in d.coeffs))
+    """H-polytope of a constant divisor: <m, v_r> >= -a_r."""
+    return HPolytope(normals=d.fan.rays, rhs=tuple(-a for a in _values(d)))
 
 
 def _order_facet(points: list[tuple[Fraction, ...]], normal: Ray) -> list[tuple[Fraction, ...]]:
@@ -548,23 +588,23 @@ def s_invariant_toric(p: HPolytope, w: Sequence[int]) -> Fraction:
 
 @dataclass(frozen=True)
 class Zariski3Interval:
-    """L_u = P + N on [u_lo, u_hi]: N's coefficients (affine in u) on the
-    rays of the model where P is nef, and for each ray of N's support the
-    2-cone of its forcing curve."""
+    """L_u = P + N on [u_lo, u_hi]: N, a divisor affine in u on the model
+    where P is nef, and for each ray of N's support the 2-cone of its
+    forcing curve."""
 
     u_lo: Fraction
     u_hi: Fraction
     model: Fan3
-    negative: tuple[Poly, ...]
+    negative: ToricDivisor
     forcing: tuple[tuple[int, tuple[int, int]], ...]  # (ray, forcing 2-cone)
 
-    def positive(self, l_u: Sequence[Poly]) -> ToricDivisor:
+    def positive(self, l_u: ToricDivisor) -> ToricDivisor:
         """P = L_u - N on the model.  Small modifications keep ray
         coefficients, so L_u has the same coefficient vector on every model."""
-        return ToricDivisor(self.model, [x - n for x, n in zip(l_u, self.negative, strict=True)])
+        return ToricDivisor(self.model, l_u.coeffs, l_u.den) - self.negative
 
 
-def verify_zariski3(l_u: Sequence[Poly], intervals: Sequence[Zariski3Interval]) -> list[str]:
+def verify_zariski3(l_u: ToricDivisor, intervals: Sequence[Zariski3Interval]) -> list[str]:
     """One line per rejected interval of an interval-wise Zariski
     decomposition of the one-parameter divisor L_u, none when it holds.
 
@@ -576,11 +616,11 @@ def verify_zariski3(l_u: Sequence[Poly], intervals: Sequence[Zariski3Interval]) 
             for iv in intervals if (failure := _check_interval(l_u, iv))]
 
 
-def _check_interval(l_u: Sequence[Poly], iv: Zariski3Interval) -> str | None:
+def _check_interval(l_u: ToricDivisor, iv: Zariski3Interval) -> str | None:
     # (a) negative part effective on the interval (affine coefficients: the
     # two endpoints certify it).
-    for k, coeff in enumerate(iv.negative):
-        u0 = negative_end(wall(coeff), iv.u_lo, iv.u_hi)
+    for k, form in enumerate(iv.negative.coeffs):
+        u0 = negative_end(form, iv.u_lo, iv.u_hi)
         if u0 is not None:
             return f"negative part not effective at ray {k}, u={u0}"
     # (b) positive part nef on the stated model.
@@ -590,12 +630,12 @@ def _check_interval(l_u: Sequence[Poly], iv: Zariski3Interval) -> str | None:
         return f"positive part not nef: {not_nef}"
     # (c) forcing certificates for every ray in the negative support.
     forcing = dict(iv.forcing)
-    for k in (k for k, coeff in enumerate(iv.negative) if not coeff.is_zero()):
+    for k in (k for k, form in enumerate(iv.negative.coeffs) if any(form)):
         if k not in forcing:
             return f"no forcing curve for negative ray {k}"
         along = curve_intersection(positive, forcing[k])
-        if not along.is_zero():
-            return f"forcing curve {forcing[k]} not orthogonal to P (got {along})"
+        if any(along[:2]):
+            return f"forcing curve {forcing[k]} not orthogonal to P (got {affine_poly(along[:2], along[2])})"
         self_int = triple_product(iv.model, k, *forcing[k])
         if self_int >= 0:
             return (

@@ -10,8 +10,8 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from fano_delta import linalg, lp
-from fano_delta.exactmath import (VARS, Chamber, Poly, Scalar, affine_poly, integrate_univariate, numerators,
-                                  q, wall)
+from fano_delta.exactmath import (VARS, Chamber, Poly, Scalar, affine_forms, affine_poly, integrate_univariate,
+                                  numerators, q, wall)
 from fano_delta.flagdelta import FlagScenario, MarkedPoint
 from fano_delta.scenarios import builders, c_domain
 from fano_delta.surfzar import (
@@ -27,8 +27,10 @@ from fano_delta.surfzar import (
     _Family,
     _threshold_lp,
     _threshold_pieces,
+    chamber_scan,
 )
-from fano_delta.toric3 import Fan3, HPolytope, ToricDivisor, triple_product
+from fano_delta.toric3 import (Fan3, HPolytope, StarSurface, ToricDivisor, Zariski3Interval, divisor_cube,
+                               triple_product)
 
 
 @dataclass(frozen=True)
@@ -104,9 +106,47 @@ def random_pseudoeffective(model: SurfaceModel, rng) -> SurfDivisor:
     return SurfDivisor(model, coeffs)
 
 
+def forms_of(coeffs: Sequence[Poly | Scalar]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Polys or scalars affine in u as `affine_forms`."""
+    return affine_forms(map(Poly.coerce, coeffs))
+
+
+def polys_of(forms: Sequence[Sequence[int]], den: int) -> tuple[Poly, ...]:
+    """Integer forms (a, b) over den as the Polys (a + b*u)/den."""
+    return tuple(affine_poly(f, den) for f in forms)
+
+
+def divisor(fan: Fan3, coeffs: Sequence[Poly | Scalar]) -> ToricDivisor:
+    """The divisor on fan with these coefficients, affine in u."""
+    return ToricDivisor(fan, *forms_of(coeffs))
+
+
+def poly_coeffs(d: ToricDivisor) -> tuple[Poly, ...]:
+    """A divisor's coefficients as Polys in u."""
+    return polys_of(d.coeffs, d.den)
+
+
+def wall_poly(w) -> Poly:
+    """A wall (a, b, d) as the Poly (a + b*u)/d."""
+    return affine_poly(w[:2], w[2])
+
+
+def cube_poly(d: ToricDivisor) -> Poly:
+    """`toric3.divisor_cube` as a Poly in u."""
+    nums, den = divisor_cube(d)
+    return Poly({(e, 0, 0): Fraction(x, den) for e, x in enumerate(nums)})
+
+
+def poly_chamber_scan(model: SurfaceModel, base, curve, u_lo, u_hi) -> ChamberedDecomposition:
+    """`chamber_scan` of a base given as Polys or scalars affine in u."""
+    return chamber_scan(model, *forms_of(base), curve, u_lo, u_hi)
+
+
 def at_u(d: ToricDivisor, u0) -> ToricDivisor:
     """The divisor of a u-family at u = u0."""
-    return ToricDivisor(d.fan, [co.subs(u=q(u0)) for co in d.coeffs])
+    u0 = q(u0)
+    return ToricDivisor(d.fan, tuple((a * u0.denominator + b * u0.numerator, 0) for a, b in d.coeffs),
+                        d.den * u0.denominator)
 
 
 def interpolate(samples, degree_bound, variables=None):
@@ -146,7 +186,7 @@ def integrate(fn: ChamberFunction) -> Fraction:
 
 def threshold_pieces(model: SurfaceModel, base, curve, u_lo, u_hi) -> list[ThresholdPiece]:
     """The certified threshold envelope of base(u) - v*C on [u_lo, u_hi]."""
-    return _threshold_pieces(_Family(model, base, curve_vector(model, curve)), q(u_lo), q(u_hi))
+    return _threshold_pieces(_Family(model, *forms_of(base), curve_vector(model, curve)), q(u_lo), q(u_hi))
 
 
 def n_coeffs(ch: ScanChamber) -> tuple[Poly, ...]:
@@ -886,15 +926,40 @@ def reference_cone_coordinates(vec, rays) -> list[Fraction] | None:
 
 
 def reference_pullback(fine: Fan3, coarse: Fan3, d: ToricDivisor) -> ToricDivisor:
-    """`toric3.pullback` by solving for the support function's slope m on the
-    first coarse cone holding each fine ray: <m, v_j> = -a_j."""
-    coeffs = []
+    """`toric3.pullback` in Poly arithmetic, by solving for the support
+    function's slope m on the first coarse cone holding each fine ray:
+    <m, v_j> = -a_j."""
+    a, coeffs = poly_coeffs(d), []
     for w in fine.rays:
         sigma = next(s for s in coarse.cones
                      if reference_cone_coordinates(w, [coarse.rays[j] for j in s]) is not None)
-        m = fraction_solve([list(coarse.rays[j]) for j in sigma], [-d.coeffs[j] for j in sigma])
+        m = fraction_solve([list(coarse.rays[j]) for j in sigma], [-a[j] for j in sigma])
         coeffs.append(-sum((m[t] * w[t] for t in range(3)), Poly()))
-    return ToricDivisor(fine, coeffs)
+    return divisor(fine, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Poly oracles of the integer toric maps
+# ---------------------------------------------------------------------------
+
+
+def poly_curve_intersection(d: ToricDivisor, pair) -> Poly:
+    """`toric3.curve_intersection` in Poly arithmetic: sum_r a_r T_r.T_i.T_j."""
+    return sum((coeff * t for r, coeff in enumerate(poly_coeffs(d))
+                if coeff.terms and (t := triple_product(d.fan, r, *pair))), Poly())
+
+
+def poly_restrict_to_star(star: StarSurface, d: ToricDivisor) -> tuple[Poly, ...]:
+    """`toric3.restrict_to_star` in Poly arithmetic: (a_r - a_0 * weights[k])
+    * mults[k] for curve k, r = adjacent[k]."""
+    a = poly_coeffs(d)
+    a0 = a[star.ray_index]
+    return tuple((a[r] - a0 * w) * mult for r, mult, w in zip(star.adjacent, star.mults, star.weights))
+
+
+def poly_positive(iv: Zariski3Interval, l_u: Sequence[Poly]) -> tuple[Poly, ...]:
+    """`Zariski3Interval.positive` in Poly arithmetic: L_u - N."""
+    return tuple(x - n for x, n in zip(l_u, poly_coeffs(iv.negative), strict=True))
 
 
 def reference_polytope_vertices(p: HPolytope) -> list[tuple[Fraction, Fraction, Fraction]]:
@@ -1002,7 +1067,7 @@ def intersection_number(d1: ToricDivisor, d2: ToricDivisor, d3: ToricDivisor) ->
     arithmetic: the oracle of the integer cube `toric3.divisor_cube`."""
     if not d1.fan == d2.fan == d3.fan:
         raise ValueError("different fans")
-    s1, s2, s3 = ([(i, c) for i, c in enumerate(d.coeffs) if c.terms] for d in (d1, d2, d3))
+    s1, s2, s3 = ([(i, c) for i, c in enumerate(poly_coeffs(d)) if c.terms] for d in (d1, d2, d3))
     total = Poly()
     for i, ci in s1:
         for j, cj in s2:

@@ -13,10 +13,9 @@ from fractions import Fraction as F
 from fano_delta import toric3
 from fano_delta.exactmath import Poly, q
 from fano_delta.scenarios import builders, load_fan, load_model
-from fano_delta.toric3 import ToricDivisor
 
-from helpers import (intersection_number, interpolate, moment_integral, poly_chamber, random_pseudoeffective,
-                     zariski_decompose)
+from helpers import (divisor, intersection_number, interpolate, moment_integral, poly_chamber, poly_coeffs,
+                     random_pseudoeffective, zariski_decompose)
 
 
 def by_label(checks, label):
@@ -224,16 +223,16 @@ def test_criterion_8_property_suites():
     relations = ([1, 1, 0, 0, 0, 0, -1], [3, 0, 0, 1, 0, -1, 0],
                  [-1, 0, 1, 0, -1, 1, 0])
     for _ in range(30):
-        divs = [ToricDivisor(w0, [F(rng.randrange(-5, 6), rng.randrange(1, 3))
-                                  for _ in range(7)]) for _ in range(3)]
+        divs = [divisor(w0, [F(rng.randrange(-5, 6), rng.randrange(1, 3))
+                             for _ in range(7)]) for _ in range(3)]
         base = intersection_number(*divs)
         assert base == intersection_number(divs[2], divs[0], divs[1])
         a, b = F(rng.randrange(-4, 5), 3), F(rng.randrange(-4, 5), 2)
-        combo = ToricDivisor(w0, [a * x + b * y for x, y in
-                                  zip(divs[0].coeffs, divs[1].coeffs)])
+        combo = divisor(w0, [a * x + b * y for x, y in
+                             zip(poly_coeffs(divs[0]), poly_coeffs(divs[1]))])
         assert intersection_number(combo, divs[1], divs[2]) == \
             a * base + b * intersection_number(divs[1], divs[1], divs[2])
-        rel = ToricDivisor(w0, relations[rng.randrange(3)])
+        rel = divisor(w0, relations[rng.randrange(3)])
         assert intersection_number(rel, divs[0], divs[1]).is_zero()
 
     U, V = Poly.var("u"), Poly.var("v")

@@ -361,6 +361,14 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
      "family-34-d4.json: 'N': 1/3*u + v - 2/3 is not affine in u"),
     ("scenarios/family-34-d4.json", _set("certificate", 2, "N", {"3": "u^2"}), "34-d4",
      "family-34-d4.json: 'N': u^2 is not affine in u"),
+    # An expression that is not a string, one past the parser's degree bound
+    # (refused before it is expanded), and a divisor text not affine in u.
+    ("scenarios/family-34-d4.json", _set("l_u", 0, 99), "34-d4",
+     "family-34-d4.json: 'l_u': expression 99 is not a string"),
+    ("scenarios/family-34-surfaces.json", _set("volumes", "F", "pieces", 0, "poly", "u^200000"), "34-surfaces",
+     "total degree or exponent above 9 in 'u^200000'"),
+    ("scenarios/family-34-surfaces.json", _set("flags", "E-l", "pieces", 0, "base", 0, "u^2"), "34-surfaces",
+     "family-34-surfaces.json: 'base': u^2 is not affine in u"),
 ], ids=["contracted", "class", "mults", "mults-text", "flag-curve", "generates-pseff", "contracted-repeated",
         "gram-rows", "gram-asymmetric", "certificate-ray", "forcing-ray", "pullback-ray", "table-columns",
         "curve-value-ray", "curve-value-pair", "forcing-pair-ray", "forcing-pair", "branch-gap",
@@ -369,7 +377,8 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
         "relation-short", "aux-divisor-short", "blowup-weights-short", "interval-u-short",
         "interval-u-scalar", "interval-u-string", "blowup-weights-zero", "nef-window-short",
         "table-u-short", "chamber-row-u-short", "chamber-row-v-short", "threshold-cell-u-short",
-        "delta-level-short", "N-not-in-u", "N-quadratic"])
+        "delta-level-short", "N-not-in-u", "N-quadratic", "l_u-not-a-string", "volume-degree",
+        "flag-base-quadratic"])
 def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit, family,
                                                         named):
     dst = _fixture_copy(tmp_path / "fixtures", relative, edit)
@@ -400,6 +409,23 @@ def test_derivation_error_in_a_toric_stage_is_one_fail_entry(tmp_path, capsys, m
     first = next(i for i, label in enumerate(clean) if label.startswith("S_L(W^G;"))
     assert [e.label for e in checks[:first]] == clean[:first]
     assert (checks[-1].label, checks[-1].expected, checks[-1].status) == ("flag_values: derivation", None, "fail")
+
+
+def test_derivation_error_in_a_34_surfaces_entry_is_one_fail(tmp_path, capsys, monkeypatch, family_runs):
+    # The F volume negative on [0, 1] defines no S: its volume entry ends in
+    # one FAIL naming the cause, and every other entry is checked as before.
+    from fano_delta.scenarios import builders
+
+    dst = _fixture_copy(tmp_path / "fixtures", "scenarios/family-34-surfaces.json",
+                        _set("volumes", "F", "pieces", 0, "poly", "-1-u"))
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    code, out, err = run_cli(capsys, "verify", "--family", "34-surfaces")
+    assert (code, err) == (1, "") and "Traceback" not in out
+    assert re.findall(r"\[FAIL   \] 34-surfaces: (.*)\n +computed: (.*)", out) == [
+        ("S_L(F): derivation", "DerivationError: invalid volume function")]
+    clean = [e.label for e in family_runs["34-surfaces"]]
+    labels = [e.label for e in builders.run_family("34-surfaces")]
+    assert labels == ["S_L(F): derivation", *(label for label in clean if label not in ("S_L(F)", "beta(F)"))]
 
 
 def test_singular_contracted_block_is_one_sigmas_fail(tmp_path, capsys, monkeypatch, family_runs):

@@ -2,12 +2,14 @@
 
 import random
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fano_delta.exactmath import (
+    MAX_DEGREE,
     Poly,
     at,
     gap,
@@ -89,6 +91,23 @@ exponent_polys = st.dictionaries(
 @given(exponent_polys)
 def test_str_and_parse_round_trip(p):
     assert parse_poly(str(p)) == p
+
+
+@pytest.mark.parametrize("text", ["u^200000", "((1+u+v+c)^9)^9", "u^3*v^3*c^3*u", "2^10", "(u^5)^2"])
+def test_parse_refuses_a_degree_past_the_bound_before_expanding(text):
+    # Each text is refused before any power or product past degree 9 is
+    # expanded: in well under 10 ms, where u^200000 used to take seconds.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape(f"above {MAX_DEGREE} in {text!r}")):
+        parse_poly(text)
+    assert time.perf_counter() - start < 0.01
+
+
+def test_parse_reaches_the_degree_bound():
+    assert MAX_DEGREE == 9
+    assert parse_poly("u^3*v^3*c^3") == U**3 * V**3 * C**3
+    assert parse_poly("(u-u)^2*u^9").is_zero()  # the product's degree is that of its value
+    assert parse_poly("(1+u)^9").total_degree() == 9 and parse_poly("2^9") == 512
 
 
 def test_parse_rejects_garbage():

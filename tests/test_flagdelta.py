@@ -27,7 +27,7 @@ from fano_delta.flagdelta import (
 )
 from fano_delta.scenarios import builders, load_model
 
-from helpers import (marked_point, n_coeffs, p_coeffs, pair, reference_integrate_chamber,
+from helpers import (forms_of, marked_point, n_coeffs, p_coeffs, pair, reference_integrate_chamber,
                      reference_nonneg_on_interval)
 
 
@@ -38,8 +38,8 @@ def weighted_scenario():
         model=model,
         curve_class=(F(1), F(0), F(0)),
         pieces=(
-            BasePiece(F(0), F(1), tuple(parse_poly(s) for s in ("3", "1", "1"))),
-            BasePiece(F(1), F(2), tuple(parse_poly(s) for s in ("4-u", "1", "2-u"))),
+            BasePiece(F(0), F(1), *forms_of([3, 1, 1])),
+            BasePiece(F(1), F(2), *forms_of([parse_poly(s) for s in ("4-u", "1", "2-u")])),
         ),
         points=(
             MarkedPoint("z", F(1), ((1, F(1)),)),
@@ -291,23 +291,8 @@ def test_invalid_correction_data_detected():
         l_cubed=F(9),
         model=model,
         curve_class=(F(1), F(0), F(0)),
-        pieces=(BasePiece(F(0), F(1), tuple(parse_poly(s) for s in ("3", "1", "1"))),),
+        pieces=(BasePiece(F(0), F(1), *forms_of([3, 1, 1])),),
         sigma=(F(0), F(5), F(0)),  # oversubtraction makes the order negative
-        points=(MarkedPoint("z", F(1), ((1, F(1)),)),),
-    )
-    with pytest.raises(ValueError, match="invalid correction data"):
-        f_correction(sc, marked_point(sc, "z"))
-
-
-def test_non_affine_order_is_rejected():
-    # ord_Q must be affine on each chamber for the corner test to certify it.
-    model = load_model("m34-s-weighted")
-    coeffs = tuple(parse_poly(s) for s in ("3", "1", "1"))
-    sc = FlagScenario(
-        l_cubed=F(9),
-        model=model,
-        curve_class=(F(1), F(0), F(0)),
-        pieces=(BasePiece(F(0), F(1), coeffs, Poly(), (Poly(), parse_poly("u^2"), Poly())),),
         points=(MarkedPoint("z", F(1), ((1, F(1)),)),),
     )
     with pytest.raises(ValueError, match="invalid correction data"):
@@ -367,4 +352,4 @@ def test_scan_cache_stays_bounded_over_many_c(monkeypatch):
     # form for the first time.
     assert sizes[1].keys() == sizes[0].keys()
     grown = {key for key in sizes[0] if sizes[1][key] != sizes[0][key]}
-    assert {attr for _, attr in grown} <= {"fixture_poly", "_c_fold"}
+    assert {attr for _, attr in grown} <= {"_parsed", "_c_fold"}

@@ -366,7 +366,7 @@ def test_full_report_work_counts(monkeypatch):
         monkeypatch.setattr(module, name, counting)
     # Cold caches: the fixtures, which keep the fans' pullback maps and the
     # models' LP bases, the parsed expressions and the scans.
-    for cache in (scenarios.fixture, scenarios.fixture_poly, flagdelta.scenario_scans):
+    for cache in (scenarios.fixture, scenarios._parsed, flagdelta.scenario_scans):
         cache.cache_clear()
     cli.build_report("all", None)
     assert len(callers["inverse"]) <= 72
@@ -405,7 +405,7 @@ def test_full_report_poly_work(monkeypatch):
 
     monkeypatch.setattr(exactmath.Poly, "__call__", counting)
     monkeypatch.setattr(lp, "solve_max", solve_max)
-    for cache in (scenarios.fixture, scenarios.fixture_poly, flagdelta.scenario_scans):
+    for cache in (scenarios.fixture, scenarios._parsed, flagdelta.scenario_scans):
         cache.cache_clear()
     cli.build_report("all", None)
     assert len(evaluations) <= 2000
@@ -428,7 +428,7 @@ def test_full_report_one_threshold_envelope_per_scan(monkeypatch):
 
     monkeypatch.setattr(surfzar, "_threshold_pieces", counted("envelope", surfzar._threshold_pieces))
     monkeypatch.setattr(flagdelta, "chamber_scan", counted("scan", flagdelta.chamber_scan))
-    for cache in (scenarios.fixture, scenarios.fixture_poly, flagdelta.scenario_scans):
+    for cache in (scenarios.fixture, scenarios._parsed, flagdelta.scenario_scans):
         cache.cache_clear()
     cli.build_report("all", None)
     assert calls["scan"] > 0

@@ -36,6 +36,8 @@ from helpers import (
     reference_chamber_scan,
     reference_check_row,
     reference_integrate_chamber,
+    poly_chamber_scan,
+    polys_of,
     reference_threshold_pieces,
     threshold_at,
     threshold_pieces,
@@ -390,7 +392,7 @@ def test_zero_facet_is_checked_at_both_ends(second, end):
 
 
 def test_scan_d4_alpha1_splits_at_u_minus_4(d4):
-    scan = chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
+    scan = poly_chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
     assert len(scan.chambers) == 2
     first, second = scan.chambers
     assert first.forms.support == () and str(first.chamber.v_hi) == "u - 4"
@@ -401,7 +403,7 @@ def test_scan_d4_alpha1_splits_at_u_minus_4(d4):
 
 def test_scan_nef_family_single_chamber(d4):
     # On [0,1] for C = alpha0 the family stays nef up to the threshold...
-    scan = chamber_scan(
+    scan = poly_chamber_scan(
         d4,
         [parse_poly(s) for s in ["u-6", "u-2", "u", "2", "6", "0"]],
         [1, 1, 1, 0, 0, 0],
@@ -414,7 +416,7 @@ def test_scan_nef_family_single_chamber(d4):
 
 def test_scan_a3_alpha1_splits(a3):
     base = [parse_poly(s) for s in ["(u-8)/2", "0", "1/2", "(11-u)/4", "(10-u)/2", "0"]]
-    scan = chamber_scan(a3, base, curve_vector(a3, 0), 5, 7)
+    scan = poly_chamber_scan(a3, base, curve_vector(a3, 0), 5, 7)
     lows = [str(ch.chamber.v_lo) for ch in scan.chambers]
     assert lows == ["0", "1/2*u - 5/2"]
     assert n_coeffs(scan.chambers[1])[1] == parse_poly("(2*v-u+5)/4")
@@ -423,13 +425,13 @@ def test_scan_a3_alpha1_splits(a3):
 def test_scan_detects_crossing_split(a3):
     # alpha0 case on [5,7]: boundaries cross at u = 13/2.
     base = [parse_poly(s) for s in ["(u-8)/2", "0", "1/2", "(11-u)/4", "(10-u)/2", "0"]]
-    scan = chamber_scan(a3, base, [1, 2, 1, 0, 0, 0], 5, 7)
+    scan = poly_chamber_scan(a3, base, [1, 2, 1, 0, 0, 0], 5, 7)
     boundaries = {(str(ch.chamber.u_lo), str(ch.chamber.u_hi)) for ch in scan.chambers}
     assert ("13/2", "7") in boundaries or ("6", "13/2") in boundaries
 
 
 def test_scan_p_squared_continuity_and_monotonicity(d4):
-    scan = chamber_scan(d4, ptilde_d4("24"), curve_vector(d4, 0), 2, 4)
+    scan = poly_chamber_scan(d4, ptilde_d4("24"), curve_vector(d4, 0), 2, 4)
     p_sq = p_squared(scan)
     assert check_continuity(p_sq) == []
     for u0 in (F(5, 2), F(3), F(7, 2)):
@@ -455,7 +457,7 @@ def test_scan_follows_a_curve_leaving_the_support(heart):
     # D = z + (4 - v)*s on the heart model (z, f, s): s carries N_s = 7/2 - v
     # until it leaves the support at v = 7/2, where z enters.  The v-walk must
     # take the vanishing of N_s as the wall.
-    scan = chamber_scan(heart, [1, 0, 4], curve_vector(heart, 2), 0, 1)
+    scan = poly_chamber_scan(heart, [1, 0, 4], curve_vector(heart, 2), 0, 1)
     assert [(str(ch.chamber.v_lo), str(ch.chamber.v_hi), ch.forms.support) for ch in scan.chambers] == [
         ("0", "7/2", (2,)), ("7/2", "4", (0,))]
     for ch in scan.chambers:
@@ -469,15 +471,10 @@ def test_scan_follows_a_curve_leaving_the_support(heart):
 def test_zero_width_piece_has_no_chamber(d4):
     # t = 0 on all of [0, 1]: the v-range is the line v = 0, where the
     # support search just above it would meet a singular Gram block.
-    for scan in (chamber_scan, reference_chamber_scan):
+    for scan in (poly_chamber_scan, reference_chamber_scan):
         result = scan(load_model("d4-g"), [0] * 6, curve_vector(d4, 0), 0, 1)
         assert result.chambers == ()
         assert [(p.u_lo, p.u_hi, p.t) for p in result.threshold] == [(0, 1, Poly())]
-
-
-def test_scan_rejects_non_affine_family(d4):
-    with pytest.raises(ValueError, match="affine"):
-        chamber_scan(d4, [U * U, 1, 1, 2, 6, 0], curve_vector(d4, 0), 0, 1)
 
 
 # The symbolic certificate is the only proof of a chamber: each wrong input
@@ -499,7 +496,7 @@ def test_scan_rejects_shifted_support_coefficient(d4, monkeypatch):
 
     monkeypatch.setattr(surfzar, "_negative_part", shifted)
     with pytest.raises(surfzar.ScanError, match="support orthogonality failed symbolically") as info:
-        chamber_scan(d4, ptilde_d4("56"), curve_vector(d4, 5), 5, 6)
+        poly_chamber_scan(d4, ptilde_d4("56"), curve_vector(d4, 5), 5, 6)
     error = info.value
     assert (error.reason, error.u_lo, error.u_hi, error.depth) == (
         "support orthogonality failed symbolically", 5, 6, 0)
@@ -526,7 +523,7 @@ def test_scan_rejects_shifted_wall(d4, monkeypatch, shift, failure):
     monkeypatch.setattr(surfzar, "_column_structure", shifted)
     # Unpatched: v = 3 - u/2 is the one wall, between supports () and (alpha0,).
     with pytest.raises(surfzar.ScanError, match=failure):
-        chamber_scan(d4, ptilde_d4("56"), curve_vector(d4, 5), 5, 6)
+        poly_chamber_scan(d4, ptilde_d4("56"), curve_vector(d4, 5), 5, 6)
 
 
 # The integer scan against the same algorithm on rational Polys.
@@ -571,7 +568,7 @@ def families_at_c(draw):
 @settings(max_examples=150, deadline=None)
 @given(families_at_c())
 def test_integer_scan_equals_reference_scan_on_random_families(case):
-    assert scan_outcome(chamber_scan, *case) == scan_outcome(reference_chamber_scan, *case)
+    assert scan_outcome(poly_chamber_scan, *case) == scan_outcome(reference_chamber_scan, *case)
 
 
 @settings(max_examples=40, deadline=None)
@@ -579,8 +576,9 @@ def test_integer_scan_equals_reference_scan_on_random_families(case):
 def test_integer_scan_equals_reference_scan_on_218_families(case, c):
     scenario = builders.Case218(case, c).scenario
     for piece in scenario.pieces:
-        args = (scenario.model, piece.coeffs, scenario.curve_class, piece.u_lo, piece.u_hi)
-        assert scan_outcome(chamber_scan, *args) == scan_outcome(reference_chamber_scan, *args)
+        args = (scenario.curve_class, piece.u_lo, piece.u_hi)
+        assert scan_outcome(chamber_scan, scenario.model, piece.coeffs, piece.den, *args) == scan_outcome(
+            reference_chamber_scan, scenario.model, polys_of(piece.coeffs, piece.den), *args)
 
 
 # The threshold walk against the facet envelope on rational Polys.
@@ -641,12 +639,13 @@ def test_thresholds_of_a_full_report_equal_the_facet_reference(monkeypatch):
     scans = []
     scan = flagdelta.chamber_scan
     monkeypatch.setattr(flagdelta, "chamber_scan", lambda *args: scans.append((args, scan(*args))) or scans[-1][1])
-    for cache in (scenarios.fixture, scenarios.fixture_poly, flagdelta.scenario_scans):
+    for cache in (scenarios.fixture, scenarios._parsed, flagdelta.scenario_scans):
         cache.cache_clear()
     cli.build_report("all", None)
     assert len(scans) == 104
-    for args, result in scans:
-        assert [(p.u_lo, p.u_hi, p.t) for p in result.threshold] == reference_threshold_pieces(*args)
+    for (model, base, den, *args), result in scans:
+        assert [(p.u_lo, p.u_hi, p.t) for p in result.threshold] == reference_threshold_pieces(
+            model, polys_of(base, den), *args)
 
 
 # The threshold on a sub-interval is the envelope of the whole interval
@@ -692,7 +691,7 @@ def test_printed_threshold_cells_read_the_clipped_envelope(family):
             for cell in rows:
                 a, b = max(F(cell["u"][0]), piece.u_lo), min(F(cell["u"][1]), piece.u_hi)
                 if a < b:
-                    got = sub_interval_pieces(fam.surface, piece.coeffs, scenario.curve_class, a, b)
+                    got = sub_interval_pieces(fam.surface, polys_of(piece.coeffs, piece.den), scenario.curve_class, a, b)
                     assert got == clipped(scan.threshold, a, b)
                     compared += 1
     assert compared >= sum(map(len, cells.values()))  # every cell meets a piece
@@ -704,14 +703,14 @@ def test_printed_threshold_cells_read_the_clipped_envelope(family):
 
 
 def test_verify_accepts_correct_rows(d4):
-    scan = chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
+    scan = poly_chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
     rows = [r for r in table_rows("table-04") if r.u_lo == 4 and str(r.v_lo) == "0"]
     assert len(rows) == 1
     assert row_mismatches(scan, rows[0]) == []
 
 
 def test_verify_flags_tampered_row(d4):
-    scan = chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
+    scan = poly_chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
     (row,) = [r for r in table_rows("table-04") if r.u_lo == 4 and str(r.v_lo) == "0"]
     tampered = TableRow(
         u_lo=row.u_lo, u_hi=row.u_hi, v_lo=row.v_lo, v_hi=row.v_hi,
@@ -723,7 +722,7 @@ def test_verify_flags_tampered_row(d4):
 
 
 def test_verify_flags_region_outside_threshold(d4):
-    scan = chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
+    scan = poly_chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
     row = TableRow(
         u_lo=F(4), u_hi=F(5), v_lo=parse_poly("3"), v_hi=parse_poly("4"),
         p=tuple(Poly() for _ in range(6)), n=tuple(Poly() for _ in range(6)),
@@ -742,7 +741,7 @@ def test_verify_flags_row_overlapping_a_chamber_off_the_probes(d4, v_lo, v_hi, p
     # Over [4, 5] the chambers are v in [0, u-4] with empty support and
     # v in [u-4, 1] with support alpha2.  Each row prints the data of one
     # chamber and overlaps the other only away from u = 17/4, 9/2 and 19/4.
-    scan = chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
+    scan = poly_chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
     shown = scan.chambers[printed]
     row = TableRow(u_lo=F(4), u_hi=F(5), v_lo=parse_poly(v_lo), v_hi=parse_poly(v_hi),
                    p=p_coeffs(shown), n=n_coeffs(shown))
@@ -794,7 +793,7 @@ def test_p_squared_reconstruction_by_interpolation(d4):
         dec = zariski_decompose(d4, SurfDivisor(d4, coeffs))
         samples.append(((v0,), pair(d4, dec.positive.coeffs, dec.positive.coeffs).as_fraction()))
     reconstructed = interpolate(samples, 2, ("v",))
-    scan = chamber_scan(d4, [parse_poly(s) for s in ["u-6", "u-2", "u", "2", "6", "0"]],
+    scan = poly_chamber_scan(d4, [parse_poly(s) for s in ["u-6", "u-2", "u", "2", "6", "0"]],
                         curve_vector(d4, 0), 0, 1)
     (chamber,) = scan.chambers
     symbolic = pair(d4, p_coeffs(chamber), p_coeffs(chamber)).subs(u=u0)
@@ -813,7 +812,7 @@ def test_scan_chambers_match_pointwise_decompositions(d4, a3):
          [F(1), F(2), F(1), 0, 0, 0], F(5), F(7)),
     ]
     for model, base, cvec, lo, hi in cases:
-        scan = chamber_scan(model, base, cvec, lo, hi)
+        scan = poly_chamber_scan(model, base, cvec, lo, hi)
         for ch in scan.chambers:
             c = ch.chamber
             for _ in range(3):
@@ -837,9 +836,9 @@ def test_family_scans_match_pointwise_decompositions(monkeypatch):
     # chamber, N and P must equal a direct decomposition.
     scans = []
 
-    def recording(model, base, curve, u_lo, u_hi):
-        scan = chamber_scan(model, base, curve, u_lo, u_hi)
-        scans.append((base, scan))
+    def recording(model, base, den, curve, u_lo, u_hi):
+        scan = chamber_scan(model, base, den, curve, u_lo, u_hi)
+        scans.append((polys_of(base, den), scan))
         return scan
 
     monkeypatch.setattr(surfzar, "chamber_scan", recording)

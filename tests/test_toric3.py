@@ -1,5 +1,6 @@
 """Fan validation, intersection numbers, pullbacks, stars and polytopes."""
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from fano_delta import linalg
 from fano_delta.exactmath import Poly, parse_poly
-from fano_delta.scenarios import fixtures_dir, load_fan
+from fano_delta import exactmath, flagdelta
+from fano_delta.scenarios import builders, fixtures_dir, load_fan
 from fano_delta.toric3 import (
     _cone_coordinates,
     _cramer,
@@ -31,8 +33,10 @@ from fano_delta.toric3 import (
     verify_zariski3,
 )
 
-from helpers import (at_u, fraction_solve, intersection_number, reference_cone_coordinates, reference_pullback,
-                     reference_polytope_vertices, surface_gram)
+from helpers import (at_u, cube_poly, divisor, fraction_solve, intersection_number, poly_coeffs,
+                     poly_curve_intersection, poly_positive, poly_restrict_to_star, polys_of,
+                     reference_cone_coordinates, reference_pullback, reference_polytope_vertices, surface_gram,
+                     wall_poly)
 
 U = Poly.var("u")
 
@@ -49,7 +53,7 @@ def y():
 
 @pytest.fixture(scope="module")
 def l_on_w0(w0):
-    return ToricDivisor(w0, [7 - U, 1, 1, 2, 0, 0, 0])
+    return divisor(w0, [7 - U, 1, 1, 2, 0, 0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +101,13 @@ def test_printed_triple_products(w0):
 def test_symmetry_and_multilinearity(w0):
     rng = random.Random(3)
     divs = [
-        ToricDivisor(w0, [F(rng.randrange(-4, 5)) for _ in range(7)]) for _ in range(3)
+        divisor(w0, [F(rng.randrange(-4, 5)) for _ in range(7)]) for _ in range(3)
     ]
     d1, d2, d3 = divs
     base = intersection_number(d1, d2, d3)
     assert base == intersection_number(d3, d1, d2) == intersection_number(d2, d3, d1)
     a, b = F(3, 2), F(-5, 3)
-    combo = ToricDivisor(w0, [a * x + b * y for x, y in zip(d1.coeffs, d2.coeffs)])
+    combo = divisor(w0, [a * x + b * y for x, y in zip(poly_coeffs(d1), poly_coeffs(d2))])
     assert intersection_number(combo, d2, d3) == a * base + b * intersection_number(
         d2, d2, d3
     )
@@ -120,7 +124,7 @@ def reference_intersection_number(d1, d2, d3):
             for k in range(n):
                 t = triple_product(fan, i, j, k)
                 if t != 0:
-                    total = total + d1.coeffs[i] * d2.coeffs[j] * d3.coeffs[k] * t
+                    total = total + poly_coeffs(d1)[i] * poly_coeffs(d2)[j] * poly_coeffs(d3)[k] * t
     return total
 
 
@@ -137,7 +141,7 @@ coefficient = st.one_of(
 @given(st.sampled_from(FAN_NAMES), st.data())
 def test_intersection_number_matches_triple_loop(name, data):
     fan = load_fan(name)
-    divisors = [ToricDivisor(fan, data.draw(st.lists(coefficient, min_size=len(fan.rays),
+    divisors = [divisor(fan, data.draw(st.lists(coefficient, min_size=len(fan.rays),
                                                      max_size=len(fan.rays))))
                 for _ in range(3)]
     assert intersection_number(*divisors) == reference_intersection_number(*divisors)
@@ -160,15 +164,13 @@ def test_divisor_cube_matches_the_poly_cube(name, data):
     # affine in u.
     assert len(ALL_FANS) == 10
     fan = load_fan(name)
-    d = ToricDivisor(fan, data.draw(st.lists(affine_coefficient, min_size=len(fan.rays),
+    d = divisor(fan, data.draw(st.lists(affine_coefficient, min_size=len(fan.rays),
                                              max_size=len(fan.rays))))
-    assert divisor_cube(d) == intersection_number(d, d, d)
+    assert cube_poly(d) == intersection_number(d, d, d)
 
 
-def test_divisor_cube_needs_an_affine_divisor(w0):
-    with pytest.raises(ValueError, match="affine in u"):
-        divisor_cube(ToricDivisor(w0, [U * U] + [0] * 6))
-    assert divisor_cube(ToricDivisor(w0, [0] * 7)) == Poly()
+def test_divisor_cube_of_the_zero_divisor_is_zero(w0):
+    assert divisor_cube(divisor(w0, [0] * 7))[0] == [0, 0, 0, 0]
 
 
 def test_triple_table_belongs_to_the_fan(w0):
@@ -245,21 +247,20 @@ def test_principal_divisors_annihilate(w0):
         [-1, 0, 1, 0, -1, 1, 0],
     ]
     for rel in relations:
-        div_chi = ToricDivisor(w0, rel)
+        div_chi = divisor(w0, rel)
         for _ in range(5):
-            d1 = ToricDivisor(w0, [F(rng.randrange(-5, 6)) for _ in range(7)])
-            d2 = ToricDivisor(w0, [F(rng.randrange(-5, 6)) for _ in range(7)])
+            d1 = divisor(w0, [F(rng.randrange(-5, 6)) for _ in range(7)])
+            d2 = divisor(w0, [F(rng.randrange(-5, 6)) for _ in range(7)])
             assert intersection_number(div_chi, d1, d2).is_zero()
 
 
 def test_curve_intersections(w0, l_on_w0):
-    assert curve_intersection(l_on_w0, (0, 1)) == parse_poly("u/3")
-    at_one = curve_intersection(at_u(l_on_w0, 1), (1, 0))
-    assert at_one.as_fraction() == F(1, 3)
-    at_two = curve_intersection(at_u(l_on_w0, 2), (1, 3))
-    assert at_two.as_fraction() == -1
-    zero = ToricDivisor(w0, [0] * 7)
-    assert curve_intersection(zero, (0, 1)).is_zero()
+    # Each value is a wall (a, b, d): (a + b*u)/d in lowest terms.
+    assert curve_intersection(l_on_w0, (0, 1)) == (0, 1, 3)
+    assert curve_intersection(at_u(l_on_w0, 1), (1, 0)) == (1, 0, 3)
+    assert curve_intersection(at_u(l_on_w0, 2), (1, 3)) == (-1, 0, 1)
+    zero = divisor(w0, [0] * 7)
+    assert curve_intersection(zero, (0, 1)) == (0, 0, 1)
 
 
 def test_nefness(w0, l_on_w0):
@@ -267,7 +268,7 @@ def test_nefness(w0, l_on_w0):
     assert nef_on_interval(l_on_w0, half, half) is None
     bad = nef_on_interval(l_on_w0, three_halves, three_halves)
     assert bad is not None and bad.startswith("curve (1, 3) meets the divisor")
-    assert nef_on_interval(ToricDivisor(w0, [0] * 7), 0, 0) is None
+    assert nef_on_interval(divisor(w0, [0] * 7), 0, 0) is None
     assert nef_on_interval(l_on_w0, 0, 1) is None
 
 
@@ -283,20 +284,20 @@ def test_pair_that_is_no_two_cone_error(l_on_w0):
 
 def test_pullback_lists(w0):
     wt = load_fan("d4-wt")
-    t0 = ToricDivisor(w0, [1, 0, 0, 0, 0, 0, 0])
-    t2 = ToricDivisor(w0, [0, 0, 1, 0, 0, 0, 0])
-    assert pullback(wt, w0, t0).coeffs == ToricDivisor(wt, [1] + [0] * 10).coeffs
+    t0 = divisor(w0, [1, 0, 0, 0, 0, 0, 0])
+    t2 = divisor(w0, [0, 0, 1, 0, 0, 0, 0])
+    assert pullback(wt, w0, t0) == divisor(wt, [1] + [0] * 10)
     expected_t2 = [0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2]
-    assert pullback(wt, w0, t2).coeffs == ToricDivisor(wt, expected_t2).coeffs
+    assert pullback(wt, w0, t2) == divisor(wt, expected_t2)
     w2 = load_fan("d4-w2")
-    t0_w2 = ToricDivisor(w2, [1, 0, 0, 0, 0, 0, 0])
+    t0_w2 = divisor(w2, [1, 0, 0, 0, 0, 0, 0])
     expected = [1, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1]
-    assert pullback(wt, w2, t0_w2).coeffs == ToricDivisor(wt, expected).coeffs
+    assert pullback(wt, w2, t0_w2) == divisor(wt, expected)
 
 
 def test_pullback_rejects_non_refinement(w0):
     w1 = load_fan("d4-w1")
-    d = ToricDivisor(w1, [1, 0, 0, 0, 0, 0, 0])
+    d = divisor(w1, [1, 0, 0, 0, 0, 0, 0])
     with pytest.raises(ValueError, match="not a refinement"):
         pullback(w0, w1, d)  # W0 does not refine W1
 
@@ -306,7 +307,7 @@ P3 = Fan3([E1, E2, E3, E0], [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
 def test_pullback_rejects_missing_coarse_ray():
-    d = ToricDivisor(P3, [1, 0, 0, 0])
+    d = divisor(P3, [1, 0, 0, 0])
     # Every fine cone lies in a coarse cone, but E3 is not a fine ray.
     fine = Fan3([E1, E2, (1, 1, 1), E0], [(0, 1, 2)])
     with pytest.raises(ValueError, match="not a refinement"):
@@ -314,7 +315,7 @@ def test_pullback_rejects_missing_coarse_ray():
 
 
 def test_pullback_rejects_straddling_cone():
-    d = ToricDivisor(P3, [1, 0, 0, 0])
+    d = divisor(P3, [1, 0, 0, 0])
     # Each fine ray lies in a coarse cone, but the cone (E1, E2, w) does not:
     # w = 2*E3 + E0 is outside both coarse cones containing E1 and E2.
     fine = Fan3([E1, E2, E3, E0, (-1, -1, 1)], [(0, 1, 4), (0, 2, 3)])
@@ -322,7 +323,7 @@ def test_pullback_rejects_straddling_cone():
         pullback(fine, P3, d)
     # The same rays with cones inside coarse cones pull back.
     ok = Fan3([E1, E2, E3, E0, (-1, -1, 1)], [(0, 1, 2), (2, 3, 4), (0, 3, 4)])
-    assert pullback(ok, P3, d).coeffs[4] == 0
+    assert pullback(ok, P3, d).coeffs[4] == (0, 0)
 
 
 small_vectors = st.tuples(*[st.integers(-3, 3)] * 3)
@@ -331,7 +332,7 @@ small_vectors = st.tuples(*[st.integers(-3, 3)] * 3)
 @settings(max_examples=400, deadline=None)
 @given(small_vectors, st.tuples(small_vectors, small_vectors, small_vectors))
 def test_integer_in_cone_matches_fraction_solve(vec, rays):
-    coords = _cone_coordinates(vec, rays)
+    (coords,) = _cone_coordinates([vec], rays)
     reference = reference_cone_coordinates(vec, rays)
     assert (coords is None) == (reference is None)
     if coords is not None:
@@ -348,13 +349,10 @@ def test_cramer_matches_fraction_solve(rows, rhs):
 
 def test_in_cone_faces_and_degenerate_cones():
     rays = [E1, E2, E3]
-    assert _cone_coordinates((1, 1, 0), rays) == (1, 1, 0, 1)
-    assert _cone_coordinates((0, 0, 0), rays) == (0, 0, 0, 1)
-    assert _cone_coordinates(E3, rays[::-1]) == (1, 0, 0, 1)
-    assert _cone_coordinates((1, -1, 0), rays) is None
-    assert _cone_coordinates((2, 1, 0), [E2, E1, E3]) == (1, 2, 0, 1)  # det -1
-    assert _cone_coordinates((-1, -1, -1), [E2, E1, E3]) is None
-    assert _cone_coordinates(E1, [E1, E2, (1, 1, 0)]) is None  # det 0: no cone
+    assert _cone_coordinates([(1, 1, 0), (0, 0, 0), (1, -1, 0)], rays) == [(1, 1, 0, 1), (0, 0, 0, 1), None]
+    assert _cone_coordinates([E3], rays[::-1]) == [(1, 0, 0, 1)]
+    assert _cone_coordinates([(2, 1, 0), (-1, -1, -1)], [E2, E1, E3]) == [(1, 2, 0, 1), None]  # det -1
+    assert _cone_coordinates([E1], [E1, E2, (1, 1, 0)]) == [None]  # det 0: no cone
 
 
 @pytest.mark.parametrize("family", ["34-d4", "34-a3"])
@@ -368,9 +366,9 @@ def test_pullback_map_matches_solve_reference(family):
     for name in sorted(names):
         coarse = load_fan(name)
         n = len(coarse.rays)
-        divisors = [ToricDivisor(coarse, [int(k == j) for k in range(n)]) for j in range(4)]
-        if len(fam.l_u) == n:
-            divisors.append(ToricDivisor(coarse, fam.l_u))
+        divisors = [divisor(coarse, [int(k == j) for k in range(n)]) for j in range(4)]
+        if len(fam.l_u.coeffs) == n:
+            divisors.append(ToricDivisor(coarse, fam.l_u.coeffs, fam.l_u.den))
         for d in divisors:
             assert pullback(fam.resolution, coarse, d) == reference_pullback(fam.resolution, coarse, d)
         assert coarse in fam.resolution._pullbacks  # built once, kept on the fine fan
@@ -381,7 +379,7 @@ def test_projection_formula_sample(w0):
     rng = random.Random(9)
     for _ in range(3):
         divs = [
-            ToricDivisor(w0, [F(rng.randrange(-3, 4)) for _ in range(7)])
+            divisor(w0, [F(rng.randrange(-3, 4)) for _ in range(7)])
             for _ in range(3)
         ]
         coarse = intersection_number(*divs)
@@ -423,13 +421,13 @@ def test_star_surface_fractional_multiplicities():
 def test_star_surface_restriction_vector():
     wt = load_fan("d4-wt")
     star = star_surface(wt, 0, PINNED, ALPHA_ORDER, SELF_CHARACTER)
-    t4 = ToricDivisor(wt, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0])
-    restricted = restrict_to_star(star, t4)
+    t4 = divisor(wt, [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0])
+    restricted = polys_of(*restrict_to_star(star, t4))
     pos = star.adjacent.index(4)
     assert restricted[pos] == Poly.const(1)
     # T0 restricts through the chi_1 relation to -(alpha1+alpha2+alpha3).
-    t0 = ToricDivisor(wt, [1] + [0] * 10)
-    r0 = restrict_to_star(star, t0)
+    t0 = divisor(wt, [1] + [0] * 10)
+    r0 = polys_of(*restrict_to_star(star, t0))
     by_ray = dict(zip(star.adjacent, r0))
     assert by_ray[1] == Poly.const(-1)
     assert by_ray[8] == Poly.const(-1) and by_ray[9] == Poly.const(-1)
@@ -476,9 +474,9 @@ def test_star_restriction_and_gram_follow_the_curve_order(fan_name, order, coeff
     reference = star_surface(fan, 0, PINNED, ALPHA_ORDER, SELF_CHARACTER)
     star = star_surface(fan, 0, PINNED, order, SELF_CHARACTER)
     assert star.adjacent == tuple(order)
-    d = ToricDivisor(fan, coeffs)
-    assert (dict(zip(star.adjacent, restrict_to_star(star, d)))
-            == dict(zip(reference.adjacent, restrict_to_star(reference, d))))
+    d = divisor(fan, coeffs)
+    assert (dict(zip(star.adjacent, polys_of(*restrict_to_star(star, d))))
+            == dict(zip(reference.adjacent, polys_of(*restrict_to_star(reference, d)))))
     at = [ALPHA_ORDER.index(r) for r in order]
     assert star.gram == surface_gram(star.images) == [[reference.gram[a][b] for b in at] for a in at]
 
@@ -500,13 +498,13 @@ def test_surface_gram_incomplete():
 
 
 def test_divisor_polytope_inequalities(y):
-    p = divisor_polytope(ToricDivisor(y, [1, 1, 2, 0, 0, 0]))
+    p = divisor_polytope(divisor(y, [1, 1, 2, 0, 0, 0]))
     assert list(p.normals) == list(y.rays)
     assert list(p.rhs) == [F(-1), F(-1), F(-2), F(0), F(0), F(0)]
 
 
 def test_zero_divisor_polytope_is_origin(y):
-    p = divisor_polytope(ToricDivisor(y, [0] * 6))
+    p = divisor_polytope(divisor(y, [0] * 6))
     assert p._vertices == ((F(0), F(0), F(0)),)
     assert polytope_volume(p) == 0
 
@@ -526,7 +524,7 @@ def test_unit_cube_volume_min_moment():
 def test_polytope_moment_oracle(y):
     # Independent oracle: P_L is the product [-1,0] x {(x2,x3): -2<=x2<=x3<=0,
     # x3>=-1}, so the moment of <x,(1,3,-1)> splits into three 1D integrals.
-    p = divisor_polytope(ToricDivisor(y, [1, 1, 2, 0, 0, 0]))
+    p = divisor_polytope(divisor(y, [1, 1, 2, 0, 0, 0]))
     x1_part = F(-1, 2) * F(3, 2)
     x2_part = F(1, 2) * (F(1, 3) - 4)
     x3_part = F(1, 3) - 1
@@ -538,7 +536,7 @@ def test_polytope_moment_oracle(y):
 
 
 def test_s_invariant_values(y):
-    p = divisor_polytope(ToricDivisor(y, [1, 1, 2, 0, 0, 0]))
+    p = divisor_polytope(divisor(y, [1, 1, 2, 0, 0, 0]))
     assert s_invariant_toric(p, (1, 3, -1)) == F(59, 18)
     assert s_invariant_toric(p, (2, 4, -1)) == F(41, 9)
     assert s_invariant_toric(p, (0, 0, 1)) == F(5, 9)
@@ -553,7 +551,7 @@ def test_s_invariant_relabeling_invariance(y):
     coeffs = [0] * 6
     for old, coef in enumerate([1, 1, 2, 0, 0, 0]):
         coeffs[inverse[old]] = coef
-    assert s_invariant_toric(divisor_polytope(ToricDivisor(shuffled, coeffs)), (1, 3, -1)) == F(59, 18)
+    assert s_invariant_toric(divisor_polytope(divisor(shuffled, coeffs)), (1, 3, -1)) == F(59, 18)
 
 
 def test_unbounded_region_rejected():
@@ -619,7 +617,8 @@ def test_zariski3_interval_accept_and_reject():
     # The [2,4] interval with N = 0 on W0 must be rejected with witness [1,3].
     import dataclasses
 
-    bad_iv = dataclasses.replace(intervals[2], model=load_fan("d4-w0"), negative=(Poly(),) * 7, forcing=())
+    w0 = load_fan("d4-w0")
+    bad_iv = dataclasses.replace(intervals[2], model=w0, negative=divisor(w0, [0] * 7), forcing=())
     rejected = verify_zariski3(l_u, (bad_iv,))
     assert rejected
     assert "(1, 3)" in rejected[0]
@@ -650,7 +649,7 @@ def test_polytope_volume_equals_positive_part_cube(u0):
     for family in (builders.ToricFamily("34-d4"), builders.ToricFamily("34-a3")):
         for iv in family.certificate:
             if iv.u_lo <= u0 <= iv.u_hi:
-                l_at = ToricDivisor(iv.model, [c.subs(u=u0) for c in family.l_u])
+                l_at = at_u(ToricDivisor(iv.model, family.l_u.coeffs, family.l_u.den), u0)
                 p_at = at_u(iv.positive(family.l_u), u0)
                 cube = intersection_number(p_at, p_at, p_at).as_fraction()
                 assert 6 * polytope_volume(divisor_polytope(l_at)) == cube
@@ -661,7 +660,67 @@ def test_nef_divisor_volume_on_blowup_fans():
     from fano_delta.toric3 import divisor_polytope, polytope_volume
 
     for u0 in (F(0), F(1, 2), F(1)):
-        l_at = ToricDivisor(w0, [7 - u0, 1, 1, 2, 0, 0, 0])
+        l_at = divisor(w0, [7 - u0, 1, 1, 2, 0, 0, 0])
         assert nef_on_interval(l_at, u0, u0) is None
         assert 6 * polytope_volume(divisor_polytope(l_at)) == \
             intersection_number(l_at, l_at, l_at).as_fraction()
+
+
+# ---------------------------------------------------------------------------
+# The integer toric maps against their Poly oracles
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def toric_family(name):
+    return builders.ToricFamily(name)
+
+
+def affine_divisors(fan):
+    """Divisors on fan with random integer forms (a, b) over a random den."""
+    n = len(fan.rays)
+    forms = st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), min_size=n, max_size=n)
+    return st.builds(lambda f, den: ToricDivisor(fan, tuple(f), den), forms, st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_FANS), st.sampled_from(builders.TORIC_FAMILIES), st.data())
+def test_integer_toric_maps_equal_the_poly_oracles(name, family, data):
+    # 60 examples, about 1 s.  On a random fixture fan: every curve
+    # intersection.  For a random toric family: the pullback to its
+    # resolution from one of the fans it pulls back from, the restriction to
+    # its star surface and the positive part of every certificate interval,
+    # each of a random divisor affine in u, against the Poly oracle.
+    fan = load_fan(name)
+    d = data.draw(affine_divisors(fan))
+    for pair in fan.two_cones:
+        assert wall_poly(curve_intersection(d, pair)) == poly_curve_intersection(d, pair)
+    fam = toric_family(family)
+    coarse_names = sorted({spec["coarse"] for spec in fam.data["pullbacks"].values()}
+                          | {iv["model"] for iv in fam.data["certificate"]})
+    coarse = load_fan(data.draw(st.sampled_from(coarse_names)))
+    d = data.draw(affine_divisors(coarse))
+    assert pullback(fam.resolution, coarse, d) == reference_pullback(fam.resolution, coarse, d)
+    d = data.draw(affine_divisors(fam.resolution))
+    assert polys_of(*restrict_to_star(fam.star, d)) == poly_restrict_to_star(fam.star, d)
+    l_u = data.draw(affine_divisors(fam.w0))
+    for iv in fam.certificate:
+        assert poly_coeffs(iv.positive(l_u)) == poly_positive(iv, poly_coeffs(l_u))
+
+
+def test_toric_families_run_without_poly_arithmetic(monkeypatch):
+    # Past the parse caches, which a first run fills, a run of each toric
+    # family, its chamber scans included, makes no Poly sum, difference,
+    # product, negation, quotient or power: the toric layer runs on integer
+    # forms, and Poly is built only for report text.
+    first = {family: builders.ToricFamily(family).run() for family in builders.TORIC_FAMILIES}
+
+    def refuse(*args):
+        raise AssertionError("Poly arithmetic on the toric run path")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+                 "__truediv__", "__pow__"):
+        monkeypatch.setattr(exactmath.Poly, name, refuse)
+    flagdelta.scenario_scans.cache_clear()  # the scans run again too
+    for family, checks in first.items():
+        assert builders.ToricFamily(family).run() == checks
