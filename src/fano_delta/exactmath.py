@@ -11,8 +11,10 @@ is mathematical equality.  The module also provides
 
   * parse_poly / str round-trips for the compact text form of the JSON
     fixtures ("(8-u-3*v)/3", "-u^2 + 1"): Python's expression grammar and
-    precedence, read by ``ast``, with ``^`` for ``**``,
-  * exact definite integration over u-intervals, and over chambers (a
+    precedence, read by ``ast``, with ``^`` for ``**``, and `integer_rows`,
+    the one reader of Polys into integer rows over one denominator,
+  * exact definite integration of integer coefficients over u-intervals
+    (`integral`), and over chambers (a
     u-interval between two integer walls v = (a + b*u)/d) by moments only:
     `Chamber.moments` gives iint f*(1, u, v) of an integer affine form f
     from the chamber's one degree-2 moment table, so every chamber integral
@@ -54,12 +56,10 @@ def _index(name: str) -> int:
     return _VAR_INDEX[name]
 
 
-def q(x: Scalar | "Poly") -> Fraction:
+def q(x: Scalar) -> Fraction:
     """Coerce an int, Fraction or "p/q" string to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, Poly):
-        return x.as_fraction()
     if isinstance(x, str):
         return Fraction(x.strip())
     return Fraction(x)
@@ -304,15 +304,6 @@ def _walk(node: ast.expr, text: str, budget: int = MAX_DEGREE) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def integrate_univariate(p: Poly, lo: Scalar, hi: Scalar) -> Fraction:
-    """Exact definite integral over u in [lo, hi] of a polynomial in u alone,
-    by `integral` of its integer numerators."""
-    if p.degree_in("v") or p.degree_in("c"):
-        raise ValueError("arity mismatch")
-    nums, den = numerators(p.coefficient((i, 0, 0)) for i in range(p.degree_in("u") + 1))
-    return integral(nums, den, q(lo), q(hi))
-
-
 def integral(coeffs: Sequence[int], den: int, lo: Fraction, hi: Fraction) -> Fraction:
     """The integral over u in [lo, hi] of sum coeffs[i] * u^i / den: `horner`
     of the antiderivative's integer numerators, over lcm(1, ..., k), at both
@@ -437,28 +428,17 @@ def least(forms: Iterable[Sequence[int]], den: int) -> tuple[tuple[tuple[int, ..
 AFFINE = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
 
 
-def affine_form(p: Poly) -> tuple[tuple[int, ...], int]:
-    """p = (a + b*u + c*v)/den as ((a, b, c), den), den > 0; ValueError if
-    p has any other term."""
-    if p.terms.keys() - AFFINE:
-        raise ValueError(f"not affine: {p}")
-    return numerators(p.coefficient(e) for e in AFFINE)
-
-
-def affine_forms(polys: Iterable[Poly]) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Polys affine in u as integer forms (a, b), a + b*u, over their least
-    common denominator; ValueError naming one that is not affine in u."""
-    polys = tuple(polys)
-    if (bad := next((p for p in polys if p.terms.keys() - AFFINE[:2]), None)) is not None:
-        raise ValueError(f"{bad} is not affine in u")
-    flat, den = numerators(p.coefficient(e) for p in polys for e in AFFINE[:2])
-    return tuple(zip(flat[::2], flat[1::2])), den
-
-
-def wall(t: Poly) -> Form:
-    """The wall v = t(u), in lowest terms, of a Poly affine in u."""
-    ((a, b),), d = affine_forms([t])
-    return a, b, d
+def integer_rows(polys: Iterable[Poly], exponents: Sequence[Exponent],
+                 shape: str) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Each Poly's coefficients at ``exponents`` as one integer row, all over
+    their least common denominator (positive); ValueError naming the first
+    Poly with a term at any other exponent as not ``shape``."""
+    polys, allowed = tuple(polys), set(exponents)
+    if (bad := next((p for p in polys if p.terms.keys() - allowed), None)) is not None:
+        raise ValueError(f"{bad} is not {shape}")
+    flat, den = numerators(p.coefficient(e) for p in polys for e in exponents)
+    k = len(exponents)
+    return tuple(flat[i:i + k] for i in range(0, len(flat), k)), den
 
 
 def lowest(w: Form) -> Form:

@@ -16,7 +16,8 @@ The point-level invariant carries the correction term
 
 which subsumes the plain case (N' = 0, Sigma = 0, d = 0).  ord_Q along C is
 linear in the divisor: each basis curve through Q contributes its coefficient
-times the local intersection multiplicity with C at Q.
+times the local intersection multiplicity with C at Q.  No Poly reaches this
+module: volumes arrive as integer coefficients in u, bases as integer forms.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .exactmath import Chamber, Poly, Scalar, combine, horner, integral, integrate_univariate, numerators, q
+from .exactmath import Chamber, Scalar, combine, horner, integral, numerators, q
 from .surfzar import ChamberedDecomposition, ScanError, SurfaceModel, chamber_scan
 
 Vec = tuple[Fraction, ...]
@@ -94,7 +95,7 @@ class FlagScenario:
 
     def __post_init__(self):
         # `scenario_scans` hashes its key on every lookup, down through the
-        # model and the base Polys; the fields are immutable, so hash once.
+        # model and the base forms; the fields are immutable, so hash once.
         object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
 
     def __hash__(self) -> int:
@@ -143,26 +144,24 @@ def scenario_scans(scenario: FlagScenario) -> tuple[ChamberedDecomposition, ...]
 
 
 def s_from_volume(
-    l_cubed: Scalar, pieces: Sequence[tuple[Scalar, Scalar, Poly]]
+    l_cubed: Scalar, pieces: Sequence[tuple[Scalar, Scalar, Sequence[int], int]]
 ) -> Fraction:
     """S = (1/L^3) * integral of the volume function over its support.
 
+    A piece (lo, hi, coeffs, den) is the volume sum coeffs[i] * u^i / den on
+    [lo, hi]: integer coefficients by rising degree over a positive den.
     The volume must be nonnegative on every piece and vanish at the right
     endpoint of the last piece.
     """
-    l_cubed = q(l_cubed)
     total = Fraction(0)
-    last_hi, last_poly = None, None
-    for lo, hi, poly in pieces:
+    for lo, hi, coeffs, den in pieces:
         lo, hi = q(lo), q(hi)
-        poly = Poly.coerce(poly)
-        total += integrate_univariate(poly, lo, hi)  # "arity mismatch" unless in u alone
-        if not _nonneg_on_interval(poly, lo, hi):
+        total += integral(coeffs, den, lo, hi)
+        if not _nonneg_on_interval(coeffs, lo, hi):
             raise DerivationError("invalid volume function")
-        last_hi, last_poly = hi, poly
-    if last_poly is not None and last_poly(u=last_hi) != 0:
+    if pieces and horner(coeffs, hi) != 0:
         raise DerivationError("invalid volume function")
-    return total / l_cubed
+    return total / q(l_cubed)
 
 
 def s_curve_flag(scenario: FlagScenario) -> SInvariantResult:
@@ -294,19 +293,21 @@ def delta_lower_bound(levels: Sequence[tuple[Scalar, Scalar]]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
-    """Exact check that p, read as a polynomial in u, is >= 0 on [lo, hi].
+def _nonneg_on_interval(coeffs: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
+    """Exact check that sum coeffs[i] * u^i (integers, rising degree) is >= 0
+    on [lo, hi].
 
-    A Sturm chain of p's square-free part counts its distinct roots in
+    A Sturm chain of its square-free part counts its distinct roots in
     half-open intervals (a, b]; bisection, off the roots, isolates each root
     in one with a > lo.  Then lo, hi and the ends of these intervals hold a
-    point of every stretch between roots, so p's sign there decides.  Every
-    sign is that of `horner` on integer numerators.
+    point of every stretch between roots, so the sign there decides.  Every
+    sign is that of `horner` on the integers.
     """
-    coeffs = [p.coefficient((i, 0, 0)) for i in range(p.degree_in("u") + 1)]
-    if len(coeffs) == 1:
-        return coeffs[0] >= 0
-    top = list(numerators(coeffs)[0])
+    top = list(coeffs)
+    while len(top) > 1 and not top[-1]:
+        top.pop()
+    if len(top) == 1:
+        return top[0] >= 0
     ends = (x for bracket in _isolate_roots(_sturm_chain(top), lo, hi) for x in bracket)
     return all(horner(top, x) >= 0 for x in (lo, *ends, hi))
 

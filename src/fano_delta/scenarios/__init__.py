@@ -14,7 +14,9 @@ each fixture directory it uses, so a changed directory is read afresh.
 Each fixture expression is parsed once per process, and each one read at a
 boundary weight c is also compiled once into integer coefficient lists in c,
 so a new c costs integer Horner passes (`at_c`, `rf_eval`).  A divisor is
-read as integer forms affine in u (`fixture_forms`).
+read as integer forms affine in u (`fixture_forms`), a volume as integer
+coefficients in u (`fixture_volume`), both by one reader (`fixture_rows`)
+that names the file and key of text it cannot read.
 
 Tables are stored as data, never as code, so the verification harness and
 the source tables stay diffable.  All rationals are "p/q" strings; small
@@ -30,7 +32,7 @@ from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
-from ..exactmath import Poly, affine_forms, horner, numerators, parse_poly, q
+from ..exactmath import AFFINE, Poly, horner, integer_rows, numerators, parse_poly, q
 from ..surfzar import SurfaceModel, TableRow
 from ..toric3 import Fan3, ToricDivisor
 
@@ -166,42 +168,60 @@ def load_scenario_data(scenario_id: str) -> dict:
     return fixture(fixtures_dir(), f"scenarios/family-{scenario_id}.json")
 
 
-def fixture_poly(text: str) -> Poly:
+def fixture_poly(text: str, record: _Record | None = None, key: str | None = None) -> Poly:
     """`parse_poly` of a fixture expression, parsed once per process.
 
     The same closed forms are read for every c sample and every table check;
     Poly is immutable, so all readers share one parsed result.  Text that
     does not parse, or a value that is not a string, is a FixtureError
-    naming it.
+    naming it, and record's file and the key where given.
     """
-    if not isinstance(text, str):
-        raise FixtureError(f"expression {text!r} is not a string")
-    return _parsed(text)
+    try:
+        if not isinstance(text, str):
+            raise ValueError(f"expression {text!r} is not a string")
+        return _parsed(text)
+    except ValueError as exc:
+        raise FixtureError(exc if record is None else f"{record.path}: {key!r}: {exc}") from None
 
 
 @lru_cache(maxsize=1024)
 def _parsed(text: str) -> Poly:
-    try:
-        return parse_poly(text)
-    except ValueError as exc:
-        raise FixtureError(exc) from None
+    return parse_poly(text)
 
 
-def fixture_forms(record: _Record, key: str, texts) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The expressions read from record[key], each affine in u, as integer
-    forms over one denominator (`affine_forms`); anything else is a
-    FixtureError naming the record's file and the key."""
+def fixture_rows(record: _Record, key: str, texts, shape: str, exponents=None, c: Fraction | None = None):
+    """The expressions read from record[key], at the boundary weight c where
+    given, as `integer_rows` at ``exponents``, by default 1, u, ..., u^k to
+    their degree k in u; text that does not parse, or has another term, is
+    a FixtureError naming the record's file and the key."""
     try:
-        return affine_forms(map(fixture_poly, texts))
+        polys = [fixture_poly(t) if c is None else at_c(t, c) for t in texts]
+        exponents = exponents or [(i, 0, 0) for i in range(max(p.degree_in("u") for p in polys) + 1)]
+        return integer_rows(polys, exponents, shape)
     except (ValueError, FixtureError) as exc:
         raise FixtureError(f"{record.path}: {key!r}: {exc}") from None
 
 
-def fixture_divisor(fan: Fan3, record: _Record, key: str, texts=None) -> ToricDivisor:
+def fixture_forms(record: _Record, key: str, texts, c: Fraction | None = None):
+    """`fixture_rows` of expressions affine in u: forms (a, b), meaning
+    (a + b*u)/den, over one positive den."""
+    return fixture_rows(record, key, texts, "affine in u", AFFINE[:2], c)
+
+
+def fixture_volume(record: _Record, key: str, c: Fraction | None = None) -> tuple[tuple[int, ...], int]:
+    """The volume function at record[key], at c where given, as its integer
+    coefficients in u by rising degree over one positive denominator."""
+    (coeffs,), den = fixture_rows(record, key, [record[key]], "a polynomial in u alone", c=c)
+    return coeffs, den
+
+
+def fixture_divisor(fan: Fan3, record: _Record, key: str, texts=None, constant: bool = False) -> ToricDivisor:
     """The divisor on fan whose coefficients are the expressions at
-    record[key], or the texts read from it, one per ray."""
-    texts = record[key] if texts is None else texts
-    return ToricDivisor(fan, *fixture_forms(record, key, sized(record, key, texts, len(fan.rays), "ray")))
+    record[key], or the texts read from it, one per ray, constant if asked."""
+    texts = sized(record, key, record[key] if texts is None else texts, len(fan.rays), "ray")
+    if constant:
+        fixture_rows(record, key, texts, "constant", exponents=AFFINE[:1])
+    return ToricDivisor(fan, *fixture_forms(record, key, texts))
 
 
 def ray_texts(record: _Record, key: str, n: int) -> list[str]:
@@ -217,9 +237,9 @@ def table_rows(table_id: str) -> list[TableRow]:
     return [
         TableRow(
             *map(q, sized(row, "u", row["u"], 2, "end")),
-            *map(fixture_poly, sized(row, "v", row["v"], 2, "end")),
-            p=tuple(fixture_poly(s) for s in row["P"]),
-            n=tuple(fixture_poly(s) for s in row["N"]),
+            *(fixture_poly(s, row, "v") for s in sized(row, "v", row["v"], 2, "end")),
+            p=tuple(fixture_poly(s, row, "P") for s in row["P"]),
+            n=tuple(fixture_poly(s, row, "N") for s in row["N"]),
         )
         for row in load_table(table_id)["rows"]
     ]

@@ -18,14 +18,13 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .. import flagdelta, linalg, surfzar, toric3
-from ..exactmath import Poly, affine_forms, affine_poly, q
+from ..exactmath import affine_poly, q
 from ..flagdelta import BasePiece, DerivationError, FlagScenario, MarkedPoint, SInvariantResult
 from ..surfzar import ConeAssumptionError, NotPseudoeffectiveError, ScanError
 from ..toric3 import Fan3, ToricDivisor
 from . import (
     FixtureError,
     UsageError,
-    at_c,
     curve_index,
     curve_indices,
     default_c_samples,
@@ -33,6 +32,7 @@ from . import (
     fixture_divisor,
     fixture_forms,
     fixture_poly,
+    fixture_volume,
     fixtures_dir,
     load_fan,
     load_model,
@@ -154,7 +154,7 @@ class ToricFamily:
         # W0, zeta0's coarse fan and the first model of the certificate, carries L_u.
         self.w0 = load_fan(data["pullbacks"]["zeta0"]["coarse"])
         self.l_u = fixture_divisor(self.w0, data, "l_u")
-        self.l_div = fixture_divisor(self.ambient, data, "l_on_y")
+        self.l_div = fixture_divisor(self.ambient, data, "l_on_y", constant=True)
         self.weight = tuple(sized(data, "weight_vector", data["weight_vector"], 3, "coordinate"))
         self.surface = load_model(data["star"]["surface_model"])
         self._scenarios: dict[str, FlagScenario] = {}
@@ -299,7 +299,8 @@ class ToricFamily:
         l_div, p = self.l_div, self.l_polytope
         l_cubed = 6 * toric3.polytope_volume(p)
         self._emit("3!*vol(P_L)", l_cubed, q(self.data["expected"]["L^3"]))
-        self._emit("L^3 via intersection", _cube(l_div).as_fraction(), q(self.data["expected"]["L^3"]))
+        cube, den = toric3.divisor_cube(l_div)  # l_div is constant: the cube is its u^0 term
+        self._emit("L^3 via intersection", Fraction(cube[0], den), q(self.data["expected"]["L^3"]))
         s_val = self.toric_s("G")
         self._emit("S_L(G) [polytope]", s_val, q(self.data["expected"]["S_L(G)"]))
         self._emit(
@@ -347,7 +348,7 @@ class ToricFamily:
         for model_name, rels in relations.items():
             fan = load_fan(model_name)
             for idx, rel in enumerate(rels):
-                div_chi = fixture_divisor(fan, relations, model_name, rel)
+                div_chi = fixture_divisor(fan, relations, model_name, rel, constant=True)
                 self._emit(f"{model_name}: div(chi_{idx+1}) annihilates",
                            toric3.principal_residual(div_chi), Fraction(0))
         divisors = {"L": self.data["l_u"], **self.data["auxiliary_divisors"]}
@@ -376,7 +377,7 @@ class ToricFamily:
                 for idx, (col, expr) in enumerate(zip(table["columns"], row[which])):
                     self._emit(
                         f"{table['id']} [{row['u'][0]},{row['u'][1]}] {which}({col})",
-                        coefficient(computed, idx, col), fixture_poly(expr),
+                        coefficient(computed, idx, col), fixture_poly(expr, row, which),
                         identity=("table-cell", table["id"], u_lo, u_hi, "0", "0", which, col))
         return table
 
@@ -395,7 +396,7 @@ class ToricFamily:
                            affine_poly(p_res.coeffs[ray], p_res.den), affine_poly(l_res.coeffs[ray], l_res.den))
 
     def _check_volume_route(self):
-        volume = [(lo, hi, _cube(p_res)) for lo, hi, p_res, _ in self.resolved_decomposition]
+        volume = [(lo, hi, *toric3.divisor_cube(p_res)) for lo, hi, p_res, _ in self.resolved_decomposition]
         s_val = flagdelta.s_from_volume(q(self.data["expected"]["L^3"]), volume)
         self._emit("S_L(G) [volume of positive parts]", s_val,
                    q(self.data["expected"]["S_L(G)"]))
@@ -438,7 +439,7 @@ class ToricFamily:
             scans = flagdelta.scenario_scans(self.flag_scenario(curve))
             for cell in cells:
                 lo, hi = map(q, sized(cell, "u", cell["u"], 2, "end"))
-                want = fixture_poly(cell["t"])
+                want = fixture_poly(cell["t"], cell, "t")
                 # The threshold on the cell is the scans' envelope clipped to
                 # it, each piece already proved by its LP basis; the pieces
                 # that meet the cell must cover all of it.
@@ -514,7 +515,7 @@ def surface_s(name: str) -> Fraction:
     """S_L(name) from the stored volume pieces of the divisor."""
     data = load_scenario_data(SURFACES)
     vol = _named(data["volumes"], name, "divisor")
-    pieces = [(q(p["lo"]), q(p["hi"]), fixture_poly(p["poly"])) for p in vol["pieces"]]
+    pieces = [(q(p["lo"]), q(p["hi"]), *fixture_volume(p, "poly")) for p in vol["pieces"]]
     return flagdelta.s_from_volume(q(data["l_cubed"]), pieces)
 
 
@@ -598,12 +599,6 @@ def _basis_index(cvec) -> int | None:
     return nonzero[0] if len(nonzero) == 1 else None
 
 
-def _cube(d: ToricDivisor) -> Poly:
-    """D^3 as a Poly in u, from `toric3.divisor_cube`'s integer coefficients."""
-    nums, den = toric3.divisor_cube(d)
-    return Poly({(e, 0, 0): Fraction(x, den) for e, x in enumerate(nums)})
-
-
 def _named(table, name: str, kind: str):
     """table[name]; an unknown name is a UsageError."""
     if name not in table:
@@ -631,7 +626,7 @@ class Case218:
         data = load_scenario_data("218")
         spec = _named(data["cases"], name, "2.18 case")
         self.name, self.c, self.spec = name, c, spec
-        base = BasePiece(Fraction(0), rf_eval(spec["u_hi"], c), *affine_forms(at_c(s, c) for s in spec["base"]))
+        base = BasePiece(Fraction(0), rf_eval(spec["u_hi"], c), *fixture_forms(spec, "base", spec["base"], c))
         self.scenario = _basis_curve_flag(spec, rf_eval(data["l_cubed"], c), (base,), lambda a: rf_eval(a, c))
         self._s_points: dict[str, SInvariantResult] = {}
 
@@ -639,7 +634,7 @@ class Case218:
     def s_ambient(self) -> Fraction:
         """S of the ambient divisor from its stored volume pieces."""
         c = self.c
-        pieces = [(rf_eval(p["lo"], c), rf_eval(p["hi"], c), at_c(p["poly"], c))
+        pieces = [(rf_eval(p["lo"], c), rf_eval(p["hi"], c), *fixture_volume(p, "poly", c))
                   for p in self.spec["ambient"]["volume"]]
         return flagdelta.s_from_volume(self.scenario.l_cubed, pieces)
 
@@ -702,8 +697,8 @@ def _run_218_case(sid, case: Case218) -> list[CheckResult]:
     ranges = spec.get("printed_ranges", ())
     if ranges:
         pieces = flagdelta.scenario_scans(case.scenario)[0].threshold
-        derived = [at_c(text, c) for text in {entry["derived"] for entry in ranges}]
-        ok = all(piece.t == t for t in derived for piece in pieces)
+        derived = [fixture_forms(entry, "derived", [entry["derived"]], c) for entry in ranges]
+        ok = all(piece.wall == (a, b, den) for ((a, b),), den in derived for piece in pieces)
         checks.append(_compare(sid, f"{tag}: derived range is the threshold", ok, True))
     return checks
 

@@ -38,8 +38,8 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg, lp
-from .exactmath import (Chamber, Form, Poly, Scalar, affine_form, affine_poly, at, combine, gap, least, lowest,
-                        negative_end, numerators, q, root_inside, wall)
+from .exactmath import (AFFINE, Chamber, Form, Poly, Scalar, affine_poly, at, combine, gap, integer_rows, least,
+                        lowest, negative_end, numerators, q, root_inside)
 
 Vec = tuple[Fraction, ...]
 
@@ -557,11 +557,13 @@ class TableRow:
     n: tuple[Poly, ...]
 
     @cached_property
-    def _forms(self) -> tuple[tuple[Form, Form], tuple[tuple[tuple[Form, int] | None, ...], ...]]:
-        """The v-bounds as walls, and the N and P cells as integer forms over
-        positive denominators, None for a cell not affine in (u, v)."""
-        return (wall(self.v_lo), wall(self.v_hi)), tuple(
-            tuple(None if x.total_degree() > 1 or x.degree_in("c") else affine_form(x) for x in cells)
+    def _forms(self) -> tuple[tuple[Form, Form], tuple[tuple[tuple[tuple[Form], int] | None, ...], ...]]:
+        """The v-bounds as walls over one denominator, and the N and P cells
+        as integer forms over positive denominators, None for a cell not
+        affine in (u, v)."""
+        (lo, hi), den = integer_rows((self.v_lo, self.v_hi), AFFINE[:2], "affine in u")
+        return ((*lo, den), (*hi, den)), tuple(
+            tuple(None if x.terms.keys() - set(AFFINE) else integer_rows([x], AFFINE, "affine") for x in cells)
             for cells in (self.n, self.p))
 
 
@@ -598,7 +600,7 @@ def row_mismatches(scan: ChamberedDecomposition, row: TableRow) -> list[RowMisma
             for name, printed, cell, form in (("N", row.n[i], n_cells[i], forms.n[i]),
                                               ("P", row.p[i], p_cells[i], forms.p[i])):
                 # Equal over the common denominator; a non-affine cell never is.
-                if cell is None or any(x * forms.den != y * cell[1] for x, y in zip(cell[0], form)):
+                if cell is None or any(x * forms.den != y * cell[1] for x, y in zip(cell[0][0], form)):
                     out.append(RowMismatch(field=name, curve=model.curve_names[i], printed=str(printed),
                                            recomputed=str(affine_poly(form, forms.den))))
     if not overlaps_found:

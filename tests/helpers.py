@@ -10,8 +10,7 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from fano_delta import linalg, lp
-from fano_delta.exactmath import (VARS, Chamber, Poly, Scalar, affine_forms, affine_poly, integrate_univariate,
-                                  numerators, q, wall)
+from fano_delta.exactmath import AFFINE, VARS, Chamber, Poly, Scalar, affine_poly, integer_rows, numerators, q
 from fano_delta.flagdelta import FlagScenario, MarkedPoint
 from fano_delta.scenarios import builders, c_domain
 from fano_delta.surfzar import (
@@ -50,7 +49,8 @@ class ChamberFunction:
 def poly_chamber(u_lo, u_hi, v_lo, v_hi) -> Chamber:
     """The Chamber between the walls v = v_lo(u) and v = v_hi(u), given as
     Polys or scalars affine in u."""
-    return Chamber(u_lo, u_hi, wall(Poly.coerce(v_lo)), wall(Poly.coerce(v_hi)))
+    ((a, b), (c, d)), den = forms_of([v_lo, v_hi])
+    return Chamber(u_lo, u_hi, (a, b, den), (c, d, den))
 
 
 def corners(ch: Chamber) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -107,8 +107,8 @@ def random_pseudoeffective(model: SurfaceModel, rng) -> SurfDivisor:
 
 
 def forms_of(coeffs: Sequence[Poly | Scalar]) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Polys or scalars affine in u as `affine_forms`."""
-    return affine_forms(map(Poly.coerce, coeffs))
+    """Polys or scalars affine in u as integer forms (a, b) over one den."""
+    return integer_rows(map(Poly.coerce, coeffs), AFFINE[:2], "affine in u")
 
 
 def polys_of(forms: Sequence[Sequence[int]], den: int) -> tuple[Poly, ...]:
@@ -215,7 +215,7 @@ def reference_integrate_chamber(p: Poly, ch) -> Fraction:
     p between the affine bounds, then the u-integral."""
     anti = antiderivative(p, "v")
     inner = anti.subs(v=ch.v_hi) - anti.subs(v=ch.v_lo)
-    return integrate_univariate(inner, ch.u_lo, ch.u_hi)
+    return reference_integrate_univariate(inner, ch.u_lo, ch.u_hi)
 
 
 def antiderivative(p: Poly, name: str) -> Poly:
@@ -227,6 +227,13 @@ def antiderivative(p: Poly, name: str) -> Poly:
         new[i] += 1
         out[tuple(new)] = coef / new[i]
     return Poly(out)
+
+
+def u_coefficients(p: Poly) -> tuple[tuple[int, ...], int]:
+    """A Poly in u alone as its integer coefficients by rising degree over
+    one positive den, as `flagdelta.s_from_volume` reads a volume."""
+    (coeffs,), den = integer_rows([p], [(i, 0, 0) for i in range(p.degree_in("u") + 1)], "in u alone")
+    return coeffs, den
 
 
 def reference_integrate_univariate(p: Poly, lo, hi) -> Fraction:

@@ -366,9 +366,28 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
     ("scenarios/family-34-d4.json", _set("l_u", 0, 99), "34-d4",
      "family-34-d4.json: 'l_u': expression 99 is not a string"),
     ("scenarios/family-34-surfaces.json", _set("volumes", "F", "pieces", 0, "poly", "u^200000"), "34-surfaces",
-     "total degree or exponent above 9 in 'u^200000'"),
+     "family-34-surfaces.json: 'poly': total degree or exponent above 9 in 'u^200000'"),
     ("scenarios/family-34-surfaces.json", _set("flags", "E-l", "pieces", 0, "base", 0, "u^2"), "34-surfaces",
      "family-34-surfaces.json: 'base': u^2 is not affine in u"),
+    # A volume is read as a polynomial in u alone, here and at each c.
+    ("scenarios/family-34-surfaces.json", _set("volumes", "F", "pieces", 0, "poly", "v+9-9*u"), "34-surfaces",
+     "family-34-surfaces.json: 'poly': -9*u + v + 9 is not a polynomial in u alone"),
+    ("scenarios/family-218.json", _set("cases", "easy", "ambient", "volume", 0, "poly", "v+3*(3-2*c)^2*(2-2*c-u)"),
+     "218", "family-218.json: 'poly': -588/25*u + v + 5292/125 is not a polynomial in u alone"),
+    # A divisor read as constant has no u-term.
+    ("scenarios/family-34-d4.json", _set("l_on_y", 0, "u+1"), "34-d4",
+     "family-34-d4.json: 'l_on_y': u + 1 is not constant"),
+    ("scenarios/family-34-d4.json", _set("character_relations", "d4-w0", 0, 0, "u+1"), "34-d4",
+     "family-34-d4.json: 'd4-w0': u + 1 is not constant"),
+    # Text that does not parse, in a table cell, a chamber row and a threshold cell.
+    ("tables/table-02.json", _set("rows", 0, "P", 0, "u^^2"), "34-d4",
+     "table-02.json: 'P': bad character or exponent in 'u^^2'"),
+    ("tables/table-04.json", _set("rows", 0, "v", 1, "u^^2"), "34-d4",
+     "table-04.json: 'v': bad character or exponent in 'u^^2'"),
+    ("tables/table-04.json", _set("rows", 0, "N", 0, "u^^2"), "34-d4",
+     "table-04.json: 'N': bad character or exponent in 'u^^2'"),
+    ("tables/table-03.json", _set("cells", "alpha1", 0, "t", "u^^2"), "34-d4",
+     "table-03.json: 't': bad character or exponent in 'u^^2'"),
 ], ids=["contracted", "class", "mults", "mults-text", "flag-curve", "generates-pseff", "contracted-repeated",
         "gram-rows", "gram-asymmetric", "certificate-ray", "forcing-ray", "pullback-ray", "table-columns",
         "curve-value-ray", "curve-value-pair", "forcing-pair-ray", "forcing-pair", "branch-gap",
@@ -378,7 +397,9 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
         "interval-u-scalar", "interval-u-string", "blowup-weights-zero", "nef-window-short",
         "table-u-short", "chamber-row-u-short", "chamber-row-v-short", "threshold-cell-u-short",
         "delta-level-short", "N-not-in-u", "N-quadratic", "l_u-not-a-string", "volume-degree",
-        "flag-base-quadratic"])
+        "flag-base-quadratic", "volume-not-in-u", "volume-not-in-u-at-c", "l_on_y-not-constant",
+        "relation-not-constant", "table-cell-unparsed", "chamber-row-v-unparsed", "chamber-row-cell-unparsed",
+        "threshold-cell-unparsed"])
 def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit, family,
                                                         named):
     dst = _fixture_copy(tmp_path / "fixtures", relative, edit)

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, interpolation and chamber integration."""
 
+import math
 import random
 import re
 import time
@@ -9,12 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fano_delta.exactmath import (
+    AFFINE,
     MAX_DEGREE,
     Poly,
     at,
     gap,
     horner,
-    integrate_univariate,
+    integer_rows,
+    integral,
     negative_end,
     numerators,
     parse_poly,
@@ -33,6 +36,7 @@ from helpers import (
     poly_chamber,
     reference_integrate_chamber,
     reference_integrate_univariate,
+    u_coefficients,
 )
 
 U, V, C = Poly.var("u"), Poly.var("v"), Poly.var("c")
@@ -327,6 +331,11 @@ def test_shared_elimination_rejects_one_bent_column():
 # ---------------------------------------------------------------------------
 
 
+def integrate_univariate(p: Poly, lo, hi) -> F:
+    """`integral` of a Poly in u alone, read as integer coefficients."""
+    return integral(*u_coefficients(p), F(lo), F(hi))
+
+
 def test_univariate_paper_example():
     assert integrate_univariate(parse_poly("6*u*(1+u)"), 0, 1) == 5
 
@@ -357,8 +366,30 @@ def test_univariate_integral_equals_the_antiderivative_at_the_ends(coeffs, a, b)
 
 
 def test_univariate_arity_mismatch():
-    with pytest.raises(ValueError, match="arity mismatch"):
+    # A volume is read as integers in u alone: a term in v is refused.
+    with pytest.raises(ValueError, match=r"^u\*v is not in u alone$"):
         integrate_univariate(U * V, 0, 1)
+
+
+def test_integer_rows_share_one_least_denominator():
+    rows, den = integer_rows([parse_poly("u/2 - 1/3"), parse_poly("3*v + 1/4"), Poly()], AFFINE, "affine")
+    assert (rows, den) == (((-4, 6, 0), (3, 0, 36), (0, 0, 0)), 12)
+    assert integer_rows([parse_poly("2*u")], AFFINE[:2], "affine in u") == (((0, 2),), 1)
+    assert integer_rows([], AFFINE, "affine") == ((), 1)
+    with pytest.raises(ValueError, match=r"^u\^2 \+ 1 is not affine in u$"):
+        integer_rows([parse_poly("u"), parse_poly("u^2+1")], AFFINE[:2], "affine in u")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(st.sampled_from(AFFINE), st.builds(F, st.integers(-50, 50), st.integers(1, 30)),
+                                max_size=3), max_size=4))
+def test_integer_rows_are_the_coefficients(terms):
+    # Each row over the shared den is its Poly's coefficients, in lowest terms
+    # over all of them.
+    polys = [Poly(t) for t in terms]
+    rows, den = integer_rows(polys, AFFINE, "affine")
+    assert den > 0 and math.gcd(den, *(x for row in rows for x in row)) == 1
+    assert [[F(x, den) for x in row] for row in rows] == [[p.coefficient(e) for e in AFFINE] for p in polys]
 
 
 def test_chamber_trivial_unit_square():

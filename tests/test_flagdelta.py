@@ -28,7 +28,7 @@ from fano_delta.flagdelta import (
 from fano_delta.scenarios import builders, load_model
 
 from helpers import (forms_of, marked_point, n_coeffs, p_coeffs, pair, reference_integrate_chamber,
-                     reference_nonneg_on_interval)
+                     reference_nonneg_on_interval, u_coefficients)
 
 
 def weighted_scenario():
@@ -49,11 +49,21 @@ def weighted_scenario():
     )
 
 
+def volume(lo, hi, text):
+    """A volume piece (lo, hi, integer coefficients in u, den) of a text."""
+    return (lo, hi, *u_coefficients(parse_poly(text)))
+
+
+def nonneg_on(p: Poly, lo, hi) -> bool:
+    """`flagdelta._nonneg_on_interval` of a Poly in u alone."""
+    return flagdelta._nonneg_on_interval(u_coefficients(p)[0], lo, hi)
+
+
 def test_s_from_volume_values():
-    assert s_from_volume(9, [(0, 1, parse_poly("9-9*u"))]) == F(1, 2)
-    assert s_from_volume(9, [(0, 1, parse_poly("9-6*u-3*u^2"))]) == F(5, 9)
+    assert s_from_volume(9, [volume(0, 1, "9-9*u")]) == F(1, 2)
+    assert s_from_volume(9, [volume(0, 1, "9-6*u-3*u^2")]) == F(5, 9)
     assert s_from_volume(
-        9, [(0, 1, parse_poly("9-6*u")), (1, 2, parse_poly("3*(2-u)^2"))]
+        9, [volume(0, 1, "9-6*u"), volume(1, 2, "3*(2-u)^2")]
     ) == F(7, 9)
 
 
@@ -63,7 +73,7 @@ def test_root_isolation_guard_raises_scan_error(monkeypatch):
     monkeypatch.setattr(flagdelta, "_root_count", lambda chain, lo, hi: 2)
     monkeypatch.setattr(flagdelta, "horner", lambda coeffs, x: 1)
     with pytest.raises(flagdelta.ScanError, match="root isolation failed to terminate") as info:
-        s_from_volume(9, [(0, 1, parse_poly("9-9*u^2"))])
+        s_from_volume(9, [volume(0, 1, "9-9*u^2")])
     assert (info.value.reason, info.value.u_lo, info.value.u_hi) == (
         "root isolation failed to terminate", 0, 1)
 
@@ -92,7 +102,7 @@ def test_integer_sign_nonnegativity_equals_the_fraction_chain(p, a, b):
     # only where neither end is a root; the factored test below covers those.
     lo, hi = min(a, b), max(a, b)
     assume(p(u=lo) != 0 and p(u=hi) != 0)
-    assert flagdelta._nonneg_on_interval(p, lo, hi) == reference_nonneg_on_interval(p, lo, hi)
+    assert nonneg_on(p, lo, hi) == reference_nonneg_on_interval(p, lo, hi)
 
 
 @settings(max_examples=300, deadline=None)
@@ -106,7 +116,7 @@ def test_nonnegativity_of_factored_polynomials(k, roots, twice, data):
     p = factored(k, roots, twice)
     cuts = sorted({lo, hi, *(r for r in roots if lo < r < hi)})
     want = all(p(u=x) >= 0 for x in cuts + [(x + y) / 2 for x, y in zip(cuts, cuts[1:])])
-    assert flagdelta._nonneg_on_interval(p, lo, hi) is want
+    assert nonneg_on(p, lo, hi) is want
 
 
 @pytest.mark.parametrize("text, lo, hi, nonneg", [
@@ -119,7 +129,16 @@ def test_nonnegativity_with_roots_at_the_ends(text, lo, hi, nonneg):
     # The chain of p itself, unreduced, and a root bracket starting at lo
     # call the first two nonnegative and bisect the last two until the
     # guard raises ScanError.
-    assert flagdelta._nonneg_on_interval(parse_poly(text), F(lo), F(hi)) is nonneg
+    assert nonneg_on(parse_poly(text), F(lo), F(hi)) is nonneg
+
+
+def test_nonnegativity_reads_past_zero_top_coefficients():
+    # A cube of divisor_cube is four coefficients whatever its degree in u.
+    assert flagdelta._nonneg_on_interval([2, 0, 0, 0], F(0), F(1))
+    assert not flagdelta._nonneg_on_interval([-2, 0, 0], F(0), F(1))
+    assert flagdelta._nonneg_on_interval([0, 1, 0, 0], F(0), F(1))
+    assert not flagdelta._nonneg_on_interval([1, -3, 0, 0], F(0), F(1))
+    assert s_from_volume(3, [(0, 1, (3, -3, 0, 0), 1)]) == F(1, 2)
 
 
 def test_scenario_hash_is_kept_and_equality_is_by_value():
@@ -135,11 +154,11 @@ def test_scenario_hash_is_kept_and_equality_is_by_value():
 
 def test_s_from_volume_rejects_negative_volume():
     with pytest.raises(ValueError, match="invalid volume function"):
-        s_from_volume(9, [(0, 3, parse_poly("(u-1)*(u-2)"))])
+        s_from_volume(9, [volume(0, 3, "(u-1)*(u-2)")])
     with pytest.raises(ValueError, match="invalid volume function"):
-        s_from_volume(9, [(0, 1, parse_poly("1-u/2"))])  # nonzero right endpoint
+        s_from_volume(9, [volume(0, 1, "1-u/2")])  # nonzero right endpoint
     with pytest.raises(ValueError, match="invalid volume function"):
-        s_from_volume(9, [(0, 1, parse_poly("u*(4*u-1)*(1-u)"))])  # negative on (0, 1/4)
+        s_from_volume(9, [volume(0, 1, "u*(4*u-1)*(1-u)")])  # negative on (0, 1/4)
 
 
 def test_s_curve_weighted_case():

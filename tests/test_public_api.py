@@ -1,6 +1,7 @@
 """Every function, method and property of the package, public or private
 (dunders aside), has a caller in the package: API or a helper that only the
-tests call belongs in the tests."""
+tests call belongs in the tests.  Every name a module imports is read in
+that module."""
 
 import ast
 import fractions
@@ -75,3 +76,30 @@ def test_uncalled_names_are_found(tmp_path):
         "    def index(self):\n        return [].index(0)\n\n"
         "    @property\n    def size(self):\n        return self.size\n")
     assert uncalled(tmp_path) == ["m.py:unused", "m.py:_helper", "m.py:_unset", "m.py:index", "m.py:size"]
+
+
+def unread_imports(root: Path) -> list[str]:
+    """path:name of each name that a module under root binds by an import
+    (``from __future__`` aside) and never reads."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        found.append(f"{path.relative_to(root)}:{bound}")
+    return found
+
+
+def test_every_imported_name_is_read():
+    assert unread_imports(SRC) == []
+
+
+def test_unread_imports_are_found(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from __future__ import annotations\n\nimport math\nimport os.path\nimport json as j\n"
+        "from fractions import Fraction, gcd as g\n\n\ndef f(x: Fraction) -> int:\n    return math.floor(x)\n")
+    assert unread_imports(tmp_path) == ["m.py:os", "m.py:j", "m.py:g"]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fano_delta.exactmath import Poly, integrate_univariate, parse_poly, q
+from fano_delta.exactmath import Poly, parse_poly, q
 from fano_delta.scenarios import (
     FixtureError,
     UsageError,
@@ -25,7 +25,8 @@ from fano_delta.scenarios import (
     table_rows,
 )
 
-from helpers import build_218, marked_point, p_coeffs, pair, poly_chamber, reference_integrate_chamber
+from helpers import (build_218, marked_point, p_coeffs, pair, poly_chamber, reference_integrate_chamber,
+                     reference_integrate_univariate)
 
 
 def test_fixture_files_round_trip():
@@ -140,7 +141,7 @@ def test_flag_scenario_values_recomputable_from_clean_tables(family_runs):
                     continue
                 p_tilde = [parse_poly(s) for s in raw["P"]]
                 p_sq = pair(model, p_tilde, p_tilde)
-                total += F(3, 9) * integrate_univariate(p_sq * d, lo, hi)
+                total += F(3, 9) * reference_integrate_univariate(p_sq * d, lo, hi)
         assert total == expected
 
 

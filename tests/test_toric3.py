@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fano_delta import linalg
 from fano_delta.exactmath import Poly, parse_poly
-from fano_delta import exactmath, flagdelta
+from fano_delta import cli, exactmath, flagdelta
 from fano_delta.scenarios import builders, fixtures_dir, load_fan
 from fano_delta.toric3 import (
     _cone_coordinates,
@@ -709,18 +709,19 @@ def test_integer_toric_maps_equal_the_poly_oracles(name, family, data):
 
 
 def test_toric_families_run_without_poly_arithmetic(monkeypatch):
-    # Past the parse caches, which a first run fills, a run of each toric
-    # family, its chamber scans included, makes no Poly sum, difference,
-    # product, negation, quotient or power: the toric layer runs on integer
-    # forms, and Poly is built only for report text.
-    first = {family: builders.ToricFamily(family).run() for family in builders.TORIC_FAMILIES}
+    # Past the parse caches, which a first run fills, a full report (both
+    # toric families, 34-surfaces and 2.18 at two c, chamber scans included)
+    # makes no Poly sum, difference, product, negation, quotient, power,
+    # evaluation or substitution: every family runs on integers and integer
+    # forms, and Poly is built only from fixture text and for report text.
+    c_values = [F(1, 2), F(3, 7)]
+    first = cli.build_report("all", c_values).entries
 
-    def refuse(*args):
-        raise AssertionError("Poly arithmetic on the toric run path")
+    def refuse(*args, **kwargs):
+        raise AssertionError("Poly arithmetic on the run path")
 
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
-                 "__truediv__", "__pow__"):
+                 "__truediv__", "__pow__", "__call__", "subs"):
         monkeypatch.setattr(exactmath.Poly, name, refuse)
     flagdelta.scenario_scans.cache_clear()  # the scans run again too
-    for family, checks in first.items():
-        assert builders.ToricFamily(family).run() == checks
+    assert cli.build_report("all", c_values).entries == first
