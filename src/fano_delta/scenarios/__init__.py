@@ -15,25 +15,29 @@ Each fixture expression is parsed once per process, and each one read at a
 boundary weight c is also compiled once into integer coefficient lists in c,
 so a new c costs integer Horner passes (`at_c`, `rf_eval`).  A divisor is
 read as integer forms affine in u (`fixture_forms`), a volume as integer
-coefficients in u (`fixture_volume`), both by one reader (`fixture_rows`)
-that names the file and key of text it cannot read.
+coefficients in u (`fixture_volume`), interval ends as Fractions
+(`fixture_ends`), all by one reader (`fixture_rows`) that, like `rf_eval`,
+names the file and key of text it cannot read.
 
 Tables are stored as data, never as code, so the verification harness and
-the source tables stay diffable.  All rationals are "p/q" strings; small
-polynomials are compact expressions like "(8-u-3*v)/3".
+the source tables stay diffable, and are built like fans and models: each
+row one `TableRow` of integers, each threshold cell one `ThresholdPiece`.
+All rationals are "p/q" strings; small polynomials are compact expressions
+like "(8-u-3*v)/3".
 """
 
 from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
-from ..exactmath import AFFINE, Poly, horner, integer_rows, numerators, parse_poly, q
-from ..surfzar import SurfaceModel, TableRow
+from ..exactmath import AFFINE, Chamber, Poly, horner, integer_rows, lowest, numerators, parse_poly, q
+from ..surfzar import SurfaceModel, TableRow, ThresholdPiece
 from ..toric3 import Fan3, ToricDivisor
 
 
@@ -109,6 +113,15 @@ def sized(record: _Record, key: str, items, n: int, noun: str = "curve"):
     return items
 
 
+def array(record: _Record, key: str, kind: type = _Record, noun: str = "object") -> list:
+    """record[key] if it is a JSON array of ``kind`` values; else a
+    FixtureError naming the record's file and the key."""
+    items = record[key]
+    if not isinstance(items, list) or not all(isinstance(x, kind) for x in items):
+        raise FixtureError(f"{record.path}: {key!r}: {items!r} is no array of {noun}s")
+    return items
+
+
 def ray_indices(record: _Record, key: str, items, fan: Fan3, size: int) -> tuple[int, ...]:
     """items, read from record[key], as `size` ray indices of fan, each read
     by `curve_index`; a pair must span a 2-cone of fan.  Else a
@@ -160,8 +173,52 @@ def load_model(name: str) -> SurfaceModel:
     return fixture(fixtures_dir(), f"models/{name}.json", _model_from_dict)
 
 
-def load_table(table_id: str) -> dict:
-    return fixture(fixtures_dir(), f"tables/{table_id}.json")
+@dataclass(frozen=True)
+class Table:
+    """A printed table: its rows, or for a threshold table its cells by curve."""
+
+    path: Path
+    id: str
+    columns: tuple[str, ...]
+    rows: tuple[TableRow, ...]
+    cells: dict[str, tuple[ThresholdPiece, ...]]
+
+
+def _table_from_dict(data) -> Table:
+    if data["id"] != data.path.stem:
+        raise FixtureError(f"{data.path}: 'id': {data['id']!r} is not the file's name")
+    if data["kind"] == "threshold":
+        cells = data["cells"]
+        if not isinstance(cells, _Record):
+            raise FixtureError(f"{data.path}: 'cells': {cells!r} is no object")
+        return Table(data.path, data["id"], (), (),
+                     {curve: tuple(map(_threshold_cell, array(cells, curve))) for curve in cells})
+    columns = tuple(array(data, "columns", str, "name"))
+    return Table(data.path, data["id"], columns, tuple(_table_row(row, len(columns)) for row in array(data, "rows")), {})
+
+
+def _threshold_cell(cell: _Record) -> ThresholdPiece:
+    """A printed threshold t on [u_lo, u_hi], affine in u."""
+    ((a, b),), den = fixture_forms(cell, "t", [cell["t"]])
+    return ThresholdPiece(*fixture_ends(cell, "u"), lowest((a, b, den)))
+
+
+def _table_row(row: _Record, n: int) -> TableRow:
+    """A printed row of n columns."""
+    u_lo, u_hi = fixture_ends(row, "u")
+    (lo, hi), den = ((0, 0), (0, 0)), 1  # a table of u-intervals prints no v: v in [0, 0]
+    if "v" in row:
+        (lo, hi), den = fixture_forms(row, "v", sized(row, "v", row["v"], 2, "end"))
+    try:
+        region = Chamber(u_lo, u_hi, (*lo, den), (*hi, den))
+    except ValueError as exc:
+        raise FixtureError(f"{row.path}: {'u' if u_lo > u_hi else 'v'!r}: {exc}") from None
+    return TableRow(region, *(fixture_rows(row, key, sized(row, key, row[key], n, "column"), "affine", AFFINE)
+                              for key in "PN"))
+
+
+def load_table(table_id: str) -> Table:
+    return fixture(fixtures_dir(), f"tables/{table_id}.json", _table_from_dict)
 
 
 def load_scenario_data(scenario_id: str) -> dict:
@@ -215,6 +272,12 @@ def fixture_volume(record: _Record, key: str, c: Fraction | None = None) -> tupl
     return coeffs, den
 
 
+def fixture_ends(record: _Record, key: str) -> tuple[Fraction, ...]:
+    """The two rational ends of the interval at record[key]."""
+    ends, den = fixture_rows(record, key, sized(record, key, record[key], 2, "end"), "constant", AFFINE[:1])
+    return tuple(Fraction(x, den) for (x,) in ends)
+
+
 def fixture_divisor(fan: Fan3, record: _Record, key: str, texts=None, constant: bool = False) -> ToricDivisor:
     """The divisor on fan whose coefficients are the expressions at
     record[key], or the texts read from it, one per ray, constant if asked."""
@@ -231,18 +294,6 @@ def ray_texts(record: _Record, key: str, n: int) -> list[str]:
     for ray, expr in record[key].items():
         texts[curve_index(record, key, ray, n, "ray")] = expr
     return texts
-
-
-def table_rows(table_id: str) -> list[TableRow]:
-    return [
-        TableRow(
-            *map(q, sized(row, "u", row["u"], 2, "end")),
-            *(fixture_poly(s, row, "v") for s in sized(row, "v", row["v"], 2, "end")),
-            p=tuple(fixture_poly(s, row, "P") for s in row["P"]),
-            n=tuple(fixture_poly(s, row, "N") for s in row["N"]),
-        )
-        for row in load_table(table_id)["rows"]
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -266,31 +317,35 @@ def at_c(text: str, c: Fraction) -> Poly:
                  for (i, j), (nums, den) in _c_fold(text).items()})
 
 
-def _c_value(text: str, c: Fraction) -> tuple[int, int]:
-    """A closed form in c alone at c, as (numerator, positive denominator)."""
+def _c_value(record: _Record, key: str, c: Fraction) -> tuple[int, int]:
+    """The closed form in c alone at record[key] at c, as (numerator,
+    positive denominator)."""
+    text = record[key]
+    fixture_poly(text, record, key)  # text that does not parse, named with its file and key
     if _c_fold(text).keys() - {(0, 0)}:
-        raise FixtureError(f"{text!r} is not a closed form in c")
+        raise FixtureError(f"{record.path}: {key!r}: {text!r} is not a closed form in c")
     nums, den = _c_fold(text).get((0, 0), ((0,), 1))
     return horner(nums, c), den * c.denominator ** (len(nums) - 1)
 
 
-def rf_eval(spec, c: Fraction) -> Fraction:
-    """Evaluate a fixture closed form at an exact c.
+def rf_eval(record: _Record, key: str, c: Fraction) -> Fraction:
+    """The fixture closed form at record[key] at an exact c.
 
     Accepts "expr" strings, {"num": ..., "den": ...} pairs, and branched
-    lists [{"c_max": "1/2", ...}, {"c_min": "1/2", ...}].
+    lists [{"c_max": "1/2", ...}, {"c_min": "1/2", ...}] of pairs; text that
+    does not parse, or holds u or v, is a FixtureError naming the file and
+    the key.
     """
+    spec = record[key]
     if isinstance(spec, list):
-        for branch in spec:
-            if ("c_min" not in branch or c > q(branch["c_min"])) and (
-                    "c_max" not in branch or c <= q(branch["c_max"])):
-                return rf_eval(branch, c)
-        where = f"{spec[0].path}: " if spec else ""
-        raise FixtureError(f"{where}'c_min'/'c_max': no branch covers c={c}")
-    if isinstance(spec, str):
-        return Fraction(*_c_value(spec, c))
-    num, num_den = _c_value(spec["num"], c)
-    den, den_den = _c_value(spec.get("den", "1"), c)
+        spec = next((branch for branch in spec if ("c_min" not in branch or c > q(branch["c_min"]))
+                     and ("c_max" not in branch or c <= q(branch["c_max"]))), None)
+        if spec is None:
+            raise FixtureError(f"{record.path}: 'c_min'/'c_max': no branch covers c={c}")
+    if not isinstance(spec, dict):
+        return Fraction(*_c_value(record, key, c))
+    num, num_den = _c_value(spec, "num", c)
+    den, den_den = _c_value(spec, "den", c) if "den" in spec else (1, 1)
     return Fraction(num * den_den, num_den * den)
 
 

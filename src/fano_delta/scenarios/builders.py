@@ -24,12 +24,14 @@ from ..surfzar import ConeAssumptionError, NotPseudoeffectiveError, ScanError
 from ..toric3 import Fan3, ToricDivisor
 from . import (
     FixtureError,
+    Table,
     UsageError,
     curve_index,
     curve_indices,
     default_c_samples,
     fixture,
     fixture_divisor,
+    fixture_ends,
     fixture_forms,
     fixture_poly,
     fixture_volume,
@@ -43,7 +45,6 @@ from . import (
     ray_texts,
     rf_eval,
     sized,
-    table_rows,
 )
 
 PASS, FAIL, FLAGGED = "pass", "fail", "flagged"
@@ -91,10 +92,6 @@ def _compare(scenario, label, got, want, identity=None, shown=None,
                        identity=identity)
 
 
-def _canon(expr: str) -> str:
-    return str(fixture_poly(expr))
-
-
 def _known_identities() -> frozenset[tuple]:
     return fixture(fixtures_dir(), "known_discrepancies.json", _registry_identities)
 
@@ -113,7 +110,7 @@ _CANONICAL_FIELDS = {"u_lo", "u_hi", "v_lo", "v_hi"}
 
 def _registry_identities(entries: list[dict]) -> frozenset[tuple]:
     return frozenset(
-        (entry["kind"], *(_canon(entry[f]) if f in _CANONICAL_FIELDS else entry[f]
+        (entry["kind"], *(str(fixture_poly(entry[f])) if f in _CANONICAL_FIELDS else entry[f]
                           for f in _REGISTRY_FIELDS[entry["kind"]]))
         for entry in entries if entry["kind"] in _REGISTRY_FIELDS)
 
@@ -171,7 +168,7 @@ class ToricFamily:
             negative = fixture_divisor(fan, iv, "N", ray_texts(iv, "N", n))
             forcing = tuple((curve_index(iv, "forcing", r, n, "ray"),
                              ray_indices(iv, "forcing", pair, fan, 2)) for r, pair in iv["forcing"].items())
-            u_lo, u_hi = map(q, sized(iv, "u", iv["u"], 2, "end"))
+            u_lo, u_hi = fixture_ends(iv, "u")
             intervals.append(toric3.Zariski3Interval(u_lo=u_lo, u_hi=u_hi, model=fan,
                                                      negative=negative, forcing=forcing))
         return tuple(intervals)
@@ -231,7 +228,7 @@ class ToricFamily:
             curve_class=cvec,
             pieces=tuple(pieces),
             sigma=tuple(q(x) for x in case["sigma"]),
-            points=_marked_points(case["points"], q, self.surface.n),
+            points=_marked_points(case["points"], self.surface.n),
         )
         self._scenarios[curve] = scenario
         return scenario
@@ -318,7 +315,7 @@ class ToricFamily:
         self._emit("zariski3 certificate", toric3.verify_zariski3(self.l_u, self.certificate) or True, True)
         windows = self.data["expected"]["nef_windows"]
         for model_name, window in windows.items():
-            u_lo, u_hi = map(q, sized(windows, model_name, window, 2, "end"))
+            u_lo, u_hi = fixture_ends(windows, model_name)
             not_nef = toric3.nef_on_interval(ToricDivisor(load_fan(model_name), self.l_u.coeffs, self.l_u.den),
                                              u_lo, u_hi)
             self._emit(f"L_u nef on {model_name} for u in {window}", not_nef or True, True)
@@ -362,37 +359,42 @@ class ToricFamily:
                 self._emit(f"{block['model']}: {block['divisor']}.T{i}T{j}", str(affine_poly((a, b), e)),
                            str(fixture_poly(val)))
 
-    def _check_table_cells(self, table_id: str, pieces, coefficient) -> dict:
-        """The row count and the P and N cells of a table printing one row per
-        piece (u_lo, u_hi, P, N); ``coefficient(x, idx, col)`` reads the
-        recomputed P or N at printed column idx, named col.  Returns the table."""
+    def _surface_table(self, table_id: str) -> Table:
+        """The printed table `table_id`, whose columns must be the surface's curves."""
         table = load_table(table_id)
-        self._emit(f"{table['id']} row count", len(table["rows"]), len(pieces))
-        for row, (_, _, *parts) in zip(table["rows"], pieces):
-            u_lo, u_hi = map(_canon, sized(row, "u", row["u"], 2, "end"))
-            for which, computed in zip(("P", "N"), parts):
-                if len(row[which]) != len(table["columns"]):
-                    raise FixtureError(f"{row.path}: {which!r}: {len(row[which])} cells for "
-                                       f"{len(table['columns'])} columns")
-                for idx, (col, expr) in enumerate(zip(table["columns"], row[which])):
-                    self._emit(
-                        f"{table['id']} [{row['u'][0]},{row['u'][1]}] {which}({col})",
-                        coefficient(computed, idx, col), fixture_poly(expr, row, which),
-                        identity=("table-cell", table["id"], u_lo, u_hi, "0", "0", which, col))
+        if table.columns != self.surface.curve_names:
+            raise FixtureError(f"{table.path}: 'columns': {list(table.columns)} are not the curves "
+                               f"{list(self.surface.curve_names)}")
         return table
 
+    def _check_table_cells(self, table: Table, pieces, entries: Sequence[int]):
+        """The row count and the P and N cells of a table printing one row per
+        piece (u_lo, u_hi, P, N), P and N as integer forms over a den; printed
+        column k is entry entries[k] of P and N."""
+        self._emit(f"{table.id} row count", len(table.rows), len(pieces))
+        for row, (_, _, *parts) in zip(table.rows, pieces):
+            region = row.region
+            for which, (cells, den), (forms, forms_den) in zip("PN", (row.p, row.n), parts):
+                for col, cell, k in zip(table.columns, cells, entries):
+                    self._emit(f"{table.id} [{region.u_lo},{region.u_hi}] {which}({col})",
+                               affine_poly(forms[k], forms_den), affine_poly(cell, den),
+                               identity=_cell_identity(table, region, which, col))
+
     def _check_resolution_table(self):
+        table = load_table(self.data["star"]["table_zd3"])
+        rays = {f"T{r}": r for r in range(len(self.resolution.rays))}
         resolved = self.resolved_decomposition
-        table = self._check_table_cells(self.data["star"]["table_zd3"], resolved,
-                                        lambda x, idx, col: affine_poly(x.coeffs[int(col[1:])], x.den))
+        self._check_table_cells(table, [(lo, hi, (p.coeffs, p.den), (n.coeffs, n.den)) for lo, hi, p, n in resolved],
+                                [lookup(table, "columns", rays, col, "ray column") for col in table.columns])
         # On the resolution's rays the table leaves out, N vanishes: P is L.
-        hidden = [r for r in range(len(self.resolution.rays)) if f"T{r}" not in table["columns"]]
+        hidden = [r for col, r in rays.items() if col not in table.columns]
         l_res = self.l_resolved
-        for row, (lo, hi, p_res, n_res) in zip(table["rows"], resolved):
-            self._emit(f"{table['id']} interval [{row['u'][0]},{row['u'][1]}]",
-                       (str(lo), str(hi)), (str(q(row["u"][0])), str(q(row["u"][1]))))
+        for row, (lo, hi, p_res, n_res) in zip(table.rows, resolved):
+            ends = f"[{row.region.u_lo},{row.region.u_hi}]"
+            self._emit(f"{table.id} interval {ends}", (str(lo), str(hi)),
+                       (str(row.region.u_lo), str(row.region.u_hi)))
             for ray in (r for r in hidden if any(n_res.coeffs[r])):
-                self._emit(f"{table['id']} [{row['u'][0]},{row['u'][1]}] hidden ray {ray}",
+                self._emit(f"{table.id} {ends} hidden ray {ray}",
                            affine_poly(p_res.coeffs[ray], p_res.den), affine_poly(l_res.coeffs[ray], l_res.den))
 
     def _check_volume_route(self):
@@ -412,8 +414,8 @@ class ToricFamily:
                    [[str(q(x)) for x in row] for row in self.surface.gram])
 
     def _check_restriction_table(self):
-        self._check_table_cells(self.data["star"]["table_restriction"], self.surface_pieces,
-                                lambda x, idx, col: affine_poly(x[0][idx], x[1]))
+        self._check_table_cells(self._surface_table(self.data["star"]["table_restriction"]), self.surface_pieces,
+                                range(self.surface.n))
 
     def _check_sigmas(self):
         gram, n = self.surface.gram, self.surface.n
@@ -434,12 +436,11 @@ class ToricFamily:
 
     def _check_thresholds(self):
         table = load_table(self.data["star"]["table_threshold"])
-        for curve, cells in table["cells"].items():
+        for curve, cells in table.cells.items():
             lookup(table, "cells", self.data["curve_cases"], curve, "curve")
             scans = flagdelta.scenario_scans(self.flag_scenario(curve))
-            for cell in cells:
-                lo, hi = map(q, sized(cell, "u", cell["u"], 2, "end"))
-                want = fixture_poly(cell["t"], cell, "t")
+            for want in cells:
+                lo, hi = want.u_lo, want.u_hi
                 # The threshold on the cell is the scans' envelope clipped to
                 # it, each piece already proved by its LP basis; the pieces
                 # that meet the cell must cover all of it.
@@ -448,19 +449,18 @@ class ToricFamily:
                 covered = bool(met) and sum(
                     min(hi, piece.u_hi) - max(lo, piece.u_lo) for piece in met) == hi - lo
                 got = [str(piece.t) for piece in met] + ([] if covered else ["uncovered"])
-                self._emit(f"{table['id']} t({curve}) on [{cell['u'][0]},{cell['u'][1]}]",
-                           covered and all(piece.t == want for piece in met), True,
-                           shown=("; ".join(got), str(want)))
+                self._emit(f"{table.id} t({curve}) on [{lo},{hi}]",
+                           covered and all(piece.wall == want.wall for piece in met), True,
+                           shown=("; ".join(got), str(want.t)))
 
     def _check_chamber_tables(self):
         for curve, case in self.data["curve_cases"].items():
-            table_id = case["table"]
-            rows = table_rows(table_id)
-            scenario = self.flag_scenario(curve)
-            scans = flagdelta.scenario_scans(scenario)
-            for row in rows:
-                scan = next((s for s in scans if s.u_lo <= row.u_lo and row.u_hi <= s.u_hi), None)
-                label = f"{table_id} row u[{row.u_lo},{row.u_hi}] v[{row.v_lo},{row.v_hi}]"
+            table = self._surface_table(case["table"])
+            scans = flagdelta.scenario_scans(self.flag_scenario(curve))
+            for row in table.rows:
+                region = row.region
+                scan = next((s for s in scans if s.u_lo <= region.u_lo and region.u_hi <= s.u_hi), None)
+                label = f"{table.id} row {region.label}"
                 if scan is None:
                     self._emit(label, False, True, shown=("no scan covers the row", None))
                     continue
@@ -468,11 +468,9 @@ class ToricFamily:
                 if not mismatches:
                     self._emit(label, True, True, shown=("recomputation matches", "match"))
                 for mm in mismatches:
-                    self._emit(
-                        f"{label} {mm.field}({mm.curve})", mm.recomputed, mm.printed,
-                        identity=("table-cell", table_id, str(row.u_lo), str(row.u_hi),
-                                  str(row.v_lo), str(row.v_hi), mm.field, mm.curve),
-                        shown=(f"recomputed {mm.recomputed}", f"printed {mm.printed}"))
+                    self._emit(f"{label} {mm.field}({mm.curve})", mm.recomputed, mm.printed,
+                               identity=_cell_identity(table, region, mm.field, mm.curve),
+                               shown=(f"recomputed {mm.recomputed}", f"printed {mm.printed}"))
 
     def _check_flag_values(self):
         for curve, case in self.data["curve_cases"].items():
@@ -526,9 +524,8 @@ def surface_beta(name: str) -> Fraction:
 def surface_flag(name: str) -> FlagScenario:
     data = load_scenario_data(SURFACES)
     spec = _named(data["flags"], name, "flag")
-    pieces = tuple(BasePiece(q(p["u"][0]), q(p["u"][1]), *fixture_forms(p, "base", p["base"]))
-                   for p in spec["pieces"])
-    return _basis_curve_flag(spec, q(data["l_cubed"]), pieces, q)
+    pieces = tuple(BasePiece(*fixture_ends(p, "u"), *fixture_forms(p, "base", p["base"])) for p in spec["pieces"])
+    return _basis_curve_flag(spec, q(data["l_cubed"]), pieces)
 
 
 def surface_s_curve(name: str) -> SInvariantResult:
@@ -569,9 +566,10 @@ def run_34_surfaces() -> list[CheckResult]:
     return checks
 
 
-def _basis_curve_flag(spec, l_cubed, pieces, value) -> FlagScenario:
+def _basis_curve_flag(spec, l_cubed, pieces, c: Fraction | None = None) -> FlagScenario:
     """Flag scenario whose curve is the basis curve spec["curve"] of
-    spec["model"], each log discrepancy of its marked points read by `value`."""
+    spec["model"], the log discrepancies of its marked points read at c
+    where given."""
     model = load_model(spec["model"])
     curve = curve_index(spec, "curve", spec["curve"], model.n)
     for piece in pieces:
@@ -579,18 +577,24 @@ def _basis_curve_flag(spec, l_cubed, pieces, value) -> FlagScenario:
     return FlagScenario(
         l_cubed=l_cubed, model=model,
         curve_class=tuple(Fraction(int(i == curve)) for i in range(model.n)),
-        pieces=pieces, points=_marked_points(spec["points"], value, model.n),
+        pieces=pieces, points=_marked_points(spec["points"], model.n, c),
     )
 
 
-def _marked_points(specs, value, n: int) -> tuple[MarkedPoint, ...]:
+def _marked_points(specs, n: int, c: Fraction | None = None) -> tuple[MarkedPoint, ...]:
     """Marked points of a fixture on a model of n curves, each log
-    discrepancy read by `value`."""
+    discrepancy read at c where given."""
     return tuple(
-        MarkedPoint(p["name"], value(p["a"]),
+        MarkedPoint(p["name"], q(p["a"]) if c is None else rf_eval(p, "a", c),
                     tuple((curve_index(p, "mults", k, n), q(v)) for k, v in sorted(p["mults"].items())))
         for p in specs
     )
+
+
+def _cell_identity(table: Table, region, field: str, column: str) -> tuple:
+    """The registry identity of a printed cell: its table, region, field and column."""
+    return ("table-cell", table.id, str(region.u_lo), str(region.u_hi), str(region.v_lo), str(region.v_hi),
+            field, column)
 
 
 def _basis_index(cvec) -> int | None:
@@ -626,15 +630,15 @@ class Case218:
         data = load_scenario_data("218")
         spec = _named(data["cases"], name, "2.18 case")
         self.name, self.c, self.spec = name, c, spec
-        base = BasePiece(Fraction(0), rf_eval(spec["u_hi"], c), *fixture_forms(spec, "base", spec["base"], c))
-        self.scenario = _basis_curve_flag(spec, rf_eval(data["l_cubed"], c), (base,), lambda a: rf_eval(a, c))
+        base = BasePiece(Fraction(0), rf_eval(spec, "u_hi", c), *fixture_forms(spec, "base", spec["base"], c))
+        self.scenario = _basis_curve_flag(spec, rf_eval(data, "l_cubed", c), (base,), c)
         self._s_points: dict[str, SInvariantResult] = {}
 
     @cached_property
     def s_ambient(self) -> Fraction:
         """S of the ambient divisor from its stored volume pieces."""
         c = self.c
-        pieces = [(rf_eval(p["lo"], c), rf_eval(p["hi"], c), *fixture_volume(p, "poly", c))
+        pieces = [(rf_eval(p, "lo", c), rf_eval(p, "hi", c), *fixture_volume(p, "poly", c))
                   for p in self.spec["ambient"]["volume"]]
         return flagdelta.s_from_volume(self.scenario.l_cubed, pieces)
 
@@ -650,8 +654,8 @@ class Case218:
     @cached_property
     def delta(self) -> Fraction:
         """min A/S over the ambient divisor, the curve and each marked point."""
-        levels = [(rf_eval(self.spec["ambient"]["a"], self.c), self.s_ambient),
-                  (rf_eval(self.spec["curve_a"], self.c), self.s_curve.value)]
+        levels = [(rf_eval(self.spec["ambient"], "a", self.c), self.s_ambient),
+                  (rf_eval(self.spec, "curve_a", self.c), self.s_curve.value)]
         levels += [(pt.a_value, self.s_point(pt.name).value) for pt in self.scenario.points]
         return flagdelta.delta_lower_bound(levels)
 
@@ -680,14 +684,13 @@ def _run_218_case(sid, case: Case218) -> list[CheckResult]:
     tag = f"{case.name}@c={c}"
     amb = spec["ambient"]
     checks = [
-        _compare(sid, f"{tag}: {amb['label']}", case.s_ambient, rf_eval(amb["expected"], c)),
-        _compare(sid, f"{tag}: S_curve", case.s_curve.value,
-                 rf_eval(spec["expected_s_curve"], c)),
+        _compare(sid, f"{tag}: {amb['label']}", case.s_ambient, rf_eval(amb, "expected", c)),
+        _compare(sid, f"{tag}: S_curve", case.s_curve.value, rf_eval(spec, "expected_s_curve", c)),
     ]
     for point in spec["points"]:
         checks.append(_compare(sid, f"{tag}: S({point['name']})",
                                case.s_point(point["name"]).value,
-                               rf_eval(point["expected_s"], c)))
+                               rf_eval(point, "expected_s", c)))
     bound = case.delta
     conclusion = bound > 1 if spec["conclusion"] == ">1" else bound >= 1
     checks.append(_compare(sid, f"{tag}: delta bound {spec['conclusion']} (= {bound})",

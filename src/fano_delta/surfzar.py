@@ -17,8 +17,10 @@ the support), solves each support for N and P as affine functions of (u, v),
 and proves the result on the whole chamber: the Zariski conditions are
 affine, so corner checks, support-orthogonality identities and a negative
 definite support block are a complete certificate, and any failure exhibits
-an exact crossing point to split at.  A printed table row is checked against
-the scan one row at a time (`row_mismatches`).  The threshold walk, the scan
+an exact crossing point to split at.  A printed table row, a `TableRow` of
+integers (its region a `Chamber`, its P and N cells integer forms over a
+den), is checked against the scan one row at a time (`row_mismatches`), and
+a printed threshold cell is a `ThresholdPiece`.  The threshold walk, the scan
 and the row check run on integer numerators over one denominator per
 support, with each support's Gram block inverted once per model; thresholds
 and chamber walls are integer walls v = (a + b*u)/d, and every sign, gap,
@@ -38,8 +40,8 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg, lp
-from .exactmath import (AFFINE, Chamber, Form, Poly, Scalar, affine_poly, at, combine, gap, integer_rows, least,
-                        lowest, negative_end, numerators, q, root_inside)
+from .exactmath import (Chamber, Form, Poly, Scalar, affine_poly, at, combine, gap, least, lowest, negative_end,
+                        numerators, q, root_inside)
 
 Vec = tuple[Fraction, ...]
 
@@ -549,22 +551,13 @@ class RowMismatch:
 
 @dataclass(frozen=True)
 class TableRow:
-    u_lo: Fraction
-    u_hi: Fraction
-    v_lo: Poly
-    v_hi: Poly
-    p: tuple[Poly, ...]
-    n: tuple[Poly, ...]
+    """A printed chamber row: its region, and its P and N cells, one per
+    curve, each as integer forms (a, b, c), meaning (a + b*u + c*v)/den, over
+    one positive den."""
 
-    @cached_property
-    def _forms(self) -> tuple[tuple[Form, Form], tuple[tuple[tuple[tuple[Form], int] | None, ...], ...]]:
-        """The v-bounds as walls over one denominator, and the N and P cells
-        as integer forms over positive denominators, None for a cell not
-        affine in (u, v)."""
-        (lo, hi), den = integer_rows((self.v_lo, self.v_hi), AFFINE[:2], "affine in u")
-        return ((*lo, den), (*hi, den)), tuple(
-            tuple(None if x.terms.keys() - set(AFFINE) else integer_rows([x], AFFINE, "affine") for x in cells)
-            for cells in (self.n, self.p))
+    region: Chamber
+    p: tuple[tuple[Form, ...], int]
+    n: tuple[tuple[Form, ...], int]
 
 
 def row_mismatches(scan: ChamberedDecomposition, row: TableRow) -> list[RowMismatch]:
@@ -574,19 +567,18 @@ def row_mismatches(scan: ChamberedDecomposition, row: TableRow) -> list[RowMisma
     its whole region the recomputed chamber structure matches the printed
     region, P and N exactly.  Mismatched cells carry the recomputed truth.
     """
-    model = scan.model
+    model, region = scan.model, row.region
     out: list[RowMismatch] = []
     overlaps_found = False
-    (row_lo, row_hi), (n_cells, p_cells) = row._forms
     for ch in scan.chambers:
-        u_lo = max(row.u_lo, ch.chamber.u_lo)
-        u_hi = min(row.u_hi, ch.chamber.u_hi)
+        u_lo = max(region.u_lo, ch.chamber.u_lo)
+        u_hi = min(region.u_hi, ch.chamber.u_hi)
         if u_lo >= u_hi:
             continue
         # The v-overlap min(v_hi) - max(v_lo) is concave and piecewise affine
         # in u, so it is positive somewhere on the common interval iff it is
         # positive at an end or where the two lower or two upper walls cross.
-        lows, highs = (row_lo, ch.chamber.lower), (row_hi, ch.chamber.upper)
+        lows, highs = (region.lower, ch.chamber.lower), (region.upper, ch.chamber.upper)
         crossings = (root_inside(*gap(*lows), u_lo, u_hi), root_inside(*gap(*highs), u_lo, u_hi))
         gaps = [gap(lo, hi) for lo in lows for hi in highs]
         if not any(
@@ -596,14 +588,13 @@ def row_mismatches(scan: ChamberedDecomposition, row: TableRow) -> list[RowMisma
             continue
         overlaps_found = True
         forms = ch.forms
-        for i in range(model.n):
-            for name, printed, cell, form in (("N", row.n[i], n_cells[i], forms.n[i]),
-                                              ("P", row.p[i], p_cells[i], forms.p[i])):
-                # Equal over the common denominator; a non-affine cell never is.
-                if cell is None or any(x * forms.den != y * cell[1] for x, y in zip(cell[0][0], form)):
-                    out.append(RowMismatch(field=name, curve=model.curve_names[i], printed=str(printed),
-                                           recomputed=str(affine_poly(form, forms.den))))
+        for i, curve in enumerate(model.curve_names):
+            for name, (cells, den), scanned in (("N", row.n, forms.n), ("P", row.p, forms.p)):
+                # Equal over the common denominator.
+                if any(x * forms.den != y * den for x, y in zip(cells[i], scanned[i])):
+                    out.append(RowMismatch(field=name, curve=curve, printed=str(affine_poly(cells[i], den)),
+                                           recomputed=str(affine_poly(scanned[i], forms.den))))
     if not overlaps_found:
-        out.append(RowMismatch(field="region", curve="-", printed=f"v in [{row.v_lo}, {row.v_hi}]",
+        out.append(RowMismatch(field="region", curve="-", printed=f"v in [{region.v_lo}, {region.v_hi}]",
                                recomputed="row region lies outside the scanned decomposition"))
     return out

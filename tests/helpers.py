@@ -782,27 +782,42 @@ def _reference_lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fract
     raise ScanError("lower envelope failed to terminate", u_lo, u_hi)
 
 
+def table_row(u_lo, u_hi, v_lo, v_hi, p: Sequence[Poly], n: Sequence[Poly]) -> TableRow:
+    """A printed row from Polys: its region between the walls v = v_lo(u)
+    and v = v_hi(u), affine in u, and its P and N cells, affine in (u, v)."""
+    return TableRow(poly_chamber(u_lo, u_hi, v_lo, v_hi), integer_rows(map(Poly.coerce, p), AFFINE, "affine"),
+                    integer_rows(map(Poly.coerce, n), AFFINE, "affine"))
+
+
+def row_cells(row: TableRow) -> tuple[list[Poly], list[Poly]]:
+    """The P and N cells of a printed row as Polys."""
+    (p, pden), (n, nden) = row.p, row.n
+    return [affine_poly(f, pden) for f in p], [affine_poly(f, nden) for f in n]
+
+
 def reference_check_row(scan: ChamberedDecomposition, row: TableRow) -> list[RowMismatch]:
     """`surfzar.row_mismatches` by Poly evaluation and Poly comparison."""
     out: list[RowMismatch] = []
     overlaps_found = False
+    region = row.region
+    row_p, row_n = row_cells(row)
     for ch in scan.chambers:
-        u_lo, u_hi = max(row.u_lo, ch.chamber.u_lo), min(row.u_hi, ch.chamber.u_hi)
+        u_lo, u_hi = max(region.u_lo, ch.chamber.u_lo), min(region.u_hi, ch.chamber.u_hi)
         if u_lo >= u_hi:
             continue
-        crossings = [_affine_root(row.v_lo - ch.chamber.v_lo, u_lo, u_hi),
-                     _affine_root(row.v_hi - ch.chamber.v_hi, u_lo, u_hi)]
-        if not any(min(row.v_hi(u=u0), ch.chamber.v_hi(u=u0)) > max(row.v_lo(u=u0), ch.chamber.v_lo(u=u0))
+        crossings = [_affine_root(region.v_lo - ch.chamber.v_lo, u_lo, u_hi),
+                     _affine_root(region.v_hi - ch.chamber.v_hi, u_lo, u_hi)]
+        if not any(min(region.v_hi(u=u0), ch.chamber.v_hi(u=u0)) > max(region.v_lo(u=u0), ch.chamber.v_lo(u=u0))
                    for u0 in [u_lo, u_hi] + [x for x in crossings if x is not None]):
             continue
         overlaps_found = True
         n, p = n_coeffs(ch), p_coeffs(ch)
         for i in range(scan.model.n):
-            for name, printed, recomputed in (("N", row.n[i], n[i]), ("P", row.p[i], p[i])):
+            for name, printed, recomputed in (("N", row_n[i], n[i]), ("P", row_p[i], p[i])):
                 if printed != recomputed:
                     out.append(RowMismatch(name, scan.model.curve_names[i], str(printed), str(recomputed)))
     if not overlaps_found:
-        out.append(RowMismatch("region", "-", f"v in [{row.v_lo}, {row.v_hi}]",
+        out.append(RowMismatch("region", "-", f"v in [{region.v_lo}, {region.v_hi}]",
                                "row region lies outside the scanned decomposition"))
     return out
 

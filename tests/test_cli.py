@@ -1,13 +1,16 @@
 """Command-line interface: compute, verify, report, exit codes."""
 
+import contextlib
+import io
 import json
 import re
 import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fano_delta import cli
+from fano_delta import cli, scenarios
 from fano_delta.scenarios import load_scenario_data
 
 
@@ -292,7 +295,7 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
     ("scenarios/family-34-d4.json", _set("pullbacks", "zeta0", "T0", {"42": "1"}), "34-d4",
      "family-34-d4.json: 'T0': '42' is no ray index of 11 rays"),
     ("tables/table-02.json", lambda data: {**data, "columns": data["columns"][:-1]}, "34-d4",
-     "table-02.json: 'P': 6 cells for 5 columns"),
+     "table-02.json: 'P': 6 entries for 5 columns"),
     ("scenarios/family-34-d4.json", _set("printed_curve_values", 0, "values", "0,99", "1"), "34-d4",
      "family-34-d4.json: '0,99': '99' is no ray index of 7 rays"),
     ("scenarios/family-34-d4.json", _set("printed_curve_values", 0, "values", "1,6", "1"), "34-d4",
@@ -388,6 +391,27 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
      "table-04.json: 'N': bad character or exponent in 'u^^2'"),
     ("tables/table-03.json", _set("cells", "alpha1", 0, "t", "u^^2"), "34-d4",
      "table-03.json: 't': bad character or exponent in 'u^^2'"),
+    # A table is built once into integer rows: a wall not affine in u, a
+    # cell not affine in (u, v), a value that is no string or no array, and
+    # a region that is no chamber.
+    ("tables/table-04.json", _set("rows", 0, "v", 1, "u^2"), "34-d4", "table-04.json: 'v': u^2 is not affine in u"),
+    ("tables/table-04.json", _set("rows", 0, "P", 1, "u*v"), "34-d4", "table-04.json: 'P': u*v is not affine"),
+    ("tables/table-04.json", _set("rows", 0, "u", 0, None), "34-d4",
+     "table-04.json: 'u': expression None is not a string"),
+    ("tables/table-02.json", _set("rows", 0, "P", None), "34-d4", "table-02.json: 'P': None is no array of 6 columns"),
+    ("tables/table-02.json", _set("rows", 0, "P", 0, 99), "34-d4", "table-02.json: 'P': expression 99 is not a string"),
+    ("tables/table-03.json", _set("cells", "alpha1", 0, "t", None), "34-d4",
+     "table-03.json: 't': expression None is not a string"),
+    ("tables/table-04.json", lambda data: _set("rows", 1, "v", data["rows"][1]["v"][::-1])(data), "34-d4",
+     "table-04.json: 'v': empty or inverted chamber"),
+    # Columns are read where a table meets its fan or model.
+    ("tables/table-01.json", _set("columns", 7, "T99"), "34-d4", "table-01.json: 'columns': unknown ray column 'T99'"),
+    ("tables/table-04.json", _set("columns", 0, "alphaX"), "34-d4",
+     "table-04.json: 'columns': ['alphaX', 'alpha2', 'alpha3', 'alpha4', 'alpha5', 'alpha6'] are not the curves "
+     "['alpha1', 'alpha2', 'alpha3', 'alpha4', 'alpha5', 'alpha6']"),
+    # A closed form in c names its file and key.
+    ("scenarios/family-218.json", _set("cases", "easy", "curve_a", "1^^2"), "218",
+     "family-218.json: 'curve_a': bad character or exponent in '1^^2'"),
 ], ids=["contracted", "class", "mults", "mults-text", "flag-curve", "generates-pseff", "contracted-repeated",
         "gram-rows", "gram-asymmetric", "certificate-ray", "forcing-ray", "pullback-ray", "table-columns",
         "curve-value-ray", "curve-value-pair", "forcing-pair-ray", "forcing-pair", "branch-gap",
@@ -399,7 +423,9 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
         "delta-level-short", "N-not-in-u", "N-quadratic", "l_u-not-a-string", "volume-degree",
         "flag-base-quadratic", "volume-not-in-u", "volume-not-in-u-at-c", "l_on_y-not-constant",
         "relation-not-constant", "table-cell-unparsed", "chamber-row-v-unparsed", "chamber-row-cell-unparsed",
-        "threshold-cell-unparsed"])
+        "threshold-cell-unparsed", "chamber-row-v-quadratic", "chamber-row-cell-not-affine", "chamber-row-u-null",
+        "table-cells-null", "table-cell-number", "threshold-cell-null", "chamber-row-v-swapped",
+        "zd3-column-ray", "chamber-table-column", "closed-form-unparsed"])
 def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit, family,
                                                         named):
     dst = _fixture_copy(tmp_path / "fixtures", relative, edit)
@@ -408,6 +434,51 @@ def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monke
     assert code == 1 and out == ""
     assert err.startswith("error: unreadable fixture: ") and err.count("\n") == 1
     assert named in err
+
+
+def _node_paths(data, path=()):
+    """The key path of every node below the root of a JSON document."""
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield (*path, key)
+        yield from _node_paths(value, (*path, key))
+
+
+# Every node of the restriction, threshold and first chamber table of 34-d4.
+TABLE_NODES = [(name, path) for name in ("table-02", "table-03", "table-04")
+               for path in _node_paths(json.loads((scenarios.fixtures_dir() / "tables" / f"{name}.json").read_text()))]
+DELETED = object()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(TABLE_NODES), st.sampled_from([None, 99, "u^^2", [], DELETED]))
+def test_a_mutated_table_node_is_one_fixture_error_or_a_report(tmp_path_factory, node, value):
+    # One node of a table set to null, 99, unparsable text or [], or deleted:
+    # nothing escapes `main` as an exception, and the run ends in one error
+    # line with nothing on stdout, or in a report.
+    (name, path), root = node, tmp_path_factory.mktemp("fixtures") / "fixtures"
+
+    def edit(data):
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETED:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return data
+
+    _fixture_copy(root, f"tables/{name}.json", edit)
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.setenv("FANO_DELTA_FIXTURES", str(root))
+        code = cli.main(["verify", "--family", "34-d4"])
+    out, err = out.getvalue(), err.getvalue()
+    if err:
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1) and re.search(r"\d+ passed, \d+ flagged \(known discrepancies\), \d+ failed\n$", out)
+    shutil.rmtree(root)
 
 
 def test_derivation_error_in_a_toric_stage_is_one_fail_entry(tmp_path, capsys, monkeypatch, family_runs):

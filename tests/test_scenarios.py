@@ -14,6 +14,7 @@ from fano_delta.exactmath import Poly, parse_poly, q
 from fano_delta.scenarios import (
     FixtureError,
     UsageError,
+    _Record,
     at_c,
     builders,
     default_c_samples,
@@ -22,11 +23,10 @@ from fano_delta.scenarios import (
     fixture_poly,
     load_table,
     rf_eval,
-    table_rows,
 )
 
-from helpers import (build_218, marked_point, p_coeffs, pair, poly_chamber, reference_integrate_chamber,
-                     reference_integrate_univariate)
+from helpers import (build_218, marked_point, p_coeffs, pair, reference_integrate_chamber,
+                     reference_integrate_univariate, row_cells)
 
 
 def test_fixture_files_round_trip():
@@ -37,7 +37,7 @@ def test_fixture_files_round_trip():
 
 def test_table_poly_cells_parse_and_reprint():
     for idx in range(1, 15):
-        table = load_table(f"table-{idx:02d}")
+        table = fixture(fixtures_dir(), f"tables/table-{idx:02d}.json")
         cells = []
         for row in table.get("rows", []):
             cells.extend(row["P"])
@@ -127,21 +127,18 @@ def test_flag_scenario_values_recomputable_from_clean_tables(family_runs):
                                       ("alpha0", "table-14", F(3, 16))):
         model = family.surface
         total = F(0)
-        for row in table_rows(table_id):
-            chamber = poly_chamber(row.u_lo, row.u_hi, row.v_lo, row.v_hi)
-            p_sq = pair(model, row.p, row.p)
-            total += F(3, 9) * reference_integrate_chamber(p_sq, chamber)
+        for row in load_table(table_id).rows:
+            p, _ = row_cells(row)
+            p_sq = pair(model, p, p)
+            total += F(3, 9) * reference_integrate_chamber(p_sq, row.region)
         if curve == "alpha1":
             # ord-term of the ambient negative part along alpha1 (table 9).
-            table9 = load_table("table-09")
-            for raw in table9["rows"]:
-                lo, hi = q(raw["u"][0]), q(raw["u"][1])
-                d = parse_poly(raw["N"][0])
+            for row in load_table("table-09").rows:
+                p_tilde, (d, *_) = row_cells(row)
                 if d.is_zero():
                     continue
-                p_tilde = [parse_poly(s) for s in raw["P"]]
                 p_sq = pair(model, p_tilde, p_tilde)
-                total += F(3, 9) * reference_integrate_univariate(p_sq * d, lo, hi)
+                total += F(3, 9) * reference_integrate_univariate(p_sq * d, row.region.u_lo, row.region.u_hi)
         assert total == expected
 
 
@@ -150,7 +147,7 @@ def test_zd3_tables_match_certificate_intervals(family_runs):
         data = builders.load_scenario_data(fam)
         table = load_table(data["star"]["table_zd3"])
         cert_intervals = [(q(iv["u"][0]), q(iv["u"][1])) for iv in data["certificate"]]
-        table_intervals = [(q(r["u"][0]), q(r["u"][1])) for r in table["rows"]]
+        table_intervals = [(r.region.u_lo, r.region.u_hi) for r in table.rows]
         assert cert_intervals == table_intervals
 
 
@@ -167,10 +164,9 @@ def test_point_value_recomputable_from_clean_tables(family_runs):
     model = family.surface
     e1 = [F(1), F(0), F(0), F(0), F(0), F(0)]
     total = F(0)
-    for row in table_rows("table-11"):
-        chamber = poly_chamber(row.u_lo, row.u_hi, row.v_lo, row.v_hi)
-        p_dot = pair(model, row.p, e1)
-        total += F(3, 9) * reference_integrate_chamber(p_dot * p_dot, chamber)
+    for row in load_table("table-11").rows:
+        p_dot = pair(model, row_cells(row)[0], e1)
+        total += F(3, 9) * reference_integrate_chamber(p_dot * p_dot, row.region)
     assert total == F(1, 9)
     from fano_delta import flagdelta
 
@@ -451,13 +447,20 @@ def test_c_fold_equals_substitution(p, d, c):
     # substituted, and a closed form in c alone evaluates as the Poly does.
     assert at_c(str(p), c) == fixture_poly(str(p)).subs(c=c)
     num, den = p.subs(u=0, v=0), d.subs(u=0, v=0)
-    assert rf_eval(str(num), c) == num(c=c)
+    assert rf_eval(closed_forms(x=str(num)), "x", c) == num(c=c)
     if den(c=c) != 0:
-        assert rf_eval({"num": str(num), "den": str(den)}, c) == num(c=c) / den(c=c)
+        assert rf_eval(closed_forms(x=closed_forms(num=str(num), den=str(den))), "x", c) == num(c=c) / den(c=c)
+
+
+def closed_forms(**pairs) -> _Record:
+    """A fixture record of closed forms in c, as the file closed-forms.json holds them."""
+    return _Record(Path("closed-forms.json"), pairs)
 
 
 def test_closed_forms_in_c_must_not_hold_u_or_v():
-    with pytest.raises(FixtureError, match="'2-u' is not a closed form in c"):
-        rf_eval({"num": "1", "den": "2-u"}, F(1, 2))
+    with pytest.raises(FixtureError, match="closed-forms.json: 'den': '2-u' is not a closed form in c"):
+        rf_eval(closed_forms(x=closed_forms(num="1", den="2-u")), "x", F(1, 2))
+    with pytest.raises(FixtureError, match="closed-forms.json: 'x': bad character or exponent in '1\\^\\^2'"):
+        rf_eval(closed_forms(x="1^^2"), "x", F(1, 2))
     with pytest.raises(FixtureError, match="u\\^\\^2"):
         at_c("u^^2", F(1, 2))

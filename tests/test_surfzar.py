@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from fano_delta import flagdelta, surfzar
 from fano_delta.exactmath import Poly, affine_poly, parse_poly
-from fano_delta.scenarios import builders, load_model, load_scenario_data, load_table, table_rows
+from fano_delta.scenarios import builders, load_model, load_scenario_data, load_table
 from fano_delta.surfzar import (
     NotPseudoeffectiveError,
     SurfaceModel,
-    TableRow,
     chamber_scan,
     row_mismatches,
 )
@@ -39,6 +38,8 @@ from helpers import (
     poly_chamber_scan,
     polys_of,
     reference_threshold_pieces,
+    row_cells,
+    table_row,
     threshold_at,
     threshold_pieces,
     zariski_decompose,
@@ -683,13 +684,13 @@ def test_printed_threshold_cells_read_the_clipped_envelope(family):
     """Every printed threshold cell meets each base piece in an interval on
     which a cold envelope equals the scan's envelope clipped to it."""
     fam = builders.ToricFamily(family)
-    cells = load_table(fam.data["star"]["table_threshold"])["cells"]
+    cells = load_table(fam.data["star"]["table_threshold"]).cells
     compared = 0
     for curve, rows in cells.items():
         scenario = fam.flag_scenario(curve)
         for piece, scan in zip(scenario.pieces, flagdelta.scenario_scans(scenario)):
             for cell in rows:
-                a, b = max(F(cell["u"][0]), piece.u_lo), min(F(cell["u"][1]), piece.u_hi)
+                a, b = max(cell.u_lo, piece.u_lo), min(cell.u_hi, piece.u_hi)
                 if a < b:
                     got = sub_interval_pieces(fam.surface, polys_of(piece.coeffs, piece.den), scenario.curve_class, a, b)
                     assert got == clipped(scan.threshold, a, b)
@@ -702,20 +703,25 @@ def test_printed_threshold_cells_read_the_clipped_envelope(family):
 # ---------------------------------------------------------------------------
 
 
-def test_verify_accepts_correct_rows(d4):
+def table_04_row_at_4(d4):
+    """The scan of table 04's alpha1 flag over [4, 5] and its printed row
+    there with v_lo = 0."""
     scan = poly_chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
-    rows = [r for r in table_rows("table-04") if r.u_lo == 4 and str(r.v_lo) == "0"]
+    rows = [r for r in load_table("table-04").rows if r.region.u_lo == 4 and str(r.region.v_lo) == "0"]
     assert len(rows) == 1
-    assert row_mismatches(scan, rows[0]) == []
+    return scan, rows[0]
+
+
+def test_verify_accepts_correct_rows(d4):
+    scan, row = table_04_row_at_4(d4)
+    assert row_mismatches(scan, row) == []
 
 
 def test_verify_flags_tampered_row(d4):
-    scan = poly_chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
-    (row,) = [r for r in table_rows("table-04") if r.u_lo == 4 and str(r.v_lo) == "0"]
-    tampered = TableRow(
-        u_lo=row.u_lo, u_hi=row.u_hi, v_lo=row.v_lo, v_hi=row.v_hi,
-        p=row.p, n=tuple([parse_poly("v/7")] + list(row.n[1:])),
-    )
+    scan, row = table_04_row_at_4(d4)
+    p, n = row_cells(row)
+    region = row.region
+    tampered = table_row(region.u_lo, region.u_hi, region.v_lo, region.v_hi, p, [parse_poly("v/7"), *n[1:]])
     (mm,) = row_mismatches(scan, tampered)
     assert mm.field == "N" and mm.curve == "alpha1"
     assert mm.printed == "1/7*v" and mm.recomputed == "0"
@@ -723,10 +729,7 @@ def test_verify_flags_tampered_row(d4):
 
 def test_verify_flags_region_outside_threshold(d4):
     scan = poly_chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
-    row = TableRow(
-        u_lo=F(4), u_hi=F(5), v_lo=parse_poly("3"), v_hi=parse_poly("4"),
-        p=tuple(Poly() for _ in range(6)), n=tuple(Poly() for _ in range(6)),
-    )
+    row = table_row(F(4), F(5), parse_poly("3"), parse_poly("4"), [Poly()] * 6, [Poly()] * 6)
     assert [mm.field for mm in row_mismatches(scan, row)] == ["region"]
 
 
@@ -743,8 +746,7 @@ def test_verify_flags_row_overlapping_a_chamber_off_the_probes(d4, v_lo, v_hi, p
     # chamber and overlaps the other only away from u = 17/4, 9/2 and 19/4.
     scan = poly_chamber_scan(d4, ptilde_d4("45"), curve_vector(d4, 0), 4, 5)
     shown = scan.chambers[printed]
-    row = TableRow(u_lo=F(4), u_hi=F(5), v_lo=parse_poly(v_lo), v_hi=parse_poly(v_hi),
-                   p=p_coeffs(shown), n=n_coeffs(shown))
+    row = table_row(F(4), F(5), parse_poly(v_lo), parse_poly(v_hi), p_coeffs(shown), n_coeffs(shown))
     assert {(mm.field, mm.curve) for mm in row_mismatches(scan, row)} == {("N", "alpha2"), ("P", "alpha2")}
 
 
@@ -755,15 +757,17 @@ def chamber_table_rows():
         family = builders.ToricFamily(name)
         for curve, case in family.data["curve_cases"].items():
             scans = flagdelta.scenario_scans(family.flag_scenario(curve))
-            for row in table_rows(case["table"]):
-                yield next(s for s in scans if s.u_lo <= row.u_lo and row.u_hi <= s.u_hi), row
+            for row in load_table(case["table"]).rows:
+                yield next(s for s in scans if s.u_lo <= row.region.u_lo and row.region.u_hi <= s.u_hi), row
 
 
 def moved(row, lift=Poly(), n0=Poly(), p1=None):
     """The row with its v-range lifted by ``lift``, ``n0`` added to its first
     N cell and its second P cell replaced by ``p1``."""
-    p = row.p if p1 is None else (row.p[0], p1, *row.p[2:])
-    return TableRow(row.u_lo, row.u_hi, row.v_lo + lift, row.v_hi + lift, p, (row.n[0] + n0, *row.n[1:]))
+    p, n = row_cells(row)
+    p[1] = p[1] if p1 is None else p1
+    region = row.region
+    return table_row(region.u_lo, region.u_hi, region.v_lo + lift, region.v_hi + lift, p, [n[0] + n0, *n[1:]])
 
 
 def test_integer_row_check_equals_reference_on_the_printed_tables():
@@ -772,8 +776,8 @@ def test_integer_row_check_equals_reference_on_the_printed_tables():
     assert len(rows) > 50
     for scan, row in rows:
         for copy in (row, moved(row, lift=F(1, 5)), moved(row, lift=F(-1, 2)),
-                     moved(row, lift=(U - row.u_lo) / 3), moved(row, lift=F(-1, 7) - U / 5),
-                     moved(row, n0=V / 7), moved(row, p1=U * V), moved(row, p1=parse_poly("c"))):
+                     moved(row, lift=(U - row.region.u_lo) / 3), moved(row, lift=F(-1, 7) - U / 5),
+                     moved(row, n0=V / 7), moved(row, p1=U - 2 * V), moved(row, p1=V / 3 + 1)):
             got = row_mismatches(scan, copy)
             assert got == reference_check_row(scan, copy)
             fields |= {mm.field for mm in got}
