@@ -11,8 +11,7 @@ is mathematical equality.  The module also provides
 
   * parse_poly / str round-trips for the compact text form of the JSON
     fixtures ("(8-u-3*v)/3", "-u^2 + 1"): Python's expression grammar and
-    precedence, read by ``ast``, with ``^`` for ``**``, and `integer_rows`,
-    the one reader of Polys into integer rows over one denominator,
+    precedence, read by ``ast``, with ``^`` for ``**``,
   * exact definite integration of integer coefficients over u-intervals
     (`integral`), and over chambers (a
     u-interval between two integer walls v = (a + b*u)/d) by moments only:
@@ -124,13 +123,6 @@ class Poly:
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, name: str) -> int:
-        i = _VAR_INDEX[name]
-        return max((e[i] for e in self.terms), default=0)
-
-    def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -426,19 +418,6 @@ def least(forms: Iterable[Sequence[int]], den: int) -> tuple[tuple[tuple[int, ..
 
 # The exponents of 1, u and v: an affine form's terms.
 AFFINE = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
-
-
-def integer_rows(polys: Iterable[Poly], exponents: Sequence[Exponent],
-                 shape: str) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Each Poly's coefficients at ``exponents`` as one integer row, all over
-    their least common denominator (positive); ValueError naming the first
-    Poly with a term at any other exponent as not ``shape``."""
-    polys, allowed = tuple(polys), set(exponents)
-    if (bad := next((p for p in polys if p.terms.keys() - allowed), None)) is not None:
-        raise ValueError(f"{bad} is not {shape}")
-    flat, den = numerators(p.coefficient(e) for p in polys for e in exponents)
-    k = len(exponents)
-    return tuple(flat[i:i + k] for i in range(0, len(flat), k)), den
 
 
 def lowest(w: Form) -> Form:

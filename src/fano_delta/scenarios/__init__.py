@@ -10,25 +10,21 @@ FANO_DELTA_FIXTURES environment variable):
     fixtures/known_discrepancies.json
 
 Fixture data is cached per directory: a process reads each file once for
-each fixture directory it uses, so a changed directory is read afresh.
-Each fixture expression is parsed once per process, and each one read at a
-boundary weight c is also compiled once into integer coefficient lists in c,
-so a new c costs integer Horner passes (`at_c`, `rf_eval`).  A divisor is
-read as integer forms affine in u (`fixture_forms`), a volume as integer
-coefficients in u (`fixture_volume`), interval ends as Fractions
-(`fixture_ends`), all by one reader (`fixture_rows`) that, like `rf_eval`,
-names the file and key of text it cannot read.
-
-Tables are stored as data, never as code, so the verification harness and
-the source tables stay diffable, and are built like fans and models: each
-row one `TableRow` of integers, each threshold cell one `ThresholdPiece`.
-All rationals are "p/q" strings; small polynomials are compact expressions
-like "(8-u-3*v)/3".
+each fixture directory it uses, so a changed directory is read afresh.  Each
+expression is parsed once per process and folded into integer polynomials
+in c (`fixture_c_rows`), which `fixture_rows` reads as integer rows over one
+den: divisors (`fixture_forms`), volumes (`fixture_volume`) and rationals
+(`fixture_constants`, `fixture_ends`).  Tables and the 2.18 cases are built
+like fans and models (`Table`, `Spec218`), so a new c costs integer Horner
+passes (`rows_at`, `CForm`).  Every reader names the file and key of a value
+it cannot read.  All rationals are "p/q" strings; small polynomials are
+compact expressions like "(8-u-3*v)/3".
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +32,7 @@ from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
-from ..exactmath import AFFINE, Chamber, Poly, horner, integer_rows, lowest, numerators, parse_poly, q
+from ..exactmath import AFFINE, Chamber, Poly, horner, least, lowest, numerators, parse_poly
 from ..surfzar import SurfaceModel, TableRow, ThresholdPiece
 from ..toric3 import Fan3, ToricDivisor
 
@@ -226,13 +222,10 @@ def load_scenario_data(scenario_id: str) -> dict:
 
 
 def fixture_poly(text: str, record: _Record | None = None, key: str | None = None) -> Poly:
-    """`parse_poly` of a fixture expression, parsed once per process.
-
-    The same closed forms are read for every c sample and every table check;
-    Poly is immutable, so all readers share one parsed result.  Text that
-    does not parse, or a value that is not a string, is a FixtureError
-    naming it, and record's file and the key where given.
-    """
+    """`parse_poly` of a fixture expression, parsed once per process (Poly is
+    immutable, so all readers share one result).  Text that does not parse,
+    or a value that is not a string, is a FixtureError naming it, and
+    record's file and the key where given."""
     try:
         if not isinstance(text, str):
             raise ValueError(f"expression {text!r} is not a string")
@@ -243,39 +236,67 @@ def fixture_poly(text: str, record: _Record | None = None, key: str | None = Non
 
 @lru_cache(maxsize=1024)
 def _parsed(text: str) -> Poly:
-    return parse_poly(text)
+    """The Poly of text, built from its one parse (`_c_fold`)."""
+    return Poly({(i, j, m): Fraction(x, den) for (i, j), (nums, den) in _c_fold(text).items() for m, x in enumerate(nums)})
 
 
-def fixture_rows(record: _Record, key: str, texts, shape: str, exponents=None, c: Fraction | None = None):
-    """The expressions read from record[key], at the boundary weight c where
-    given, as `integer_rows` at ``exponents``, by default 1, u, ..., u^k to
-    their degree k in u; text that does not parse, or has another term, is
-    a FixtureError naming the record's file and the key."""
+def fixture_c_rows(record: _Record, key: str, texts, shape: str, exponents=None, in_c: bool = False) -> tuple:
+    """The expressions read from record[key] as integer polynomials in c:
+    each text's coefficient at each of ``exponents``, by default 1, u, ...,
+    u^k to their degree k in u, as (integer coefficients in c by rising
+    degree, den).  Text that does not parse, has another term, or holds c
+    unless ``in_c``, is a FixtureError naming the record's file and the key."""
     try:
-        polys = [fixture_poly(t) if c is None else at_c(t, c) for t in texts]
-        exponents = exponents or [(i, 0, 0) for i in range(max(p.degree_in("u") for p in polys) + 1)]
-        return integer_rows(polys, exponents, shape)
+        # `fixture_poly` names a value that is no string.
+        folds = [_c_fold(text) if isinstance(text, str) else fixture_poly(text) for text in texts]
+        exponents = exponents or [(i, 0, 0) for i in range(max((i for fold in folds for i, _ in fold), default=0) + 1)]
+        keys = [(i, j) for i, j, _ in exponents]
+        allowed = set(keys)
+        for text, fold in zip(texts, folds):
+            if not fold.keys() <= allowed or not in_c and any(len(nums) > 1 for nums, _ in fold.values()):
+                raise ValueError(f"{fixture_poly(text)} is not {shape}")
+        return tuple(tuple(fold.get(ij, ((0,), 1)) for ij in keys) for fold in folds)
     except (ValueError, FixtureError) as exc:
         raise FixtureError(f"{record.path}: {key!r}: {exc}") from None
 
 
-def fixture_forms(record: _Record, key: str, texts, c: Fraction | None = None):
+def rows_at(rows, c: Fraction | None = None) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Integer polynomials in c (`fixture_c_rows`) at c by one Horner pass
+    each, or their constant terms, as integer rows over their least common
+    denominator."""
+    if c is not None:
+        rows = [[((horner(nums, c),), den * c.denominator ** (len(nums) - 1)) for nums, den in row] for row in rows]
+    den = math.lcm(*(d for row in rows for _, d in row))
+    return least((tuple(nums[0] * (den // d) for nums, d in row) for row in rows), den)
+
+
+def fixture_rows(record: _Record, key: str, texts, shape: str, exponents=None):
+    """The expressions read from record[key], free of c, as integer rows
+    over one positive den (`fixture_c_rows`, `rows_at`)."""
+    return rows_at(fixture_c_rows(record, key, texts, shape, exponents))
+
+
+def fixture_forms(record: _Record, key: str, texts):
     """`fixture_rows` of expressions affine in u: forms (a, b), meaning
     (a + b*u)/den, over one positive den."""
-    return fixture_rows(record, key, texts, "affine in u", AFFINE[:2], c)
+    return fixture_rows(record, key, texts, "affine in u", AFFINE[:2])
 
 
-def fixture_volume(record: _Record, key: str, c: Fraction | None = None) -> tuple[tuple[int, ...], int]:
-    """The volume function at record[key], at c where given, as its integer
-    coefficients in u by rising degree over one positive denominator."""
-    (coeffs,), den = fixture_rows(record, key, [record[key]], "a polynomial in u alone", c=c)
+def fixture_volume(record: _Record, key: str) -> tuple[tuple[int, ...], int]:
+    """The volume function at record[key] as its integer coefficients in u
+    by rising degree over one positive denominator."""
+    (coeffs,), den = fixture_rows(record, key, [record[key]], "a polynomial in u alone")
     return coeffs, den
+
+
+def fixture_constants(record: _Record, key: str, texts) -> tuple[Fraction, ...]:
+    """The rational constants read from record[key]."""
+    return tuple(Fraction(*nums, den) for ((nums, den),) in fixture_c_rows(record, key, texts, "constant", AFFINE[:1]))
 
 
 def fixture_ends(record: _Record, key: str) -> tuple[Fraction, ...]:
     """The two rational ends of the interval at record[key]."""
-    ends, den = fixture_rows(record, key, sized(record, key, record[key], 2, "end"), "constant", AFFINE[:1])
-    return tuple(Fraction(x, den) for (x,) in ends)
+    return fixture_constants(record, key, sized(record, key, record[key], 2, "end"))
 
 
 def fixture_divisor(fan: Fan3, record: _Record, key: str, texts=None, constant: bool = False) -> ToricDivisor:
@@ -303,57 +324,107 @@ def ray_texts(record: _Record, key: str, n: int) -> list[str]:
 
 @lru_cache(maxsize=1024)
 def _c_fold(text: str) -> dict[tuple[int, int], tuple[tuple[int, ...], int]]:
-    """fixture_poly(text) as {(i, j): ((a_0, ..., a_k), den)}, its coefficient
-    of u^i v^j being sum a_m c^m / den."""
-    p = fixture_poly(text)
-    return {(i, j): numerators(p.coefficient((i, j, m)) for m in range(p.degree_in("c") + 1))
-            for i, j, _ in p.terms}
+    """parse_poly(text) as {(i, j): ((a_0, ..., a_k), den)}, its coefficient
+    of u^i v^j being sum a_m c^m / den, a_k nonzero; the Poly is not kept."""
+    by_uv = {}
+    for (i, j, m), x in parse_poly(text).terms.items():
+        by_uv.setdefault((i, j), {})[m] = x
+    return {ij: numerators(xs.get(m, 0) for m in range(max(xs) + 1)) for ij, xs in by_uv.items()}
 
 
-def at_c(text: str, c: Fraction) -> Poly:
-    """fixture_poly(text).subs(c=c): one integer Horner pass and one Fraction
-    for each monomial in u and v."""
-    return Poly({(i, j, 0): Fraction(horner(nums, c), den * c.denominator ** (len(nums) - 1))
-                 for (i, j), (nums, den) in _c_fold(text).items()})
+@dataclass(frozen=True)
+class CForm:
+    """A closed form in c, read once (`closed_form`): branches (c_min, c_max,
+    num, den), None an open end, num and den integer polynomials in c."""
+
+    path: Path
+    branches: tuple
+
+    def __call__(self, c: Fraction) -> Fraction:
+        """The first branch with c_min < c <= c_max, at c."""
+        for lo, hi, (num, a), (den, b) in self.branches:
+            if (lo is None or c > lo) and (hi is None or c <= hi):
+                d = c.denominator
+                return Fraction(horner(num, c) * b * d ** (len(den) - 1), a * d ** (len(num) - 1) * horner(den, c))
+        raise FixtureError(f"{self.path}: 'c_min'/'c_max': no branch covers c={c}")
 
 
-def _c_value(record: _Record, key: str, c: Fraction) -> tuple[int, int]:
-    """The closed form in c alone at record[key] at c, as (numerator,
-    positive denominator)."""
-    text = record[key]
-    fixture_poly(text, record, key)  # text that does not parse, named with its file and key
-    if _c_fold(text).keys() - {(0, 0)}:
-        raise FixtureError(f"{record.path}: {key!r}: {text!r} is not a closed form in c")
-    nums, den = _c_fold(text).get((0, 0), ((0,), 1))
-    return horner(nums, c), den * c.denominator ** (len(nums) - 1)
+def closed_form(record: _Record, key: str) -> CForm:
+    """The closed form in c at record[key]: an "expr" string, a {"num": ...,
+    "den": ...} pair or a branched list [{"c_max": "1/2", ...}, {"c_min":
+    "1/2", ...}] of pairs.  Text that does not parse or holds u or v, and a
+    branch end that is no rational, is a FixtureError naming file and key."""
+    if not isinstance(record[key], list):
+        return CForm(record.path, ((None, None, *_ratio(record, key, record[key])),))
+    return CForm(record.path, tuple(
+        (*(fixture_constants(branch, end, [branch[end]])[0] if end in branch else None for end in ("c_min", "c_max")),
+         *_ratio(branch, key, branch)) for branch in array(record, key)))
 
 
-def rf_eval(record: _Record, key: str, c: Fraction) -> Fraction:
-    """The fixture closed form at record[key] at an exact c.
+def _ratio(record: _Record, key: str, spec) -> tuple:
+    """(num, den) of a closed form read from record[key], a text or a {"num":
+    ..., "den": ...} pair: integer coefficients in c, each over a den."""
+    pairs = [(spec, "num", spec["num"]), (spec, "den", spec.get("den", "1"))] if isinstance(spec, _Record) else [
+        (record, key, spec), (record, key, "1")]
+    return tuple(fixture_c_rows(r, k, [text], "a closed form in c", AFFINE[:1], True)[0][0] for r, k, text in pairs)
 
-    Accepts "expr" strings, {"num": ..., "den": ...} pairs, and branched
-    lists [{"c_max": "1/2", ...}, {"c_min": "1/2", ...}] of pairs; text that
-    does not parse, or holds u or v, is a FixtureError naming the file and
-    the key.
-    """
-    spec = record[key]
-    if isinstance(spec, list):
-        spec = next((branch for branch in spec if ("c_min" not in branch or c > q(branch["c_min"]))
-                     and ("c_max" not in branch or c <= q(branch["c_max"]))), None)
-        if spec is None:
-            raise FixtureError(f"{record.path}: 'c_min'/'c_max': no branch covers c={c}")
-    if not isinstance(spec, dict):
-        return Fraction(*_c_value(record, key, c))
-    num, num_den = _c_value(spec, "num", c)
-    den, den_den = _c_value(spec, "den", c) if "den" in spec else (1, 1)
-    return Fraction(num * den_den, num_den * den)
+
+def basis_curve(spec: _Record) -> tuple[SurfaceModel, tuple[Fraction, ...]]:
+    """The model spec["model"] and the class of its basis curve spec["curve"]."""
+    model = load_model(spec["model"])
+    curve = curve_index(spec, "curve", spec["curve"], model.n)
+    return model, tuple(Fraction(int(i == curve)) for i in range(model.n))
+
+
+def fixture_mults(point: _Record, n: int) -> tuple[tuple[int, Fraction], ...]:
+    """A marked point's multiplicities {curve index: value}, by key, on a model of n curves."""
+    mults = sorted(point["mults"].items())
+    return tuple(zip((curve_index(point, "mults", k, n) for k, _ in mults),
+                     fixture_constants(point, "mults", [v for _, v in mults])))
+
+
+class Spec218:
+    """A 2.18 case as read once per fixture root: its model and curve class,
+    its base forms, volumes and derived walls as integer polynomials in c
+    (`fixture_c_rows`), and each closed form in c compiled (`CForm`)."""
+
+    def __init__(self, spec: _Record, l_cubed: CForm):
+        self.model, self.curve_class = basis_curve(spec)
+        n, amb = self.model.n, spec["ambient"]
+        self.l_cubed, self.u_hi = l_cubed, closed_form(spec, "u_hi")
+        self.base = fixture_c_rows(spec, "base", sized(spec, "base", spec["base"], n), "affine in u", AFFINE[:2], True)
+        # (name, a, mults, expected_s) per marked point
+        self.points = tuple((p["name"], closed_form(p, "a"), fixture_mults(p, n), closed_form(p, "expected_s"))
+                            for p in array(spec, "points"))
+        self.ambient_label, self.ambient_a, self.ambient_expected = (
+            amb["label"], closed_form(amb, "a"), closed_form(amb, "expected"))
+        self.volume = tuple((closed_form(p, "lo"), closed_form(p, "hi"),
+                             fixture_c_rows(p, "poly", [p["poly"]], "a polynomial in u alone", in_c=True))
+                            for p in array(amb, "volume"))
+        self.curve_a, self.expected_s_curve = closed_form(spec, "curve_a"), closed_form(spec, "expected_s_curve")
+        self.conclusion = spec["conclusion"]
+        # (where, printed, derived, printed == derived, the derived wall) per printed range
+        self.ranges = tuple((r["where"], r["printed"], r["derived"],
+                             fixture_poly(r["printed"], r, "printed") == fixture_poly(r["derived"], r, "derived"),
+                             fixture_c_rows(r, "derived", [r["derived"]], "affine in u", AFFINE[:2], True))
+                            for r in spec.get("printed_ranges", ()))
+
+
+def _cases_218(data) -> dict[str, Spec218]:
+    l_cubed = closed_form(data, "l_cubed")
+    return {name: Spec218(spec, l_cubed) for name, spec in data["cases"].items()}
+
+
+def load_218() -> dict[str, Spec218]:
+    """The cases of family 2.18, built once per fixture root."""
+    return fixture(fixtures_dir(), "scenarios/family-218.json", _cases_218)
 
 
 def c_domain() -> tuple[Fraction, Fraction]:
     """The open interval of boundary weights c on which family 2.18 is stated."""
-    lo, hi = load_scenario_data("218")["c_domain"]
-    return q(lo), q(hi)
+    return fixture_ends(load_scenario_data("218"), "c_domain")
 
 
 def default_c_samples() -> list[Fraction]:
-    return [q(s) for s in load_scenario_data("218")["default_c_samples"]]
+    data = load_scenario_data("218")
+    return list(fixture_constants(data, "default_c_samples", data["default_c_samples"]))

@@ -26,16 +26,21 @@ from . import (
     FixtureError,
     Table,
     UsageError,
+    array,
+    basis_curve,
     curve_index,
     curve_indices,
     default_c_samples,
     fixture,
+    fixture_constants,
     fixture_divisor,
     fixture_ends,
     fixture_forms,
+    fixture_mults,
     fixture_poly,
     fixture_volume,
     fixtures_dir,
+    load_218,
     load_fan,
     load_model,
     load_scenario_data,
@@ -43,7 +48,7 @@ from . import (
     lookup,
     ray_indices,
     ray_texts,
-    rf_eval,
+    rows_at,
     sized,
 )
 
@@ -211,7 +216,8 @@ class ToricFamily:
         if curve in self._scenarios:
             return self._scenarios[curve]
         case = _named(self.data["curve_cases"], curve, "curve")
-        cvec = tuple(q(x) for x in sized(case, "class", case["class"], self.surface.n))
+        n = self.surface.n
+        cvec = fixture_constants(case, "class", sized(case, "class", case["class"], n))
         index = _basis_index(cvec)
         pieces = []
         for lo, hi, (ptilde, pden), (ntilde, nden) in self.surface_pieces:
@@ -227,8 +233,8 @@ class ToricFamily:
             model=self.surface,
             curve_class=cvec,
             pieces=tuple(pieces),
-            sigma=tuple(q(x) for x in case["sigma"]),
-            points=_marked_points(case["points"], self.surface.n),
+            sigma=fixture_constants(case, "sigma", sized(case, "sigma", case["sigma"], n)),
+            points=_marked_points(array(case, "points"), n),
         )
         self._scenarios[curve] = scenario
         return scenario
@@ -452,6 +458,16 @@ class ToricFamily:
                 self._emit(f"{table.id} t({curve}) on [{lo},{hi}]",
                            covered and all(piece.wall == want.wall for piece in met), True,
                            shown=("; ".join(got), str(want.t)))
+        # Each curve case's cells must cover its scans' u-range, without gap
+        # or overlap; a cell past the range is uncovered above.
+        for curve in self.data["curve_cases"]:
+            scans = flagdelta.scenario_scans(self.flag_scenario(curve))
+            lo, hi = scans[0].u_lo, scans[-1].u_hi
+            cells = sorted(table.cells.get(curve, ()), key=lambda cell: (cell.u_lo, cell.u_hi))
+            if not cells or cells[0].u_lo > lo or cells[-1].u_hi < hi or any(
+                    a.u_hi != b.u_lo for a, b in zip(cells, cells[1:])):
+                self._emit(f"{table.id} t({curve}) coverage", False, True, shown=(
+                    " ".join(f"[{cell.u_lo},{cell.u_hi}]" for cell in cells) or "no cells", f"[{lo},{hi}]"))
 
     def _check_chamber_tables(self):
         for curve, case in self.data["curve_cases"].items():
@@ -522,10 +538,14 @@ def surface_beta(name: str) -> Fraction:
 
 
 def surface_flag(name: str) -> FlagScenario:
+    """The flag scenario of a basis curve of a model, flag `name`."""
     data = load_scenario_data(SURFACES)
     spec = _named(data["flags"], name, "flag")
-    pieces = tuple(BasePiece(*fixture_ends(p, "u"), *fixture_forms(p, "base", p["base"])) for p in spec["pieces"])
-    return _basis_curve_flag(spec, q(data["l_cubed"]), pieces)
+    model, curve_class = basis_curve(spec)
+    pieces = tuple(BasePiece(*fixture_ends(p, "u"), *fixture_forms(p, "base", sized(p, "base", p["base"], model.n)))
+                   for p in spec["pieces"])
+    return FlagScenario(l_cubed=q(data["l_cubed"]), model=model, curve_class=curve_class, pieces=pieces,
+                        points=_marked_points(array(spec, "points"), model.n))
 
 
 def surface_s_curve(name: str) -> SInvariantResult:
@@ -566,29 +586,9 @@ def run_34_surfaces() -> list[CheckResult]:
     return checks
 
 
-def _basis_curve_flag(spec, l_cubed, pieces, c: Fraction | None = None) -> FlagScenario:
-    """Flag scenario whose curve is the basis curve spec["curve"] of
-    spec["model"], the log discrepancies of its marked points read at c
-    where given."""
-    model = load_model(spec["model"])
-    curve = curve_index(spec, "curve", spec["curve"], model.n)
-    for piece in pieces:
-        sized(spec, "base", piece.coeffs, model.n)
-    return FlagScenario(
-        l_cubed=l_cubed, model=model,
-        curve_class=tuple(Fraction(int(i == curve)) for i in range(model.n)),
-        pieces=pieces, points=_marked_points(spec["points"], model.n, c),
-    )
-
-
-def _marked_points(specs, n: int, c: Fraction | None = None) -> tuple[MarkedPoint, ...]:
-    """Marked points of a fixture on a model of n curves, each log
-    discrepancy read at c where given."""
-    return tuple(
-        MarkedPoint(p["name"], q(p["a"]) if c is None else rf_eval(p, "a", c),
-                    tuple((curve_index(p, "mults", k, n), q(v)) for k, v in sorted(p["mults"].items())))
-        for p in specs
-    )
+def _marked_points(specs, n: int) -> tuple[MarkedPoint, ...]:
+    """Marked points of a fixture on a model of n curves."""
+    return tuple(MarkedPoint(p["name"], *fixture_constants(p, "a", [p["a"]]), fixture_mults(p, n)) for p in specs)
 
 
 def _cell_identity(table: Table, region, field: str, column: str) -> tuple:
@@ -620,26 +620,26 @@ def _point(scenario: FlagScenario, name: str) -> MarkedPoint:
 
 
 class Case218:
-    """One 2.18 configuration at an exact boundary weight c.
-
-    Each value is derived on first use and kept, so the verify run and
-    `compute` read one derivation.
-    """
+    """One 2.18 configuration at an exact boundary weight c, its `Spec218`
+    folded at c.  Each value is derived on first use and kept, so the verify
+    run and `compute` read one derivation."""
 
     def __init__(self, name: str, c: Fraction):
-        data = load_scenario_data("218")
-        spec = _named(data["cases"], name, "2.18 case")
+        spec = _named(load_218(), name, "2.18 case")
         self.name, self.c, self.spec = name, c, spec
-        base = BasePiece(Fraction(0), rf_eval(spec, "u_hi", c), *fixture_forms(spec, "base", spec["base"], c))
-        self.scenario = _basis_curve_flag(spec, rf_eval(data, "l_cubed", c), (base,), c)
+        base = BasePiece(Fraction(0), spec.u_hi(c), *rows_at(spec.base, c))
+        self.scenario = FlagScenario(
+            l_cubed=spec.l_cubed(c), model=spec.model, curve_class=spec.curve_class, pieces=(base,),
+            points=tuple(MarkedPoint(point, a(c), mults) for point, a, mults, _ in spec.points))
         self._s_points: dict[str, SInvariantResult] = {}
 
     @cached_property
     def s_ambient(self) -> Fraction:
         """S of the ambient divisor from its stored volume pieces."""
-        c = self.c
-        pieces = [(rf_eval(p, "lo", c), rf_eval(p, "hi", c), *fixture_volume(p, "poly", c))
-                  for p in self.spec["ambient"]["volume"]]
+        c, pieces = self.c, []
+        for lo, hi, volume in self.spec.volume:
+            (coeffs,), den = rows_at(volume, c)
+            pieces.append((lo(c), hi(c), coeffs, den))
         return flagdelta.s_from_volume(self.scenario.l_cubed, pieces)
 
     @cached_property
@@ -654,26 +654,22 @@ class Case218:
     @cached_property
     def delta(self) -> Fraction:
         """min A/S over the ambient divisor, the curve and each marked point."""
-        levels = [(rf_eval(self.spec["ambient"], "a", self.c), self.s_ambient),
-                  (rf_eval(self.spec, "curve_a", self.c), self.s_curve.value)]
+        levels = [(self.spec.ambient_a(self.c), self.s_ambient), (self.spec.curve_a(self.c), self.s_curve.value)]
         levels += [(pt.a_value, self.s_point(pt.name).value) for pt in self.scenario.points]
         return flagdelta.delta_lower_bound(levels)
 
 
 def run_218(c_values: Sequence[Fraction] | None = None) -> list[CheckResult]:
-    data = load_scenario_data("218")
     sid = "218"
     checks: list[CheckResult] = []
     if c_values is None:
         c_values = default_c_samples()
-    for case, spec in data["cases"].items():
-        for entry in spec.get("printed_ranges", ()):
-            printed, derived = entry["printed"], entry["derived"]
+    for case, spec in load_218().items():
+        for where, printed, derived, same, _ in spec.ranges:
             checks.append(_compare(
-                sid, f"{case} range: {entry['where']}", fixture_poly(printed), fixture_poly(derived),
-                identity=("printed-range", sid, case, entry["where"]), shown=(printed, derived),
-                flag_label=f"{case} printed range: {entry['where']}",
-                flag_shown=(f"derived {derived}", f"printed {printed}")))
+                sid, f"{case} range: {where}", same, True,
+                identity=("printed-range", sid, case, where), shown=(printed, derived),
+                flag_label=f"{case} printed range: {where}", flag_shown=(f"derived {derived}", f"printed {printed}")))
         for c in map(q, c_values):
             _entry(checks, sid, f"{case}@c={c}", lambda: _run_218_case(sid, Case218(case, c)))
     return checks
@@ -682,26 +678,21 @@ def run_218(c_values: Sequence[Fraction] | None = None) -> list[CheckResult]:
 def _run_218_case(sid, case: Case218) -> list[CheckResult]:
     spec, c = case.spec, case.c
     tag = f"{case.name}@c={c}"
-    amb = spec["ambient"]
     checks = [
-        _compare(sid, f"{tag}: {amb['label']}", case.s_ambient, rf_eval(amb, "expected", c)),
-        _compare(sid, f"{tag}: S_curve", case.s_curve.value, rf_eval(spec, "expected_s_curve", c)),
+        _compare(sid, f"{tag}: {spec.ambient_label}", case.s_ambient, spec.ambient_expected(c)),
+        _compare(sid, f"{tag}: S_curve", case.s_curve.value, spec.expected_s_curve(c)),
+        *(_compare(sid, f"{tag}: S({point})", case.s_point(point).value, expected(c))
+          for point, _, _, expected in spec.points),
     ]
-    for point in spec["points"]:
-        checks.append(_compare(sid, f"{tag}: S({point['name']})",
-                               case.s_point(point["name"]).value,
-                               rf_eval(point, "expected_s", c)))
     bound = case.delta
-    conclusion = bound > 1 if spec["conclusion"] == ">1" else bound >= 1
-    checks.append(_compare(sid, f"{tag}: delta bound {spec['conclusion']} (= {bound})",
-                           conclusion, True))
+    conclusion = bound > 1 if spec.conclusion == ">1" else bound >= 1
+    checks.append(_compare(sid, f"{tag}: delta bound {spec.conclusion} (= {bound})", conclusion, True))
     # Every derived pseudoeffective range must be the scan's threshold; the
     # printed ranges were compared with the derived ones above.
-    ranges = spec.get("printed_ranges", ())
-    if ranges:
+    if spec.ranges:
         pieces = flagdelta.scenario_scans(case.scenario)[0].threshold
-        derived = [fixture_forms(entry, "derived", [entry["derived"]], c) for entry in ranges]
-        ok = all(piece.wall == (a, b, den) for ((a, b),), den in derived for piece in pieces)
+        walls = [rows_at(wall, c) for *_, wall in spec.ranges]
+        ok = all(piece.wall == (a, b, den) for ((a, b),), den in walls for piece in pieces)
         checks.append(_compare(sid, f"{tag}: derived range is the threshold", ok, True))
     return checks
 

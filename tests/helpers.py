@@ -10,7 +10,8 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from fano_delta import linalg, lp
-from fano_delta.exactmath import AFFINE, VARS, Chamber, Poly, Scalar, affine_poly, integer_rows, numerators, q
+from fano_delta.exactmath import (AFFINE, VARS, Chamber, Exponent, Poly, Scalar, affine_poly, numerators,
+                                  parse_poly, q)
 from fano_delta.flagdelta import FlagScenario, MarkedPoint
 from fano_delta.scenarios import builders, c_domain
 from fano_delta.surfzar import (
@@ -106,6 +107,31 @@ def random_pseudoeffective(model: SurfaceModel, rng) -> SurfDivisor:
     return SurfDivisor(model, coeffs)
 
 
+def coefficient(p: Poly, exp: Exponent) -> Fraction:
+    """The coefficient of p at the exponent triple exp."""
+    return p.terms.get(tuple(exp), Fraction(0))
+
+
+def degree_in(p: Poly, name: str) -> int:
+    """The degree of p in the variable ``name``."""
+    i = VARS.index(name)
+    return max((e[i] for e in p.terms), default=0)
+
+
+def integer_rows(polys: Iterable[Poly], exponents: Sequence[Exponent],
+                 shape: str) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Each Poly's coefficients at ``exponents`` as one integer row, all over
+    their least common denominator (positive); ValueError naming the first
+    Poly with a term at any other exponent as not ``shape``.  The Poly
+    oracle of the fixture readers' integer rows (`scenarios.rows_at`)."""
+    polys, allowed = tuple(polys), set(exponents)
+    if (bad := next((p for p in polys if p.terms.keys() - allowed), None)) is not None:
+        raise ValueError(f"{bad} is not {shape}")
+    flat, den = numerators(coefficient(p, e) for p in polys for e in exponents)
+    k = len(exponents)
+    return tuple(flat[i:i + k] for i in range(0, len(flat), k)), den
+
+
 def forms_of(coeffs: Sequence[Poly | Scalar]) -> tuple[tuple[tuple[int, int], ...], int]:
     """Polys or scalars affine in u as integer forms (a, b) over one den."""
     return integer_rows(map(Poly.coerce, coeffs), AFFINE[:2], "affine in u")
@@ -168,10 +194,10 @@ def moment_integral(p: Poly, ch: Chamber) -> Fraction:
     """iint p over ch for p of degree <= 2 in u and v, by `Chamber.moments`
     alone, as the flag layers integrate: p = f + u*g + v*h with affine forms
     f, g, h, and iint p the moment of f against 1, g against u, h against v."""
-    if p.total_degree() > 2 or p.degree_in("c"):
+    if p.total_degree() > 2 or degree_in(p, "c"):
         raise ValueError(f"not of degree <= 2 in u, v: {p}")
     exps = ((0, 0), (1, 0), (0, 1), None, (2, 0), (1, 1), None, None, (0, 2))
-    flat, den = numerators(p.coefficient((*e, 0)) if e else Fraction(0) for e in exps)
+    flat, den = numerators(coefficient(p, (*e, 0)) if e else Fraction(0) for e in exps)
     total = delta = 0
     for i in range(3):
         moments, delta = ch.moments(flat[3 * i:3 * i + 3])
@@ -232,7 +258,7 @@ def antiderivative(p: Poly, name: str) -> Poly:
 def u_coefficients(p: Poly) -> tuple[tuple[int, ...], int]:
     """A Poly in u alone as its integer coefficients by rising degree over
     one positive den, as `flagdelta.s_from_volume` reads a volume."""
-    (coeffs,), den = integer_rows([p], [(i, 0, 0) for i in range(p.degree_in("u") + 1)], "in u alone")
+    (coeffs,), den = integer_rows([p], [(i, 0, 0) for i in range(degree_in(p, "u") + 1)], "in u alone")
     return coeffs, den
 
 
@@ -245,6 +271,19 @@ def reference_integrate_univariate(p: Poly, lo, hi) -> Fraction:
 def marked_point(scenario: FlagScenario, name: str) -> MarkedPoint:
     """The marked point of a flag scenario by its name."""
     return next(p for p in scenario.points if p.name == name)
+
+
+def reference_closed_form(record, key: str, c: Fraction) -> Fraction:
+    """The fixture closed form in c at record[key], at c, read by Polys: an
+    "expr" string, a {"num": ..., "den": ...} pair, or the first branch of a
+    list with c_min < c <= c_max.  The oracle of `scenarios.CForm`."""
+    spec = record[key]
+    if isinstance(spec, list):
+        spec = next(branch for branch in spec if ("c_min" not in branch or c > q(branch["c_min"]))
+                    and ("c_max" not in branch or c <= q(branch["c_max"])))
+    if not isinstance(spec, dict):
+        return parse_poly(spec)(c=c)
+    return parse_poly(spec["num"])(c=c) / (parse_poly(spec["den"])(c=c) if "den" in spec else 1)
 
 
 def build_218(case: str, c: Fraction):
@@ -625,8 +664,8 @@ def _reference_columns(model, family, piece: ThresholdPiece, u0: Fraction) -> li
     lower = Poly()
     for _ in range(60):
         def sign_above(value: Poly) -> int:
-            b = value.coefficient((0, 1, 0))
-            return _sign(value.coefficient((0, 0, 0)) + b * v_cur) or _sign(b)
+            b = coefficient(value, (0, 1, 0))
+            return _sign(coefficient(value, (0, 0, 0)) + b * v_cur) or _sign(b)
 
         support, _ = _expand_support(model, fam_u0, sign_above, lambda x, k: dot_curve(model, x, k))
         support = tuple(support)
@@ -635,13 +674,13 @@ def _reference_columns(model, family, piece: ThresholdPiece, u0: Fraction) -> li
         for fn in [n_sym[j] for j in support] + [
                 dot_curve(model, p_sym, k) for k in range(model.n) if k not in support]:
             at_u0 = fn.subs(u=u0)
-            a, b = at_u0.coefficient((0, 0, 0)), at_u0.coefficient((0, 1, 0))
+            a, b = coefficient(at_u0, (0, 0, 0)), coefficient(at_u0, (0, 1, 0))
             if b < 0 and v_cur < -a / b < v_next:
                 v_next, boundary = -a / b, fn
         columns.append((support, lower, n_sym, p_sym))
         if boundary is None or v_next >= t_at:
             return columns
-        gamma_v = boundary.coefficient((0, 1, 0))
+        gamma_v = coefficient(boundary, (0, 1, 0))
         lower = -(boundary - Poly.var("v") * gamma_v) / gamma_v
         v_cur = v_next
     raise RuntimeError("v-scan failed to terminate")
@@ -734,7 +773,7 @@ def reference_threshold_pieces(model: SurfaceModel, base, curve, u_lo, u_hi) -> 
     for h in effective_cone_facets(model):
         hc = sum(h[i] * cvec[i] for i in range(model.n))
         hb = sum((b * hi for hi, b in zip(h, base) if hi), Poly())
-        if hb.total_degree() > 1 or hb.degree_in("v") or hb.degree_in("c"):
+        if hb.total_degree() > 1 or degree_in(hb, "v") or degree_in(hb, "c"):
             raise ValueError("base family must be affine in u")
         if hc > 0:
             lines.append(hb / hc)
@@ -756,7 +795,7 @@ def reference_threshold_pieces(model: SurfaceModel, base, curve, u_lo, u_hi) -> 
 
 def _reference_lower_envelope(lines: Sequence[Poly], u_lo: Fraction, u_hi: Fraction) -> list[ReferencePiece]:
     def slope(line: Poly) -> Fraction:
-        return line.coefficient((1, 0, 0))
+        return coefficient(line, (1, 0, 0))
 
     pieces: list[ReferencePiece] = []
     cur = u_lo
@@ -824,7 +863,7 @@ def reference_check_row(scan: ChamberedDecomposition, row: TableRow) -> list[Row
 
 def _affine_root(fn: Poly, lo: Fraction, hi: Fraction) -> Fraction | None:
     """The root of the affine-in-u fn strictly between lo and hi, if any."""
-    a, b = fn.coefficient((0, 0, 0)), fn.coefficient((1, 0, 0))
+    a, b = coefficient(fn, (0, 0, 0)), coefficient(fn, (1, 0, 0))
     if b != 0 and lo < -a / b < hi:
         return -a / b
     return None
@@ -1013,7 +1052,7 @@ def reference_nonneg_on_interval(p: Poly, lo: Fraction, hi: Fraction) -> bool:
     Fraction evaluation of the chain.  The oracle of the integer-sign test in
     flagdelta where neither end is a root; with a root at an end it can
     answer wrongly or bisect until its guard raises."""
-    coeffs = [p.coefficient((i, 0, 0)) for i in range(p.degree_in("u") + 1)]
+    coeffs = [coefficient(p, (i, 0, 0)) for i in range(degree_in(p, "u") + 1)]
     if len(coeffs) == 1:
         return coeffs[0] >= 0
     if _eval_dense(coeffs, lo) < 0 or _eval_dense(coeffs, hi) < 0:

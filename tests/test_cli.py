@@ -372,11 +372,12 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
      "family-34-surfaces.json: 'poly': total degree or exponent above 9 in 'u^200000'"),
     ("scenarios/family-34-surfaces.json", _set("flags", "E-l", "pieces", 0, "base", 0, "u^2"), "34-surfaces",
      "family-34-surfaces.json: 'base': u^2 is not affine in u"),
-    # A volume is read as a polynomial in u alone, here and at each c.
+    # A volume is read as a polynomial in u alone, here and, for 2.18, in (u, c).
     ("scenarios/family-34-surfaces.json", _set("volumes", "F", "pieces", 0, "poly", "v+9-9*u"), "34-surfaces",
      "family-34-surfaces.json: 'poly': -9*u + v + 9 is not a polynomial in u alone"),
     ("scenarios/family-218.json", _set("cases", "easy", "ambient", "volume", 0, "poly", "v+3*(3-2*c)^2*(2-2*c-u)"),
-     "218", "family-218.json: 'poly': -588/25*u + v + 5292/125 is not a polynomial in u alone"),
+     "218", "family-218.json: 'poly': -12*u*c^2 - 24*c^3 + 36*u*c + 96*c^2 - 27*u + v - 126*c + 54 is not a polynomial "
+     "in u alone"),
     # A divisor read as constant has no u-term.
     ("scenarios/family-34-d4.json", _set("l_on_y", 0, "u+1"), "34-d4",
      "family-34-d4.json: 'l_on_y': u + 1 is not constant"),
@@ -412,6 +413,14 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
     # A closed form in c names its file and key.
     ("scenarios/family-218.json", _set("cases", "easy", "curve_a", "1^^2"), "218",
      "family-218.json: 'curve_a': bad character or exponent in '1^^2'"),
+    # Rationals of the scenario files are read as constants, once: a marked
+    # point's log discrepancy, a sigma entry and a branch end in c.
+    ("scenarios/family-34-d4.json", _set("curve_cases", "alpha1", "points", 0, "a", None), "34-d4",
+     "family-34-d4.json: 'a': expression None is not a string"),
+    ("scenarios/family-34-d4.json", _set("curve_cases", "alpha1", "sigma", 1, None), "34-d4",
+     "family-34-d4.json: 'sigma': expression None is not a string"),
+    ("scenarios/family-218.json", _set("cases", "heart", "points", 2, "expected_s", 0, "c_max", None), "218",
+     "family-218.json: 'c_max': expression None is not a string"),
 ], ids=["contracted", "class", "mults", "mults-text", "flag-curve", "generates-pseff", "contracted-repeated",
         "gram-rows", "gram-asymmetric", "certificate-ray", "forcing-ray", "pullback-ray", "table-columns",
         "curve-value-ray", "curve-value-pair", "forcing-pair-ray", "forcing-pair", "branch-gap",
@@ -425,7 +434,8 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
         "relation-not-constant", "table-cell-unparsed", "chamber-row-v-unparsed", "chamber-row-cell-unparsed",
         "threshold-cell-unparsed", "chamber-row-v-quadratic", "chamber-row-cell-not-affine", "chamber-row-u-null",
         "table-cells-null", "table-cell-number", "threshold-cell-null", "chamber-row-v-swapped",
-        "zd3-column-ray", "chamber-table-column", "closed-form-unparsed"])
+        "zd3-column-ray", "chamber-table-column", "closed-form-unparsed", "point-a-null",
+        "sigma-null", "branch-end-null"])
 def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit, family,
                                                         named):
     dst = _fixture_copy(tmp_path / "fixtures", relative, edit)
@@ -610,10 +620,23 @@ def _widened_threshold(data):
     return data
 
 
+def _dropped_threshold_cell(data):
+    del data["cells"]["alpha1"][2]  # [2,4]: a gap in [0,7]
+    return data
+
+
+def _no_threshold_cells(data):
+    data["cells"]["alpha1"] = []
+    return data
+
+
 @pytest.mark.parametrize("edit, label, computed", [
     (_tamper_threshold, "table-03 t(alpha1) on [0,1]", "u"),
     (_uncovered_threshold, "table-03 t(alpha1) on [7,8]", "uncovered"),
     (_widened_threshold, "table-03 t(alpha1) on [6,9]", "-u + 7; uncovered"),
+    # The cells of a curve case must cover its u-range [0, 7].
+    (_dropped_threshold_cell, "table-03 t(alpha1) coverage", "[0,1] [1,2] [4,5] [5,6] [6,7]"),
+    (_no_threshold_cells, "table-03 t(alpha1) coverage", "no cells"),
 ])
 def test_threshold_cell_failures(tmp_path, capsys, monkeypatch, edit, label, computed):
     dst = _fixture_copy(tmp_path / "fixtures", "tables/table-03.json", edit)

@@ -10,23 +10,26 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fano_delta.exactmath import Poly, parse_poly, q
+from fano_delta.exactmath import AFFINE, Poly, parse_poly, q
 from fano_delta.scenarios import (
     FixtureError,
     UsageError,
     _Record,
-    at_c,
     builders,
+    closed_form,
     default_c_samples,
     fixture,
+    fixture_c_rows,
     fixtures_dir,
     fixture_poly,
+    load_218,
     load_table,
-    rf_eval,
+    rows_at,
 )
 
-from helpers import (build_218, marked_point, p_coeffs, pair, reference_integrate_chamber,
-                     reference_integrate_univariate, row_cells)
+import helpers
+from helpers import (build_218, degree_in, integer_rows, marked_point, p_coeffs, pair, reference_closed_form,
+                     reference_integrate_chamber, reference_integrate_univariate, row_cells)
 
 
 def test_fixture_files_round_trip():
@@ -443,13 +446,15 @@ c_values = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
 @settings(max_examples=200, deadline=None)
 @given(uvc_polys, uvc_polys, c_values)
 def test_c_fold_equals_substitution(p, d, c):
-    # 200 examples: the integer fold of a text in c is its Poly with c
+    # 200 examples: the integer fold of a text in c, at c, is its Poly with c
     # substituted, and a closed form in c alone evaluates as the Poly does.
-    assert at_c(str(p), c) == fixture_poly(str(p)).subs(c=c)
+    exponents = sorted({(i, j, 0) for i, j, _ in p.terms}) or AFFINE[:1]
+    folded = fixture_c_rows(closed_forms(), "x", [str(p)], "any", exponents, in_c=True)
+    assert rows_at(folded, c) == integer_rows([fixture_poly(str(p)).subs(c=c)], exponents, "any")
     num, den = p.subs(u=0, v=0), d.subs(u=0, v=0)
-    assert rf_eval(closed_forms(x=str(num)), "x", c) == num(c=c)
+    assert closed_form(closed_forms(x=str(num)), "x")(c) == num(c=c)
     if den(c=c) != 0:
-        assert rf_eval(closed_forms(x=closed_forms(num=str(num), den=str(den))), "x", c) == num(c=c) / den(c=c)
+        assert closed_form(closed_forms(x=closed_forms(num=str(num), den=str(den))), "x")(c) == num(c=c) / den(c=c)
 
 
 def closed_forms(**pairs) -> _Record:
@@ -458,9 +463,69 @@ def closed_forms(**pairs) -> _Record:
 
 
 def test_closed_forms_in_c_must_not_hold_u_or_v():
-    with pytest.raises(FixtureError, match="closed-forms.json: 'den': '2-u' is not a closed form in c"):
-        rf_eval(closed_forms(x=closed_forms(num="1", den="2-u")), "x", F(1, 2))
+    with pytest.raises(FixtureError, match="closed-forms.json: 'den': -u \\+ 2 is not a closed form in c"):
+        closed_form(closed_forms(x=closed_forms(num="1", den="2-u")), "x")
     with pytest.raises(FixtureError, match="closed-forms.json: 'x': bad character or exponent in '1\\^\\^2'"):
-        rf_eval(closed_forms(x="1^^2"), "x", F(1, 2))
-    with pytest.raises(FixtureError, match="u\\^\\^2"):
-        at_c("u^^2", F(1, 2))
+        closed_form(closed_forms(x="1^^2"), "x")
+    with pytest.raises(FixtureError, match="closed-forms.json: 'x': bad character or exponent in 'u\\^\\^2'"):
+        fixture_c_rows(closed_forms(), "x", ["u^^2"], "any", in_c=True)
+
+
+def _in_unit_interval(max_den: int):
+    return st.integers(2, max_den).flatmap(lambda den: st.integers(1, den - 1).map(lambda num: F(num, den)))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.one_of(st.just(F(1, 2)), _in_unit_interval(12), _in_unit_interval(10**6)))
+def test_built_218_cases_equal_the_poly_reading_at_c(c):
+    # 60 examples: each 2.18 case, built once, folds c in as the Poly reading
+    # of its fixture text substituted at c does: base forms, volumes, walls
+    # and every closed form with its branch.
+    data = fixture(fixtures_dir(), "scenarios/family-218.json")
+    for name, spec in load_218().items():
+        raw = data["cases"][name]
+        assert rows_at(spec.base, c) == integer_rows([fixture_poly(t).subs(c=c) for t in raw["base"]],
+                                                     AFFINE[:2], "affine in u")
+        closed = [(spec.l_cubed, data, "l_cubed"), (spec.u_hi, raw, "u_hi"), (spec.curve_a, raw, "curve_a"),
+                  (spec.expected_s_curve, raw, "expected_s_curve"), (spec.ambient_a, raw["ambient"], "a"),
+                  (spec.ambient_expected, raw["ambient"], "expected")]
+        for (point, a, _, expected), record in zip(spec.points, raw["points"], strict=True):
+            assert point == record["name"]
+            closed += [(a, record, "a"), (expected, record, "expected_s")]
+        for (lo, hi, volume), record in zip(spec.volume, raw["ambient"]["volume"], strict=True):
+            poly = fixture_poly(record["poly"])
+            assert rows_at(volume, c) == integer_rows(
+                [poly.subs(c=c)], [(i, 0, 0) for i in range(degree_in(poly, "u") + 1)], "in u alone")
+            closed += [(lo, record, "lo"), (hi, record, "hi")]
+        for form, record, key in closed:
+            assert form(c) == reference_closed_form(record, key, c)
+        for (*_, wall), record in zip(spec.ranges, raw.get("printed_ranges", ()), strict=True):
+            assert rows_at(wall, c) == integer_rows([fixture_poly(record["derived"]).subs(c=c)], AFFINE[:2], "affine")
+
+
+def test_a_new_c_parses_no_text_and_builds_no_poly(monkeypatch):
+    # Once 2.18 is built, a new c costs integer passes only: its checks are
+    # the same with every text parser and Poly constructor refusing to run.
+    from fano_delta import cli, exactmath, flagdelta, scenarios
+
+    assert cli.build_report("218", None).exit_code == 0
+    c = F(123457, 1000003)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Poly or a text read at a new c")
+
+    # Emptied, so that a text read again would be parsed again.
+    scenarios._parsed.cache_clear()
+    scenarios._c_fold.cache_clear()
+    with monkeypatch.context() as patch:
+        for module in (exactmath, scenarios):
+            patch.setattr(module, "parse_poly", refuse)
+        patch.setattr(helpers, "integer_rows", refuse)
+        patch.setattr(Poly, "_make", classmethod(refuse))
+        for name in ("__init__", "__add__", "__sub__", "__rsub__", "__neg__", "__mul__", "__truediv__", "__pow__",
+                     "subs", "__call__"):
+            patch.setattr(Poly, name, refuse)
+        got = cli.build_report("218", [c]).entries
+    flagdelta.scenario_scans.cache_clear()
+    scenarios.fixture.cache_clear()
+    assert got == cli.build_report("218", [c]).entries
