@@ -109,9 +109,9 @@ def _split(target: str) -> tuple[str, str]:
 # quantities; builders is looked up on each call.
 _QUANTITIES = {
     ("34-surfaces", "s-divisor"): lambda sid, t, c: builders.surface_s(t),
-    ("34-surfaces", "beta"): lambda sid, t, c: builders.surface_beta(t),
-    ("34-surfaces", "s-curve"): lambda sid, t, c: builders.surface_s_curve(t).value,
-    ("34-surfaces", "s-point"): lambda sid, t, c: builders.surface_s_point(*_split(t)).value,
+    ("34-surfaces", "beta"): lambda sid, t, c: 1 - builders.surface_s(t),
+    ("34-surfaces", "s-curve"): lambda sid, t, c: builders.surface_flag_s(t),
+    ("34-surfaces", "s-point"): lambda sid, t, c: builders.surface_flag_s(*_split(t)),
     ("34-surfaces", "delta"): lambda sid, t, c: builders.surface_delta(t),
     ("218", "s-divisor"): lambda sid, t, c: builders.Case218(t, c).s_ambient,
     ("218", "s-curve"): lambda sid, t, c: builders.Case218(t, c).s_curve.value,

@@ -37,7 +37,8 @@ Vec = tuple[Fraction, ...]
 class DerivationError(ValueError):
     """Readable data that defines no value: a volume function negative or not
     vanishing at its end, an order of vanishing along the flag curve that is
-    negative on a chamber, or no level or one with S <= 0."""
+    negative on a chamber, a log discrepancy A <= 0 or a different with a
+    coefficient outside [0, 1), or no level or one with S <= 0."""
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +259,7 @@ def log_discrepancy_weighted(
     for coeff, order in boundary:
         total -= q(coeff) * q(order)
     if total <= 0:
-        raise ValueError("not a log Fano discrepancy")
+        raise DerivationError("not a log Fano discrepancy")
     return total
 
 
@@ -270,7 +271,7 @@ def a_point_on_curve(
     for name, coeff in different:
         coeff = q(coeff)
         if not 0 <= coeff < 1:
-            raise ValueError("non-klt different")
+            raise DerivationError("non-klt different")
         out[name] = 1 - coeff
     return out
 

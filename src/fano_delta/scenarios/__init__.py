@@ -14,11 +14,13 @@ each fixture directory it uses, so a changed directory is read afresh.  Each
 expression is parsed once per process and folded into integer polynomials
 in c (`fixture_c_rows`), which `fixture_rows` reads as integer rows over one
 den: divisors (`fixture_forms`), volumes (`fixture_volume`) and rationals
-(`fixture_constants`, `fixture_ends`).  Tables and the 2.18 cases are built
-like fans and models (`Table`, `Spec218`), so a new c costs integer Horner
-passes (`rows_at`, `CForm`).  Every reader names the file and key of a value
-it cannot read.  All rationals are "p/q" strings; small polynomials are
-compact expressions like "(8-u-3*v)/3".
+(`fixture_constants`, the one rule for every rational a runner compares,
+read where its record is built).  Tables, the 2.18 cases and the 3.4
+surface lemmas are built like fans and models (`Table`, `Spec218`,
+`Spec34`), so a new c costs integer Horner passes (`rows_at`, `CForm`) and
+a flag scenario is built once per root.  Every reader names the file and
+key of a value it cannot read.  All rationals are "p/q" strings; small
+polynomials are compact expressions like "(8-u-3*v)/3".
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..exactmath import AFFINE, Chamber, Poly, horner, least, lowest, numerators, parse_poly
+from ..flagdelta import BasePiece, FlagScenario, MarkedPoint
 from ..surfzar import SurfaceModel, TableRow, ThresholdPiece
 from ..toric3 import Fan3, ToricDivisor
 
@@ -118,6 +121,20 @@ def array(record: _Record, key: str, kind: type = _Record, noun: str = "object")
     return items
 
 
+def mapping(record: _Record, key: str) -> _Record:
+    """record[key] if it is a JSON object; else a FixtureError naming the file and key."""
+    if not isinstance(record[key], _Record):
+        raise FixtureError(f"{record.path}: {key!r}: {record[key]!r} is no object")
+    return record[key]
+
+
+def fixture_text(record: _Record, key: str) -> str:
+    """record[key] if it is a string; else a FixtureError naming the file and key."""
+    if not isinstance(record[key], str):
+        raise FixtureError(f"{record.path}: {key!r}: {record[key]!r} is no string")
+    return record[key]
+
+
 def ray_indices(record: _Record, key: str, items, fan: Fan3, size: int) -> tuple[int, ...]:
     """items, read from record[key], as `size` ray indices of fan, each read
     by `curve_index`; a pair must span a 2-cone of fan.  Else a
@@ -136,7 +153,8 @@ def fixture(root: Path, relative: str, build: Callable | None = None):
     The one store of fixture data: each (root, file, build) is read and
     built once per process, and a different root is read afresh.  Every
     failure to read it, and every key a reader misses in it, is one
-    FixtureError.
+    FixtureError.  `build` reads a JSON object: a root that is none is
+    given as the key "root" of one.
     """
     path = root / relative
     try:
@@ -145,7 +163,7 @@ def fixture(root: Path, relative: str, build: Callable | None = None):
         raise FixtureError(f"{path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise FixtureError(f"{path}: {exc}") from None
-    return data if build is None else build(data)
+    return data if build is None else build(data if isinstance(data, _Record) else _Record(path, {"root": data}))
 
 
 def _fan_from_dict(data) -> Fan3:
@@ -184,9 +202,7 @@ def _table_from_dict(data) -> Table:
     if data["id"] != data.path.stem:
         raise FixtureError(f"{data.path}: 'id': {data['id']!r} is not the file's name")
     if data["kind"] == "threshold":
-        cells = data["cells"]
-        if not isinstance(cells, _Record):
-            raise FixtureError(f"{data.path}: 'cells': {cells!r} is no object")
+        cells = mapping(data, "cells")
         return Table(data.path, data["id"], (), (),
                      {curve: tuple(map(_threshold_cell, array(cells, curve))) for curve in cells})
     columns = tuple(array(data, "columns", str, "name"))
@@ -290,8 +306,13 @@ def fixture_volume(record: _Record, key: str) -> tuple[tuple[int, ...], int]:
 
 
 def fixture_constants(record: _Record, key: str, texts) -> tuple[Fraction, ...]:
-    """The rational constants read from record[key]."""
+    """The rational constants read from record[key]: the one rule for a fixture rational."""
     return tuple(Fraction(*nums, den) for ((nums, den),) in fixture_c_rows(record, key, texts, "constant", AFFINE[:1]))
+
+
+def fixture_constant(record: _Record, key: str) -> Fraction:
+    """The rational constant at record[key]."""
+    return fixture_constants(record, key, [record[key]])[0]
 
 
 def fixture_ends(record: _Record, key: str) -> tuple[Fraction, ...]:
@@ -312,7 +333,7 @@ def ray_texts(record: _Record, key: str, n: int) -> list[str]:
     """record[key], a map {ray: expression}, as expressions over n rays, "0"
     at rays it leaves out; each ray is read by `curve_index`."""
     texts = ["0"] * n
-    for ray, expr in record[key].items():
+    for ray, expr in mapping(record, key).items():
         texts[curve_index(record, key, ray, n, "ray")] = expr
     return texts
 
@@ -357,7 +378,7 @@ def closed_form(record: _Record, key: str) -> CForm:
     if not isinstance(record[key], list):
         return CForm(record.path, ((None, None, *_ratio(record, key, record[key])),))
     return CForm(record.path, tuple(
-        (*(fixture_constants(branch, end, [branch[end]])[0] if end in branch else None for end in ("c_min", "c_max")),
+        (*(fixture_constant(branch, end) if end in branch else None for end in ("c_min", "c_max")),
          *_ratio(branch, key, branch)) for branch in array(record, key)))
 
 
@@ -378,9 +399,52 @@ def basis_curve(spec: _Record) -> tuple[SurfaceModel, tuple[Fraction, ...]]:
 
 def fixture_mults(point: _Record, n: int) -> tuple[tuple[int, Fraction], ...]:
     """A marked point's multiplicities {curve index: value}, by key, on a model of n curves."""
-    mults = sorted(point["mults"].items())
+    mults = sorted(mapping(point, "mults").items())
     return tuple(zip((curve_index(point, "mults", k, n) for k, _ in mults),
                      fixture_constants(point, "mults", [v for _, v in mults])))
+
+
+def marked_points(specs, n: int) -> tuple[MarkedPoint, ...]:
+    """The marked points read from specs, each a name, a and mults, on a model of n curves."""
+    return tuple(MarkedPoint(fixture_text(p, "name"), fixture_constant(p, "a"), fixture_mults(p, n)) for p in specs)
+
+
+class Spec34:
+    """The surface lemmas of family 3.4 as read once per fixture root: L^3;
+    per divisor its volume pieces (lo, hi, integer u-coefficients, den) and
+    expected S and beta; per flag its `FlagScenario` and the expected S of
+    its curve and of each marked point; per delta assembly its (A, S)
+    levels and expected value."""
+
+    def __init__(self, data: _Record):
+        self.l_cubed = fixture_constant(data, "l_cubed")
+        volumes, flags = mapping(data, "volumes"), mapping(data, "flags")
+        # (pieces, expected S, expected beta) per divisor
+        self.volumes = {name: (tuple((fixture_constant(p, "lo"), fixture_constant(p, "hi"), *fixture_volume(p, "poly"))
+                                     for p in array(mapping(volumes, name), "pieces")),
+                               *(fixture_constant(volumes[name], key) for key in ("expected_s", "expected_beta")))
+                        for name in volumes}
+        # (scenario, expected S of the curve, expected S per marked point) per flag
+        self.flags = {name: self._flag(mapping(flags, name)) for name in flags}
+        # (levels, expected) per delta assembly
+        self.deltas = {fixture_text(d, "name"): (
+            tuple(fixture_constants(d, "levels", sized(d, "levels", level, 2, "value"))
+                  for level in array(d, "levels", object, "level")), fixture_constant(d, "expected"))
+            for d in array(data, "deltas")}
+
+    def _flag(self, spec: _Record) -> tuple:
+        model, curve_class = basis_curve(spec)
+        pieces = tuple(BasePiece(*fixture_ends(p, "u"), *fixture_forms(p, "base", sized(p, "base", p["base"], model.n)))
+                       for p in array(spec, "pieces"))
+        points = array(spec, "points")
+        return (FlagScenario(l_cubed=self.l_cubed, model=model, curve_class=curve_class, pieces=pieces,
+                             points=marked_points(points, model.n)),
+                fixture_constant(spec, "expected_s_curve"), tuple(fixture_constant(p, "expected_s") for p in points))
+
+
+def load_34_surfaces() -> Spec34:
+    """The surface lemmas of family 3.4, built once per fixture root."""
+    return fixture(fixtures_dir(), "scenarios/family-34-surfaces.json", Spec34)
 
 
 class Spec218:

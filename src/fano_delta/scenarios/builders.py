@@ -3,10 +3,14 @@
 Each runner re-derives the family's constants from the raw inputs (fans,
 Gram matrices, divisor data) and cross-checks every stored fixture along the
 way: certificates, pullback lists, restriction tables, thresholds, chamber
-tables, and the final flag invariants.  Recomputation is authoritative: a
-fixture cell that disagrees with the recomputed value becomes a *flagged*
-check when it is listed in the known-discrepancy registry and a failure
-otherwise.
+tables, and the final flag invariants.  The runners read records that the
+`scenarios` builders make once per fixture root (`Spec218`, `Spec34`,
+tables, fans, models); what the toric runner reads itself, a curve case's
+values included, it reads once per run.  Every expected rational is read by
+`fixture_constants` where its record is built, never at a check.
+Recomputation is authoritative: a fixture cell that disagrees with the
+recomputed value becomes a *flagged* check when it is listed in the
+known-discrepancy registry and a failure otherwise.
 """
 
 from __future__ import annotations
@@ -18,39 +22,14 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .. import flagdelta, linalg, surfzar, toric3
-from ..exactmath import affine_poly, q
+from ..exactmath import affine_poly
 from ..flagdelta import BasePiece, DerivationError, FlagScenario, MarkedPoint, SInvariantResult
 from ..surfzar import ConeAssumptionError, NotPseudoeffectiveError, ScanError
 from ..toric3 import Fan3, ToricDivisor
-from . import (
-    FixtureError,
-    Table,
-    UsageError,
-    array,
-    basis_curve,
-    curve_index,
-    curve_indices,
-    default_c_samples,
-    fixture,
-    fixture_constants,
-    fixture_divisor,
-    fixture_ends,
-    fixture_forms,
-    fixture_mults,
-    fixture_poly,
-    fixture_volume,
-    fixtures_dir,
-    load_218,
-    load_fan,
-    load_model,
-    load_scenario_data,
-    load_table,
-    lookup,
-    ray_indices,
-    ray_texts,
-    rows_at,
-    sized,
-)
+from . import (FixtureError, Table, UsageError, array, curve_index, curve_indices, default_c_samples, fixture,
+               fixture_constant, fixture_constants, fixture_divisor, fixture_ends, fixture_poly, fixture_text,
+               fixtures_dir, load_34_surfaces, load_218, load_fan, load_model, load_scenario_data, load_table, lookup,
+               mapping, marked_points, ray_indices, ray_texts, rows_at, sized)
 
 PASS, FAIL, FLAGGED = "pass", "fail", "flagged"
 
@@ -113,11 +92,13 @@ _REGISTRY_FIELDS = {
 _CANONICAL_FIELDS = {"u_lo", "u_hi", "v_lo", "v_hi"}
 
 
-def _registry_identities(entries: list[dict]) -> frozenset[tuple]:
+def _registry_identities(registry) -> frozenset[tuple]:
+    """The identities of the registry's entries, an array at its root; every
+    field read is a string, and a bound a canonical expression."""
     return frozenset(
-        (entry["kind"], *(str(fixture_poly(entry[f])) if f in _CANONICAL_FIELDS else entry[f]
-                          for f in _REGISTRY_FIELDS[entry["kind"]]))
-        for entry in entries if entry["kind"] in _REGISTRY_FIELDS)
+        (kind, *(str(fixture_poly(entry[f], entry, f)) if f in _CANONICAL_FIELDS else fixture_text(entry, f)
+                 for f in _REGISTRY_FIELDS[kind]))
+        for entry in array(registry, "root") if (kind := fixture_text(entry, "kind")) in _REGISTRY_FIELDS)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +117,7 @@ def _checked_names(data: dict) -> dict[str, tuple[str, ...]]:
         "table-cell": (star["table_zd3"], star["table_restriction"], star["table_threshold"],
                        *(case["table"] for case in data["curve_cases"].values())),
         "fan-cones": tuple(dict.fromkeys((data["ambient_fan"],
-                                          *(iv["model"] for iv in data["certificate"]),
+                                          *(iv["model"] for iv in array(data, "certificate")),
                                           data["resolution_fan"]))),
     }
 
@@ -158,8 +139,11 @@ class ToricFamily:
         self.l_u = fixture_divisor(self.w0, data, "l_u")
         self.l_div = fixture_divisor(self.ambient, data, "l_on_y", constant=True)
         self.weight = tuple(sized(data, "weight_vector", data["weight_vector"], 3, "coordinate"))
+        if not all(type(w) is int for w in self.weight):
+            raise FixtureError(f"{data.path}: 'weight_vector': {list(self.weight)!r} are not integers")
         self.surface = load_model(data["star"]["surface_model"])
-        self._scenarios: dict[str, FlagScenario] = {}
+        self.expected = mapping(data, "expected")
+        self.l_cubed, self.a_g, self.s_g = (fixture_constant(self.expected, key) for key in ("L^3", "A(G)", "S_L(G)"))
 
     # -- building blocks --------------------------------------------------
 
@@ -167,7 +151,7 @@ class ToricFamily:
     def certificate(self) -> tuple[toric3.Zariski3Interval, ...]:
         """The fixture's interval-wise Zariski decomposition of L_u."""
         intervals = []
-        for iv in self.data["certificate"]:
+        for iv in array(self.data, "certificate"):
             fan = load_fan(iv["model"])
             n = len(fan.rays)
             negative = fixture_divisor(fan, iv, "N", ray_texts(iv, "N", n))
@@ -213,9 +197,15 @@ class ToricFamily:
                 for lo, hi, p, n in self.resolved_decomposition]
 
     def flag_scenario(self, curve: str) -> FlagScenario:
-        if curve in self._scenarios:
-            return self._scenarios[curve]
-        case = _named(self.data["curve_cases"], curve, "curve")
+        return _named(self.curve_cases, curve, "curve")[0]
+
+    @cached_property
+    def curve_cases(self) -> dict[str, tuple]:
+        """Each curve case read once: its flag scenario, the curve's A and expected S, the
+        different's coefficient by point, and each point's expected S (None: none printed)."""
+        return {curve: self._curve_case(case) for curve, case in mapping(self.data, "curve_cases").items()}
+
+    def _curve_case(self, case) -> tuple:
         n = self.surface.n
         cvec = fixture_constants(case, "class", sized(case, "class", case["class"], n))
         index = _basis_index(cvec)
@@ -228,27 +218,19 @@ class ToricFamily:
             if index is not None:
                 ntilde[index] = (0, 0)
             pieces.append(BasePiece(lo, hi, tuple(ptilde), den, d, tuple(ntilde)))
-        scenario = FlagScenario(
-            l_cubed=q(self.data["expected"]["L^3"]),
-            model=self.surface,
-            curve_class=cvec,
-            pieces=tuple(pieces),
-            sigma=fixture_constants(case, "sigma", sized(case, "sigma", case["sigma"], n)),
-            points=_marked_points(array(case, "points"), n),
-        )
-        self._scenarios[curve] = scenario
-        return scenario
+        points, different = array(case, "points"), mapping(case, "different")
+        scenario = FlagScenario(l_cubed=self.l_cubed, model=self.surface, curve_class=cvec, pieces=tuple(pieces),
+                                sigma=fixture_constants(case, "sigma", sized(case, "sigma", case["sigma"], n)),
+                                points=marked_points(points, n))
+        expected_s = tuple(None if p["expected_s"] is None else fixture_constant(p, "expected_s") for p in points)
+        return (scenario, fixture_constant(case, "curve_a"), fixture_constant(case, "expected_s_curve"),
+                {name: fixture_constant(different, name) for name in different}, expected_s)
 
     # -- quantities -------------------------------------------------------
 
     def toric_s(self, target: str) -> Fraction:
         """S_L of the toric valuation G (the weight vector), E, F or S."""
-        vectors = {
-            "G": self.weight,
-            "E": (0, 0, 1),
-            "F": (1, 0, 0),
-            "S": (0, 1, 0),
-        }
+        vectors = {"G": self.weight, "E": (0, 0, 1), "F": (1, 0, 0), "S": (0, 1, 0)}
         return toric3.s_invariant_toric(self.l_polytope, _named(vectors, target, "toric-s target"))
 
     @cached_property
@@ -283,43 +265,37 @@ class ToricFamily:
             self._emit(f"fan {name} valid", toric3.validate_fan(load_fan(name)) or True, True)
             raw = fixture(fixtures_dir(), f"fans/{name}.json")
             if "printed_cones" in raw and raw["printed_cones"] != raw["cones"]:
-                printed = Fan3(raw["rays"], raw["printed_cones"])
-                issues = toric3.validate_fan(printed)
-                self._emit(
-                    f"fan {name} cone list as printed", raw["printed_cones"], raw["cones"],
-                    identity=("fan-cones", name),
-                    shown=(f"invalid as printed: {issues[0] if issues else 'differs'}",
-                           "corrected cone list used"))
+                issues = toric3.validate_fan(Fan3(raw["rays"], raw["printed_cones"]))
+                self._emit(f"fan {name} cone list as printed", raw["printed_cones"], raw["cones"],
+                           identity=("fan-cones", name),
+                           shown=(f"invalid as printed: {issues[0] if issues else 'differs'}",
+                                  "corrected cone list used"))
 
     def _check_polytope(self):
         weights = sized(self.data, "blowup_weights", self.data["blowup_weights"], 3, "coordinate")
         if not all(type(w) is int and w > 0 for w in weights):
             raise FixtureError(f"{self.data.path}: 'blowup_weights': {weights!r} are not positive integers")
-        a_val = flagdelta.log_discrepancy_weighted(
-            weights, [(q(self.data["branch_coeff"]), q(self.data["branch_ord"]))]
-        )
-        self._emit("A(G)", a_val, q(self.data["expected"]["A(G)"]))
+        branch = tuple(fixture_constant(self.data, key) for key in ("branch_coeff", "branch_ord"))
+        a_val = flagdelta.log_discrepancy_weighted(weights, [branch])
+        self._emit("A(G)", a_val, self.a_g)
         l_div, p = self.l_div, self.l_polytope
-        l_cubed = 6 * toric3.polytope_volume(p)
-        self._emit("3!*vol(P_L)", l_cubed, q(self.data["expected"]["L^3"]))
+        self._emit("3!*vol(P_L)", 6 * toric3.polytope_volume(p), self.l_cubed)
         cube, den = toric3.divisor_cube(l_div)  # l_div is constant: the cube is its u^0 term
-        self._emit("L^3 via intersection", Fraction(cube[0], den), q(self.data["expected"]["L^3"]))
+        self._emit("L^3 via intersection", Fraction(cube[0], den), self.l_cubed)
         s_val = self.toric_s("G")
-        self._emit("S_L(G) [polytope]", s_val, q(self.data["expected"]["S_L(G)"]))
-        self._emit(
-            "lattice minimum equals vertex minimum",
-            toric3.lattice_min(p, self.weight),
-            toric3.polytope_min(p, self.weight),
-        )
+        self._emit("S_L(G) [polytope]", s_val, self.s_g)
+        self._emit("lattice minimum equals vertex minimum", toric3.lattice_min(p, self.weight),
+                   toric3.polytope_min(p, self.weight))
         ratio = a_val / s_val
-        printed = self.data["expected"].get("printed_ratio")
+        printed = self.expected.get("printed_ratio")
         if printed is not None:
-            self._emit("A(G)/S_L(G)", ratio, q(printed), identity=("ratio", self.scenario_id),
+            self._emit("A(G)/S_L(G)", ratio, fixture_constant(self.expected, "printed_ratio"),
+                       identity=("ratio", self.scenario_id),
                        shown=(str(ratio), printed), flag_label="A(G)/S_L(G) vs printed")
 
     def _check_certificate(self):
         self._emit("zariski3 certificate", toric3.verify_zariski3(self.l_u, self.certificate) or True, True)
-        windows = self.data["expected"]["nef_windows"]
+        windows = mapping(self.expected, "nef_windows")
         for model_name, window in windows.items():
             u_lo, u_hi = fixture_ends(windows, model_name)
             not_nef = toric3.nef_on_interval(ToricDivisor(load_fan(model_name), self.l_u.coeffs, self.l_u.den),
@@ -338,15 +314,13 @@ class ToricFamily:
                            [str(fixture_poly(x)) for x in ray_texts(spec, t_label, n)])
 
     def _check_intersection_fixtures(self):
-        for model_name, triples in self.data["printed_triples"].items():
-            fan = load_fan(model_name)
-            for key, val in triples.items():
+        printed = mapping(self.data, "printed_triples")
+        for model_name in printed:
+            fan, triples = load_fan(model_name), mapping(printed, model_name)
+            for key in triples:
                 i, j, k = ray_indices(triples, key, key.split(","), fan, 3)
-                self._emit(
-                    f"{model_name}: T{i}.T{j}.T{k}",
-                    toric3.triple_product(fan, i, j, k),
-                    q(val),
-                )
+                self._emit(f"{model_name}: T{i}.T{j}.T{k}", toric3.triple_product(fan, i, j, k),
+                           fixture_constant(triples, key))
         relations = self.data["character_relations"]
         for model_name, rels in relations.items():
             fan = load_fan(model_name)
@@ -355,15 +329,15 @@ class ToricFamily:
                 self._emit(f"{model_name}: div(chi_{idx+1}) annihilates",
                            toric3.principal_residual(div_chi), Fraction(0))
         divisors = {"L": self.data["l_u"], **self.data["auxiliary_divisors"]}
-        for block in self.data["printed_curve_values"]:
-            fan = load_fan(block["model"])
-            texts = lookup(block, "divisor", divisors, block["divisor"], "divisor")
+        for block in array(self.data, "printed_curve_values"):
+            fan, values = load_fan(block["model"]), mapping(block, "values")
+            texts = lookup(block, "divisor", divisors, fixture_text(block, "divisor"), "divisor")
             d = fixture_divisor(fan, block, "divisor", texts)
-            for key, val in block["values"].items():
-                i, j = ray_indices(block["values"], key, key.split(","), fan, 2)
+            for key, val in values.items():
+                i, j = ray_indices(values, key, key.split(","), fan, 2)
                 a, b, e = toric3.curve_intersection(d, (i, j))
                 self._emit(f"{block['model']}: {block['divisor']}.T{i}T{j}", str(affine_poly((a, b), e)),
-                           str(fixture_poly(val)))
+                           str(fixture_poly(val, values, key)))
 
     def _surface_table(self, table_id: str) -> Table:
         """The printed table `table_id`, whose columns must be the surface's curves."""
@@ -405,19 +379,17 @@ class ToricFamily:
 
     def _check_volume_route(self):
         volume = [(lo, hi, *toric3.divisor_cube(p_res)) for lo, hi, p_res, _ in self.resolved_decomposition]
-        s_val = flagdelta.s_from_volume(q(self.data["expected"]["L^3"]), volume)
-        self._emit("S_L(G) [volume of positive parts]", s_val,
-                   q(self.data["expected"]["S_L(G)"]))
+        self._emit("S_L(G) [volume of positive parts]", flagdelta.s_from_volume(self.l_cubed, volume), self.s_g)
 
     def _check_star(self):
         spec, star = self.data["star"], self.star
         self._emit("star quotient rays",
                    [list(r) for r in star.images], spec["expected_rays"])
-        self._emit("star restriction multipliers",
-                   [str(m) for m in star.mults], [str(q(s)) for s in spec["expected_mults"]])
+        mults = fixture_constants(spec, "expected_mults", array(spec, "expected_mults", str, "rational"))
+        self._emit("star restriction multipliers", [str(m) for m in star.mults], [str(m) for m in mults])
         self._emit("quotient-surface intersection matrix",
                    [[str(x) for x in row] for row in star.gram],
-                   [[str(q(x)) for x in row] for row in self.surface.gram])
+                   [[str(x) for x in row] for row in self.surface.gram])
 
     def _check_restriction_table(self):
         self._check_table_cells(self._surface_table(self.data["star"]["table_restriction"]), self.surface_pieces,
@@ -490,31 +462,26 @@ class ToricFamily:
 
     def _check_flag_values(self):
         for curve, case in self.data["curve_cases"].items():
-            points = {point["name"]: point for point in case["points"]}
-            for key in ("different", "check_points"):
-                for name in case[key]:
+            scenario, curve_a, want_curve, different, want_points = self.curve_cases[curve]
+            points = {point.name: point for point in scenario.points}
+            for key, names in (("different", different), ("check_points", array(case, "check_points", str, "name"))):
+                for name in names:
                     lookup(case, key, points, name, "marked point")
             s_curve = self.s_curve(curve)
-            self._emit(f"S_L(W^G;{curve})", s_curve.value, q(case["expected_s_curve"]))
+            self._emit(f"S_L(W^G;{curve})", s_curve.value, want_curve)
             self._emit(f"S_L(W^G;{curve}) breakdown sums", s_curve.check(), True)
-            a_map = flagdelta.a_point_on_curve(list(case["different"].items()))
-            for point in case["points"]:
-                s_pt = self.s_point(curve, point["name"])
-                if point["expected_s"] is not None:
-                    label = f"S(W^G,{curve};{point['name']})"
-                    self._emit(label, s_pt.value, q(point["expected_s"]),
-                               identity=("point-value", self.scenario_id, curve, point["name"]),
-                               flag_label=f"{label} vs printed",
-                               flag_shown=(str(s_pt.value), point["expected_s"]))
-                if point["name"] in a_map:
-                    self._emit(f"A({curve}:{point['name']}) from different",
-                               a_map[point["name"]], q(point["a"]))
-                if point["name"] in case["check_points"]:
-                    self._emit(
-                        f"inequality S <= A at {curve}:{point['name']}",
-                        s_pt.value <= q(point["a"]), True)
-            self._emit(f"inequality S_L(W^G;{curve}) <= A_G({curve})",
-                       s_curve.value <= q(case["curve_a"]), True)
+            a_map = flagdelta.a_point_on_curve(different.items())
+            for point, printed, want in zip(scenario.points, case["points"], want_points):
+                s_pt = self.s_point(curve, point.name)
+                if want is not None:
+                    label = f"S(W^G,{curve};{point.name})"
+                    self._emit(label, s_pt.value, want, identity=("point-value", self.scenario_id, curve, point.name),
+                               flag_label=f"{label} vs printed", flag_shown=(str(s_pt.value), printed["expected_s"]))
+                if point.name in a_map:
+                    self._emit(f"A({curve}:{point.name}) from different", a_map[point.name], point.a_value)
+                if point.name in case["check_points"]:
+                    self._emit(f"inequality S <= A at {curve}:{point.name}", s_pt.value <= point.a_value, True)
+            self._emit(f"inequality S_L(W^G;{curve}) <= A_G({curve})", s_curve.value <= curve_a, True)
 
 
 # ---------------------------------------------------------------------------
@@ -522,73 +489,41 @@ class ToricFamily:
 # ---------------------------------------------------------------------------
 
 
-SURFACES = "34-surfaces"
-
-
 def surface_s(name: str) -> Fraction:
-    """S_L(name) from the stored volume pieces of the divisor."""
-    data = load_scenario_data(SURFACES)
-    vol = _named(data["volumes"], name, "divisor")
-    pieces = [(q(p["lo"]), q(p["hi"]), *fixture_volume(p, "poly")) for p in vol["pieces"]]
-    return flagdelta.s_from_volume(q(data["l_cubed"]), pieces)
+    """S_L(name) from the volume pieces of the divisor."""
+    spec = load_34_surfaces()
+    return flagdelta.s_from_volume(spec.l_cubed, _named(spec.volumes, name, "divisor")[0])
 
 
-def surface_beta(name: str) -> Fraction:
-    return 1 - surface_s(name)
-
-
-def surface_flag(name: str) -> FlagScenario:
-    """The flag scenario of a basis curve of a model, flag `name`."""
-    data = load_scenario_data(SURFACES)
-    spec = _named(data["flags"], name, "flag")
-    model, curve_class = basis_curve(spec)
-    pieces = tuple(BasePiece(*fixture_ends(p, "u"), *fixture_forms(p, "base", sized(p, "base", p["base"], model.n)))
-                   for p in spec["pieces"])
-    return FlagScenario(l_cubed=q(data["l_cubed"]), model=model, curve_class=curve_class, pieces=pieces,
-                        points=_marked_points(array(spec, "points"), model.n))
-
-
-def surface_s_curve(name: str) -> SInvariantResult:
-    return flagdelta.s_curve_flag(surface_flag(name))
-
-
-def surface_s_point(name: str, point: str) -> SInvariantResult:
-    flag = surface_flag(name)
-    return flagdelta.s_point_flag(flag, _point(flag, point))
+def surface_flag_s(name: str, point: str | None = None) -> Fraction:
+    """S of flag `name` at its curve, or at its marked point `point`."""
+    scenario = _named(load_34_surfaces().flags, name, "flag")[0]
+    return (flagdelta.s_curve_flag(scenario) if point is None else
+            flagdelta.s_point_flag(scenario, _point(scenario, point))).value
 
 
 def surface_delta(name: str) -> Fraction:
     """The delta bound assembled from the stored (A, S) levels."""
-    specs = {spec["name"]: spec for spec in load_scenario_data(SURFACES)["deltas"]}
-    spec = _named(specs, name, "delta assembly")
-    return flagdelta.delta_lower_bound([tuple(map(q, sized(spec, "levels", level, 2, "value")))
-                                        for level in spec["levels"]])
+    return flagdelta.delta_lower_bound(_named(load_34_surfaces().deltas, name, "delta assembly")[0])
 
 
 def run_34_surfaces() -> list[CheckResult]:
-    data = load_scenario_data(SURFACES)
-    sid = SURFACES
+    spec, sid = load_34_surfaces(), "34-surfaces"
     checks: list[CheckResult] = []
-    for name, vol in data["volumes"].items():
+    for name, (_, want_s, want_beta) in spec.volumes.items():
         _entry(checks, sid, f"S_L({name})", lambda: [
-            _compare(sid, f"S_L({name})", surface_s(name), q(vol["expected_s"])),
-            _compare(sid, f"beta({name})", surface_beta(name), q(vol["expected_beta"]))])
-    for name, spec in data["flags"].items():
+            _compare(sid, f"S_L({name})", s_val := surface_s(name), want_s),
+            _compare(sid, f"beta({name})", 1 - s_val, want_beta)])
+    for name, (scenario, want_curve, want_points) in spec.flags.items():
         _entry(checks, sid, f"S_L(W;{name})", lambda: [
-            _compare(sid, f"S_L(W;{name})", surface_s_curve(name).value, q(spec["expected_s_curve"])),
-            *(_compare(sid, f"S(W;{name};{point['name']})", surface_s_point(name, point["name"]).value,
-                       q(point["expected_s"])) for point in spec["points"])])
-    for delta in data["deltas"]:
-        name = delta["name"]
+            _compare(sid, f"S_L(W;{name})", surface_flag_s(name), want_curve),
+            *(_compare(sid, f"S(W;{name};{point.name})", surface_flag_s(name, point.name), want)
+              for point, want in zip(scenario.points, want_points))])
+    for name, (_, want) in spec.deltas.items():
         _entry(checks, sid, f"delta[{name}]", lambda: [
-            _compare(sid, f"delta[{name}]", bound := surface_delta(name), q(delta["expected"])),
+            _compare(sid, f"delta[{name}]", bound := surface_delta(name), want),
             _compare(sid, f"delta[{name}] >= 1", bound >= 1, True)])
     return checks
-
-
-def _marked_points(specs, n: int) -> tuple[MarkedPoint, ...]:
-    """Marked points of a fixture on a model of n curves."""
-    return tuple(MarkedPoint(p["name"], *fixture_constants(p, "a", [p["a"]]), fixture_mults(p, n)) for p in specs)
 
 
 def _cell_identity(table: Table, region, field: str, column: str) -> tuple:
@@ -670,7 +605,7 @@ def run_218(c_values: Sequence[Fraction] | None = None) -> list[CheckResult]:
                 sid, f"{case} range: {where}", same, True,
                 identity=("printed-range", sid, case, where), shown=(printed, derived),
                 flag_label=f"{case} printed range: {where}", flag_shown=(f"derived {derived}", f"printed {printed}")))
-        for c in map(q, c_values):
+        for c in c_values:
             _entry(checks, sid, f"{case}@c={c}", lambda: _run_218_case(sid, Case218(case, c)))
     return checks
 

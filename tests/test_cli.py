@@ -421,6 +421,36 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
      "family-34-d4.json: 'sigma': expression None is not a string"),
     ("scenarios/family-218.json", _set("cases", "heart", "points", 2, "expected_s", 0, "c_max", None), "218",
      "family-218.json: 'c_max': expression None is not a string"),
+    # Every value a runner compares is read once, where its record is built,
+    # by the one rule that reads a rational; so is the shape around it.
+    ("scenarios/family-34-surfaces.json", _set("l_cubed", None), "34-surfaces",
+     "family-34-surfaces.json: 'l_cubed': expression None is not a string"),
+    ("scenarios/family-34-surfaces.json", _set("volumes", "F", "expected_s", None), "34-surfaces",
+     "family-34-surfaces.json: 'expected_s': expression None is not a string"),
+    ("scenarios/family-34-surfaces.json", _set("deltas", 0, "levels", 1, 0, None), "34-surfaces",
+     "family-34-surfaces.json: 'levels': expression None is not a string"),
+    ("scenarios/family-34-surfaces.json", _set("volumes", "S", "pieces", 1, "lo", None), "34-surfaces",
+     "family-34-surfaces.json: 'lo': expression None is not a string"),
+    ("scenarios/family-34-surfaces.json", _set("volumes", "F", "pieces", None), "34-surfaces",
+     "family-34-surfaces.json: 'pieces': None is no array of objects"),
+    ("scenarios/family-34-surfaces.json", _set("flags", "S-weighted", "points", 0, "mults", []), "34-surfaces",
+     "family-34-surfaces.json: 'mults': [] is no object"),
+    ("scenarios/family-34-d4.json", _set("curve_cases", "alpha1", "curve_a", None), "34-d4",
+     "family-34-d4.json: 'curve_a': expression None is not a string"),
+    ("scenarios/family-34-d4.json", _set("curve_cases", "alpha1", "expected_s_curve", None), "34-d4",
+     "family-34-d4.json: 'expected_s_curve': expression None is not a string"),
+    ("scenarios/family-34-d4.json", _set("expected", "L^3", None), "34-d4",
+     "family-34-d4.json: 'L^3': expression None is not a string"),
+    ("scenarios/family-34-d4.json", _set("curve_cases", "alpha1", "different", "Q14", None), "34-d4",
+     "family-34-d4.json: 'Q14': expression None is not a string"),
+    # A registry entry's identity fields are strings, its bounds canonical
+    # expressions, and its root an array of entries.
+    ("known_discrepancies.json", _set(0, "u_lo", "u^^2"), "34-d4",
+     "known_discrepancies.json: 'u_lo': bad character or exponent in 'u^^2'"),
+    ("known_discrepancies.json", _set(0, "kind", [1]), "34-d4", "known_discrepancies.json: 'kind': [1] is no string"),
+    ("known_discrepancies.json", _set(0, "table", None), "34-d4",
+     "known_discrepancies.json: 'table': None is no string"),
+    ("known_discrepancies.json", lambda data: 5, "34-d4", "known_discrepancies.json: 'root': 5 is no array of objects"),
 ], ids=["contracted", "class", "mults", "mults-text", "flag-curve", "generates-pseff", "contracted-repeated",
         "gram-rows", "gram-asymmetric", "certificate-ray", "forcing-ray", "pullback-ray", "table-columns",
         "curve-value-ray", "curve-value-pair", "forcing-pair-ray", "forcing-pair", "branch-gap",
@@ -435,7 +465,10 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
         "threshold-cell-unparsed", "chamber-row-v-quadratic", "chamber-row-cell-not-affine", "chamber-row-u-null",
         "table-cells-null", "table-cell-number", "threshold-cell-null", "chamber-row-v-swapped",
         "zd3-column-ray", "chamber-table-column", "closed-form-unparsed", "point-a-null",
-        "sigma-null", "branch-end-null"])
+        "sigma-null", "branch-end-null", "l_cubed-null", "volume-expected-s-null", "delta-level-null",
+        "volume-piece-lo-null", "volume-pieces-null", "point-mults-list", "curve-a-null", "expected-s-curve-null",
+        "toric-l-cubed-null", "different-null", "registry-bound-unparsed", "registry-kind-list",
+        "registry-table-null", "registry-root-number"])
 def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit, family,
                                                         named):
     dst = _fixture_copy(tmp_path / "fixtures", relative, edit)
@@ -460,14 +493,11 @@ TABLE_NODES = [(name, path) for name in ("table-02", "table-03", "table-04")
 DELETED = object()
 
 
-@settings(max_examples=100, derandomize=True, deadline=None)
-@given(st.sampled_from(TABLE_NODES), st.sampled_from([None, 99, "u^^2", [], DELETED]))
-def test_a_mutated_table_node_is_one_fixture_error_or_a_report(tmp_path_factory, node, value):
-    # One node of a table set to null, 99, unparsable text or [], or deleted:
-    # nothing escapes `main` as an exception, and the run ends in one error
-    # line with nothing on stdout, or in a report.
-    (name, path), root = node, tmp_path_factory.mktemp("fixtures") / "fixtures"
-
+def _mutated_run(root, relative, path, value, family):
+    """`verify --family family` on a fixture copy at root whose node at path
+    in file `relative` is set to value or deleted: nothing escapes `main` as
+    an exception, and the run ends in one error line with nothing on stdout,
+    or in a report."""
     def edit(data):
         parent = data
         for key in path[:-1]:
@@ -478,17 +508,61 @@ def test_a_mutated_table_node_is_one_fixture_error_or_a_report(tmp_path_factory,
             parent[path[-1]] = value
         return data
 
-    _fixture_copy(root, f"tables/{name}.json", edit)
+    _fixture_copy(root, relative, edit)
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         mp.setenv("FANO_DELTA_FIXTURES", str(root))
-        code = cli.main(["verify", "--family", "34-d4"])
+        code = cli.main(["verify", "--family", family])
     out, err = out.getvalue(), err.getvalue()
     if err:
         assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
     else:
         assert code in (0, 1) and re.search(r"\d+ passed, \d+ flagged \(known discrepancies\), \d+ failed\n$", out)
     shutil.rmtree(root)
+
+
+MUTATIONS = st.sampled_from([None, 99, "u^^2", [], DELETED])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.sampled_from(TABLE_NODES), MUTATIONS)
+def test_a_mutated_table_node_is_one_fixture_error_or_a_report(tmp_path_factory, node, value):
+    # One node of a table set to null, 99, unparsable text or [], or deleted.
+    name, path = node
+    _mutated_run(tmp_path_factory.mktemp("fixtures") / "fixtures", f"tables/{name}.json", path, value, "34-d4")
+
+
+# Every node of the 3.4 surface lemmas.
+SURFACE_NODES = list(_node_paths(json.loads(
+    (scenarios.fixtures_dir() / "scenarios" / "family-34-surfaces.json").read_text())))
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(st.sampled_from(SURFACE_NODES), MUTATIONS)
+def test_a_mutated_34_surfaces_node_is_one_fixture_error_or_a_report(tmp_path_factory, path, value):
+    # The 34-surfaces record is built once from the whole file: a fault
+    # anywhere in it is one error line, never a traceback.
+    _mutated_run(tmp_path_factory.mktemp("fixtures") / "fixtures", "scenarios/family-34-surfaces.json", path, value,
+                 "34-surfaces")
+
+
+def test_34_surfaces_flags_are_built_once_per_fixture_root(tmp_path, monkeypatch):
+    # A run builds each of the six flag scenarios once, with the record of
+    # the whole file; a second run on the same fixture root builds none.
+    from fano_delta import flagdelta
+    from fano_delta.scenarios import builders
+
+    shutil.copytree(scenarios.fixtures_dir(), tmp_path / "fixtures")
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(tmp_path / "fixtures"))
+    built = []
+    post_init = flagdelta.FlagScenario.__post_init__
+    monkeypatch.setattr(flagdelta.FlagScenario, "__post_init__", lambda self: built.append(self) or post_init(self))
+    counts = []
+    for _ in range(2):
+        checks = builders.run_family("34-surfaces")
+        counts.append(len(built))
+        built.clear()
+    assert counts == [6, 0] and all(check.status == "pass" for check in checks)
 
 
 def test_derivation_error_in_a_toric_stage_is_one_fail_entry(tmp_path, capsys, monkeypatch, family_runs):
@@ -528,6 +602,21 @@ def test_derivation_error_in_a_34_surfaces_entry_is_one_fail(tmp_path, capsys, m
     clean = [e.label for e in family_runs["34-surfaces"]]
     labels = [e.label for e in builders.run_family("34-surfaces")]
     assert labels == ["S_L(F): derivation", *(label for label in clean if label not in ("S_L(F)", "beta(F)"))]
+
+
+@pytest.mark.parametrize("edit, cause", [
+    (_set("curve_cases", "alpha1", "different", "Q14", "2"),
+     ("flag_values: derivation", "DerivationError: non-klt different")),
+    (_set("branch_coeff", "9"), ("polytope: derivation", "DerivationError: not a log Fano discrepancy")),
+], ids=["different-not-klt", "discrepancy-not-positive"])
+def test_a_log_discrepancy_out_of_range_is_one_fail_entry(tmp_path, capsys, monkeypatch, edit, cause):
+    # A different coefficient outside [0, 1), or a blowup whose log
+    # discrepancy is not positive, defines no A: one FAIL names why, and the
+    # run goes on with a full report.
+    dst = _fixture_copy(tmp_path / "fixtures", "scenarios/family-34-d4.json", edit)
+    monkeypatch.setenv("FANO_DELTA_FIXTURES", str(dst))
+    code, out, err = run_cli(capsys, "verify", "--family", "34-d4")
+    assert (code, err) == (1, "") and re.findall(r"\[FAIL   \] 34-d4: (.*)\n +computed: (.*)", out) == [cause]
 
 
 def test_singular_contracted_block_is_one_sigmas_fail(tmp_path, capsys, monkeypatch, family_runs):
