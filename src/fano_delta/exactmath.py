@@ -1,17 +1,15 @@
 """Exact rational arithmetic for small multivariate polynomials.
 
-Everything in this package computes over Q.  A polynomial is a sparse map
-from exponent triples to Fraction coefficients, always over the fixed
-variable universe (u, v, c):
+Everything in this package computes over Q, in integers where it can.  The
+module provides
 
-    5/3*u^2*v - 2  ->  {(2, 1, 0): Fraction(5, 3), (0, 0, 0): Fraction(-2)}
-
-Zero coefficients are never stored, so structural equality of the term maps
-is mathematical equality.  The module also provides
-
-  * parse_poly / str round-trips for the compact text form of the JSON
-    fixtures ("(8-u-3*v)/3", "-u^2 + 1"): Python's expression grammar and
-    precedence, read by ``ast``, with ``^`` for ``**``,
+  * `parse_poly` for the compact text form of the JSON fixtures
+    ("(8-u-3*v)/3", "-u^2 + 1"): Python's expression grammar and precedence,
+    read by ``ast``, with ``^`` for ``**``, expanded into the integer
+    numerators of the terms u^i v^j c^m over one den; `form_text` writes an
+    integer affine form as ``str`` writes a `Poly` (Fraction coefficients by
+    exponent triple, zeros never stored, kept where a fixture expression's
+    canonical form is compared or shown), and both texts parse back,
   * exact definite integration of integer coefficients over u-intervals
     (`integral`), and over chambers (a
     u-interval between two integer walls v = (a + b*u)/d) by moments only:
@@ -32,11 +30,10 @@ from __future__ import annotations
 
 import ast
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Mapping, Sequence, Union
 
 VARS = ("u", "v", "c")
@@ -47,6 +44,8 @@ Scalar = Union[int, str, Fraction]
 # An integer affine form a + b*u + c*v is the triple (a, b, c), kept over a
 # denominator beside it; a wall v = (a + b*u)/d is the triple (a, b, d), d > 0.
 Form = tuple[int, int, int]
+# A polynomial as the integer numerators of its terms over one positive den.
+Numerators = tuple[dict[Exponent, int], int]
 
 
 def _index(name: str) -> int:
@@ -75,13 +74,8 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Exponent, Scalar] | None = None):
-        clean: dict[Exponent, Fraction] = {}
-        if terms:
-            for exp, coef in terms.items():
-                coef = Fraction(coef) if not isinstance(coef, Fraction) else coef
-                if coef != 0:
-                    clean[(int(exp[0]), int(exp[1]), int(exp[2]))] = coef
-        object.__setattr__(self, "terms", clean)
+        clean = {(int(e[0]), int(e[1]), int(e[2])): q(c) for e, c in (terms or {}).items()}
+        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
 
     @classmethod
     def _make(cls, terms: dict[Exponent, Fraction]) -> "Poly":
@@ -101,28 +95,11 @@ class Poly:
 
     @staticmethod
     def var(name: str) -> "Poly":
-        i = _index(name)
-        return Poly._make({tuple(int(k == i) for k in range(3)): Fraction(1)})
+        return Poly._make({tuple(int(k == _index(name)) for k in range(3)): Fraction(1)})
 
     @staticmethod
     def coerce(x: "Poly | Scalar") -> "Poly":
         return x if isinstance(x, Poly) else Poly.const(x)
-
-    # -- inspection --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(e == (0, 0, 0) for e in self.terms)
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant polynomial: {self}")
-        return self.terms.get((0, 0, 0), Fraction(0))
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -158,7 +135,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Poly":
-        d = q(other) if not isinstance(other, Poly) else other.as_fraction()
+        d = other() if isinstance(other, Poly) else q(other)
         if d == 0:
             raise ZeroDivisionError("division of polynomial by zero")
         return Poly._make({e: c / d for e, c in self.terms.items()})
@@ -166,10 +143,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return reduce(Poly.__mul__, [self] * n, Poly.const(1))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, str)):
@@ -197,11 +171,9 @@ class Poly:
         return out
 
     def __call__(self, **values: "Poly | Scalar") -> Fraction:
-        """Full evaluation; raises if any occurring variable is left free.
-
-        Equals ``self.subs(**values).as_fraction()``, summed term by term
-        from rational powers of the values with no intermediate Poly.
-        """
+        """The value at the given rationals, summed term by term with no
+        intermediate Poly; ValueError naming the rest if a variable is left
+        free, so that p() is the value of a constant p."""
         point = {_index(name): q(val) for name, val in values.items()}
         total = Fraction(0)
         for exp, coef in self.terms.items():
@@ -235,8 +207,10 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 
-def parse_poly(text: str) -> Poly:
-    """Parse a polynomial over u, v, c as the fixtures and ``str`` write it.
+def parse_poly(text: str) -> Numerators:
+    """A polynomial over u, v, c, written as the fixtures, ``str`` and
+    `form_text` write it, as {(i, j, m): a} for its terms a*u^i*v^j*c^m, no
+    a zero, over one positive den in lowest terms.
 
     Python's expression grammar and precedence, read by ``ast``, with ``^``
     for ``**``: int literals (no leading zeros), the names u, v and c, unary
@@ -249,46 +223,63 @@ def parse_poly(text: str) -> Poly:
     if not _TEXT.fullmatch(text) or _BAD_POWER.search(text):
         raise ValueError(f"bad character or exponent in {text!r}")
     try:
-        return _walk(ast.parse(text.strip().replace("^", "**"), mode="eval").body, text)
+        nums, den = _walk(ast.parse(text.strip().replace("^", "**"), mode="eval").body, text)
     except (SyntaxError, RecursionError):
         raise ValueError(f"malformed expression {text!r}") from None
+    g = math.gcd(den, *nums.values())
+    return {e: x // g for e, x in nums.items()}, den // g
 
 
 _TEXT = re.compile(r"[0-9uvc+\-*/^() ]*")
 _BAD_POWER = re.compile(r"\*\*|\^(?!\s*\d)")
-_RING = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 # The fixtures reach total degree 3 and exponent 2, and `str` writes at most
 # u^3*v^3*c^3 in the round trip; past this bound expansion could take
 # unbounded time.
 MAX_DEGREE = 9
 
 
-def _walk(node: ast.expr, text: str, budget: int = MAX_DEGREE) -> Poly:
-    """The Poly of an expression node whose total degree may reach
-    ``budget``: a power or product shares out the budget before either
-    factor is expanded, so text past it is refused at once."""
+def _walk(node: ast.expr, text: str, budget: int = MAX_DEGREE) -> Numerators:
+    """The integer numerators and positive den of an expression node of total
+    degree up to ``budget``: a power or product shares out the budget before
+    either factor is expanded, so text past it is refused at once."""
     match node:
         case ast.Constant(value=int(n)):
-            return Poly.const(n)
+            return {(0, 0, 0): n} if n else {}, 1
         case ast.Name(id=("u" | "v" | "c") as name) if budget >= 1:
-            return Poly.var(name)
+            return {tuple(int(k == _VAR_INDEX[name]) for k in range(3)): 1}, 1
         case ast.UnaryOp(op=ast.UAdd() | ast.USub() as op, operand=x):
-            return -_walk(x, text, budget) if isinstance(op, ast.USub) else _walk(x, text, budget)
+            nums, den = _walk(x, text, budget)
+            return {e: -a for e, a in nums.items()} if isinstance(op, ast.USub) else nums, den
         case ast.BinOp(left=x, op=ast.Pow(), right=ast.Constant(value=int(n))) if n <= MAX_DEGREE:
-            return _walk(x, text, budget // max(n, 1)) ** n
+            return reduce(_times, [_walk(x, text, budget // max(n, 1))] * n, ({(0, 0, 0): 1}, 1))
         case ast.BinOp(left=x, op=ast.Div(), right=y):
-            d = _walk(y, text, budget)
-            if d.is_zero() or not d.is_constant():
-                raise ValueError(f"division by {d} in {text!r}")
-            return _walk(x, text, budget) / d
-        case ast.BinOp(left=x, op=ast.Add() | ast.Sub() | ast.Mult() as op, right=y):
+            d, e = _walk(y, text, budget)
+            if d.keys() != {(0, 0, 0)}:
+                raise ValueError(f"division by {Poly({k: Fraction(a, e) for k, a in d.items()})} in {text!r}")
+            k = d[0, 0, 0]  # x / (k/e) is x * e/k, kept over a positive den
+            return _times(_walk(x, text, budget), ({(0, 0, 0): e if k > 0 else -e}, abs(k)))
+        case ast.BinOp(left=x, op=ast.Mult(), right=y):
             a = _walk(x, text, budget)
-            # A product's second factor may reach what the first leaves of the budget.
-            rest = budget - a.total_degree() if isinstance(op, ast.Mult) else budget
-            return _RING[type(op)](a, _walk(y, text, rest))
+            # The second factor may reach what the first leaves of the budget.
+            return _times(a, _walk(y, text, budget - max(map(sum, a[0]), default=0)))
+        case ast.BinOp(left=x, op=ast.Add() | ast.Sub() as op, right=y):
+            (a, da), (b, db) = _walk(x, text, budget), _walk(y, text, budget)
+            out = {e: k * db for e, k in a.items()}
+            for e, k in b.items():
+                out[e] = out.get(e, 0) + (k if isinstance(op, ast.Add) else -k) * da
+            return {e: k for e, k in out.items() if k}, da * db
         case ast.Name(id=("u" | "v" | "c")) | ast.BinOp(op=ast.Pow(), right=ast.Constant(value=int())):
             raise ValueError(f"total degree or exponent above {MAX_DEGREE} in {text!r}")
     raise ValueError(f"unsupported {ast.unparse(node).replace('**', '^')!r} in {text!r}")
+
+
+def _times(x: Numerators, y: Numerators) -> Numerators:
+    """The product of two integer-numerator polynomials, each over its den."""
+    out: dict[Exponent, int] = {}
+    for (a, b, c), k in x[0].items():
+        for (i, j, m), n in y[0].items():
+            out[a + i, b + j, c + m] = out.get((a + i, b + j, c + m), 0) + k * n
+    return {e: k for e, k in out.items() if k}, x[1] * y[1]
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +325,12 @@ class Chamber:
             raise ValueError("empty or inverted chamber")
 
     @cached_property
-    def v_lo(self) -> Poly:
-        return affine_poly(self.lower[:2], self.lower[2])
+    def v_lo(self) -> str:
+        return form_text(self.lower[:2], self.lower[2])
 
     @cached_property
-    def v_hi(self) -> Poly:
-        return affine_poly(self.upper[:2], self.upper[2])
+    def v_hi(self) -> str:
+        return form_text(self.upper[:2], self.upper[2])
 
     @cached_property
     def label(self) -> str:
@@ -464,10 +455,18 @@ def root_inside(a: int, b: int, lo: Fraction, hi: Fraction) -> Fraction | None:
     return root if lo < root < hi else None
 
 
-def affine_poly(form: Sequence[int], den: int) -> Poly:
-    """The Poly (a + b*u + c*v)/den of an integer form (a, b, c), or
-    (a + b*u)/den of (a, b): a wall v = (a + b*u)/d is affine_poly(w[:2], d)."""
-    return Poly._make({e: Fraction(x, den) for e, x in zip(AFFINE, form)})
+def form_text(form: Sequence[int], den: int) -> str:
+    """The text of (a + b*u + c*v)/den for an integer form (a, b, c), or of
+    (a + b*u)/den for (a, b), den > 0, as ``str`` writes its Poly: a wall
+    v = (a + b*u)/d is form_text(w[:2], d)."""
+    text = ""  # u, then v, then the constant term: the order of Poly.__str__
+    for x, name in zip((*form[1:], form[0]), ("u", "v")[:len(form) - 1] + ("",)):
+        if x:
+            g = math.gcd(x, den)
+            coef = f"{abs(x) // g}" if g == den else f"{abs(x) // g}/{den // g}"
+            body = f"{coef}*{name}" if name and coef != "1" else name or coef
+            text += (" - " if x < 0 else " + ") + body if text else ("-" if x < 0 else "") + body
+    return text or "0"
 
 
 def combine(terms: Iterable[tuple[int, int]], forms: Sequence[Form]) -> Form:

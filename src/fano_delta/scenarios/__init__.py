@@ -11,8 +11,8 @@ FANO_DELTA_FIXTURES environment variable):
 
 Fixture data is cached per directory: a process reads each file once for
 each fixture directory it uses, so a changed directory is read afresh.  Each
-expression is parsed once per process and folded into integer polynomials
-in c (`fixture_c_rows`), which `fixture_rows` reads as integer rows over one
+expression is parsed once per process into integers and folded into integer
+polynomials in c (`fixture_c_rows`), read by `fixture_rows` as rows over one
 den: divisors (`fixture_forms`), volumes (`fixture_volume`) and rationals
 (`fixture_constants`, the one rule for every rational a runner compares,
 read where its record is built).  Tables, the 2.18 cases and the 3.4
@@ -34,7 +34,7 @@ from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
-from ..exactmath import AFFINE, Chamber, Poly, horner, least, lowest, numerators, parse_poly
+from ..exactmath import AFFINE, Chamber, Poly, horner, least, lowest, parse_poly
 from ..flagdelta import BasePiece, FlagScenario, MarkedPoint
 from ..surfzar import SurfaceModel, TableRow, ThresholdPiece
 from ..toric3 import Fan3, ToricDivisor
@@ -136,14 +136,14 @@ def fixture_text(record: _Record, key: str) -> str:
 
 
 def ray_indices(record: _Record, key: str, items, fan: Fan3, size: int) -> tuple[int, ...]:
-    """items, read from record[key], as `size` ray indices of fan, each read
-    by `curve_index`; a pair must span a 2-cone of fan.  Else a
+    """items, read from record[key], as a list of `size` ray indices of fan,
+    each read by `curve_index`; a pair must span a 2-cone of fan.  Else a
     FixtureError naming the record's file and the key."""
-    rays = tuple(curve_index(record, key, x, len(fan.rays), "ray") for x in items)
-    if len(rays) != size or size == 2 and tuple(sorted(rays)) not in fan.two_cones:
-        raise FixtureError(f"{record.path}: {key!r}: {list(rays)} is no "
+    rays = [curve_index(record, key, x, len(fan.rays), "ray") for x in items] if isinstance(items, list) else items
+    if rays is items or len(rays) != size or size == 2 and tuple(sorted(rays)) not in fan.two_cones:
+        raise FixtureError(f"{record.path}: {key!r}: {rays!r} is no "
                            f"{'2-cone' if size == 2 else 'ray triple'} of the fan")
-    return rays
+    return tuple(rays)
 
 
 @lru_cache(maxsize=None)
@@ -238,8 +238,8 @@ def load_scenario_data(scenario_id: str) -> dict:
 
 
 def fixture_poly(text: str, record: _Record | None = None, key: str | None = None) -> Poly:
-    """`parse_poly` of a fixture expression, parsed once per process (Poly is
-    immutable, so all readers share one result).  Text that does not parse,
+    """The Poly of a fixture expression whose canonical form is compared or
+    shown, built once per process from its fold.  Text that does not parse,
     or a value that is not a string, is a FixtureError naming it, and
     record's file and the key where given."""
     try:
@@ -346,11 +346,11 @@ def ray_texts(record: _Record, key: str, n: int) -> list[str]:
 @lru_cache(maxsize=1024)
 def _c_fold(text: str) -> dict[tuple[int, int], tuple[tuple[int, ...], int]]:
     """parse_poly(text) as {(i, j): ((a_0, ..., a_k), den)}, its coefficient
-    of u^i v^j being sum a_m c^m / den, a_k nonzero; the Poly is not kept."""
-    by_uv = {}
-    for (i, j, m), x in parse_poly(text).terms.items():
-        by_uv.setdefault((i, j), {})[m] = x
-    return {ij: numerators(xs.get(m, 0) for m in range(max(xs) + 1)) for ij, xs in by_uv.items()}
+    of u^i v^j being sum a_m c^m / den in lowest terms, a_k nonzero."""
+    nums, den = parse_poly(text)
+    # Each (i, j)'s row is made last at its highest m, which sorts last.
+    rows = {(i, j): [nums.get((i, j, k), 0) for k in range(m + 1)] for i, j, m in sorted(nums)}
+    return {ij: (tuple(x // g for x in row), den // g) for ij, row in rows.items() for g in [math.gcd(den, *row)]}
 
 
 @dataclass(frozen=True)

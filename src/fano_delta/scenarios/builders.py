@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .. import flagdelta, linalg, surfzar, toric3
-from ..exactmath import affine_poly
+from ..exactmath import form_text
 from ..flagdelta import BasePiece, DerivationError, FlagScenario, MarkedPoint, SInvariantResult
 from ..surfzar import ConeAssumptionError, NotPseudoeffectiveError, ScanError
 from ..toric3 import Fan3, ToricDivisor
@@ -149,17 +149,19 @@ class ToricFamily:
 
     @cached_property
     def certificate(self) -> tuple[toric3.Zariski3Interval, ...]:
-        """The fixture's interval-wise Zariski decomposition of L_u."""
+        """The fixture's interval-wise Zariski decomposition of L_u, not empty."""
         intervals = []
         for iv in array(self.data, "certificate"):
             fan = load_fan(iv["model"])
             n = len(fan.rays)
             negative = fixture_divisor(fan, iv, "N", ray_texts(iv, "N", n))
             forcing = tuple((curve_index(iv, "forcing", r, n, "ray"),
-                             ray_indices(iv, "forcing", pair, fan, 2)) for r, pair in iv["forcing"].items())
+                             ray_indices(iv, "forcing", pair, fan, 2)) for r, pair in mapping(iv, "forcing").items())
             u_lo, u_hi = fixture_ends(iv, "u")
             intervals.append(toric3.Zariski3Interval(u_lo=u_lo, u_hi=u_hi, model=fan,
                                                      negative=negative, forcing=forcing))
+        if not intervals:
+            raise FixtureError(f"{self.data.path}: 'certificate': [] holds no interval")
         return tuple(intervals)
 
     @cached_property
@@ -182,9 +184,8 @@ class ToricFamily:
         `alpha_order`; a block that defines none is a FixtureError."""
         spec = self.data["star"]
         try:
-            return toric3.star_surface(
-                self.resolution, spec["ray"], {int(k): tuple(v) for k, v in spec["pinned"].items()},
-                spec["alpha_order"], spec["self_character"])
+            pinned = {int(k): v for k, v in mapping(spec, "pinned").items()}
+            return toric3.star_surface(self.resolution, spec["ray"], pinned, spec["alpha_order"], spec["self_character"])
         except ValueError as exc:
             raise FixtureError(f"{self.data.path}: 'star': {exc}") from None
 
@@ -310,7 +311,7 @@ class ToricFamily:
                 j = int(t_label[1:])
                 unit = ToricDivisor(coarse, tuple((int(k == j), 0) for k in range(len(coarse.rays))))
                 computed = toric3.pullback(self.resolution, coarse, unit)
-                self._emit(f"{zeta}*({t_label})", [str(affine_poly(x, computed.den)) for x in computed.coeffs],
+                self._emit(f"{zeta}*({t_label})", [form_text(x, computed.den) for x in computed.coeffs],
                            [str(fixture_poly(x)) for x in ray_texts(spec, t_label, n)])
 
     def _check_intersection_fixtures(self):
@@ -336,7 +337,7 @@ class ToricFamily:
             for key, val in values.items():
                 i, j = ray_indices(values, key, key.split(","), fan, 2)
                 a, b, e = toric3.curve_intersection(d, (i, j))
-                self._emit(f"{block['model']}: {block['divisor']}.T{i}T{j}", str(affine_poly((a, b), e)),
+                self._emit(f"{block['model']}: {block['divisor']}.T{i}T{j}", form_text((a, b), e),
                            str(fixture_poly(val, values, key)))
 
     def _surface_table(self, table_id: str) -> Table:
@@ -357,7 +358,7 @@ class ToricFamily:
             for which, (cells, den), (forms, forms_den) in zip("PN", (row.p, row.n), parts):
                 for col, cell, k in zip(table.columns, cells, entries):
                     self._emit(f"{table.id} [{region.u_lo},{region.u_hi}] {which}({col})",
-                               affine_poly(forms[k], forms_den), affine_poly(cell, den),
+                               form_text(forms[k], forms_den), form_text(cell, den),
                                identity=_cell_identity(table, region, which, col))
 
     def _check_resolution_table(self):
@@ -375,7 +376,7 @@ class ToricFamily:
                        (str(row.region.u_lo), str(row.region.u_hi)))
             for ray in (r for r in hidden if any(n_res.coeffs[r])):
                 self._emit(f"{table.id} {ends} hidden ray {ray}",
-                           affine_poly(p_res.coeffs[ray], p_res.den), affine_poly(l_res.coeffs[ray], l_res.den))
+                           form_text(p_res.coeffs[ray], p_res.den), form_text(l_res.coeffs[ray], l_res.den))
 
     def _check_volume_route(self):
         volume = [(lo, hi, *toric3.divisor_cube(p_res)) for lo, hi, p_res, _ in self.resolved_decomposition]
@@ -426,10 +427,10 @@ class ToricFamily:
                        if max(lo, piece.u_lo) < min(hi, piece.u_hi)]
                 covered = bool(met) and sum(
                     min(hi, piece.u_hi) - max(lo, piece.u_lo) for piece in met) == hi - lo
-                got = [str(piece.t) for piece in met] + ([] if covered else ["uncovered"])
+                got = [piece.t for piece in met] + ([] if covered else ["uncovered"])
                 self._emit(f"{table.id} t({curve}) on [{lo},{hi}]",
                            covered and all(piece.wall == want.wall for piece in met), True,
-                           shown=("; ".join(got), str(want.t)))
+                           shown=("; ".join(got), want.t))
         # Each curve case's cells must cover its scans' u-range, without gap
         # or overlap; a cell past the range is uncovered above.
         for curve in self.data["curve_cases"]:
@@ -528,8 +529,7 @@ def run_34_surfaces() -> list[CheckResult]:
 
 def _cell_identity(table: Table, region, field: str, column: str) -> tuple:
     """The registry identity of a printed cell: its table, region, field and column."""
-    return ("table-cell", table.id, str(region.u_lo), str(region.u_hi), str(region.v_lo), str(region.v_hi),
-            field, column)
+    return ("table-cell", table.id, str(region.u_lo), str(region.u_hi), region.v_lo, region.v_hi, field, column)
 
 
 def _basis_index(cvec) -> int | None:

@@ -25,10 +25,9 @@ and the row check run on integer numerators over one denominator per
 support, with each support's Gram block inverted once per model; thresholds
 and chamber walls are integer walls v = (a + b*u)/d, and every sign, gap,
 root and corner test of a form or wall is exactmath's (`at`, `negative_end`,
-`gap`, `root_inside`, `Chamber.nonnegative`, `Chamber.crossing`).  A Poly (of
-t, a wall or a mismatched cell) is built only for report text.  The
-reference decomposition, the facet envelope, the Poly pairing of classes and
-the Poly forms of N and P are test code.
+`gap`, `root_inside`, `Chamber.nonnegative`, `Chamber.crossing`); the text
+of t, a wall or a mismatched cell is `form_text` of its form.  The Poly
+reference decomposition, facet envelope, pairing and N and P are test code.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import linalg, lp
-from .exactmath import (Chamber, Form, Poly, Scalar, affine_poly, at, combine, gap, least, lowest, negative_end,
+from .exactmath import (Chamber, Form, Scalar, at, combine, form_text, gap, least, lowest, negative_end,
                         numerators, q, root_inside)
 
 Vec = tuple[Fraction, ...]
@@ -182,8 +181,8 @@ class ThresholdPiece:
     wall: Form  # t(u) = (a + b*u)/d, in lowest terms
 
     @cached_property
-    def t(self) -> Poly:
-        return affine_poly(self.wall[:2], self.wall[2])
+    def t(self) -> str:
+        return form_text(self.wall[:2], self.wall[2])
 
 
 def _threshold_pieces(family: "_Family", u_lo: Fraction, u_hi: Fraction) -> list[ThresholdPiece]:
@@ -592,8 +591,8 @@ def row_mismatches(scan: ChamberedDecomposition, row: TableRow) -> list[RowMisma
             for name, (cells, den), scanned in (("N", row.n, forms.n), ("P", row.p, forms.p)):
                 # Equal over the common denominator.
                 if any(x * forms.den != y * den for x, y in zip(cells[i], scanned[i])):
-                    out.append(RowMismatch(field=name, curve=curve, printed=str(affine_poly(cells[i], den)),
-                                           recomputed=str(affine_poly(scanned[i], forms.den))))
+                    out.append(RowMismatch(field=name, curve=curve, printed=form_text(cells[i], den),
+                                           recomputed=form_text(scanned[i], forms.den)))
     if not overlaps_found:
         out.append(RowMismatch(field="region", curve="-", printed=f"v in [{region.v_lo}, {region.v_hi}]",
                                recomputed="row region lies outside the scanned decomposition"))

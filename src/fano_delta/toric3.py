@@ -43,7 +43,7 @@ from math import ceil, floor, gcd
 from typing import Mapping, Sequence
 
 from . import linalg, lp
-from .exactmath import Form, Scalar, affine_poly, least, lowest, negative_end, numerators, q
+from .exactmath import Form, Scalar, form_text, least, lowest, negative_end, numerators, q
 
 Ray = tuple[int, int, int]
 Cone = tuple[int, int, int]
@@ -277,7 +277,7 @@ def nef_on_interval(d: ToricDivisor, u_lo: Scalar, u_hi: Scalar) -> str | None:
         val = curve_intersection(d, pair)
         u0 = negative_end(val, u_lo, u_hi)
         if u0 is not None:
-            return f"curve {pair} meets the divisor in {affine_poly(val[:2], val[2])} < 0 at u={u0}"
+            return f"curve {pair} meets the divisor in {form_text(val[:2], val[2])} < 0 at u={u0}"
     return None
 
 
@@ -411,8 +411,9 @@ def star_surface(
     if sorted(order) != sorted(adjacent):
         raise ValueError(f"order {list(order)} must list the adjacent rays "
                          f"{sorted(adjacent)} once each")
-    if len(pinned) != 2 or not set(pinned) <= adjacent or any(len(v) != 2 for v in pinned.values()):
-        raise ValueError("exactly two pinned images of adjacent rays are required")
+    if len(pinned) != 2 or not set(pinned) <= adjacent or any(
+            not isinstance(v, (list, tuple)) or [type(x) for x in v] != [int, int] for v in pinned.values()):
+        raise ValueError("exactly two pinned integer images of adjacent rays are required")
     (r1, img1), (r2, img2) = sorted(pinned.items())
     v0 = fan.rays[ray_index]
     m = tuple(int(x) for x in self_character)
@@ -424,7 +425,7 @@ def star_surface(
     if det == 0:
         raise ValueError("the star ray and the pinned rays are linearly dependent")
     # Row t of the quotient map: v0 to 0, the pinned rays to their images' t-th coordinates.
-    rows = [_cramer(basis, (0, int(img1[t]), int(img2[t]))) for t in range(2)]
+    rows = [_cramer(basis, (0, img1[t], img2[t])) for t in range(2)]
     if any(x % det for row in rows for x in row):
         raise ValueError("pinned images do not define an integral quotient map")
     rows = [tuple(x // det for x in row) for row in rows]
@@ -635,7 +636,7 @@ def _check_interval(l_u: ToricDivisor, iv: Zariski3Interval) -> str | None:
             return f"no forcing curve for negative ray {k}"
         along = curve_intersection(positive, forcing[k])
         if any(along[:2]):
-            return f"forcing curve {forcing[k]} not orthogonal to P (got {affine_poly(along[:2], along[2])})"
+            return f"forcing curve {forcing[k]} not orthogonal to P (got {form_text(along[:2], along[2])})"
         self_int = triple_product(iv.model, k, *forcing[k])
         if self_int >= 0:
             return (

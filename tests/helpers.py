@@ -2,16 +2,20 @@
 
 from fractions import Fraction
 
+import ast
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
+from hypothesis import strategies as st
+
 from fano_delta import linalg, lp
-from fano_delta.exactmath import (AFFINE, VARS, Chamber, Exponent, Poly, Scalar, affine_poly, numerators,
-                                  parse_poly, q)
+from fano_delta.exactmath import (_BAD_POWER, _TEXT, AFFINE, MAX_DEGREE, VARS, Chamber, Exponent, Numerators, Poly,
+                                  Scalar, numerators, q)
 from fano_delta.flagdelta import FlagScenario, MarkedPoint
 from fano_delta.scenarios import builders, c_domain
 from fano_delta.surfzar import (
@@ -47,6 +51,109 @@ class ChamberFunction:
         object.__setattr__(self, "pieces", tuple((ch, Poly.coerce(p)) for ch, p in pieces))
 
 
+# ---------------------------------------------------------------------------
+# The Poly oracles of the integer parser, fold and printer
+# ---------------------------------------------------------------------------
+
+
+def reference_parse(text: str) -> Poly:
+    """The Poly of a fixture expression, expanded in the Poly ring: the
+    oracle of `exactmath.parse_poly`, with its grammar, degree budget,
+    refusals and error texts."""
+    if not _TEXT.fullmatch(text) or _BAD_POWER.search(text):
+        raise ValueError(f"bad character or exponent in {text!r}")
+    try:
+        return _walk(ast.parse(text.strip().replace("^", "**"), mode="eval").body, text)
+    except (SyntaxError, RecursionError):
+        raise ValueError(f"malformed expression {text!r}") from None
+
+
+_RING = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+
+def _walk(node: ast.expr, text: str, budget: int = MAX_DEGREE) -> Poly:
+    """The Poly of an expression node whose total degree may reach
+    ``budget``: a power or product shares out the budget before either
+    factor is expanded, so text past it is refused at once."""
+    match node:
+        case ast.Constant(value=int(n)):
+            return Poly.const(n)
+        case ast.Name(id=("u" | "v" | "c") as name) if budget >= 1:
+            return Poly.var(name)
+        case ast.UnaryOp(op=ast.UAdd() | ast.USub() as op, operand=x):
+            return -_walk(x, text, budget) if isinstance(op, ast.USub) else _walk(x, text, budget)
+        case ast.BinOp(left=x, op=ast.Pow(), right=ast.Constant(value=int(n))) if n <= MAX_DEGREE:
+            return _walk(x, text, budget // max(n, 1)) ** n
+        case ast.BinOp(left=x, op=ast.Div(), right=y):
+            d = _walk(y, text, budget)
+            if d.terms.keys() != {(0, 0, 0)}:
+                raise ValueError(f"division by {d} in {text!r}")
+            return _walk(x, text, budget) / d
+        case ast.BinOp(left=x, op=ast.Add() | ast.Sub() | ast.Mult() as op, right=y):
+            a = _walk(x, text, budget)
+            # A product's second factor may reach what the first leaves of the budget.
+            rest = budget - total_degree(a) if isinstance(op, ast.Mult) else budget
+            return _RING[type(op)](a, _walk(y, text, rest))
+        case ast.Name(id=("u" | "v" | "c")) | ast.BinOp(op=ast.Pow(), right=ast.Constant(value=int())):
+            raise ValueError(f"total degree or exponent above {MAX_DEGREE} in {text!r}")
+    raise ValueError(f"unsupported {ast.unparse(node).replace('**', '^')!r} in {text!r}")
+
+
+# Texts of the fixture grammar: unary minus, ^, division by a constant or by
+# an expression, sums and products, nested.
+grammar_expressions = st.recursive(
+    st.one_of(st.integers(0, 30).map(str), st.sampled_from("uvc")),
+    lambda inner: st.one_of(
+        st.builds("({})".format, inner),
+        st.builds("-{}".format, inner),
+        st.builds("{}{}{}".format, inner, st.sampled_from(["+", "-", "*", " + ", " - ", " * "]), inner),
+        st.builds("{}/{}".format, inner, st.integers(0, 12)),
+        st.builds("{}/({})".format, inner, inner),
+        st.builds("{}^{}".format, inner, st.integers(0, 4)),
+        st.builds("({})^{}".format, inner, st.integers(0, 4)),
+    ),
+    max_leaves=8,
+)
+
+
+def constant(p: Poly) -> Fraction:
+    """The value of a constant Poly; ValueError naming any other."""
+    return p()
+
+
+def total_degree(p: Poly) -> int:
+    """The total degree of p, 0 for the zero Poly."""
+    return max((sum(e) for e in p.terms), default=0)
+
+
+def as_poly(parsed: Numerators) -> Poly:
+    """The Poly of integer numerators over a den, as `parse_poly` gives them."""
+    nums, den = parsed
+    return Poly({e: Fraction(x, den) for e, x in nums.items()})
+
+
+def reference_fold(text: str) -> dict[tuple[int, int], tuple[tuple[int, ...], int]]:
+    """The oracle of `scenarios._c_fold` on the Poly of `reference_parse`:
+    {(i, j): ((a_0, ..., a_k), den)}, the coefficient of u^i v^j being
+    sum a_m c^m / den in lowest terms."""
+    by_uv = {}
+    for (i, j, m), x in reference_parse(text).terms.items():
+        by_uv.setdefault((i, j), {})[m] = x
+    return {ij: numerators(xs.get(m, 0) for m in range(max(xs) + 1)) for ij, xs in by_uv.items()}
+
+
+def affine_poly(form: Sequence[int], den: int) -> Poly:
+    """The Poly (a + b*u + c*v)/den of an integer form (a, b, c), or
+    (a + b*u)/den of (a, b): the oracle of `exactmath.form_text`."""
+    return Poly({e: Fraction(x, den) for e, x in zip(AFFINE, form)})
+
+
+def walls(ch: Chamber) -> tuple[Poly, Poly]:
+    """A chamber's lower and upper walls as Polys in u, whose text is
+    `Chamber.v_lo` and `Chamber.v_hi`."""
+    return wall_poly(ch.lower), wall_poly(ch.upper)
+
+
 def poly_chamber(u_lo, u_hi, v_lo, v_hi) -> Chamber:
     """The Chamber between the walls v = v_lo(u) and v = v_hi(u), given as
     Polys or scalars affine in u."""
@@ -56,7 +163,7 @@ def poly_chamber(u_lo, u_hi, v_lo, v_hi) -> Chamber:
 
 def corners(ch: Chamber) -> tuple[tuple[Fraction, Fraction], ...]:
     """The four corners (u, v) of a chamber."""
-    return tuple((u0, bound(u=u0)) for u0 in (ch.u_lo, ch.u_hi) for bound in (ch.v_lo, ch.v_hi))
+    return tuple((u0, bound(u=u0)) for u0 in (ch.u_lo, ch.u_hi) for bound in walls(ch))
 
 
 @dataclass(frozen=True)
@@ -88,13 +195,13 @@ def pseff_threshold(
         D - v*C + (relation combination) = e,  e >= 0.
     """
     threshold_lp = _threshold_lp(model, curve_vector(model, curve))
-    return threshold_lp.solve([x.as_fraction() for x in d.coeffs]).value
+    return threshold_lp.solve([constant(x) for x in d.coeffs]).value
 
 
 def contains(ch: Chamber, u0, v0) -> bool:
     """Whether (u0, v0) lies in ch."""
-    u0 = q(u0)
-    return ch.u_lo <= u0 <= ch.u_hi and ch.v_lo(u=u0) <= q(v0) <= ch.v_hi(u=u0)
+    u0, (lo, hi) = q(u0), walls(ch)
+    return ch.u_lo <= u0 <= ch.u_hi and lo(u=u0) <= q(v0) <= hi(u=u0)
 
 
 def random_pseudoeffective(model: SurfaceModel, rng) -> SurfDivisor:
@@ -194,7 +301,7 @@ def moment_integral(p: Poly, ch: Chamber) -> Fraction:
     """iint p over ch for p of degree <= 2 in u and v, by `Chamber.moments`
     alone, as the flag layers integrate: p = f + u*g + v*h with affine forms
     f, g, h, and iint p the moment of f against 1, g against u, h against v."""
-    if p.total_degree() > 2 or degree_in(p, "c"):
+    if total_degree(p) > 2 or degree_in(p, "c"):
         raise ValueError(f"not of degree <= 2 in u, v: {p}")
     exps = ((0, 0), (1, 0), (0, 1), None, (2, 0), (1, 1), None, None, (0, 2))
     flat, den = numerators(coefficient(p, (*e, 0)) if e else Fraction(0) for e in exps)
@@ -239,8 +346,8 @@ def form_poly(terms, den) -> Poly:
 def reference_integrate_chamber(p: Poly, ch) -> Fraction:
     """Reference for the chamber-moment integration: the v-antiderivative of
     p between the affine bounds, then the u-integral."""
-    anti = antiderivative(p, "v")
-    inner = anti.subs(v=ch.v_hi) - anti.subs(v=ch.v_lo)
+    anti, (lo, hi) = antiderivative(p, "v"), walls(ch)
+    inner = anti.subs(v=hi) - anti.subs(v=lo)
     return reference_integrate_univariate(inner, ch.u_lo, ch.u_hi)
 
 
@@ -282,8 +389,8 @@ def reference_closed_form(record, key: str, c: Fraction) -> Fraction:
         spec = next(branch for branch in spec if ("c_min" not in branch or c > q(branch["c_min"]))
                     and ("c_max" not in branch or c <= q(branch["c_max"])))
     if not isinstance(spec, dict):
-        return parse_poly(spec)(c=c)
-    return parse_poly(spec["num"])(c=c) / (parse_poly(spec["den"])(c=c) if "den" in spec else 1)
+        return reference_parse(spec)(c=c)
+    return reference_parse(spec["num"])(c=c) / (reference_parse(spec["den"])(c=c) if "den" in spec else 1)
 
 
 def build_218(case: str, c: Fraction):
@@ -300,7 +407,7 @@ def threshold_at(scan: ChamberedDecomposition, u0) -> Fraction:
     u0 = q(u0)
     for piece in scan.threshold:
         if piece.u_lo <= u0 <= piece.u_hi:
-            return piece.t(u=u0)
+            return wall_poly(piece.wall)(u=u0)
     raise ValueError(f"u={u0} outside the scanned range")
 
 
@@ -329,9 +436,10 @@ def shared_boundary_samples(a: Chamber, b: Chamber) -> list[tuple[Fraction, Frac
     """Two exact sample points on each shared boundary segment of a and b."""
     samples: list[tuple[Fraction, Fraction]] = []
     # Vertical boundary: same u-line, overlapping v-ranges.
+    (a_lo, a_hi), (b_lo, b_hi) = walls(a), walls(b)
     for u0 in {a.u_hi} & {b.u_lo} | {a.u_lo} & {b.u_hi}:
-        lo = max(a.v_lo(u=u0), b.v_lo(u=u0))
-        hi = min(a.v_hi(u=u0), b.v_hi(u=u0))
+        lo = max(a_lo(u=u0), b_lo(u=u0))
+        hi = min(a_hi(u=u0), b_hi(u=u0))
         if lo < hi:
             samples += [(u0, lo * Fraction(2, 3) + hi * Fraction(1, 3)),
                         (u0, lo * Fraction(1, 3) + hi * Fraction(2, 3))]
@@ -340,7 +448,7 @@ def shared_boundary_samples(a: Chamber, b: Chamber) -> list[tuple[Fraction, Frac
     # Horizontal boundary: overlapping u-interval, touching v-bounds.
     u_lo, u_hi = max(a.u_lo, b.u_lo), min(a.u_hi, b.u_hi)
     if u_lo < u_hi:
-        for upper, lower in ((a.v_hi, b.v_lo), (b.v_hi, a.v_lo)):
+        for upper, lower in ((a_hi, b_lo), (b_hi, a_lo)):
             if upper == lower:
                 for t in (Fraction(1, 3), Fraction(2, 3)):
                     u0 = u_lo + (u_hi - u_lo) * t
@@ -465,10 +573,10 @@ class ZariskiDecomposition:
         problems = []
         model = self.positive.model
         for j in self.support:
-            if self.negative.coeffs[j].as_fraction() < 0:
+            if constant(self.negative.coeffs[j]) < 0:
                 problems.append(f"negative coefficient at {model.curve_names[j]}")
         for j in range(model.n):
-            val = dot_curve(model, self.positive.coeffs, j).as_fraction()
+            val = constant(dot_curve(model, self.positive.coeffs, j))
             if j in self.support and val != 0:
                 problems.append(f"P.{model.curve_names[j]} = {val} != 0 on support")
             if val < 0:
@@ -522,7 +630,7 @@ def effective_cone_facets(model: SurfaceModel) -> tuple[tuple[int, ...], ...]:
 
 
 def is_pseudoeffective(model: SurfaceModel, coeffs) -> bool:
-    vec = [Poly.coerce(x).as_fraction() for x in coeffs]
+    vec = [constant(Poly.coerce(x)) for x in coeffs]
     return all(
         sum(h[i] * vec[i] for i in range(model.n)) >= 0 for h in effective_cone_facets(model)
     )
@@ -530,7 +638,7 @@ def is_pseudoeffective(model: SurfaceModel, coeffs) -> bool:
 
 def zariski_decompose(model: SurfaceModel, d: SurfDivisor) -> ZariskiDecomposition:
     """Zariski decomposition of a rational-coefficient divisor class."""
-    coeffs = [x.as_fraction() for x in d.coeffs]
+    coeffs = [constant(x) for x in d.coeffs]
     if not is_pseudoeffective(model, coeffs):
         raise NotPseudoeffectiveError("divisor not pseudoeffective in model")
     support, n_vals = _expand_support(model, coeffs, _sign, lambda x, j: _dot(model, x, j))
@@ -621,7 +729,7 @@ def reference_chamber_scan(model: SurfaceModel, base, curve, u_lo, u_hi) -> Cham
     cvec = curve_vector(model, curve)
     family = [base[i] - Poly.var("v") * cvec[i] for i in range(model.n)]
     tpieces = threshold_pieces(model, base, cvec, u_lo, u_hi)
-    chambers = [ch for piece in tpieces if not piece.t.is_zero()
+    chambers = [ch for piece in tpieces if piece.t != "0"
                 for ch in _reference_scan_piece(model, family, piece)]
     return ChamberedDecomposition(model=model, curve=cvec, u_lo=u_lo, u_hi=u_hi,
                                   threshold=tuple(tpieces), chambers=tuple(chambers))
@@ -657,7 +765,7 @@ def _reference_scan_piece(model, family, piece: ThresholdPiece, depth: int = 0) 
 
 def _reference_columns(model, family, piece: ThresholdPiece, u0: Fraction) -> list:
     """(support, lower wall, N, P) of each column above u0, walking v up from 0."""
-    t_at = piece.t(u=u0)
+    t_at = wall_poly(piece.wall)(u=u0)
     fam_u0 = [f.subs(u=u0) for f in family]  # affine in v
     columns = []
     v_cur = Fraction(0)
@@ -702,7 +810,7 @@ def _reference_decomposition(model, family, support):
 
 def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ReferenceChamber]:
     """The certificate of `surfzar._certify_columns`, on Polys."""
-    bounds = [lower for _, lower, _, _ in columns] + [piece.t]
+    bounds = [lower for _, lower, _, _ in columns] + [wall_poly(piece.wall)]
     for lo, hi in zip(bounds, bounds[1:]):
         gap = hi - lo
         if gap(u=piece.u_lo) < 0 or gap(u=piece.u_hi) < 0:
@@ -712,7 +820,7 @@ def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ReferenceC
             raise RuntimeError("inconsistent chamber boundaries")
     out = []
     for (support, _, n_sym, p_sym), lo, hi in zip(columns, bounds, bounds[1:]):
-        if (hi - lo).is_zero():
+        if hi == lo:
             continue
         chamber = poly_chamber(piece.u_lo, piece.u_hi, lo, hi)
 
@@ -729,7 +837,7 @@ def _reference_certify(model, piece: ThresholdPiece, columns) -> list[ReferenceC
         for k in range(model.n):
             val = dot_curve(model, p_sym, k)
             if k in support:
-                if not val.is_zero():
+                if val != 0:
                     raise RuntimeError("support orthogonality failed symbolically")
                 continue
             check(val, "nef condition failed inside chamber")
@@ -773,7 +881,7 @@ def reference_threshold_pieces(model: SurfaceModel, base, curve, u_lo, u_hi) -> 
     for h in effective_cone_facets(model):
         hc = sum(h[i] * cvec[i] for i in range(model.n))
         hb = sum((b * hi for hi, b in zip(h, base) if hi), Poly())
-        if hb.total_degree() > 1 or degree_in(hb, "v") or degree_in(hb, "c"):
+        if total_degree(hb) > 1 or degree_in(hb, "v") or degree_in(hb, "c"):
             raise ValueError("base family must be affine in u")
         if hc > 0:
             lines.append(hb / hc)
@@ -839,14 +947,14 @@ def reference_check_row(scan: ChamberedDecomposition, row: TableRow) -> list[Row
     out: list[RowMismatch] = []
     overlaps_found = False
     region = row.region
-    row_p, row_n = row_cells(row)
+    (r_lo, r_hi), row_p, row_n = walls(region), *row_cells(row)
     for ch in scan.chambers:
         u_lo, u_hi = max(region.u_lo, ch.chamber.u_lo), min(region.u_hi, ch.chamber.u_hi)
         if u_lo >= u_hi:
             continue
-        crossings = [_affine_root(region.v_lo - ch.chamber.v_lo, u_lo, u_hi),
-                     _affine_root(region.v_hi - ch.chamber.v_hi, u_lo, u_hi)]
-        if not any(min(region.v_hi(u=u0), ch.chamber.v_hi(u=u0)) > max(region.v_lo(u=u0), ch.chamber.v_lo(u=u0))
+        c_lo, c_hi = walls(ch.chamber)
+        crossings = [_affine_root(r_lo - c_lo, u_lo, u_hi), _affine_root(r_hi - c_hi, u_lo, u_hi)]
+        if not any(min(r_hi(u=u0), c_hi(u=u0)) > max(r_lo(u=u0), c_lo(u=u0))
                    for u0 in [u_lo, u_hi] + [x for x in crossings if x is not None]):
             continue
         overlaps_found = True
@@ -856,7 +964,7 @@ def reference_check_row(scan: ChamberedDecomposition, row: TableRow) -> list[Row
                 if printed != recomputed:
                     out.append(RowMismatch(name, scan.model.curve_names[i], str(printed), str(recomputed)))
     if not overlaps_found:
-        out.append(RowMismatch("region", "-", f"v in [{region.v_lo}, {region.v_hi}]",
+        out.append(RowMismatch("region", "-", f"v in [{r_lo}, {r_hi}]",
                                "row region lies outside the scanned decomposition"))
     return out
 

@@ -451,6 +451,19 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
     ("known_discrepancies.json", _set(0, "table", None), "34-d4",
      "known_discrepancies.json: 'table': None is no string"),
     ("known_discrepancies.json", lambda data: 5, "34-d4", "known_discrepancies.json: 'root': 5 is no array of objects"),
+    # A forcing curve that is no list of rays, a forcing map that is no
+    # object, a pinned star image or coordinate that is no integer, and a
+    # certificate with no interval.
+    ("scenarios/family-34-d4.json", _set("certificate", 5, "forcing", "1", 99), "34-d4",
+     "family-34-d4.json: 'forcing': 99 is no 2-cone of the fan"),
+    ("scenarios/family-34-a3.json", _set("certificate", 1, "forcing", []), "34-a3",
+     "family-34-a3.json: 'forcing': [] is no object"),
+    ("scenarios/family-34-d4.json", _set("star", "pinned", "1", None), "34-d4",
+     "family-34-d4.json: 'star': exactly two pinned integer images of adjacent rays are required"),
+    ("scenarios/family-34-d4.json", _set("star", "pinned", "1", 1, None), "34-d4",
+     "family-34-d4.json: 'star': exactly two pinned integer images of adjacent rays are required"),
+    ("scenarios/family-34-d4.json", _set("certificate", []), "34-d4",
+     "family-34-d4.json: 'certificate': [] holds no interval"),
 ], ids=["contracted", "class", "mults", "mults-text", "flag-curve", "generates-pseff", "contracted-repeated",
         "gram-rows", "gram-asymmetric", "certificate-ray", "forcing-ray", "pullback-ray", "table-columns",
         "curve-value-ray", "curve-value-pair", "forcing-pair-ray", "forcing-pair", "branch-gap",
@@ -468,7 +481,8 @@ def test_unknown_name_in_a_fixture_is_one_fixture_error(tmp_path, capsys, monkey
         "sigma-null", "branch-end-null", "l_cubed-null", "volume-expected-s-null", "delta-level-null",
         "volume-piece-lo-null", "volume-pieces-null", "point-mults-list", "curve-a-null", "expected-s-curve-null",
         "toric-l-cubed-null", "different-null", "registry-bound-unparsed", "registry-kind-list",
-        "registry-table-null", "registry-root-number"])
+        "registry-table-null", "registry-root-number", "forcing-pair-number", "forcing-map-list", "pinned-image-null",
+        "pinned-coordinate-null", "certificate-empty"])
 def test_out_of_range_fixture_value_is_one_fixture_error(tmp_path, capsys, monkeypatch, relative, edit, family,
                                                         named):
     dst = _fixture_copy(tmp_path / "fixtures", relative, edit)

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, interpolation and chamber integration."""
 
 import math
+import operator
 import random
 import re
 import time
@@ -14,6 +15,7 @@ from fano_delta.exactmath import (
     MAX_DEGREE,
     Poly,
     at,
+    form_text,
     gap,
     horner,
     integral,
@@ -25,6 +27,10 @@ from fano_delta.exactmath import (
 
 from helpers import (
     ChamberFunction,
+    affine_poly,
+    as_poly,
+    constant,
+    grammar_expressions,
     check_continuity,
     coefficient,
     corners,
@@ -37,7 +43,10 @@ from helpers import (
     poly_chamber,
     reference_integrate_chamber,
     reference_integrate_univariate,
+    reference_parse,
+    total_degree,
     u_coefficients,
+    walls,
 )
 
 U, V, C = Poly.var("u"), Poly.var("v"), Poly.var("c")
@@ -61,14 +70,15 @@ def rnd_poly(rng, deg=2, nvars=2):
 def test_canonical_terms_and_equality():
     p = (U + 1) * (U - 1)
     assert p == U**2 - 1
-    assert (p - U**2 + 1).is_zero()
+    assert p - U**2 + 1 == 0
     assert p.terms.get((1, 0, 0)) is None  # no zero coefficients stored
 
 
 def test_parse_round_trip_on_table_style_expressions():
     for text in ("(8-u-3*v)/3", "u/2-2*v", "3*(4*v-u+1)/4", "-v", "2", "(7-6*c-u-v)^2/2"):
-        p = parse_poly(text)
-        assert parse_poly(str(p)) == p
+        p = as_poly(parse_poly(text))
+        assert p == reference_parse(text)
+        assert parse_poly(str(p)) == parse_poly(text)
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -82,7 +92,7 @@ def test_parse_round_trip_on_table_style_expressions():
 ])
 def test_parse_follows_python_precedence(text, expected):
     # Unary minus binds looser than ^, as in Python: -u^2 is -(u^2).
-    assert parse_poly(text) == expected
+    assert as_poly(parse_poly(text)) == expected
 
 
 exponent_polys = st.dictionaries(
@@ -95,7 +105,7 @@ exponent_polys = st.dictionaries(
 @settings(max_examples=300, deadline=None)
 @given(exponent_polys)
 def test_str_and_parse_round_trip(p):
-    assert parse_poly(str(p)) == p
+    assert as_poly(parse_poly(str(p))) == p
 
 
 @pytest.mark.parametrize("text", ["u^200000", "((1+u+v+c)^9)^9", "u^3*v^3*c^3*u", "2^10", "(u^5)^2"])
@@ -110,9 +120,9 @@ def test_parse_refuses_a_degree_past_the_bound_before_expanding(text):
 
 def test_parse_reaches_the_degree_bound():
     assert MAX_DEGREE == 9
-    assert parse_poly("u^3*v^3*c^3") == U**3 * V**3 * C**3
-    assert parse_poly("(u-u)^2*u^9").is_zero()  # the product's degree is that of its value
-    assert parse_poly("(1+u)^9").total_degree() == 9 and parse_poly("2^9") == 512
+    assert as_poly(parse_poly("u^3*v^3*c^3")) == U**3 * V**3 * C**3
+    assert parse_poly("(u-u)^2*u^9") == ({}, 1)  # the product's degree is that of its value
+    assert max(map(sum, parse_poly("(1+u)^9")[0])) == 9 and parse_poly("2^9") == ({(0, 0, 0): 512}, 1)
 
 
 def test_parse_rejects_garbage():
@@ -135,11 +145,54 @@ grammar_text = st.text(alphabet="0123456789uvc+-*/^() ", max_size=24).filter(
 @settings(max_examples=400, deadline=None)
 @given(grammar_text)
 def test_parse_returns_a_poly_or_raises_value_error(text):
+    # A polynomial is its nonzero integer numerators over one positive den in lowest terms.
     try:
-        result = parse_poly(text)
+        nums, den = parse_poly(text)
     except ValueError:
         return
-    assert isinstance(result, Poly)
+    assert type(den) is int and den > 0 and math.gcd(den, *nums.values()) == 1
+    assert all(type(x) is int and x for x in nums.values())
+    assert all(len(e) == 3 and all(type(k) is int and k >= 0 for k in e) for e in nums)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(grammar_expressions)
+def test_parse_equals_the_poly_oracle_or_refuses_as_it_does(text):
+    # 400 texts: the same polynomial, or the same ValueError text.
+    assert outcome(lambda: as_poly(parse_poly(text))) == outcome(lambda: reference_parse(text))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(["u", "v", "c", "(1+u)", "((u-2*v)/3)", "(c^2)"]), st.integers(1, 9)),
+                min_size=1, max_size=4), st.booleans())
+def test_a_text_past_the_budget_is_refused_with_the_oracle_message(factors, nested):
+    # 150 products of powers whose total degree exceeds MAX_DEGREE, or the
+    # same raised once more to the 2nd power.
+    text = "*".join(f"{base}^{n}" for base, n in factors)
+    degree = sum(n * (2 if base == "(c^2)" else 1) for base, n in factors)
+    text, degree = (f"({text})^2", 2 * degree) if nested else (text, degree)
+    if degree <= MAX_DEGREE:
+        assert as_poly(parse_poly(text)) == reference_parse(text)
+        return
+    want = outcome(lambda: reference_parse(text))
+    assert want == f"total degree or exponent above {MAX_DEGREE} in {text!r}"
+    assert outcome(lambda: parse_poly(text)) == want
+
+
+# Integer forms: zero and unit coefficients, multiples of small dens; dens
+# that share factors with them.
+form_entries = st.one_of(st.sampled_from((0, 1, -1)), st.integers(-60, 60),
+                         st.builds(operator.mul, st.integers(-5, 5), st.sampled_from((2, 3, 4, 6, 12))))
+form_dens = st.one_of(st.sampled_from((1, 2, 3, 4, 6, 12)), st.integers(1, 90))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(form_entries, min_size=2, max_size=3), form_dens)
+def test_form_text_is_the_oracle_text_and_parses_back(form, den):
+    # 300 forms (a, b) or (a, b, c) over den.
+    text = form_text(form, den)
+    assert text == str(affine_poly(form, den))
+    assert as_poly(parse_poly(text)) == affine_poly(form, den)
 
 
 def test_division_only_by_constants():
@@ -148,9 +201,9 @@ def test_division_only_by_constants():
 
 
 def test_substitution_partial_and_full():
-    p = parse_poly("8*c^2+4*c*u-v^2-20*c-4*u+12")
+    p = reference_parse("8*c^2+4*c*u-v^2-20*c-4*u+12")
     at_c = p.subs(c=F(1, 2))
-    assert at_c == parse_poly("2+2*u-v^2-10-4*u+12")
+    assert at_c == reference_parse("2+2*u-v^2-10-4*u+12")
     assert p(c=F(1, 2), u=1, v=0) == 2
 
 
@@ -187,7 +240,7 @@ def assert_canonical(p):
 def test_full_evaluation_matches_reference(p, u0, v0, c0):
     value = p(u=u0, v=v0, c=c0)
     assert type(value) is F
-    assert value == reference_subs(p, u=u0, v=v0, c=c0).as_fraction()
+    assert value == constant(reference_subs(p, u=u0, v=v0, c=c0))
 
 
 @kernel_settings
@@ -232,14 +285,14 @@ def test_horner_is_the_value_times_a_power_of_the_denominator(coeffs, x):
 
 
 def test_evaluation_errors():
-    p = parse_poly("u*v + c")
+    p = reference_parse("u*v + c")
     with pytest.raises(ValueError, match="not a constant polynomial: "):
         p(u=1, c=2)
     with pytest.raises(ValueError, match="unknown variable 'w'"):
         p(u=1, v=2, c=3, w=4)
     with pytest.raises(ValueError, match="unknown variable 'w'"):
         p.subs(w=4)
-    assert parse_poly("3*u")(u=F(1, 3), v=7) == 1  # values for absent variables are fine
+    assert reference_parse("3*u")(u=F(1, 3), v=7) == 1  # values for absent variables are fine
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +367,7 @@ def test_shared_elimination_matches_per_column_interpolate(fns, points):
         (expected,) = errors
     assert outcome(lambda: interpolate_many(points, values, 1, ("u", "v"))) == expected
     if not errors:  # the interpolant is exact on the affine columns
-        assert all(got == f for got, f in zip(per_column, fns) if f.total_degree() <= 1)
+        assert all(got == f for got, f in zip(per_column, fns) if total_degree(f) <= 1)
 
 
 def test_shared_elimination_rejects_one_bent_column():
@@ -338,7 +391,7 @@ def integrate_univariate(p: Poly, lo, hi) -> F:
 
 
 def test_univariate_paper_example():
-    assert integrate_univariate(parse_poly("6*u*(1+u)"), 0, 1) == 5
+    assert integrate_univariate(reference_parse("6*u*(1+u)"), 0, 1) == 5
 
 
 def test_univariate_zero():
@@ -349,8 +402,8 @@ def test_univariate_against_antiderivative_oracle():
     # Oracle: the antiderivative of 6(1-c)(3-2c-u)^2 at c=1/2 is -(2-u)^3,
     # so the definite integral over [0, 3-2c] = [0, 2] is 2^3 = 8.
     c = F(1, 2)
-    integrand = parse_poly("6*(1-c)*(3-2*c-u)^2").subs(c=c)
-    hi = parse_poly("3-2*c")(c=c)
+    integrand = reference_parse("6*(1-c)*(3-2*c-u)^2").subs(c=c)
+    hi = reference_parse("3-2*c")(c=c)
     oracle = -((2 - hi) ** 3) + 2**3
     assert integrate_univariate(integrand, 0, hi) == oracle == 8
 
@@ -373,12 +426,12 @@ def test_univariate_arity_mismatch():
 
 
 def test_integer_rows_share_one_least_denominator():
-    rows, den = integer_rows([parse_poly("u/2 - 1/3"), parse_poly("3*v + 1/4"), Poly()], AFFINE, "affine")
+    rows, den = integer_rows([reference_parse("u/2 - 1/3"), reference_parse("3*v + 1/4"), Poly()], AFFINE, "affine")
     assert (rows, den) == (((-4, 6, 0), (3, 0, 36), (0, 0, 0)), 12)
-    assert integer_rows([parse_poly("2*u")], AFFINE[:2], "affine in u") == (((0, 2),), 1)
+    assert integer_rows([reference_parse("2*u")], AFFINE[:2], "affine in u") == (((0, 2),), 1)
     assert integer_rows([], AFFINE, "affine") == ((), 1)
     with pytest.raises(ValueError, match=r"^u\^2 \+ 1 is not affine in u$"):
-        integer_rows([parse_poly("u"), parse_poly("u^2+1")], AFFINE[:2], "affine in u")
+        integer_rows([reference_parse("u"), reference_parse("u^2+1")], AFFINE[:2], "affine in u")
 
 
 @settings(max_examples=100, deadline=None)
@@ -395,22 +448,22 @@ def test_integer_rows_are_the_coefficients(terms):
 
 def test_chamber_trivial_unit_square():
     ch = poly_chamber(0, 1, Poly.const(0), Poly.const(1))
-    assert moment_integral(parse_poly("2*(1-v)"), ch) == 1
+    assert moment_integral(reference_parse("2*(1-v)"), ch) == 1
 
 
 def test_chamber_paper_half():
     # (1/3) [ iint 2(1-v) over [0,1]^2 + iint 2(1-v)(2-u) over [1,2]x[0,1] ]
     ch1 = poly_chamber(0, 1, Poly.const(0), Poly.const(1))
     ch2 = poly_chamber(1, 2, Poly.const(0), Poly.const(1))
-    total = moment_integral(parse_poly("2*(1-v)"), ch1) + moment_integral(
-        parse_poly("2*(1-v)*(2-u)"), ch2
+    total = moment_integral(reference_parse("2*(1-v)"), ch1) + moment_integral(
+        reference_parse("2*(1-v)*(2-u)"), ch2
     )
     assert total / 3 == F(1, 2)
 
 
 def test_chamber_paper_seven_ninths():
-    ch = poly_chamber(0, 1, Poly.const(0), parse_poly("1+u"))
-    assert moment_integral(parse_poly("2*(1+u-v)"), ch) / 3 == F(7, 9)
+    ch = poly_chamber(0, 1, Poly.const(0), reference_parse("1+u"))
+    assert moment_integral(reference_parse("2*(1+u-v)"), ch) / 3 == F(7, 9)
 
 
 def test_chamber_validation():
@@ -424,7 +477,7 @@ def test_chamber_validation():
 
 def test_integration_linearity_property():
     rng = random.Random(5)
-    ch = poly_chamber(0, 2, Poly.const(0), parse_poly("1+u"))
+    ch = poly_chamber(0, 2, Poly.const(0), reference_parse("1+u"))
     for _ in range(20):
         p, q_ = rnd_poly(rng), rnd_poly(rng)
         a, b = F(rng.randrange(-5, 6), 3), F(rng.randrange(-5, 6), 2)
@@ -555,7 +608,7 @@ def test_chamber_crossing_agrees_with_fractions(ch, form, pin):
     if pin is not None:  # the form moved to vanish at a point of one wall
         upper, s = pin
         u0 = ch.u_lo + (ch.u_hi - ch.u_lo) * s
-        v0 = (ch.v_hi if upper else ch.v_lo)(u=u0)
+        v0 = walls(ch)[upper](u=u0)
         form = numerators((-form[1] * u0 - form[2] * v0, F(form[1]), F(form[2])))[0]
     a, b, c = form
     # The form along each wall at the two u-ends: a crossing is a root

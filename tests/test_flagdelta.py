@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fano_delta import flagdelta
-from fano_delta.exactmath import AFFINE, Chamber, Poly, parse_poly
+from fano_delta.exactmath import AFFINE, Chamber, Poly
 from fano_delta.flagdelta import (
     BasePiece,
     FlagScenario,
@@ -28,7 +28,7 @@ from fano_delta.flagdelta import (
 from fano_delta.scenarios import builders, load_model
 
 from helpers import (coefficient, forms_of, marked_point, n_coeffs, p_coeffs, pair, reference_integrate_chamber,
-                     reference_nonneg_on_interval, u_coefficients)
+                     reference_nonneg_on_interval, reference_parse, u_coefficients)
 
 
 def weighted_scenario():
@@ -39,7 +39,7 @@ def weighted_scenario():
         curve_class=(F(1), F(0), F(0)),
         pieces=(
             BasePiece(F(0), F(1), *forms_of([3, 1, 1])),
-            BasePiece(F(1), F(2), *forms_of([parse_poly(s) for s in ("4-u", "1", "2-u")])),
+            BasePiece(F(1), F(2), *forms_of([reference_parse(s) for s in ("4-u", "1", "2-u")])),
         ),
         points=(
             MarkedPoint("z", F(1), ((1, F(1)),)),
@@ -51,7 +51,7 @@ def weighted_scenario():
 
 def volume(lo, hi, text):
     """A volume piece (lo, hi, integer coefficients in u, den) of a text."""
-    return (lo, hi, *u_coefficients(parse_poly(text)))
+    return (lo, hi, *u_coefficients(reference_parse(text)))
 
 
 def nonneg_on(p: Poly, lo, hi) -> bool:
@@ -129,7 +129,7 @@ def test_nonnegativity_with_roots_at_the_ends(text, lo, hi, nonneg):
     # The chain of p itself, unreduced, and a root bracket starting at lo
     # call the first two nonnegative and bisect the last two until the
     # guard raises ScanError.
-    assert nonneg_on(parse_poly(text), F(lo), F(hi)) is nonneg
+    assert nonneg_on(reference_parse(text), F(lo), F(hi)) is nonneg
 
 
 def test_nonnegativity_reads_past_zero_top_coefficients():

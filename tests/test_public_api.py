@@ -5,10 +5,12 @@ that module."""
 
 import ast
 import fractions
+import importlib.util
 from collections import defaultdict
 from pathlib import Path
 
 import fano_delta
+from fano_delta import flagdelta
 
 SRC = Path(fano_delta.__file__).resolve().parent
 
@@ -103,3 +105,19 @@ def test_unread_imports_are_found(tmp_path):
         "from __future__ import annotations\n\nimport math\nimport os.path\nimport json as j\n"
         "from fractions import Fraction, gcd as g\n\n\ndef f(x: Fraction) -> int:\n    return math.floor(x)\n")
     assert unread_imports(tmp_path) == ["m.py:os", "m.py:j", "m.py:g"]
+
+
+def test_the_benchmark_tracer_finds_every_name_it_reads():
+    # perfbench/tracer.py wraps names of the package by name: the Poly
+    # methods it counts, Report.to_json and exit_code, every public method
+    # of builders.ToricFamily, and it reads the scan cache's statistics.  A
+    # name dropped or renamed in src/ fails here, not in a traced benchmark run.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = {name for name, *_ in tracer.layer_functions()}
+    assert {"exactmath.parse_poly", "exactmath.Poly.__call__", "exactmath.Poly.subs", "cli.Report.to_json",
+            "cli.Report.exit_code", "flagdelta.scenario_scans"} <= names
+    assert any(name.startswith("builders.ToricFamily.") for name in names)
+    assert callable(flagdelta.scenario_scans.cache_info)

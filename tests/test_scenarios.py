@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import sys
 import traceback
 from fractions import Fraction as F
@@ -28,8 +29,9 @@ from fano_delta.scenarios import (
 )
 
 import helpers
-from helpers import (build_218, degree_in, integer_rows, marked_point, p_coeffs, pair, reference_closed_form,
-                     reference_integrate_chamber, reference_integrate_univariate, row_cells)
+from helpers import (as_poly, build_218, degree_in, grammar_expressions, integer_rows, marked_point, p_coeffs, pair,
+                     reference_closed_form, reference_fold, reference_integrate_chamber,
+                     reference_integrate_univariate, reference_parse, row_cells)
 
 
 def test_fixture_files_round_trip():
@@ -53,7 +55,7 @@ def test_table_poly_cells_parse_and_reprint():
                 cells.extend(cell["u"])
         for text in cells:
             p = parse_poly(text)
-            assert parse_poly(str(p)) == p
+            assert as_poly(p) == reference_parse(text) and parse_poly(str(as_poly(p))) == p
     # Every other fixture string that parses: the c-forms and volume pieces
     # of the scenario files, the registry's bounds, the fan and model data.
     reprinted = set()
@@ -63,7 +65,7 @@ def test_table_poly_cells_parse_and_reprint():
                 p = parse_poly(text)
             except ValueError:
                 continue
-            assert parse_poly(str(p)) == p
+            assert as_poly(p) == reference_parse(text) and parse_poly(str(as_poly(p))) == p
             reprinted.add(path.parent.name)
     assert reprinted >= {"scenarios", "tables", "models"}
 
@@ -138,7 +140,7 @@ def test_flag_scenario_values_recomputable_from_clean_tables(family_runs):
             # ord-term of the ambient negative part along alpha1 (table 9).
             for row in load_table("table-09").rows:
                 p_tilde, (d, *_) = row_cells(row)
-                if d.is_zero():
+                if d == 0:
                     continue
                 p_sq = pair(model, p_tilde, p_tilde)
                 total += F(3, 9) * reference_integrate_univariate(p_sq * d, row.region.u_lo, row.region.u_hi)
@@ -222,12 +224,12 @@ def test_heart_piecewise_formulas_symbolically(c, regimes):
         for ch in [ch for scan in scans for ch in scan.chambers
                    if u_lo <= ch.chamber.u_lo and ch.chamber.u_hi <= u_hi]:
             for v_lo, v_hi, p_sq, p_dot in branches:
-                if (parse_poly(v_lo).subs(c=c) == ch.chamber.v_lo
-                        and parse_poly(v_hi).subs(c=c) == ch.chamber.v_hi):
+                if (str(reference_parse(v_lo).subs(c=c)) == ch.chamber.v_lo
+                        and str(reference_parse(v_hi).subs(c=c)) == ch.chamber.v_hi):
                     assert pair(model, p_coeffs(ch), p_coeffs(ch)) == \
-                        parse_poly(p_sq).subs(c=c)
+                        reference_parse(p_sq).subs(c=c)
                     assert pair(model, p_coeffs(ch), scenario.curve_class) == \
-                        parse_poly(p_dot).subs(c=c)
+                        reference_parse(p_dot).subs(c=c)
                     matched += 1
                     break
             else:
@@ -262,12 +264,12 @@ def test_diamond_piecewise_formulas_symbolically():
         for ch in [ch for scan in scans for ch in scan.chambers
                    if u_lo <= ch.chamber.u_lo and ch.chamber.u_hi <= u_hi]:
             for v_lo, v_hi, p_sq, p_dot in branches:
-                if (parse_poly(v_lo).subs(c=c) == ch.chamber.v_lo
-                        and parse_poly(v_hi).subs(c=c) == ch.chamber.v_hi):
+                if (str(reference_parse(v_lo).subs(c=c)) == ch.chamber.v_lo
+                        and str(reference_parse(v_hi).subs(c=c)) == ch.chamber.v_hi):
                     assert pair(model, p_coeffs(ch), p_coeffs(ch)) == \
-                        parse_poly(p_sq).subs(c=c)
+                        reference_parse(p_sq).subs(c=c)
                     assert pair(model, p_coeffs(ch), scenario.curve_class) == \
-                        parse_poly(p_dot).subs(c=c)
+                        reference_parse(p_dot).subs(c=c)
                     matched += 1
                     break
             else:
@@ -288,12 +290,12 @@ def _match_branches(case, c, regimes):
         assert chambers, (case, c, u_lo, u_hi)
         for ch in chambers:
             for v_lo, v_hi, p_sq, p_dot in branches:
-                if (parse_poly(v_lo).subs(c=c) == ch.chamber.v_lo
-                        and parse_poly(v_hi).subs(c=c) == ch.chamber.v_hi):
+                if (str(reference_parse(v_lo).subs(c=c)) == ch.chamber.v_lo
+                        and str(reference_parse(v_hi).subs(c=c)) == ch.chamber.v_hi):
                     assert pair(model, p_coeffs(ch), p_coeffs(ch)) == \
-                        parse_poly(p_sq).subs(c=c), (case, c, v_lo)
+                        reference_parse(p_sq).subs(c=c), (case, c, v_lo)
                     assert pair(model, p_coeffs(ch), scenario.curve_class) == \
-                        parse_poly(p_dot).subs(c=c), (case, c, v_lo)
+                        reference_parse(p_dot).subs(c=c), (case, c, v_lo)
                     matched += 1
                     break
             else:
@@ -501,6 +503,49 @@ def test_built_218_cases_equal_the_poly_reading_at_c(c):
             assert form(c) == reference_closed_form(record, key, c)
         for (*_, wall), record in zip(spec.ranges, raw.get("printed_ranges", ()), strict=True):
             assert rows_at(wall, c) == integer_rows([fixture_poly(record["derived"]).subs(c=c)], AFFINE[:2], "affine")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(grammar_expressions)
+def test_c_fold_equals_the_poly_oracle_fold(text):
+    # 300 texts: the integer fold of the integer parse is the fold of the
+    # Poly oracle's parse, or both refuse the text with the same message.
+    from fano_delta import scenarios
+
+    try:
+        want = reference_fold(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            scenarios._c_fold(text)
+        return
+    assert scenarios._c_fold(text) == want
+
+
+def test_a_cold_full_report_does_no_poly_arithmetic(monkeypatch):
+    # Fixture texts are read and report text is written in integers: with
+    # `Poly._make` and every Poly ring operation refusing to run, a cold
+    # `report --family all` gives the same report.  Poly is built only from
+    # canonical fixture text (registry bounds, printed ranges, ray labels).
+    from fano_delta import cli, flagdelta, scenarios
+
+    def cold_report():
+        for cache in (scenarios.fixture, scenarios._parsed, scenarios._c_fold, flagdelta.scenario_scans):
+            cache.cache_clear()
+        return cli.build_report("all", None).to_json()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Poly arithmetic on the run path")
+
+    want = cold_report()
+    with monkeypatch.context() as patch:
+        patch.setattr(Poly, "_make", classmethod(refuse))
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+                     "__truediv__", "__pow__", "subs", "__call__"):
+            patch.setattr(Poly, name, refuse)
+        got = cold_report()
+    assert got == want
+    assert got == json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "reference" /
+                              "full-report.json").read_text())
 
 
 def test_a_new_c_parses_no_text_and_builds_no_poly(monkeypatch):
